@@ -541,38 +541,32 @@ func joinBenchCases() []struct {
 	}
 }
 
-// BenchmarkJoinPlanner is the planner ablation: the cost-based planner
-// (per-round re-planning from live statistics) against the legacy static
-// greedy order, each cold (stratify + compile every evaluation) and warm
-// (a shared compiled Program, the serving layer's steady state).
+// BenchmarkJoinPlanner times the cost-based planner (per-round
+// re-planning from live statistics), cold (stratify + compile every
+// evaluation) and warm (a shared compiled Program, the serving layer's
+// steady state).
 func BenchmarkJoinPlanner(b *testing.B) {
 	for _, c := range joinBenchCases() {
 		th := parser.MustParseTheory(c.theory)
-		for _, pl := range []struct {
-			name string
-			p    datalog.Planner
-		}{{"greedy", datalog.PlannerGreedy}, {"cost", datalog.PlannerCost}} {
-			opts := datalog.Options{Planner: pl.p}
-			b.Run(fmt.Sprintf("%s/planner=%s/cold", c.name, pl.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := datalog.EvalSemiNaiveOpts(th, c.db, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/planner=%s/warm", c.name, pl.name), func(b *testing.B) {
-				p, err := datalog.Compile(th)
-				if err != nil {
+		b.Run(fmt.Sprintf("%s/planner=cost/cold", c.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{}); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Eval(c.db, opts); err != nil {
-						b.Fatal(err)
-					}
+			}
+		})
+		b.Run(fmt.Sprintf("%s/planner=cost/warm", c.name), func(b *testing.B) {
+			p, err := datalog.Compile(th)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Eval(c.db, datalog.Options{}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -602,39 +596,33 @@ func TestEmitJoinBenchJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pl := range []struct {
-			name string
-			p    datalog.Planner
-		}{{"greedy", datalog.PlannerGreedy}, {"cost", datalog.PlannerCost}} {
-			opts := datalog.Options{Planner: pl.p}
-			for _, mode := range []string{"cold", "warm"} {
-				var best time.Duration
-				facts := 0
-				for r := 0; r < 3; r++ {
-					t0 := time.Now()
-					var fix *database.Database
-					var err error
-					if mode == "cold" {
-						fix, err = datalog.EvalSemiNaiveOpts(th, c.db, opts)
-					} else {
-						fix, err = prog.Eval(c.db, opts)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if el := time.Since(t0); r == 0 || el < best {
-						best = el
-					}
-					facts = fix.Len()
+		for _, mode := range []string{"cold", "warm"} {
+			var best time.Duration
+			facts := 0
+			for r := 0; r < 3; r++ {
+				t0 := time.Now()
+				var fix *database.Database
+				var err error
+				if mode == "cold" {
+					fix, err = datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{})
+				} else {
+					fix, err = prog.Eval(c.db, datalog.Options{})
 				}
-				report.Benchmarks = append(report.Benchmarks, entry{
-					Name:    fmt.Sprintf("JoinPlanner/%s/planner=%s/%s", c.name, pl.name, mode),
-					Planner: pl.name,
-					Mode:    mode,
-					NsPerOp: best.Nanoseconds(),
-					Facts:   facts,
-				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if el := time.Since(t0); r == 0 || el < best {
+					best = el
+				}
+				facts = fix.Len()
 			}
+			report.Benchmarks = append(report.Benchmarks, entry{
+				Name:    fmt.Sprintf("JoinPlanner/%s/planner=cost/%s", c.name, mode),
+				Planner: "cost",
+				Mode:    mode,
+				NsPerOp: best.Nanoseconds(),
+				Facts:   facts,
+			})
 		}
 	}
 	data, err := json.MarshalIndent(report, "", "  ")

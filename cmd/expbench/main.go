@@ -65,7 +65,6 @@ func main() {
 		{"A4", "Ablation: core minimization of chase results", runA4},
 		{"A5", "Ablation: magic sets vs full bottom-up evaluation", runA5},
 		{"A6", "Ablation: parallel trigger collection in the chase", runA6},
-		{"A7", "Ablation: cost-based join planning vs static greedy order", runA7},
 		{"A8", "Ablation: certified budget-free chase vs bounded fallback", runA8},
 	}
 

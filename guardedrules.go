@@ -298,12 +298,11 @@ type DatalogOptions = datalog.Options
 // Deprecated: use EvalDatalogCtx with the unified Options. This wrapper
 // delegates to the v2 lowering: the soft MaxRounds integer is routed
 // through the Budget (ErrRoundLimit with the partial fixpoint); the
-// Planner and Stats knobs carry over unchanged.
+// Stats knob carries over unchanged.
 func EvalDatalogOpts(th *Theory, d *Database, opts DatalogOptions) (out *Database, err error) {
 	defer recoverToError(&err)
 	o := Options{Workers: opts.Workers, MaxRounds: opts.MaxRounds, Budget: opts.Budget}
 	lowered := o.datalogOptions(context.Background())
-	lowered.Planner = opts.Planner
 	lowered.Stats = opts.Stats
 	return datalog.EvalSemiNaiveOpts(th, d, lowered)
 }

@@ -14,7 +14,7 @@ import (
 // nulls appear in the atom's arguments at the rule head's existential
 // positions, not in the substitution. The termination analyzer's
 // critical-instance check observes null lineage through this seam.
-func RunWithHook(th *core.Theory, d0 database.Store, opts Options, hook func(r *core.Rule, sub core.Subst, atom core.Atom)) (*Result, error) {
+func RunWithHook(th *core.Theory, d0 *database.Database, opts Options, hook func(r *core.Rule, sub core.Subst, atom core.Atom)) (*Result, error) {
 	return run(th, d0, opts, hook)
 }
 
@@ -35,7 +35,7 @@ func RunWithHook(th *core.Theory, d0 database.Store, opts Options, hook func(r *
 // Cancellation still works: opts.Budget's context and timeout are
 // honored, but its fact/round/step ceilings are ignored — a certified
 // run is budget-free by construction.
-func RunCertified(th *core.Theory, d0 database.Store, bound int, opts Options) (*Result, error) {
+func RunCertified(th *core.Theory, d0 *database.Database, bound int, opts Options) (*Result, error) {
 	opts.MaxDepth = 0
 	opts.MaxRounds = math.MaxInt
 	if bound > 0 {

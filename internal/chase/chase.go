@@ -139,7 +139,7 @@ type hookFn func(r *core.Rule, sub core.Subst, atom core.Atom)
 // runFn is the signature shared by the id-space engine (run) and the
 // term-space reference engine (legacyRun); RunTree/RunWithProvenance are
 // parameterized over it so the differential suite can drive both.
-type runFn func(th *core.Theory, d0 database.Store, opts Options, hook hookFn) (*Result, error)
+type runFn func(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (*Result, error)
 
 // unboundID marks a rule variable with no binding in a trigger tuple
 // (a variable occurring only in negated literals that the search never
@@ -236,11 +236,11 @@ type engine struct {
 // literals are evaluated against the current database; this is only
 // meaningful when the negated relations are never derived by th itself
 // (as in a single stratum of a stratified theory).
-func Run(th *core.Theory, d0 database.Store, opts Options) (*Result, error) {
+func Run(th *core.Theory, d0 *database.Database, opts Options) (*Result, error) {
 	return run(th, d0, opts, nil)
 }
 
-func newEngine(th *core.Theory, d0 database.Store, opts Options, hook hookFn) *engine {
+func newEngine(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) *engine {
 	e := &engine{
 		opts:    opts,
 		db:      d0.Clone(),
@@ -298,7 +298,7 @@ func newEngine(th *core.Theory, d0 database.Store, opts Options, hook hookFn) *e
 	return e
 }
 
-func run(th *core.Theory, d0 database.Store, opts Options, hook hookFn) (res *Result, err error) {
+func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res *Result, err error) {
 	// Engine boundary: a panic anywhere in the run — worker panics are
 	// already converted by par.RunUnits, this seam catches the
 	// coordinator's own — surfaces as one failed request, never a dead

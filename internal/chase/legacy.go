@@ -47,7 +47,7 @@ type legacyEngine struct {
 }
 
 // legacyRun is the term-space reference chase; same contract as Run.
-func legacyRun(th *core.Theory, d0 database.Store, opts Options, hook hookFn) (*Result, error) {
+func legacyRun(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (*Result, error) {
 	if err := th.CheckSafe(); err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}

@@ -22,11 +22,11 @@ type Provenance map[string]Derivation
 
 // RunWithProvenance chases like Run while recording, for every derived
 // atom, the rule and premises that produced it first.
-func RunWithProvenance(th *core.Theory, d0 database.Store, opts Options) (*Result, Provenance, error) {
+func RunWithProvenance(th *core.Theory, d0 *database.Database, opts Options) (*Result, Provenance, error) {
 	return runWithProvenance(run, th, d0, opts)
 }
 
-func runWithProvenance(rf runFn, th *core.Theory, d0 database.Store, opts Options) (*Result, Provenance, error) {
+func runWithProvenance(rf runFn, th *core.Theory, d0 *database.Database, opts Options) (*Result, Provenance, error) {
 	prov := make(Provenance)
 	res, err := rf(th, d0, opts, func(r *core.Rule, sub core.Subst, atom core.Atom) {
 		key := atom.String()
@@ -62,11 +62,11 @@ type ProofNode struct {
 // Explain builds the proof tree of a derived atom: derived premises
 // recurse, input facts become leaves. It returns nil when the atom was
 // neither derived nor present in the input database.
-func (p Provenance) Explain(atom core.Atom, input database.Store) *ProofNode {
+func (p Provenance) Explain(atom core.Atom, input *database.Database) *ProofNode {
 	return p.explain(atom, input, make(map[string]bool))
 }
 
-func (p Provenance) explain(atom core.Atom, input database.Store, onPath map[string]bool) *ProofNode {
+func (p Provenance) explain(atom core.Atom, input *database.Database, onPath map[string]bool) *ProofNode {
 	key := atom.String()
 	der, derived := p[key]
 	if !derived {

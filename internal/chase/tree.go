@@ -31,11 +31,11 @@ type Tree struct {
 // RunTree chases d0 with a normal frontier-guarded theory th while
 // building the chase tree. The theory must have single-atom heads; rules
 // with constants must be of the form → R(c) (normal form, Definition 4).
-func RunTree(th *core.Theory, d0 database.Store, opts Options) (*Tree, *Result, error) {
+func RunTree(th *core.Theory, d0 *database.Database, opts Options) (*Tree, *Result, error) {
 	return runTree(run, th, d0, opts)
 }
 
-func runTree(rf runFn, th *core.Theory, d0 database.Store, opts Options) (*Tree, *Result, error) {
+func runTree(rf runFn, th *core.Theory, d0 *database.Database, opts Options) (*Tree, *Result, error) {
 	for _, r := range th.Rules {
 		if len(r.Head) != 1 {
 			return nil, nil, fmt.Errorf("chase tree: rule %s does not have a singleton head (theory not normal)", r.Label)
@@ -136,7 +136,7 @@ func (t *Tree) MinimalNodes(c core.TermSet) []*Node {
 // at most m terms (m the maximal relation arity of th, k the number of
 // constants in rules of th), and C-minimal nodes are unique for every set
 // C of terms of any single node. It returns nil if all hold.
-func (t *Tree) VerifyProposition2(th *core.Theory, d0 database.Store) error {
+func (t *Tree) VerifyProposition2(th *core.Theory, d0 *database.Database) error {
 	m := th.MaxArity()
 	k := len(th.Constants())
 	dTerms := len(d0.Terms())

@@ -98,7 +98,7 @@ func (ro *Reorder) Theory(th *core.Theory) *core.Theory {
 }
 
 // Database returns the database with every fact reordered.
-func (ro *Reorder) Database(d database.Store) *database.Database {
+func (ro *Reorder) Database(d *database.Database) *database.Database {
 	out := database.New()
 	for _, a := range d.UserFacts() {
 		out.Add(ro.Atom(a))

@@ -82,7 +82,7 @@ func FromAtoms(atoms []core.Atom) *Database {
 }
 
 // Add inserts a ground atom and reports whether it was new. A non-ground
-// atom is rejected (never inserted) and reports false; use AddErr to
+// atom is rejected (never inserted) and reports false; use AddNotify to
 // observe the typed ErrNotGround instead. ACDom facts for the constants
 // of the atom are added automatically.
 func (d *Database) Add(a core.Atom) bool {
@@ -90,12 +90,7 @@ func (d *Database) Add(a core.Atom) bool {
 	return added
 }
 
-// AddErr inserts a ground atom and reports whether it was new; a
-// non-ground atom returns an error wrapping ErrNotGround instead of the
-// pre-governance panic, so fixpoint engines degrade to a typed failure.
-func (d *Database) AddErr(a core.Atom) (bool, error) { return d.AddNotify(a, nil) }
-
-// AddNotify inserts a ground atom like AddErr and additionally calls
+// AddNotify inserts a ground atom like Add and additionally calls
 // notify for every fact actually inserted: the atom itself and any ACDom
 // facts derived from its constants. Fixpoint engines use it to keep
 // derived ACDom facts in their semi-naive deltas (see the package
@@ -252,37 +247,9 @@ func (d *Database) Has(a core.Atom) bool {
 	return r != nil && r.seen.has(r, key)
 }
 
-// AppliedKey appends the packed interned-id key of a's instantiation
-// under s — each term replaced by its binding, as in Subst.ApplyAtom — to
-// dst. ok is false when some instantiated term has never been interned,
-// in which case the instantiation cannot be in the database. Keys are
-// scoped by a.Key(): comparing keys across relation keys is meaningless.
-func (d *Database) AppliedKey(dst []byte, a core.Atom, s core.Subst) ([]byte, bool) {
-	for _, t := range a.Args {
-		if v, ok := s[t]; ok {
-			t = v
-		}
-		id, ok := d.intern.Lookup(t)
-		if !ok {
-			return dst, false
-		}
-		dst = appendID(dst, id)
-	}
-	for _, t := range a.Annotation {
-		if v, ok := s[t]; ok {
-			t = v
-		}
-		id, ok := d.intern.Lookup(t)
-		if !ok {
-			return dst, false
-		}
-		dst = appendID(dst, id)
-	}
-	return dst, true
-}
-
 // SeenKey reports whether a fact with relation key rk and packed
-// little-endian byte key (as produced by AppliedKey) is in the database.
+// little-endian byte key (as produced by hom.State.PackApplied) is in
+// the database.
 // The id-slice variant SeenIDs avoids the byte packing and is preferred
 // on hot paths.
 func (d *Database) SeenKey(rk core.RelKey, key []byte) bool {
@@ -299,38 +266,6 @@ func (d *Database) SeenKey(rk core.RelKey, key []byte) bool {
 func (d *Database) SeenIDs(rk core.RelKey, ids []uint32) bool {
 	r := d.byRel[rk]
 	return r != nil && len(ids) == r.w && r.seen.has(r, ids)
-}
-
-// HasApplied reports whether the instantiation of a under s is in the
-// database, without materializing the instantiated atom. It is the
-// allocation-free duplicate prefilter of the term-space engines, where
-// most candidate derivations are re-derivations of facts already present.
-func (d *Database) HasApplied(a core.Atom, s core.Subst) bool {
-	var buf [16]uint32
-	key := buf[:0]
-	lookup := func(t core.Term) bool {
-		if v, ok := s[t]; ok {
-			t = v
-		}
-		id, ok := d.intern.Lookup(t)
-		if !ok {
-			return false
-		}
-		key = append(key, id)
-		return true
-	}
-	for _, t := range a.Args {
-		if !lookup(t) {
-			return false
-		}
-	}
-	for _, t := range a.Annotation {
-		if !lookup(t) {
-			return false
-		}
-	}
-	r := d.byRel[a.Key()]
-	return r != nil && r.seen.has(r, key)
 }
 
 // TermID returns the interned id of t; ok is false when t occurs in no
@@ -439,27 +374,10 @@ func (d *Database) FactsWith(rk core.RelKey, pos int, t core.Term) []core.Atom {
 	return out
 }
 
-// CountWith returns how many facts of rk have term t at flat position pos.
-func (d *Database) CountWith(rk core.RelKey, pos int, t core.Term) int {
-	id, ok := d.intern.Lookup(t)
-	if !ok {
-		return 0
-	}
-	return d.CountWithID(rk, pos, id)
-}
-
-// CountWithID is CountWith for a term already resolved to its id.
+// CountWithID returns how many facts of rk have the interned id at flat
+// position pos.
 func (d *Database) CountWithID(rk core.RelKey, pos int, id uint32) int {
 	return len(d.IndexWithID(rk, pos, id))
-}
-
-// All returns every fact, including ACDom, grouped by relation.
-func (d *Database) All() []core.Atom {
-	out := make([]core.Atom, 0, d.size)
-	for _, rk := range d.Relations() {
-		out = append(out, d.byRel[rk].facts...)
-	}
-	return out
 }
 
 // UserFacts returns every fact except the maintained ACDom facts.
@@ -793,17 +711,9 @@ func SameGroundAtoms(a, b *Database) (bool, string) {
 	return true, ""
 }
 
-// ForEachWith calls fn for every fact of rk whose flat position pos equals
-// t, without allocating; fn returning false stops the iteration early.
-func (d *Database) ForEachWith(rk core.RelKey, pos int, t core.Term, fn func(core.Atom) bool) {
-	id, ok := d.intern.Lookup(t)
-	if !ok {
-		return
-	}
-	d.ForEachWithID(rk, pos, id, fn)
-}
-
-// ForEachWithID is ForEachWith for a term already resolved to its id.
+// ForEachWithID calls fn for every fact of rk whose flat position pos
+// has the interned id, without allocating; fn returning false stops the
+// iteration early.
 func (d *Database) ForEachWithID(rk core.RelKey, pos int, id uint32, fn func(core.Atom) bool) {
 	idxs := d.IndexWithID(rk, pos, id)
 	if len(idxs) == 0 {

@@ -60,8 +60,8 @@ func TestIndexLookups(t *testing.T) {
 	if len(withA) != 2 {
 		t.Errorf("FactsWith(R,0,a): %v", withA)
 	}
-	if d.CountWith(rk, 1, core.Const("c")) != 2 {
-		t.Error("CountWith wrong")
+	if c, _ := d.TermID(core.Const("c")); d.CountWithID(rk, 1, c) != 2 {
+		t.Error("CountWithID wrong")
 	}
 	if len(d.FactsWith(core.RelKey{Name: "T", Arity: 1}, 0, core.Const("a"))) != 0 {
 		t.Error("missing relation must return no facts")
@@ -92,15 +92,15 @@ func TestNonGroundRejected(t *testing.T) {
 	if d.Add(core.NewAtom("R", core.Var("x"))) {
 		t.Error("Add of non-ground atom must report false")
 	}
-	added, err := d.AddErr(core.NewAtom("R", core.Var("x")))
+	added, err := d.AddNotify(core.NewAtom("R", core.Var("x")), nil)
 	if added || !errors.Is(err, ErrNotGround) {
-		t.Errorf("AddErr of non-ground atom = (%v, %v), want (false, ErrNotGround)", added, err)
+		t.Errorf("AddNotify of non-ground atom = (%v, %v), want (false, ErrNotGround)", added, err)
 	}
 	if d.Len() != 0 {
 		t.Errorf("rejected atom must not be inserted, Len=%d", d.Len())
 	}
-	if _, err := d.AddErr(core.NewAtom("R", core.Const("a"))); err != nil {
-		t.Errorf("AddErr of ground atom = %v", err)
+	if _, err := d.AddNotify(core.NewAtom("R", core.Const("a")), nil); err != nil {
+		t.Errorf("AddNotify of ground atom = %v", err)
 	}
 }
 
@@ -187,16 +187,17 @@ func TestTermsAndNulls(t *testing.T) {
 	}
 }
 
-func TestForEachWithAndFact(t *testing.T) {
+func TestForEachWithIDAndFact(t *testing.T) {
 	d := FromAtoms(parser.MustParseFacts(`R(a,b). R(a,c). R(b,c).`))
 	rk := core.RelKey{Name: "R", Arity: 2}
+	a, _ := d.TermID(core.Const("a"))
 	count := 0
-	d.ForEachWith(rk, 0, core.Const("a"), func(core.Atom) bool {
+	d.ForEachWithID(rk, 0, a, func(core.Atom) bool {
 		count++
 		return true
 	})
 	if count != 2 {
-		t.Errorf("ForEachWith: %d", count)
+		t.Errorf("ForEachWithID: %d", count)
 	}
 	// Early stop.
 	count = 0
@@ -208,7 +209,7 @@ func TestForEachWithAndFact(t *testing.T) {
 		t.Errorf("ForEachFact early stop: %d", count)
 	}
 	// Missing relation: no calls, no panic.
-	d.ForEachWith(core.RelKey{Name: "Z", Arity: 1}, 0, core.Const("a"), func(core.Atom) bool {
+	d.ForEachWithID(core.RelKey{Name: "Z", Arity: 1}, 0, a, func(core.Atom) bool {
 		t.Error("must not be called")
 		return true
 	})

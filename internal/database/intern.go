@@ -56,10 +56,3 @@ func (in *internTable) TermOf(id uint32) core.Term { return in.terms[id] }
 
 // Len returns the number of interned terms.
 func (in *internTable) Len() int { return len(in.terms) }
-
-// appendID appends the little-endian bytes of id to dst. Packed id tuples
-// are the per-relation dedup keys: fixed four bytes per term, so distinct
-// id tuples always pack to distinct byte strings.
-func appendID(dst []byte, id uint32) []byte {
-	return append(dst, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-}

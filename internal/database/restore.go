@@ -2,14 +2,13 @@ package database
 
 import "guardedrules/internal/core"
 
-// Restore hooks for durable Store implementations (internal/store/segment).
+// Restore hooks for the durable segment store (internal/store/segment).
 // A snapshot of a Database is a pure state dump: terms in id order, facts
 // per relation in enumeration order, ACDom support counts, and the pin
 // set. Loading a dump must not re-run the ACDom derivation of AddNotify —
 // derivation order and swap-remove history are already baked into the
 // dumped enumeration orders — so these methods write the state back
-// directly. They are not part of the Store interface: engines never call
-// them.
+// directly. Engines never call them.
 
 // RestoreFact inserts a ground fact without any ACDom side effects: no
 // support counting, no derived ACDom insertion, no pinning. It reports

@@ -36,11 +36,3 @@ func (d *Database) DistinctAt(rk core.RelKey, pos int) int {
 // re-resolution entirely when no new term appeared: every TermID answer
 // is unchanged while the epoch is unchanged. The counter only grows.
 func (d *Database) InternEpoch() int { return d.intern.Len() }
-
-// Ensure Database satisfies the planner's statistics interface without
-// importing hom (which imports database).
-var _ interface {
-	RelSize(core.RelKey) int
-	DistinctAt(core.RelKey, int) int
-	CountWithID(core.RelKey, int, uint32) int
-} = (*Database)(nil)

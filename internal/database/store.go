@@ -1,107 +1,7 @@
 package database
 
-import "guardedrules/internal/core"
-
-// This file defines the storage-layer API as narrow capability facets.
-// Engines (hom, datalog, chase, kbcache) accept these interfaces rather
-// than the concrete *Database, so an alternative store — e.g. the
-// append-only segment-file store in internal/store/segment — can back
-// every engine unchanged. *Database is the canonical in-memory
-// implementation; alternative stores are expected to preserve its
-// semantics exactly (dense id space, insertion-order enumeration,
-// ACDom bookkeeping), since engine determinism depends on them.
-
-// Reader is the read surface of a fact store: point lookups, indexed
-// scans, enumeration, and the derived active-domain bookkeeping queries.
-// Enumeration order is insertion order per relation; implementations
-// must preserve it — engines rely on it for byte-identical output.
-type Reader interface {
-	// Point membership.
-	Has(a core.Atom) bool
-	HasApplied(a core.Atom, s core.Subst) bool
-	SeenKey(rk core.RelKey, key []byte) bool
-	SeenIDs(rk core.RelKey, ids []uint32) bool
-	AppliedKey(dst []byte, a core.Atom, s core.Subst) ([]byte, bool)
-	FactIDs(dst []uint32, a core.Atom) ([]uint32, bool)
-
-	// Id-space access (flat packed tuples and per-position postings).
-	IDTuples(rk core.RelKey) []uint32
-	ForEachIndexWithID(rk core.RelKey, pos int, id uint32, fn func(int) bool)
-	IndexWithID(rk core.RelKey, pos int, id uint32) []int32
-
-	// Term-space enumeration.
-	Facts(rk core.RelKey) []core.Atom
-	FactsWith(rk core.RelKey, pos int, t core.Term) []core.Atom
-	FactsContaining(t core.Term) []core.Atom
-	ForEachWith(rk core.RelKey, pos int, t core.Term, fn func(core.Atom) bool)
-	ForEachWithID(rk core.RelKey, pos int, id uint32, fn func(core.Atom) bool)
-	ForEachFact(rk core.RelKey, fn func(core.Atom) bool)
-	CountWith(rk core.RelKey, pos int, t core.Term) int
-
-	// Whole-store views.
-	Relations() []core.RelKey
-	Len() int
-	All() []core.Atom
-	UserFacts() []core.Atom
-	GroundAtoms() []core.Atom
-	Constants() []core.Term
-	Terms() core.TermSet
-	Nulls() []core.Term
-	String() string
-
-	// Active-domain bookkeeping (DESIGN.md §10).
-	ACDomSupport(t core.Term) int
-	ACDomPinned(t core.Term) bool
-	TermOccursIn(rk core.RelKey, t core.Term) bool
-}
-
-// Writer is the mutation surface: idempotent adds with ACDom
-// derivation, and retraction with refcounted ACDom cascade. AddCost
-// reports the budget charge an Add of a would incur without mutating.
-type Writer interface {
-	Add(a core.Atom) bool
-	AddErr(a core.Atom) (bool, error)
-	AddNotify(a core.Atom, notify func(core.Atom)) (bool, error)
-	Retract(a core.Atom) bool
-	DeleteNotify(a core.Atom, notify func(core.Atom)) (bool, error)
-	AddCost(a core.Atom) int
-}
-
-// StatsProvider is the planner's cardinality surface (hom.Stats plus
-// the intern epoch used to gate cached constant re-resolution).
-type StatsProvider interface {
-	RelSize(rk core.RelKey) int
-	DistinctAt(rk core.RelKey, pos int) int
-	CountWithID(rk core.RelKey, pos int, id uint32) int
-	InternEpoch() int
-}
-
-// Interner is the term↔id facet. Ids are dense uint32s assigned in
-// first-intern order; implementations must keep that order stable
-// across Clone and (for durable stores) across restarts.
-type Interner interface {
-	InternTerm(t core.Term) uint32
-	TermID(t core.Term) (uint32, bool)
-	Term(id uint32) core.Term
-}
-
-// Store is the full storage API engines program against. Clone returns
-// an in-memory working copy with the identical id space; engines clone
-// at entry and run their fixpoints on the copy, so any Store
-// implementation — however it persists — serves every engine.
-type Store interface {
-	Reader
-	Writer
-	StatsProvider
-	Interner
-	Clone() *Database
-}
-
-// Compile-time checks that *Database satisfies every facet.
-var (
-	_ Reader        = (*Database)(nil)
-	_ Writer        = (*Database)(nil)
-	_ StatsProvider = (*Database)(nil)
-	_ Interner      = (*Database)(nil)
-	_ Store         = (*Database)(nil)
-)
+// Store is *Database, the one fact-store type engines take. The root
+// module spells it *Database everywhere; the alias exists only because
+// the serving benchmark module (servebench/, frozen as a benchmark path
+// in BENCHMARK.json) still names database.Store.
+type Store = *Database

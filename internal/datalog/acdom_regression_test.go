@@ -18,7 +18,7 @@ func TestStratifyACDomAfterConstantIntroduction(t *testing.T) {
 		Start(X), not Blocked(X) -> Marked(c1).
 	`)
 	d := database.FromAtoms(parser.MustParseFacts(`Start(a).`))
-	for name, eval := range map[string]func(*core.Theory, database.Store) (*database.Database, error){
+	for name, eval := range map[string]func(*core.Theory, *database.Database) (*database.Database, error){
 		"semi-naive": EvalSemiNaive,
 		"via-chase":  EvalViaChase,
 	} {
@@ -44,7 +44,7 @@ func TestACDomDeltaWithinStratum(t *testing.T) {
 		Start(X) -> Marked(c1).
 	`)
 	d := database.FromAtoms(parser.MustParseFacts(`Start(a).`))
-	for name, eval := range map[string]func(*core.Theory, database.Store) (*database.Database, error){
+	for name, eval := range map[string]func(*core.Theory, *database.Database) (*database.Database, error){
 		"semi-naive": EvalSemiNaive,
 		"via-chase":  EvalViaChase,
 	} {

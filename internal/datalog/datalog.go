@@ -177,14 +177,14 @@ func IsSemipositive(th *core.Theory) bool {
 // Eval computes the stratified fixpoint of a Datalog program over the
 // database, using the native semi-naive evaluator. Rules must have no
 // existential variables.
-func Eval(th *core.Theory, d database.Store) (*database.Database, error) {
+func Eval(th *core.Theory, d *database.Database) (*database.Database, error) {
 	return EvalSemiNaive(th, d)
 }
 
 // EvalViaChase computes the same fixpoint through the generic chase
 // engine. It exists for the ablation benchmarks: the chase keeps a
 // trigger memo that Datalog does not need, so EvalSemiNaive dominates it.
-func EvalViaChase(th *core.Theory, d database.Store) (*database.Database, error) {
+func EvalViaChase(th *core.Theory, d *database.Database) (*database.Database, error) {
 	for _, r := range th.Rules {
 		if !r.IsDatalog() {
 			return nil, fmt.Errorf("datalog: rule %s has existential variables", r.Label)
@@ -215,14 +215,14 @@ func EvalViaChase(th *core.Theory, d database.Store) (*database.Database, error)
 // Answers evaluates the query (Σ, Q) over D (Section 2): the set of
 // constant tuples ~c with Q(~c) in the fixpoint. Tuples are returned in
 // sorted textual order.
-func Answers(th *core.Theory, q string, d database.Store) ([][]core.Term, error) {
+func Answers(th *core.Theory, q string, d *database.Database) ([][]core.Term, error) {
 	return AnswersOpts(th, q, d, Options{})
 }
 
 // AnswersOpts is Answers with explicit engine options. On budget
 // exhaustion the answers of the partial fixpoint are returned (a sound
 // under-approximation) alongside the typed error.
-func AnswersOpts(th *core.Theory, q string, d database.Store, opts Options) ([][]core.Term, error) {
+func AnswersOpts(th *core.Theory, q string, d *database.Database, opts Options) ([][]core.Term, error) {
 	fix, err := EvalSemiNaiveOpts(th, d, opts)
 	if err != nil {
 		if fix != nil && budget.IsBudget(err) {
@@ -234,7 +234,7 @@ func AnswersOpts(th *core.Theory, q string, d database.Store, opts Options) ([][
 }
 
 // CollectAnswers extracts the all-constant Q-tuples of a database.
-func CollectAnswers(d database.Store, q string) [][]core.Term {
+func CollectAnswers(d *database.Database, q string) [][]core.Term {
 	var out [][]core.Term
 	for _, rk := range d.Relations() {
 		if rk.Name != q {

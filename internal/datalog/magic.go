@@ -85,14 +85,14 @@ func MagicRewrite(th *core.Theory, query core.Atom) (*MagicResult, error) {
 
 // AnswerWithMagic rewrites, seeds, evaluates and extracts the query
 // answers: the tuples of the adorned query relation.
-func AnswerWithMagic(th *core.Theory, query core.Atom, d database.Store) ([][]core.Term, *database.Database, error) {
+func AnswerWithMagic(th *core.Theory, query core.Atom, d *database.Database) ([][]core.Term, *database.Database, error) {
 	return AnswerWithMagicOpts(th, query, d, Options{})
 }
 
 // AnswerWithMagicOpts is AnswerWithMagic with explicit engine options. On
 // budget exhaustion the answers extracted from the partial fixpoint are
 // returned (a sound under-approximation) alongside the typed error.
-func AnswerWithMagicOpts(th *core.Theory, query core.Atom, d database.Store, opts Options) ([][]core.Term, *database.Database, error) {
+func AnswerWithMagicOpts(th *core.Theory, query core.Atom, d *database.Database, opts Options) ([][]core.Term, *database.Database, error) {
 	res, err := MagicRewrite(th, query)
 	if err != nil {
 		return nil, nil, err

@@ -14,13 +14,13 @@ import (
 // Program is a Datalog program compiled once and evaluated many times:
 // the stratification and the per-stratum work-item templates — one
 // round-0 template per rule, one semi-naive template per (rule ×
-// positive-body-position), each with compiled id-space atoms, slot
-// assignments and the legacy greedy join order — are all computed at
-// Compile time and shared across evaluations. The join plans themselves
-// are not fixed here: the evaluator re-plans every work item each round
-// from the database's live cardinality statistics (see Options.Planner),
-// so the compile-time artifact is the plan *shape* (templates, slots,
-// candidate orders) while the per-round choice is data-driven.
+// positive-body-position), each with compiled id-space atoms and slot
+// assignments — are all computed at Compile time and shared across
+// evaluations. The join plans themselves are not fixed here: the
+// evaluator re-plans every work item each round from the database's
+// live cardinality statistics (hom.PlanBody), so the compile-time
+// artifact is the plan *shape* (templates, slots) while the per-round
+// choice is data-driven.
 //
 // A Program is immutable after Compile and safe for concurrent use: Eval
 // clones the input database and instantiates the shared templates into
@@ -129,7 +129,7 @@ func (p *Program) Rules() int { return len(p.th.Rules) }
 // The input database is not modified. On budget exhaustion the partial
 // database — every fully merged round — is returned together with a
 // typed *budget.Error, exactly like EvalSemiNaiveOpts.
-func (p *Program) Eval(d database.Store, opts Options) (res *database.Database, err error) {
+func (p *Program) Eval(d *database.Database, opts Options) (res *database.Database, err error) {
 	tk := budget.Start(opts.Budget)
 	defer tk.Stop()
 	out := d.Clone()
@@ -164,7 +164,7 @@ func (p *Program) Eval(d database.Store, opts Options) (res *database.Database, 
 // all-constant q-tuples, in sorted textual order. On budget exhaustion
 // the answers of the partial fixpoint are returned (a sound
 // under-approximation) alongside the typed error.
-func (p *Program) Answers(q string, d database.Store, opts Options) ([][]core.Term, error) {
+func (p *Program) Answers(q string, d *database.Database, opts Options) ([][]core.Term, error) {
 	fix, err := p.Eval(d, opts)
 	if err != nil {
 		if fix != nil && budget.IsBudget(err) {

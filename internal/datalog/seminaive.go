@@ -12,22 +12,6 @@ import (
 	"guardedrules/internal/par"
 )
 
-// Planner selects the join-order strategy of the semi-naive engine.
-type Planner int
-
-const (
-	// PlannerCost (the default) re-plans every work item each round from
-	// the database's live cardinality statistics: greedy smallest-
-	// estimate-first atom order with per-step access paths (index seek,
-	// pre-sized hash probe, scan) chosen by hom.PlanBody.
-	PlannerCost Planner = iota
-	// PlannerGreedy keeps the legacy static order — most-bound-first,
-	// fixed at Compile time, blind to cardinalities — while still
-	// executing through the shared plan runner. It exists for ablation
-	// benchmarks and differential tests.
-	PlannerGreedy
-)
-
 // JoinStats counts planner activity; all fields are atomic, one instance
 // may be shared by concurrent evaluations (the serving layer aggregates
 // them into its /metrics snapshot).
@@ -60,8 +44,6 @@ type Options struct {
 	// exhaustion EvalSemiNaiveOpts returns the partial database — every
 	// fact merged so far — with a typed *budget.Error.
 	Budget *budget.T
-	// Planner selects the join-order strategy (default PlannerCost).
-	Planner Planner
 	// Stats, when non-nil, accumulates planner counters.
 	Stats *JoinStats
 }
@@ -100,9 +82,6 @@ type ctempl struct {
 	// patBound marks the slots bound before the first planned step: the
 	// pattern's slots (none for round-0 templates).
 	patBound []bool
-	// greedy is the legacy most-bound-first order over rest, the
-	// PlannerGreedy ablation's fixed join order.
-	greedy []int
 }
 
 // compileTemplate compiles rule with body position pat as the delta
@@ -111,19 +90,15 @@ func compileTemplate(r *core.Rule, pat int) ctempl {
 	body := r.PositiveBody()
 	slots := make(map[core.Term]int)
 	t := ctempl{rule: r}
-	bound := make(core.TermSet)
 	if pat >= 0 {
 		t.hasPat = true
 		t.pattern = hom.Compile(body[pat], slots)
-		bound.AddAll(body[pat].AllVars())
 	}
-	var restAtoms []core.Atom
 	for i, a := range body {
 		if i == pat {
 			continue
 		}
 		t.rest = append(t.rest, hom.Compile(a, slots))
-		restAtoms = append(restAtoms, a)
 	}
 	for _, l := range r.Body {
 		if l.Negated {
@@ -142,7 +117,6 @@ func compileTemplate(r *core.Rule, pat int) ctempl {
 			}
 		}
 	}
-	t.greedy = greedyOrder(restAtoms, bound)
 	return t
 }
 
@@ -158,8 +132,6 @@ func compileAuxTemplate(r *core.Rule, pat core.Atom, withHeads bool) ctempl {
 	slots := make(map[core.Term]int)
 	t := ctempl{rule: r, hasPat: true}
 	t.pattern = hom.Compile(pat, slots)
-	bound := make(core.TermSet)
-	bound.AddAll(pat.AllVars())
 	for _, a := range body {
 		t.rest = append(t.rest, hom.Compile(a, slots))
 	}
@@ -180,42 +152,7 @@ func compileAuxTemplate(r *core.Rule, pat core.Atom, withHeads bool) ctempl {
 			t.patBound[p.Slot] = true
 		}
 	}
-	t.greedy = greedyOrder(body, bound)
 	return t
-}
-
-// greedyOrder returns the legacy static join order as a permutation of
-// atoms: each next atom has the most already-bound variables (ties:
-// fewest unbound variables, then source position). bound is the variable
-// set known before the first atom; it is not modified.
-func greedyOrder(atoms []core.Atom, bound core.TermSet) []int {
-	b := make(core.TermSet, len(bound))
-	b.AddAll(bound)
-	order := make([]int, 0, len(atoms))
-	taken := make([]bool, len(atoms))
-	for len(order) < len(atoms) {
-		besti, bestBound, bestUnbound := -1, -1, 0
-		for i, a := range atoms {
-			if taken[i] {
-				continue
-			}
-			nb, nu := 0, 0
-			for v := range a.AllVars() {
-				if b.Has(v) {
-					nb++
-				} else {
-					nu++
-				}
-			}
-			if besti == -1 || nb > bestBound || nb == bestBound && nu < bestUnbound {
-				besti, bestBound, bestUnbound = i, nb, nu
-			}
-		}
-		taken[besti] = true
-		order = append(order, besti)
-		b.AddAll(atoms[besti].AllVars())
-	}
-	return order
 }
 
 // citem is the per-evaluation instantiation of a template: the compiled
@@ -275,12 +212,8 @@ func (c *citem) resolve(db *database.Database) {
 // replan recomputes the item's join plan from the database's current
 // statistics and prepares the hash tables its probe steps need.
 // Writer-only: workers see a fixed plan and read-only tables.
-func (c *citem) replan(db *database.Database, planner Planner, jc *hom.JoinCache, js *JoinStats) {
-	if planner == PlannerGreedy {
-		c.plan = hom.PlanOrder(c.rest, c.t.greedy, c.t.patBound, db)
-	} else {
-		c.plan = hom.PlanBody(c.rest, c.t.patBound, db)
-	}
+func (c *citem) replan(db *database.Database, jc *hom.JoinCache, js *JoinStats) {
+	c.plan = hom.PlanBody(c.rest, c.t.patBound, db)
 	jc.Prepare(c.rest, &c.plan)
 	if js != nil {
 		js.RoundPlans.Add(1)
@@ -382,7 +315,6 @@ func (e *emitter) leaf() bool {
 // exactly the merged facts, a well-formed partial fixpoint.
 func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *budget.Tracker) error {
 	workers := opts.workers()
-	planner := opts.Planner
 	js := opts.Stats
 	jc := hom.NewJoinCache(db)
 	prevBuilds := 0
@@ -398,7 +330,7 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 	r0 := instantiate(cs.round0)
 	for i := range r0 {
 		r0[i].resolve(db)
-		r0[i].replan(db, planner, jc, js)
+		r0[i].replan(db, jc, js)
 	}
 	noteBuilds()
 	bufs := make([][]core.Atom, len(r0))
@@ -436,7 +368,6 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 // every merge point and worker unit.
 func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budget.Tracker, jc *hom.JoinCache, noteBuilds func(), bufs [][]core.Atom, force []core.Atom, onAdd func(core.Atom)) error {
 	workers := opts.workers()
-	planner := opts.Planner
 	js := opts.Stats
 	if noteBuilds == nil {
 		noteBuilds = func() {}
@@ -564,7 +495,7 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 			if !found || !c.patternOK() {
 				continue
 			}
-			c.replan(db, planner, jc, js)
+			c.replan(db, jc, js)
 			n := shards
 			if g.n < n {
 				n = g.n
@@ -606,7 +537,7 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 // semi-naive evaluator and default options (parallel across all CPUs,
 // cost-based planning). It is the default engine behind Eval; the
 // chase-based EvalViaChase remains available for the ablation benchmarks.
-func EvalSemiNaive(th *core.Theory, d database.Store) (*database.Database, error) {
+func EvalSemiNaive(th *core.Theory, d *database.Database) (*database.Database, error) {
 	return EvalSemiNaiveOpts(th, d, Options{})
 }
 
@@ -615,7 +546,7 @@ func EvalSemiNaive(th *core.Theory, d database.Store) (*database.Database, error
 // returns the partial database — all facts merged before exhaustion —
 // together with a typed error satisfying errors.Is against the budget
 // sentinels.
-func EvalSemiNaiveOpts(th *core.Theory, d database.Store, opts Options) (*database.Database, error) {
+func EvalSemiNaiveOpts(th *core.Theory, d *database.Database, opts Options) (*database.Database, error) {
 	p, err := Compile(th)
 	if err != nil {
 		return nil, err

@@ -3,24 +3,16 @@
 // terms of the database, is the identity on constants, and must preserve
 // every atom. It also provides homomorphic-equivalence checks between
 // databases, used to compare chase results.
+//
+// Every searcher and the join planner read a concrete
+// *database.Database: the one fact-store type, so the hot loops make
+// direct, inlinable calls rather than interface dispatch.
 package hom
 
 import (
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 )
-
-// DB is the store surface homomorphism search reads: indexed lookup,
-// enumeration, planner statistics, and term↔id resolution. The
-// canonical implementation is *database.Database; any database.Store
-// satisfies it.
-type DB interface {
-	database.Reader
-	database.StatsProvider
-	database.Interner
-}
-
-var _ DB = (*database.Database)(nil)
 
 // ForEach enumerates homomorphisms h extending init such that h(atoms) ⊆
 // db, calling fn for each. Enumeration stops early when fn returns false.
@@ -32,7 +24,7 @@ var _ DB = (*database.Database)(nil)
 // shared substitution, valid only for the duration of the call — clone it
 // to retain it. The init map is used as the working map and is restored
 // to its original contents when ForEach returns.
-func ForEach(atoms []core.Atom, db DB, init core.Subst, fn func(core.Subst) bool) bool {
+func ForEach(atoms []core.Atom, db *database.Database, init core.Subst, fn func(core.Subst) bool) bool {
 	s := init
 	if s == nil {
 		s = core.Subst{}
@@ -41,7 +33,7 @@ func ForEach(atoms []core.Atom, db DB, init core.Subst, fn func(core.Subst) bool
 }
 
 // FindAll returns up to limit homomorphisms (limit ≤ 0 means all).
-func FindAll(atoms []core.Atom, db DB, init core.Subst, limit int) []core.Subst {
+func FindAll(atoms []core.Atom, db *database.Database, init core.Subst, limit int) []core.Subst {
 	var out []core.Subst
 	ForEach(atoms, db, init, func(s core.Subst) bool {
 		out = append(out, s.Clone())
@@ -52,7 +44,7 @@ func FindAll(atoms []core.Atom, db DB, init core.Subst, limit int) []core.Subst 
 
 // Exists reports whether some homomorphism extending init maps atoms into
 // db.
-func Exists(atoms []core.Atom, db DB, init core.Subst) bool {
+func Exists(atoms []core.Atom, db *database.Database, init core.Subst) bool {
 	found := false
 	ForEach(atoms, db, init, func(core.Subst) bool {
 		found = true
@@ -66,7 +58,7 @@ func Exists(atoms []core.Atom, db DB, init core.Subst) bool {
 // Bindings are made in place on the shared substitution and undone via a
 // trail, so no maps are cloned on the hot path; callbacks receive the
 // shared map and must copy it if they retain it.
-func search(atoms []core.Atom, done []bool, db DB, s core.Subst, fn func(core.Subst) bool) bool {
+func search(atoms []core.Atom, done []bool, db *database.Database, s core.Subst, fn func(core.Subst) bool) bool {
 	best := -1
 	bestCount := -1
 	bestPos := -1
@@ -117,7 +109,7 @@ func search(atoms []core.Atom, done []bool, db DB, s core.Subst, fn func(core.Su
 // for a full scan), the interned id of its term, and the candidate count.
 // Terms are resolved to database ids once here, so the subsequent index
 // scan avoids re-hashing term structs.
-func bestIndex(pattern core.Atom, db DB, s core.Subst) (int, uint32, int) {
+func bestIndex(pattern core.Atom, db *database.Database, s core.Subst) (int, uint32, int) {
 	rk := pattern.Key()
 	bestPos := -1
 	var bestID uint32

@@ -2,6 +2,7 @@ package hom
 
 import (
 	"guardedrules/internal/core"
+	"guardedrules/internal/database"
 )
 
 // This file is the id-space variant of the homomorphism search: the same
@@ -76,7 +77,7 @@ func (ca *CAtom) Width() int { return len(ca.Pos) }
 // whenever db may have interned new terms since the last Resolve (the
 // fixpoint engines call it once per round, while the database is
 // frozen).
-func (ca *CAtom) Resolve(db DB) {
+func (ca *CAtom) Resolve(db *database.Database) {
 	for k := range ca.Pos {
 		p := &ca.Pos[k]
 		if p.Slot >= 0 {
@@ -90,7 +91,7 @@ func (ca *CAtom) Resolve(db DB) {
 // bound mask, and the undo trail. A State is owned by one goroutine; the
 // database is only read.
 type State struct {
-	DB    DB
+	DB    *database.Database
 	B     []uint32
 	Bd    []bool
 	trail []int32
@@ -98,7 +99,7 @@ type State struct {
 }
 
 // NewState returns a search state with nvars unbound slots over db.
-func NewState(db DB, nvars int) *State {
+func NewState(db *database.Database, nvars int) *State {
 	return &State{DB: db, B: make([]uint32, nvars), Bd: make([]bool, nvars)}
 }
 

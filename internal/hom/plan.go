@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"guardedrules/internal/core"
+	"guardedrules/internal/database"
 )
 
 // This file is the cost-based join layer shared by the fixpoint engines:
@@ -21,18 +22,6 @@ import (
 // per round on the single writer therefore derive byte-identical results
 // for every worker count — and switching an access path (say, disabling
 // the hash cache) cannot change the order either.
-
-// Stats is the statistics surface the planner reads; *database.Database
-// implements it with exact, incrementally maintained counters.
-type Stats interface {
-	// RelSize returns the fact count of the relation.
-	RelSize(rk core.RelKey) int
-	// DistinctAt returns the distinct-id count at one flat position.
-	DistinctAt(rk core.RelKey, pos int) int
-	// CountWithID returns the posting-list length of (pos, id) — the
-	// exact candidate count for a position bound to a known id.
-	CountWithID(rk core.RelKey, pos int, id uint32) int
-}
 
 // AccessKind is a step's planned access path.
 type AccessKind uint8
@@ -94,8 +83,8 @@ func (p Plan) String() string {
 // list length RelSize/DistinctAt. Independence of positions is assumed,
 // as usual. An unresolved ground term yields 0: the atom matches
 // nothing, and ordering it first kills the branch immediately.
-func estimate(ca *CAtom, bound []bool, st Stats) (float64, []int) {
-	size := st.RelSize(ca.RK)
+func estimate(ca *CAtom, bound []bool, db *database.Database) (float64, []int) {
+	size := db.RelSize(ca.RK)
 	est := float64(size)
 	var pos []int
 	for k := range ca.Pos {
@@ -105,7 +94,7 @@ func estimate(ca *CAtom, bound []bool, st Stats) (float64, []int) {
 				continue
 			}
 			pos = append(pos, k)
-			if d := st.DistinctAt(ca.RK, k); d > 0 {
+			if d := db.DistinctAt(ca.RK, k); d > 0 {
 				est /= float64(d)
 			}
 			continue
@@ -114,7 +103,7 @@ func estimate(ca *CAtom, bound []bool, st Stats) (float64, []int) {
 			return 0, nil
 		}
 		pos = append(pos, k)
-		c := st.CountWithID(ca.RK, k, p.ID)
+		c := db.CountWithID(ca.RK, k, p.ID)
 		if c == 0 {
 			return 0, nil
 		}
@@ -130,20 +119,20 @@ func estimate(ca *CAtom, bound []bool, st Stats) (float64, []int) {
 // position an index seek, none a scan. Selectivity of a position is its
 // (estimated) posting-list length; ties break on the lower position, so
 // the choice is deterministic.
-func accessFor(ca *CAtom, boundPos []int, st Stats) (AccessKind, int, int) {
+func accessFor(ca *CAtom, boundPos []int, db *database.Database) (AccessKind, int, int) {
 	switch len(boundPos) {
 	case 0:
 		return AccessScan, -1, -1
 	case 1:
 		return AccessSeek, boundPos[0], -1
 	}
-	size := st.RelSize(ca.RK)
+	size := db.RelSize(ca.RK)
 	listLen := func(k int) float64 {
 		p := &ca.Pos[k]
 		if p.Slot < 0 {
-			return float64(st.CountWithID(ca.RK, k, p.ID))
+			return float64(db.CountWithID(ca.RK, k, p.ID))
 		}
-		if d := st.DistinctAt(ca.RK, k); d > 0 {
+		if d := db.DistinctAt(ca.RK, k); d > 0 {
 			return float64(size) / float64(d)
 		}
 		return float64(size)
@@ -169,68 +158,45 @@ func accessFor(ca *CAtom, boundPos []int, st Stats) (AccessKind, int, int) {
 	return AccessProbe, b1, b2
 }
 
-// planSteps builds the steps for the given atom order, threading the
-// bound mask through the steps and accumulating the cost estimate.
-func planSteps(atoms []CAtom, order []int, bound []bool, st Stats) Plan {
-	var p Plan
-	width := 1.0
-	for _, ai := range order {
-		ca := &atoms[ai]
-		est, boundPos := estimate(ca, bound, st)
-		kind, p1, p2 := accessFor(ca, boundPos, st)
-		p.Steps = append(p.Steps, Step{Atom: ai, Kind: kind, Pos: p1, Pos2: p2, Est: est})
-		width *= est
-		p.Cost += width
-		for k := range ca.Pos {
-			if s := ca.Pos[k].Slot; s >= 0 {
-				bound[s] = true
-			}
-		}
-	}
-	return p
-}
-
 // PlanBody plans a join over atoms: a greedy cost-based order (always
 // expand the atom with the smallest cardinality estimate next; ties
 // break on the lower atom index) with per-step access paths. bound marks
 // the slots already bound before the first step — a delta-driven engine
 // passes the pattern atom's slots — with one entry per slot of the
-// compiled atoms; it is not modified. Atoms must be Resolved against the
-// statistics' database first: the estimates use the resolved constant
-// ids, and an unresolved constant (est 0) is ordered first so execution
-// dies out before touching any index.
-func PlanBody(atoms []CAtom, bound []bool, st Stats) Plan {
+// compiled atoms; it is not modified. Atoms must be Resolved against db
+// first: the estimates use the resolved constant ids, and an unresolved
+// constant (est 0) is ordered first so execution dies out before
+// touching any index.
+func PlanBody(atoms []CAtom, bound []bool, db *database.Database) Plan {
 	b := append([]bool(nil), bound...)
-	order := make([]int, 0, len(atoms))
 	taken := make([]bool, len(atoms))
-	for len(order) < len(atoms) {
+	var p Plan
+	width := 1.0
+	for range atoms {
 		best, bestEst := -1, 0.0
+		var bestPos []int
 		for i := range atoms {
 			if taken[i] {
 				continue
 			}
-			est, _ := estimate(&atoms[i], b, st)
+			est, pos := estimate(&atoms[i], b, db)
 			if best == -1 || est < bestEst {
-				best, bestEst = i, est
+				best, bestEst, bestPos = i, est, pos
 			}
 		}
 		taken[best] = true
-		order = append(order, best)
-		for k := range atoms[best].Pos {
-			if s := atoms[best].Pos[k].Slot; s >= 0 {
+		ca := &atoms[best]
+		kind, p1, p2 := accessFor(ca, bestPos, db)
+		p.Steps = append(p.Steps, Step{Atom: best, Kind: kind, Pos: p1, Pos2: p2, Est: bestEst})
+		width *= bestEst
+		p.Cost += width
+		for k := range ca.Pos {
+			if s := ca.Pos[k].Slot; s >= 0 {
 				b[s] = true
 			}
 		}
 	}
-	return planSteps(atoms, order, append(b[:0:0], bound...), st)
-}
-
-// PlanOrder plans a join with a caller-fixed atom order (the legacy
-// greedy order, for the planner ablation) but the same per-step access
-// selection as PlanBody. bound is not modified.
-func PlanOrder(atoms []CAtom, order []int, bound []bool, st Stats) Plan {
-	b := append([]bool(nil), bound...)
-	return planSteps(atoms, order, b, st)
+	return p
 }
 
 // tableKey identifies one two-position hash table: a relation and the
@@ -255,13 +221,13 @@ type joinTable struct {
 // before the worker fan-out; workers then only read (Probe). Tables
 // persist across rounds and are extended with the newly merged facts.
 type JoinCache struct {
-	db     DB
+	db     *database.Database
 	tables map[tableKey]*joinTable
 	builds int
 }
 
 // NewJoinCache returns an empty cache over db.
-func NewJoinCache(db DB) *JoinCache {
+func NewJoinCache(db *database.Database) *JoinCache {
 	return &JoinCache{db: db, tables: make(map[tableKey]*joinTable)}
 }
 

@@ -168,7 +168,7 @@ func TestJoinCacheSharingAndIncrementalBuild(t *testing.T) {
 	for i := range bound {
 		bound[i] = true
 	}
-	plan := PlanOrder(atoms, []int{0, 1}, bound, db)
+	plan := PlanBody(atoms, bound, db)
 	for i, s := range plan.Steps {
 		if s.Kind != AccessProbe {
 			t.Fatalf("step %d of %s: want a probe (all positions bound)", i, plan)

@@ -103,7 +103,7 @@ func (q CQ) EquivalentTo(q2 CQ) (bool, error) {
 
 // EvaluateOn returns the answers of the plain CQ over a database (no
 // rules): all homomorphism images of the answer tuple, over constants.
-func (q CQ) EvaluateOn(d database.Store) [][]core.Term {
+func (q CQ) EvaluateOn(d *database.Database) [][]core.Term {
 	seen := map[string]bool{}
 	var out [][]core.Term
 	hom.ForEach(q.Atoms, d, nil, func(s core.Subst) bool {

@@ -71,7 +71,7 @@ func Attach(th *core.Theory, q CQ) (*core.Theory, error) {
 // AnswerByChase answers the knowledge-base query by a bounded chase of
 // Σ ∪ {α → Q(~x)}: sound always, complete when the result is saturated or
 // the bound covers the relevant derivations.
-func AnswerByChase(th *core.Theory, q CQ, d database.Store, opts chase.Options) ([][]core.Term, bool, error) {
+func AnswerByChase(th *core.Theory, q CQ, d *database.Database, opts chase.Options) ([][]core.Term, bool, error) {
 	kbth, err := Attach(th, q)
 	if err != nil {
 		return nil, false, err
@@ -92,7 +92,7 @@ func AnswerByChase(th *core.Theory, q CQ, d database.Store, opts chase.Options) 
 // of a rule occurring at some non-affected body position (a safe variable)
 // is instantiated with constants of D in all possible ways. For a weakly
 // guarded Σ the result is guarded.
-func PartialGrounding(th *core.Theory, d database.Store, maxRules int) (*core.Theory, error) {
+func PartialGrounding(th *core.Theory, d *database.Database, maxRules int) (*core.Theory, error) {
 	if maxRules <= 0 {
 		maxRules = 200_000
 	}
@@ -146,7 +146,7 @@ type PipelineStats struct {
 // five-step procedure: rew (Theorem 2), partial grounding, dat
 // (Theorem 3), bottom-up Datalog evaluation. The intermediate theories are
 // exponential in general; the caps turn blow-ups into errors.
-func AnswerByPipeline(th *core.Theory, q CQ, d database.Store, rewOpts rewrite.Options, satOpts saturate.Options) ([][]core.Term, *PipelineStats, error) {
+func AnswerByPipeline(th *core.Theory, q CQ, d *database.Database, rewOpts rewrite.Options, satOpts saturate.Options) ([][]core.Term, *PipelineStats, error) {
 	kbth, err := Attach(th, q)
 	if err != nil {
 		return nil, nil, err

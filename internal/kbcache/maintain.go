@@ -48,7 +48,7 @@ type MaintainedQuery struct {
 // to a Datalog program — evaluated into a maintained fixpoint. Plans
 // that fall back to a per-query bounded chase are rejected with
 // ErrNotMaintainable.
-func (ckb *CompiledKB) MaintainCQ(ctx context.Context, q kb.CQ, base database.Store, opts QueryOptions) (*MaintainedQuery, error) {
+func (ckb *CompiledKB) MaintainCQ(ctx context.Context, q kb.CQ, base *database.Database, opts QueryOptions) (*MaintainedQuery, error) {
 	key := CQKey(q)
 	p, _, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
 	if err != nil {

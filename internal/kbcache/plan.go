@@ -72,16 +72,12 @@ type QueryOptions struct {
 	// Budget, when non-nil, governs the evaluation; exhausting it yields
 	// the sound partial answers alongside a typed *budget.Error.
 	Budget *budget.T
-	// Planner selects the Datalog join-order strategy (the zero value is
-	// the cost-based planner; datalog.PlannerGreedy forces the legacy
-	// static order, for ablations).
-	Planner datalog.Planner
 }
 
 // datalogOptions derives the engine options of one evaluation, wiring
 // the store's join-planner counters into the run.
 func (o QueryOptions) datalogOptions(m *Metrics) datalog.Options {
-	opts := datalog.Options{Workers: o.Workers, Budget: o.Budget, Planner: o.Planner}
+	opts := datalog.Options{Workers: o.Workers, Budget: o.Budget}
 	if m != nil {
 		opts.Stats = &m.Join
 	}
@@ -206,7 +202,7 @@ func (ckb *CompiledKB) PlanInfo(key string) (cached, chasePerCall bool) {
 // a bounded chase where no complete translation exists. On budget
 // exhaustion the sound partial answers are returned alongside the typed
 // *budget.Error.
-func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d database.Store, opts QueryOptions) (*QueryResult, error) {
+func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, error) {
 	ckb.metrics.Queries.Add(1)
 	key := CQKey(q)
 	p, hit, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
@@ -320,7 +316,7 @@ func (ckb *CompiledKB) buildTranslatedCQPlan(ctx context.Context, attached *core
 // binding pattern (dat(Σ) preserves ground atomic consequences, so the
 // base program is complete for atomic queries); chase-mode KBs delegate
 // to the CQ path.
-func (ckb *CompiledKB) AnswerAtom(ctx context.Context, query core.Atom, d database.Store, opts QueryOptions) (*QueryResult, error) {
+func (ckb *CompiledKB) AnswerAtom(ctx context.Context, query core.Atom, d *database.Database, opts QueryOptions) (*QueryResult, error) {
 	if ckb.Mode == ModeChase || ckb.Mode == ModeCertified {
 		return ckb.answerAtomByCQ(ctx, query, d, opts)
 	}
@@ -367,7 +363,7 @@ func (ckb *CompiledKB) buildAtomPlan(query core.Atom) (*plan, error) {
 
 // evalPlan runs a CQ plan. Budget-truncated runs return their sound
 // partial answers alongside the typed error.
-func (ckb *CompiledKB) evalPlan(p *plan, d database.Store, opts QueryOptions) (*QueryResult, error) {
+func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions) (*QueryResult, error) {
 	switch p.kind {
 	case planChase:
 		copts := chase.Options{
@@ -435,7 +431,7 @@ func (ckb *CompiledKB) evalPlan(p *plan, d database.Store, opts QueryOptions) (*
 // acyclic theories the certificate also prices an exact fact bound,
 // which the run asserts; when the closed form overflows the run is
 // merely unpriced, not bounded.
-func (ckb *CompiledKB) evalCertified(p *plan, d database.Store, copts chase.Options) (*QueryResult, error) {
+func (ckb *CompiledKB) evalCertified(p *plan, d *database.Database, copts chase.Options) (*QueryResult, error) {
 	if p.class != termination.ClassSWA {
 		copts.Variant = chase.Restricted
 	}
@@ -478,7 +474,7 @@ func bounding(b *budget.T) bool {
 // evalAtomPlan runs an atom plan: magic plans get a fresh seed from the
 // query's actual constants (the compiled program depends only on the
 // binding pattern), and all answers are filtered against the query atom.
-func (ckb *CompiledKB) evalAtomPlan(p *plan, query core.Atom, d database.Store, opts QueryOptions) (*QueryResult, error) {
+func (ckb *CompiledKB) evalAtomPlan(p *plan, query core.Atom, d *database.Database, opts QueryOptions) (*QueryResult, error) {
 	in := d
 	if p.kind == planMagic {
 		var bound []core.Term
@@ -511,7 +507,7 @@ func (ckb *CompiledKB) evalAtomPlan(p *plan, query core.Atom, d database.Store, 
 
 // answerAtomByCQ routes an atomic query through the CQ path (chase-mode
 // KBs), reconstructing full argument tuples from the answer bindings.
-func (ckb *CompiledKB) answerAtomByCQ(ctx context.Context, query core.Atom, d database.Store, opts QueryOptions) (*QueryResult, error) {
+func (ckb *CompiledKB) answerAtomByCQ(ctx context.Context, query core.Atom, d *database.Database, opts QueryOptions) (*QueryResult, error) {
 	var vars []core.Term
 	seen := map[core.Term]bool{}
 	for _, t := range query.Args {

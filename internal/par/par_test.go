@@ -54,13 +54,30 @@ func TestRunUnitsPanicContainment(t *testing.T) {
 }
 
 // After a panic, workers stop claiming fresh units (the pool sheds the
-// rest of the round exactly as on cancellation).
+// rest of the round exactly as on cancellation). Units other than the
+// panicking one block until the panic is published, so the outcome does
+// not depend on scheduling: every worker polls canceled once before each
+// claim, the non-panicking workers are parked inside their first unit,
+// and so the (workers+1)-th poll is the panicking worker's next loop
+// iteration, which runs only after its recover published the panic.
 func TestRunUnitsPanicStopsClaiming(t *testing.T) {
-	const n = 10_000
-	var ran atomic.Int32
-	err := RunUnits(n, 4, never, func(u int) {
+	const n, workers = 10_000, 4
+	var polls, ran atomic.Int32
+	published := make(chan struct{})
+	canceled := func() bool {
+		if polls.Add(1) == workers+1 {
+			close(published)
+		}
+		return false
+	}
+	err := RunUnits(n, workers, canceled, func(u int) {
 		if u == 0 {
 			panic("early")
+		}
+		select {
+		case <-published:
+		case <-time.After(10 * time.Second):
+			t.Error("panic never published: the panicking worker did not poll again")
 		}
 		ran.Add(1)
 	})
@@ -68,8 +85,10 @@ func TestRunUnitsPanicStopsClaiming(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := ran.Load(); got == n-1 {
-		t.Fatalf("all %d units ran despite an immediate panic: pool did not shed", got)
+	// Only the units claimed before the panic was published may run: at
+	// most one per non-panicking worker.
+	if got := ran.Load(); got >= workers {
+		t.Fatalf("%d units ran after an immediate panic: pool did not shed", got)
 	}
 }
 

@@ -94,7 +94,8 @@ func (s *Server) RestoreData() error {
 			return fmt.Errorf("server: reopen db %q: %w", id, err)
 		}
 		ent := &dbEntry{id: id, subs: make(map[*subscription]struct{}), seg: seg}
-		ent.cur.Store(&dbVersion{db: seg.Clone(), version: seg.Version(), facts: len(seg.UserFacts())})
+		db := seg.Clone()
+		ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: len(db.UserFacts())})
 		var victim *dbEntry
 		s.mu.Lock()
 		if _, v, evicted := s.dbs.Add(id, ent); evicted {

@@ -674,8 +674,8 @@ func (s *Server) setupSegLocked(ent *dbEntry, atoms []core.Atom) error {
 	if err != nil {
 		return fmt.Errorf("open segment store: %w", err)
 	}
-	facts := len(seg.UserFacts())
-	if seg.Version() == 0 {
+	fresh := seg.Version() == 0
+	if fresh {
 		for _, a := range atoms {
 			seg.Add(a)
 		}
@@ -683,10 +683,14 @@ func (s *Server) setupSegLocked(ent *dbEntry, atoms []core.Atom) error {
 			seg.Close()
 			return fmt.Errorf("commit initial facts: %w", err)
 		}
-		facts = len(atoms)
+	}
+	db := seg.Clone()
+	facts := len(atoms)
+	if !fresh {
+		facts = len(db.UserFacts())
 	}
 	ent.seg = seg
-	ent.cur.Store(&dbVersion{db: seg.Clone(), version: seg.Version(), facts: facts})
+	ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: facts})
 	return nil
 }
 

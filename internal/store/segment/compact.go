@@ -17,7 +17,7 @@ import (
 // A snapshot is a pure state dump — terms in id order, every relation's
 // facts in enumeration order, ACDom support counts, and the pin set —
 // loaded through the database restore hooks rather than replayed through
-// AddErr, so enumeration orders (which engine determinism depends on)
+// AddNotify, so enumeration orders (which engine determinism depends on)
 // survive compaction exactly, including swap-remove history.
 //
 // Crash safety: the snapshot is published by atomic rename, and

@@ -65,10 +65,10 @@ func seedStores(t *testing.T, corpus *database.Database) (ref *database.Database
 	return ref, live, reopened
 }
 
-// Engines run unmodified against both Store implementations — the
-// concrete *database.Database and the segment store, live or reopened
-// from disk — and produce byte-identical results at any worker count,
-// over regular and adversarially named corpora.
+// Engines produce byte-identical results over the plain in-memory
+// database and over clones of the segment store, live or reopened from
+// disk, at any worker count, over regular and adversarially named
+// corpora.
 func TestEngineTwoStoreDifferential(t *testing.T) {
 	corpora := map[string]*database.Database{
 		"ab":          gen.ABDatabase(40, 1),
@@ -81,7 +81,7 @@ func TestEngineTwoStoreDifferential(t *testing.T) {
 			ref, live, reopened := seedStores(t, corpus)
 			assertMirrors(t, live, ref)
 			assertMirrors(t, reopened, ref)
-			stores := map[string]database.Store{"memory": ref, "segment": live, "reopened": reopened}
+			stores := map[string]*database.Database{"memory": ref, "segment": live.Clone(), "reopened": reopened.Clone()}
 
 			for _, workers := range []int{1, 4} {
 				// Datalog fixpoint.
@@ -113,7 +113,12 @@ func TestEngineTwoStoreDifferential(t *testing.T) {
 				}
 			}
 			// The inputs themselves must be untouched: engines clone at
-			// entry, they never mutate the store they were handed.
+			// entry, they never mutate the database they were handed.
+			for sn, d := range stores {
+				if got, want := d.String(), ref.String(); got != want {
+					t.Fatalf("engines mutated the %s input", sn)
+				}
+			}
 			assertMirrors(t, live, ref)
 			assertMirrors(t, reopened, ref)
 		})
@@ -205,7 +210,7 @@ func TestCrashRecoveryEngineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotOut, err := datalog.EvalSemiNaiveOpts(tcTheory, r, datalog.Options{Workers: workers})
+			gotOut, err := datalog.EvalSemiNaiveOpts(tcTheory, r.Clone(), datalog.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("cut %d workers=%d: %v", cut, workers, err)
 			}

@@ -1,10 +1,11 @@
-// Package segment implements a durable database.Store backed by an
-// append-only write-ahead log plus periodic snapshots, all in a single
-// directory. The in-memory index is a *database.Database mirror; every
-// mutation is applied to the mirror and journaled, and Commit makes the
-// journaled prefix durable. On open, the log's torn tail (anything past
-// the last valid commit record) is discarded, so a crash never loses
-// committed data and never surfaces uncommitted data.
+// Package segment implements a durable fact store: a journal over a
+// private *database.Database mirror, kept as an append-only write-ahead
+// log plus periodic snapshots, all in a single directory. Every mutation
+// is applied to the mirror and journaled, Commit makes the journaled
+// prefix durable, and readers get a Clone of the mirror, so engines only
+// ever see a *database.Database. On open, the log's torn tail (anything
+// past the last valid commit record) is discarded, so a crash never
+// loses committed data and never surfaces uncommitted data.
 //
 // Record framing (all integers big-endian):
 //
@@ -15,7 +16,7 @@
 //
 //	term    kind(u8) name…                    — intern next dense id
 //	rel     annArity(u16) arity(u16) name…    — intern next relation id
-//	add     relID(u32) id(u32)…               — AddErr of the fact
+//	add     relID(u32) id(u32)…               — AddNotify of the fact
 //	del     relID(u32) id(u32)…               — DeleteNotify of the fact
 //	commit  version(u64)                      — durability barrier
 //	fact    relID(u32) id(u32)…               — snapshot: raw insert

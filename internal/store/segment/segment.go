@@ -19,7 +19,7 @@ import (
 // snapshot it is fatal, since snapshots are published by atomic rename.
 var errCorrupt = errors.New("segment: corrupt record")
 
-// ErrClosed is returned by mutations on a closed store.
+// ErrClosed is returned by Commit and Compact on a closed store.
 var ErrClosed = errors.New("segment: store is closed")
 
 // Options configures a Store.
@@ -29,15 +29,16 @@ type Options struct {
 	Sync bool
 }
 
-// Store is a durable database.Store: an in-memory *database.Database
-// mirror plus an append-only write-ahead log and generation-numbered
-// snapshots in a single directory. Reads delegate to the mirror;
-// mutations apply to the mirror and journal the operation; Commit makes
-// the journaled prefix crash-durable. Uncommitted mutations are visible
-// in memory but discarded by a reopen.
+// Store is a journal over a private mirror: an in-memory
+// *database.Database plus an append-only write-ahead log and
+// generation-numbered snapshots in a single directory. Add and Retract
+// apply to the mirror and journal the operation; Commit makes the
+// journaled prefix crash-durable; Clone hands readers a copy of the
+// mirror. Uncommitted mutations show in a Clone but are discarded by a
+// reopen.
 //
-// Like *database.Database, a Store is not safe for concurrent mutation;
-// engines clone it at entry and never write back.
+// A Store is not safe for concurrent use; the server serializes each
+// store's writers and publishes clones to readers.
 type Store struct {
 	dir  string
 	opts Options
@@ -58,8 +59,6 @@ type Store struct {
 	err     error // first journaling failure; store refuses writes after
 	closed  bool
 }
-
-var _ database.Store = (*Store)(nil)
 
 func snapName(gen uint64) string { return fmt.Sprintf("snapshot-%06d.seg", gen) }
 func walName(gen uint64) string  { return fmt.Sprintf("wal-%06d.log", gen) }
@@ -212,7 +211,7 @@ func (s *Store) apply(payload []byte) error {
 		}
 		switch typ {
 		case recAdd:
-			if _, err := s.mem.AddErr(a); err != nil {
+			if _, err := s.mem.AddNotify(a, nil); err != nil {
 				return fmt.Errorf("replay add %s: %w", a.String(), err)
 			}
 		case recDel:
@@ -357,9 +356,6 @@ func (s *Store) fail(err error) {
 	}
 }
 
-// Err returns the latched journaling error, if any.
-func (s *Store) Err() error { return s.err }
-
 // Commit appends a commit record, flushes, and (with Options.Sync)
 // fsyncs: everything journaled so far becomes crash-durable, and the
 // store's version advances. Reopening discards anything after the last
@@ -397,16 +393,10 @@ func (s *Store) Commit() (uint64, error) {
 // Version returns the version of the last commit (0 before any commit).
 func (s *Store) Version() uint64 { return s.version }
 
-// Pending reports the number of mutations journaled since the last
-// commit.
-func (s *Store) Pending() int { return s.pending }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close flushes and closes the log. Uncommitted mutations are not made
-// durable: a reopen discards them, exactly as a crash would. Reads keep
-// working on the in-memory mirror; mutations return ErrClosed.
+// durable: a reopen discards them, exactly as a crash would. Clone keeps
+// working on the in-memory mirror; Add and Retract are refused and
+// Commit returns ErrClosed.
 func (s *Store) Close() error {
 	if s.closed {
 		return nil
@@ -427,137 +417,42 @@ func (s *Store) Close() error {
 	return first
 }
 
-// --- database.Store: writers -------------------------------------------
+// --- journaled mutators --------------------------------------------------
 
-// AddNotify applies the mutation to the mirror and journals it on
-// success. See database.Writer.
-func (s *Store) AddNotify(a core.Atom, notify func(core.Atom)) (bool, error) {
-	if s.closed {
-		return false, ErrClosed
+// Add applies the insertion to the mirror and journals it, reporting
+// whether the fact was new. A non-ground atom, a closed store, or one
+// that latched a journaling error refuses the write and reports false.
+func (s *Store) Add(a core.Atom) bool {
+	if s.closed || s.err != nil {
+		return false
 	}
-	if s.err != nil {
-		return false, s.err
-	}
-	added, err := s.mem.AddNotify(a, notify)
-	if err != nil || !added {
-		return added, err
+	if !s.mem.Add(a) {
+		return false
 	}
 	s.journalOp(recAdd, a)
-	return true, s.err
+	return true
 }
 
-func (s *Store) Add(a core.Atom) bool {
-	added, _ := s.AddNotify(a, nil)
-	return added
-}
-
-func (s *Store) AddErr(a core.Atom) (bool, error) { return s.AddNotify(a, nil) }
-
-// DeleteNotify applies the retraction to the mirror and journals it. A
-// retraction is journaled even when no fact was removed if it may have
-// unpinned an explicit ACDom entry — that side effect must replay.
-func (s *Store) DeleteNotify(a core.Atom, notify func(core.Atom)) (bool, error) {
-	if s.closed {
-		return false, ErrClosed
+// Retract applies the retraction to the mirror and journals it,
+// reporting whether a fact was removed. A retraction is journaled even
+// when no fact was removed if it may have unpinned an explicit ACDom
+// entry — that side effect must replay.
+func (s *Store) Retract(a core.Atom) bool {
+	if s.closed || s.err != nil {
+		return false
 	}
-	if s.err != nil {
-		return false, s.err
-	}
-	removed, err := s.mem.DeleteNotify(a, notify)
-	if err != nil {
-		return removed, err
-	}
+	removed := s.mem.Retract(a)
 	if removed || a.Relation == core.ACDom {
 		if _, ok := s.mem.FactIDs(nil, a); ok {
 			s.journalOp(recDel, a)
 		}
 	}
-	return removed, s.err
-}
-
-func (s *Store) Retract(a core.Atom) bool {
-	removed, _ := s.DeleteNotify(a, nil)
 	return removed
 }
 
-func (s *Store) AddCost(a core.Atom) int { return s.mem.AddCost(a) }
-
-// InternTerm interns into the mirror and journals the new id, so the
-// dense id space and InternEpoch survive restarts.
-func (s *Store) InternTerm(t core.Term) uint32 {
-	id := s.mem.InternTerm(t)
-	if !s.closed {
-		s.logNewTerms()
-	}
-	return id
-}
-
-// --- database.Store: reads (delegated to the mirror) --------------------
-
-func (s *Store) Has(a core.Atom) bool                       { return s.mem.Has(a) }
-func (s *Store) HasApplied(a core.Atom, su core.Subst) bool { return s.mem.HasApplied(a, su) }
-func (s *Store) SeenKey(rk core.RelKey, key []byte) bool    { return s.mem.SeenKey(rk, key) }
-func (s *Store) SeenIDs(rk core.RelKey, ids []uint32) bool {
-	return s.mem.SeenIDs(rk, ids)
-}
-func (s *Store) AppliedKey(dst []byte, a core.Atom, su core.Subst) ([]byte, bool) {
-	return s.mem.AppliedKey(dst, a, su)
-}
-func (s *Store) FactIDs(dst []uint32, a core.Atom) ([]uint32, bool) {
-	return s.mem.FactIDs(dst, a)
-}
-func (s *Store) IDTuples(rk core.RelKey) []uint32 { return s.mem.IDTuples(rk) }
-func (s *Store) ForEachIndexWithID(rk core.RelKey, pos int, id uint32, fn func(int) bool) {
-	s.mem.ForEachIndexWithID(rk, pos, id, fn)
-}
-func (s *Store) IndexWithID(rk core.RelKey, pos int, id uint32) []int32 {
-	return s.mem.IndexWithID(rk, pos, id)
-}
-func (s *Store) Facts(rk core.RelKey) []core.Atom { return s.mem.Facts(rk) }
-func (s *Store) FactsWith(rk core.RelKey, pos int, t core.Term) []core.Atom {
-	return s.mem.FactsWith(rk, pos, t)
-}
-func (s *Store) FactsContaining(t core.Term) []core.Atom { return s.mem.FactsContaining(t) }
-func (s *Store) ForEachWith(rk core.RelKey, pos int, t core.Term, fn func(core.Atom) bool) {
-	s.mem.ForEachWith(rk, pos, t, fn)
-}
-func (s *Store) ForEachWithID(rk core.RelKey, pos int, id uint32, fn func(core.Atom) bool) {
-	s.mem.ForEachWithID(rk, pos, id, fn)
-}
-func (s *Store) ForEachFact(rk core.RelKey, fn func(core.Atom) bool) {
-	s.mem.ForEachFact(rk, fn)
-}
-func (s *Store) CountWith(rk core.RelKey, pos int, t core.Term) int {
-	return s.mem.CountWith(rk, pos, t)
-}
-func (s *Store) Relations() []core.RelKey     { return s.mem.Relations() }
-func (s *Store) Len() int                     { return s.mem.Len() }
-func (s *Store) All() []core.Atom             { return s.mem.All() }
-func (s *Store) UserFacts() []core.Atom       { return s.mem.UserFacts() }
-func (s *Store) GroundAtoms() []core.Atom     { return s.mem.GroundAtoms() }
-func (s *Store) Constants() []core.Term       { return s.mem.Constants() }
-func (s *Store) Terms() core.TermSet          { return s.mem.Terms() }
-func (s *Store) Nulls() []core.Term           { return s.mem.Nulls() }
-func (s *Store) String() string               { return s.mem.String() }
-func (s *Store) ACDomSupport(t core.Term) int { return s.mem.ACDomSupport(t) }
-func (s *Store) ACDomPinned(t core.Term) bool { return s.mem.ACDomPinned(t) }
-func (s *Store) TermOccursIn(rk core.RelKey, t core.Term) bool {
-	return s.mem.TermOccursIn(rk, t)
-}
-
-// --- database.Store: stats and interning --------------------------------
-
-func (s *Store) RelSize(rk core.RelKey) int             { return s.mem.RelSize(rk) }
-func (s *Store) DistinctAt(rk core.RelKey, pos int) int { return s.mem.DistinctAt(rk, pos) }
-func (s *Store) CountWithID(rk core.RelKey, pos int, id uint32) int {
-	return s.mem.CountWithID(rk, pos, id)
-}
-func (s *Store) InternEpoch() int                  { return s.mem.InternEpoch() }
-func (s *Store) TermID(t core.Term) (uint32, bool) { return s.mem.TermID(t) }
-func (s *Store) Term(id uint32) core.Term          { return s.mem.Term(id) }
-
-// Clone returns an in-memory working copy with the identical id space;
-// engines clone at entry and run fixpoints on the copy.
+// Clone returns an in-memory working copy of the mirror with the
+// identical id space. It is the store's only read path: readers and
+// engines work on the copy, and the mirror never escapes.
 func (s *Store) Clone() *database.Database { return s.mem.Clone() }
 
 // sortedRelKeys returns the mirror's relations in a deterministic order

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,10 +13,12 @@ import (
 	"guardedrules/internal/parser"
 )
 
-// assertMirrors asserts that got's observable surface — the sorted fact
-// listing, the intern epoch, and the per-relation stats — matches want.
-func assertMirrors(t *testing.T, got *Store, want *database.Database) {
+// assertMirrors asserts that the observable surface of s's clone — the
+// sorted fact listing, the intern epoch, and the per-relation stats —
+// matches want.
+func assertMirrors(t *testing.T, s *Store, want *database.Database) {
 	t.Helper()
+	got := s.Clone()
 	if g, w := got.String(), want.String(); g != w {
 		t.Fatalf("state mismatch:\n got:\n%s\nwant:\n%s", g, w)
 	}
@@ -100,10 +103,11 @@ func TestUncommittedDiscarded(t *testing.T) {
 
 	r := mustOpen(t, dir)
 	defer r.Close()
-	if !r.Has(core.NewAtom("P", core.Const("a"))) {
+	got := r.Clone()
+	if !got.Has(core.NewAtom("P", core.Const("a"))) {
 		t.Fatal("committed fact lost")
 	}
-	if r.Has(core.NewAtom("P", core.Const("b"))) {
+	if got.Has(core.NewAtom("P", core.Const("b"))) {
 		t.Fatal("uncommitted fact survived reopen")
 	}
 }
@@ -200,24 +204,28 @@ func TestCorruptRecordTruncated(t *testing.T) {
 	if r.Version() != 1 {
 		t.Fatalf("Version = %d, want 1", r.Version())
 	}
-	if r.Has(core.NewAtom("P", core.Const("b"))) {
+	if r.Clone().Has(core.NewAtom("P", core.Const("b"))) {
 		t.Fatal("fact behind corrupt record survived")
 	}
 }
 
 // TestACDomPinReplay exercises the pinned-ACDom lifecycle across a
 // reopen, including the unpin-while-supported retraction whose only
-// effect is the pin removal (DeleteNotify returns removed=false).
+// effect is the pin removal (Retract returns false).
 func TestACDomPinReplay(t *testing.T) {
+	type mutator interface {
+		Add(core.Atom) bool
+		Retract(core.Atom) bool
+	}
 	for stop := 1; stop <= 4; stop++ {
 		dir := t.TempDir()
 		s := mustOpen(t, dir)
 		ref := database.New()
-		steps := []func(database.Store){
-			func(d database.Store) { d.Add(core.NewAtom("P", core.Const("a"))) },
-			func(d database.Store) { d.Add(core.NewAtom(core.ACDom, core.Const("a"))) },
-			func(d database.Store) { d.Retract(core.NewAtom(core.ACDom, core.Const("a"))) },
-			func(d database.Store) { d.Retract(core.NewAtom("P", core.Const("a"))) },
+		steps := []func(mutator){
+			func(d mutator) { d.Add(core.NewAtom("P", core.Const("a"))) },
+			func(d mutator) { d.Add(core.NewAtom(core.ACDom, core.Const("a"))) },
+			func(d mutator) { d.Retract(core.NewAtom(core.ACDom, core.Const("a"))) },
+			func(d mutator) { d.Retract(core.NewAtom("P", core.Const("a"))) },
 		}
 		for i := 0; i < stop; i++ {
 			steps[i](s)
@@ -274,7 +282,7 @@ func TestCompact(t *testing.T) {
 	// Enumeration order must survive the snapshot: compare Facts order
 	// against a store that never compacted.
 	ek := core.RelKey{Name: "Edge", Arity: 2}
-	gotOrder := r.Facts(ek)
+	gotOrder := r.Clone().Facts(ek)
 	wantOrder := ref.Facts(ek)
 	for i := range wantOrder {
 		if gotOrder[i].String() != wantOrder[i].String() {
@@ -388,10 +396,13 @@ func TestCloseDiscardsWrites(t *testing.T) {
 	if s.Add(core.NewAtom("P", core.Const("b"))) {
 		t.Fatal("Add succeeded on closed store")
 	}
-	if _, err := s.AddErr(core.NewAtom("P", core.Const("c"))); err == nil {
-		t.Fatal("AddErr on closed store returned nil error")
+	if s.Retract(core.NewAtom("P", core.Const("a"))) {
+		t.Fatal("Retract succeeded on closed store")
 	}
-	if !s.Has(core.NewAtom("P", core.Const("a"))) {
-		t.Fatal("reads must keep working after Close")
+	if _, err := s.Commit(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Commit on closed store = %v, want ErrClosed", err)
+	}
+	if !s.Clone().Has(core.NewAtom("P", core.Const("a"))) {
+		t.Fatal("Clone must keep working after Close")
 	}
 }

@@ -71,7 +71,7 @@ func IsWeaklyGuarded(th *core.Theory) bool {
 // evaluated against the completed earlier strata (negated relations are
 // never derived in their own stratum, so the per-stratum chase can test
 // them against the growing database safely).
-func Eval(th *core.Theory, d database.Store, opts Options) (*Result, error) {
+func Eval(th *core.Theory, d *database.Database, opts Options) (*Result, error) {
 	strata, err := CheckStratified(th)
 	if err != nil {
 		return nil, err

@@ -137,7 +137,7 @@ func TestCriticalInstanceShape(t *testing.T) {
 	star := "*"
 	for _, rel := range []string{"R", "S", "Q"} {
 		found := false
-		for _, a := range d.All() {
+		for _, a := range d.UserFacts() {
 			if a.Relation == rel {
 				found = true
 				for _, arg := range a.Args {
