@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"guardedrules/internal/annotate"
+	"guardedrules/internal/budget"
 	"guardedrules/internal/capture"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
@@ -81,11 +82,11 @@ func BenchmarkE1AnswerPreservation(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			d := gen.CitationGraph(n)
 			for i := 0; i < b.N; i++ {
-				r1, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 2_000_000})
+				r1, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}})
 				if err != nil {
 					b.Fatal(err)
 				}
-				r2, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 2_000_000})
+				r2, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +118,7 @@ func BenchmarkE2NearlyFrontierGuarded(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 3, MaxFacts: 2_000_000})
+		res, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 3, Budget: &budget.T{MaxFacts: 2_000_000}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func BenchmarkE3WeaklyFrontierGuarded(b *testing.B) {
 		}
 		dRe := res.Reorder.Database(d)
 		for i := 0; i < b.N; i++ {
-			r, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, MaxDepth: 5, MaxFacts: 2_000_000})
+			r, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, MaxDepth: 5, Budget: &budget.T{MaxFacts: 2_000_000}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -224,7 +225,7 @@ func BenchmarkE6NormalizeAndChaseTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		norm := normalize.Normalize(th.Clone())
-		tree, _, err := chase.RunTree(norm, d, chase.Options{Variant: chase.Oblivious, MaxDepth: 4, MaxFacts: 100_000})
+		tree, _, err := chase.RunTree(norm, d, chase.Options{Variant: chase.Oblivious, MaxDepth: 4, Budget: &budget.T{MaxFacts: 100_000}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,7 +260,7 @@ func BenchmarkE7CaptureStringQueries(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := chase.Run(th, db, chase.Options{Variant: chase.Restricted, MaxDepth: 3*n + 6, MaxFacts: 1_000_000})
+				r, err := chase.Run(th, db, chase.Options{Variant: chase.Restricted, MaxDepth: 3*n + 6, Budget: &budget.T{MaxFacts: 1_000_000}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -373,7 +374,7 @@ func BenchmarkE11DataComplexity(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				if _, err := stratified.Eval(succ, d, stratified.Options{
-					Chase: chase.Options{Variant: chase.Restricted, MaxDepth: n + 1, MaxFacts: 5_000_000},
+					Chase: chase.Options{Variant: chase.Restricted, MaxDepth: n + 1, Budget: &budget.T{MaxFacts: 5_000_000}},
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -422,6 +423,15 @@ func BenchmarkA1DatalogEngines(b *testing.B) {
 	})
 }
 
+// workerSweep is the worker counts the parallel benchmarks compare: one
+// worker and all available CPUs, once each when they coincide.
+func workerSweep() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkEvalSemiNaiveParallel measures the parallel semi-naive engine
 // on transitive closure over chain forests of 1k/5k/20k edges, at 1 worker
 // and at all available CPUs. On single-core machines both configurations
@@ -432,10 +442,9 @@ func BenchmarkEvalSemiNaiveParallel(b *testing.B) {
 		E(X,Y) -> T(X,Y).
 		T(X,Y), T(Y,Z) -> T(X,Z).
 	`)
-	nWorkers := runtime.GOMAXPROCS(0)
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
-		for _, workers := range []int{1, nWorkers} {
+		for _, workers := range workerSweep() {
 			b.Run(fmt.Sprintf("edges=%d/workers=%d", edges, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := datalog.EvalSemiNaiveOpts(th, d, datalog.Options{Workers: workers}); err != nil {
@@ -474,7 +483,7 @@ func TestEmitDatalogBenchJSON(t *testing.T) {
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range workerSweep() {
 			reps := 3
 			var best time.Duration
 			facts := 0
@@ -705,13 +714,12 @@ func TestEmitMulticoreBenchJSON(t *testing.T) {
 // trajectory is recorded in BENCH_chase.json (see TestEmitChaseBenchJSON).
 func BenchmarkChaseParallel(b *testing.B) {
 	th := parser.MustParseTheory(sigmaPBench)
-	nWorkers := runtime.GOMAXPROCS(0)
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
-		for _, workers := range []int{1, nWorkers} {
+		for _, workers := range workerSweep() {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					opts := chase.Options{Variant: chase.Restricted, MaxDepth: 4, MaxFacts: 2_000_000, Workers: workers}
+					opts := chase.Options{Variant: chase.Restricted, MaxDepth: 4, Budget: &budget.T{MaxFacts: 2_000_000}, Workers: workers}
 					if _, err := chase.Run(th, d, opts); err != nil {
 						b.Fatal(err)
 					}
@@ -745,14 +753,15 @@ func TestEmitChaseBenchJSON(t *testing.T) {
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range workerSweep() {
 			reps := 3
 			var best time.Duration
 			facts := 0
 			for r := 0; r < reps; r++ {
 				t0 := time.Now()
 				res, err := chase.Run(th, d, chase.Options{
-					Variant: chase.Restricted, MaxDepth: 4, MaxFacts: 2_000_000, Workers: workers,
+					Variant: chase.Restricted, MaxDepth: 4, Workers: workers,
+					Budget: &budget.T{MaxFacts: 2_000_000},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -1002,7 +1011,7 @@ func BenchmarkA2ChaseVariants(b *testing.B) {
 	}{{"oblivious", chase.Oblivious}, {"restricted", chase.Restricted}} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(th, d, chase.Options{Variant: v.variant, MaxDepth: 6, MaxFacts: 2_000_000}); err != nil {
+				if _, err := chase.Run(th, d, chase.Options{Variant: v.variant, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1038,7 +1047,7 @@ func BenchmarkA4CoreMinimization(b *testing.B) {
 	atoms := res.DB.UserFacts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, exact := hom.Core(atoms, 0); !exact {
+		if _, exact := hom.Core(atoms); !exact {
 			b.Fatal("core search must be exact here")
 		}
 	}

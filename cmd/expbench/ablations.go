@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
@@ -69,13 +70,13 @@ func runA2(quick bool) error {
 	for _, n := range sizes {
 		d := gen.CitationGraph(n)
 		t0 := time.Now()
-		ob, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Oblivious, MaxDepth: 3, MaxFacts: 500_000}))
+		ob, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Oblivious, MaxDepth: 3}, budget.T{MaxFacts: 500_000}))
 		if err != nil {
 			return err
 		}
 		obTime := time.Since(t0)
 		t1 := time.Now()
-		re, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3, MaxFacts: 500_000}))
+		re, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3}, budget.T{MaxFacts: 500_000}))
 		if err != nil {
 			return err
 		}
@@ -109,7 +110,7 @@ func runA3(quick bool) error {
 		if termination.IsWeaklyAcyclic(th) {
 			wa++
 			d := gen.ABDatabase(5, seed)
-			res, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxFacts: 200_000, MaxRounds: 5_000}))
+			res, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted}, budget.T{MaxFacts: 200_000, MaxRounds: 5_000}))
 			if err != nil {
 				return err
 			}
@@ -149,17 +150,17 @@ func runA4(bool) error {
 		R(X,Y) -> B(Y).
 	`)
 	d := database.FromAtoms(parser.MustParseFacts(`A(a). A(b). R(a,c).`))
-	ob, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Oblivious}))
+	ob, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Oblivious}, budget.T{}))
 	if err != nil {
 		return err
 	}
-	coreAtoms, exact := hom.Core(ob.DB.UserFacts(), 0)
+	coreAtoms, exact := hom.Core(ob.DB.UserFacts())
 	fmt.Printf("oblivious chase: %d atoms; core: %d atoms (exact=%v)\n",
 		len(ob.DB.UserFacts()), len(coreAtoms), exact)
 	if !hom.Equivalent(ob.DB.UserFacts(), coreAtoms) {
 		return fmt.Errorf("core not equivalent to chase")
 	}
-	if !hom.IsCore(coreAtoms, 0) {
+	if !hom.IsCore(coreAtoms) {
 		return fmt.Errorf("result is not a core")
 	}
 	return nil
@@ -225,7 +226,7 @@ func runA6(quick bool) error {
 	for i := 0; i < n; i++ {
 		d.Add(core.NewAtom("Obj", core.Const(fmt.Sprintf("o%d", i))))
 	}
-	opts := govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3, MaxFacts: 3_000_000})
+	opts := govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3}, budget.T{MaxFacts: 3_000_000})
 	t0 := time.Now()
 	seq, err := chase.Run(th, d, opts)
 	if err != nil {
@@ -317,7 +318,7 @@ func runA8(quick bool) error {
 		var boundTime time.Duration
 		for r := 0; r < 3; r++ {
 			t0 := time.Now()
-			res, err := chase.Run(c.theory, c.db, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 12, MaxFacts: 500_000}))
+			res, err := chase.Run(c.theory, c.db, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 12}, budget.T{MaxFacts: 500_000}))
 			if err != nil {
 				return fmt.Errorf("%s: bounded chase: %v", c.name, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"guardedrules/internal/annotate"
+	"guardedrules/internal/budget"
 	"guardedrules/internal/capture"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
@@ -77,11 +78,11 @@ func runE1(quick bool) error {
 	fmt.Printf("%-6s %-8s %-14s %-14s %-10s %s\n", "n", "|D|", "chase(Σ)", "chase(rew(Σ))", "Q answers", "agree")
 	for _, n := range sizes {
 		d := gen.CitationGraph(n)
-		r1, err := chase.Run(orig, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 2_000_000}))
+		r1, err := chase.Run(orig, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6}, budget.T{MaxFacts: 2_000_000}))
 		if err != nil {
 			return err
 		}
-		r2, err := chase.Run(rew, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 2_000_000}))
+		r2, err := chase.Run(rew, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6}, budget.T{MaxFacts: 2_000_000}))
 		if err != nil {
 			return err
 		}
@@ -125,11 +126,11 @@ func runE2(quick bool) error {
 			d.Add(core.NewAtom("B", core.Const(fmt.Sprintf("v%d", i))))
 			d.Add(core.NewAtom("A", core.Const(fmt.Sprintf("v%d", i))))
 		}
-		r1, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 4, MaxFacts: 2_000_000}))
+		r1, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 4}, budget.T{MaxFacts: 2_000_000}))
 		if err != nil {
 			return err
 		}
-		r2, err := chase.Run(rew, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 4, MaxFacts: 2_000_000}))
+		r2, err := chase.Run(rew, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 4}, budget.T{MaxFacts: 2_000_000}))
 		if err != nil {
 			return err
 		}
@@ -203,12 +204,12 @@ func runE3(quick bool) error {
 		for _, n := range sizes {
 			d := c.facts(n)
 			depth := n + 3
-			r1, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: depth, MaxFacts: 2_000_000}))
+			r1, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: depth}, budget.T{MaxFacts: 2_000_000}))
 			if err != nil {
 				return err
 			}
 			dRe := res.Reorder.Database(d)
-			r2, err := chase.Run(res.Rewritten, dRe, govern(chase.Options{Variant: chase.Restricted, MaxDepth: depth, MaxFacts: 2_000_000}))
+			r2, err := chase.Run(res.Rewritten, dRe, govern(chase.Options{Variant: chase.Restricted, MaxDepth: depth}, budget.T{MaxFacts: 2_000_000}))
 			if err != nil {
 				return err
 			}
@@ -258,7 +259,7 @@ func runE4(quick bool) error {
 		}
 		dt := time.Since(t1)
 		db := gen.ABDatabase(6, int64(n))
-		r, err := chase.Run(g, db, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 8, MaxFacts: 500_000}))
+		r, err := chase.Run(g, db, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 8}, budget.T{MaxFacts: 500_000}))
 		if err != nil {
 			return err
 		}
@@ -307,7 +308,7 @@ func runE5(quick bool) error {
 		if err != nil {
 			return err
 		}
-		r, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted, MaxFacts: 2_000_000}))
+		r, err := chase.Run(th, d, govern(chase.Options{Variant: chase.Restricted}, budget.T{MaxFacts: 2_000_000}))
 		if err != nil {
 			return err
 		}
@@ -336,7 +337,7 @@ func runE6(quick bool) error {
 			return fmt.Errorf("seed %d: normalization failed", seed)
 		}
 		d := gen.ABDatabase(6, seed)
-		tree, res, err := chase.RunTree(norm, d, govern(chase.Options{Variant: chase.Oblivious, MaxDepth: 4, MaxFacts: 100_000}))
+		tree, res, err := chase.RunTree(norm, d, govern(chase.Options{Variant: chase.Oblivious, MaxDepth: 4}, budget.T{MaxFacts: 100_000}))
 		if err != nil {
 			return err
 		}
@@ -399,7 +400,7 @@ func runE7(quick bool) error {
 				if err != nil {
 					return err
 				}
-				r, err := chase.Run(th, db, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3*n + 6, MaxFacts: 500_000}))
+				r, err := chase.Run(th, db, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3*n + 6}, budget.T{MaxFacts: 500_000}))
 				if err != nil {
 					return err
 				}
@@ -431,7 +432,7 @@ func runE8(quick bool) error {
 			db.Add(core.NewAtom("Obj", core.Const(fmt.Sprintf("c%d", i))))
 		}
 		res, err := stratified.Eval(capture.SuccProgram(), db, stratified.Options{
-			Chase: govern(chase.Options{Variant: chase.Restricted, MaxDepth: d + 1, MaxFacts: 2_000_000}),
+			Chase: govern(chase.Options{Variant: chase.Restricted, MaxDepth: d + 1}, budget.T{MaxFacts: 2_000_000}),
 		})
 		if err != nil {
 			return err
@@ -515,7 +516,7 @@ func runE9(bool) error {
 		W(X,Y,Z) -> Pair(X,Y).
 	`)
 	d := gen.Path(4)
-	r, err := chase.Run(sep, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3}))
+	r, err := chase.Run(sep, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3}, budget.T{}))
 	if err != nil {
 		return err
 	}
@@ -546,7 +547,7 @@ func runE10(bool) error {
 		},
 	}
 	d := database.FromAtoms(parser.MustParseFacts(`A(a). A(b). A(c). B(a). B(c).`))
-	chaseAns, _, err := kb.AnswerByChase(th, q, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 5}))
+	chaseAns, _, err := kb.AnswerByChase(th, q, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 5}, budget.T{}))
 	if err != nil {
 		return err
 	}
@@ -619,7 +620,7 @@ func runE11(quick bool) error {
 		}
 		t0 := time.Now()
 		res, err := stratified.Eval(capture.SuccProgram(), db, stratified.Options{
-			Chase: govern(chase.Options{Variant: chase.Restricted, MaxDepth: d + 1, MaxFacts: 5_000_000}),
+			Chase: govern(chase.Options{Variant: chase.Restricted, MaxDepth: d + 1}, budget.T{MaxFacts: 5_000_000}),
 		})
 		if err != nil {
 			return err
@@ -646,11 +647,11 @@ func runE12(bool) error {
 		}
 	}
 	d := gen.CitationGraph(4)
-	r1, err := chase.Run(rew, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 2_000_000}))
+	r1, err := chase.Run(rew, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6}, budget.T{MaxFacts: 2_000_000}))
 	if err != nil {
 		return err
 	}
-	r2, err := chase.Run(star, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 2_000_000}))
+	r2, err := chase.Run(star, d, govern(chase.Options{Variant: chase.Restricted, MaxDepth: 6}, budget.T{MaxFacts: 2_000_000}))
 	if err != nil {
 		return err
 	}

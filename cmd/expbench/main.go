@@ -24,9 +24,16 @@ import (
 // error instead of letting a blown-up workload run away.
 var benchBudget *budget.T
 
-// govern attaches the global bench budget to a chase option literal.
-func govern(o chase.Options) chase.Options {
-	o.Budget = benchBudget
+// govern attaches an experiment's own ceilings b to a chase option
+// literal, adding -timeout and letting -max-facts override b.MaxFacts.
+func govern(o chase.Options, b budget.T) chase.Options {
+	if benchBudget != nil {
+		b.Timeout = benchBudget.Timeout
+		if benchBudget.MaxFacts > 0 {
+			b.MaxFacts = benchBudget.MaxFacts
+		}
+	}
+	o.Budget = &b
 	return o
 }
 

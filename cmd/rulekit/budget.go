@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"guardedrules"
+	"guardedrules/internal/budget"
 )
 
 // budgetFlags holds the shared resource-governance flags every
-// engine-running subcommand accepts. A zero value of both flags means
-// ungoverned (nil budget), preserving the legacy behavior.
+// engine-running subcommand accepts. A zero value of both flags leaves
+// the subcommand's and the engines' default ceilings in force.
 type budgetFlags struct {
 	timeout  time.Duration
 	maxFacts int
@@ -24,15 +25,21 @@ func addBudgetFlags(fs *flag.FlagSet) *budgetFlags {
 	return bf
 }
 
-// budget builds the *Budget the flags describe, or nil when ungoverned.
-func (bf *budgetFlags) budget() *guardedrules.Budget {
-	if bf.timeout == 0 && bf.maxFacts == 0 {
+// budget builds the budget the flags describe for an engine called
+// directly; defFacts is the subcommand's fact ceiling when -max-facts is
+// unset (0 leaves the engine default). Nil means engine defaults.
+func (bf *budgetFlags) budget(defFacts int) *budget.T {
+	b := budget.T{Timeout: bf.timeout, MaxFacts: bf.maxFacts}
+	if b.MaxFacts == 0 {
+		b.MaxFacts = defFacts
+	}
+	if b.Timeout == 0 && b.MaxFacts == 0 {
 		return nil
 	}
-	return &guardedrules.Budget{Timeout: bf.timeout, MaxFacts: bf.maxFacts}
+	return &b
 }
 
-// options lifts the flags into the unified facade Options (the v2 API).
+// options lifts the flags into the facade Options.
 func (bf *budgetFlags) options() guardedrules.Options {
 	return guardedrules.Options{Timeout: bf.timeout, MaxFacts: bf.maxFacts}
 }

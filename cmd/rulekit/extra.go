@@ -186,8 +186,7 @@ func cmdTree(args []string) error {
 	}
 	norm := normalize.Normalize(th)
 	tree, res, err := chase.RunTree(norm, toInternal(d), chase.Options{
-		Variant: chase.Oblivious, MaxDepth: *depth, MaxFacts: 500_000,
-		Budget: bf.budget(),
+		Variant: chase.Oblivious, MaxDepth: *depth, Budget: bf.budget(500_000),
 	})
 	if err != nil {
 		if !guardedrules.IsBudgetError(err) || tree == nil {
@@ -250,8 +249,7 @@ func cmdExplain(args []string) error {
 		return fmt.Errorf("explain: -atom must be a single ground atom: %v", err)
 	}
 	res, prov, err := chase.RunWithProvenance(th, toInternal(d), chase.Options{
-		Variant: chase.Restricted, MaxDepth: *depth, MaxFacts: 2_000_000,
-		Budget: bf.budget(),
+		Variant: chase.Restricted, MaxDepth: *depth, Budget: bf.budget(2_000_000),
 	})
 	if err != nil {
 		if !guardedrules.IsBudgetError(err) || res == nil {
@@ -304,7 +302,7 @@ func cmdMagic(args []string) error {
 	if len(body) != 1 {
 		return fmt.Errorf("magic: goal must be a single atom")
 	}
-	ans, _, err := datalog.AnswerWithMagicOpts(th, body[0], toInternal(d), datalog.Options{Budget: bf.budget()})
+	ans, _, err := datalog.AnswerWithMagicOpts(th, body[0], toInternal(d), datalog.Options{Budget: bf.budget(0)})
 	if err != nil {
 		if !guardedrules.IsBudgetError(err) {
 			return err

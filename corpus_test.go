@@ -5,6 +5,7 @@ package guardedrules
 // The corpus doubles as documentation of what each fragment looks like.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -149,7 +150,7 @@ func TestCorpusCompliance(t *testing.T) {
 
 			has := func(a Atom) bool { return false }
 			if entry.stratified {
-				out, exact, err := EvalStratified(th, db, ChaseOptions{MaxDepth: 8})
+				out, exact, err := EvalStratifiedCtx(context.Background(), th, db, Options{MaxDepth: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +159,7 @@ func TestCorpusCompliance(t *testing.T) {
 				}
 				has = out.Has
 			} else {
-				res, err := Chase(th, db, ChaseOptions{Variant: Restricted, MaxDepth: 8, MaxFacts: 100_000})
+				res, err := ChaseCtx(context.Background(), th, db, Options{Variant: Restricted, MaxDepth: 8, MaxFacts: 100_000})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -209,7 +210,7 @@ func TestLargeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng, err := FrontierGuardedToNearlyGuarded(th, TranslateOptions{})
+	ng, err := TranslateCtx(context.Background(), th, ToNearlyGuarded, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestLargeScale(t *testing.T) {
 		for _, a := range citationGraph(n) {
 			d.Add(a)
 		}
-		r1, err := Chase(th, d, ChaseOptions{Variant: Restricted, MaxDepth: 6, MaxFacts: 5_000_000})
+		r1, err := ChaseCtx(context.Background(), th, d, Options{Variant: Restricted, MaxDepth: 6, MaxFacts: 5_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Chase(ng, d, ChaseOptions{Variant: Restricted, MaxDepth: 6, MaxFacts: 5_000_000, Workers: 4})
+		r2, err := ChaseCtx(context.Background(), ng, d, Options{Variant: Restricted, MaxDepth: 6, MaxFacts: 5_000_000, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"guardedrules/internal/annotate"
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/datalog"
@@ -18,17 +19,14 @@ import (
 )
 
 // Options is the unified, context-first configuration of every facade
-// entry point (the v2 API). It merges the per-engine option structs the
-// v1 facade grew (ChaseOptions, DatalogOptions, TranslateOptions) into a
-// single value that every *Ctx function accepts.
+// entry point: a single value that every *Ctx function accepts.
 //
 // Resource limits have exactly one code path: the Max* fields and
 // Timeout below are routed into an internal/budget budget (together
-// with the call's context), so exhausting any of them returns the
-// partial result alongside a typed *BudgetError — there is no separate
-// soft-truncating integer path in the v2 API. DESIGN.md §6 documents
-// the mapping from the legacy v1 fields. The zero value means
-// "ungoverned engine defaults".
+// with the call's context), so exhausting any of them — or an engine's
+// default ceiling when a field is left at 0 — returns the partial result
+// alongside a typed *BudgetError. DESIGN.md §6 tabulates the engine
+// defaults. The zero value means "engine defaults".
 type Options struct {
 	// Variant selects the chase flavor (Oblivious or Restricted) for the
 	// chase-backed entry points. The zero value is Oblivious, matching
@@ -56,53 +54,29 @@ type Options struct {
 	MaxRounds int
 	// MaxSteps caps elementary steps: chase trigger applications,
 	// saturation inferences, core candidate endomorphisms (ErrStepLimit).
-	// 0 = unbounded.
+	// 0 = engine default.
 	MaxSteps int
-
-	// Budget, when non-nil, is merged under the fields above: its unset
-	// fields are filled from Timeout/Max* and the call's context. Most
-	// callers leave it nil and use the flat fields.
-	Budget *Budget
 }
 
-// budget resolves the effective budget of a call: the explicit Budget
-// (if any) with unset fields filled from the flat Options fields, and
+// budget builds the budget of a call from the flat Options fields, with
 // the call's context wired in as the cancellation source. A nil return
-// means the run is ungoverned.
-func (o Options) budget(ctx context.Context) *Budget {
-	var b Budget
-	if o.Budget != nil {
-		b = *o.Budget
-	}
-	if b.Ctx == nil && ctx != nil && ctx != context.Background() {
+// leaves every ceiling at its engine default.
+func (o Options) budget(ctx context.Context) *budget.T {
+	b := budget.T{Timeout: o.Timeout, MaxFacts: o.MaxFacts, MaxRules: o.MaxRules,
+		MaxRounds: o.MaxRounds, MaxSteps: o.MaxSteps}
+	if ctx != nil && ctx != context.Background() {
 		b.Ctx = ctx
 	}
-	if b.Timeout == 0 {
-		b.Timeout = o.Timeout
-	}
-	if b.MaxFacts == 0 {
-		b.MaxFacts = o.MaxFacts
-	}
-	if b.MaxRules == 0 {
-		b.MaxRules = o.MaxRules
-	}
-	if b.MaxRounds == 0 {
-		b.MaxRounds = o.MaxRounds
-	}
-	if b.MaxSteps == 0 {
-		b.MaxSteps = o.MaxSteps
-	}
 	if b.Ctx == nil && b.Timeout == 0 && b.MaxFacts == 0 && b.MaxRules == 0 &&
-		b.MaxRounds == 0 && b.MaxSteps == 0 && b.FailAtCheckpoint == 0 {
+		b.MaxRounds == 0 && b.MaxSteps == 0 {
 		return nil
 	}
 	return &b
 }
 
-// chaseOptions lowers Options onto the chase engine. All limits travel
-// through the budget (typed errors), never the legacy soft ints.
-func (o Options) chaseOptions(ctx context.Context) ChaseOptions {
-	return ChaseOptions{
+// chaseOptions lowers Options onto the chase engine.
+func (o Options) chaseOptions(ctx context.Context) chase.Options {
+	return chase.Options{
 		Variant:  o.Variant,
 		MaxDepth: o.MaxDepth,
 		Workers:  o.Workers,
@@ -111,8 +85,8 @@ func (o Options) chaseOptions(ctx context.Context) ChaseOptions {
 }
 
 // datalogOptions lowers Options onto the semi-naive Datalog engine.
-func (o Options) datalogOptions(ctx context.Context) DatalogOptions {
-	return DatalogOptions{
+func (o Options) datalogOptions(ctx context.Context) datalog.Options {
+	return datalog.Options{
 		Workers: o.Workers,
 		Budget:  o.budget(ctx),
 	}

@@ -63,46 +63,64 @@ func TestChaseCtxTimeout(t *testing.T) {
 	}
 }
 
-// An explicit Budget is merged under the flat fields: its set fields
-// win, unset ones are filled from Options.
+// The flat fields and the call's context merge into one budget; the zero
+// options under a background context leave every engine default alone.
 func TestOptionsBudgetMerge(t *testing.T) {
-	opts := Options{Timeout: time.Hour, MaxFacts: 7, Budget: &Budget{MaxFacts: 3}}
-	b := opts.budget(context.Background())
-	if b == nil || b.MaxFacts != 3 || b.Timeout != time.Hour {
-		t.Fatalf("merged budget = %+v, want MaxFacts=3 Timeout=1h", b)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := Options{Timeout: time.Hour, MaxFacts: 7, MaxRounds: 3}.budget(ctx)
+	if b == nil || b.Ctx != ctx || b.MaxFacts != 7 || b.MaxRounds != 3 || b.Timeout != time.Hour {
+		t.Fatalf("budget = %+v, want ctx, MaxFacts=7 MaxRounds=3 Timeout=1h", b)
 	}
 	if zero := (Options{}).budget(context.Background()); zero != nil {
-		t.Fatalf("zero options must mean ungoverned, got %+v", zero)
+		t.Fatalf("zero options must leave the engine defaults, got %+v", zero)
 	}
 }
 
-// The v2 entry points agree with their deprecated v1 wrappers.
-func TestCtxFacadeMatchesV1(t *testing.T) {
+// The engine defaults are ceilings like the explicit ones: the ungoverned
+// chase of a non-terminating theory exhausts the default round ceiling
+// and returns the partial result with ErrRoundLimit. MaxDepth alone stays
+// the soft semantic bound: a nil error, with Truncated and Reason set.
+func TestChaseCtxDefaultCeilingIsTyped(t *testing.T) {
+	th := mustTheory(t, nonTerminating)
+	res, err := ChaseCtx(context.Background(), th, mustDB(t, "N(a)."), Options{})
+	if !errors.Is(err, ErrRoundLimit) {
+		t.Fatalf("err = %v, want ErrRoundLimit", err)
+	}
+	if res == nil || !res.Truncated || res.DB.Len() == 0 {
+		t.Fatalf("partial result missing: %+v", res)
+	}
+	res, err = ChaseCtx(context.Background(), th, mustDB(t, "N(a)."), Options{MaxDepth: 3})
+	if err != nil {
+		t.Fatalf("MaxDepth-only run must not error, got %v", err)
+	}
+	if !res.Truncated || !errors.Is(res.Reason, ErrDepthLimit) {
+		t.Fatalf("Truncated=%v Reason=%v, want soft ErrDepthLimit", res.Truncated, res.Reason)
+	}
+}
+
+// Goal-directed answering agrees with the full fixpoint's answers on the
+// bound constant.
+func TestGoalDirectedMatchesAnswersCtx(t *testing.T) {
 	th := mustTheory(t, "E(X,Y) -> T(X,Y). T(X,Y), T(Y,Z) -> T(X,Z).")
 	d := mustDB(t, "E(a,b). E(b,c). E(c,d).")
 
-	v1, err := Answers(th, "T", d)
+	all, err := AnswersCtx(context.Background(), th, "T", d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := AnswersCtx(context.Background(), th, "T", d, Options{})
+	var fromA [][]Term
+	for _, tup := range all {
+		if tup[0] == Const("a") {
+			fromA = append(fromA, tup)
+		}
+	}
+	g, err := AnswersGoalDirectedCtx(context.Background(), th, NewAtom("T", Const("a"), Var("Y")), d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(v1) != fmt.Sprint(v2) {
-		t.Fatalf("AnswersCtx diverged from Answers: %v vs %v", v2, v1)
-	}
-
-	g1, err := AnswersGoalDirected(th, NewAtom("T", Const("a"), Var("Y")), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := AnswersGoalDirectedCtx(context.Background(), th, NewAtom("T", Const("a"), Var("Y")), d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(g1) != fmt.Sprint(g2) || len(g2) != 3 {
-		t.Fatalf("goal-directed v2 diverged: %v vs %v", g2, g1)
+	if fmt.Sprint(g) != fmt.Sprint(fromA) || len(g) != 3 {
+		t.Fatalf("goal-directed answers %v, want %v", g, fromA)
 	}
 }
 

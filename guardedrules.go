@@ -39,7 +39,6 @@ import (
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
-	"guardedrules/internal/datalog"
 	"guardedrules/internal/kb"
 	"guardedrules/internal/lint"
 	"guardedrules/internal/normalize"
@@ -66,15 +65,6 @@ type (
 	Fragment = classify.Fragment
 	// ClassReport describes fragment membership of a theory.
 	ClassReport = classify.Report
-	// ChaseOptions bounds a chase run.
-	//
-	// Deprecated: use the unified Options with ChaseCtx. Since v2 the
-	// facade wrappers taking ChaseOptions delegate to the *Ctx path:
-	// the Max* integers are routed through a Budget, so exhausting one
-	// returns the partial result with a typed *BudgetError instead of
-	// the retired soft truncation (Truncated + Reason, nil error).
-	// MaxDepth is unaffected — it stays the semantic truncation bound.
-	ChaseOptions = chase.Options
 	// ChaseResult is the outcome of a chase run.
 	ChaseResult = chase.Result
 	// Variant selects the chase flavor (Oblivious or Restricted).
@@ -85,11 +75,6 @@ type (
 	ATM = tm.ATM
 	// Diagnostic is a positioned static-analysis finding.
 	Diagnostic = lint.Diagnostic
-	// Budget bounds a governed engine run: an optional context and
-	// wall-clock timeout plus resource ceilings (facts, rules, rounds,
-	// steps). A nil *Budget means ungoverned. On exhaustion engines return
-	// their partial result together with a typed *BudgetError.
-	Budget = budget.T
 	// BudgetUsage is a snapshot of the resources a governed run consumed.
 	BudgetUsage = budget.Usage
 	// BudgetError is the error engines return on budget exhaustion; it
@@ -179,163 +164,24 @@ func Lint(th *Theory) []Diagnostic { return lint.Run(th) }
 // singleton heads, guarded existential rules, constants isolated.
 func Normalize(th *Theory) *Theory { return normalize.Normalize(th) }
 
-// legacyOptions lifts a v1 ChaseOptions onto the unified v2 Options:
-// Variant, MaxDepth (still the semantic truncation bound) and Workers
-// carry over unchanged, while the soft Max* integers become budget
-// ceilings with typed exhaustion errors. DESIGN.md §6 documents the
-// mapping.
-func legacyOptions(o ChaseOptions) Options {
-	return Options{
-		Variant:   o.Variant,
-		MaxDepth:  o.MaxDepth,
-		Workers:   o.Workers,
-		MaxFacts:  o.MaxFacts,
-		MaxRounds: o.MaxRounds,
-		Budget:    o.Budget,
-	}
-}
-
-// Chase runs the chase of D with Σ (Section 2). Existential theories may
-// have infinite chases; use MaxDepth, or the resource ceilings for typed
-// exhaustion errors with partial results.
-//
-// Deprecated: use ChaseCtx. This wrapper delegates to it: the options'
-// soft-truncating Max* semantics are retired, limits now exhaust with a
-// typed *BudgetError and the partial result.
-func Chase(th *Theory, d *Database, opts ChaseOptions) (*ChaseResult, error) {
-	return ChaseCtx(context.Background(), th, d, legacyOptions(opts))
-}
-
-// TranslateOptions bounds the exponential translations.
-//
-// Deprecated: use the unified Options with TranslateCtx; its MaxRules
-// and Timeout fields are routed through the Budget. The wrappers taking
-// TranslateOptions now perform exactly that mapping, so there is one
-// limits code path.
-type TranslateOptions struct {
-	// MaxRules caps intermediate rule counts (0 = defaults). Hitting the
-	// cap returns an error wrapping ErrRuleLimit.
-	MaxRules int
-	// Budget, when non-nil, governs the translation; on exhaustion the
-	// partial theory built so far is returned with a typed *BudgetError.
-	Budget *Budget
-}
-
-// options lifts the legacy translate options onto the v2 Options.
-func (o TranslateOptions) options() Options {
-	return Options{MaxRules: o.MaxRules, Budget: o.Budget}
-}
-
-// FrontierGuardedToNearlyGuarded computes rew(Σ) of Theorem 1 /
-// Proposition 4 for a (nearly) frontier-guarded theory: a nearly guarded
-// theory with the same ground atomic consequences over Σ's signature. The
-// input is normalized automatically.
-//
-// Deprecated: use TranslateCtx(ctx, th, ToNearlyGuarded, opts). This
-// wrapper delegates to it, routing MaxRules through the Budget.
-func FrontierGuardedToNearlyGuarded(th *Theory, opts TranslateOptions) (*Theory, error) {
-	return TranslateCtx(context.Background(), th, ToNearlyGuarded, opts.options())
-}
-
 // WFGResult is the outcome of the Theorem 2 translation; queries must be
 // evaluated against databases reordered with Reorder.
 type WFGResult = annotate.Result
 
-// WeaklyFrontierGuardedToWeaklyGuarded computes rew(Σ) of Theorem 2.
-//
-// Deprecated: use TranslateWFGCtx. This wrapper delegates to it,
-// routing MaxRules through the Budget.
-func WeaklyFrontierGuardedToWeaklyGuarded(th *Theory, opts TranslateOptions) (*WFGResult, error) {
-	return TranslateWFGCtx(context.Background(), th, opts.options())
-}
-
-// GuardedToDatalog computes dat(Σ) of Theorem 3 for a guarded theory.
-//
-// Deprecated: use TranslateCtx(ctx, th, ToDatalog, opts). This wrapper
-// keeps the direct Theorem 3 saturation (no nearly-guarded detour) but
-// routes its limits through the v2 Budget path like TranslateCtx does.
-func GuardedToDatalog(th *Theory, opts TranslateOptions) (out *Theory, err error) {
+// GuardedToDatalogCtx computes dat(Σ) of Theorem 3 for a guarded theory
+// by the direct saturation, with no nearly-guarded detour (TranslateCtx
+// with ToDatalog goes through Proposition 6 instead). On budget
+// exhaustion the partial theory built so far is returned with a typed
+// *BudgetError.
+func GuardedToDatalogCtx(ctx context.Context, th *Theory, opts Options) (out *Theory, err error) {
 	defer recoverToError(&err)
-	out, _, err = saturate.Datalog(th, opts.options().saturateOptions(context.Background()))
-	return out, err
-}
-
-// NearlyGuardedToDatalog translates a nearly guarded theory into Datalog
-// (Proposition 6).
-//
-// Deprecated: use TranslateCtx(ctx, th, ToDatalog, opts). This wrapper
-// delegates to the same Proposition 6 saturation, routing its limits
-// through the v2 Budget path.
-func NearlyGuardedToDatalog(th *Theory, opts TranslateOptions) (out *Theory, err error) {
-	defer recoverToError(&err)
-	out, _, err = saturate.NearlyGuardedToDatalog(th, opts.options().saturateOptions(context.Background()))
+	out, _, err = saturate.Datalog(th, opts.saturateOptions(ctx))
 	return out, err
 }
 
 // AxiomatizeACDom computes Σ* of Proposition 5, eliminating the built-in
 // active-domain relation; queries move from Q to Q+"_star".
 func AxiomatizeACDom(th *Theory) *Theory { return rewrite.Axiomatize(th) }
-
-// EvalDatalog computes the stratified fixpoint of a Datalog program with
-// the parallel semi-naive engine at its default worker count (all CPUs).
-//
-// Deprecated: use EvalDatalogCtx. This wrapper delegates to it.
-func EvalDatalog(th *Theory, d *Database) (*Database, error) {
-	return EvalDatalogCtx(context.Background(), th, d, Options{})
-}
-
-// DatalogOptions configures the semi-naive Datalog engine: the per-round
-// worker count (0 = all CPUs, 1 = sequential) and the round budget. The
-// derived fact set is identical for every worker count.
-//
-// Deprecated: use the unified Options with EvalDatalogCtx/AnswersCtx.
-type DatalogOptions = datalog.Options
-
-// EvalDatalogOpts computes the stratified fixpoint with explicit engine
-// options; a Budget in opts makes the run cancellable, returning the
-// facts of completed rounds alongside a typed *BudgetError.
-//
-// Deprecated: use EvalDatalogCtx with the unified Options. This wrapper
-// delegates to the v2 lowering: the soft MaxRounds integer is routed
-// through the Budget (ErrRoundLimit with the partial fixpoint); the
-// Stats knob carries over unchanged.
-func EvalDatalogOpts(th *Theory, d *Database, opts DatalogOptions) (out *Database, err error) {
-	defer recoverToError(&err)
-	o := Options{Workers: opts.Workers, MaxRounds: opts.MaxRounds, Budget: opts.Budget}
-	lowered := o.datalogOptions(context.Background())
-	lowered.Stats = opts.Stats
-	return datalog.EvalSemiNaiveOpts(th, d, lowered)
-}
-
-// Answers evaluates the query (Σ, Q) for a Datalog Σ over D.
-//
-// Deprecated: use AnswersCtx. This wrapper delegates to it.
-func Answers(th *Theory, q string, d *Database) ([][]Term, error) {
-	return AnswersCtx(context.Background(), th, q, d, Options{})
-}
-
-// AnswerCQ answers a conjunctive query over a database enriched with a
-// weakly frontier-guarded theory, by bounded chase (Section 7). The
-// boolean result reports whether the chase saturated (answers are then
-// exact; otherwise they are a sound under-approximation).
-//
-// Deprecated: use AnswerCQCtx with the unified Options. This wrapper
-// delegates to it: the options' soft Max* truncation is retired, limits
-// exhaust with a typed *BudgetError.
-func AnswerCQ(th *Theory, q CQ, d *Database, opts ChaseOptions) ([][]Term, bool, error) {
-	return AnswerCQCtx(context.Background(), th, q, d, legacyOptions(opts))
-}
-
-// EvalStratified evaluates a stratified existential theory (Definition 23)
-// with the given per-stratum chase bounds. On budget exhaustion the
-// partially chased database is returned (exact = false) with the error.
-//
-// Deprecated: use EvalStratifiedCtx with the unified Options. This
-// wrapper delegates to it: the options' soft Max* truncation is
-// retired, limits exhaust with a typed *BudgetError.
-func EvalStratified(th *Theory, d *Database, opts ChaseOptions) (*Database, bool, error) {
-	return EvalStratifiedCtx(context.Background(), th, d, legacyOptions(opts))
-}
 
 // CompileATM compiles an alternating Turing machine into the weakly
 // guarded theory Σ_M of Theorem 4 over string databases of degree k; the
@@ -395,29 +241,18 @@ func AnalyzeTermination(th *Theory) *TerminationReport { return termination.Anal
 // failing to saturate within it is reported as a certificate violation.
 // Pass 0 when the certificate proves finiteness without pricing it.
 // Callers must use the chase variant the certificate covers (Restricted
-// for wa/ja; either for the critical-instance class).
-func ChaseCertified(th *Theory, d *Database, bound int, opts ChaseOptions) (res *ChaseResult, err error) {
+// for wa/ja; either for the critical-instance class). The context and
+// Timeout still cancel the run; the Max* ceilings and MaxDepth are
+// replaced by the certificate's bound.
+func ChaseCertified(ctx context.Context, th *Theory, d *Database, bound int, opts Options) (res *ChaseResult, err error) {
 	defer recoverToError(&err)
-	return chase.RunCertified(th, d, bound, opts)
+	return chase.RunCertified(th, d, bound, opts.chaseOptions(ctx))
 }
 
 // ChaseTerminates reports whether the chase of th terminates on every
 // database by the weak-acyclicity criterion (sound, not complete: a false
 // answer does not prove non-termination).
 func ChaseTerminates(th *Theory) bool { return termination.IsWeaklyAcyclic(th) }
-
-// CoreOf minimizes an instance to its core: the smallest homomorphically
-// equivalent sub-instance (constants fixed, nulls mappable). The second
-// result reports whether the search was exhaustive.
-//
-// Deprecated: use CoreOfCtx, which accepts a budget so core
-// computation on large instances is cancellable like every other
-// engine. This wrapper delegates to it ungoverned (the default
-// candidate cap only).
-func CoreOf(atoms []Atom) ([]Atom, bool) {
-	result, exact, _ := CoreOfCtx(context.Background(), atoms, Options{})
-	return result, exact
-}
 
 // ParseCQ parses a conjunctive query written as a rule whose head lists
 // the answer variables, e.g. "R(X,Y), S(Y) -> Ans(X).".
@@ -426,13 +261,3 @@ func ParseCQ(src string) (CQ, error) { return kb.ParseCQ(src) }
 // CQContained reports q1 ⊑ q2 (every answer of q1 is an answer of q2 on
 // every database) via the Chandra–Merlin homomorphism criterion.
 func CQContained(q1, q2 CQ) (bool, error) { return q1.ContainedIn(q2) }
-
-// AnswersGoalDirected evaluates a Datalog query with the magic-sets
-// rewriting: bottom-up evaluation restricted to the facts relevant to the
-// query's bound constants. The query atom mixes constants (bound) and
-// variables (free); answers are full tuples of the query relation.
-//
-// Deprecated: use AnswersGoalDirectedCtx. This wrapper delegates to it.
-func AnswersGoalDirected(th *Theory, query Atom, d *Database) ([][]Term, error) {
-	return AnswersGoalDirectedCtx(context.Background(), th, query, d, Options{})
-}

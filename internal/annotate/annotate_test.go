@@ -3,6 +3,7 @@ package annotate
 import (
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -99,12 +100,12 @@ func wfgAgree(t *testing.T, theory, facts string, depth int) {
 	for _, rk := range orig.Relations() {
 		rels[rk.Name] = true
 	}
-	chOrig, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: depth, MaxFacts: 300_000})
+	chOrig, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: depth, Budget: &budget.T{MaxFacts: 300_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dRe := res.Reorder.Database(d)
-	chRew, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, MaxDepth: depth, MaxFacts: 300_000})
+	chRew, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, MaxDepth: depth, Budget: &budget.T{MaxFacts: 300_000}})
 	if err != nil {
 		t.Fatal(err)
 	}

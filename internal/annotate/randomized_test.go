@@ -3,6 +3,7 @@ package annotate
 import (
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -33,7 +34,7 @@ func TestTheoremTwoRandomized(t *testing.T) {
 		tested++
 		for dbSeed := int64(0); dbSeed < 2; dbSeed++ {
 			d := gen.ABDatabase(5, seed*31+dbSeed)
-			r1, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxFacts: 300_000, MaxRounds: 5_000})
+			r1, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 300_000, MaxRounds: 5_000}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +42,7 @@ func TestTheoremTwoRandomized(t *testing.T) {
 				t.Fatalf("seed %d: original chase did not saturate", seed)
 			}
 			dRe := res.Reorder.Database(d)
-			r2, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, MaxFacts: 2_000_000, MaxRounds: 20_000})
+			r2, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 2_000_000, MaxRounds: 20_000}})
 			if err != nil {
 				t.Fatal(err)
 			}

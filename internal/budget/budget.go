@@ -129,10 +129,12 @@ func (e *Error) Is(target error) bool {
 	return false
 }
 
-// T declares the resource budget of one engine run. The zero value (and
-// a nil *T) means "engine defaults": no context, no deadline, and the
-// engine's legacy Max* ceilings. Ceilings set here override the
-// corresponding legacy Options fields of the engine.
+// T declares the resource budget of one engine run, and is the only place
+// a fact, rule, round or step ceiling can be set. The zero value (and a
+// nil *T) means "engine defaults": no context, no deadline, and each
+// engine's default ceilings (DESIGN.md §6 tabulates them). Hitting any
+// ceiling, explicit or default, returns the partial result with a typed
+// *Error.
 type T struct {
 	// Ctx is the cancellation source; nil means context.Background().
 	// Cancel it to stop the run with ErrCanceled and a partial result.
@@ -188,14 +190,14 @@ func (b T) WithFailAt(n int) *T {
 }
 
 // Cap resolves an effective ceiling: the budget's own max when set,
-// otherwise the engine's legacy value. Nil-safe.
-func Cap(b *T, budgetMax func(*T) int, legacy int) int {
+// otherwise the engine's default def. Nil-safe.
+func Cap(b *T, budgetMax func(*T) int, def int) int {
 	if b != nil {
 		if m := budgetMax(b); m > 0 {
 			return m
 		}
 	}
-	return legacy
+	return def
 }
 
 // Tracker is the runtime state of a budget-governed run: atomic usage

@@ -117,10 +117,10 @@ func TestNilBudgetTracker(t *testing.T) {
 func TestCapResolution(t *testing.T) {
 	maxFacts := func(b *T) int { return b.MaxFacts }
 	if got := Cap(nil, maxFacts, 500); got != 500 {
-		t.Fatalf("Cap(nil) = %d, want legacy 500", got)
+		t.Fatalf("Cap(nil) = %d, want default 500", got)
 	}
 	if got := Cap(&T{}, maxFacts, 500); got != 500 {
-		t.Fatalf("Cap(zero budget) = %d, want legacy 500", got)
+		t.Fatalf("Cap(zero budget) = %d, want default 500", got)
 	}
 	if got := Cap(&T{MaxFacts: 7}, maxFacts, 500); got != 7 {
 		t.Fatalf("Cap(MaxFacts=7) = %d, want 7", got)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
@@ -346,7 +347,7 @@ func EvalBoolean(th *core.Theory, db *database.Database, steps int) (bool, *stra
 					}
 				}
 			}
-			return chase.Options{Variant: chase.Restricted, MaxDepth: depth, MaxFacts: 2_000_000}
+			return chase.Options{Variant: chase.Restricted, MaxDepth: depth, Budget: &budget.T{MaxFacts: 2_000_000}}
 		},
 	})
 	if err != nil {

@@ -21,15 +21,6 @@ func TestBudgetRuleLimitReturnsPartialCompilation(t *testing.T) {
 	}
 }
 
-func TestLegacyMaxRulesWrapsSentinel(t *testing.T) {
-	alpha := []string{"zero", "one"}
-	m := tm.EvenCount("one", alpha)
-	_, err := CompileOpts(m, 1, alpha, Options{MaxRules: 5})
-	if !errors.Is(err, budget.ErrRuleLimit) {
-		t.Fatalf("legacy cap err = %v, want ErrRuleLimit wrap", err)
-	}
-}
-
 // Fault injection: cancel the compilation at every per-rule checkpoint.
 func TestFailAtEveryCheckpoint(t *testing.T) {
 	alpha := []string{"zero", "one"}

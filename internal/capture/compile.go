@@ -14,14 +14,12 @@ const AcceptRel = "Accepts"
 
 // Options governs an ATM compilation run.
 type Options struct {
-	// MaxRules caps the number of compiled rules (0 = unlimited). The
-	// compiled theory is polynomial in |δ| and the tape alphabet, but large
-	// machines with many frame rules can still explode.
-	MaxRules int
 	// Budget, when non-nil, governs the run: its context/deadline cancels
-	// the compilation between rules, its MaxRules overrides the cap above,
-	// and exhaustion returns the rules compiled so far alongside a typed
-	// *budget.Error.
+	// the compilation between rules, its MaxRules caps the compiled rules
+	// (0 = unlimited; the compiled theory is polynomial in |δ| and the
+	// tape alphabet, but large machines with many frame rules can still
+	// explode), and exhaustion returns the rules compiled so far alongside
+	// a typed *budget.Error.
 	Budget *budget.T
 }
 
@@ -52,7 +50,7 @@ func CompileOpts(m *tm.ATM, k int, alphabet []string, opts Options) (*core.Theor
 	c := &compiler{
 		m: m, k: k, alphabet: alphabet, th: core.NewTheory(),
 		tk:       tk,
-		maxRules: budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRules }, opts.MaxRules),
+		maxRules: budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRules }, 0),
 	}
 	c.orderDatalog()
 	c.initRules()

@@ -3,6 +3,7 @@ package capture
 import (
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -99,7 +100,7 @@ func runCompiled(t *testing.T, th *core.Theory, word []string, alpha []string, k
 	res, err := chase.Run(th, db, chase.Options{
 		Variant:  chase.Restricted,
 		MaxDepth: 3*len(word) + 6,
-		MaxFacts: 500_000,
+		Budget:   &budget.T{MaxFacts: 500_000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -34,7 +35,7 @@ func TestSuccProgramEnumeratesAllOrders(t *testing.T) {
 			db.Add(core.NewAtom("Obj", core.Const(fmt.Sprintf("c%d", i))))
 		}
 		res, err := stratified.Eval(SuccProgram(), db, stratified.Options{
-			Chase: chase.Options{Variant: chase.Restricted, MaxDepth: d + 1, MaxFacts: 500_000},
+			Chase: chase.Options{Variant: chase.Restricted, MaxDepth: d + 1, Budget: &budget.T{MaxFacts: 500_000}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +191,7 @@ func TestLexOrderEnumeratesPairs(t *testing.T) {
 		db.Add(core.NewAtom("Obj", core.Const(fmt.Sprintf("c%d", i))))
 	}
 	res, err := stratified.Eval(th, db, stratified.Options{
-		Chase: chase.Options{Variant: chase.Restricted, MaxDepth: d + 1, MaxFacts: 2_000_000},
+		Chase: chase.Options{Variant: chase.Restricted, MaxDepth: d + 1, Budget: &budget.T{MaxFacts: 2_000_000}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,24 +17,16 @@ func TestMaxFactsExactBoundary(t *testing.T) {
 	th := parser.MustParseTheory(infiniteTheory)
 	d := database.FromAtoms(parser.MustParseFacts(`N(a).`))
 	// Every application adds exactly one fact (nulls never enter ACDom),
-	// so the run stops exactly at the ceiling.
-	res, err := Run(th, d, Options{MaxFacts: 30})
-	if err != nil {
-		t.Fatal(err)
+	// so the run stops exactly at the ceiling, with a typed error.
+	res, err := Run(th, d, Options{Budget: &budget.T{MaxFacts: 30}})
+	if !errors.Is(err, budget.ErrFactLimit) {
+		t.Fatalf("err = %v, want ErrFactLimit", err)
 	}
 	if res.DB.Len() != 30 {
 		t.Fatalf("Len = %d, want exactly 30", res.DB.Len())
 	}
 	if !res.Truncated || !errors.Is(res.Reason, budget.ErrFactLimit) {
-		t.Fatalf("Truncated=%v Reason=%v, want soft ErrFactLimit", res.Truncated, res.Reason)
-	}
-	// Budget-governed runs hit the same exact boundary, with a typed error.
-	res, err = Run(th, d, Options{Budget: &budget.T{MaxFacts: 30}})
-	if !errors.Is(err, budget.ErrFactLimit) {
-		t.Fatalf("err = %v, want ErrFactLimit", err)
-	}
-	if res.DB.Len() != 30 {
-		t.Fatalf("budget-governed Len = %d, want exactly 30", res.DB.Len())
+		t.Fatalf("Truncated=%v Reason=%v, want ErrFactLimit", res.Truncated, res.Reason)
 	}
 }
 
@@ -45,28 +37,20 @@ func TestMaxFactsNeverOvershoots(t *testing.T) {
 	// so the engine must stop at 4 rather than overshoot to 6.
 	th := parser.MustParseTheory(`Q(X) -> R(X,d).`)
 	d := database.FromAtoms(parser.MustParseFacts(`Q(a). Q(b).`))
-	for _, opts := range []Options{
-		{MaxFacts: 5},
-		{Budget: &budget.T{MaxFacts: 5}},
-	} {
-		res, err := Run(th, d, opts)
-		if opts.Budget != nil && !errors.Is(err, budget.ErrFactLimit) {
-			t.Fatalf("budget err = %v, want ErrFactLimit", err)
-		}
-		if opts.Budget == nil && err != nil {
-			t.Fatal(err)
-		}
-		if res.DB.Len() > 5 {
-			t.Fatalf("Len = %d exceeds MaxFacts 5", res.DB.Len())
-		}
-		if !res.Truncated || !errors.Is(res.Reason, budget.ErrFactLimit) {
-			t.Fatalf("Truncated=%v Reason=%v, want ErrFactLimit", res.Truncated, res.Reason)
-		}
+	res, err := Run(th, d, Options{Budget: &budget.T{MaxFacts: 5}})
+	if !errors.Is(err, budget.ErrFactLimit) {
+		t.Fatalf("err = %v, want ErrFactLimit", err)
+	}
+	if res.DB.Len() > 5 {
+		t.Fatalf("Len = %d exceeds MaxFacts 5", res.DB.Len())
+	}
+	if !res.Truncated || !errors.Is(res.Reason, budget.ErrFactLimit) {
+		t.Fatalf("Truncated=%v Reason=%v, want ErrFactLimit", res.Truncated, res.Reason)
 	}
 	// With room for exactly one application (ceiling 6) the run stops at 6.
-	res, err := Run(th, d, Options{MaxFacts: 6})
-	if err != nil {
-		t.Fatal(err)
+	res, err = Run(th, d, Options{Budget: &budget.T{MaxFacts: 6}})
+	if !errors.Is(err, budget.ErrFactLimit) {
+		t.Fatalf("err = %v, want ErrFactLimit", err)
 	}
 	if res.DB.Len() != 6 {
 		t.Fatalf("Len = %d, want exactly 6", res.DB.Len())
@@ -99,21 +83,14 @@ func TestRoundsCountsProductiveRounds(t *testing.T) {
 func TestRoundsCeilingReportsCeiling(t *testing.T) {
 	th := parser.MustParseTheory(infiniteTheory)
 	d := database.FromAtoms(parser.MustParseFacts(`N(a).`))
-	res, err := Run(th, d, Options{MaxRounds: 3})
-	if err != nil {
-		t.Fatal(err)
+	res, err := Run(th, d, Options{Budget: &budget.T{MaxRounds: 3}})
+	if !errors.Is(err, budget.ErrRoundLimit) {
+		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
 	if !res.Truncated || !errors.Is(res.Reason, budget.ErrRoundLimit) {
 		t.Fatalf("Truncated=%v Reason=%v, want ErrRoundLimit", res.Truncated, res.Reason)
 	}
 	if res.Rounds != 3 {
 		t.Fatalf("Rounds = %d, want the ceiling 3 (that many productive rounds ran)", res.Rounds)
-	}
-	res, err = Run(th, d, Options{Budget: &budget.T{MaxRounds: 3}})
-	if !errors.Is(err, budget.ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
-	}
-	if res.Rounds != 3 {
-		t.Fatalf("budget-governed Rounds = %d, want 3", res.Rounds)
 	}
 }

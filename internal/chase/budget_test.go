@@ -47,17 +47,19 @@ func TestBudgetRoundAndStepLimits(t *testing.T) {
 	}
 }
 
-// Legacy Max* options must keep their soft-truncation contract: no error,
-// Truncated set, and now a typed Reason recorded.
-func TestLegacyTruncationStaysSoft(t *testing.T) {
+// The default ceilings are budget ceilings like any other: an ungoverned
+// run of an infinite chase exhausts the 10,000-round default with a typed
+// error and the partial result. MaxDepth alone stays the soft semantic
+// bound: Truncated and Reason set, nil error.
+func TestDefaultCeilingIsTypedDepthStaysSoft(t *testing.T) {
 	th := parser.MustParseTheory(infiniteTheory)
 	d := database.FromAtoms(parser.MustParseFacts(`N(a).`))
-	res, err := Run(th, d, Options{MaxFacts: 30})
-	if err != nil {
-		t.Fatalf("legacy MaxFacts must not error, got %v", err)
+	res, err := Run(th, d, Options{})
+	if !errors.Is(err, budget.ErrRoundLimit) {
+		t.Fatalf("default-ceiling err = %v, want ErrRoundLimit", err)
 	}
-	if !res.Truncated || !errors.Is(res.Reason, budget.ErrFactLimit) {
-		t.Fatalf("Truncated=%v Reason=%v, want soft ErrFactLimit", res.Truncated, res.Reason)
+	if res == nil || !res.Truncated || res.Rounds != defaultMaxRounds {
+		t.Fatalf("want the partial result after %d rounds, got %+v", defaultMaxRounds, res)
 	}
 	res, err = Run(th, d, Options{MaxDepth: 2})
 	if err != nil {
@@ -156,8 +158,8 @@ func TestTruncatedAnswersAreSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := Run(th, database.FromAtoms(facts), Options{MaxFacts: full.DB.Len() - 2})
-	if err != nil {
+	part, err := Run(th, database.FromAtoms(facts), Options{Budget: &budget.T{MaxFacts: full.DB.Len() - 2}})
+	if err != nil && !errors.Is(err, budget.ErrFactLimit) {
 		t.Fatal(err)
 	}
 	if !part.Truncated {

@@ -1,9 +1,11 @@
 package chase
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 )
@@ -22,7 +24,7 @@ func RunWithHook(th *core.Theory, d0 *database.Database, opts Options, hook func
 // ceiling: it is the serving path for theories whose termination a
 // static certificate guarantees (internal/termination). bound, when
 // positive, is the certificate's derived fact bound and is asserted, not
-// merely enforced — a run that fails to saturate within it returns a
+// merely enforced — a run that exhausts it returns a
 // certification-violation error, because a sound certificate makes that
 // impossible. bound 0 means the certificate proves finiteness without
 // pricing it (JA or critical-instance certificates); the run is then
@@ -32,33 +34,27 @@ func RunWithHook(th *core.Theory, d0 *database.Database, opts Options, hook func
 // JA certificates cover Restricted only, critical-instance certificates
 // cover both variants (see internal/termination).
 //
-// Cancellation still works: opts.Budget's context and timeout are
-// honored, but its fact/round/step ceilings are ignored — a certified
-// run is budget-free by construction.
+// The run builds its own budget: opts.Budget's context, timeout and fault
+// injection carry over, its fact/round/step ceilings are replaced by the
+// certificate's bound, and MaxDepth is ignored.
 func RunCertified(th *core.Theory, d0 *database.Database, bound int, opts Options) (*Result, error) {
-	opts.MaxDepth = 0
-	opts.MaxRounds = math.MaxInt
-	if bound > 0 {
-		// +1 of headroom: the engine's pre-application cap check would
-		// otherwise fire on the round's remaining (memoized) triggers when
-		// the fixpoint lands exactly on the bound.
-		opts.MaxFacts = bound + 1
-	} else {
-		opts.MaxFacts = math.MaxInt
+	var b budget.T
+	if opts.Budget != nil {
+		b = *opts.Budget
 	}
-	if b := opts.Budget; b != nil {
-		nb := *b
-		nb.MaxFacts, nb.MaxRounds, nb.MaxSteps = 0, 0, 0
-		opts.Budget = &nb
+	// +1 of headroom: the engine's pre-application cap check would
+	// otherwise fire on the round's remaining (memoized) triggers when the
+	// fixpoint lands exactly on the bound.
+	b.MaxFacts, b.MaxRounds, b.MaxSteps = bound+1, math.MaxInt, 0
+	if bound <= 0 {
+		b.MaxFacts = math.MaxInt
 	}
+	opts.MaxDepth, opts.Budget = 0, &b
 	res, err := run(th, d0, opts, nil)
-	if err != nil {
-		// Only cancellation/deadline can surface here; the partial result
-		// stays attached as with any governed run.
-		return res, err
-	}
-	if !res.Saturated {
+	if errors.Is(err, budget.ErrFactLimit) {
 		return res, fmt.Errorf("chase: certified run did not saturate within the derived bound of %d facts (%v): termination certificate violated", bound, res.Reason)
 	}
-	return res, nil
+	// Otherwise only cancellation/deadline can surface; the partial result
+	// stays attached as with any governed run.
+	return res, err
 }

@@ -2,11 +2,17 @@
 // database with respect to a theory (Section 2 of the paper), with fair
 // breadth-first scheduling, and the chase-tree construction of Section 4.
 //
-// The chase of an existential theory is infinite in general; Options
-// provides null-depth and fact budgets that truncate the construction.
-// A truncated result is a sound under-approximation of chase(Σ, D): every
-// returned atom is entailed. EXPERIMENTS.md justifies, per experiment,
-// the depth at which the relevant ground consequences are complete.
+// The chase of an existential theory is infinite in general, so every run
+// is bounded two ways. Options.MaxDepth is the semantic bound of the
+// paper's Section 7: triggers that would create deeper nulls are skipped
+// and the run reports Truncated with Reason budget.ErrDepthLimit and a
+// nil error. Resource ceilings (facts, rounds, steps, deadline) live in
+// Options.Budget only; hitting one — an explicit ceiling or the engine
+// default of 1,000,000 facts and 10,000 rounds — returns the partial
+// Result with a typed *budget.Error. Either way the result is a sound
+// under-approximation of chase(Σ, D): every returned atom is entailed.
+// EXPERIMENTS.md justifies, per experiment, the depth at which the
+// relevant ground consequences are complete.
 //
 // The engine runs in the database's interned id space (DESIGN.md has the
 // full mapping to the paper's trigger definition): rule bodies are
@@ -52,29 +58,31 @@ type Options struct {
 	// MaxDepth bounds the null-creation depth: a null created by a trigger
 	// whose image contains terms of depth d gets depth d+1; constants have
 	// depth 0. Triggers that would create nulls deeper than MaxDepth are
-	// skipped (and the run marked truncated). 0 means unbounded.
+	// skipped (and the run marked truncated, with a nil error). 0 means
+	// unbounded.
 	MaxDepth int
-	// MaxFacts caps the database size: a trigger application stops before
-	// any added fact (including derived ACDom facts) would push Len beyond
-	// the cap, so the returned database never exceeds it. 0 means the
-	// default of 1,000,000.
-	MaxFacts int
-	// MaxRounds bounds the number of breadth-first rounds. 0 = 10,000.
-	MaxRounds int
 	// Workers sets the number of goroutines collecting triggers per round
 	// (the database is read-only during collection, so trigger matching
 	// parallelizes across (rule × delta-shard) work items). 0 or 1 means
 	// sequential. The result is byte-identical to the sequential one:
 	// work items are merged in deterministic order.
 	Workers int
-	// Budget, when non-nil, governs the run: its context/deadline cancels
-	// the chase between trigger applications, and its ceilings override
-	// the legacy Max* fields above. A budget-governed run that exhausts a
-	// ceiling returns the partial Result together with a typed
-	// *budget.Error (errors.Is-matchable), whereas the legacy ints above
-	// truncate softly: Truncated=true, Reason set, nil error.
+	// Budget governs the run: its context/deadline cancels the chase
+	// between trigger applications, and its ceilings bound it. MaxFacts
+	// caps the database size (a trigger application stops before any
+	// added fact, derived ACDom facts included, would push Len beyond
+	// it); MaxRounds caps breadth-first rounds; MaxSteps caps trigger
+	// applications. Nil, or a ceiling left at 0, means the default of
+	// 1,000,000 facts and 10,000 rounds (steps are unbounded). Exhausting
+	// any ceiling returns the partial Result with a typed *budget.Error.
 	Budget *budget.T
 }
+
+// Default ceilings, applied when the budget leaves them at 0.
+const (
+	defaultMaxFacts  = 1_000_000
+	defaultMaxRounds = 10_000
+)
 
 func (o Options) workers() int {
 	if o.Workers < 1 {
@@ -83,18 +91,11 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-func (o Options) maxFacts() int {
-	if o.MaxFacts == 0 {
-		return 1_000_000
-	}
-	return o.MaxFacts
-}
-
-func (o Options) maxRounds() int {
-	if o.MaxRounds == 0 {
-		return 10_000
-	}
-	return o.MaxRounds
+// ceilings resolves the run's fact, round and step ceilings.
+func (o Options) ceilings() (facts, rounds, steps int) {
+	facts = budget.Cap(o.Budget, func(b *budget.T) int { return b.MaxFacts }, defaultMaxFacts)
+	rounds = budget.Cap(o.Budget, func(b *budget.T) int { return b.MaxRounds }, defaultMaxRounds)
+	return facts, rounds, budget.Cap(o.Budget, func(b *budget.T) int { return b.MaxSteps }, 0)
 }
 
 // Result is the outcome of a chase run.
@@ -104,8 +105,8 @@ type Result struct {
 	// Saturated is true when a fixpoint was reached: no applicable trigger
 	// remains, so DB is exactly chase(Σ, D) (up to the variant).
 	Saturated bool
-	// Truncated is true when a depth, fact or round budget was hit, or the
-	// run was canceled.
+	// Truncated is true when the depth bound or a budget ceiling was hit,
+	// or the run was canceled.
 	Truncated bool
 	// Reason is the budget sentinel explaining a truncation
 	// (budget.ErrDepthLimit, budget.ErrFactLimit, budget.ErrRoundLimit,
@@ -314,22 +315,10 @@ func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res
 		return nil, fmt.Errorf("chase: %w", err)
 	}
 	e := newEngine(th, d0, opts, hook)
-	bud := opts.Budget
-	tk := budget.Start(bud)
+	tk := budget.Start(opts.Budget)
 	defer tk.Stop()
-	// Effective ceilings: the budget overrides the legacy Options ints.
-	// Legacy truncation stays soft (Truncated + Reason, nil error); hitting
-	// a ceiling the budget itself declares is a typed error with a partial
-	// result attached.
-	e.maxFacts = budget.Cap(bud, func(b *budget.T) int { return b.MaxFacts }, opts.maxFacts())
-	maxRounds := budget.Cap(bud, func(b *budget.T) int { return b.MaxRounds }, opts.maxRounds())
-	maxSteps := 0
-	budFacts, budRounds := false, false
-	if bud != nil {
-		maxSteps = bud.MaxSteps
-		budFacts = bud.MaxFacts > 0
-		budRounds = bud.MaxRounds > 0
-	}
+	var maxRounds, maxSteps int
+	e.maxFacts, maxRounds, maxSteps = opts.ceilings()
 
 	res = &Result{Depth: e.depth}
 	finish := func(err error) (*Result, error) {
@@ -355,10 +344,7 @@ func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res
 		}
 		if res.Rounds >= maxRounds {
 			e.truncate(budget.ErrRoundLimit)
-			if budRounds {
-				return finish(tk.Exhausted(budget.ErrRoundLimit))
-			}
-			break
+			return finish(tk.Exhausted(budget.ErrRoundLimit))
 		}
 		trs, cerr := e.collect(first, tk)
 		if cerr != nil {
@@ -378,11 +364,7 @@ func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res
 			}
 			if e.db.Len() >= e.maxFacts {
 				e.truncate(budget.ErrFactLimit)
-				if budFacts {
-					return finish(tk.Exhausted(budget.ErrFactLimit))
-				}
-				e.overBudget = true
-				break
+				return finish(tk.Exhausted(budget.ErrFactLimit))
 			}
 			if maxSteps > 0 && e.steps >= maxSteps {
 				e.truncate(budget.ErrStepLimit)
@@ -400,13 +382,10 @@ func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res
 				res.Rounds++
 			}
 			if e.overBudget {
-				if budFacts {
-					return finish(tk.Exhausted(budget.ErrFactLimit))
-				}
-				break
+				return finish(tk.Exhausted(budget.ErrFactLimit))
 			}
 		}
-		if e.overBudget || len(e.roundAdded) == 0 {
+		if len(e.roundAdded) == 0 {
 			break
 		}
 		e.prepareDelta()

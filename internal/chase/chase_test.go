@@ -1,8 +1,10 @@
 package chase
 
 import (
+	"errors"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/hom"
@@ -113,14 +115,27 @@ func TestInfiniteChaseTruncation(t *testing.T) {
 	}
 }
 
+// budgetRun runs a chase expected to exhaust a budget ceiling, returning
+// the partial result.
+func budgetRun(t *testing.T, theory, facts string, b *budget.T, want error) *Result {
+	t.Helper()
+	th := parser.MustParseTheory(theory)
+	d := database.FromAtoms(parser.MustParseFacts(facts))
+	res, err := Run(th, d, Options{Budget: b})
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
+	if res == nil || !res.Truncated {
+		t.Fatalf("budget exhaustion must return a truncated partial result, got %+v", res)
+	}
+	return res
+}
+
 func TestMaxFactsTruncation(t *testing.T) {
-	res := mustRun(t, `
+	res := budgetRun(t, `
 		Person(X) -> exists Y. hasParent(X,Y).
 		hasParent(X,Y) -> Person(Y).
-	`, `Person(adam).`, Options{MaxFacts: 30})
-	if !res.Truncated {
-		t.Error("fact budget must truncate")
-	}
+	`, `Person(adam).`, &budget.T{MaxFacts: 30}, budget.ErrFactLimit)
 	if res.DB.Len() > 40 {
 		t.Errorf("database grew far beyond budget: %d", res.DB.Len())
 	}
@@ -314,13 +329,10 @@ func TestChaseIsASolution(t *testing.T) {
 }
 
 func TestMaxRoundsTruncation(t *testing.T) {
-	res := mustRun(t, `
+	budgetRun(t, `
 		E(X,Y) -> T(X,Y).
 		T(X,Y), T(Y,Z) -> T(X,Z).
-	`, `E(a,b). E(b,c). E(c,d). E(d,e).`, Options{MaxRounds: 1})
-	if !res.Truncated {
-		t.Error("round budget must truncate")
-	}
+	`, `E(a,b). E(b,c). E(c,d). E(d,e).`, &budget.T{MaxRounds: 1}, budget.ErrRoundLimit)
 }
 
 // Parallel trigger collection must produce exactly the same database as

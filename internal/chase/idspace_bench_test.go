@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/gen"
 	"guardedrules/internal/parser"
 )
@@ -15,7 +16,7 @@ import (
 func BenchmarkEngineA2(b *testing.B) {
 	th := parser.MustParseTheory(sigmaP)
 	d := gen.CitationGraph(8)
-	opts := Options{Variant: Oblivious, MaxDepth: 6, MaxFacts: 2_000_000}
+	opts := Options{Variant: Oblivious, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}}
 	b.Run("legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := legacyRun(th, d, opts, nil); err != nil {
@@ -41,7 +42,7 @@ func BenchmarkChaseParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, nW} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := Options{Variant: Restricted, MaxDepth: 4, MaxFacts: 2_000_000, Workers: w}
+				opts := Options{Variant: Restricted, MaxDepth: 4, Workers: w, Budget: &budget.T{MaxFacts: 2_000_000}}
 				if _, err := run(th, d, opts, nil); err != nil {
 					b.Fatal(err)
 				}

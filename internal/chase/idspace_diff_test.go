@@ -20,7 +20,7 @@ import (
 var diffWorkerCounts = []int{1, 2, 4, 8}
 
 func diffOpts(variant Variant, workers int) Options {
-	return Options{Variant: variant, MaxDepth: 3, MaxFacts: 20_000, Workers: workers}
+	return Options{Variant: variant, MaxDepth: 3, Workers: workers, Budget: &budget.T{MaxFacts: 20_000}}
 }
 
 // compareRuns asserts the two results agree observably.
@@ -91,8 +91,6 @@ func TestIDSpaceMatchesLegacyUnderBudgets(t *testing.T) {
 		db := gen.ABDatabase(10, seed)
 		th := gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: seed})
 		for _, mk := range []func() Options{
-			func() Options { return Options{MaxFacts: 25, MaxDepth: 2} },
-			func() Options { return Options{MaxRounds: 2, MaxDepth: 3} },
 			func() Options { return Options{Budget: &budget.T{MaxFacts: 25}, MaxDepth: 2} },
 			func() Options { return Options{Budget: &budget.T{MaxSteps: 7}, MaxDepth: 2} },
 			func() Options { return Options{Budget: &budget.T{MaxRounds: 2}, MaxDepth: 3} },

@@ -68,18 +68,10 @@ func legacyRun(th *core.Theory, d0 *database.Database, opts Options, hook hookFn
 		}
 		e.ruleVars[r] = keep.Sorted()
 	}
-	bud := opts.Budget
-	tk := budget.Start(bud)
+	tk := budget.Start(opts.Budget)
 	defer tk.Stop()
-	e.maxFacts = budget.Cap(bud, func(b *budget.T) int { return b.MaxFacts }, opts.maxFacts())
-	maxRounds := budget.Cap(bud, func(b *budget.T) int { return b.MaxRounds }, opts.maxRounds())
-	maxSteps := 0
-	budFacts, budRounds := false, false
-	if bud != nil {
-		maxSteps = bud.MaxSteps
-		budFacts = bud.MaxFacts > 0
-		budRounds = bud.MaxRounds > 0
-	}
+	var maxRounds, maxSteps int
+	e.maxFacts, maxRounds, maxSteps = opts.ceilings()
 
 	res := &Result{Depth: e.depth}
 	finish := func(err error) (*Result, error) {
@@ -100,10 +92,7 @@ func legacyRun(th *core.Theory, d0 *database.Database, opts Options, hook hookFn
 		}
 		if res.Rounds >= maxRounds {
 			e.truncate(budget.ErrRoundLimit)
-			if budRounds {
-				return finish(tk.Exhausted(budget.ErrRoundLimit))
-			}
-			break
+			return finish(tk.Exhausted(budget.ErrRoundLimit))
 		}
 		trs := e.collect(th, delta, first)
 		if len(trs) == 0 {
@@ -118,11 +107,7 @@ func legacyRun(th *core.Theory, d0 *database.Database, opts Options, hook hookFn
 			}
 			if e.db.Len() >= e.maxFacts {
 				e.truncate(budget.ErrFactLimit)
-				if budFacts {
-					return finish(tk.Exhausted(budget.ErrFactLimit))
-				}
-				e.overBudget = true
-				break
+				return finish(tk.Exhausted(budget.ErrFactLimit))
 			}
 			if maxSteps > 0 && e.steps >= maxSteps {
 				e.truncate(budget.ErrStepLimit)
@@ -140,13 +125,10 @@ func legacyRun(th *core.Theory, d0 *database.Database, opts Options, hook hookFn
 			}
 			newFacts = append(newFacts, added...)
 			if e.overBudget {
-				if budFacts {
-					return finish(tk.Exhausted(budget.ErrFactLimit))
-				}
-				break
+				return finish(tk.Exhausted(budget.ErrFactLimit))
 			}
 		}
-		if e.overBudget || len(newFacts) == 0 {
+		if len(newFacts) == 0 {
 			break
 		}
 		delta = newFacts

@@ -197,9 +197,8 @@ func EvalViaChase(th *core.Theory, d *database.Database) (*database.Database, er
 	cur := d.Clone()
 	for i, rules := range strata {
 		res, err := chase.Run(core.NewTheory(rules...), cur, chase.Options{
-			Variant:   chase.Restricted,
-			MaxRounds: 1_000_000,
-			MaxFacts:  50_000_000,
+			Variant: chase.Restricted,
+			Budget:  &budget.T{MaxRounds: 1_000_000, MaxFacts: 50_000_000},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("datalog: stratum %d: %w", i, err)

@@ -33,16 +33,15 @@ type Options struct {
 	// by the single writer before the fan-out, and the workers' buffers
 	// are merged by the writer in work-item order.
 	Workers int
-	// MaxRounds bounds the rounds per stratum (0 = 1,000,000).
-	MaxRounds int
 	// Budget, when non-nil, governs the run: cancellation and deadline are
 	// observed mid-stratum (workers drain between units and every
 	// pollInterval join results; a canceled round's buffers are not
-	// merged), and its ceilings override MaxRounds and cap derived facts.
-	// MaxFacts is enforced per added fact during the merge — the partial
-	// database never exceeds the ceiling, mirroring the chase. On
-	// exhaustion EvalSemiNaiveOpts returns the partial database — every
-	// fact merged so far — with a typed *budget.Error.
+	// merged). MaxRounds bounds the rounds per stratum (0 = 1,000,000);
+	// MaxFacts caps derived facts (0 = none) and is enforced per added
+	// fact during the merge — the partial database never exceeds the
+	// ceiling, mirroring the chase. On exhaustion EvalSemiNaiveOpts
+	// returns the partial database — every fact merged so far — with a
+	// typed *budget.Error.
 	Budget *budget.T
 	// Stats, when non-nil, accumulates planner counters.
 	Stats *JoinStats
@@ -58,12 +57,9 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-func (o Options) maxRounds() int {
-	if o.MaxRounds == 0 {
-		return 1_000_000
-	}
-	return o.MaxRounds
-}
+// defaultMaxRounds is the per-stratum round ceiling when the budget
+// leaves MaxRounds at 0.
+const defaultMaxRounds = 1_000_000
 
 // ctempl is the compiled template of one work item, built once at
 // Compile time and shared (immutably) across evaluations: either a
@@ -372,7 +368,7 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 	if noteBuilds == nil {
 		noteBuilds = func() {}
 	}
-	maxRounds := budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRounds }, opts.maxRounds())
+	maxRounds := budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRounds }, defaultMaxRounds)
 	maxFacts := 0
 	if opts.Budget != nil {
 		maxFacts = opts.Budget.MaxFacts

@@ -8,10 +8,6 @@ import (
 
 // CoreOptions bounds a core computation.
 type CoreOptions struct {
-	// MaxCandidates bounds the number of endomorphisms inspected per
-	// reduction round (0 means 100,000). Hitting it makes the result
-	// inexact but stays error-free: the search was bounded, not aborted.
-	MaxCandidates int
 	// Budget, when non-nil, governs the search like every other engine:
 	// cancellation and deadline are polled between candidate
 	// endomorphisms, MaxSteps caps total candidates inspected across all
@@ -26,13 +22,18 @@ type CoreOptions struct {
 // so cores give canonical representatives of chase results — the oblivious
 // and restricted chase of a terminating theory have the same core.
 //
-// Core search is NP-hard in general; maxCandidates bounds the number of
-// endomorphisms inspected per round (0 means 100,000). When the budget is
-// hit, the (sound) current set is returned with exact=false.
-func Core(atoms []core.Atom, maxCandidates int) (result []core.Atom, exact bool) {
-	result, exact, _ = CoreOpts(atoms, CoreOptions{MaxCandidates: maxCandidates})
+// Core search is NP-hard in general; at most roundCandidates
+// endomorphisms are inspected per round. When that bound is hit, the
+// (sound) current set is returned with exact=false.
+func Core(atoms []core.Atom) (result []core.Atom, exact bool) {
+	result, exact, _ = CoreOpts(atoms, CoreOptions{})
 	return result, exact
 }
+
+// roundCandidates bounds the endomorphisms inspected per reduction round.
+// Hitting it makes the result inexact but stays error-free: the search
+// was bounded, not aborted.
+const roundCandidates = 100_000
 
 // corePollInterval is how many candidate endomorphisms are inspected
 // between cancellation polls.
@@ -45,16 +46,9 @@ const corePollInterval = 64
 // exhaustion the current set is returned with exact=false and a typed
 // *budget.Error.
 func CoreOpts(atoms []core.Atom, opts CoreOptions) (result []core.Atom, exact bool, err error) {
-	maxCandidates := opts.MaxCandidates
-	if maxCandidates <= 0 {
-		maxCandidates = 100_000
-	}
 	tk := budget.Start(opts.Budget)
 	defer tk.Stop()
-	maxSteps := 0
-	if opts.Budget != nil {
-		maxSteps = opts.Budget.MaxSteps
-	}
+	maxSteps := budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxSteps }, 0)
 	cur := dedup(atoms)
 	for {
 		// Round checkpoint: a canceled or expired search returns the
@@ -67,7 +61,7 @@ func CoreOpts(atoms []core.Atom, opts CoreOptions) (result []core.Atom, exact bo
 		}
 		// A step ceiling tightens the per-round candidate cap so the run
 		// never inspects candidates past the budget.
-		roundCap := maxCandidates
+		roundCap := roundCandidates
 		if maxSteps > 0 {
 			if rem := maxSteps - tk.Usage().Steps; rem < roundCap {
 				roundCap = rem
@@ -103,12 +97,9 @@ func CoreOpts(atoms []core.Atom, opts CoreOptions) (result []core.Atom, exact bo
 }
 
 // IsCore reports whether the atom set admits no proper endomorphism
-// (within the candidate budget).
-func IsCore(atoms []core.Atom, maxCandidates int) bool {
-	if maxCandidates <= 0 {
-		maxCandidates = 100_000
-	}
-	_, found, _ := reducingEndo(dedup(atoms), maxCandidates, nil)
+// (within the per-round candidate bound).
+func IsCore(atoms []core.Atom) bool {
+	_, found, _ := reducingEndo(dedup(atoms), roundCandidates, nil)
 	return !found
 }
 

@@ -16,7 +16,7 @@ func TestCoreDropsRedundantNull(t *testing.T) {
 		core.NewAtom("R", core.Const("a"), core.Const("b")),
 		core.NewAtom("R", core.Const("a"), core.NewNull("n1")),
 	}
-	got, exact := hom.Core(atoms, 0)
+	got, exact := hom.Core(atoms)
 	if !exact {
 		t.Fatal("small instance must be solved exactly")
 	}
@@ -30,7 +30,7 @@ func TestCoreMergesDuplicateNulls(t *testing.T) {
 		core.NewAtom("R", core.Const("a"), core.NewNull("n1")),
 		core.NewAtom("R", core.Const("a"), core.NewNull("n2")),
 	}
-	got, _ := hom.Core(atoms, 0)
+	got, _ := hom.Core(atoms)
 	if len(got) != 1 {
 		t.Errorf("isomorphic null atoms must merge: %v", got)
 	}
@@ -42,11 +42,11 @@ func TestCoreKeepsNecessaryNulls(t *testing.T) {
 		core.NewAtom("A", core.Const("a")),
 		core.NewAtom("R", core.Const("a"), core.NewNull("n1")),
 	}
-	got, _ := hom.Core(atoms, 0)
+	got, _ := hom.Core(atoms)
 	if len(got) != 2 {
 		t.Errorf("necessary null dropped: %v", got)
 	}
-	if !hom.IsCore(got, 0) {
+	if !hom.IsCore(got) {
 		t.Error("result must be a core")
 	}
 }
@@ -58,7 +58,7 @@ func TestCoreChainCollapse(t *testing.T) {
 		core.NewAtom("E", core.NewNull("n1"), core.NewNull("n2")),
 		core.NewAtom("E", core.NewNull("n2"), core.NewNull("n1")),
 	}
-	got, _ := hom.Core(atoms, 0)
+	got, _ := hom.Core(atoms)
 	if len(got) != 1 {
 		t.Errorf("cycle must collapse onto the loop: %v", got)
 	}
@@ -80,8 +80,8 @@ func TestChaseVariantsShareCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, _ := hom.Core(ob.DB.UserFacts(), 0)
-	c2, _ := hom.Core(re.DB.UserFacts(), 0)
+	c1, _ := hom.Core(ob.DB.UserFacts())
+	c2, _ := hom.Core(re.DB.UserFacts())
 	if len(c1) != len(c2) {
 		t.Errorf("cores differ in size: %d vs %d\n%v\n%v", len(c1), len(c2), c1, c2)
 	}
@@ -101,12 +101,12 @@ func TestCoreEquivalence(t *testing.T) {
 		core.NewAtom("S", core.NewNull("n1"), core.NewNull("n2")),
 		core.NewAtom("R", core.Const("a"), core.NewNull("n3")),
 	}
-	got, _ := hom.Core(atoms, 0)
+	got, _ := hom.Core(atoms)
 	if !hom.Equivalent(atoms, got) {
 		t.Error("core must be homomorphically equivalent to the input")
 	}
 	// Idempotence.
-	again, _ := hom.Core(got, 0)
+	again, _ := hom.Core(got)
 	if len(again) != len(got) {
 		t.Error("Core must be idempotent")
 	}
@@ -114,7 +114,7 @@ func TestCoreEquivalence(t *testing.T) {
 
 func TestCoreNoNulls(t *testing.T) {
 	atoms := []core.Atom{core.NewAtom("R", core.Const("a"), core.Const("b"))}
-	got, exact := hom.Core(atoms, 0)
+	got, exact := hom.Core(atoms)
 	if !exact || len(got) != 1 {
 		t.Errorf("ground instances are their own core: %v", got)
 	}

@@ -91,11 +91,11 @@ func AnswerByChase(th *core.Theory, q CQ, d *database.Database, opts chase.Optio
 // PartialGrounding computes pg(Σ, D) (Section 7, step 2): every variable
 // of a rule occurring at some non-affected body position (a safe variable)
 // is instantiated with constants of D in all possible ways. For a weakly
-// guarded Σ the result is guarded.
-func PartialGrounding(th *core.Theory, d *database.Database, maxRules int) (*core.Theory, error) {
-	if maxRules <= 0 {
-		maxRules = 200_000
-	}
+// guarded Σ the result is guarded. The budget's MaxRules caps the
+// grounded rules (0 means 200,000); exceeding it returns the rules
+// grounded so far with a typed *budget.Error wrapping ErrRuleLimit.
+func PartialGrounding(th *core.Theory, d *database.Database, b *budget.T) (*core.Theory, error) {
+	maxRules := budget.Cap(b, func(b *budget.T) int { return b.MaxRules }, defaultGroundRules)
 	ap := classify.AffectedPositions(th)
 	consts := d.Constants()
 	out := core.NewTheory()
@@ -112,7 +112,8 @@ func PartialGrounding(th *core.Theory, d *database.Database, maxRules int) (*cor
 		rec = func(i int, s core.Subst) error {
 			if i == len(safe) {
 				if len(out.Rules) >= maxRules {
-					return fmt.Errorf("kb: partial grounding exceeded %d rules", maxRules)
+					return fmt.Errorf("kb: partial grounding exceeded %d rules: %w", maxRules,
+						&budget.Error{Reason: budget.ErrRuleLimit, Usage: budget.Usage{Rules: len(out.Rules)}})
 				}
 				g := s.ApplyRule(r)
 				g.Label = r.Label + "_pg"
@@ -129,11 +130,14 @@ func PartialGrounding(th *core.Theory, d *database.Database, maxRules int) (*cor
 			return nil
 		}
 		if err := rec(0, core.Subst{}); err != nil {
-			return nil, err
+			return out, err
 		}
 	}
 	return out, nil
 }
+
+// defaultGroundRules caps pg(Σ, D) when the budget leaves MaxRules at 0.
+const defaultGroundRules = 200_000
 
 // PipelineStats reports the sizes along the Section 7 pipeline.
 type PipelineStats struct {
@@ -159,7 +163,7 @@ func AnswerByPipeline(th *core.Theory, q CQ, d *database.Database, rewOpts rewri
 	stats := &PipelineStats{RewrittenRules: len(res.Rewritten.Rules)}
 	dRe := res.Reorder.Database(d)
 	// Step 2: partial grounding; the result is guarded.
-	pg, err := PartialGrounding(res.Rewritten, dRe, satOpts.MaxRules)
+	pg, err := PartialGrounding(res.Rewritten, dRe, satOpts.Budget)
 	if err != nil {
 		return nil, nil, err
 	}

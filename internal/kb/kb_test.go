@@ -1,8 +1,10 @@
 package kb
 
 import (
+	"errors"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -94,7 +96,7 @@ func TestPartialGroundingMakesGuarded(t *testing.T) {
 		t.Fatal("fixture must be weakly guarded")
 	}
 	d := database.FromAtoms(parser.MustParseFacts(`A(a). B(a). C(c1). C(c2).`))
-	pg, err := PartialGrounding(th, d, 0)
+	pg, err := PartialGrounding(th, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +116,12 @@ func TestPartialGroundingMakesGuarded(t *testing.T) {
 func TestPartialGroundingCap(t *testing.T) {
 	th := parser.MustParseTheory(`R(X,Y), S(Z), T(W) -> P(X).`)
 	d := database.FromAtoms(parser.MustParseFacts(`R(a,b). S(c). T(d).`))
-	if _, err := PartialGrounding(th, d, 10); err == nil {
-		t.Error("grounding cap must trigger")
+	pg, err := PartialGrounding(th, d, &budget.T{MaxRules: 10})
+	if !errors.Is(err, budget.ErrRuleLimit) {
+		t.Fatalf("err = %v, want the grounding cap's ErrRuleLimit", err)
+	}
+	if pg == nil || len(pg.Rules) != 10 {
+		t.Fatalf("want the 10 rules grounded before the cap, got %v", pg)
 	}
 }
 

@@ -3,6 +3,7 @@ package normalize
 import (
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -198,11 +199,11 @@ func TestNormalizeRandomized(t *testing.T) {
 				continue
 			}
 			d := gen.ABDatabase(5, seed)
-			r1, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxFacts: 200_000})
+			r1, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 200_000}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := chase.Run(n, d, chase.Options{Variant: chase.Restricted, MaxFacts: 400_000})
+			r2, err := chase.Run(n, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 400_000}})
 			if err != nil {
 				t.Fatal(err)
 			}

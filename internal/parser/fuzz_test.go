@@ -10,7 +10,9 @@ import (
 
 // FuzzParse checks that the parser never panics and that everything it
 // accepts survives a print → re-parse round trip with the same canonical
-// rules. Run long with: go test -fuzz=FuzzParse ./internal/parser
+// rules and the same printed facts, and that printing is a fixpoint:
+// print → parse → print reproduces the printed text exactly. Run long
+// with: go test -fuzz=FuzzParse ./internal/parser
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`Publication(X) -> exists K1,K2. Keywords(X,K1,K2).`,
@@ -52,7 +54,17 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 		if len(re.Facts) != len(prog.Facts) {
-			t.Fatalf("fact count changed after round trip")
+			t.Fatalf("fact count changed after round trip: %d vs %d", len(prog.Facts), len(re.Facts))
+		}
+		for i := range prog.Facts {
+			if a, b := PrintAtom(prog.Facts[i]), PrintAtom(re.Facts[i]); a != b {
+				t.Fatalf("fact %d changed after round trip: %s vs %s", i, a, b)
+			}
+		}
+		// Printing is a fixpoint: the printed text re-prints unchanged.
+		if again := PrintTheory(re.Theory) + PrintFacts(re.Facts); again != printedRules+printedFacts {
+			t.Fatalf("print → parse → print is not the identity:\nfirst:  %q\nsecond: %q",
+				printedRules+printedFacts, again)
 		}
 	})
 }

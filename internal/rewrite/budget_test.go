@@ -24,14 +24,6 @@ func TestBudgetRuleLimitReturnsPartialExpansion(t *testing.T) {
 	}
 }
 
-func TestLegacyMaxRulesWrapsSentinel(t *testing.T) {
-	th := normalize.Normalize(parser.MustParseTheory(sigmaP))
-	_, _, err := Expand(th, Options{MaxRules: 5})
-	if !errors.Is(err, budget.ErrRuleLimit) {
-		t.Fatalf("legacy cap err = %v, want ErrRuleLimit wrap", err)
-	}
-}
-
 // Rewrite post-processes the partial expansion on budget exhaustion: the
 // returned theory is still nearly guarded over the partial rule set.
 func TestRewritePropagatesPartial(t *testing.T) {

@@ -12,32 +12,22 @@ import (
 // Options bounds the expansion, which is worst-case exponential
 // (Section 5.1).
 type Options struct {
-	// MaxRules caps the number of distinct rules in ex(Σ). 0 means 100,000.
-	MaxRules int
-	// MaxRuleVars rejects input rules with more universal variables than
-	// this (the selection space is exponential in it). 0 means 9.
-	MaxRuleVars int
 	// Budget, when non-nil, governs the run: its context/deadline cancels
-	// the expansion between worklist items, its MaxRules overrides the cap
-	// above (the single-exponential bound of Theorem 1), and exhaustion
-	// returns the rules emitted so far alongside a typed *budget.Error
-	// wrapping ErrRuleLimit, ErrCanceled or ErrDeadline.
+	// the expansion between worklist items, its MaxRules caps the distinct
+	// rules of ex(Σ) (the single-exponential bound of Theorem 1; 0 means
+	// 100,000), and exhaustion returns the rules emitted so far alongside
+	// a typed *budget.Error wrapping ErrRuleLimit, ErrCanceled or
+	// ErrDeadline.
 	Budget *budget.T
 }
 
-func (o Options) maxRules() int {
-	if o.MaxRules == 0 {
-		return 100_000
-	}
-	return o.MaxRules
-}
-
-func (o Options) maxRuleVars() int {
-	if o.MaxRuleVars == 0 {
-		return 9
-	}
-	return o.MaxRuleVars
-}
+const (
+	// defaultMaxRules caps ex(Σ) when the budget leaves MaxRules at 0.
+	defaultMaxRules = 100_000
+	// maxRuleVars rejects input rules with more universal variables than
+	// this: the selection space is exponential in it.
+	maxRuleVars = 9
+)
 
 // Stats reports the work of an expansion run.
 type Stats struct {
@@ -84,7 +74,7 @@ func Expand(th *core.Theory, opts Options) (*core.Theory, *Stats, error) {
 		k:        th.MaxArity(),
 		byKey:    make(map[string]*core.Rule),
 		splitH:   make(map[string]string),
-		maxRules: budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRules }, opts.maxRules()),
+		maxRules: budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRules }, defaultMaxRules),
 		tk:       tk,
 	}
 	// finish attaches the rules emitted so far — the partial ex(Σ) on a
@@ -188,8 +178,8 @@ func measure(r *core.Rule) int {
 // expandRule applies every rc- and rnc-rewriting of the non-guarded
 // Datalog rule σ (Definition 12).
 func (e *expander) expandRule(r *core.Rule) error {
-	if len(r.UVars()) > e.opts.maxRuleVars() {
-		return fmt.Errorf("rewrite: rule %s has more than %d variables", r.Label, e.opts.maxRuleVars())
+	if len(r.UVars()) > maxRuleVars {
+		return fmt.Errorf("rewrite: rule %s has more than %d variables", r.Label, maxRuleVars)
 	}
 	parentMeasure := measure(r)
 	sels := selections(r, e.k)

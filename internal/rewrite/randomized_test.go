@@ -3,6 +3,7 @@ package rewrite
 import (
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -33,14 +34,14 @@ func TestTheoremOneRandomized(t *testing.T) {
 		tested++
 		for dbSeed := int64(0); dbSeed < 2; dbSeed++ {
 			d := gen.ABDatabase(5, seed*100+dbSeed)
-			r1, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxFacts: 300_000, MaxRounds: 5_000})
+			r1, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 300_000, MaxRounds: 5_000}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !r1.Saturated {
 				t.Fatalf("seed %d: weakly acyclic chase did not saturate", seed)
 			}
-			r2, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxFacts: 2_000_000, MaxRounds: 20_000})
+			r2, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 2_000_000, MaxRounds: 20_000}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
@@ -118,7 +119,7 @@ func TestTheoremOneRunningExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := database.FromAtoms(parser.MustParseFacts(exampleDB))
-	res, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 500_000})
+	res, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 500_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,11 @@ func agree(t *testing.T, theory, facts string) {
 	for _, rk := range orig.Relations() {
 		rels[rk.Name] = true
 	}
-	chOrig, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 500_000})
+	chOrig, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 500_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chRew, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 500_000})
+	chRew, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 500_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +266,11 @@ func TestAxiomatizeACDom(t *testing.T) {
 	}
 	// Same answers: Q* over Σ* equals Q over Σ.
 	d := database.FromAtoms(parser.MustParseFacts(exampleDB))
-	r1, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 500_000})
+	r1, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 500_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := chase.Run(star, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, MaxFacts: 500_000})
+	r2, err := chase.Run(star, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 500_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,12 +463,12 @@ func TestCanonSplitIsomorphismInvariance(t *testing.T) {
 // Expansion caps turn blow-ups into errors rather than hangs.
 func TestExpansionCaps(t *testing.T) {
 	th := normalize.Normalize(parser.MustParseTheory(sigmaP))
-	if _, _, err := Rewrite(th, Options{MaxRules: 20}); err == nil {
+	if _, _, err := Rewrite(th, Options{Budget: &budget.T{MaxRules: 20}}); err == nil {
 		t.Error("tiny cap must trigger")
 	}
 	big := parser.MustParseTheory(
 		`R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X5), R(X5,X6), R(X6,X7), R(X7,X8), R(X8,X9), R(X9,X10), R(X10,X1) -> P(X1).`)
-	if _, _, err := Rewrite(normalize.Normalize(big), Options{MaxRuleVars: 4}); err == nil {
+	if _, _, err := Rewrite(normalize.Normalize(big), Options{}); err == nil {
 		t.Error("variable cap must trigger")
 	}
 }

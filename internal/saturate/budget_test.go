@@ -27,16 +27,6 @@ func TestBudgetRuleLimitReturnsPartial(t *testing.T) {
 	}
 }
 
-// Legacy MaxRules now wraps the same sentinel, so errors.Is works through
-// the old option too.
-func TestLegacyMaxRulesWrapsSentinel(t *testing.T) {
-	th := parser.MustParseTheory(exampleSeven)
-	_, _, err := Datalog(th, Options{MaxRules: 3})
-	if !errors.Is(err, budget.ErrRuleLimit) {
-		t.Fatalf("legacy cap err = %v, want ErrRuleLimit wrap", err)
-	}
-}
-
 func TestStepLimitTyped(t *testing.T) {
 	th := parser.MustParseTheory(exampleSeven)
 	_, _, err := Datalog(th, Options{Budget: &budget.T{MaxSteps: 2}})

@@ -18,27 +18,21 @@ import (
 // exponential in the worst case (Section 6); the caps turn a blow-up into
 // an error instead of an endless run.
 type Options struct {
-	// MaxRules caps the number of distinct rules in the closure.
-	// 0 means 200,000.
-	MaxRules int
 	// Budget, when non-nil, governs the run: its context/deadline cancels
-	// the saturation between worklist items, MaxRules/MaxSteps override
-	// the rule and inference ceilings, and exhaustion returns the partial
-	// closure computed so far alongside a typed *budget.Error
+	// the saturation between worklist items, MaxRules caps the distinct
+	// rules of the closure (0 means 200,000), MaxSteps caps inference
+	// applications (0 means 50,000,000), and exhaustion returns the
+	// partial closure computed so far alongside a typed *budget.Error
 	// (ErrRuleLimit for the doubly-exponential closure bound of Theorem 3,
 	// ErrStepLimit for the inference budget).
 	Budget *budget.T
 }
 
-func (o Options) maxRules() int {
-	if o.MaxRules == 0 {
-		return 200_000
-	}
-	return o.MaxRules
-}
-
-// maxInferences is the default cap on inference-rule applications.
-const maxInferences = 50_000_000
+// Default ceilings, applied when the budget leaves them at 0.
+const (
+	defaultMaxRules = 200_000
+	maxInferences   = 50_000_000
+)
 
 // Stats reports the work done by a saturation run.
 type Stats struct {
@@ -374,7 +368,7 @@ func saturation(th *core.Theory, opts Options) ([]*core.Rule, *Stats, error) {
 	p := &pool{
 		byKey:    make(map[string]*core.Rule),
 		byBody:   make(map[string]*core.Rule),
-		maxSize:  budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRules }, opts.maxRules()),
+		maxSize:  budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRules }, defaultMaxRules),
 		maxInfer: budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxSteps }, maxInferences),
 		tk:       tk,
 	}

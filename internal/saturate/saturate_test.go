@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
@@ -79,7 +80,7 @@ func TestDatalogRejectsUnguarded(t *testing.T) {
 
 func TestMaxRulesCap(t *testing.T) {
 	th := parser.MustParseTheory(exampleSeven)
-	if _, _, err := Datalog(th, Options{MaxRules: 3}); err == nil {
+	if _, _, err := Datalog(th, Options{Budget: &budget.T{MaxRules: 3}}); err == nil {
 		t.Error("cap must trigger an error")
 	}
 }
@@ -94,7 +95,7 @@ func agreeOnGroundAtoms(t *testing.T, theory, facts string) {
 		t.Fatalf("saturation failed for %q: %v", theory, err)
 	}
 	d := database.FromAtoms(parser.MustParseFacts(facts))
-	ch, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxDepth: 8, MaxFacts: 200_000})
+	ch, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxDepth: 8, Budget: &budget.T{MaxFacts: 200_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,11 @@ func TestTheoremThreeRandomized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		th := randomGuardedTheory(rng)
 		d := randomDatabase(rng)
-		dat, _, err := Datalog(th, Options{MaxRules: 100_000})
+		dat, _, err := Datalog(th, Options{Budget: &budget.T{MaxRules: 100_000}})
 		if err != nil {
 			t.Fatalf("trial %d: saturation failed: %v\n%v", trial, err, th)
 		}
-		ch, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxDepth: 7, MaxFacts: 100_000})
+		ch, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxDepth: 7, Budget: &budget.T{MaxFacts: 100_000}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
@@ -101,7 +102,7 @@ func TestEngineTwoStoreDifferential(t *testing.T) {
 				var wantCh string
 				for _, sn := range []string{"memory", "segment", "reopened"} {
 					res, err := chase.Run(guarded, stores[sn],
-						chase.Options{Variant: chase.Restricted, MaxDepth: 2, Workers: workers, MaxFacts: 200_000})
+						chase.Options{Variant: chase.Restricted, MaxDepth: 2, Workers: workers, Budget: &budget.T{MaxFacts: 200_000}})
 					if err != nil {
 						t.Fatalf("chase %s workers=%d: %v", sn, workers, err)
 					}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 const (
@@ -49,6 +50,9 @@ const (
 // maxRecordLen bounds a single payload; names are the only variable-size
 // component and never come close.
 const maxRecordLen = 1 << 28
+
+// readChunk is the largest piece of a record body read in one step.
+const readChunk = 1 << 20
 
 // PackKey appends the big-endian packed (relID, id-tuple) key to dst.
 // bytes.Compare on packed keys agrees with lexicographic order on
@@ -108,13 +112,18 @@ func (rr *recordReader) next() ([]byte, error) {
 	if n == 0 || n > maxRecordLen {
 		return nil, fmt.Errorf("%w: bad length %d at %d", errCorrupt, n, rr.off)
 	}
-	if cap(rr.buf) < int(n)+4 {
-		rr.buf = make([]byte, int(n)+4)
+	// Grow the buffer as the body arrives rather than trusting the length
+	// header up front: a damaged header must not allocate up to
+	// maxRecordLen for a file that holds a few bytes.
+	body := rr.buf[:0]
+	for len(body) < int(n)+4 {
+		m := min(int(n)+4-len(body), readChunk)
+		body = slices.Grow(body, m)[:len(body)+m]
+		if _, err := io.ReadFull(rr.r, body[len(body)-m:]); err != nil {
+			return nil, fmt.Errorf("%w: torn body at %d", errCorrupt, rr.off)
+		}
 	}
-	body := rr.buf[:int(n)+4]
-	if _, err := io.ReadFull(rr.r, body); err != nil {
-		return nil, fmt.Errorf("%w: torn body at %d", errCorrupt, rr.off)
-	}
+	rr.buf = body
 	payload := body[:n]
 	want := binary.BigEndian.Uint32(body[n:])
 	if crc32.ChecksumIEEE(payload) != want {

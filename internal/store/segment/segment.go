@@ -212,11 +212,11 @@ func (s *Store) apply(payload []byte) error {
 		switch typ {
 		case recAdd:
 			if _, err := s.mem.AddNotify(a, nil); err != nil {
-				return fmt.Errorf("replay add %s: %w", a.String(), err)
+				return fmt.Errorf("%w: replay add %s: %w", errCorrupt, a.String(), err)
 			}
 		case recDel:
 			if _, err := s.mem.DeleteNotify(a, nil); err != nil {
-				return fmt.Errorf("replay del %s: %w", a.String(), err)
+				return fmt.Errorf("%w: replay del %s: %w", errCorrupt, a.String(), err)
 			}
 		case recFact:
 			s.mem.RestoreFact(a)

@@ -242,7 +242,7 @@ func TestBoundIsRealUpperBound(t *testing.T) {
 		if !ok {
 			t.Fatalf("theory %d: bound not computable", ti)
 		}
-		res, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxFacts: bound + 10})
+		res, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: bound + 10}})
 		if err != nil {
 			t.Fatal(err)
 		}

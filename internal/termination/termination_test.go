@@ -1,10 +1,12 @@
 package termination
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/chase"
 	"guardedrules/internal/database"
 	"guardedrules/internal/gen"
@@ -79,7 +81,7 @@ func TestWeaklyAcyclicChaseTerminates(t *testing.T) {
 		}
 		tested++
 		d := gen.ABDatabase(5, int64(trial))
-		res, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxFacts: 200_000, MaxRounds: 5_000})
+		res, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 200_000, MaxRounds: 5_000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,9 +107,9 @@ func TestWitnessOnConcreteCycle(t *testing.T) {
 	}
 	// And indeed the chase is infinite: the fact budget trips.
 	d := database.FromAtoms(parser.MustParseFacts(`A(a).`))
-	res, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxFacts: 100})
-	if err != nil {
-		t.Fatal(err)
+	res, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, Budget: &budget.T{MaxFacts: 100}})
+	if !errors.Is(err, budget.ErrFactLimit) {
+		t.Fatalf("err = %v, want ErrFactLimit", err)
 	}
 	if res.Saturated {
 		t.Error("chase of the cyclic theory must not saturate")
