@@ -4,9 +4,10 @@ package guardedrules
 // append-only segment store vs the plain in-memory database. Three
 // costs matter for serving: journaled write throughput (the mutation
 // path pays it per batch), cold-open latency (boot pays it per DB, from
-// the WAL or from a compacted snapshot), and the clone cost of
-// publishing an immutable served version. BENCH_store.json records the
-// trajectory (see TestEmitStoreBenchJSON).
+// the WAL or from a compacted snapshot), and the cost of publishing an
+// immutable served version: a copy-on-write clone, whose copying lands
+// on the first write to each relation (the CloneThenWrite row).
+// BENCH_store.json records the trajectory (see TestEmitStoreBenchJSON).
 
 import (
 	"encoding/json"
@@ -33,6 +34,19 @@ func storeBenchFacts(n int) []core.Atom {
 		out = append(out, core.NewAtom("Publication", p), core.NewAtom("cites", p, q))
 	}
 	return out[:n]
+}
+
+// cloneWriteFact returns a cites fact over known constants that d lacks.
+// cites is the largest user relation of storeBenchFacts, so an Add of
+// this fact into a fresh clone pays the deferred copy of that relation
+// and of the ACDom counts, but interns nothing.
+func cloneWriteFact(d *database.Database) core.Atom {
+	for i := 0; ; i++ {
+		p := core.Const(fmt.Sprintf("p%d", i))
+		if a := core.NewAtom("cites", p, p); !d.Has(a) {
+			return a
+		}
+	}
 }
 
 // seedSegmentDir populates a fresh store directory with n committed
@@ -155,6 +169,21 @@ func BenchmarkSegmentStore(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("CloneThenWrite/n=%d", n), func(b *testing.B) {
+			dir, _, _ := seedSegmentDir(b, n, false)
+			s, err := segment.Open(dir, segment.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			fact := cloneWriteFact(s.Clone())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !s.Clone().Add(fact) {
+					b.Fatal("write into the clone was not new")
+				}
+			}
+		})
 	}
 }
 
@@ -248,6 +277,15 @@ func TestEmitStoreBenchJSON(t *testing.T) {
 			NsPerOp: best(func() {
 				if s.Clone().Len() != wantLen {
 					t.Fatal("bad clone")
+				}
+			}),
+		})
+		fact := cloneWriteFact(s.Clone())
+		report.Benchmarks = append(report.Benchmarks, entry{
+			Name: fmt.Sprintf("SegmentStore/CloneThenWrite/n=%d", n), N: n,
+			NsPerOp: best(func() {
+				if !s.Clone().Add(fact) {
+					t.Fatal("write into the clone was not new")
 				}
 			}),
 		})

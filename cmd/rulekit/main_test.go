@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -118,5 +120,25 @@ func TestCmdMagic(t *testing.T) {
 	}
 	if err := cmdMagic([]string{"-data", facts, rules}); err == nil {
 		t.Error("missing goal must error")
+	}
+}
+
+// A goal with a repeated variable answers only the tuples that bind both
+// positions to the same constant: T(X,X) over a 2-cycle and a stray edge
+// is T(a,a) and T(b,b), never the edges themselves.
+func TestCmdMagicRepeatedVariable(t *testing.T) {
+	dir := t.TempDir()
+	rules := write(t, dir, "tc.rules", `
+		E(X,Y) -> T(X,Y).
+		T(X,Y), T(Y,Z) -> T(X,Z).
+	`)
+	facts := write(t, dir, "tc.facts", `E(a,b). E(b,a). E(c,d).`)
+	out := captureStdout(t, func() error {
+		return cmdMagic([]string{"-data", facts, "-goal", "T(X,X)", rules})
+	})
+	lines := strings.Fields(out)
+	sort.Strings(lines)
+	if got, want := strings.Join(lines, " "), "T(a,a) T(b,b)"; got != want {
+		t.Errorf("magic T(X,X) printed %q, want %q", got, want)
 	}
 }

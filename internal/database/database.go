@@ -29,6 +29,23 @@
 //     this with an implicit positive dependency edge from every head
 //     relation to ACDom, so ACDom's stratum is at least the stratum of
 //     every relation whose derivation can grow the active domain.
+//
+// # Snapshots
+//
+// Clone is copy-on-write. The clone gets its own relation map but shares
+// three kinds of structure with the original: every relation (facts, id
+// tuples, posting lists, seen-set), the intern table and the ACDom
+// support counts. Clone marks each of them shared, and a shared
+// structure is never written again: the first write through either
+// database that would change one replaces it, in that database only,
+// with a private copy of just that structure. An Add into one relation
+// copies that relation (and the ACDom counts when it touches a
+// constant); the intern table is copied only when a term never seen
+// before is interned; relations nobody writes stay shared for good. So a
+// snapshot costs O(#relations), and the copy cost moves to the first
+// write of each structure. A slice read from a shared relation
+// (IDTuples, IndexWithID, Facts) keeps reading the frozen pre-write data
+// after either database writes that relation.
 package database
 
 import (
@@ -36,6 +53,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"guardedrules/internal/core"
 )
@@ -56,7 +74,7 @@ type Database struct {
 	// in the active domain exactly while its count is positive; the count
 	// is what lets retraction drop ACDom(c) precisely when the last
 	// supporting occurrence dies.
-	acdom map[core.Term]int
+	acdom *acdomCounts
 	// acdomX marks constants whose ACDom fact was added explicitly by a
 	// caller (rare, test-only): those facts survive even when no fact
 	// supports them.
@@ -68,7 +86,7 @@ func New() *Database {
 	return &Database{
 		intern: newInternTable(),
 		byRel:  make(map[core.RelKey]*relation),
-		acdom:  make(map[core.Term]int),
+		acdom:  &acdomCounts{},
 	}
 }
 
@@ -100,18 +118,20 @@ func (d *Database) AddNotify(a core.Atom, notify func(core.Atom)) (bool, error) 
 	if !a.IsGround() {
 		return false, fmt.Errorf("%w: %s", ErrNotGround, a.String())
 	}
-	if !d.insert(a) {
+	var buf [16]uint32
+	key, added := d.insert(buf[:0], a)
+	if !added {
 		return false, nil
 	}
 	if notify != nil {
 		notify(a)
 	}
 	if a.Relation != core.ACDom {
-		for _, t := range a.Args {
-			d.noteConstant(t, notify)
+		for i, t := range a.Args {
+			d.noteConstant(t, key[i], notify)
 		}
-		for _, t := range a.Annotation {
-			d.noteConstant(t, notify)
+		for i, t := range a.Annotation {
+			d.noteConstant(t, key[len(a.Args)+i], notify)
 		}
 	} else if len(a.Args) == 1 && len(a.Annotation) == 0 && a.Args[0].IsConst() {
 		// An explicitly added ACDom fact is pinned: it is not retracted
@@ -124,17 +144,21 @@ func (d *Database) AddNotify(a core.Atom, notify func(core.Atom)) (bool, error) 
 	return true, nil
 }
 
-func (d *Database) noteConstant(t core.Term, notify func(core.Atom)) {
+// noteConstant counts one more supporting occurrence of the term t with
+// interned id, inserting the derived ACDom(t) fact on its first.
+func (d *Database) noteConstant(t core.Term, id uint32, notify func(core.Atom)) {
 	if !t.IsConst() {
 		return
 	}
-	if n := d.acdom[t]; n > 0 {
-		d.acdom[t] = n + 1
+	c := d.ownACDom()
+	n := c.get(id)
+	c.set(id, n+1)
+	if n > 0 {
 		return
 	}
-	d.acdom[t] = 1
 	ac := core.NewAtom(core.ACDom, t)
-	if d.insert(ac) && notify != nil {
+	var buf [1]uint32
+	if _, added := d.insert(buf[:0], ac); added && notify != nil {
 		notify(ac)
 	}
 }
@@ -171,17 +195,33 @@ func (d *Database) lookupTuple(dst []uint32, a core.Atom) ([]uint32, bool) {
 	return dst, true
 }
 
-func (d *Database) insert(a core.Atom) bool {
+// insert adds a to its relation, with no ACDom side effects, and reports
+// whether it was new. It appends the atom's id tuple to dst and returns
+// it either way.
+func (d *Database) insert(dst []uint32, a core.Atom) ([]uint32, bool) {
 	rk := a.Key()
 	r := d.byRel[rk]
 	if r == nil {
 		r = newRelation(rk)
 		d.byRel[rk] = r
 	}
-	var buf [16]uint32
-	key := d.internTuple(buf[:0], a)
+	var key []uint32
+	if d.intern.shared.Load() {
+		// Copy a shared intern table only when a term is actually new.
+		var ok bool
+		if key, ok = d.lookupTuple(dst, a); !ok {
+			d.intern = d.intern.clone()
+			key = d.internTuple(dst, a)
+		}
+	} else {
+		key = d.internTuple(dst, a)
+	}
 	if r.seen.has(r, key) {
-		return false
+		return key, false
+	}
+	if r.shared.Load() {
+		r = r.clone()
+		d.byRel[rk] = r
 	}
 	ix := len(r.facts)
 	r.facts = append(r.facts, a)
@@ -196,6 +236,26 @@ func (d *Database) insert(a core.Atom) bool {
 		m[id] = append(m[id], int32(ix))
 	}
 	d.size++
+	return key, true
+}
+
+// removeFact deletes the fact with id tuple key from rk's relation r and
+// reports whether it was present, dropping the relation once it is empty.
+func (d *Database) removeFact(rk core.RelKey, r *relation, key []uint32) bool {
+	if r.shared.Load() {
+		if !r.seen.has(r, key) {
+			return false
+		}
+		r = r.clone()
+		d.byRel[rk] = r
+	}
+	if !r.remove(key) {
+		return false
+	}
+	d.size--
+	if len(r.facts) == 0 {
+		delete(d.byRel, rk)
+	}
 	return true
 }
 
@@ -277,7 +337,15 @@ func (d *Database) TermID(t core.Term) (uint32, bool) { return d.intern.Lookup(t
 // chase's labeled nulls) use it to obtain the term's id before the first
 // fact containing it is added, so id-keyed side tables can be indexed
 // immediately.
-func (d *Database) InternTerm(t core.Term) uint32 { return d.intern.Intern(t) }
+func (d *Database) InternTerm(t core.Term) uint32 {
+	if d.intern.shared.Load() {
+		if id, ok := d.intern.Lookup(t); ok {
+			return id
+		}
+		d.intern = d.intern.clone()
+	}
+	return d.intern.Intern(t)
+}
 
 // AddCost returns how many facts an Add of a would insert right now: 0
 // when the atom is already present, otherwise 1 plus one for each
@@ -298,7 +366,7 @@ func (d *Database) AddCost(a core.Atom) int {
 	}
 	var fresh []core.Term
 	count := func(t core.Term) {
-		if !t.IsConst() || d.acdom[t] > 0 {
+		if !t.IsConst() || d.ACDomSupport(t) > 0 {
 			return
 		}
 		for _, u := range fresh {
@@ -395,9 +463,11 @@ func (d *Database) UserFacts() []core.Atom {
 // Constants returns the active constant domain: all constants occurring in
 // non-ACDom facts.
 func (d *Database) Constants() []core.Term {
-	out := make([]core.Term, 0, len(d.acdom))
-	for t := range d.acdom {
-		out = append(out, t)
+	out := make([]core.Term, 0)
+	for id, n := range d.acdom.n {
+		if n > 0 {
+			out = append(out, d.intern.TermOf(uint32(id)))
+		}
 	}
 	core.SortTerms(out)
 	return out
@@ -434,29 +504,30 @@ func (d *Database) Nulls() []core.Term {
 	return s.Sorted()
 }
 
-// Clone returns a deep copy of the database as an id-space copy: the
-// intern table, fact arrays, posting lists, seen-sets and ACDom counts
-// are copied directly, with no term re-hashing or re-interning. Interned
-// ids are preserved exactly — a term has the same id in the clone as in
-// the original, and InternEpoch carries over unchanged — so engines that
-// cache id resolutions against the original can keep them against the
-// clone. Stored atoms are shared (they are immutable by the package's
-// contract: the database never mutates a stored atom, and callers must
-// not either). This is the snapshot hot path of versioned mutable
-// databases: cost is proportional to the index footprint, not to
-// re-inserting every fact.
+// Clone returns a snapshot of the database in O(#relations): the clone
+// shares every relation, the intern table and the ACDom support counts
+// with d, and whichever side first writes one of those structures
+// replaces it with a private copy (see Snapshots in the package
+// comment), so the two evolve independently. Interned ids are preserved
+// exactly — a term has the same id in the clone as in the original, and
+// InternEpoch carries over unchanged — so engines that cache id
+// resolutions against the original can keep them against the clone.
+// Stored atoms are shared (they are immutable by the package's contract:
+// the database never mutates a stored atom, and callers must not
+// either). Clone only reads d's contents, so any number of goroutines may
+// clone one database that nobody writes.
 func (d *Database) Clone() *Database {
+	d.intern.shared.Store(true)
+	d.acdom.shared.Store(true)
 	out := &Database{
-		intern: d.intern.clone(),
+		intern: d.intern,
 		byRel:  make(map[core.RelKey]*relation, len(d.byRel)),
 		size:   d.size,
-		acdom:  make(map[core.Term]int, len(d.acdom)),
+		acdom:  d.acdom,
 	}
 	for rk, r := range d.byRel {
-		out.byRel[rk] = r.clone()
-	}
-	for t, n := range d.acdom {
-		out.acdom[t] = n
+		r.shared.Store(true)
+		out.byRel[rk] = r
 	}
 	if len(d.acdomX) > 0 {
 		out.acdomX = make(map[core.Term]bool, len(d.acdomX))
@@ -465,6 +536,37 @@ func (d *Database) Clone() *Database {
 		}
 	}
 	return out
+}
+
+// ownACDom returns d's ACDom support counts for writing, first replacing
+// counts shared with a snapshot by a private copy.
+func (d *Database) ownACDom() *acdomCounts {
+	if d.acdom.shared.Load() {
+		d.acdom = &acdomCounts{n: append([]int32(nil), d.acdom.n...)}
+	}
+	return d.acdom
+}
+
+// acdomCounts holds the ACDom support count of every interned term,
+// indexed by interned id; ids past the end of n count zero. Once shared
+// is set (by Clone) the counts are never written again.
+type acdomCounts struct {
+	shared atomic.Bool
+	n      []int32
+}
+
+func (c *acdomCounts) get(id uint32) int32 {
+	if int(id) < len(c.n) {
+		return c.n[id]
+	}
+	return 0
+}
+
+func (c *acdomCounts) set(id uint32, n int32) {
+	if int(id) >= len(c.n) {
+		c.n = append(c.n, make([]int32, int(id)+1-len(c.n))...)
+	}
+	c.n[id] = n
 }
 
 // Retract removes a ground atom and reports whether it was present; see
@@ -498,66 +600,50 @@ func (d *Database) DeleteNotify(a core.Atom, notify func(core.Atom)) (bool, erro
 		return false, nil
 	}
 	if a.Relation == core.ACDom && rk.Arity == 1 && rk.AnnArity == 0 {
-		t := a.Args[0]
-		delete(d.acdomX, t)
-		if d.acdom[t] > 0 {
+		delete(d.acdomX, a.Args[0])
+		if d.acdom.get(key[0]) > 0 {
 			return false, nil // still derived from a supporting fact
 		}
 	}
-	if !r.remove(key) {
+	if !d.removeFact(rk, r, key) {
 		return false, nil
-	}
-	d.size--
-	if len(r.facts) == 0 {
-		delete(d.byRel, rk)
 	}
 	if notify != nil {
 		notify(a)
 	}
 	if a.Relation != core.ACDom {
-		for _, t := range a.Args {
-			d.dropConstant(t, notify)
+		for i, t := range a.Args {
+			d.dropConstant(t, key[i], notify)
 		}
-		for _, t := range a.Annotation {
-			d.dropConstant(t, notify)
+		for i, t := range a.Annotation {
+			d.dropConstant(t, key[len(a.Args)+i], notify)
 		}
 	}
 	return true, nil
 }
 
-// dropConstant decrements the occurrence count of a constant after a
-// supporting fact was removed, retracting the derived ACDom fact when
-// the count reaches zero (unless it was explicitly pinned).
-func (d *Database) dropConstant(t core.Term, notify func(core.Atom)) {
+// dropConstant decrements the occurrence count of the term t with
+// interned id after a supporting fact was removed, retracting the
+// derived ACDom fact when the count reaches zero (unless it was
+// explicitly pinned).
+func (d *Database) dropConstant(t core.Term, id uint32, notify func(core.Atom)) {
 	if !t.IsConst() {
 		return
 	}
-	n := d.acdom[t]
-	if n > 1 {
-		d.acdom[t] = n - 1
-		return
-	}
+	n := d.acdom.get(id)
 	if n == 0 {
 		return
 	}
-	delete(d.acdom, t)
-	if d.acdomX[t] {
-		return // explicitly added ACDom fact survives its supports
+	d.ownACDom().set(id, n-1)
+	if n > 1 || d.acdomX[t] {
+		return // still supported, or an explicitly added ACDom fact
 	}
 	ac := core.NewAtom(core.ACDom, t)
 	ark := ac.Key()
 	r := d.byRel[ark]
-	if r == nil {
+	key := [1]uint32{id}
+	if r == nil || !d.removeFact(ark, r, key[:]) {
 		return
-	}
-	var buf [4]uint32
-	key, ok := d.lookupTuple(buf[:0], ac)
-	if !ok || !r.remove(key) {
-		return
-	}
-	d.size--
-	if len(r.facts) == 0 {
-		delete(d.byRel, ark)
 	}
 	if notify != nil {
 		notify(ac)
@@ -577,7 +663,13 @@ func (d *Database) FactIDs(dst []uint32, a core.Atom) ([]uint32, bool) {
 // non-ACDom facts (arguments and annotation, with multiplicity) — the
 // refcount behind the maintained ACDom(t) fact. Zero means t is not in
 // the active domain.
-func (d *Database) ACDomSupport(t core.Term) int { return d.acdom[t] }
+func (d *Database) ACDomSupport(t core.Term) int {
+	id, ok := d.intern.Lookup(t)
+	if !ok {
+		return 0
+	}
+	return int(d.acdom.get(id))
+}
 
 // ACDomPinned reports whether ACDom(t) was added explicitly by a caller,
 // in which case the fact survives even with no supporting occurrence and

@@ -1,6 +1,10 @@
 package database
 
-import "guardedrules/internal/core"
+import (
+	"sync/atomic"
+
+	"guardedrules/internal/core"
+)
 
 // internTable maps terms to dense uint32 ids and back. Each Database owns one:
 // facts are deduplicated and indexed on interned id tuples instead of
@@ -12,9 +16,12 @@ import "guardedrules/internal/core"
 // An internTable is not safe for concurrent mutation; Lookup and TermOf are
 // read-only and may be called concurrently with each other (but not with
 // Intern). The Database write path is single-writer, which upholds this.
+// Once shared is set (by Database.Clone) the table is never written
+// again: a database that must intern a new term clones it first.
 type internTable struct {
-	ids   map[core.Term]uint32
-	terms []core.Term
+	shared atomic.Bool
+	ids    map[core.Term]uint32
+	terms  []core.Term
 }
 
 // newInternTable returns an empty interner.
@@ -33,7 +40,7 @@ func (in *internTable) Intern(t core.Term) uint32 {
 	return id
 }
 
-// clone returns a deep copy of the interner with identical id
+// clone returns a deep, unshared copy of the interner with identical id
 // assignments, so terms resolve to the same ids in the copy.
 func (in *internTable) clone() *internTable {
 	ids := make(map[core.Term]uint32, len(in.ids))

@@ -1,6 +1,10 @@
 package database
 
-import "guardedrules/internal/core"
+import (
+	"sync/atomic"
+
+	"guardedrules/internal/core"
+)
 
 // relation is the per-relation-key store: the facts in insertion order,
 // their packed id tuples (w ids per fact, flat), per-position indexes
@@ -8,10 +12,15 @@ import "guardedrules/internal/core"
 // tuples. Keeping everything keyed on dense uint32 ids (instead of
 // serialized byte strings) removes string hashing from the insert and
 // dedup hot paths, which profiles showed dominating fixpoint runs.
+//
+// shared is set by Database.Clone once a snapshot holds the relation too;
+// from then on the relation is never written again, and the first write
+// through either database goes to a private clone instead.
 type relation struct {
-	w     int
-	facts []core.Atom
-	ids   []uint32
+	shared atomic.Bool
+	w      int
+	facts  []core.Atom
+	ids    []uint32
 	// index[pos][id] lists the fact ordinals (into facts/ids) whose flat
 	// position pos holds id, in insertion order. len(index[pos]) is the
 	// number of distinct ids at that position — the planner's DistinctAt.
@@ -27,9 +36,10 @@ func newRelation(rk core.RelKey) *relation {
 // tupleAt returns the packed id tuple of fact ordinal ix.
 func (r *relation) tupleAt(ix int) []uint32 { return r.ids[ix*r.w : ix*r.w+r.w] }
 
-// clone returns a deep copy of the relation. Atom values are shared
-// (stored atoms are immutable); the id arrays, posting lists and
-// seen-set table are copied, so the clone mutates independently.
+// clone returns a deep, unshared copy of the relation: the first write to
+// a relation shared with a snapshot goes to it. Atom values are shared
+// (stored atoms are immutable); the id arrays, posting lists and seen-set
+// table are copied, so the clone mutates independently.
 func (r *relation) clone() *relation {
 	out := &relation{
 		w:     r.w,

@@ -1,6 +1,10 @@
 package database
 
-import "guardedrules/internal/core"
+import (
+	"math"
+
+	"guardedrules/internal/core"
+)
 
 // Restore hooks for the durable segment store (internal/store/segment).
 // A snapshot of a Database is a pure state dump: terms in id order, facts
@@ -15,17 +19,23 @@ import "guardedrules/internal/core"
 // whether the fact was absent. Callers are responsible for restoring
 // support counts (SetACDomSupport) and pins (PinACDom) alongside.
 func (d *Database) RestoreFact(a core.Atom) bool {
-	return d.insert(a)
+	var buf [16]uint32
+	_, added := d.insert(buf[:0], a)
+	return added
 }
 
 // SetACDomSupport sets the ACDom support count of t, overwriting the
-// derived refcount. A count of zero removes the entry.
+// derived refcount. A count of zero removes the entry; counts saturate at
+// math.MaxInt32.
 func (d *Database) SetACDomSupport(t core.Term, n int) {
-	if n <= 0 {
-		delete(d.acdom, t)
-		return
+	id, ok := d.intern.Lookup(t)
+	if !ok {
+		if n <= 0 {
+			return
+		}
+		id = d.InternTerm(t)
 	}
-	d.acdom[t] = n
+	d.ownACDom().set(id, int32(min(max(n, 0), math.MaxInt32)))
 }
 
 // PinACDom marks ACDom(t) as explicitly added: it survives the loss of

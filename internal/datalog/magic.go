@@ -97,27 +97,56 @@ func AnswerWithMagicOpts(th *core.Theory, query core.Atom, d *database.Database,
 	if err != nil {
 		return nil, nil, err
 	}
-	seeded := d.Clone()
-	seeded.Add(res.Seed)
-	fix, evalErr := EvalSemiNaiveOpts(res.Program, seeded, opts)
-	if evalErr != nil && (fix == nil || !budget.IsBudget(evalErr)) {
-		return nil, nil, evalErr
+	return AnswerGoal(d, res.Seed, query, res.QueryRel, func(in *database.Database) (*database.Database, error) {
+		return EvalSemiNaiveOpts(res.Program, in, opts)
+	})
+}
+
+// AnswerGoal runs one goal-directed evaluation: it adds seed (unless it
+// is the zero Atom) to a snapshot of d, evaluates the result with eval,
+// and returns, in fixpoint order, the tuples of queryRel that answer
+// query (constants coincide, repeated variables bind consistently),
+// together with the fixpoint. On budget exhaustion the answers
+// extracted from the partial fixpoint ride along with the typed error;
+// on any other error the fixpoint is nil. d is not modified.
+func AnswerGoal(d *database.Database, seed, query core.Atom, queryRel string, eval func(*database.Database) (*database.Database, error)) ([][]core.Term, *database.Database, error) {
+	in := d
+	if seed.Relation != "" {
+		in = d.Clone()
+		in.Add(seed)
 	}
-	// Filter: answers must match the query's bound constants.
+	fix, err := eval(in)
+	if err != nil && (fix == nil || !budget.IsBudget(err)) {
+		return nil, nil, err
+	}
 	var out [][]core.Term
-	for _, f := range fix.Facts(core.RelKey{Name: res.QueryRel, Arity: len(query.Args)}) {
-		match := true
-		for i, t := range query.Args {
-			if t.IsConst() && f.Args[i] != t {
-				match = false
-				break
-			}
-		}
-		if match {
+	for _, f := range fix.Facts(core.RelKey{Name: queryRel, Arity: len(query.Args)}) {
+		if matchesAtom(query, f.Args) {
 			out = append(out, append([]core.Term(nil), f.Args...))
 		}
 	}
-	return out, fix, evalErr
+	return out, fix, err
+}
+
+// matchesAtom reports whether the tuple args answers the query atom:
+// constants must coincide and repeated variables must bind consistently.
+// The magic-sets adornment records only which positions are bound, so a
+// goal-directed fixpoint still needs this filter.
+func matchesAtom(query core.Atom, args []core.Term) bool {
+	for i, t := range query.Args {
+		if t.IsConst() {
+			if args[i] != t {
+				return false
+			}
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if query.Args[j] == t && args[j] != args[i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 type adornedPred struct {

@@ -203,3 +203,47 @@ func TestMagicRandomized(t *testing.T) {
 		}
 	}
 }
+
+// The magic adornment of T(X,X) is "ff": nothing is bound, so the
+// goal-directed fixpoint holds every T tuple and only the answer filter
+// can enforce that both positions agree.
+func TestMagicRepeatedVariableFiltersAnswers(t *testing.T) {
+	th := parser.MustParseTheory(`
+		E(X,Y) -> T(X,Y).
+		T(X,Y), T(Y,Z) -> T(X,Z).
+	`)
+	d := database.New()
+	for _, e := range [][2]string{{"a", "b"}, {"b", "a"}, {"c", "d"}} {
+		d.Add(core.NewAtom("E", core.Const(e[0]), core.Const(e[1])))
+	}
+	ans, _, err := AnswerWithMagic(th, core.NewAtom("T", core.Var("X"), core.Var("X")), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]core.Term{{core.Const("a"), core.Const("a")}, {core.Const("b"), core.Const("b")}}
+	if ok, diff := SameAnswers(ans, want); !ok {
+		t.Errorf("T(X,X) answers %v: %s", ans, diff)
+	}
+}
+
+func TestMatchesAtom(t *testing.T) {
+	a, b := core.Const("a"), core.Const("b")
+	x, y := core.Var("X"), core.Var("Y")
+	for _, tc := range []struct {
+		query core.Atom
+		args  []core.Term
+		want  bool
+	}{
+		{core.NewAtom("R", x, y), []core.Term{a, b}, true},
+		{core.NewAtom("R", x, x), []core.Term{a, a}, true},
+		{core.NewAtom("R", x, x), []core.Term{a, b}, false},
+		{core.NewAtom("R", a, y), []core.Term{a, b}, true},
+		{core.NewAtom("R", a, y), []core.Term{b, b}, false},
+		{core.NewAtom("R", x, a, x), []core.Term{b, a, a}, false},
+		{core.NewAtom("R", x, y, x), []core.Term{b, a, b}, true},
+	} {
+		if got := matchesAtom(tc.query, tc.args); got != tc.want {
+			t.Errorf("matchesAtom(%s, %v) = %v, want %v", tc.query, tc.args, got, tc.want)
+		}
+	}
+}

@@ -2,8 +2,11 @@ package kbcache
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"guardedrules/internal/core"
+	"guardedrules/internal/database"
 	"guardedrules/internal/gen"
 	"guardedrules/internal/kb"
 )
@@ -113,6 +116,51 @@ func BenchmarkWarmQueryTranslated(b *testing.B) {
 		}
 		if !res.PlanHit {
 			b.Fatal("warm path must hit the plan cache")
+		}
+	}
+}
+
+// hotSource is a nearly guarded theory served through dat(Σ): value
+// invention feeds B, and T is the transitive closure of E.
+const hotSource = `A(X) -> exists Y. R(X,Y).
+R(X,Y) -> B(X).
+E(X,Y) -> T(X,Y).
+T(X,Y), T(Y,Z) -> T(X,Z).
+T(X,Y), B(X), B(Y) -> Linked(X,Y).
+`
+
+// BenchmarkAnswerAtomWide is one goal-directed atom read on a wide DB:
+// 1,200 disjoint 12-edge E-chains with an A fact on every node but the
+// last (44,400 facts counting ACDom), asking T(w7_0,Y). The magic-sets
+// plan derives only chain 7's closure, so the read's cost is the
+// snapshot of the DB the seed fact goes into, not the evaluation.
+func BenchmarkAnswerAtomWide(b *testing.B) {
+	const chains, edges = 1200, 12
+	node := func(c, k int) core.Term { return core.Const(fmt.Sprintf("w%d_%d", c, k)) }
+	d := database.New()
+	for c := 0; c < chains; c++ {
+		for k := 0; k < edges; k++ {
+			d.Add(core.NewAtom("E", node(c, k), node(c, k+1)))
+			d.Add(core.NewAtom("A", node(c, k)))
+		}
+	}
+	if d.Len() != 44400 {
+		b.Fatalf("wide DB has %d facts, want 44400", d.Len())
+	}
+	ckb, _, err := NewStore(Config{}).Register(context.Background(), hotSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := core.NewAtom("T", node(7, 0), core.Var("Y"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ckb.AnswerAtom(context.Background(), q, d, QueryOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Answers) != edges {
+			b.Fatalf("T(w7_0,Y) has %d answers, want %d", len(res.Answers), edges)
 		}
 	}
 }

@@ -475,7 +475,7 @@ func bounding(b *budget.T) bool {
 // query's actual constants (the compiled program depends only on the
 // binding pattern), and all answers are filtered against the query atom.
 func (ckb *CompiledKB) evalAtomPlan(p *plan, query core.Atom, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	in := d
+	var seed core.Atom
 	if p.kind == planMagic {
 		var bound []core.Term
 		for _, t := range query.Args {
@@ -483,19 +483,14 @@ func (ckb *CompiledKB) evalAtomPlan(p *plan, query core.Atom, d *database.Databa
 				bound = append(bound, t)
 			}
 		}
-		in = d.Clone()
-		in.Add(core.NewAtom(p.seedRel, bound...))
+		seed = core.NewAtom(p.seedRel, bound...)
 	}
-	fix, err := p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
-	if err != nil && (!budget.IsBudget(err) || fix == nil) {
+	out, fix, err := datalog.AnswerGoal(d, seed, query, p.queryRel, func(in *database.Database) (*database.Database, error) {
+		return p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
+	})
+	if fix == nil {
 		ckb.metrics.QueryErrors.Add(1)
 		return nil, err
-	}
-	var out [][]core.Term
-	for _, f := range fix.Facts(core.RelKey{Name: p.queryRel, Arity: len(query.Args)}) {
-		if matchesAtom(query, f.Args) {
-			out = append(out, append([]core.Term(nil), f.Args...))
-		}
 	}
 	sortTuples(out)
 	if err != nil {
@@ -535,26 +530,6 @@ func (ckb *CompiledKB) answerAtomByCQ(ctx context.Context, query core.Atom, d *d
 	sortTuples(full)
 	res.Answers = full
 	return res, err
-}
-
-// matchesAtom checks a derived tuple against the query atom: constants
-// must coincide and repeated variables must bind consistently.
-func matchesAtom(query core.Atom, args []core.Term) bool {
-	bind := map[core.Term]core.Term{}
-	for i, t := range query.Args {
-		switch {
-		case t.IsConst():
-			if args[i] != t {
-				return false
-			}
-		default:
-			if prev, ok := bind[t]; ok && prev != args[i] {
-				return false
-			}
-			bind[t] = args[i]
-		}
-	}
-	return true
 }
 
 func sortTuples(out [][]core.Term) {
