@@ -423,43 +423,31 @@ func BenchmarkA1DatalogEngines(b *testing.B) {
 	})
 }
 
-// workerSweep is the worker counts the parallel benchmarks compare: one
-// worker and all available CPUs, once each when they coincide.
-func workerSweep() []int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return []int{1, n}
-	}
-	return []int{1}
-}
-
-// BenchmarkEvalSemiNaiveParallel measures the parallel semi-naive engine
-// on transitive closure over chain forests of 1k/5k/20k edges, at 1 worker
-// and at all available CPUs. On single-core machines both configurations
-// degenerate to the sequential path; the per-size ns/op trajectory is
-// recorded in BENCH_datalog.json (see TestEmitDatalogBenchJSON).
-func BenchmarkEvalSemiNaiveParallel(b *testing.B) {
+// BenchmarkEvalSemiNaive measures the semi-naive engine on transitive
+// closure over chain forests of 1k/5k/20k edges; the per-size ns/op
+// trajectory is recorded in BENCH_datalog.json (see
+// TestEmitDatalogBenchJSON).
+func BenchmarkEvalSemiNaive(b *testing.B) {
 	th := parser.MustParseTheory(`
 		E(X,Y) -> T(X,Y).
 		T(X,Y), T(Y,Z) -> T(X,Z).
 	`)
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
-		for _, workers := range workerSweep() {
-			b.Run(fmt.Sprintf("edges=%d/workers=%d", edges, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := datalog.EvalSemiNaiveOpts(th, d, datalog.Options{Workers: workers}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := datalog.EvalSemiNaive(th, d); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestEmitDatalogBenchJSON times the Datalog engine configurations of
-// BenchmarkEvalSemiNaiveParallel once per configuration and writes
-// BENCH_datalog.json, giving future PRs a perf trajectory. It only runs
-// when EMIT_BENCH=1 is set, so regular test runs and CI stay fast:
+// TestEmitDatalogBenchJSON times the sizes of BenchmarkEvalSemiNaive
+// (best of 3) and writes BENCH_datalog.json, giving future PRs a perf
+// trajectory. It only runs when EMIT_BENCH=1 is set, so regular test
+// runs and CI stay fast:
 //
 //	EMIT_BENCH=1 go test -run TestEmitDatalogBenchJSON .
 func TestEmitDatalogBenchJSON(t *testing.T) {
@@ -473,7 +461,6 @@ func TestEmitDatalogBenchJSON(t *testing.T) {
 	type entry struct {
 		Name    string `json:"name"`
 		Edges   int    `json:"edges"`
-		Workers int    `json:"workers"`
 		NsPerOp int64  `json:"ns_per_op"`
 		Facts   int    `json:"facts"`
 	}
@@ -483,29 +470,25 @@ func TestEmitDatalogBenchJSON(t *testing.T) {
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
-		for _, workers := range workerSweep() {
-			reps := 3
-			var best time.Duration
-			facts := 0
-			for r := 0; r < reps; r++ {
-				t0 := time.Now()
-				fix, err := datalog.EvalSemiNaiveOpts(th, d, datalog.Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if el := time.Since(t0); r == 0 || el < best {
-					best = el
-				}
-				facts = fix.Len()
+		var best time.Duration
+		facts := 0
+		for r := 0; r < 3; r++ {
+			t0 := time.Now()
+			fix, err := datalog.EvalSemiNaive(th, d)
+			if err != nil {
+				t.Fatal(err)
 			}
-			report.Benchmarks = append(report.Benchmarks, entry{
-				Name:    fmt.Sprintf("EvalSemiNaiveParallel/edges=%d/workers=%d", edges, workers),
-				Edges:   edges,
-				Workers: workers,
-				NsPerOp: best.Nanoseconds(),
-				Facts:   facts,
-			})
+			if el := time.Since(t0); r == 0 || el < best {
+				best = el
+			}
+			facts = fix.Len()
 		}
+		report.Benchmarks = append(report.Benchmarks, entry{
+			Name:    fmt.Sprintf("EvalSemiNaive/edges=%d", edges),
+			Edges:   edges,
+			NsPerOp: best.Nanoseconds(),
+			Facts:   facts,
+		})
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -644,95 +627,27 @@ func TestEmitJoinBenchJSON(t *testing.T) {
 	t.Logf("wrote BENCH_join.json (%d entries)", len(report.Benchmarks))
 }
 
-// TestEmitMulticoreBenchJSON times the closure workload at worker counts
-// 1/2/4/8 (best of 3) and writes BENCH_multicore.json; the multicore CI
-// job runs it on a multi-CPU runner and checks the byte-identity of the
-// results while it is at it. Only runs when EMIT_BENCH=1 is set:
-//
-//	EMIT_BENCH=1 go test -run TestEmitMulticoreBenchJSON .
-func TestEmitMulticoreBenchJSON(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_multicore.json")
-	}
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
-	d := gen.ChainForest(100, 50)
-	type entry struct {
-		Name    string `json:"name"`
-		Workers int    `json:"workers"`
-		NsPerOp int64  `json:"ns_per_op"`
-		Facts   int    `json:"facts"`
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	var want string
-	for _, workers := range []int{1, 2, 4, 8} {
-		var best time.Duration
-		facts := 0
-		for r := 0; r < 3; r++ {
-			t0 := time.Now()
-			fix, err := datalog.EvalSemiNaiveOpts(th, d, datalog.Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if el := time.Since(t0); r == 0 || el < best {
-				best = el
-			}
-			facts = fix.Len()
-			if got := fix.String(); want == "" {
-				want = got
-			} else if got != want {
-				t.Fatalf("workers=%d: result differs from workers=1", workers)
-			}
-		}
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name:    fmt.Sprintf("EvalSemiNaiveMulticore/workers=%d", workers),
-			Workers: workers,
-			NsPerOp: best.Nanoseconds(),
-			Facts:   facts,
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_multicore.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_multicore.json (%d entries)", len(report.Benchmarks))
-}
-
-// BenchmarkChaseParallel measures the id-space chase's re-sharded trigger
-// collection on the running example over growing citation graphs, at 1
-// worker and at all available CPUs. Results are byte-identical across
-// worker counts by construction; on single-core machines both
-// configurations degenerate to the sequential path. The per-size ns/op
-// trajectory is recorded in BENCH_chase.json (see TestEmitChaseBenchJSON).
-func BenchmarkChaseParallel(b *testing.B) {
+// BenchmarkChase measures the id-space restricted chase on the running
+// example over growing citation graphs; the per-size ns/op trajectory is
+// recorded in BENCH_chase.json (see TestEmitChaseBenchJSON).
+func BenchmarkChase(b *testing.B) {
 	th := parser.MustParseTheory(sigmaPBench)
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
-		for _, workers := range workerSweep() {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := chase.Options{Variant: chase.Restricted, MaxDepth: 4, Budget: &budget.T{MaxFacts: 2_000_000}, Workers: workers}
-					if _, err := chase.Run(th, d, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := chase.Options{Variant: chase.Restricted, MaxDepth: 4, Budget: &budget.T{MaxFacts: 2_000_000}}
+				if _, err := chase.Run(th, d, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestEmitChaseBenchJSON times the chase configurations of
-// BenchmarkChaseParallel once per configuration and writes
-// BENCH_chase.json (same schema as BENCH_datalog.json), giving future
-// PRs a perf trajectory. It only runs when EMIT_BENCH=1 is set:
+// TestEmitChaseBenchJSON times the sizes of BenchmarkChase (best of 3)
+// and writes BENCH_chase.json (same schema as BENCH_datalog.json), giving
+// future PRs a perf trajectory. It only runs when EMIT_BENCH=1 is set:
 //
 //	EMIT_BENCH=1 go test -run TestEmitChaseBenchJSON .
 func TestEmitChaseBenchJSON(t *testing.T) {
@@ -743,7 +658,6 @@ func TestEmitChaseBenchJSON(t *testing.T) {
 	type entry struct {
 		Name    string `json:"name"`
 		N       int    `json:"n"`
-		Workers int    `json:"workers"`
 		NsPerOp int64  `json:"ns_per_op"`
 		Facts   int    `json:"facts"`
 	}
@@ -753,32 +667,28 @@ func TestEmitChaseBenchJSON(t *testing.T) {
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
-		for _, workers := range workerSweep() {
-			reps := 3
-			var best time.Duration
-			facts := 0
-			for r := 0; r < reps; r++ {
-				t0 := time.Now()
-				res, err := chase.Run(th, d, chase.Options{
-					Variant: chase.Restricted, MaxDepth: 4, Workers: workers,
-					Budget: &budget.T{MaxFacts: 2_000_000},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if el := time.Since(t0); r == 0 || el < best {
-					best = el
-				}
-				facts = res.DB.Len()
-			}
-			report.Benchmarks = append(report.Benchmarks, entry{
-				Name:    fmt.Sprintf("ChaseParallel/n=%d/workers=%d", n, workers),
-				N:       n,
-				Workers: workers,
-				NsPerOp: best.Nanoseconds(),
-				Facts:   facts,
+		var best time.Duration
+		facts := 0
+		for r := 0; r < 3; r++ {
+			t0 := time.Now()
+			res, err := chase.Run(th, d, chase.Options{
+				Variant: chase.Restricted, MaxDepth: 4,
+				Budget: &budget.T{MaxFacts: 2_000_000},
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(t0); r == 0 || el < best {
+				best = el
+			}
+			facts = res.DB.Len()
 		}
+		report.Benchmarks = append(report.Benchmarks, entry{
+			Name:    fmt.Sprintf("Chase/n=%d", n),
+			N:       n,
+			NsPerOp: best.Nanoseconds(),
+			Facts:   facts,
+		})
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -206,53 +206,6 @@ func runA5(quick bool) error {
 	return nil
 }
 
-// runA6: ablation — parallel trigger collection: rule matching reads the
-// database only, so it parallelizes across (rule × delta-shard) work
-// items over a fixed worker pool; work items are merged in deterministic
-// order, so the result is byte-identical to the sequential one.
-func runA6(quick bool) error {
-	th := parser.MustParseTheory(`
-		Obj(X) -> exists U. OMin(X,U).
-		OMin(X,U), Obj(Y) -> exists V. Edge(X,Y,U,V).
-		Edge(X,Y,U,V) -> Seen(Y,V).
-		Edge(X,Y,U,V), Seen(X,U) -> Chain(X,Y).
-		Seen(Y,V), Obj(Y) -> Mark(Y).
-	`)
-	n := 24
-	if quick {
-		n = 12
-	}
-	d := database.New()
-	for i := 0; i < n; i++ {
-		d.Add(core.NewAtom("Obj", core.Const(fmt.Sprintf("o%d", i))))
-	}
-	opts := govern(chase.Options{Variant: chase.Restricted, MaxDepth: 3}, budget.T{MaxFacts: 3_000_000})
-	t0 := time.Now()
-	seq, err := chase.Run(th, d, opts)
-	if err != nil {
-		return err
-	}
-	seqTime := time.Since(t0)
-	seqStr := seq.DB.String()
-	fmt.Printf("%-9s %-12s %-12s %-8s\n", "workers", "facts", "time", "speedup")
-	fmt.Printf("%-9d %-12d %-12v %-8s\n", 1, seq.DB.Len(), seqTime.Round(time.Millisecond), "1.0x")
-	for _, w := range []int{2, 4, 8} {
-		opts.Workers = w
-		t1 := time.Now()
-		par, err := chase.Run(th, d, opts)
-		if err != nil {
-			return err
-		}
-		dt := time.Since(t1)
-		if par.Steps != seq.Steps || par.DB.String() != seqStr {
-			return fmt.Errorf("workers=%d diverged from the sequential run", w)
-		}
-		fmt.Printf("%-9d %-12d %-12v %.1fx\n", w, par.DB.Len(), dt.Round(time.Millisecond),
-			float64(seqTime)/float64(dt))
-	}
-	return nil
-}
-
 // runA8: ablation — certified budget-free chase vs the bounded fallback.
 // The termination analyzer certifies each theory's class and, for weakly
 // acyclic ones, derives an exact fact bound for the concrete database;

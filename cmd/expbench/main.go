@@ -71,7 +71,6 @@ func main() {
 		{"A3", "Ablation: weak acyclicity as a termination oracle", runA3},
 		{"A4", "Ablation: core minimization of chase results", runA4},
 		{"A5", "Ablation: magic sets vs full bottom-up evaluation", runA5},
-		{"A6", "Ablation: parallel trigger collection in the chase", runA6},
 		{"A8", "Ablation: certified budget-free chase vs bounded fallback", runA8},
 	}
 

@@ -15,7 +15,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		{"E1", runE1}, {"E2", runE2}, {"E3", runE3}, {"E4", runE4},
 		{"E5", runE5}, {"E6", runE6}, {"E7", runE7}, {"E8", runE8},
 		{"E9", runE9}, {"E10", runE10}, {"E11", runE11}, {"E12", runE12},
-		{"A1", runA1}, {"A2", runA2}, {"A3", runA3}, {"A4", runA4}, {"A5", runA5}, {"A6", runA6},
+		{"A1", runA1}, {"A2", runA2}, {"A3", runA3}, {"A4", runA4}, {"A5", runA5},
 	} {
 		e := e
 		t.Run(e.id, func(t *testing.T) {

@@ -26,16 +26,13 @@ type harnessConfig struct {
 	Seed     int64
 }
 
-// runStat is the latency summary of one workload at one concurrency.
+// runStat counts the outcomes of one workload at one concurrency level.
 type runStat struct {
 	Workload string `json:"workload"`
-	Workers  int    `json:"workers"`
+	Level    int    `json:"level"`
 	Count    int    `json:"count"`
 	Errors   int    `json:"errors"` // unexpected statuses/transport failures
 	Shed     int    `json:"shed"`   // 429s (expected under saturation)
-	P50us    int64  `json:"p50_us"`
-	P95us    int64  `json:"p95_us"`
-	P99us    int64  `json:"p99_us"`
 }
 
 // report is the harness outcome; Violations empty means every invariant
@@ -97,13 +94,13 @@ type harness struct {
 	streamClient *http.Client
 
 	thID, dbID string
-	mutDBID    string // the mutable DB the mutation workload batches against
+	mutDBID    string          // the mutable DB the mutation workload batches against
 	refHot     map[string]bool // full answer set of hotCQ
 	refFanout  map[string]bool // full answer set of fanoutCQ
 	novel      atomic.Int64    // novel-theory counter (compile-miss storm)
 
 	mu         sync.Mutex
-	latencies  map[string][]time.Duration // workload -> samples (current level)
+	counts     map[string]int // workload -> operations (current level)
 	errs       map[string]int
 	shed       map[string]int
 	violations []string
@@ -117,10 +114,10 @@ func (h *harness) violate(format string, args ...any) {
 	}
 }
 
-func (h *harness) record(workload string, d time.Duration, unexpected bool, shed bool) {
+func (h *harness) record(workload string, unexpected bool, shed bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.latencies[workload] = append(h.latencies[workload], d)
+	h.counts[workload]++
 	if unexpected {
 		h.errs[workload]++
 	}
@@ -162,29 +159,29 @@ func runHarness(cfg harnessConfig) (*report, error) {
 	start := time.Now()
 	perLevel := cfg.Duration / time.Duration(len(cfg.Levels))
 	prev := h.metricsSnapshot()
-	for _, workers := range cfg.Levels {
+	for _, level := range cfg.Levels {
 		h.mu.Lock()
-		h.latencies = map[string][]time.Duration{}
+		h.counts = map[string]int{}
 		h.errs = map[string]int{}
 		h.shed = map[string]int{}
 		h.mu.Unlock()
 
-		// One live query rides the whole level; after the workers stop,
+		// One live query rides the whole level; after the clients stop,
 		// its accumulated deltas must equal an exact recompute.
 		sub := h.startSubscriber()
-		h.runLevel(workers, perLevel)
+		h.runLevel(level, perLevel)
 		h.finishSubscriber(sub)
 
 		// Liveness after each level: a dead process fails every remaining
 		// check anyway, but name the level it died in.
 		if !h.healthy() {
-			h.violate("healthz not 200 after level workers=%d", workers)
+			h.violate("healthz not 200 after level %d", level)
 		}
 		cur := h.metricsSnapshot()
-		h.checkMonotonic(prev, cur, workers)
+		h.checkMonotonic(prev, cur, level)
 		prev = cur
 
-		rep.Runs = append(rep.Runs, h.summarize(workers)...)
+		rep.Runs = append(rep.Runs, h.summarize(level)...)
 	}
 	rep.DurationS = time.Since(start).Seconds()
 
@@ -345,7 +342,6 @@ func (h *harness) step(rng *rand.Rand) {
 
 // opQuery posts a CQ and validates the response against the reference.
 func (h *harness) opQuery(rng *rand.Rand, workload, cq string, ref map[string]bool) {
-	start := time.Now()
 	var res struct {
 		Answers   [][]string `json:"answers"`
 		Exact     bool       `json:"exact"`
@@ -354,30 +350,28 @@ func (h *harness) opQuery(rng *rand.Rand, workload, cq string, ref map[string]bo
 	code, err := h.postChecked429("/v1/query", map[string]any{
 		"theory_id": h.thID, "db_id": h.dbID, "cq": cq,
 	}, &res)
-	d := time.Since(start)
 	switch {
 	case err != nil:
-		h.record(workload, d, true, false)
+		h.record(workload, true, false)
 	case code == 429:
-		h.record(workload, d, false, true)
+		h.record(workload, false, true)
 	case code != 200:
-		h.record(workload, d, true, false)
+		h.record(workload, true, false)
 		h.violate("%s: unexpected status %d", workload, code)
 	default:
 		if res.Exact && len(res.Answers) != len(ref) {
 			h.violate("%s: exact answer count %d != reference %d", workload, len(res.Answers), len(ref))
 		}
 		h.checkSubset(workload, res.Answers, ref)
-		h.record(workload, d, false, false)
+		h.record(workload, false, false)
 	}
 }
 
 func (h *harness) opAtom(rng *rand.Rand) {
-	start := time.Now()
 	code, err := h.postChecked429("/v1/query", map[string]any{
 		"theory_id": h.thID, "db_id": h.dbID, "atom": hotAtom,
 	}, nil)
-	h.recordByStatus("query_atom", time.Since(start), code, err, 200)
+	h.recordByStatus("query_atom", code, err, 200)
 }
 
 // opCompileMiss registers a fresh never-seen theory: the compile-miss
@@ -387,27 +381,23 @@ func (h *harness) opCompileMiss(rng *rand.Rand) {
 	src := fmt.Sprintf(
 		"A%d(X) -> exists Y. R%d(X,Y). R%d(X,Y) -> B%d(X). E%d(X,Y) -> T%d(X,Y). T%d(X,Y), T%d(Y,Z) -> T%d(X,Z).",
 		id, id, id, id, id, id, id, id, id)
-	start := time.Now()
 	code, err := h.postChecked429("/v1/theories", map[string]string{"source": src}, nil)
-	h.recordByStatus("theories_miss", time.Since(start), code, err, 200)
+	h.recordByStatus("theories_miss", code, err, 200)
 }
 
 func (h *harness) opRegisterHot(rng *rand.Rand) {
-	start := time.Now()
 	code, err := h.postChecked429("/v1/theories", map[string]string{"source": hotSource}, nil)
-	h.recordByStatus("theories_hit", time.Since(start), code, err, 200)
+	h.recordByStatus("theories_hit", code, err, 200)
 }
 
 func (h *harness) opLoadDB(rng *rand.Rand) {
-	start := time.Now()
 	code, err := h.postChecked429("/v1/dbs", map[string]string{"facts": hotFacts()}, nil)
-	h.recordByStatus("dbs", time.Since(start), code, err, 200)
+	h.recordByStatus("dbs", code, err, 200)
 }
 
 // opFailAt injects budget exhaustion mid-evaluation: the response must
 // be a sound truncated subset of the reference fixpoint.
 func (h *harness) opFailAt(rng *rand.Rand) {
-	start := time.Now()
 	var res struct {
 		Answers   [][]string `json:"answers"`
 		Truncated bool       `json:"truncated"`
@@ -417,14 +407,13 @@ func (h *harness) opFailAt(rng *rand.Rand) {
 		"theory_id": h.thID, "db_id": h.dbID, "cq": fanoutCQ,
 		"fail_at": 1 + rng.Intn(60),
 	}, &res)
-	d := time.Since(start)
 	switch {
 	case err != nil:
-		h.record("chaos_failat", d, true, false)
+		h.record("chaos_failat", true, false)
 	case code == 429:
-		h.record("chaos_failat", d, false, true)
+		h.record("chaos_failat", false, true)
 	case code != 200:
-		h.record("chaos_failat", d, true, false)
+		h.record("chaos_failat", true, false)
 		h.violate("chaos_failat: unexpected status %d", code)
 	default:
 		// Either the budget tripped (truncated partial) or the injection
@@ -434,7 +423,7 @@ func (h *harness) opFailAt(rng *rand.Rand) {
 		if !res.Truncated && !res.Exact {
 			h.violate("chaos_failat: neither truncated nor exact")
 		}
-		h.record("chaos_failat", d, false, false)
+		h.record("chaos_failat", false, false)
 	}
 }
 
@@ -442,70 +431,63 @@ func (h *harness) opFailAt(rng *rand.Rand) {
 // outcome is a 500 (or a 200 when the injection point was never
 // reached); anything else — especially a dead process — is a violation.
 func (h *harness) opPanicEngine(rng *rand.Rand) {
-	start := time.Now()
 	code, err := h.postChecked429("/v1/query", map[string]any{
 		"theory_id": h.thID, "db_id": h.dbID, "cq": fanoutCQ,
 		"panic_at": 1 + rng.Intn(40),
 	}, nil)
-	d := time.Since(start)
 	switch {
 	case err != nil:
-		h.record("chaos_panic_engine", d, true, false)
+		h.record("chaos_panic_engine", true, false)
 		h.violate("chaos_panic_engine: transport error (server died?): %v", err)
 	case code == 200 || code == 500:
-		h.record("chaos_panic_engine", d, false, false)
+		h.record("chaos_panic_engine", false, false)
 	case code == 429:
-		h.record("chaos_panic_engine", d, false, true)
+		h.record("chaos_panic_engine", false, true)
 	default:
-		h.record("chaos_panic_engine", d, true, false)
+		h.record("chaos_panic_engine", true, false)
 		h.violate("chaos_panic_engine: unexpected status %d", code)
 	}
 }
 
 func (h *harness) opPanicHandler(rng *rand.Rand) {
-	start := time.Now()
 	code, err := h.postChecked429("/v1/query", map[string]any{
 		"theory_id": h.thID, "db_id": h.dbID, "cq": hotCQ,
 		"panic_handler": true,
 	}, nil)
-	d := time.Since(start)
 	switch {
 	case err != nil:
-		h.record("chaos_panic_handler", d, true, false)
+		h.record("chaos_panic_handler", true, false)
 		h.violate("chaos_panic_handler: transport error (server died?): %v", err)
 	case code == 500:
-		h.record("chaos_panic_handler", d, false, false)
+		h.record("chaos_panic_handler", false, false)
 	case code == 429:
-		h.record("chaos_panic_handler", d, false, true)
+		h.record("chaos_panic_handler", false, true)
 	default:
-		h.record("chaos_panic_handler", d, true, false)
+		h.record("chaos_panic_handler", true, false)
 		h.violate("chaos_panic_handler: status %d, want 500", code)
 	}
 }
 
 // opMalformed posts garbage and expects a clean 400.
 func (h *harness) opMalformed(rng *rand.Rand) {
-	start := time.Now()
 	resp, err := h.client.Post(h.base+"/v1/query", "application/json",
 		strings.NewReader(`{"theory_id": "x", truncated garbage`))
-	d := time.Since(start)
 	if err != nil {
-		h.record("chaos_malformed", d, true, false)
+		h.record("chaos_malformed", true, false)
 		return
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		h.violate("chaos_malformed: status %d, want 400", resp.StatusCode)
-		h.record("chaos_malformed", d, true, false)
+		h.record("chaos_malformed", true, false)
 		return
 	}
-	h.record("chaos_malformed", d, false, false)
+	h.record("chaos_malformed", false, false)
 }
 
 // opDisconnect abandons a slow request mid-flight; the server must
 // absorb the cancellation (checked globally via health + leak gauges).
 func (h *harness) opDisconnect(rng *rand.Rand) {
-	start := time.Now()
 	body, _ := json.Marshal(map[string]any{
 		"theory_id": h.thID, "db_id": h.dbID, "cq": fanoutCQ,
 		"delay_ms": 200,
@@ -518,14 +500,13 @@ func (h *harness) opDisconnect(rng *rand.Rand) {
 	if err == nil {
 		resp.Body.Close()
 	}
-	h.record("chaos_disconnect", time.Since(start), false, false)
+	h.record("chaos_disconnect", false, false)
 }
 
 // opHog parks on a heavy admission slot (an uncached query shape plus
 // an injected delay), driving the tier toward saturation so the shed
 // path — 429 + Retry-After — is exercised under real concurrency.
 func (h *harness) opHog(rng *rand.Rand) {
-	start := time.Now()
 	code, err := h.postChecked429("/v1/query", map[string]any{
 		"theory_id": h.thID, "db_id": h.dbID,
 		// A fresh body constant makes every hog a distinct query shape
@@ -534,37 +515,36 @@ func (h *harness) opHog(rng *rand.Rand) {
 		"cq":       fmt.Sprintf("T(X,Y), T(Y,hog%d) -> AnsHog(X).", h.novel.Add(1)),
 		"delay_ms": 100 + rng.Intn(200),
 	}, nil)
-	h.recordByStatus("chaos_hog", time.Since(start), code, err, 200)
+	h.recordByStatus("chaos_hog", code, err, 200)
 }
 
 // opSlowLoris opens a raw connection, dribbles half a request line, and
 // abandons it; ReadHeaderTimeout must reap it without operator help.
 func (h *harness) opSlowLoris(rng *rand.Rand) {
-	start := time.Now()
 	addr := strings.TrimPrefix(h.base, "http://")
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		h.record("chaos_sloworis", time.Since(start), true, false)
+		h.record("chaos_sloworis", true, false)
 		h.violate("chaos_sloworis: dial failed (server died?): %v", err)
 		return
 	}
 	conn.Write([]byte("POST /v1/query HTTP/1.1\r\nHost: loadgen\r\nContent-Le"))
 	time.Sleep(10 * time.Millisecond)
 	conn.Close()
-	h.record("chaos_sloworis", time.Since(start), false, false)
+	h.record("chaos_sloworis", false, false)
 }
 
 // recordByStatus treats okCode as success, 429 as shed, all else error.
-func (h *harness) recordByStatus(workload string, d time.Duration, code int, err error, okCode int) {
+func (h *harness) recordByStatus(workload string, code int, err error, okCode int) {
 	switch {
 	case err != nil:
-		h.record(workload, d, true, false)
+		h.record(workload, true, false)
 	case code == okCode:
-		h.record(workload, d, false, false)
+		h.record(workload, false, false)
 	case code == 429:
-		h.record(workload, d, false, true)
+		h.record(workload, false, true)
 	default:
-		h.record(workload, d, true, false)
+		h.record(workload, true, false)
 		h.violate("%s: unexpected status %d", workload, code)
 	}
 }
@@ -653,7 +633,7 @@ func (h *harness) metricsGauge(key string) int64 {
 
 // checkMonotonic verifies every non-gauge key moved forward (or held)
 // between snapshots.
-func (h *harness) checkMonotonic(prev, cur map[string]int64, workers int) {
+func (h *harness) checkMonotonic(prev, cur map[string]int64, level int) {
 	if prev == nil || cur == nil {
 		return
 	}
@@ -662,7 +642,7 @@ func (h *harness) checkMonotonic(prev, cur map[string]int64, workers int) {
 			continue
 		}
 		if after, ok := cur[k]; ok && after < before {
-			h.violate("metrics counter %s went backwards (%d -> %d) at workers=%d", k, before, after, workers)
+			h.violate("metrics counter %s went backwards (%d -> %d) at level %d", k, before, after, level)
 		}
 	}
 }
@@ -687,34 +667,23 @@ func (h *harness) awaitGoroutineBaseline(baseline int64) {
 	h.violate("goroutine leak: gauge stuck at %d, baseline %d (+%d slack)", last, baseline, slack)
 }
 
-// summarize turns the level's samples into per-workload percentiles.
-func (h *harness) summarize(workers int) []runStat {
+// summarize reports the level's per-workload outcome counts.
+func (h *harness) summarize(level int) []runStat {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	names := make([]string, 0, len(h.latencies))
-	for name := range h.latencies {
+	names := make([]string, 0, len(h.counts))
+	for name := range h.counts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	out := make([]runStat, 0, len(names))
 	for _, name := range names {
-		samples := h.latencies[name]
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		pct := func(p int) int64 {
-			if len(samples) == 0 {
-				return 0
-			}
-			return samples[p*(len(samples)-1)/100].Microseconds()
-		}
 		out = append(out, runStat{
 			Workload: name,
-			Workers:  workers,
-			Count:    len(samples),
+			Level:    level,
+			Count:    h.counts[name],
 			Errors:   h.errs[name],
 			Shed:     h.shed[name],
-			P50us:    pct(50),
-			P95us:    pct(95),
-			P99us:    pct(99),
 		})
 	}
 	return out

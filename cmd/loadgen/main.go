@@ -13,14 +13,16 @@
 //   - /metrics counters are monotone (gauges whitelisted),
 //   - every 429 carries Retry-After.
 //
-// It sweeps client concurrency levels and emits p50/p95/p99 latency per
-// workload to a BENCH_serve.json-style report. With no -addr it boots
-// an in-process server (chaos enabled) and tears it down afterwards.
+// It sweeps client concurrency levels and prints a JSON report of the
+// per-workload operation, error and shed counts and the violations.
+// With no -addr it boots an in-process server (chaos enabled) and tears
+// it down afterwards. Serving performance is measured by servebench, not
+// here.
 //
 // Usage:
 //
 //	loadgen [-addr http://host:port] [-duration 30s] [-levels 1,2,4,8]
-//	        [-chaos] [-seed 1] [-out BENCH_serve.json]
+//	        [-chaos] [-seed 1]
 //
 // Exit status is non-zero when any invariant was violated.
 package main
@@ -40,7 +42,6 @@ func main() {
 	levels := flag.String("levels", "1,2,4,8", "comma-separated client concurrency sweep")
 	chaos := flag.Bool("chaos", false, "inject faults (requires the target to run with -chaos; implied for in-process)")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
-	out := flag.String("out", "", "write the JSON report here as well as stdout")
 	flag.Parse()
 
 	var lv []int
@@ -65,14 +66,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
 	}
-	blob := report.JSON()
-	fmt.Println(string(blob))
-	if *out != "" {
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-	}
+	fmt.Println(string(report.JSON()))
 	if len(report.Violations) > 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: %d invariant violation(s)\n", len(report.Violations))
 		os.Exit(1)

@@ -42,7 +42,6 @@ func cmdServe(args []string) error {
 	maxPlans := fs.Int("max-plans", 64, "query-plan cache capacity per KB")
 	maxDBs := fs.Int("max-dbs", 32, "loaded-database cache capacity")
 	compileTimeout := fs.Duration("compile-timeout", 30*time.Second, "per-compilation budget (translations included)")
-	workers := fs.Int("workers", 0, "per-round engine parallelism (0 = all CPUs)")
 	heavyLimit := fs.Int("heavy-limit", 0, "concurrent compile/cold-plan/chase requests (0 = default 4)")
 	heavyQueue := fs.Int("heavy-queue", 0, "heavy admission queue depth (0 = 2x limit)")
 	lightLimit := fs.Int("light-limit", 0, "concurrent plan-hit requests (0 = default 64)")
@@ -73,7 +72,6 @@ func cmdServe(args []string) error {
 			MaxDBs:         *maxDBs,
 			DefaultTimeout: *timeout,
 			MaxFacts:       *maxFacts,
-			Workers:        *workers,
 			HeavyLimit:     *heavyLimit,
 			HeavyQueue:     *heavyQueue,
 			LightLimit:     *lightLimit,

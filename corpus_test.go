@@ -223,7 +223,7 @@ func TestLargeScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := ChaseCtx(context.Background(), ng, d, Options{Variant: Restricted, MaxDepth: 6, MaxFacts: 5_000_000, Workers: 4})
+		r2, err := ChaseCtx(context.Background(), ng, d, Options{Variant: Restricted, MaxDepth: 6, MaxFacts: 5_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,9 +38,6 @@ type Options struct {
 	// (truncation is recorded on the result, never returned as an
 	// error); 0 means unbounded.
 	MaxDepth int
-	// Workers is the per-round worker count of the parallel engines
-	// (0 = all CPUs for Datalog evaluation, sequential for the chase).
-	Workers int
 
 	// Timeout is the wall-clock budget of the run; 0 means none.
 	// Exceeding it returns the partial result with ErrDeadline.
@@ -79,17 +76,13 @@ func (o Options) chaseOptions(ctx context.Context) chase.Options {
 	return chase.Options{
 		Variant:  o.Variant,
 		MaxDepth: o.MaxDepth,
-		Workers:  o.Workers,
 		Budget:   o.budget(ctx),
 	}
 }
 
 // datalogOptions lowers Options onto the semi-naive Datalog engine.
 func (o Options) datalogOptions(ctx context.Context) datalog.Options {
-	return datalog.Options{
-		Workers: o.Workers,
-		Budget:  o.budget(ctx),
-	}
+	return datalog.Options{Budget: o.budget(ctx)}
 }
 
 // translateOptions lowers Options onto the translation engines.

@@ -156,9 +156,10 @@ type T struct {
 	FailAtCheckpoint int64
 	// PanicAtCheckpoint injects a panic (an InjectedPanic value) at
 	// exactly the nth checkpoint (0 = off). Deterministic fault injection
-	// for the panic-containment layers: checkpoints polled on engine
-	// worker goroutines exercise par.RunUnits recovery, checkpoints on
-	// the request goroutine exercise the HTTP recovery middleware.
+	// for the panic-containment layers: the recover at each engine entry
+	// (datalog Program.Eval and Maintained.Apply, the chase run) turns it
+	// into a *PanicError, and the HTTP recovery middleware catches the
+	// ones raised outside an engine.
 	PanicAtCheckpoint int64
 }
 
@@ -182,6 +183,22 @@ func (p InjectedPanic) String() string {
 	return fmt.Sprintf("budget: injected panic at checkpoint %d", p.Checkpoint)
 }
 
+// PanicError is an engine panic converted into a value: the engines run
+// untrusted-adjacent work (user theories through compiled join plans),
+// where a raw panic would kill the whole process rather than the one
+// request that triggered it. Each engine entry recovers and returns it,
+// and the caller surfaces it as a per-request failure.
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack, captured at recover.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("budget: engine panic: %v", e.Value)
+}
+
 // WithFailAt returns a copy of b that additionally cancels at the nth
 // checkpoint.
 func (b T) WithFailAt(n int) *T {
@@ -202,7 +219,7 @@ func Cap(b *T, budgetMax func(*T) int, def int) int {
 
 // Tracker is the runtime state of a budget-governed run: atomic usage
 // counters, a checkpoint counter, and the derived cancellation context.
-// All methods are safe for concurrent use by engine worker pools.
+// All methods are safe for concurrent use.
 //
 // Engines create one with Start at the top of a run, defer Stop, bump
 // the counters as they work, and poll Check at every checkpoint.
@@ -286,7 +303,7 @@ func (tr *Tracker) Check() error {
 }
 
 // Canceled reports whether the run's context is done, without counting
-// a checkpoint. Worker inner loops use it as a cheap drain signal.
+// a checkpoint. Engine inner loops use it as a cheap stop signal.
 func (tr *Tracker) Canceled() bool {
 	if tr == nil || tr.ctx == nil {
 		return false

@@ -36,7 +36,6 @@ import (
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/hom"
-	"guardedrules/internal/par"
 )
 
 // Variant selects the chase flavor.
@@ -61,12 +60,6 @@ type Options struct {
 	// skipped (and the run marked truncated, with a nil error). 0 means
 	// unbounded.
 	MaxDepth int
-	// Workers sets the number of goroutines collecting triggers per round
-	// (the database is read-only during collection, so trigger matching
-	// parallelizes across (rule × delta-shard) work items). 0 or 1 means
-	// sequential. The result is byte-identical to the sequential one:
-	// work items are merged in deterministic order.
-	Workers int
 	// Budget governs the run: its context/deadline cancels the chase
 	// between trigger applications, and its ceilings bound it. MaxFacts
 	// caps the database size (a trigger application stops before any
@@ -83,13 +76,6 @@ const (
 	defaultMaxFacts  = 1_000_000
 	defaultMaxRounds = 10_000
 )
-
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
 
 // ceilings resolves the run's fact, round and step ceilings.
 func (o Options) ceilings() (facts, rounds, steps int) {
@@ -148,14 +134,9 @@ type runFn func(th *core.Theory, d0 *database.Database, opts Options, hook hookF
 // for any realistic database.
 const unboundID = ^uint32(0)
 
-// pollInterval is how many candidate matches a worker processes between
-// cancellation polls inside a single work item.
+// pollInterval is how many candidate matches a work item processes
+// between cancellation polls.
 const pollInterval = 64
-
-// seqThreshold is the delta size (facts) below which a round's
-// collection runs sequentially: goroutine fan-out costs more than the
-// joins it splits.
-const seqThreshold = 128
 
 // crule is a rule compiled to the id space: its positive body, negated
 // atoms and head atoms as slot programs over one shared variable-slot
@@ -300,15 +281,13 @@ func newEngine(th *core.Theory, d0 *database.Database, opts Options, hook hookFn
 }
 
 func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res *Result, err error) {
-	// Engine boundary: a panic anywhere in the run — worker panics are
-	// already converted by par.RunUnits, this seam catches the
-	// coordinator's own — surfaces as one failed request, never a dead
-	// process. No partial result: a mid-application panic may leave the
-	// working database half-updated, unlike the discarded-buffer
-	// cancellation path.
+	// Engine boundary: a panic anywhere in the run surfaces as one failed
+	// request, never a dead process. No partial result: a mid-application
+	// panic may leave the working database half-updated, unlike the
+	// discarded-buffer cancellation path.
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, fmt.Errorf("chase: %w", &par.PanicError{Unit: -1, Value: v, Stack: debug.Stack()})
+			res, err = nil, fmt.Errorf("chase: %w", &budget.PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
 	if err := th.CheckSafe(); err != nil {
@@ -346,12 +325,7 @@ func run(th *core.Theory, d0 *database.Database, opts Options, hook hookFn) (res
 			e.truncate(budget.ErrRoundLimit)
 			return finish(tk.Exhausted(budget.ErrRoundLimit))
 		}
-		trs, cerr := e.collect(first, tk)
-		if cerr != nil {
-			// A contained worker panic: nothing from this round was merged;
-			// the database still holds exactly the completed rounds.
-			return finish(fmt.Errorf("chase: %w", cerr))
-		}
+		trs := e.collect(first, tk)
 		if len(trs) == 0 {
 			break
 		}
@@ -412,66 +386,35 @@ func reasonOf(err error) error {
 }
 
 // unit is one trigger-collection work item: a full search of a rule's
-// body (round 0, pos < 0) or a (rule × body position × delta block)
-// semi-naive item whose pattern atom must match one of the block's delta
-// tuples. Contiguous blocks keep the merged trigger order identical to
-// the sequential enumeration.
+// body (round 0, pos < 0) or a (rule × body position) semi-naive item
+// whose pattern atom must match one of the delta tuples of g.
 type unit struct {
-	cr     *crule
-	pos    int
-	g      *deltaGroup
-	lo, hi int
+	cr  *crule
+	pos int
+	g   *deltaGroup
 }
 
-// collect gathers the applicable triggers for this round. Work items are
-// evaluated over a fixed worker pool (the database is only read), each
-// buffering packed trigger tuples; a single-threaded merge in work-item
-// order then deduplicates and filters for admissibility, so the outcome
-// is byte-identical for every worker count. A panic contained by the
-// pool aborts the round before any merge: the error is returned and the
-// buffers are dropped.
-func (e *engine) collect(first bool, tk *budget.Tracker) ([]trig, error) {
-	workers := e.opts.workers()
+// collect gathers the applicable triggers for this round. Each work item
+// enumerates candidate trigger tuples against the frozen database into
+// its own buffer; the buffers are then merged in item order, which
+// deduplicates and filters for admissibility.
+func (e *engine) collect(first bool, tk *budget.Tracker) []trig {
 	var units []unit
-	if first {
-		for i := range e.rules {
-			units = append(units, unit{cr: &e.rules[i], pos: -1})
+	for i := range e.rules {
+		cr := &e.rules[i]
+		if first {
+			units = append(units, unit{cr: cr, pos: -1})
+			continue
 		}
-	} else {
-		total := 0
-		for _, g := range e.groups {
-			total += g.n
-		}
-		nb := 1
-		if workers > 1 && total >= seqThreshold {
-			nb = workers
-		}
-		for i := range e.rules {
-			cr := &e.rules[i]
-			for pi := range cr.body {
-				g := e.groups[cr.body[pi].RK]
-				if g == nil {
-					continue
-				}
-				blocks := nb
-				if blocks > g.n {
-					blocks = g.n
-				}
-				per := (g.n + blocks - 1) / blocks
-				for lo := 0; lo < g.n; lo += per {
-					hi := lo + per
-					if hi > g.n {
-						hi = g.n
-					}
-					units = append(units, unit{cr: cr, pos: pi, g: g, lo: lo, hi: hi})
-				}
+		for pi := range cr.body {
+			if g := e.groups[cr.body[pi].RK]; g != nil {
+				units = append(units, unit{cr: cr, pos: pi, g: g})
 			}
 		}
 	}
 	// Re-resolve compiled constants against the frozen database once,
-	// before the fan-out (workers only read the compiled rules) — skipped
-	// entirely when no new term was interned since the last resolve:
-	// every TermID answer is then unchanged.
+	// before the search — skipped entirely when no new term was interned
+	// since the last resolve: every TermID answer is then unchanged.
 	if ep := e.db.InternEpoch(); ep != e.ruleEpoch {
 		for i := range e.rules {
 			e.rules[i].resolve(e.db)
@@ -480,10 +423,11 @@ func (e *engine) collect(first bool, tk *budget.Tracker) ([]trig, error) {
 	}
 	bufs := make([][]uint32, len(units))
 	counts := make([]int, len(units))
-	if err := par.RunUnits(len(units), workers, tk.Canceled, func(u int) {
+	for u := range units {
+		if tk.Canceled() {
+			break // the run loop's next checkpoint reports it
+		}
 		bufs[u], counts[u] = e.runUnit(units[u], first, tk.Canceled)
-	}); err != nil {
-		return nil, err
 	}
 	// Merge in unit order: global dedup (the per-round seen set, marked
 	// before admissibility like the trigger memo) then admissibility.
@@ -503,12 +447,12 @@ func (e *engine) collect(first bool, tk *budget.Tracker) ([]trig, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // runUnit enumerates one work item's candidate triggers into a packed
-// buffer. It runs on a worker goroutine: the database and compiled rules
-// are read-only, all mutable search state is local.
+// buffer. The database and compiled rules are only read; all mutable
+// search state is local.
 func (e *engine) runUnit(u unit, first bool, canceled func() bool) ([]uint32, int) {
 	cr := u.cr
 	st := hom.NewState(e.db, cr.nvars)
@@ -548,13 +492,13 @@ func (e *engine) runUnit(u unit, first bool, canceled func() bool) ([]uint32, in
 		st.ForEach(cr.body, leaf)
 		return buf, count
 	}
-	// Semi-naive: the pattern atom must match a delta tuple of the block;
-	// the rest of the body is searched over the full database.
+	// Semi-naive: the pattern atom must match a delta tuple; the rest of
+	// the body is searched over the full database.
 	done := make([]bool, len(cr.body))
 	done[u.pos] = true
 	pa := &cr.body[u.pos]
 	w := u.g.w
-	for j := u.lo; j < u.hi; j++ {
+	for j := 0; j < u.g.n; j++ {
 		mark := st.Mark()
 		if st.Match(pa, u.g.ids[j*w:j*w+w]) {
 			if !st.Search(cr.body, done, leaf) {

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"guardedrules/internal/budget"
@@ -335,8 +336,36 @@ func TestMaxRoundsTruncation(t *testing.T) {
 	`, `E(a,b). E(b,c). E(c,d). E(d,e).`, &budget.T{MaxRounds: 1}, budget.ErrRoundLimit)
 }
 
-// Parallel trigger collection must produce exactly the same database as
-// the sequential run (triggers merge in rule order).
+// runConcurrently runs the chase of th over d on n goroutines at once —
+// n requests over one shared snapshot — and returns the first result,
+// failing the test unless every run succeeds with the same step count
+// and a byte-identical database.
+func runConcurrently(t *testing.T, th *core.Theory, d *database.Database, opts Options, n int) *Result {
+	t.Helper()
+	res := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = Run(th, d, opts)
+		}(i)
+	}
+	wg.Wait()
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d of %d: %v", i, n, errs[i])
+		}
+		if res[i].Steps != res[0].Steps || res[i].DB.String() != res[0].DB.String() {
+			t.Fatalf("concurrent run %d of %d diverged from run 0", i, n)
+		}
+	}
+	return res[0]
+}
+
+// Parallel requests over one shared input must each produce exactly the
+// database and step count of a single run.
 func TestParallelChaseDeterministic(t *testing.T) {
 	th := parser.MustParseTheory(sigmaP)
 	d := database.FromAtoms(parser.MustParseFacts(exampleDB))
@@ -344,17 +373,12 @@ func TestParallelChaseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := Run(th, d, Options{Variant: Restricted, MaxDepth: 6, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Steps != seq.Steps {
-			t.Errorf("workers=%d: steps %d vs %d", workers, par.Steps, seq.Steps)
-		}
-		if par.DB.String() != seq.DB.String() {
-			t.Errorf("workers=%d: databases differ", workers)
-		}
+	par := runConcurrently(t, th, d, Options{Variant: Restricted, MaxDepth: 6}, 4)
+	if par.Steps != seq.Steps {
+		t.Errorf("steps %d vs %d", par.Steps, seq.Steps)
+	}
+	if par.DB.String() != seq.DB.String() {
+		t.Error("databases differ")
 	}
 }
 
@@ -373,10 +397,7 @@ func TestParallelChaseBiggerWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(th, d, Options{Variant: Restricted, MaxDepth: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runConcurrently(t, th, d, Options{Variant: Restricted, MaxDepth: 3}, 4)
 	if seq.DB.Len() != par.DB.Len() || seq.Steps != par.Steps {
 		t.Errorf("parallel diverged: %d/%d facts, %d/%d steps",
 			seq.DB.Len(), par.DB.Len(), seq.Steps, par.Steps)

@@ -1,8 +1,6 @@
 package chase
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"guardedrules/internal/budget"
@@ -31,22 +29,4 @@ func BenchmarkEngineA2(b *testing.B) {
 			}
 		}
 	})
-}
-
-// Worker scaling of the re-sharded trigger collection on a wide
-// restricted chase (many triggers per round).
-func BenchmarkChaseParallel(b *testing.B) {
-	th := parser.MustParseTheory(sigmaP)
-	d := gen.CitationGraph(48)
-	nW := runtime.GOMAXPROCS(0)
-	for _, w := range []int{1, 2, 4, nW} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := Options{Variant: Restricted, MaxDepth: 4, Workers: w, Budget: &budget.T{MaxFacts: 2_000_000}}
-				if _, err := run(th, d, opts, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

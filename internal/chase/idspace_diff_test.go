@@ -12,15 +12,13 @@ import (
 )
 
 // Differential suite: the id-space engine must be byte-identical to the
-// term-space reference engine (legacy.go) on databases with benign
+// term-space reference engine (legacy_test.go) on databases with benign
 // constant names — same database rendering, same step and round counts,
-// same null depths, same provenance and chase trees — at every worker
-// count, both saturating and under budgets.
+// same null depths, same provenance and chase trees — both saturating
+// and under budgets.
 
-var diffWorkerCounts = []int{1, 2, 4, 8}
-
-func diffOpts(variant Variant, workers int) Options {
-	return Options{Variant: variant, MaxDepth: 3, Workers: workers, Budget: &budget.T{MaxFacts: 20_000}}
+func diffOpts(variant Variant) Options {
+	return Options{Variant: variant, MaxDepth: 3, Budget: &budget.T{MaxFacts: 20_000}}
 }
 
 // compareRuns asserts the two results agree observably.
@@ -73,12 +71,10 @@ func TestIDSpaceMatchesLegacyOnRandomTheories(t *testing.T) {
 		db := gen.ABDatabase(12, seed)
 		for name, th := range theoriesUnderTest(seed) {
 			for _, variant := range []Variant{Oblivious, Restricted} {
-				ref, refErr := legacyRun(th, db, diffOpts(variant, 1), nil)
-				for _, w := range diffWorkerCounts {
-					label := fmt.Sprintf("seed=%d theory=%s variant=%d workers=%d", seed, name, variant, w)
-					got, gotErr := run(th, db, diffOpts(variant, w), nil)
-					compareRuns(t, label, ref, got, refErr, gotErr)
-				}
+				ref, refErr := legacyRun(th, db, diffOpts(variant), nil)
+				got, gotErr := run(th, db, diffOpts(variant), nil)
+				label := fmt.Sprintf("seed=%d theory=%s variant=%d", seed, name, variant)
+				compareRuns(t, label, ref, got, refErr, gotErr)
 			}
 		}
 	}
@@ -96,13 +92,9 @@ func TestIDSpaceMatchesLegacyUnderBudgets(t *testing.T) {
 			func() Options { return Options{Budget: &budget.T{MaxRounds: 2}, MaxDepth: 3} },
 		} {
 			ref, refErr := legacyRun(th, db, mk(), nil)
-			for _, w := range diffWorkerCounts {
-				opts := mk()
-				opts.Workers = w
-				got, gotErr := run(th, db, opts, nil)
-				label := fmt.Sprintf("seed=%d opts=%+v workers=%d", seed, opts, w)
-				compareRuns(t, label, ref, got, refErr, gotErr)
-			}
+			got, gotErr := run(th, db, mk(), nil)
+			label := fmt.Sprintf("seed=%d opts=%+v", seed, mk())
+			compareRuns(t, label, ref, got, refErr, gotErr)
 		}
 	}
 }
@@ -111,14 +103,12 @@ func TestIDSpaceMatchesLegacyProvenance(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		db := gen.ABDatabase(10, seed)
 		th := gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: seed})
-		refRes, refProv, refErr := runWithProvenance(legacyRun, th, db, diffOpts(Oblivious, 1))
-		for _, w := range diffWorkerCounts {
-			res, prov, err := runWithProvenance(run, th, db, diffOpts(Oblivious, w))
-			label := fmt.Sprintf("prov seed=%d workers=%d", seed, w)
-			compareRuns(t, label, refRes, res, refErr, err)
-			if !reflect.DeepEqual(refProv, prov) {
-				t.Fatalf("%s: provenance diverges (%d vs %d entries)", label, len(refProv), len(prov))
-			}
+		refRes, refProv, refErr := runWithProvenance(legacyRun, th, db, diffOpts(Oblivious))
+		res, prov, err := runWithProvenance(run, th, db, diffOpts(Oblivious))
+		label := fmt.Sprintf("prov seed=%d", seed)
+		compareRuns(t, label, refRes, res, refErr, err)
+		if !reflect.DeepEqual(refProv, prov) {
+			t.Fatalf("%s: provenance diverges (%d vs %d entries)", label, len(refProv), len(prov))
 		}
 	}
 }
@@ -145,22 +135,20 @@ func TestIDSpaceMatchesLegacyTrees(t *testing.T) {
 		// Frontier-guarded single-head theories satisfy RunTree's normal-form
 		// requirements.
 		th := gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: seed})
-		refTree, refRes, refErr := runTree(legacyRun, th, db, diffOpts(Oblivious, 1))
-		for _, w := range diffWorkerCounts {
-			tree, res, err := runTree(run, th, db, diffOpts(Oblivious, w))
-			label := fmt.Sprintf("tree seed=%d workers=%d", seed, w)
-			compareRuns(t, label, refRes, res, refErr, err)
-			if rt, gt := renderTree(refTree), renderTree(tree); rt != gt {
-				t.Fatalf("%s: trees diverge\nlegacy:\n%s\nidspace:\n%s", label, rt, gt)
-			}
+		refTree, refRes, refErr := runTree(legacyRun, th, db, diffOpts(Oblivious))
+		tree, res, err := runTree(run, th, db, diffOpts(Oblivious))
+		label := fmt.Sprintf("tree seed=%d", seed)
+		compareRuns(t, label, refRes, res, refErr, err)
+		if rt, gt := renderTree(refTree), renderTree(tree); rt != gt {
+			t.Fatalf("%s: trees diverge\nlegacy:\n%s\nidspace:\n%s", label, rt, gt)
 		}
 	}
 }
 
 // Fault injection across both engines: at every checkpoint index, legacy
-// and id-space runs (at every worker count) must cancel at the same point
-// with the same partial database. Workers only poll the cancellation flag
-// without consuming checkpoints, so the sweep stays aligned.
+// and id-space runs must cancel at the same point with the same partial
+// database. Trigger collection only polls the cancellation flag without
+// consuming checkpoints, so the sweep stays aligned.
 func TestIDSpaceMatchesLegacyFailAtSweep(t *testing.T) {
 	db := gen.ABDatabase(10, 3)
 	th := gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: 3})
@@ -168,14 +156,10 @@ func TestIDSpaceMatchesLegacyFailAtSweep(t *testing.T) {
 		if n > 10_000 {
 			t.Fatal("fault injection never ran to completion")
 		}
-		mk := func(workers int) Options {
-			return Options{MaxDepth: 2, Workers: workers, Budget: budget.FailAt(n)}
-		}
-		ref, refErr := legacyRun(th, db, mk(1), nil)
-		for _, w := range diffWorkerCounts {
-			got, gotErr := run(th, db, mk(w), nil)
-			compareRuns(t, fmt.Sprintf("failat n=%d workers=%d", n, w), ref, got, refErr, gotErr)
-		}
+		opts := Options{MaxDepth: 2, Budget: budget.FailAt(n)}
+		ref, refErr := legacyRun(th, db, opts, nil)
+		got, gotErr := run(th, db, opts, nil)
+		compareRuns(t, fmt.Sprintf("failat n=%d", n), ref, got, refErr, gotErr)
 		if refErr == nil {
 			break
 		}
@@ -184,20 +168,18 @@ func TestIDSpaceMatchesLegacyFailAtSweep(t *testing.T) {
 
 // On adversarial constant names the legacy engine under-derives (its
 // serialized trigger keys collide); the id-space engine must stay
-// self-consistent across worker counts and derive at least as much.
+// self-consistent across repeated runs and derive at least as much.
 func TestIDSpaceSelfConsistentOnAdversarialNames(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		db := gen.AdversarialNames(12, seed)
 		for name, th := range theoriesUnderTest(seed) {
-			ref, refErr := run(th, db, diffOpts(Oblivious, 1), nil)
+			ref, refErr := run(th, db, diffOpts(Oblivious), nil)
 			if refErr != nil {
 				t.Fatalf("seed=%d theory=%s: %v", seed, name, refErr)
 			}
-			for _, w := range diffWorkerCounts[1:] {
-				got, gotErr := run(th, db, diffOpts(Oblivious, w), nil)
-				compareRuns(t, fmt.Sprintf("adv seed=%d theory=%s workers=%d", seed, name, w), ref, got, refErr, gotErr)
-			}
-			leg, legErr := legacyRun(th, db, diffOpts(Oblivious, 1), nil)
+			got, gotErr := run(th, db, diffOpts(Oblivious), nil)
+			compareRuns(t, fmt.Sprintf("adv seed=%d theory=%s", seed, name), ref, got, refErr, gotErr)
+			leg, legErr := legacyRun(th, db, diffOpts(Oblivious), nil)
 			if legErr != nil {
 				t.Fatalf("seed=%d theory=%s legacy: %v", seed, name, legErr)
 			}

@@ -3,7 +3,6 @@ package chase
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
@@ -16,8 +15,8 @@ import (
 // id-space engine must produce byte-identical results on databases with
 // benign constant names. The engine is retained verbatim except for two
 // bug fixes applied to both engines — the Rounds off-by-one and the
-// MaxFacts overshoot — and the hook signature shared with RunTree /
-// RunWithProvenance. Its name-serialized trigger key still carries the
+// MaxFacts overshoot — the hook signature shared with RunTree /
+// RunWithProvenance, and sequential per-rule collection. Its name-serialized trigger key still carries the
 // collision bug (see legacyTriggerKey); triggerkey_regression_test.go
 // demonstrates the resulting under-derivation.
 
@@ -144,34 +143,14 @@ func (e *legacyEngine) truncate(reason error) {
 }
 
 // collect gathers the applicable triggers for this round: candidates are
-// found per rule (in parallel when Options.Workers > 1), then merged in
-// rule order with global deduplication and admissibility checks.
+// found per rule, then merged in rule order with global deduplication and
+// admissibility checks.
 func (e *legacyEngine) collect(th *core.Theory, delta []core.Atom, first bool) []legacyTrigger {
 	deltaDB := database.FromAtoms(delta)
-	perRule := make([][]legacyTrigger, len(th.Rules))
-	workers := e.opts.workers()
-	if workers > 1 && len(th.Rules) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, r := range th.Rules {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, r *core.Rule) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				perRule[i] = e.collectRule(r, deltaDB, first)
-			}(i, r)
-		}
-		wg.Wait()
-	} else {
-		for i, r := range th.Rules {
-			perRule[i] = e.collectRule(r, deltaDB, first)
-		}
-	}
 	var out []legacyTrigger
 	seen := make(map[string]bool)
-	for _, trs := range perRule {
-		for _, tr := range trs {
+	for _, r := range th.Rules {
+		for _, tr := range e.collectRule(r, deltaDB, first) {
 			k := e.triggerKey(tr)
 			if seen[k] {
 				continue

@@ -2,17 +2,17 @@ package chase
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/database"
-	"guardedrules/internal/par"
 	"guardedrules/internal/parser"
 )
 
 // A panic injected at a chase checkpoint is contained at the engine
-// boundary: Run returns a typed *par.PanicError instead of crashing the
-// caller, and a clean re-run still saturates.
+// boundary: Run returns a typed *budget.PanicError instead of crashing the
+// caller, leaves no goroutine behind, and a clean re-run still saturates.
 func TestChasePanicContained(t *testing.T) {
 	th := parser.MustParseTheory(`
 		A(X) -> exists Y. R(X,Y).
@@ -22,16 +22,17 @@ func TestChasePanicContained(t *testing.T) {
 	`)
 	facts := parser.MustParseFacts("A(a). E(a,b). E(b,c). E(c,d).")
 
+	before := runtime.NumGoroutine()
 	sawPanic := false
 	for _, n := range []int{1, 2, 3, 5, 8} {
-		res, err := Run(th, database.FromAtoms(facts), Options{Workers: 4, Budget: budget.PanicAt(n)})
+		res, err := Run(th, database.FromAtoms(facts), Options{Budget: budget.PanicAt(n)})
 		if err == nil {
 			continue // injection point beyond the run's checkpoints
 		}
 		sawPanic = true
-		var pe *par.PanicError
+		var pe *budget.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("n=%d: err = %v, want contained *par.PanicError", n, err)
+			t.Fatalf("n=%d: err = %v, want contained *budget.PanicError", n, err)
 		}
 		if _, ok := pe.Value.(budget.InjectedPanic); !ok {
 			t.Fatalf("n=%d: recovered value %v, want budget.InjectedPanic", n, pe.Value)
@@ -43,8 +44,11 @@ func TestChasePanicContained(t *testing.T) {
 	if !sawPanic {
 		t.Fatal("sweep never triggered an injected panic")
 	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutine leak after panic containment: %d before, %d after", before, after)
+	}
 
-	res, err := Run(th, database.FromAtoms(facts), Options{Workers: 4})
+	res, err := Run(th, database.FromAtoms(facts), Options{})
 	if err != nil || !res.Saturated {
 		t.Fatalf("clean re-run after panic sweep: res=%+v err=%v", res, err)
 	}

@@ -17,10 +17,10 @@ import (
 // derives nothing.
 func TestDRedACDomSelfSupport(t *testing.T) {
 	const th = `ACDom(X) -> R(X).`
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			base := database.FromAtoms(parser.MustParseFacts(`B(c).`))
-			h := newDiffHarness(t, th, base, Options{Workers: w})
+			h := newDiffHarness(t, th, base, w)
 			h.apply(nil, parser.MustParseFacts(`B(c).`))
 			if got := h.m.Current().Len(); got != 0 {
 				t.Fatalf("maintained db after retracting the only base fact has %d facts, want 0:\n%s",
@@ -36,7 +36,7 @@ func TestDRedACDomSelfSupport(t *testing.T) {
 func TestDRedACDomSelfSupportDiamond(t *testing.T) {
 	const th = `ACDom(X) -> R(X).`
 	base := database.FromAtoms(parser.MustParseFacts(`B(c). D(c).`))
-	h := newDiffHarness(t, th, base, Options{Workers: 1})
+	h := newDiffHarness(t, th, base, 1)
 	rc := core.NewAtom("R", core.Const("c"))
 	h.apply(nil, parser.MustParseFacts(`B(c).`))
 	if !h.m.Current().Has(rc) {
@@ -54,10 +54,10 @@ func TestDRedACDomSelfSupportDiamond(t *testing.T) {
 func TestDRedACDomIntroducedConstant(t *testing.T) {
 	const th = `B(X) -> F(X, d).
 		ACDom(Y) -> Seen(Y).`
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			base := database.FromAtoms(parser.MustParseFacts(`B(c). B(e).`))
-			h := newDiffHarness(t, th, base, Options{Workers: w})
+			h := newDiffHarness(t, th, base, w)
 			seenD := core.NewAtom("Seen", core.Const("d"))
 			h.apply(nil, parser.MustParseFacts(`B(c).`))
 			if !h.m.Current().Has(seenD) {
@@ -80,10 +80,10 @@ func TestDRedACDomCrossStratum(t *testing.T) {
 	const th = `ACDom(X) -> R0(X).
 		B(X), not N(X) -> P(X).
 		P(X) -> Q(X).`
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			base := database.FromAtoms(parser.MustParseFacts(`B(c).`))
-			h := newDiffHarness(t, th, base, Options{Workers: w})
+			h := newDiffHarness(t, th, base, w)
 			h.apply(nil, parser.MustParseFacts(`B(c).`))
 			if got := h.m.Current().Len(); got != 0 {
 				t.Fatalf("maintained db after retracting the only base fact has %d facts, want 0:\n%s",
@@ -108,10 +108,10 @@ func TestDRedACDomRegressionSubscribeShape(t *testing.T) {
 	const th = `ACDom(Y) -> Seen(Y).
 		E(X,Y) -> T(X,Y).
 		T(X,Y), T(Y,Z) -> T(X,Z).`
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			base := database.FromAtoms(parser.MustParseFacts(`E(a, b). E(b, c).`))
-			h := newDiffHarness(t, th, base, Options{Workers: w})
+			h := newDiffHarness(t, th, base, w)
 			h.apply(nil, parser.MustParseFacts(`E(b, c).`))
 			h.apply(parser.MustParseFacts(`E(b, d).`), parser.MustParseFacts(`E(a, b).`))
 			h.apply(nil, parser.MustParseFacts(`E(b, d).`))
@@ -131,11 +131,11 @@ func TestDRedACDomFailAtSweep(t *testing.T) {
 		ACDom(Y) -> Seen(Y).`
 	del := parser.MustParseFacts(`B(c).`)
 	add := parser.MustParseFacts(`B(g).`)
-	h := newDiffHarness(t, th, database.FromAtoms(parser.MustParseFacts(`B(c). B(e).`)), Options{Workers: 1})
+	h := newDiffHarness(t, th, database.FromAtoms(parser.MustParseFacts(`B(c). B(e).`)), 1)
 	before := h.m.Current().String()
 	completed := false
 	for fail := 1; fail <= 200; fail++ {
-		opts := Options{Workers: 1, Budget: budget.FailAt(fail)}
+		opts := Options{Budget: budget.FailAt(fail)}
 		_, _, err := h.m.Apply(add, del, opts)
 		if err == nil {
 			completed = true

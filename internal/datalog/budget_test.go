@@ -16,8 +16,8 @@ import (
 )
 
 // chainTheoryAndFacts builds transitive closure over an n-node chain: the
-// fixpoint takes Θ(log n) rounds with Θ(n²) facts, enough work to keep
-// all 8 workers busy mid-stratum.
+// fixpoint takes Θ(log n) rounds with Θ(n²) facts, enough work for many
+// checkpoints mid-stratum.
 func chainTheoryAndFacts(n int) (string, string) {
 	th := `
 		E(X,Y) -> T(X,Y).
@@ -40,15 +40,15 @@ func dump(d *database.Database) string {
 	return strings.Join(lines, "\n")
 }
 
-// Satellite: the parallel worker pool must observe cancellation
-// mid-stratum, drain deterministically, and leak zero goroutines; the
-// non-canceled re-run must be byte-identical to an ungoverned run.
-func TestWorkerPoolCancellationNoLeak(t *testing.T) {
+// The evaluator must observe cancellation mid-stratum, return a sound
+// partial fixpoint, and leave no goroutine behind; the non-canceled
+// re-run must be byte-identical to an ungoverned run.
+func TestCancellationNoLeak(t *testing.T) {
 	thSrc, factSrc := chainTheoryAndFacts(48)
 	th := parser.MustParseTheory(thSrc)
 	facts := parser.MustParseFacts(factSrc)
 
-	full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 8})
+	full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestWorkerPoolCancellationNoLeak(t *testing.T) {
 			t.Fatal("fault injection never ran to completion")
 		}
 		db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-			Options{Workers: 8, Budget: budget.FailAt(n)})
+			Options{Budget: budget.FailAt(n)})
 		if err == nil {
 			if got := dump(db); got != want {
 				t.Fatalf("n=%d: completed governed run differs from reference\ngot  %d facts\nwant %d facts",
@@ -88,9 +88,8 @@ func TestWorkerPoolCancellationNoLeak(t *testing.T) {
 		t.Fatal("sweep never observed a mid-run cancellation; injection broken")
 	}
 
-	// Workers must all have drained: allow the runtime a moment to retire
-	// exiting goroutines, then require the count back at (or below) the
-	// pre-test level.
+	// Allow the runtime a moment to retire exiting goroutines, then
+	// require the count back at (or below) the pre-test level.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= before {
@@ -106,7 +105,7 @@ func TestWorkerPoolCancellationNoLeak(t *testing.T) {
 	}
 
 	// Byte-identical non-canceled re-run.
-	again, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 8})
+	again, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

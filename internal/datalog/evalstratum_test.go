@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"guardedrules/internal/core"
@@ -13,7 +12,8 @@ import (
 
 // Table-driven edge cases of the stratum fixpoint. Every case is checked
 // against the chase-based evaluator and, where given, against expected
-// present/absent atoms, at worker counts 1 and GOMAXPROCS.
+// present/absent atoms. Row workers=N evaluates N requests at once over
+// the shared input (see evalConcurrently).
 func TestEvalStratumEdgeCases(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -86,11 +86,15 @@ func TestEvalStratumEdgeCases(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
 				th := parser.MustParseTheory(c.theory)
 				d := database.FromAtoms(parser.MustParseFacts(c.facts))
-				fix, err := EvalSemiNaiveOpts(th, d, Options{Workers: workers})
+				p, err := Compile(th)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fix, err := evalConcurrently(t, p, d, Options{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,11 +135,9 @@ func datalogOnly(th *core.Theory) *core.Theory {
 }
 
 // Differential test over the random-theory corpus: the semi-naive
-// evaluator (sequential and parallel) and the chase-based evaluator must
-// derive exactly the same ground atoms, and the parallel run must render
-// byte-identically to the sequential one.
+// evaluator and the chase-based evaluator must derive exactly the same
+// ground atoms.
 func TestSemiNaiveDifferentialCorpus(t *testing.T) {
-	workers := runtime.GOMAXPROCS(0)
 	for seed := int64(0); seed < 12; seed++ {
 		theories := []*core.Theory{
 			datalogOnly(gen.RandomGuardedTheory(8, seed)),
@@ -146,31 +148,24 @@ func TestSemiNaiveDifferentialCorpus(t *testing.T) {
 				continue
 			}
 			d := gen.ABDatabase(8, seed)
-			seq, err := EvalSemiNaiveOpts(th, d, Options{Workers: 1})
+			fix, err := EvalSemiNaiveOpts(th, d, Options{})
 			if err != nil {
-				t.Fatalf("seed %d theory %d: sequential: %v", seed, ti, err)
-			}
-			par, err := EvalSemiNaiveOpts(th, d, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("seed %d theory %d: parallel: %v", seed, ti, err)
-			}
-			if seq.String() != par.String() {
-				t.Fatalf("seed %d theory %d: parallel output differs from sequential", seed, ti)
+				t.Fatalf("seed %d theory %d: %v", seed, ti, err)
 			}
 			ref, err := EvalViaChase(th, d)
 			if err != nil {
 				t.Fatalf("seed %d theory %d: via chase: %v", seed, ti, err)
 			}
-			if ok, diff := database.SameGroundAtoms(par, ref); !ok {
+			if ok, diff := database.SameGroundAtoms(fix, ref); !ok {
 				t.Fatalf("seed %d theory %d: %s", seed, ti, diff)
 			}
 		}
 	}
 }
 
-// Parallel evaluation of a workload large enough to engage the sharded
-// fan-out must match the sequential result exactly. Run under -race this
-// also exercises the frozen-database concurrency discipline.
+// Parallel requests over one shared snapshot must each match the single
+// evaluation exactly. Run under -race this also exercises the
+// copy-on-write snapshot discipline of concurrent clones.
 func TestParallelMatchesSequentialLarge(t *testing.T) {
 	th := parser.MustParseTheory(`
 		E(X,Y) -> T(X,Y).
@@ -179,20 +174,19 @@ func TestParallelMatchesSequentialLarge(t *testing.T) {
 		Node(X), not Cyclic(X) -> Acyclic(X).
 	`)
 	d := gen.RandomGraph(60, 150, 7)
-	seq, err := EvalSemiNaiveOpts(th, d, Options{Workers: 1})
+	p, err := Compile(th)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := EvalSemiNaiveOpts(th, d, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if seq.String() != par.String() {
-			t.Fatalf("workers=%d: output differs from sequential", workers)
-		}
-		if seq.Len() != par.Len() {
-			t.Fatalf("workers=%d: fact count %d, want %d", workers, par.Len(), seq.Len())
-		}
+	seq, err := p.Eval(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := evalConcurrently(t, p, d, Options{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.String() != seq.String() {
+		t.Fatal("parallel requests differ from the single evaluation")
 	}
 }

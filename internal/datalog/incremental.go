@@ -10,7 +10,6 @@ import (
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/hom"
-	"guardedrules/internal/par"
 )
 
 // factKey returns a canonical injective byte encoding of a ground atom,
@@ -54,8 +53,7 @@ type Delta struct {
 // resumes the semi-naive fixpoint with the new facts as the initial
 // delta, deletion runs DRed (delete-and-rederive) over the stratified
 // program — and the maintained database is always byte-identical
-// (Database.String) to a from-scratch evaluation of the current base, at
-// any worker count.
+// (Database.String) to a from-scratch evaluation of the current base.
 //
 // A Maintained value is not safe for concurrent use; callers serialize
 // Apply (the serving layer holds one writer per mutable DB). The
@@ -203,7 +201,7 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 	defer func() {
 		if v := recover(); v != nil {
 			res, delta, err = nil, Delta{}, fmt.Errorf("datalog: apply: %w",
-				&par.PanicError{Unit: -1, Value: v, Stack: debug.Stack()})
+				&budget.PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
 

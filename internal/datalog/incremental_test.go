@@ -15,26 +15,26 @@ import (
 // diffHarness drives a Maintained handle and a shadow base set through a
 // mutation sequence, asserting after every batch that the maintained
 // database is byte-identical to a from-scratch evaluation of the shadow
-// base.
+// base, run as `requests` concurrent evaluations (see evalConcurrently).
 type diffHarness struct {
-	t      *testing.T
-	p      *Program
-	m      *Maintained
-	opts   Options
-	shadow map[string]core.Atom
+	t        *testing.T
+	p        *Program
+	m        *Maintained
+	requests int
+	shadow   map[string]core.Atom
 }
 
-func newDiffHarness(t *testing.T, thSrc string, base *database.Database, opts Options) *diffHarness {
+func newDiffHarness(t *testing.T, thSrc string, base *database.Database, requests int) *diffHarness {
 	t.Helper()
 	p, err := Compile(parser.MustParseTheory(thSrc))
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	m, err := NewMaintained(p, base, opts)
+	m, err := NewMaintained(p, base, Options{})
 	if err != nil {
 		t.Fatalf("NewMaintained: %v", err)
 	}
-	h := &diffHarness{t: t, p: p, m: m, opts: opts, shadow: make(map[string]core.Atom)}
+	h := &diffHarness{t: t, p: p, m: m, requests: requests, shadow: make(map[string]core.Atom)}
 	for _, f := range base.UserFacts() {
 		h.shadow[factKey(f)] = f
 	}
@@ -45,7 +45,7 @@ func newDiffHarness(t *testing.T, thSrc string, base *database.Database, opts Op
 // checks byte-identity against the from-scratch fixpoint.
 func (h *diffHarness) apply(add, retract []core.Atom) Delta {
 	h.t.Helper()
-	_, delta, err := h.m.Apply(add, retract, h.opts)
+	_, delta, err := h.m.Apply(add, retract, Options{})
 	if err != nil {
 		h.t.Fatalf("Apply: %v", err)
 	}
@@ -70,7 +70,7 @@ func (h *diffHarness) check() {
 	for _, k := range sortedKeys(h.shadow) {
 		base.Add(h.shadow[k])
 	}
-	want, err := h.p.Eval(base, h.opts)
+	want, err := evalConcurrently(h.t, h.p, base, Options{}, h.requests)
 	if err != nil {
 		h.t.Fatalf("from-scratch Eval: %v", err)
 	}
@@ -99,12 +99,15 @@ const acdomTheory = `ACDom(X) -> Dom(X).
 	E(X,Y), Dom(Y) -> Reach(X,Y).
 	A(X) -> W(X, s).`
 
-func workerCounts() []int { return []int{1, 4} }
+// requestCounts is the row dimension of the differential suites: row
+// workers=N checks every version against N concurrent from-scratch
+// evaluations over one shared snapshot.
+func requestCounts() []int { return []int{1, 4} }
 
 func TestIncrementalInsertResume(t *testing.T) {
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			h := newDiffHarness(t, tcTheory, gen.Path(12), Options{Workers: w})
+			h := newDiffHarness(t, tcTheory, gen.Path(12), w)
 			// Append an edge: the closure grows along the path.
 			h.apply(parser.MustParseFacts(`E(v11, w0).`), nil)
 			// Close the cycle back to the start.
@@ -117,9 +120,9 @@ func TestIncrementalInsertResume(t *testing.T) {
 }
 
 func TestIncrementalRetractDRed(t *testing.T) {
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			h := newDiffHarness(t, tcTheory, gen.Path(10), Options{Workers: w})
+			h := newDiffHarness(t, tcTheory, gen.Path(10), w)
 			// Cut the path in the middle: the closure across the cut dies.
 			h.apply(nil, parser.MustParseFacts(`E(v4, v5).`))
 			// Reconnect differently, then remove an endpoint edge.
@@ -138,10 +141,10 @@ func TestIncrementalDiamondRetract(t *testing.T) {
 		Src(X) -> Rt(X).
 		L(X) -> T(X).
 		Rt(X) -> T(X).`
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			base := database.FromAtoms(parser.MustParseFacts(`Src(a). T(a). L(b).`))
-			h := newDiffHarness(t, diamond, base, Options{Workers: w})
+			h := newDiffHarness(t, diamond, base, w)
 			// T(a) is a base fact AND derivable via both diamond arms:
 			// retracting the base copy must keep the derived one.
 			h.apply(nil, parser.MustParseFacts(`T(a).`))
@@ -164,7 +167,7 @@ func TestIncrementalDiamondRetract(t *testing.T) {
 func TestIncrementalACDomSurvives(t *testing.T) {
 	const th = `ACDom(X), Mark(X) -> Active(X).`
 	base := database.FromAtoms(parser.MustParseFacts(`R(a, b). S(b). Mark(b).`))
-	h := newDiffHarness(t, th, base, Options{Workers: 1})
+	h := newDiffHarness(t, th, base, 1)
 	acB := core.NewAtom(core.ACDom, core.Const("b"))
 	h.apply(nil, parser.MustParseFacts(`R(a, b).`))
 	if !h.m.Current().Has(acB) {
@@ -197,10 +200,10 @@ func TestIncrementalNegation(t *testing.T) {
 		R(X,Y), R(Y,Z) -> R(X,Z).
 		Node(X), not R(X,X) -> Acyclic(X).
 		Node(X), not Acyclic(X) -> Cyclic(X).`
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			base := database.FromAtoms(parser.MustParseFacts(`Node(a). Node(b). Node(c). E(a, b). E(b, a).`))
-			h := newDiffHarness(t, th, base, Options{Workers: w})
+			h := newDiffHarness(t, th, base, w)
 			// Block: closing c onto itself kills Acyclic(c), derives Cyclic(c).
 			h.apply(parser.MustParseFacts(`E(c, c).`), nil)
 			// Unblock: breaking the a↔b cycle revives Acyclic(a)/Acyclic(b).
@@ -235,10 +238,10 @@ func TestIncrementalDifferentialRandom(t *testing.T) {
 	}
 	for _, th := range theories {
 		for _, c := range corpora {
-			for _, w := range workerCounts() {
+			for _, w := range requestCounts() {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", th.name, c.name, w), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(42))
-					h := newDiffHarness(t, th.src, c.db, Options{Workers: w})
+					h := newDiffHarness(t, th.src, c.db, w)
 					universe := append([]core.Atom(nil), c.db.UserFacts()...)
 					// Extra candidate facts recombine the corpus constants.
 					consts := c.db.Constants()
@@ -275,14 +278,14 @@ func TestIncrementalDifferentialRandom(t *testing.T) {
 func TestIncrementalFailAtSweep(t *testing.T) {
 	add := parser.MustParseFacts(`E(v9, x0). E(x0, v0).`)
 	del := parser.MustParseFacts(`E(v3, v4). E(v7, v8).`)
-	for _, w := range workerCounts() {
+	for _, w := range requestCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			h := newDiffHarness(t, tcTheory, gen.Path(10), Options{Workers: w})
+			h := newDiffHarness(t, tcTheory, gen.Path(10), w)
 			before := h.m.Current().String()
 			beforeDB := h.m.Current()
 			completed := false
 			for fail := 1; fail <= 200; fail++ {
-				opts := Options{Workers: w, Budget: budget.FailAt(fail)}
+				opts := Options{Budget: budget.FailAt(fail)}
 				_, _, err := h.m.Apply(add, del, opts)
 				if err == nil {
 					completed = true
@@ -317,7 +320,7 @@ func TestIncrementalFailAtSweep(t *testing.T) {
 // absent fact and add of a present fact are no-ops, retract-then-add of
 // the same fact in one batch cancels.
 func TestIncrementalBatchSemantics(t *testing.T) {
-	h := newDiffHarness(t, tcTheory, gen.Path(5), Options{Workers: 1})
+	h := newDiffHarness(t, tcTheory, gen.Path(5), 1)
 	e01 := parser.MustParseFacts(`E(v0, v1).`)
 	// Retract + add the same base fact: net no-op.
 	if d := h.apply(e01, e01); len(d.Added) != 0 || len(d.Removed) != 0 {
@@ -329,12 +332,12 @@ func TestIncrementalBatchSemantics(t *testing.T) {
 	}
 	// Empty batch returns the same database.
 	dbBefore := h.m.Current()
-	res, _, err := h.m.Apply(nil, nil, h.opts)
+	res, _, err := h.m.Apply(nil, nil, Options{})
 	if err != nil || res != dbBefore {
 		t.Fatalf("empty batch: res=%p want %p err=%v", res, dbBefore, err)
 	}
 	// Non-ground facts are rejected with the typed error.
-	if _, _, err := h.m.Apply([]core.Atom{core.NewAtom("E", core.Var("X"), core.Const("a"))}, nil, h.opts); err == nil {
+	if _, _, err := h.m.Apply([]core.Atom{core.NewAtom("E", core.Var("X"), core.Const("a"))}, nil, Options{}); err == nil {
 		t.Fatal("non-ground add accepted")
 	}
 }
@@ -343,7 +346,7 @@ func TestIncrementalBatchSemantics(t *testing.T) {
 // deleted and rederived do not surface, genuine changes do, and both
 // sides are sorted deterministically.
 func TestIncrementalDeltaReported(t *testing.T) {
-	h := newDiffHarness(t, tcTheory, gen.Path(4), Options{Workers: 1})
+	h := newDiffHarness(t, tcTheory, gen.Path(4), 1)
 	d := h.apply(parser.MustParseFacts(`E(v3, v0).`), nil)
 	if len(d.Removed) != 0 {
 		t.Fatalf("pure insertion reported removals: %v", d.Removed)

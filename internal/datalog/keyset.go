@@ -1,7 +1,7 @@
 package datalog
 
 // keyset is an open-addressing set of (tag, id tuple) keys, the
-// worker-local duplicate filter of the semi-naive engine: tag is the
+// per-work-item duplicate filter of the semi-naive engine: tag is the
 // head-atom index, the tuple the head's packed instantiation. Keys are
 // stored packed in a flat arena — no string serialization, no per-entry
 // allocation — which matters because in recursive rules the same new

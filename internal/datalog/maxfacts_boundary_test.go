@@ -30,7 +30,7 @@ func TestMaxFactsPerFactBoundary(t *testing.T) {
 	facts := parser.MustParseFacts(factSrc)
 	input := database.FromAtoms(facts).Len()
 
-	full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 4})
+	full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMaxFactsPerFactBoundary(t *testing.T) {
 
 	for m := 1; m <= derivedFull+1; m++ {
 		db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-			Options{Workers: 4, Budget: &budget.T{MaxFacts: m}})
+			Options{Budget: &budget.T{MaxFacts: m}})
 		if db == nil {
 			t.Fatalf("m=%d: no database returned", m)
 		}
@@ -118,19 +118,21 @@ func TestMaxFactsACDomAtBoundary(t *testing.T) {
 	}
 }
 
-// TestMaxFactsBoundaryAllWorkerCounts re-runs the exact-boundary case in
-// parallel: the merge is single-writer, so the admitted prefix — and
-// therefore the partial database — must be identical at every worker
-// count.
+// TestMaxFactsBoundaryAllWorkerCounts re-runs the exact-boundary case as
+// 1, 2, 4 and 8 concurrent requests over one shared input: the admitted
+// prefix — and therefore the partial database — is a function of the
+// input alone, identical for every request.
 func TestMaxFactsBoundaryAllWorkerCounts(t *testing.T) {
 	thSrc, factSrc := chainTheoryAndFacts(16)
-	th := parser.MustParseTheory(thSrc)
-	facts := parser.MustParseFacts(factSrc)
+	p, err := Compile(parser.MustParseTheory(thSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := database.FromAtoms(parser.MustParseFacts(factSrc))
 	for _, m := range []int{5, 17, 50} {
 		var want string
 		for _, workers := range []int{1, 2, 4, 8} {
-			db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-				Options{Workers: workers, Budget: &budget.T{MaxFacts: m}})
+			db, err := evalConcurrently(t, p, d, Options{Budget: &budget.T{MaxFacts: m}}, workers)
 			if !errors.Is(err, budget.ErrFactLimit) {
 				t.Fatalf("m=%d workers=%d: err = %v, want ErrFactLimit", m, workers, err)
 			}
@@ -140,7 +142,7 @@ func TestMaxFactsBoundaryAllWorkerCounts(t *testing.T) {
 				continue
 			}
 			if got != want {
-				t.Fatalf("m=%d workers=%d: partial database differs from sequential", m, workers)
+				t.Fatalf("m=%d workers=%d: partial database differs from a single request", m, workers)
 			}
 		}
 	}

@@ -8,21 +8,20 @@ import (
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/database"
-	"guardedrules/internal/par"
 	"guardedrules/internal/parser"
 )
 
-// A panic on an engine worker goroutine (injected deterministically at a
-// budget checkpoint — the workers poll Check at the top of every unit)
-// must come back as a typed per-request error, never escape to the
-// caller's goroutine or kill the process, leave the database a sound
-// partial fixpoint, and leak zero goroutines. Run under -race in CI.
-func TestEvalWorkerPanicContained(t *testing.T) {
+// A panic inside an evaluation (injected deterministically at a budget
+// checkpoint — Check runs at every merge point and work item) must come
+// back as a typed per-request error, never escape to the caller or kill
+// the process, leave the database a sound partial fixpoint, and leak
+// zero goroutines. Run under -race in CI.
+func TestEvalPanicContained(t *testing.T) {
 	thSrc, factSrc := chainTheoryAndFacts(32)
 	th := parser.MustParseTheory(thSrc)
 	facts := parser.MustParseFacts(factSrc)
 
-	full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 8})
+	full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,14 +30,14 @@ func TestEvalWorkerPanicContained(t *testing.T) {
 	sawPanic := false
 	for _, n := range []int{1, 2, 3, 5, 8, 13} {
 		db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-			Options{Workers: 8, Budget: budget.PanicAt(n)})
+			Options{Budget: budget.PanicAt(n)})
 		if err == nil {
 			continue // checkpoint n beyond the run's total; nothing injected
 		}
 		sawPanic = true
-		var pe *par.PanicError
+		var pe *budget.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("n=%d: err = %v, want a contained *par.PanicError", n, err)
+			t.Fatalf("n=%d: err = %v, want a contained *budget.PanicError", n, err)
 		}
 		if _, ok := pe.Value.(budget.InjectedPanic); !ok {
 			t.Fatalf("n=%d: recovered value %v, want budget.InjectedPanic", n, pe.Value)
@@ -68,7 +67,7 @@ func TestEvalWorkerPanicContained(t *testing.T) {
 
 	// The engine stays healthy after contained panics: a clean re-run is
 	// byte-identical to the reference.
-	again, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 8})
+	again, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,11 @@ import (
 )
 
 // Differential suite for the cost-based planner: for every (theory,
-// database, worker count) cell the semi-naive fixpoint must
-// render byte-identically — Database.String() is sorted, so this pins
-// the derived fact set across join orders, access paths, and merge
-// interleavings at once — and must agree with the chase-based reference
-// evaluator on ground atoms. The corpus includes gen.AdversarialNames
-// databases, whose constants embed NUL bytes: they would collide under
-// sloppy key packing, so they guard the packed-id dedup paths
-// (database seen-sets, the worker-local keyset) too.
+// database) cell the semi-naive fixpoint must agree with the chase-based
+// reference evaluator on ground atoms. The corpus includes
+// gen.AdversarialNames databases, whose constants embed NUL bytes: they
+// would collide under sloppy key packing, so they guard the packed-id
+// dedup paths (database seen-sets, the per-item keyset) too.
 func TestPlannerDifferentialCorpus(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		theories := []struct {
@@ -47,24 +44,13 @@ func TestPlannerDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s/%s: chase: %v", seed, tc.name, dc.name, err)
 				}
-				var want string
-				for _, workers := range []int{1, 2, 4, 8} {
-					fix, err := EvalSemiNaiveOpts(tc.th, dc.d, Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("seed %d %s/%s workers=%d: %v",
-							seed, tc.name, dc.name, workers, err)
-					}
-					got := fix.String()
-					if want == "" {
-						want = got
-					} else if got != want {
-						t.Fatalf("seed %d %s/%s: workers=%d output differs from first cell",
-							seed, tc.name, dc.name, workers)
-					}
-					if ok, diff := database.SameGroundAtoms(fix, ref); !ok {
-						t.Fatalf("seed %d %s/%s workers=%d: disagrees with chase: %s",
-							seed, tc.name, dc.name, workers, diff)
-					}
+				fix, err := EvalSemiNaiveOpts(tc.th, dc.d, Options{})
+				if err != nil {
+					t.Fatalf("seed %d %s/%s: %v", seed, tc.name, dc.name, err)
+				}
+				if ok, diff := database.SameGroundAtoms(fix, ref); !ok {
+					t.Fatalf("seed %d %s/%s: disagrees with chase: %s",
+						seed, tc.name, dc.name, diff)
 				}
 			}
 		}
@@ -72,7 +58,7 @@ func TestPlannerDifferentialCorpus(t *testing.T) {
 }
 
 // TestPlannerFailAtSweep injects a cancellation at every checkpoint of a
-// parallel run: each faulted run must return the typed cancellation
+// run: each faulted run must return the typed cancellation
 // error and a partial database that is a subset of the fixpoint, and
 // the first non-faulted run must be byte-identical to the ungoverned
 // reference. This walks the planner and plan-runner code paths (replan,
@@ -83,7 +69,7 @@ func TestPlannerFailAtSweep(t *testing.T) {
 	th := parser.MustParseTheory(thSrc)
 	facts := parser.MustParseFacts(factSrc)
 	t.Run("cost", func(t *testing.T) {
-		full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 8})
+		full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +79,7 @@ func TestPlannerFailAtSweep(t *testing.T) {
 				t.Fatal("fault injection never ran to completion")
 			}
 			db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-				Options{Workers: 8, Budget: budget.FailAt(n)})
+				Options{Budget: budget.FailAt(n)})
 			if err == nil {
 				if got := dump(db); got != want {
 					t.Fatalf("n=%d: completed governed run differs from reference", n)

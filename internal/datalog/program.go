@@ -1,14 +1,12 @@
 package datalog
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
-	"guardedrules/internal/par"
 )
 
 // Program is a Datalog program compiled once and evaluated many times:
@@ -133,25 +131,22 @@ func (p *Program) Eval(d *database.Database, opts Options) (res *database.Databa
 	tk := budget.Start(opts.Budget)
 	defer tk.Stop()
 	out := d.Clone()
-	// The engine boundary never panics: worker panics are already
-	// converted by par.RunUnits, and this seam catches the coordinator's
-	// own (merge loop, checkpoint injection), so a fault anywhere in an
-	// evaluation surfaces as one failed request, not a dead process. The
-	// partial database stays attached — completed merges only, a sound
-	// under-approximation.
+	// The engine boundary never panics: a fault anywhere in an evaluation
+	// (a join, the merge loop, checkpoint injection) surfaces as one
+	// failed request, not a dead process. The partial database stays
+	// attached — completed merges only, a sound under-approximation.
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = out, fmt.Errorf("datalog: %w", &par.PanicError{Unit: -1, Value: v, Stack: debug.Stack()})
+			res, err = out, fmt.Errorf("datalog: %w", &budget.PanicError{Value: v, Stack: debug.Stack()})
 		}
 	}()
 	for i := range p.strata {
 		if err := evalStratum(&p.strata[i], out, opts, tk); err != nil {
-			// Budget exhaustion and contained worker panics both leave the
-			// database a well-formed partial fixpoint (the failing round's
-			// buffers were discarded before any merge), so the partial
-			// result rides along with the typed error.
-			var pe *par.PanicError
-			if budget.IsBudget(err) || errors.As(err, &pe) {
+			// Budget exhaustion leaves the database a well-formed partial
+			// fixpoint (the failing round's buffers were discarded before
+			// any merge), so the partial result rides along with the
+			// typed error.
+			if budget.IsBudget(err) {
 				return out, fmt.Errorf("datalog: stratum %d: %w", i, err)
 			}
 			return nil, fmt.Errorf("datalog: stratum %d: %w", i, err)

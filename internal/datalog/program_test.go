@@ -41,9 +41,37 @@ func TestProgramMatchesEvalSemiNaive(t *testing.T) {
 	}
 }
 
-// One Program shared by many goroutines over distinct databases must not
-// race (the compiled templates are read-only; per-run state is private).
-// Run under -race.
+// evalConcurrently evaluates p over d on n goroutines at once — n
+// requests served from one compiled program over one shared snapshot —
+// and returns the outcome of the first, failing the test unless all n
+// runs agree on failing or not and return byte-identical databases.
+func evalConcurrently(t *testing.T, p *Program, d *database.Database, opts Options, n int) (*database.Database, error) {
+	t.Helper()
+	res := make([]*database.Database, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = p.Eval(d, opts)
+		}(i)
+	}
+	wg.Wait()
+	for i := range res {
+		if (errs[i] == nil) != (errs[0] == nil) {
+			t.Fatalf("concurrent evaluation %d of %d: err %v, evaluation 0: %v", i, n, errs[i], errs[0])
+		}
+		if (res[i] == nil) != (res[0] == nil) || res[i] != nil && res[i].String() != res[0].String() {
+			t.Fatalf("concurrent evaluation %d of %d diverged from evaluation 0", i, n)
+		}
+	}
+	return res[0], errs[0]
+}
+
+// One Program shared by many goroutines over one database must not race
+// (the compiled templates are read-only; per-run state is private). Run
+// under -race.
 func TestProgramConcurrentEval(t *testing.T) {
 	th := parser.MustParseTheory(`
 		E(X,Y) -> T(X,Y).
@@ -54,30 +82,15 @@ func TestProgramConcurrentEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := gen.Path(12)
-	want, err := p.Eval(d, Options{Workers: 1})
+	want, err := p.Eval(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStr := want.String()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(workers int) {
-			defer wg.Done()
-			got, err := p.Eval(d, Options{Workers: workers})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got.String() != wantStr {
-				t.Error("concurrent Eval diverged from sequential result")
-			}
-		}(1 + g%4)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	got, err := evalConcurrently(t, p, d, Options{}, 16)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Error("concurrent Eval diverged from sequential result")
 	}
 }

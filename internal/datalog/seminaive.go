@@ -2,14 +2,12 @@ package datalog
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/hom"
-	"guardedrules/internal/par"
 )
 
 // JoinStats counts planner activity; all fields are atomic, one instance
@@ -24,37 +22,21 @@ type JoinStats struct {
 	ProbeSteps atomic.Int64
 }
 
-// Options configures the semi-naive evaluator.
+// Options configures the semi-naive evaluator. An evaluation runs on
+// the calling goroutine; concurrent evaluations share only read-only
+// state (compiled templates, cloned snapshots).
 type Options struct {
-	// Workers is the number of goroutines evaluating join work items per
-	// round; 0 means runtime.GOMAXPROCS(0), 1 forces sequential
-	// evaluation. The derived fact set is identical for every worker
-	// count: the database is read-only while workers run, plans are fixed
-	// by the single writer before the fan-out, and the workers' buffers
-	// are merged by the writer in work-item order.
-	Workers int
 	// Budget, when non-nil, governs the run: cancellation and deadline are
-	// observed mid-stratum (workers drain between units and every
-	// pollInterval join results; a canceled round's buffers are not
-	// merged). MaxRounds bounds the rounds per stratum (0 = 1,000,000);
-	// MaxFacts caps derived facts (0 = none) and is enforced per added
-	// fact during the merge — the partial database never exceeds the
-	// ceiling, mirroring the chase. On exhaustion EvalSemiNaiveOpts
-	// returns the partial database — every fact merged so far — with a
-	// typed *budget.Error.
+	// observed mid-stratum (between work items and every pollInterval join
+	// results; a canceled round's buffers are not merged). MaxRounds
+	// bounds the rounds per stratum (0 = 1,000,000); MaxFacts caps
+	// derived facts (0 = none) and is enforced per added fact during the
+	// merge — the partial database never exceeds the ceiling, mirroring
+	// the chase. On exhaustion EvalSemiNaiveOpts returns the partial
+	// database — every fact merged so far — with a typed *budget.Error.
 	Budget *budget.T
 	// Stats, when non-nil, accumulates planner counters.
 	Stats *JoinStats
-}
-
-func (o Options) workers() int {
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 // defaultMaxRounds is the per-stratum round ceiling when the budget
@@ -154,7 +136,7 @@ func compileAuxTemplate(r *core.Rule, pat core.Atom, withHeads bool) ctempl {
 // citem is the per-evaluation instantiation of a template: the compiled
 // atoms are deep-copied because Resolve writes constant ids into them
 // (id resolution is per-database), and the plan is recomputed per round
-// by the single writer from live statistics.
+// from live statistics.
 type citem struct {
 	t       *ctempl
 	pattern hom.CAtom
@@ -207,7 +189,6 @@ func (c *citem) resolve(db *database.Database) {
 
 // replan recomputes the item's join plan from the database's current
 // statistics and prepares the hash tables its probe steps need.
-// Writer-only: workers see a fixed plan and read-only tables.
 func (c *citem) replan(db *database.Database, jc *hom.JoinCache, js *JoinStats) {
 	c.plan = hom.PlanBody(c.rest, c.t.patBound, db)
 	jc.Prepare(c.rest, &c.plan)
@@ -232,20 +213,16 @@ func (c *citem) patternOK() bool {
 	return true
 }
 
-// pollInterval is how many join results a worker processes between
-// cancellation polls inside a single unit, bounding the drain latency of
-// a unit with a huge delta shard.
+// pollInterval is how many join results a work item processes between
+// cancellation polls, bounding the cancellation latency of an item with
+// a huge delta.
 const pollInterval = 64
 
-// seqThreshold is the round size (delta facts) below which a round runs
-// sequentially: goroutine fan-out costs more than the joins it splits.
-const seqThreshold = 128
-
-// emitter buffers the new head instantiations of one work unit. The
+// emitter buffers the new head instantiations of one work item. The
 // frozen database's seen-set prefilters candidates in id space, and a
-// packed-id local keyset drops within-unit re-derivations, so candidates
+// packed-id local keyset drops within-item re-derivations, so candidates
 // are materialized to term atoms only when genuinely unseen. Remaining
-// cross-unit duplicates are resolved by the single-writer merge.
+// cross-item duplicates are resolved by the merge.
 type emitter struct {
 	c       *citem
 	st      *hom.State
@@ -258,7 +235,7 @@ type emitter struct {
 }
 
 // leaf is the complete-match callback; returning false aborts the
-// enumeration (the unit's buffer is then discarded by the canceled run).
+// enumeration (the item's buffer is then discarded by the canceled run).
 func (e *emitter) leaf() bool {
 	if e.polls++; e.polls%pollInterval == 0 && e.tk.Canceled() {
 		return false
@@ -288,29 +265,29 @@ func (e *emitter) leaf() bool {
 	return true
 }
 
-// evalStratum computes the fixpoint of one stratum with a parallel
-// semi-naive loop. Each round freezes the database; the single writer
-// re-resolves compiled constants (only when the intern epoch moved),
-// recomputes every live item's join plan from the now-current statistics
-// and builds the hash tables the plans probe; then (rule ×
-// delta-position × delta-shard) work items fan out over the worker pool
-// — workers only read the database, the plans and the tables, and buffer
-// candidate head atoms — and the writer merges the buffers in work-item
-// order. The merge uses AddNotify so that ACDom facts derived from fresh
-// head constants enter the next delta; without this, ACDom-reading rules
-// in the same stratum would miss constants introduced mid-fixpoint.
+// evalStratum computes the fixpoint of one stratum with a semi-naive
+// loop. Each round freezes the database: compiled constants are
+// re-resolved (only when the intern epoch moved), every live item's join
+// plan is recomputed from the now-current statistics and the hash tables
+// the plans probe are built; then each (rule × delta-position) work item
+// joins against the frozen database into its own buffer, and the buffers
+// are merged in work-item order. Semi-naive correctness needs the
+// freeze: an item must not see facts merged in its own round. The merge
+// uses AddNotify so that ACDom facts derived from fresh head constants
+// enter the next delta; without this, ACDom-reading rules in the same
+// stratum would miss constants introduced mid-fixpoint.
 //
 // Negated literals are evaluated against the current database; callers
 // guarantee stratification (the negated relations are fully computed, and
 // Stratify's implicit head→ACDom edges extend the guarantee to ACDom).
 //
-// Cancellation protocol: workers poll the tracker between units and every
-// pollInterval join results inside a unit, then drain; runUnits always
-// waits for the pool, so no goroutine outlives the call. The buffers of a
+// Cancellation protocol: the tracker is polled between work items and
+// every pollInterval join results inside an item. The buffers of a
 // canceled round are discarded, never merged — the database then holds
-// exactly the merged facts, a well-formed partial fixpoint.
+// exactly the merged facts, a well-formed partial fixpoint. A panic
+// unwinds to the engine entry (Program.Eval, Maintained.Apply) before
+// the round's merge, with the same guarantee.
 func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *budget.Tracker) error {
-	workers := opts.workers()
 	js := opts.Stats
 	jc := hom.NewJoinCache(db)
 	prevBuilds := 0
@@ -321,7 +298,7 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 		prevBuilds = jc.Builds()
 	}
 
-	// Round 0: full evaluation, one work unit per rule, planned over the
+	// Round 0: full evaluation, one work item per rule, planned over the
 	// input statistics.
 	r0 := instantiate(cs.round0)
 	for i := range r0 {
@@ -330,17 +307,14 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 	}
 	noteBuilds()
 	bufs := make([][]core.Atom, len(r0))
-	if err := par.RunUnits(len(r0), workers, tk.Canceled, func(u int) {
+	for u := range r0 {
+		if tk.Canceled() {
+			break // runDeltaRounds' first checkpoint reports it
+		}
 		_ = tk.Check() // checkpoint: counts toward FailAt injection
-		c := &r0[u]
-		em := &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
-			scratch: make([]uint32, 0, 16)}
-		em.st.SearchPlan(c.rest, &c.plan, jc, em.leaf)
+		em := newEmitter(&r0[u], db, tk)
+		em.st.SearchPlan(r0[u].rest, &r0[u].plan, jc, em.leaf)
 		bufs[u] = em.out
-	}); err != nil {
-		// A contained worker panic fails the run before any merge: the
-		// database is untouched by this round.
-		return fmt.Errorf("datalog: %w", err)
 	}
 
 	items := instantiate(cs.items)
@@ -349,7 +323,7 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 
 // runDeltaRounds is the merge-and-propagate loop of the semi-naive
 // engine, shared by evalStratum and the incremental maintenance paths.
-// bufs holds candidate head atoms to merge as the first delta (cross-unit
+// bufs holds candidate head atoms to merge as the first delta (cross-item
 // duplicates and facts already present are dropped by the merge); force
 // lists facts that are ALREADY in db but must additionally join the first
 // round's delta — incremental insertion resumes a finished fixpoint by
@@ -357,13 +331,12 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 // rederived and net-added facts. onAdd, when non-nil, observes every fact
 // the merge inserts (including derived ACDom facts), in merge order.
 //
-// The loop preserves the evalStratum contract: single-writer merges with
+// The loop preserves the evalStratum contract: merges in item order with
 // per-fact ceiling enforcement, per-round re-resolution gated on the
-// intern epoch, writer-side replanning from live statistics, and (item ×
-// shard) fan-out over read-only snapshots, with budget checkpoints at
-// every merge point and worker unit.
+// intern epoch, replanning from live statistics, and per-item joins
+// against the frozen round, with budget checkpoints at every merge point
+// and work item.
 func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budget.Tracker, jc *hom.JoinCache, noteBuilds func(), bufs [][]core.Atom, force []core.Atom, onAdd func(core.Atom)) error {
-	workers := opts.workers()
 	js := opts.Stats
 	if noteBuilds == nil {
 		noteBuilds = func() {}
@@ -471,68 +444,52 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 			}
 			groups[rk] = group{n: fn, w: rk.Arity + rk.AnnArity, ids: forcedIDs[rk]}
 		}
-		total := ndelta + nforced
 		forcedN, forcedIDs, nforced = nil, nil, 0
 		// Re-plan the live items against the post-merge statistics, then
-		// fan out (item × shard) units; shards stripe each item's delta
-		// facts so a round dominated by one rule still parallelizes.
-		shards := workers
-		if total < seqThreshold {
-			shards = 1
-		}
-		type unit struct {
-			c     *citem
-			shard int
-		}
-		var units []unit
+		// join each one's delta against the frozen round.
+		var live []*citem
 		for i := range items {
 			c := &items[i]
-			g, found := groups[c.pattern.RK]
-			if !found || !c.patternOK() {
+			if _, found := groups[c.pattern.RK]; !found || !c.patternOK() {
 				continue
 			}
 			c.replan(db, jc, js)
-			n := shards
-			if g.n < n {
-				n = g.n
-			}
-			for s := 0; s < n; s++ {
-				units = append(units, unit{c, s})
-			}
+			live = append(live, c)
 		}
 		noteBuilds()
-		bufs = make([][]core.Atom, len(units))
-		if err := par.RunUnits(len(units), workers, tk.Canceled, func(u int) {
-			_ = tk.Check() // checkpoint: counts toward FailAt injection
-			c := units[u].c
-			g := groups[c.pattern.RK]
-			n := shards
-			if g.n < n {
-				n = g.n
+		bufs = make([][]core.Atom, len(live))
+	collect:
+		for u, c := range live {
+			if tk.Canceled() {
+				break // the next round's checkpoint reports it
 			}
-			em := &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
-				scratch: make([]uint32, 0, 16)}
+			_ = tk.Check() // checkpoint: counts toward FailAt injection
+			g := groups[c.pattern.RK]
+			em := newEmitter(c, db, tk)
 			st := em.st
-			for j := units[u].shard; j < g.n; j += n {
+			for j := 0; j < g.n; j++ {
 				mark := st.Mark()
 				matched := st.Match(&c.pattern, g.ids[j*g.w:(j+1)*g.w])
 				if matched && !st.SearchPlan(c.rest, &c.plan, jc, em.leaf) {
-					st.Unwind(mark)
-					return // canceled: drain; the unit's buffer is discarded
+					break collect // canceled: the round's buffers are discarded
 				}
 				st.Unwind(mark)
 			}
 			bufs[u] = em.out
-		}); err != nil {
-			return fmt.Errorf("datalog: %w", err)
 		}
 	}
 }
 
+// newEmitter starts the buffer of one work item over the frozen db.
+func newEmitter(c *citem, db *database.Database, tk *budget.Tracker) *emitter {
+	return &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
+		scratch: make([]uint32, 0, 16)}
+}
+
 // EvalSemiNaive computes the stratified fixpoint with the native
-// semi-naive evaluator and default options (parallel across all CPUs,
-// cost-based planning). It is the default engine behind Eval; the
-// chase-based EvalViaChase remains available for the ablation benchmarks.
+// semi-naive evaluator and default options (cost-based planning). It is
+// the default engine behind Eval; the chase-based EvalViaChase remains
+// available for the ablation benchmarks.
 func EvalSemiNaive(th *core.Theory, d *database.Database) (*database.Database, error) {
 	return EvalSemiNaiveOpts(th, d, Options{})
 }

@@ -18,10 +18,8 @@ import (
 // matching facts in insertion order (a scan trivially, a seek because
 // posting lists are built in insertion order, a probe because bucket
 // lists are built in insertion order), so the complete enumeration order
-// is a function of the plan alone. Engines that compute the plan once
-// per round on the single writer therefore derive byte-identical results
-// for every worker count — and switching an access path (say, disabling
-// the hash cache) cannot change the order either.
+// is a function of the plan alone, and switching an access path (say,
+// disabling the hash cache) cannot change the order.
 
 // AccessKind is a step's planned access path.
 type AccessKind uint8
@@ -216,10 +214,10 @@ type joinTable struct {
 	built int
 }
 
-// JoinCache holds the hash tables of one fixpoint evaluation. The single
-// writer prepares the tables needed by the round's plans (Prepare)
-// before the worker fan-out; workers then only read (Probe). Tables
-// persist across rounds and are extended with the newly merged facts.
+// JoinCache holds the hash tables of one fixpoint evaluation. The engine
+// prepares the tables needed by the round's plans (Prepare) before the
+// round's joins, which then only read them (Probe). Tables persist
+// across rounds and are extended with the newly merged facts.
 type JoinCache struct {
 	db     *database.Database
 	tables map[tableKey]*joinTable
@@ -296,7 +294,7 @@ func (st *State) posIDOf(ca *CAtom, k int) (uint32, bool) {
 // Bindings made during the search are unwound before returning. jc may
 // be nil (probe steps then degrade to seeks). Unlike Search, the order
 // is static: the enumeration order is exactly (plan, insertion order of
-// each relation), independent of worker count and access-path choices.
+// each relation), independent of access-path choices.
 func (st *State) SearchPlan(atoms []CAtom, plan *Plan, jc *JoinCache, fn func() bool) bool {
 	return st.searchStep(atoms, plan.Steps, jc, fn)
 }

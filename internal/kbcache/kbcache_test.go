@@ -383,7 +383,7 @@ func TestConcurrentSharedKBStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3*len(queries); i++ {
 				j := (seed + i) % len(queries)
-				res, err := ckb.AnswerCQ(context.Background(), queries[j], d, QueryOptions{Workers: 1 + seed%3})
+				res, err := ckb.AnswerCQ(context.Background(), queries[j], d, QueryOptions{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -61,8 +61,6 @@ type plan struct {
 
 // QueryOptions governs one answer call.
 type QueryOptions struct {
-	// Workers is the per-round engine parallelism (0 = engine default).
-	Workers int
 	// Variant selects the chase flavor for chase-mode plans; the zero
 	// value is Oblivious.
 	Variant chase.Variant
@@ -77,7 +75,7 @@ type QueryOptions struct {
 // datalogOptions derives the engine options of one evaluation, wiring
 // the store's join-planner counters into the run.
 func (o QueryOptions) datalogOptions(m *Metrics) datalog.Options {
-	opts := datalog.Options{Workers: o.Workers, Budget: o.Budget}
+	opts := datalog.Options{Budget: o.Budget}
 	if m != nil {
 		opts.Stats = &m.Join
 	}
@@ -369,7 +367,6 @@ func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions
 		copts := chase.Options{
 			Variant:  opts.Variant,
 			MaxDepth: opts.MaxDepth,
-			Workers:  opts.Workers,
 			Budget:   opts.Budget,
 		}
 		if copts.MaxDepth == 0 {

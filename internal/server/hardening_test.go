@@ -203,12 +203,12 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
-// A panic inside an engine worker (injected at a budget checkpoint) is
-// contained by the engine's recovery seams: the request gets a 500 with
+// A panic inside an engine (injected at a budget checkpoint) is
+// contained by the engine's recovery seam: the request gets a 500 with
 // the typed panic error, the engine_panics counter moves, and the same
 // query succeeds cleanly afterwards.
-func TestEngineWorkerPanicContained(t *testing.T) {
-	_, ts := newHardenedServer(t, Config{Chaos: true, Workers: 4})
+func TestEnginePanicContained(t *testing.T) {
+	_, ts := newHardenedServer(t, Config{Chaos: true})
 	thID, dbID := registerFixtures(t, ts.URL)
 	req := queryRequest{TheoryID: thID, DBID: dbID, CQ: "T(X,Y) -> Ans(X,Y).", PanicAt: 1}
 	var resp errorResponse

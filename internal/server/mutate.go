@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"net/http"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/kb"
 	"guardedrules/internal/kbcache"
-	"guardedrules/internal/par"
 	"guardedrules/internal/parser"
 )
 
@@ -105,7 +105,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	opts := kbcache.QueryOptions{Workers: s.cfg.Workers, Budget: s.requestBudget(r)}
+	opts := kbcache.QueryOptions{Budget: s.requestBudget(r)}
 	opts.Budget.FailAtCheckpoint = req.FailAt
 	opts.Budget.PanicAtCheckpoint = req.PanicAt
 
@@ -194,7 +194,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	for sub := range ent.subs {
 		d, err := sub.mq.Apply(adds, dels, opts)
 		if err != nil {
-			var pe *par.PanicError
+			var pe *budget.PanicError
 			if errors.As(err, &pe) {
 				s.enginePanics.Add(1)
 			}
@@ -320,7 +320,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts := kbcache.QueryOptions{Workers: s.cfg.Workers, Budget: s.requestBudget(r)}
+	opts := kbcache.QueryOptions{Budget: s.requestBudget(r)}
 
 	// Register under the entry lock: the initial evaluation and the
 	// registry insert are atomic against batches, so the snapshot plus
@@ -331,7 +331,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		ent.mu.Unlock()
 		release()
-		if errors.As(err, new(*par.PanicError)) {
+		if errors.As(err, new(*budget.PanicError)) {
 			s.enginePanics.Add(1)
 		}
 		if errors.Is(err, kbcache.ErrNotMaintainable) {

@@ -64,7 +64,6 @@ import (
 	"guardedrules/internal/kbcache"
 	"guardedrules/internal/lint"
 	"guardedrules/internal/lru"
-	"guardedrules/internal/par"
 	"guardedrules/internal/parser"
 	"guardedrules/internal/store/segment"
 	"guardedrules/internal/termination"
@@ -84,8 +83,6 @@ type Config struct {
 	// ModeCertified carry a termination proof and run to saturation
 	// regardless (DefaultTimeout still applies).
 	MaxFacts int
-	// Workers is the per-round engine parallelism (0 = engine default).
-	Workers int
 
 	// HeavyLimit caps concurrent combined-complexity requests: compile
 	// misses, cold-plan builds, and chase-per-call evaluation (0 = 4).
@@ -712,7 +709,7 @@ type queryRequest struct {
 	// Fault-injection fields, rejected unless the server was built with
 	// Config.Chaos (the load harness's levers). FailAt aborts the
 	// engine budget at its nth checkpoint; PanicAt panics there
-	// (exercising worker/engine containment); DelayMS sleeps before
+	// (exercising engine containment); DelayMS sleeps before
 	// evaluation while holding the admission slot (driving shed paths
 	// deterministically); PanicHandler panics in the HTTP handler
 	// itself (exercising the recovery middleware).
@@ -827,7 +824,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := kbcache.QueryOptions{
-		Workers:  s.cfg.Workers,
 		Variant:  chase.Restricted,
 		MaxDepth: req.MaxDepth,
 		Budget:   s.requestBudget(r),
@@ -859,10 +855,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err = ckb.AnswerAtom(r.Context(), query, snap.db, opts)
 	}
 	if err != nil && (res == nil || !budget.IsBudget(err)) {
-		var pe *par.PanicError
+		var pe *budget.PanicError
 		if errors.As(err, &pe) {
-			// An engine worker panicked; the engines contained it to this
-			// request and the evaluation state was discarded.
+			// An engine panicked; the engines contained it to this request
+			// and the evaluation state was discarded.
 			s.enginePanics.Add(1)
 		}
 		s.writeError(w, http.StatusInternalServerError, err)

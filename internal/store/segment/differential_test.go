@@ -68,8 +68,7 @@ func seedStores(t *testing.T, corpus *database.Database) (ref *database.Database
 
 // Engines produce byte-identical results over the plain in-memory
 // database and over clones of the segment store, live or reopened from
-// disk, at any worker count, over regular and adversarially named
-// corpora.
+// disk, over regular and adversarially named corpora.
 func TestEngineTwoStoreDifferential(t *testing.T) {
 	corpora := map[string]*database.Database{
 		"ab":          gen.ABDatabase(40, 1),
@@ -84,33 +83,31 @@ func TestEngineTwoStoreDifferential(t *testing.T) {
 			assertMirrors(t, reopened, ref)
 			stores := map[string]*database.Database{"memory": ref, "segment": live.Clone(), "reopened": reopened.Clone()}
 
-			for _, workers := range []int{1, 4} {
-				// Datalog fixpoint.
-				var wantDL string
-				for _, sn := range []string{"memory", "segment", "reopened"} {
-					out, err := datalog.EvalSemiNaiveOpts(tcTheory, stores[sn], datalog.Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("%s workers=%d: %v", sn, workers, err)
-					}
-					if sn == "memory" {
-						wantDL = out.String()
-					} else if got := out.String(); got != wantDL {
-						t.Fatalf("datalog over %s store diverges at workers=%d:\n%s\nwant:\n%s", sn, workers, got, wantDL)
-					}
+			// Datalog fixpoint.
+			var wantDL string
+			for _, sn := range []string{"memory", "segment", "reopened"} {
+				out, err := datalog.EvalSemiNaiveOpts(tcTheory, stores[sn], datalog.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", sn, err)
 				}
-				// Restricted chase of a guarded existential theory.
-				var wantCh string
-				for _, sn := range []string{"memory", "segment", "reopened"} {
-					res, err := chase.Run(guarded, stores[sn],
-						chase.Options{Variant: chase.Restricted, MaxDepth: 2, Workers: workers, Budget: &budget.T{MaxFacts: 200_000}})
-					if err != nil {
-						t.Fatalf("chase %s workers=%d: %v", sn, workers, err)
-					}
-					if sn == "memory" {
-						wantCh = res.DB.String()
-					} else if got := res.DB.String(); got != wantCh {
-						t.Fatalf("chase over %s store diverges at workers=%d", sn, workers)
-					}
+				if sn == "memory" {
+					wantDL = out.String()
+				} else if got := out.String(); got != wantDL {
+					t.Fatalf("datalog over %s store diverges:\n%s\nwant:\n%s", sn, got, wantDL)
+				}
+			}
+			// Restricted chase of a guarded existential theory.
+			var wantCh string
+			for _, sn := range []string{"memory", "segment", "reopened"} {
+				res, err := chase.Run(guarded, stores[sn],
+					chase.Options{Variant: chase.Restricted, MaxDepth: 2, Budget: &budget.T{MaxFacts: 200_000}})
+				if err != nil {
+					t.Fatalf("chase %s: %v", sn, err)
+				}
+				if sn == "memory" {
+					wantCh = res.DB.String()
+				} else if got := res.DB.String(); got != wantCh {
+					t.Fatalf("chase over %s store diverges", sn)
 				}
 			}
 			// The inputs themselves must be untouched: engines clone at
@@ -129,7 +126,7 @@ func TestEngineTwoStoreDifferential(t *testing.T) {
 // Crash-recovery differential: kill the store mid-commit at injected
 // offsets, reopen, and assert the recovered store is byte-identical to
 // the committed prefix — and that engines derive identical fixpoints
-// from it at worker counts 1 and 4.
+// from it.
 func TestCrashRecoveryEngineDifferential(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -204,20 +201,18 @@ func TestCrashRecoveryEngineDifferential(t *testing.T) {
 		// Byte-identical recovered state: String, InternEpoch, stats.
 		assertMirrors(t, r, exp)
 
-		// Engine differential on the recovered store at both worker
-		// counts, against the never-crashed reference prefix.
-		for _, workers := range []int{1, 4} {
-			wantOut, err := datalog.EvalSemiNaiveOpts(tcTheory, exp, datalog.Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotOut, err := datalog.EvalSemiNaiveOpts(tcTheory, r.Clone(), datalog.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("cut %d workers=%d: %v", cut, workers, err)
-			}
-			if gotOut.String() != wantOut.String() {
-				t.Fatalf("cut %d workers=%d: recovered store answers diverge from committed prefix", cut, workers)
-			}
+		// Engine differential on the recovered store, against the
+		// never-crashed reference prefix.
+		wantOut, err := datalog.EvalSemiNaiveOpts(tcTheory, exp, datalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotOut, err := datalog.EvalSemiNaiveOpts(tcTheory, r.Clone(), datalog.Options{})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if gotOut.String() != wantOut.String() {
+			t.Fatalf("cut %d: recovered store answers diverge from committed prefix", cut)
 		}
 		r.Close()
 	}

@@ -3,6 +3,7 @@ package termination
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,6 +42,8 @@ func corpusDatabases(name string) map[string]*database.Database {
 	}
 }
 
+// Row workers=N runs every chase as N concurrent requests over the shared
+// input database; each of them must saturate.
 func TestTerminatingVerdictsAreSound(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -65,17 +68,25 @@ func TestTerminatingVerdictsAreSound(t *testing.T) {
 					}
 					for dbName, d := range corpusDatabases(name) {
 						for _, v := range variants {
-							res, err := chase.Run(th, d, chase.Options{
-								Variant: v,
-								Workers: workers,
-								Budget:  generous(),
-							})
-							if err != nil {
-								t.Fatalf("db=%s variant=%v: %v", dbName, v, err)
+							res := make([]*chase.Result, workers)
+							errs := make([]error, workers)
+							var wg sync.WaitGroup
+							for i := range res {
+								wg.Add(1)
+								go func(i int) {
+									defer wg.Done()
+									res[i], errs[i] = chase.Run(th, d, chase.Options{Variant: v, Budget: generous()})
+								}(i)
 							}
-							if !res.Saturated {
-								t.Fatalf("db=%s variant=%v: analyzer says terminating (class %v) but chase did not saturate (%s)",
-									dbName, v, rep.Class, res.Reason)
+							wg.Wait()
+							for i := range res {
+								if errs[i] != nil {
+									t.Fatalf("db=%s variant=%v: %v", dbName, v, errs[i])
+								}
+								if !res[i].Saturated {
+									t.Fatalf("db=%s variant=%v: analyzer says terminating (class %v) but chase did not saturate (%s)",
+										dbName, v, rep.Class, res[i].Reason)
+								}
 							}
 						}
 					}
