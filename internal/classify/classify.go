@@ -47,8 +47,12 @@ func posOf(atoms []core.Atom, x core.Term) []Position {
 // Negated body atoms are ignored.
 func AffectedPositions(th *core.Theory) PosSet {
 	ap := make(PosSet)
-	// (i) positions of existential variables in heads.
+	// A flow carries a universal variable's body positions to its head
+	// positions: once all the former are affected, so are the latter.
+	type flow struct{ body, head []Position }
+	var flows []flow
 	for _, r := range th.Rules {
+		// (i) positions of existential variables in heads.
 		ev := r.EVarSet()
 		for _, h := range r.Head {
 			for i, t := range h.Args {
@@ -57,32 +61,32 @@ func AffectedPositions(th *core.Theory) PosSet {
 				}
 			}
 		}
+		body := r.PositiveBody()
+		for x := range r.UVars() {
+			f := flow{posOf(body, x), posOf(r.Head, x)}
+			if len(f.body) > 0 && len(f.head) > 0 {
+				flows = append(flows, f)
+			}
+		}
 	}
 	// (ii) propagate until fixpoint.
 	for changed := true; changed; {
 		changed = false
-		for _, r := range th.Rules {
-			body := r.PositiveBody()
-			for x := range r.UVars() {
-				bodyPos := posOf(body, x)
-				if len(bodyPos) == 0 {
-					continue
+		for _, f := range flows {
+			all := true
+			for _, p := range f.body {
+				if !ap[p] {
+					all = false
+					break
 				}
-				all := true
-				for _, p := range bodyPos {
-					if !ap[p] {
-						all = false
-						break
-					}
-				}
-				if !all {
-					continue
-				}
-				for _, p := range posOf(r.Head, x) {
-					if !ap[p] {
-						ap[p] = true
-						changed = true
-					}
+			}
+			if !all {
+				continue
+			}
+			for _, p := range f.head {
+				if !ap[p] {
+					ap[p] = true
+					changed = true
 				}
 			}
 		}

@@ -34,8 +34,11 @@ type Artifact struct {
 	Translated string `json:"translated,omitempty"`
 }
 
-// ArtifactFormatVersion is the current on-disk artifact format.
-const ArtifactFormatVersion = 1
+// ArtifactFormatVersion is the current on-disk artifact format. Format
+// 1 artifacts may hold a dat(Σ) from the earlier term-space saturator,
+// which could join unrelated nulls and derive unsound rules; they are
+// rejected, so their theories are compiled again from source.
+const ArtifactFormatVersion = 2
 
 // Artifact renders the KB's durable form.
 func (kb *CompiledKB) Artifact() Artifact {

@@ -246,6 +246,13 @@ type CompiledKB struct {
 	// in every other mode.
 	translated *core.Theory
 
+	// closure is the frozen saturation Ξ behind translated — of Σ, or of
+	// rew(Σ) for nearly frontier-guarded sources — which cold CQ plans
+	// extend instead of saturating Σ∪q from scratch. KBs restored from an
+	// artifact build it on their first cold plan (see baseClosure).
+	closureMu sync.Mutex
+	closure   *saturate.Closure
+
 	cfg     Config
 	metrics *Metrics
 
@@ -276,7 +283,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 		kb.program = prog
 		kb.Chain = []string{"source is plain Datalog; compiled directly"}
 	case !th.HasNegation() && kb.Class.Member[classify.NearlyGuarded]:
-		dat, _, err := saturate.NearlyGuardedToDatalog(th, saturate.Options{Budget: bud})
+		dat, cl, _, err := saturate.Extend(nil, th, saturate.Options{Budget: bud})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, fmt.Errorf("kbcache: compile canceled: %w", err)
@@ -285,6 +292,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 			break
 		}
 		s.metrics.Translations.Add(1)
+		s.metrics.SaturationsFull.Add(1)
 		prog, cerr := datalog.Compile(dat)
 		if cerr != nil {
 			return nil, fmt.Errorf("kbcache: dat(Σ): %w", cerr)
@@ -292,6 +300,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 		kb.Mode = ModeTranslated
 		kb.program = prog
 		kb.translated = dat
+		kb.closure = cl
 		kb.Chain = []string{
 			fmt.Sprintf("dat(Σ): nearly guarded → %d Datalog rules (Theorem 3 / Proposition 6)", len(dat.Rules)),
 		}
@@ -304,7 +313,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 			kb.fallBackToChase("rew(Σ)", err)
 			break
 		}
-		dat, _, err := saturate.NearlyGuardedToDatalog(ng, saturate.Options{Budget: bud})
+		dat, cl, _, err := saturate.Extend(nil, ng, saturate.Options{Budget: bud})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, fmt.Errorf("kbcache: compile canceled: %w", err)
@@ -313,6 +322,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 			break
 		}
 		s.metrics.Translations.Add(1)
+		s.metrics.SaturationsFull.Add(1)
 		prog, cerr := datalog.Compile(dat)
 		if cerr != nil {
 			return nil, fmt.Errorf("kbcache: dat(rew(Σ)): %w", cerr)
@@ -320,6 +330,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 		kb.Mode = ModeTranslated
 		kb.program = prog
 		kb.translated = dat
+		kb.closure = cl
 		kb.Chain = []string{
 			fmt.Sprintf("rew(Σ): nearly frontier-guarded → %d nearly guarded rules (Theorem 1 / Proposition 4)", len(ng.Rules)),
 			fmt.Sprintf("dat(rew(Σ)): → %d Datalog rules (Theorem 3 / Proposition 6)", len(dat.Rules)),
@@ -372,6 +383,7 @@ func (kb *CompiledKB) fallBackToChase(step string, err error) {
 	kb.Mode = ModeChase
 	kb.program = nil
 	kb.translated = nil
+	kb.closure = nil
 	kb.Chain = []string{
 		fmt.Sprintf("%s aborted (%v); falling back to per-query bounded chase", step, err),
 	}

@@ -24,6 +24,11 @@ type Metrics struct {
 	PlanEvictions atomic.Int64 // plans dropped by the LRU
 	Translations  atomic.Int64 // rewrite/saturation chains actually run
 
+	// Saturation counters: runs of the dat(Σ) saturation that started
+	// from scratch, and cold CQ plans that extended a KB's frozen Ξ(Σ).
+	SaturationsFull    atomic.Int64
+	SaturationsResumed atomic.Int64
+
 	// Query counters.
 	Queries         atomic.Int64 // answer requests served
 	QueryErrors     atomic.Int64 // requests that failed outright
@@ -76,6 +81,8 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"plan_misses":               m.PlanMisses.Load(),
 		"plan_evictions":            m.PlanEvictions.Load(),
 		"translations":              m.Translations.Load(),
+		"saturations_full":          m.SaturationsFull.Load(),
+		"saturations_resumed":       m.SaturationsResumed.Load(),
 		"queries":                   m.Queries.Load(),
 		"query_errors":              m.QueryErrors.Load(),
 		"budget_exhausted":          m.BudgetExhausted.Load(),

@@ -275,20 +275,24 @@ func (ckb *CompiledKB) buildTranslatedCQPlan(ctx context.Context, attached *core
 	rep := classify.Classify(attached)
 	var (
 		dat   *core.Theory
+		st    *saturate.Stats
 		chain []string
 		err   error
+		dname = "dat(Σ∪q)"
+		base  = "Ξ(Σ)"
 	)
 	switch {
 	case rep.Member[classify.NearlyGuarded]:
-		dat, _, err = saturate.NearlyGuardedToDatalog(attached, saturate.Options{Budget: bud})
-		chain = []string{"query rule attached (stays nearly guarded)", "dat(Σ∪q) saturated (Theorem 3 / Proposition 6)"}
+		dat, _, st, err = saturate.Extend(ckb.baseClosure(bud), attached, saturate.Options{Budget: bud})
+		chain = []string{"query rule attached (stays nearly guarded)"}
 	case rep.Member[classify.NearlyFrontierGuarded]:
 		var ng *core.Theory
 		ng, _, err = rewrite.Rewrite(normalize.Normalize(attached), rewrite.Options{Budget: bud})
 		if err == nil {
-			dat, _, err = saturate.NearlyGuardedToDatalog(ng, saturate.Options{Budget: bud})
+			dat, _, st, err = saturate.Extend(ckb.baseClosure(bud), ng, saturate.Options{Budget: bud})
 		}
-		chain = []string{"query rule attached (stays nearly frontier-guarded)", "rew(Σ∪q) (Theorem 1)", "dat(rew(Σ∪q)) saturated (Proposition 6)"}
+		chain = []string{"query rule attached (stays nearly frontier-guarded)", "rew(Σ∪q) (Theorem 1)"}
+		dname, base = "dat(rew(Σ∪q))", "Ξ(rew(Σ))"
 	default:
 		return ckb.buildChasePlan(attached, "query rule leaves the translatable fragments; bounded chase per call"), nil
 	}
@@ -301,11 +305,50 @@ func (ckb *CompiledKB) buildTranslatedCQPlan(ctx context.Context, attached *core
 		return ckb.buildChasePlan(attached, "translation aborted ("+err.Error()+"); bounded chase per call"), nil
 	}
 	ckb.metrics.Translations.Add(1)
+	if st.Resumed {
+		ckb.metrics.SaturationsResumed.Add(1)
+		chain = append(chain, fmt.Sprintf("%s resumed from %s (+%d rules)", dname, base, st.ClosureRules-st.BaseRules))
+	} else {
+		ckb.metrics.SaturationsFull.Add(1)
+		why := st.FreshReason
+		if why == "" {
+			why = "no frozen " + base
+		}
+		chain = append(chain, fmt.Sprintf("%s saturated from scratch (%s)", dname, why))
+	}
 	prog, err := datalog.Compile(dat)
 	if err != nil {
 		return nil, err
 	}
 	return &plan{kind: planProgram, prog: prog, queryRel: kb.QueryRel, chain: chain}, nil
+}
+
+// baseClosure returns the KB's frozen Ξ for cold plans to extend. A KB
+// restored from an artifact has none until its first cold plan: that
+// plan saturates Σ (or rew(Σ)) once here, and the KB keeps the result.
+// Nil means no base is available (the build failed or was cut short);
+// the plan then saturates from scratch.
+func (ckb *CompiledKB) baseClosure(bud *budget.T) *saturate.Closure {
+	ckb.closureMu.Lock()
+	defer ckb.closureMu.Unlock()
+	if ckb.closure != nil {
+		return ckb.closure
+	}
+	th := ckb.Theory
+	if !ckb.Class.Member[classify.NearlyGuarded] {
+		ng, _, err := rewrite.Rewrite(normalize.Normalize(th), rewrite.Options{Budget: bud})
+		if err != nil {
+			return nil
+		}
+		th = ng
+	}
+	_, cl, _, err := saturate.Extend(nil, th, saturate.Options{Budget: bud})
+	if err != nil {
+		return nil
+	}
+	ckb.metrics.SaturationsFull.Add(1)
+	ckb.closure = cl
+	return cl
 }
 
 // AnswerAtom answers an atomic query — a single atom whose constants are

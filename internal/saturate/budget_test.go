@@ -77,3 +77,43 @@ func TestContextCancelStopsSaturation(t *testing.T) {
 		t.Fatal("canceled saturation must return the partial theory")
 	}
 }
+
+// The resumed path has the same checkpoints: every canceled extension
+// returns its partial dat(Σ∪q) with a typed error, the first uncanceled
+// one matches a from-scratch run, and the frozen base never changes.
+func TestFailAtEveryCheckpointResumed(t *testing.T) {
+	base := mustExtend(t, nil, exampleSeven, Options{})
+	before := dump(base)
+	ext := parser.MustParseTheory(exampleSeven + `
+		B(X) -> exists Y. S(X,Y).
+		D(X), A(X) -> Q(X).
+	`)
+	ref, _, err := NearlyGuardedToDatalog(ext, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; ; n++ {
+		if n > 100_000 {
+			t.Fatal("fault injection never ran to completion")
+		}
+		dat, cl, stats, err := Extend(base, ext, Options{Budget: budget.FailAt(n)})
+		if dump(base) != before {
+			t.Fatalf("n=%d: the resumed run mutated its base", n)
+		}
+		if err == nil {
+			if !stats.Resumed || cl == nil {
+				t.Fatalf("n=%d: run did not resume (%+v)", n, stats)
+			}
+			if len(dat.Rules) != len(ref.Rules) {
+				t.Fatalf("n=%d: resumed run has %d rules, from scratch %d", n, len(dat.Rules), len(ref.Rules))
+			}
+			break
+		}
+		if !errors.Is(err, budget.ErrCanceled) {
+			t.Fatalf("n=%d: err = %v, want ErrCanceled", n, err)
+		}
+		if dat == nil || stats == nil || cl != nil {
+			t.Fatalf("n=%d: canceled resumed run must return partials and no closure", n)
+		}
+	}
+}

@@ -270,3 +270,108 @@ func TestNearlyGuardedRejectsUnsafe(t *testing.T) {
 		t.Error("rule with unsafe join variable must be rejected")
 	}
 }
+
+// Richer random guarded theories — ternary relations, side atoms,
+// multi-atom heads sharing up to two nulls — against the chase. The
+// chase need not terminate, so dat(Σ) must contain a shallow chase's
+// ground atoms (completeness) and be contained in a deep one's
+// (soundness: merged heads must keep unrelated nulls apart).
+func TestTheoremThreeRichRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 1000; trial++ {
+		th := randomRichGuardedTheory(rng)
+		dat, _, err := Datalog(th, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%v", trial, err, th)
+		}
+		d := randomRichDatabase(rng)
+		fix, err := datalog.Eval(dat, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := func(k core.RelKey) bool { return k.Name != core.ACDom }
+		got := fix.Restrict(keep)
+		for _, depth := range []int{6, 14} {
+			ch, err := chase.Run(th, d, chase.Options{Variant: chase.Restricted, MaxDepth: depth, Budget: &budget.T{MaxFacts: 100_000}})
+			if err != nil && !budget.IsBudget(err) {
+				t.Fatal(err)
+			}
+			truncated := err != nil
+			want := ch.DB.Restrict(keep)
+			if depth == 6 || ch.Saturated {
+				for _, a := range want.GroundAtoms() {
+					if !got.Has(a) {
+						t.Fatalf("trial %d on %v: chase derives %v, dat(Σ) does not\n%v", trial, d, a, th)
+					}
+				}
+			}
+			if depth == 14 && !truncated {
+				for _, a := range got.GroundAtoms() {
+					if !want.Has(a) {
+						t.Fatalf("trial %d on %v: dat(Σ) derives %v, the chase does not\n%v", trial, d, a, th)
+					}
+				}
+			}
+		}
+	}
+}
+
+var richRelations = []struct {
+	name  string
+	arity int
+}{{"U1", 1}, {"U2", 1}, {"B1", 2}, {"B2", 2}, {"T1", 3}}
+
+// randomRichGuardedTheory draws 3–7 guarded rules: a binary or ternary
+// guard, up to two side atoms over the guard's variables, and one or two
+// head atoms over the guard's variables and up to two nulls.
+func randomRichGuardedTheory(rng *rand.Rand) *core.Theory {
+	vars := []core.Term{core.Var("X"), core.Var("Y"), core.Var("Z")}
+	nulls := []core.Term{core.Var("E1"), core.Var("E2")}
+	atom := func(terms []core.Term, minArity int) core.Atom {
+		r := richRelations[minArity+rng.Intn(len(richRelations)-minArity)]
+		args := make([]core.Term, r.arity)
+		for j := range args {
+			args[j] = terms[rng.Intn(len(terms))]
+		}
+		return core.NewAtom(r.name, args...)
+	}
+	th := core.NewTheory()
+	for i, n := 0, 3+rng.Intn(5); i < n; i++ {
+		body := []core.Atom{atom(vars, 2)}
+		gv := core.VarsOf(body).Sorted()
+		for k := rng.Intn(3); k > 0; k-- {
+			body = append(body, atom(gv, 0))
+		}
+		terms := gv
+		if rng.Intn(2) == 0 {
+			terms = append(append([]core.Term(nil), gv...), nulls[:1+rng.Intn(2)]...)
+		}
+		var head []core.Atom
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			head = append(head, atom(terms, 0))
+		}
+		var exist []core.Term
+		for _, e := range nulls {
+			if core.VarsOf(head).Has(e) {
+				exist = append(exist, e)
+			}
+		}
+		r := core.NewRule(body, exist, head...)
+		r.Label = fmt.Sprintf("g%d", i)
+		th.Add(r)
+	}
+	return th
+}
+
+func randomRichDatabase(rng *rand.Rand) *database.Database {
+	d := database.New()
+	for i := 0; i < 6; i++ {
+		r := richRelations[rng.Intn(len(richRelations))]
+		args := make([]core.Term, r.arity)
+		for j := range args {
+			args[j] = core.Const(fmt.Sprintf("c%d", rng.Intn(3)))
+		}
+		d.Add(core.NewAtom(r.name, args...))
+	}
+	return d
+}
