@@ -11,9 +11,6 @@ import (
 type Reorder struct {
 	// perm[rk][i] is the old position stored at new position i.
 	perm map[core.RelKey][]int
-	// affected[rk] is the number of affected positions of rk (after
-	// reordering these are positions 0..affected-1).
-	affected map[core.RelKey]int
 }
 
 // ProperReorder computes the permutation making th proper. It must be
@@ -21,10 +18,7 @@ type Reorder struct {
 // it.
 func ProperReorder(th *core.Theory) *Reorder {
 	ap := AffectedPositions(th)
-	ro := &Reorder{
-		perm:     make(map[core.RelKey][]int),
-		affected: make(map[core.RelKey]int),
-	}
+	ro := &Reorder{perm: make(map[core.RelKey][]int)}
 	for _, rk := range th.Relations() {
 		var aff, non []int
 		for i := 0; i < rk.Arity; i++ {
@@ -35,25 +29,8 @@ func ProperReorder(th *core.Theory) *Reorder {
 			}
 		}
 		ro.perm[rk] = append(aff, non...)
-		ro.affected[rk] = len(aff)
 	}
 	return ro
-}
-
-// AffectedCount returns the number of affected positions of rk (the "last
-// affected position" index i of Definition 17).
-func (ro *Reorder) AffectedCount(rk core.RelKey) int { return ro.affected[rk] }
-
-// IsIdentity reports whether the reorder permutes nothing.
-func (ro *Reorder) IsIdentity() bool {
-	for _, p := range ro.perm {
-		for i, old := range p {
-			if i != old {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Atom returns the atom with arguments permuted into proper order. Atoms

@@ -186,23 +186,6 @@ func TestSubstitution(t *testing.T) {
 	}
 }
 
-func TestMatchAtom(t *testing.T) {
-	pat := NewAtom("R", Var("x"), Var("x"))
-	if _, ok := MatchAtom(pat, NewAtom("R", Const("a"), Const("b")), Subst{}); ok {
-		t.Error("inconsistent match must fail")
-	}
-	s, ok := MatchAtom(pat, NewAtom("R", Const("a"), Const("a")), Subst{})
-	if !ok || s.Apply(Var("x")) != Const("a") {
-		t.Error("match failed")
-	}
-	// Failure must not mutate the input substitution.
-	base := Subst{Var("x"): Const("a")}
-	_, ok = MatchAtom(pat, NewAtom("R", Const("b"), Const("b")), base)
-	if ok || base.Apply(Var("x")) != Const("a") {
-		t.Error("failed match must leave input substitution unchanged")
-	}
-}
-
 func TestCanonicalKeyRenaming(t *testing.T) {
 	r1 := NewRule(
 		[]Atom{NewAtom("R", Var("x"), Var("y")), NewAtom("R", Var("y"), Var("z"))},
@@ -387,6 +370,59 @@ func TestCanonicalAtomSetAndVarOrder(t *testing.T) {
 	kc, _ := CanonicalAtomSet([]Atom{NewAtom("R", Var("x"), Var("x")), NewAtom("S", Var("x"))})
 	if kc == ka {
 		t.Error("non-isomorphic sets must differ")
+	}
+}
+
+// TestCanonicalKeyInjective covers names that look like the key's own
+// syntax: a constant spelled like a numbered variable, names holding the
+// argument and atom separators, NUL bytes, and a constant spelled like a
+// null. Non-isomorphic pairs must get distinct keys; renamed and
+// reordered copies must keep equal ones.
+func TestCanonicalKeyInjective(t *testing.T) {
+	x, y := Var("X"), Var("Y")
+	rule := func(head Atom, body ...Atom) *Rule { return NewRule(body, nil, head) }
+	distinct := []struct {
+		name string
+		a, b *Rule
+	}{
+		{"?0", rule(NewAtom("S", x), NewAtom("P", x), NewAtom("R", x, x)),
+			rule(NewAtom("S", x), NewAtom("P", x), NewAtom("R", x, Const("?0")))},
+		{"a, b", rule(NewAtom("S", x), NewAtom("P", x, Const("a, b"))),
+			rule(NewAtom("S", x), NewAtom("P", x, Const("a"), Const(" b")))},
+		{"a,b", rule(NewAtom("S"), NewAtom("P", Const("a,b"))),
+			rule(NewAtom("S"), NewAtom("P", Const("a"), Const("b")))},
+		{" & ", rule(NewAtom("S"), NewAtom("A", Const("x) & 0B(y"))),
+			rule(NewAtom("S"), NewAtom("A", Const("x")), NewAtom("B", Const("y")))},
+		{"NUL", rule(NewAtom("S", x), NewAtom("P", x, Const("a\x00b"))),
+			rule(NewAtom("S", x), NewAtom("P", x, Const("a\x00c")))},
+		{"NUL relation", rule(NewAtom("S", x), NewAtom("P\x00(", x)),
+			rule(NewAtom("S", x), NewAtom("P\x00)", x))},
+		{"null vs constant", rule(NewAtom("S", x), NewAtom("P", x, NewNull("n"))),
+			rule(NewAtom("S", x), NewAtom("P", x, Const("_:n")))},
+	}
+	for _, c := range distinct {
+		if CanonicalKey(c.a) == CanonicalKey(c.b) {
+			t.Errorf("%s: %v and %v share a key", c.name, c.a, c.b)
+		}
+		ka, _ := CanonicalAtomSet(c.a.PositiveBody())
+		kb, _ := CanonicalAtomSet(c.b.PositiveBody())
+		if ka == kb {
+			t.Errorf("%s: bodies %v and %v share an atom-set key", c.name, c.a.PositiveBody(), c.b.PositiveBody())
+		}
+	}
+	// Renamed and reordered copies over the same odd names stay equal.
+	odd := []Term{Const("?0"), Const("a, b"), Const(" & "), Const("a\x00b"), NewNull("?1")}
+	r1 := rule(NewAtom("S", x, odd[4]),
+		NewAtom("P", x, odd[0]), NewAtom("R", x, y, odd[1]), NewAtom("R", y, x, odd[2]), NewAtom("Q\x00", y, odd[3]))
+	r2 := rule(NewAtom("S", Var("b"), odd[4]),
+		NewAtom("Q\x00", Var("a"), odd[3]), NewAtom("R", Var("a"), Var("b"), odd[2]), NewAtom("R", Var("b"), Var("a"), odd[1]), NewAtom("P", Var("b"), odd[0]))
+	if CanonicalKey(r1) != CanonicalKey(r2) {
+		t.Errorf("renamed copy changed the key:\n%q\n%q", CanonicalKey(r1), CanonicalKey(r2))
+	}
+	k1, _ := CanonicalAtomSet(r1.PositiveBody())
+	k2, _ := CanonicalAtomSet(r2.PositiveBody())
+	if k1 != k2 {
+		t.Errorf("renamed copy changed the atom-set key:\n%q\n%q", k1, k2)
 	}
 }
 

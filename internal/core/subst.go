@@ -76,37 +76,3 @@ func (s Subst) Clone() Subst {
 	}
 	return out
 }
-
-// MatchAtom extends the substitution s so that s(pattern) = target, where
-// target must be at least as ground as the pattern image. It reports
-// whether matching succeeded; on failure s is unchanged. Both arguments and
-// annotations are matched.
-func MatchAtom(pattern, target Atom, s Subst) (Subst, bool) {
-	if pattern.Relation != target.Relation ||
-		len(pattern.Args) != len(target.Args) ||
-		len(pattern.Annotation) != len(target.Annotation) {
-		return s, false
-	}
-	out := s.Clone()
-	match := func(p, t Term) bool {
-		if p.IsVar() {
-			if b, ok := out[p]; ok {
-				return b == t
-			}
-			out[p] = t
-			return true
-		}
-		return p == t
-	}
-	for i := range pattern.Args {
-		if !match(pattern.Args[i], target.Args[i]) {
-			return s, false
-		}
-	}
-	for i := range pattern.Annotation {
-		if !match(pattern.Annotation[i], target.Annotation[i]) {
-			return s, false
-		}
-	}
-	return out, true
-}

@@ -21,47 +21,15 @@ import (
 // Existential rules are allowed (Section 8 stratifies existential
 // theories); stratification only concerns relation dependencies.
 func Stratify(th *core.Theory) ([][]*core.Rule, error) {
-	// Collect relations and dependency edges.
-	type edge struct {
-		from, to string
-		negative bool
-	}
-	var edges []edge
+	edges := DependencyEdges(th)
 	rels := make(map[string]bool)
-	readsACDom := false
 	for _, r := range th.Rules {
 		for _, h := range r.Head {
 			rels[h.Relation] = true
-			for _, l := range r.Body {
-				rels[l.Atom.Relation] = true
-				edges = append(edges, edge{l.Atom.Relation, h.Relation, l.Negated})
-				if l.Atom.Relation == core.ACDom {
-					readsACDom = true
-				}
-			}
 		}
 	}
-	// The built-in ACDom relation is maintained by the database: deriving
-	// a fact with a fresh constant implicitly derives an ACDom fact. Head
-	// variables are bound to terms of existing facts (already in the
-	// domain) and existential variables become nulls (never in ACDom), so
-	// fresh domain constants can only come from constants written in rule
-	// heads that no positive body atom mentions. Such heads carry an
-	// implicit positive dependency edge to ACDom — without it, an
-	// ACDom-reading rule could be stratified below a rule introducing a
-	// new head constant and miss its derivations.
-	if readsACDom {
-		for _, r := range th.Rules {
-			if !introducesConstants(r) {
-				continue
-			}
-			rels[core.ACDom] = true
-			for _, h := range r.Head {
-				if h.Relation != core.ACDom {
-					edges = append(edges, edge{h.Relation, core.ACDom, false})
-				}
-			}
-		}
+	for _, e := range edges {
+		rels[e.From], rels[e.To] = true, true
 	}
 	// Level assignment by iterated relaxation; n·|edges| passes suffice,
 	// and a level exceeding the relation count certifies a negative cycle.
@@ -73,15 +41,15 @@ func Stratify(th *core.Theory) ([][]*core.Rule, error) {
 			return nil, fmt.Errorf("datalog: theory is not stratified (negation through recursion)")
 		}
 		for _, e := range edges {
-			need := level[e.from]
-			if e.negative {
+			need := level[e.From]
+			if e.Negative {
 				need++
 			}
-			if level[e.to] < need {
+			if level[e.To] < need {
 				if need > n {
-					return nil, fmt.Errorf("datalog: theory is not stratified (negation through recursion involving %s)", e.to)
+					return nil, fmt.Errorf("datalog: theory is not stratified (negation through recursion involving %s)", e.To)
 				}
-				level[e.to] = need
+				level[e.To] = need
 				changed = true
 			}
 		}
@@ -119,6 +87,57 @@ func Stratify(th *core.Theory) ([][]*core.Rule, error) {
 	return out, nil
 }
 
+// DepEdge is an edge of the predicate dependency graph (Definition 22):
+// the relation To depends on From, negatively when Negative. Atom is the
+// body atom the dependency comes from, or the head atom for an implicit
+// edge to ACDom, and Rule is the rule that contributes the edge.
+type DepEdge struct {
+	From, To string
+	Negative bool
+	Atom     core.Atom
+	Rule     *core.Rule
+}
+
+// DependencyEdges lists the dependency graph's edges in rule order: one
+// per (body literal, head atom) pair of every rule, then the implicit
+// head→ACDom edges. The built-in ACDom relation is maintained by the
+// database: deriving a fact with a fresh constant implicitly derives an
+// ACDom fact. Head variables are bound to terms of existing facts
+// (already in the domain) and existential variables become nulls (never
+// in ACDom), so fresh domain constants can only come from constants
+// written in rule heads that no positive body atom mentions. When some
+// rule reads ACDom, such heads carry an implicit positive edge to ACDom —
+// without it, an ACDom-reading rule could be stratified below a rule
+// introducing a new head constant and miss its derivations.
+func DependencyEdges(th *core.Theory) []DepEdge {
+	var edges []DepEdge
+	readsACDom := false
+	for _, r := range th.Rules {
+		for _, h := range r.Head {
+			for _, l := range r.Body {
+				edges = append(edges, DepEdge{l.Atom.Relation, h.Relation, l.Negated, l.Atom, r})
+				if l.Atom.Relation == core.ACDom {
+					readsACDom = true
+				}
+			}
+		}
+	}
+	if !readsACDom {
+		return edges
+	}
+	for _, r := range th.Rules {
+		if !introducesConstants(r) {
+			continue
+		}
+		for _, h := range r.Head {
+			if h.Relation != core.ACDom {
+				edges = append(edges, DepEdge{h.Relation, core.ACDom, false, h, r})
+			}
+		}
+	}
+	return edges
+}
+
 // introducesConstants reports whether firing the rule can put a constant
 // into the active domain that was not there before: some head atom writes
 // a constant that no positive body atom mentions (a match of the positive
@@ -153,25 +172,6 @@ func introducesConstants(r *core.Rule) bool {
 		}
 	}
 	return false
-}
-
-// IsSemipositive reports whether every negated atom refers to a relation
-// that never occurs in a head (negation on input relations only).
-func IsSemipositive(th *core.Theory) bool {
-	heads := make(map[string]bool)
-	for _, r := range th.Rules {
-		for _, h := range r.Head {
-			heads[h.Relation] = true
-		}
-	}
-	for _, r := range th.Rules {
-		for _, l := range r.Body {
-			if l.Negated && heads[l.Atom.Relation] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Eval computes the stratified fixpoint of a Datalog program over the

@@ -107,23 +107,6 @@ func TestEvalRejectsExistentials(t *testing.T) {
 	}
 }
 
-func TestIsSemipositive(t *testing.T) {
-	sp := parser.MustParseTheory(`
-		R(X), not In(X) -> P(X).
-		P(X) -> W(X).
-	`)
-	if !IsSemipositive(sp) {
-		t.Error("negation on input-only relation is semipositive")
-	}
-	nsp := parser.MustParseTheory(`
-		R(X) -> P(X).
-		R(X), not P(X) -> W(X).
-	`)
-	if IsSemipositive(nsp) {
-		t.Error("negation on derived relation is not semipositive")
-	}
-}
-
 func TestAnswersSortedAndGround(t *testing.T) {
 	th := parser.MustParseTheory(`E(X,Y) -> Q(Y,X).`)
 	d := database.FromAtoms(parser.MustParseFacts(`E(b,a). E(a,c).`))

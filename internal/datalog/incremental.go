@@ -116,9 +116,6 @@ func (m *Maintained) Program() *Program { return m.p }
 // unchanged) after subsequent Apply calls.
 func (m *Maintained) Current() *database.Database { return m.cur }
 
-// BaseLen returns the number of base (explicit) facts.
-func (m *Maintained) BaseLen() int { return len(m.base) }
-
 // Apply folds a batch of base-fact mutations into the maintained
 // fixpoint: retractions are staged first, then additions (so a retract
 // and an add of the same fact in one batch cancel). Facts retracted that

@@ -7,6 +7,7 @@ import (
 
 	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
+	"guardedrules/internal/datalog"
 	"guardedrules/internal/termination"
 )
 
@@ -480,102 +481,45 @@ func runPredicates(ctx *Context) []Diagnostic {
 //
 // A theory is stratified (Definition 22) when no relation depends
 // negatively on itself through the predicate dependency graph. The pass
-// mirrors datalog.Stratify — including the implicit head→ACDom edges of
-// constant-introducing rules when ACDom is read — but reports the
-// offending cycle instead of a bare error.
+// reads the graph datalog.Stratify levels — including the implicit
+// head→ACDom edges of constant-introducing rules when ACDom is read — but
+// reports the offending cycle instead of a bare error.
 
 func runStratify(ctx *Context) []Diagnostic {
-	type edge struct {
-		from, to string
-		negative bool
-		atom     core.Atom
-		rule     *core.Rule
-	}
-	var edges []edge
+	edges := datalog.DependencyEdges(ctx.Theory)
 	var order []string
 	seenNode := map[string]bool{}
-	node := func(n string) {
-		if !seenNode[n] {
-			seenNode[n] = true
-			order = append(order, n)
-		}
-	}
-	readsACDom := false
-	for _, r := range ctx.Theory.Rules {
-		for _, h := range r.Head {
-			node(h.Relation)
-			for _, l := range r.Body {
-				node(l.Atom.Relation)
-				edges = append(edges, edge{l.Atom.Relation, h.Relation, l.Negated, l.Atom, r})
-				if l.Atom.Relation == core.ACDom {
-					readsACDom = true
-				}
-			}
-		}
-	}
-	if readsACDom {
-		for _, r := range ctx.Theory.Rules {
-			if !introducesConstants(r) {
-				continue
-			}
-			node(core.ACDom)
-			for _, h := range r.Head {
-				if h.Relation != core.ACDom {
-					edges = append(edges, edge{h.Relation, core.ACDom, false, h, r})
-				}
-			}
-		}
-	}
 	adj := map[string][]string{}
 	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
+		for _, n := range [2]string{e.To, e.From} {
+			if !seenNode[n] {
+				seenNode[n] = true
+				order = append(order, n)
+			}
+		}
+		adj[e.From] = append(adj[e.From], e.To)
 	}
 	comp := sccOf(order, adj)
 
 	var out []Diagnostic
 	reported := map[int]bool{}
 	for _, e := range edges {
-		if !e.negative || comp[e.from] != comp[e.to] || reported[comp[e.from]] {
+		if !e.Negative || comp[e.From] != comp[e.To] || reported[comp[e.From]] {
 			continue
 		}
-		reported[comp[e.from]] = true
+		reported[comp[e.From]] = true
 		// The cycle: to → ... → from, closed by the negative edge
 		// from → to. Restrict the search to the component.
-		cycle := cyclePath(e.to, e.from, adj, comp)
-		cycle = append(cycle, e.to)
+		cycle := cyclePath(e.To, e.From, adj, comp)
+		cycle = append(cycle, e.To)
 		out = append(out, Diagnostic{
-			Code: "ST001", Severity: Error, Rule: e.rule.Label, Span: atomSpan(e.atom, e.rule),
+			Code: "ST001", Severity: Error, Rule: e.Rule.Label, Span: atomSpan(e.Atom, e.Rule),
 			Message: fmt.Sprintf("negation is not stratified: %s depends negatively on itself (cycle: %s; 'not %s' closes it)",
-				e.to, strings.Join(cycle, " -> "), e.from),
-			Detail: &Detail{Relations: []string{e.from, e.to}, Cycle: cycle},
+				e.To, strings.Join(cycle, " -> "), e.From),
+			Detail: &Detail{Relations: []string{e.From, e.To}, Cycle: cycle},
 		})
 	}
 	return out
-}
-
-// introducesConstants mirrors the datalog package's notion: some head
-// atom writes a constant that no positive body atom mentions, so
-// evaluating the rule can grow the active domain.
-func introducesConstants(r *core.Rule) bool {
-	bodyConsts := make(core.TermSet)
-	for _, l := range r.Body {
-		if l.Negated {
-			continue
-		}
-		for _, t := range append(append([]core.Term{}, l.Atom.Args...), l.Atom.Annotation...) {
-			if t.IsConst() {
-				bodyConsts.Add(t)
-			}
-		}
-	}
-	for _, h := range r.Head {
-		for _, t := range append(append([]core.Term{}, h.Args...), h.Annotation...) {
-			if t.IsConst() && !bodyConsts.Has(t) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // sccOf computes strongly connected components (iterative Tarjan) with

@@ -283,43 +283,6 @@ func TestAxiomatizeACDom(t *testing.T) {
 	}
 }
 
-func TestGuardTuples(t *testing.T) {
-	x, y := core.Var("X"), core.Var("Y")
-	ts := guardTuples(2, []core.Term{x, y}, nil, nil, core.NewTermSet(x, y))
-	// Exactly (x,y) and (y,x).
-	if len(ts) != 2 {
-		t.Errorf("guardTuples: %v", ts)
-	}
-	// Arity too small: no tuples.
-	if got := guardTuples(1, []core.Term{x, y}, nil, nil, nil); got != nil {
-		t.Errorf("expected none, got %v", got)
-	}
-	// Padding: arity 3, need {x}: tuples must all contain x.
-	for _, tu := range guardTuples(3, []core.Term{x}, nil, nil, core.NewTermSet(x)) {
-		found := false
-		for _, v := range tu {
-			if v == x {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("tuple misses needed var: %v", tu)
-		}
-	}
-	// requireExtra: every tuple contains y.
-	for _, tu := range guardTuples(2, []core.Term{x}, []core.Term{y}, []core.Term{y}, core.NewTermSet(x, y)) {
-		found := false
-		for _, v := range tu {
-			if v == y {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("tuple misses required extra: %v", tu)
-		}
-	}
-}
-
 // The rewriting shapes of the paper's Examples 3 and 5: rc produces a
 // guarded σ′ and a rule with strictly fewer variables outside the frontier
 // guard; rnc produces a frontier-guarded σ′ and a guarded σ′′.

@@ -172,51 +172,3 @@ func canonSplit(s split) (string, split) {
 	out.hAtom = h
 	return key, out
 }
-
-// guardTuples enumerates the argument tuples ~x of a guard atom of the
-// given arity: each position holds a variable from need ∪ optional or a
-// fresh padding variable; every variable of need must occur, and when
-// requireExtra is non-empty at least one position must hold a variable
-// from requireExtra.
-func guardTuples(arity int, need, optional, requireExtra []core.Term, avoid core.TermSet) [][]core.Term {
-	if len(need) > arity {
-		return nil
-	}
-	choices := append(append([]core.Term(nil), need...), optional...)
-	var out [][]core.Term
-	tuple := make([]core.Term, arity)
-	var rec func(pos, pads int)
-	rec = func(pos, pads int) {
-		if pos == arity {
-			used := core.NewTermSet(tuple...)
-			for _, v := range need {
-				if !used.Has(v) {
-					return
-				}
-			}
-			if len(requireExtra) > 0 {
-				found := false
-				for _, v := range requireExtra {
-					if used.Has(v) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return
-				}
-			}
-			out = append(out, append([]core.Term(nil), tuple...))
-			return
-		}
-		for _, v := range choices {
-			tuple[pos] = v
-			rec(pos+1, pads)
-		}
-		// A fresh padding variable, distinct per position.
-		tuple[pos] = core.FreshVar(fmt.Sprintf("w%d_", pos), avoid)
-		rec(pos+1, pads+1)
-	}
-	rec(0, 0)
-	return out
-}

@@ -21,7 +21,7 @@ func (p *pool) gather(atoms []atom, index [][]int32) []int32 {
 	}
 	var out []int32
 	for _, a := range atoms {
-		for _, i := range index[a.rel] {
+		for _, i := range index[a.Rel] {
 			if p.mark[i] != p.epoch {
 				p.mark[i] = p.epoch
 				out = append(out, i)
@@ -84,7 +84,7 @@ func (p *pool) inferExistential(ei int32) error {
 }
 
 func hasEvar(a atom, nb int32) bool {
-	for _, t := range a.args {
+	for _, t := range a.Args {
 		if t >= nb {
 			return true
 		}
@@ -99,8 +99,7 @@ func (p *pool) project(r *rule, a atom) error {
 		return err
 	}
 	head := []atom{a}
-	hs := p.headSer(head, r.nb, r.autos)
-	k := p.key(r.bodySer, hs)
+	k := p.cz.Key(r.bodySer, p.cz.HeadSer(head, r.nb, r.autos))
 	if _, ok := p.byKey[k]; ok {
 		return nil
 	}
@@ -130,13 +129,13 @@ func (p *pool) specialize(ei int32) error {
 			g := func(atoms []atom) []atom {
 				out := make([]atom, len(atoms))
 				for i, a := range atoms {
-					args := slices.Clone(a.args)
+					args := slices.Clone(a.Args)
 					for j, t := range args {
 						if t == x {
 							args[j] = y
 						}
 					}
-					out[i] = atom{rel: a.rel, args: args}
+					out[i] = atom{Rel: a.Rel, Args: args}
 				}
 				return out
 			}
@@ -206,19 +205,19 @@ func (p *pool) compose(ei int32, d *rule, lo, hi int) error {
 		a := d.body[i]
 		// Option 1: a ∈ γ2, matched against a head atom of the left rule.
 		for j, b := range beta {
-			if b.rel != a.rel {
+			if b.Rel != a.Rel {
 				continue
 			}
 			mark := len(trail)
 			ok := true
-			for k, t := range a.args {
+			for k, t := range a.Args {
 				switch {
 				case t < 0:
-					ok = t == b.args[k]
+					ok = t == b.Args[k]
 				case s[t] != free:
-					ok = s[t] == b.args[k]
+					ok = s[t] == b.Args[k]
 				default:
-					s[t] = b.args[k]
+					s[t] = b.Args[k]
 					trail = append(trail, t)
 					ok = s[t] < nb || inG1[t] == 0
 				}
@@ -237,19 +236,19 @@ func (p *pool) compose(ei int32, d *rule, lo, hi int) error {
 			trail = trail[:mark]
 		}
 		// Option 2: a ∈ γ1; its variables must end up in vars(α).
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			if t >= 0 && s[t] != free && s[t] >= nb {
 				return nil
 			}
 		}
 		g1[i] = true
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			if t >= 0 {
 				inG1[t]++
 			}
 		}
 		err := assign(i+1, touched)
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			if t >= 0 {
 				inG1[t]--
 			}
@@ -271,7 +270,7 @@ func (p *pool) emit(ei int32, d *rule, s []int32, g1 []bool) error {
 	evar := false
 	var unbound []int32
 	for i, a := range d.body {
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			switch {
 			case t < 0:
 			case !g1[i]:
@@ -289,14 +288,14 @@ func (p *pool) emit(ei int32, d *rule, s []int32, g1 []bool) error {
 		return nil
 	}
 	apply := func(a atom) atom {
-		args := make([]int32, len(a.args))
-		for k, t := range a.args {
+		args := make([]int32, len(a.Args))
+		for k, t := range a.Args {
 			if t >= 0 {
 				t = s[t]
 			}
 			args[k] = t
 		}
-		return atom{rel: a.rel, args: args}
+		return atom{Rel: a.Rel, Args: args}
 	}
 	var rec func(u int) error
 	rec = func(u int) error {

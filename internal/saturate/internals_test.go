@@ -3,6 +3,7 @@ package saturate
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"guardedrules/internal/budget"
@@ -58,9 +59,9 @@ func TestBodyIsoFindsRenaming(t *testing.T) {
 	p := testPool(100)
 	a, _, nva := p.fromCore(parser.MustParseTheory(`R(X,Y), S(Y) -> P(X).`).Rules[0])
 	b, _, nvb := p.fromCore(parser.MustParseTheory(`S(Q), R(P,Q) -> P(P).`).Rules[0])
-	sa, na := p.cz.canon(a, nva, nil)
-	sb, nb := p.cz.canon(b, nvb, nil)
-	if compareInts(sa, sb) != 0 {
+	sa, na := p.cz.Canon(a, nva, nil)
+	sb, nb := p.cz.Canon(b, nvb, nil)
+	if slices.Compare(sa, sb) != 0 {
 		t.Fatalf("isomorphic bodies serialize differently: %v vs %v", sa, sb)
 	}
 	ra := renumber(a, nil, nva, na[0])
@@ -71,7 +72,7 @@ func TestBodyIsoFindsRenaming(t *testing.T) {
 		}
 	}
 	c, _, nvc := p.fromCore(parser.MustParseTheory(`R(X,Y), S(X) -> P(X).`).Rules[0])
-	if sc, _ := p.cz.canon(c, nvc, nil); compareInts(sa, sc) == 0 {
+	if sc, _ := p.cz.Canon(c, nvc, nil); slices.Compare(sa, sc) == 0 {
 		t.Error("non-isomorphic bodies must serialize differently")
 	}
 }
@@ -106,7 +107,7 @@ func TestHeadSubsumedUpToEvars(t *testing.T) {
 	}
 	last := r.head[len(r.head)-1]
 	prev := r.head[len(r.head)-2]
-	if last.args[0] != prev.args[1] || last.args[0] < r.nb {
+	if last.Args[0] != prev.Args[1] || last.Args[0] < r.nb {
 		t.Errorf("component lost its null linkage: %s", p.show(i))
 	}
 }
@@ -215,23 +216,23 @@ func TestFullKeyInvariance(t *testing.T) {
 		p := testPool(100)
 		for _, r := range th.Rules {
 			body, head, nv := p.fromCore(r)
-			want := p.fullKey(body, head, nv)
+			want := p.cz.RuleKey(body, head, nv)
 			perm := rng.Perm(int(nv))
 			shuffle := func(atoms []atom) []atom {
 				out := make([]atom, len(atoms))
 				for i, j := range rng.Perm(len(atoms)) {
-					args := make([]int32, len(atoms[j].args))
-					for k, v := range atoms[j].args {
+					args := make([]int32, len(atoms[j].Args))
+					for k, v := range atoms[j].Args {
 						if v >= 0 {
 							v = int32(perm[v])
 						}
 						args[k] = v
 					}
-					out[i] = atom{rel: atoms[j].rel, args: args}
+					out[i] = atom{Rel: atoms[j].Rel, Args: args}
 				}
 				return out
 			}
-			if got := p.fullKey(shuffle(body), shuffle(head), nv); got != want {
+			if got := p.cz.RuleKey(shuffle(body), shuffle(head), nv); got != want {
 				t.Fatalf("key of %v changed under renaming and reordering", r)
 			}
 		}

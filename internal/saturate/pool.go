@@ -10,28 +10,25 @@ import (
 	"guardedrules/internal/core"
 )
 
-// The saturation runs in id-space. A term is an int32: a value v >= 0 is
-// the rule-local variable v; a value v < 0 is the interned constant (or
-// null) -v-1 of the pool's term table. Relations are interned the same
-// way, keyed by name, annotation arity and arity; an atom's args hold its
-// annotation terms first, then its arguments, so homomorphisms treat
-// both alike.
-type atom struct {
-	rel  int32
-	args []int32
-}
+// The saturation runs in id-space over core.IDAtom. A term is an int32:
+// a value v >= 0 is the rule-local variable v; a value v < 0 is the
+// interned constant (or null) -v-1 of the pool's term table. Relations
+// are interned the same way, keyed by name, annotation arity and arity;
+// an atom's args hold its annotation terms first, then its arguments, so
+// homomorphisms treat both alike.
+type atom = core.IDAtom
 
 // free marks an unbound variable in a substitution; interned terms are
 // small negative numbers, so it never collides with a value.
 const free = math.MinInt32
 
-func (a atom) equal(b atom) bool {
-	return a.rel == b.rel && slices.Equal(a.args, b.args)
+func sameAtom(a, b atom) bool {
+	return a.Rel == b.Rel && slices.Equal(a.Args, b.Args)
 }
 
 func containsAtom(atoms []atom, a atom) bool {
 	for _, b := range atoms {
-		if b.equal(a) {
+		if sameAtom(a, b) {
 			return true
 		}
 	}
@@ -128,8 +125,7 @@ type pool struct {
 	maxSize  int
 	maxInfer int
 	tk       *budget.Tracker
-	cz       canonizer
-	keyBuf   []byte
+	cz       core.Canonizer
 	mark     []uint32
 	epoch    uint32
 	nodes    int // homomorphism-search nodes visited by compositions
@@ -229,11 +225,11 @@ func (p *pool) termID(t core.Term) int32 {
 func (p *pool) fromCore(r *core.Rule) (body, head []atom, nv int32) {
 	vars := map[core.Term]int32{}
 	conv := func(a core.Atom) atom {
-		out := atom{rel: p.relID(a.Key()), args: make([]int32, 0, len(a.Annotation)+len(a.Args))}
+		out := atom{Rel: p.relID(a.Key()), Args: make([]int32, 0, len(a.Annotation)+len(a.Args))}
 		for _, ts := range [2][]core.Term{a.Annotation, a.Args} {
 			for _, t := range ts {
 				if !t.IsVar() {
-					out.args = append(out.args, p.termID(t))
+					out.Args = append(out.Args, p.termID(t))
 					continue
 				}
 				id, ok := vars[t]
@@ -241,7 +237,7 @@ func (p *pool) fromCore(r *core.Rule) (body, head []atom, nv int32) {
 					id = int32(len(vars))
 					vars[t] = id
 				}
-				out.args = append(out.args, id)
+				out.Args = append(out.Args, id)
 			}
 		}
 		return out
@@ -260,9 +256,9 @@ func varName(v int32) core.Term { return core.Var("X" + strconv.Itoa(int(v))) }
 // toCore converts a pooled rule back, naming variable v "X<v>".
 func (p *pool) toCore(r *rule) *core.Rule {
 	conv := func(a atom) core.Atom {
-		info := p.rels[a.rel]
-		terms := make([]core.Term, len(a.args))
-		for i, t := range a.args {
+		info := p.rels[a.Rel]
+		terms := make([]core.Term, len(a.Args))
+		for i, t := range a.Args {
 			if t < 0 {
 				terms[i] = p.terms[-t-1]
 			} else {
@@ -286,37 +282,6 @@ func (p *pool) toCore(r *rule) *core.Rule {
 		out.Exist = append(out.Exist, varName(v))
 	}
 	return out
-}
-
-// key encodes int32 serializations as a map key, each part prefixed
-// with its length.
-func (p *pool) key(parts ...[]int32) string {
-	p.keyBuf = p.keyBuf[:0]
-	for _, s := range parts {
-		p.keyBuf = appendKey(p.keyBuf, []int32{int32(len(s))})
-		p.keyBuf = appendKey(p.keyBuf, s)
-	}
-	return string(p.keyBuf)
-}
-
-// headSer is the least serialization of head over the given body
-// numberings: with the body's serialization, the canonical key of a rule.
-func (p *pool) headSer(head []atom, nv int32, nums [][]int32) []int32 {
-	var best []int32
-	for i, n := range nums {
-		s, _ := p.cz.canon(head, nv, n)
-		if i == 0 || compareInts(s, best) < 0 {
-			best = s
-		}
-	}
-	return best
-}
-
-// fullKey is the canonical key of a rule: equal for two rules exactly
-// when they agree up to variable renaming and atom order.
-func (p *pool) fullKey(body, head []atom, nv int32) string {
-	bs, nums := p.cz.canon(body, nv, nil)
-	return p.key(bs, p.headSer(head, nv, nums))
 }
 
 // dedupAtoms drops repeated atoms, keeping first occurrences in order.
@@ -375,7 +340,7 @@ func (p *pool) add(body, head []atom, nv int32, label string) (int32, []int32, e
 	body, head = dedupAtoms(body), dedupAtoms(head)
 	inBody := make([]bool, nv)
 	for _, a := range body {
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			if t >= 0 {
 				inBody[t] = true
 			}
@@ -383,15 +348,15 @@ func (p *pool) add(body, head []atom, nv int32, label string) (int32, []int32, e
 	}
 	exist := false
 	for _, a := range head {
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			if t >= 0 && !inBody[t] {
 				exist = true
 			}
 		}
 	}
-	bs, nums := p.cz.canon(body, nv, nil)
+	bs, nums := p.cz.Canon(body, nv, nil)
 	if !exist {
-		k := p.key(bs, p.headSer(head, nv, nums))
+		k := p.cz.Key(bs, p.cz.HeadSer(head, nv, nums))
 		if i, ok := p.byKey[k]; ok {
 			return i, nil, nil
 		}
@@ -403,7 +368,7 @@ func (p *pool) add(body, head []atom, nv int32, label string) (int32, []int32, e
 		}
 		return i, nums[0], err
 	}
-	k := p.key(bs)
+	k := p.cz.Key(bs)
 	if i, ok := p.byBody[k]; ok {
 		p.fold(i, head, nums[0])
 		return i, nums[0], nil
@@ -446,8 +411,8 @@ func renumber(body, head []atom, nv int32, num []int32) *rule {
 	mapAtoms := func(atoms []atom) []atom {
 		out := make([]atom, len(atoms))
 		for i, a := range atoms {
-			args := make([]int32, len(a.args))
-			for j, t := range a.args {
+			args := make([]int32, len(a.Args))
+			for j, t := range a.Args {
 				if t >= 0 {
 					if ren[t] < 0 {
 						ren[t] = next
@@ -457,7 +422,7 @@ func renumber(body, head []atom, nv int32, num []int32) *rule {
 				}
 				args[j] = t
 			}
-			out[i] = atom{rel: a.rel, args: args}
+			out[i] = atom{Rel: a.Rel, Args: args}
 		}
 		return out
 	}
@@ -482,15 +447,15 @@ func (p *pool) insert(r *rule) (int32, error) {
 	p.tk.AddRules(1)
 	if r.existential() {
 		for j, a := range r.head {
-			if !hasRel(r.head[:j], a.rel) {
-				p.exByHeadRel[a.rel] = append(p.exByHeadRel[a.rel], i)
+			if !hasRel(r.head[:j], a.Rel) {
+				p.exByHeadRel[a.Rel] = append(p.exByHeadRel[a.Rel], i)
 			}
 		}
 		r.pend = 0
 	} else {
 		for j, a := range r.body {
-			if !hasRel(r.body[:j], a.rel) {
-				p.dlByBodyRel[a.rel] = append(p.dlByBodyRel[a.rel], i)
+			if !hasRel(r.body[:j], a.Rel) {
+				p.dlByBodyRel[a.Rel] = append(p.dlByBodyRel[a.Rel], i)
 			}
 		}
 	}
@@ -500,7 +465,7 @@ func (p *pool) insert(r *rule) (int32, error) {
 
 func hasRel(atoms []atom, rel int32) bool {
 	for _, a := range atoms {
-		if a.rel == rel {
+		if a.Rel == rel {
 			return true
 		}
 	}
@@ -517,8 +482,8 @@ func (p *pool) extend(i int32, atoms []atom) {
 		if containsAtom(r.head, a) {
 			continue
 		}
-		if !hasRel(r.head, a.rel) {
-			p.exByHeadRel[a.rel] = append(p.exByHeadRel[a.rel], i)
+		if !hasRel(r.head, a.Rel) {
+			p.exByHeadRel[a.Rel] = append(p.exByHeadRel[a.Rel], i)
 		}
 		r.head = append(r.head, a)
 	}
@@ -560,8 +525,8 @@ func (p *pool) fold(i int32, head []atom, num []int32) {
 		}
 		next := target.nv
 		for _, a := range atoms {
-			m := atom{rel: a.rel, args: make([]int32, len(a.args))}
-			for k, t := range a.args {
+			m := atom{Rel: a.Rel, Args: make([]int32, len(a.Args))}
+			for k, t := range a.Args {
 				if t >= 0 && ren[t] == free {
 					ren[t] = next
 					next++
@@ -569,7 +534,7 @@ func (p *pool) fold(i int32, head []atom, num []int32) {
 				if t >= 0 {
 					t = ren[t]
 				}
-				m.args[k] = t
+				m.Args[k] = t
 			}
 			add = append(add, m)
 		}
@@ -596,7 +561,7 @@ func components(head []atom, ren []int32) []int32 {
 	}
 	first := map[int32]int32{}
 	for j, a := range head {
-		for _, t := range a.args {
+		for _, t := range a.Args {
 			if t < 0 || ren[t] != free {
 				continue
 			}
@@ -632,19 +597,19 @@ func homInto(atoms []atom, ren []int32, target []atom) bool {
 		}
 		a := atoms[i]
 		for _, b := range target {
-			if b.rel != a.rel {
+			if b.Rel != a.Rel {
 				continue
 			}
 			mark := len(trail)
 			ok := true
-			for k, t := range a.args {
+			for k, t := range a.Args {
 				switch {
 				case t < 0:
-					ok = t == b.args[k]
+					ok = t == b.Args[k]
 				case ren[t] != free:
-					ok = ren[t] == b.args[k]
+					ok = ren[t] == b.Args[k]
 				default:
-					ren[t] = b.args[k]
+					ren[t] = b.Args[k]
 					trail = append(trail, t)
 				}
 				if !ok {

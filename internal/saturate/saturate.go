@@ -158,7 +158,7 @@ func saturation(base *pool, rules []*core.Rule, opts Options) (*pool, error) {
 	for i, r := range rules {
 		body, head, nv := p.fromCore(r)
 		body, head = dedupAtoms(body), dedupAtoms(head)
-		ins[i] = input{body, head, nv, r.Label, p.fullKey(body, head, nv)}
+		ins[i] = input{body, head, nv, r.Label, p.cz.RuleKey(body, head, nv)}
 		keys[ins[i].key] = true
 	}
 	p.stats.InputRules = len(rules)
