@@ -49,6 +49,24 @@ func cloneWriteFact(d *database.Database) core.Atom {
 	}
 }
 
+// heapPerFact returns the live heap bytes per fact that an in-memory
+// database of the binary relation E(v0,v1), ..., E(v(n-1),vn) retains,
+// its n+1 ACDom facts and interned terms included. The facts are built
+// inside the measured region, so nothing but the database keeps them.
+func heapPerFact(n int) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := database.New()
+	for i := 0; i < n; i++ {
+		d.Add(core.NewAtom("E", core.Const(fmt.Sprintf("v%d", i)), core.Const(fmt.Sprintf("v%d", i+1))))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	return (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(n)
+}
+
 // seedSegmentDir populates a fresh store directory with n committed
 // user facts and returns its path, its on-disk size in bytes, and the
 // total fact count (user facts plus derived ACDom bookkeeping).
@@ -190,8 +208,8 @@ func BenchmarkSegmentStore(b *testing.B) {
 // TestEmitStoreBenchJSON times the BenchmarkSegmentStore configurations
 // once per configuration and writes BENCH_store.json: the write/open/
 // clone latencies plus the on-disk footprint (WAL and compacted) per
-// fact count, giving future PRs the persistence perf trajectory. Only
-// runs when EMIT_BENCH=1 is set:
+// fact count, and the in-memory heap footprint per fact (heapPerFact):
+// the persistence perf trajectory. Only runs when EMIT_BENCH=1 is set:
 //
 //	EMIT_BENCH=1 go test -run TestEmitStoreBenchJSON .
 func TestEmitStoreBenchJSON(t *testing.T) {
@@ -199,10 +217,11 @@ func TestEmitStoreBenchJSON(t *testing.T) {
 		t.Skip("set EMIT_BENCH=1 to refresh BENCH_store.json")
 	}
 	type entry struct {
-		Name      string `json:"name"`
-		N         int    `json:"n"`
-		NsPerOp   int64  `json:"ns_per_op"`
-		DiskBytes int64  `json:"disk_bytes,omitempty"`
+		Name         string `json:"name"`
+		N            int    `json:"n"`
+		NsPerOp      int64  `json:"ns_per_op,omitempty"`
+		DiskBytes    int64  `json:"disk_bytes,omitempty"`
+		BytesPerFact int64  `json:"bytes_per_fact,omitempty"`
 	}
 	report := struct {
 		GoMaxProcs int     `json:"gomaxprocs"`
@@ -291,6 +310,11 @@ func TestEmitStoreBenchJSON(t *testing.T) {
 		})
 		s.Close()
 	}
+	const heapN = 100_000
+	report.Benchmarks = append(report.Benchmarks, entry{
+		Name: fmt.Sprintf("SegmentStore/HeapPerFact/n=%d", heapN), N: heapN,
+		BytesPerFact: heapPerFact(heapN),
+	})
 	// The gen corpora keep the emitter honest about adversarial names:
 	// one round-trip over NUL-embedding constants must survive framing.
 	adv := gen.AdversarialNames(64, 1)

@@ -33,7 +33,7 @@
 // # Snapshots
 //
 // Clone is copy-on-write. The clone gets its own relation map but shares
-// three kinds of structure with the original: every relation (facts, id
+// three kinds of structure with the original: every relation (id
 // tuples, posting lists, seen-set), the intern table and the ACDom
 // support counts. Clone marks each of them shared, and a shared
 // structure is never written again: the first write through either
@@ -44,13 +44,23 @@
 // before is interned; relations nobody writes stay shared for good. So a
 // snapshot costs O(#relations), and the copy cost moves to the first
 // write of each structure. A slice read from a shared relation
-// (IDTuples, IndexWithID, Facts) keeps reading the frozen pre-write data
-// after either database writes that relation.
+// (IDTuples, IndexWithID) keeps reading the frozen pre-write data after
+// either database writes that relation.
+//
+// # Materialized atoms
+//
+// A fact is stored once, as its id tuple. The atom-returning reads
+// (Facts, FactsWith, UserFacts, FactsContaining, GroundAtoms) build
+// fresh atoms from the ids through the intern table, in insertion
+// order; the caller owns them. Materialized atoms carry no Span.
+// ForEachFact and ForEachWithID instead hand their callback one reused
+// scratch atom (see their docs).
 package database
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -223,8 +233,8 @@ func (d *Database) insert(dst []uint32, a core.Atom) ([]uint32, bool) {
 		r = r.clone()
 		d.byRel[rk] = r
 	}
-	ix := len(r.facts)
-	r.facts = append(r.facts, a)
+	ix := r.n
+	r.n++
 	r.ids = append(r.ids, key...)
 	r.seen.add(r, ix)
 	for p, id := range key {
@@ -253,7 +263,7 @@ func (d *Database) removeFact(rk core.RelKey, r *relation, key []uint32) bool {
 		return false
 	}
 	d.size--
-	if len(r.facts) == 0 {
+	if r.n == 0 {
 		delete(d.byRel, rk)
 	}
 	return true
@@ -270,7 +280,7 @@ func (d *Database) IDTuples(rk core.RelKey) []uint32 {
 	return nil
 }
 
-// ForEachIndexWithID calls fn with the Facts index of every fact of rk
+// ForEachIndexWithID calls fn with the Facts ordinal of every fact of rk
 // whose flat position pos has the interned id; fn returning false stops
 // the iteration early.
 func (d *Database) ForEachIndexWithID(rk core.RelKey, pos int, id uint32, fn func(int) bool) {
@@ -413,18 +423,18 @@ func (d *Database) Relations() []core.RelKey {
 	return out
 }
 
-// Facts returns the facts of a relation in insertion order. The returned
-// slice must not be modified.
+// Facts returns the facts of a relation in insertion order, freshly
+// materialized: the caller owns the atoms.
 func (d *Database) Facts(rk core.RelKey) []core.Atom {
 	if r := d.byRel[rk]; r != nil {
-		return r.facts
+		return d.appendFacts(nil, rk, r, nil)
 	}
 	return nil
 }
 
 // FactsWith returns the facts of rk whose flat position pos (arguments
-// first, then annotation positions) equals t. The returned slice of atoms
-// is freshly allocated.
+// first, then annotation positions) equals t, in insertion order,
+// freshly materialized.
 func (d *Database) FactsWith(rk core.RelKey, pos int, t core.Term) []core.Atom {
 	id, ok := d.intern.Lookup(t)
 	if !ok {
@@ -434,12 +444,42 @@ func (d *Database) FactsWith(rk core.RelKey, pos int, t core.Term) []core.Atom {
 	if len(idxs) == 0 {
 		return nil
 	}
-	out := make([]core.Atom, len(idxs))
-	facts := d.byRel[rk].facts
-	for i, ix := range idxs {
-		out[i] = facts[ix]
+	return d.appendFacts(nil, rk, d.byRel[rk], idxs)
+}
+
+// appendFacts materializes the facts of rk at the ordinals ords (every
+// fact in ordinal order when ords is nil) and appends them to dst. The
+// atoms' terms share one backing array per call.
+func (d *Database) appendFacts(dst []core.Atom, rk core.RelKey, r *relation, ords []int32) []core.Atom {
+	n := len(ords)
+	if ords == nil {
+		n = r.n
 	}
-	return out
+	terms := make([]core.Term, n*r.w)
+	for i := 0; i < n; i++ {
+		ix := i
+		if ords != nil {
+			ix = int(ords[i])
+		}
+		dst = append(dst, d.atomOf(rk, r.tupleAt(ix), terms[i*r.w:(i+1)*r.w]))
+	}
+	return dst
+}
+
+// atomOf builds the fact of rk with id tuple ids in terms (len(terms) ==
+// len(ids)), which backs the atom's Args and Annotation.
+func (d *Database) atomOf(rk core.RelKey, ids []uint32, terms []core.Term) core.Atom {
+	for i, id := range ids {
+		terms[i] = d.intern.TermOf(id)
+	}
+	a := core.Atom{Relation: rk.Name}
+	if rk.Arity > 0 {
+		a.Args = terms[:rk.Arity:rk.Arity]
+	}
+	if rk.AnnArity > 0 {
+		a.Annotation = terms[rk.Arity:]
+	}
+	return a
 }
 
 // CountWithID returns how many facts of rk have the interned id at flat
@@ -455,7 +495,7 @@ func (d *Database) UserFacts() []core.Atom {
 		if rk.Name == core.ACDom {
 			continue
 		}
-		out = append(out, d.byRel[rk].facts...)
+		out = d.appendFacts(out, rk, d.byRel[rk], nil)
 	}
 	return out
 }
@@ -481,13 +521,8 @@ func (d *Database) Terms() core.TermSet {
 		if rk.Name == core.ACDom {
 			continue
 		}
-		for _, a := range r.facts {
-			for _, t := range a.Args {
-				s.Add(t)
-			}
-			for _, t := range a.Annotation {
-				s.Add(t)
-			}
+		for _, id := range r.ids {
+			s.Add(d.intern.TermOf(id))
 		}
 	}
 	return s
@@ -512,10 +547,8 @@ func (d *Database) Nulls() []core.Term {
 // exactly — a term has the same id in the clone as in the original, and
 // InternEpoch carries over unchanged — so engines that cache id
 // resolutions against the original can keep them against the clone.
-// Stored atoms are shared (they are immutable by the package's contract:
-// the database never mutates a stored atom, and callers must not
-// either). Clone only reads d's contents, so any number of goroutines may
-// clone one database that nobody writes.
+// Clone only reads d's contents, so any number of goroutines may clone
+// one database that nobody writes.
 func (d *Database) Clone() *Database {
 	d.intern.shared.Store(true)
 	d.acdom.shared.Store(true)
@@ -718,15 +751,9 @@ func (d *Database) FactsContaining(t core.Term) []core.Atom {
 		if len(ords) == 0 {
 			continue
 		}
-		sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-		prev := int32(-1)
-		for _, ix := range ords {
-			if ix == prev {
-				continue // t at several positions of one fact
-			}
-			prev = ix
-			out = append(out, r.facts[ix])
-		}
+		// Compact drops the repeats of a fact with t at several positions.
+		slices.Sort(ords)
+		out = d.appendFacts(out, rk, r, slices.Compact(ords))
 	}
 	return out
 }
@@ -739,9 +766,10 @@ func (d *Database) Restrict(keep func(core.RelKey) bool) *Database {
 		if rk.Name == core.ACDom || !keep(rk) {
 			continue
 		}
-		for _, a := range d.byRel[rk].facts {
+		d.ForEachFact(rk, func(a core.Atom) bool {
 			out.Add(a)
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -750,37 +778,38 @@ func (d *Database) Restrict(keep func(core.RelKey) bool) *Database {
 // excluding ACDom. These are the "ground atomic consequences" compared by
 // the paper's translations.
 func (d *Database) GroundAtoms() []core.Atom {
-	var out []core.Atom
-	for _, a := range d.UserFacts() {
-		allConst := true
-		for _, t := range a.Args {
-			if !t.IsConst() {
-				allConst = false
-				break
-			}
-		}
-		if allConst {
-			for _, t := range a.Annotation {
-				if !t.IsConst() {
-					allConst = false
-					break
-				}
-			}
-		}
-		if allConst {
+	facts := d.UserFacts()
+	out := facts[:0]
+	for _, a := range facts {
+		if constants(a.Args) && constants(a.Annotation) {
 			out = append(out, a)
 		}
 	}
 	return out
 }
 
+// constants reports whether every term of ts is a constant.
+func constants(ts []core.Term) bool {
+	for _, t := range ts {
+		if !t.IsConst() {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the database, one fact per line, sorted, excluding
 // maintained ACDom facts.
 func (d *Database) String() string {
-	facts := d.UserFacts()
-	lines := make([]string, len(facts))
-	for i, a := range facts {
-		lines[i] = a.String()
+	var lines []string
+	for _, rk := range d.Relations() {
+		if rk.Name == core.ACDom {
+			continue
+		}
+		d.ForEachFact(rk, func(a core.Atom) bool {
+			lines = append(lines, a.String())
+			return true
+		})
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
@@ -804,25 +833,35 @@ func SameGroundAtoms(a, b *Database) (bool, string) {
 }
 
 // ForEachWithID calls fn for every fact of rk whose flat position pos
-// has the interned id, without allocating; fn returning false stops the
-// iteration early.
+// has the interned id, in Facts order; fn returning false stops the
+// iteration early. fn receives one scratch atom, rebuilt for each fact:
+// its Args and Annotation are overwritten by the next call, so fn must
+// copy them (or the atom, with Clone) to keep them.
 func (d *Database) ForEachWithID(rk core.RelKey, pos int, id uint32, fn func(core.Atom) bool) {
 	idxs := d.IndexWithID(rk, pos, id)
 	if len(idxs) == 0 {
 		return
 	}
-	facts := d.byRel[rk].facts
+	r := d.byRel[rk]
+	terms := make([]core.Term, r.w)
 	for _, ix := range idxs {
-		if !fn(facts[ix]) {
+		if !fn(d.atomOf(rk, r.tupleAt(int(ix)), terms)) {
 			return
 		}
 	}
 }
 
-// ForEachFact calls fn for every fact of rk; fn returning false stops.
+// ForEachFact calls fn for every fact of rk, in Facts order; fn
+// returning false stops. fn receives one scratch atom, as in
+// ForEachWithID.
 func (d *Database) ForEachFact(rk core.RelKey, fn func(core.Atom) bool) {
-	for _, a := range d.Facts(rk) {
-		if !fn(a) {
+	r := d.byRel[rk]
+	if r == nil {
+		return
+	}
+	terms := make([]core.Term, r.w)
+	for ix := 0; ix < r.n; ix++ {
+		if !fn(d.atomOf(rk, r.tupleAt(ix), terms)) {
 			return
 		}
 	}

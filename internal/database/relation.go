@@ -6,12 +6,14 @@ import (
 	"guardedrules/internal/core"
 )
 
-// relation is the per-relation-key store: the facts in insertion order,
-// their packed id tuples (w ids per fact, flat), per-position indexes
+// relation is the per-relation-key store: the packed id tuples of its
+// facts in insertion order (w ids per fact, flat), per-position indexes
 // keyed on interned ids, and an open-addressing seen-set over the id
-// tuples. Keeping everything keyed on dense uint32 ids (instead of
-// serialized byte strings) removes string hashing from the insert and
-// dedup hot paths, which profiles showed dominating fixpoint runs.
+// tuples. The id tuples are the only copy of a fact: atoms are
+// materialized from them through the intern table on read. Keeping
+// everything keyed on dense uint32 ids (instead of serialized byte
+// strings) removes string hashing from the insert and dedup hot paths,
+// which profiles showed dominating fixpoint runs.
 //
 // shared is set by Database.Clone once a snapshot holds the relation too;
 // from then on the relation is never written again, and the first write
@@ -19,9 +21,11 @@ import (
 type relation struct {
 	shared atomic.Bool
 	w      int
-	facts  []core.Atom
-	ids    []uint32
-	// index[pos][id] lists the fact ordinals (into facts/ids) whose flat
+	// n is the fact count: len(ids)/w, except that nullary relations
+	// (w = 0) have no ids to count.
+	n   int
+	ids []uint32
+	// index[pos][id] lists the fact ordinals (into ids) whose flat
 	// position pos holds id, in insertion order. len(index[pos]) is the
 	// number of distinct ids at that position — the planner's DistinctAt.
 	index []map[uint32][]int32
@@ -37,13 +41,13 @@ func newRelation(rk core.RelKey) *relation {
 func (r *relation) tupleAt(ix int) []uint32 { return r.ids[ix*r.w : ix*r.w+r.w] }
 
 // clone returns a deep, unshared copy of the relation: the first write to
-// a relation shared with a snapshot goes to it. Atom values are shared
-// (stored atoms are immutable); the id arrays, posting lists and seen-set
-// table are copied, so the clone mutates independently.
+// a relation shared with a snapshot goes to it. The id arrays, posting
+// lists and seen-set table are copied, so the clone mutates
+// independently.
 func (r *relation) clone() *relation {
 	out := &relation{
 		w:     r.w,
-		facts: append([]core.Atom(nil), r.facts...),
+		n:     r.n,
 		ids:   append([]uint32(nil), r.ids...),
 		index: make([]map[uint32][]int32, len(r.index)),
 		seen:  idSet{table: append([]int32(nil), r.seen.table...), n: r.seen.n},
@@ -63,7 +67,7 @@ func (r *relation) clone() *relation {
 
 // remove deletes the fact with the given id tuple, reporting whether it
 // was present. The relation's last fact is swapped into the freed
-// ordinal (facts/ids are kept dense), and the seen-set and per-position
+// ordinal (ids are kept dense), and the seen-set and per-position
 // posting lists are maintained: the removed ordinal leaves every list it
 // was on (empty lists are deleted, keeping DistinctAt exact), and the
 // moved fact's ordinal is rewritten in place, preserving each list's
@@ -73,7 +77,7 @@ func (r *relation) remove(key []uint32) bool {
 	if ix < 0 {
 		return false
 	}
-	last := len(r.facts) - 1
+	last := r.n - 1
 	if ix != last {
 		// Re-point the seen-set entry of the fact about to move. The
 		// probe runs before ids are mutated, so every stored ordinal
@@ -89,11 +93,9 @@ func (r *relation) remove(key []uint32) bool {
 		}
 	}
 	if ix != last {
-		r.facts[ix] = r.facts[last]
 		copy(r.ids[ix*r.w:(ix+1)*r.w], r.ids[last*r.w:])
 	}
-	r.facts[last] = core.Atom{}
-	r.facts = r.facts[:last]
+	r.n = last
 	r.ids = r.ids[:last*r.w]
 	return true
 }

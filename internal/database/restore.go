@@ -12,7 +12,9 @@ import (
 // set. Loading a dump must not re-run the ACDom derivation of AddNotify —
 // derivation order and swap-remove history are already baked into the
 // dumped enumeration orders — so these methods write the state back
-// directly. Engines never call them.
+// directly. Engines never call them, except that incremental
+// maintenance pins (PinACDom) an explicit base ACDom fact its fixpoint
+// already derives.
 
 // RestoreFact inserts a ground fact without any ACDom side effects: no
 // support counting, no derived ACDom insertion, no pinning. It reports

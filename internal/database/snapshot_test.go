@@ -128,8 +128,11 @@ func TestSnapshotChainIsolation(t *testing.T) {
 }
 
 // Many goroutines snapshot one published database and write their own
-// snapshots at once. Run under -race: a write path that skips its
-// copy-on-write check writes a structure the other goroutines read.
+// snapshots at once; then readers materialize atoms (Facts, UserFacts,
+// String) from snapshots while a writer interns new terms into the
+// database they were taken from. Run under -race: a write path that
+// skips its copy-on-write check writes a structure the other goroutines
+// read, the intern table that materialization reads included.
 func TestSnapshotConcurrentClones(t *testing.T) {
 	published := snapshotBase()
 	want := fingerprint(published)
@@ -157,6 +160,33 @@ func TestSnapshotConcurrentClones(t *testing.T) {
 			}
 		}()
 	}
+	wg.Wait()
+
+	writer := snapshotBase()
+	wantUser := fmt.Sprint(writer.UserFacts())
+	readers := make([]*Database, 4)
+	for i := range readers {
+		readers[i] = writer.Clone()
+	}
+	for _, c := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if fingerprint(c) != want || fmt.Sprint(c.UserFacts()) != wantUser {
+					errs <- "a snapshot changed while its origin interned new terms"
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			writer.Add(core.NewAtom("E", snapA, core.Const(fmt.Sprintf("w%d", i))))
+		}
+	}()
 	wg.Wait()
 	close(errs)
 	for e := range errs {

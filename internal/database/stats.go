@@ -13,7 +13,7 @@ import "guardedrules/internal/core"
 // RelSize returns the number of facts of rk (0 for an absent relation).
 func (d *Database) RelSize(rk core.RelKey) int {
 	if r := d.byRel[rk]; r != nil {
-		return len(r.facts)
+		return r.n
 	}
 	return 0
 }

@@ -2,6 +2,9 @@ package datalog
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"guardedrules/internal/budget"
@@ -158,4 +161,112 @@ func TestDRedACDomFailAtSweep(t *testing.T) {
 		h.shadow[factKey(f)] = f
 	}
 	h.check()
+}
+
+// domString renders the ACDom facts of d, sorted: Database.String omits
+// them, but they decide what later retractions leave alive.
+func domString(d *database.Database) string {
+	var lines []string
+	for _, f := range d.Facts(core.RelKey{Name: core.ACDom, Arity: 1}) {
+		lines = append(lines, f.String())
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, " ")
+}
+
+// runAgainstEval applies each batch (add, retract in fact syntax) to a
+// handle over base and to a plain copy of base through Database.Retract
+// then Database.Add, and requires after every batch that the handle
+// equals p.Eval of that copy: same String and same ACDom facts.
+func runAgainstEval(t *testing.T, th string, base *database.Database, batches [][2]string) {
+	t.Helper()
+	p, err := Compile(parser.MustParseTheory(th))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintained(p, base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := base.Clone()
+	for i, b := range batches {
+		add, del := parser.MustParseFacts(b[0]), parser.MustParseFacts(b[1])
+		if _, _, err := m.Apply(add, del, Options{}); err != nil {
+			t.Fatalf("batch %d: Apply: %v", i, err)
+		}
+		for _, f := range del {
+			shadow.Retract(f)
+		}
+		for _, f := range add {
+			shadow.Add(f)
+		}
+		want, err := p.Eval(shadow, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Current()
+		if got.String() != want.String() || domString(got) != domString(want) {
+			t.Fatalf("batch %d (add %q, retract %q): maintained diverged from Eval of the base\nmaintained:\n%s\n%s\nEval:\n%s\n%s",
+				i, b[0], b[1], got.String(), domString(got), want.String(), domString(want))
+		}
+	}
+}
+
+// An ACDom fact that arrived through Apply is a base fact like any
+// other: retracting it takes its consequences along, even though the
+// derived Dom(d) supports ACDom(d) circularly.
+func TestDRedACDomRetractApplied(t *testing.T) {
+	runAgainstEval(t, `ACDom(X) -> Dom(X).`, database.FromAtoms(parser.MustParseFacts(`S(a).`)), [][2]string{
+		{`ACDom(d).`, ``},
+		{``, `ACDom(d).`},
+	})
+}
+
+// An explicit ACDom fact of the base is pinned in the maintained
+// fixpoint too, also when the fixpoint already derived it: it outlives
+// its derived supports, and unpinning it lets them go.
+func TestDRedACDomPinnedBaseFact(t *testing.T) {
+	runAgainstEval(t, `A(X) -> S(c).`, database.FromAtoms(parser.MustParseFacts(`A(a).`)), [][2]string{
+		{`ACDom(c).`, ``},
+		{``, `A(a).`},
+		{`A(a).`, `ACDom(c).`},
+		{``, `A(a).`},
+	})
+	runAgainstEval(t, `ACDom(X) -> Dom(X).`, database.FromAtoms(parser.MustParseFacts(`S(a).`)), [][2]string{
+		{`ACDom(c).`, ``},
+		{`R(c).`, ``},
+		{``, `ACDom(c).`},
+		{``, `R(c).`},
+		{`ACDom(c). R(c).`, `ACDom(c).`},
+	})
+}
+
+// Random batches over acdomTheory mix user facts with explicit ACDom
+// facts, including ones the fixpoint derives on its own.
+func TestDRedACDomRandomExplicit(t *testing.T) {
+	consts := []string{"a", "b", "c", "s"}
+	var universe []string
+	for _, x := range consts {
+		universe = append(universe, "ACDom("+x+").", "A("+x+").")
+		for _, y := range consts {
+			universe = append(universe, "E("+x+","+y+").")
+		}
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			pick := func() string {
+				var b strings.Builder
+				for i := rng.Intn(3); i > 0; i-- {
+					b.WriteString(universe[rng.Intn(len(universe))])
+				}
+				return b.String()
+			}
+			var batches [][2]string
+			for i := 0; i < 60; i++ {
+				batches = append(batches, [2]string{pick(), pick()})
+			}
+			runAgainstEval(t, acdomTheory, database.FromAtoms(parser.MustParseFacts(`E(a,b). A(c).`)), batches)
+		})
+	}
 }

@@ -47,13 +47,14 @@ type Delta struct {
 }
 
 // Maintained is an incrementally maintained fixpoint: a compiled program
-// together with its current materialization and the base (explicit) fact
-// set. Apply folds a batch of base-fact insertions and retractions into
-// the materialization without recomputing it from scratch — insertion
-// resumes the semi-naive fixpoint with the new facts as the initial
-// delta, deletion runs DRed (delete-and-rederive) over the stratified
-// program — and the maintained database is always byte-identical
-// (Database.String) to a from-scratch evaluation of the current base.
+// together with its current materialization and a snapshot of the base
+// database it is evaluated over. Apply folds a batch of base-fact
+// insertions and retractions into the materialization without
+// recomputing it from scratch — insertion resumes the semi-naive
+// fixpoint with the new facts as the initial delta, deletion runs DRed
+// (delete-and-rederive) over the stratified program — and the maintained
+// database is always byte-identical (Database.String) to p.Eval of the
+// current base snapshot.
 //
 // A Maintained value is not safe for concurrent use; callers serialize
 // Apply (the serving layer holds one writer per mutable DB). The
@@ -62,50 +63,38 @@ type Delta struct {
 type Maintained struct {
 	p    *Program
 	cur  *database.Database
-	base map[string]core.Atom
-	// baseConst counts, per constant, its occurrences across the base
-	// facts (arguments and annotation, with multiplicity). Maintained
-	// only for ACDom-reading programs (nil otherwise): the retraction
-	// cascade uses it to decide in O(1) whether a constant's domain
-	// membership is still grounded in the base after the staged batch.
-	baseConst map[core.Term]int
-}
-
-// constOccs calls fn for every constant occurrence of f (arguments and
-// annotation, with multiplicity).
-func constOccs(f core.Atom, fn func(core.Term)) {
-	for _, t := range f.Args {
-		if t.IsConst() {
-			fn(t)
-		}
-	}
-	for _, t := range f.Annotation {
-		if t.IsConst() {
-			fn(t)
-		}
-	}
+	base *database.Database
 }
 
 // NewMaintained evaluates the program over base and returns a maintained
-// handle positioned at that fixpoint. The base fact set is snapshotted
-// from base.UserFacts(); explicitly added ACDom facts are not part of it
-// and cannot be retracted through Apply.
+// handle positioned at that fixpoint. The handle keeps a snapshot of
+// base (later writes to base do not reach it), explicitly added ACDom
+// facts included.
 func NewMaintained(p *Program, base *database.Database, opts Options) (*Maintained, error) {
 	fix, err := p.Eval(base, opts)
 	if err != nil {
 		return nil, err
 	}
-	m := &Maintained{p: p, cur: fix, base: make(map[string]core.Atom, base.Len())}
-	if p.readsACDom {
-		m.baseConst = make(map[core.Term]int)
+	return &Maintained{p: p, cur: fix, base: base.Clone()}, nil
+}
+
+// explicit reports whether f is an explicit fact of the base database
+// b: present, and for an ACDom fact also pinned. An unpinned ACDom fact
+// is derived from b's other facts, not added by the caller.
+func explicit(b *database.Database, f core.Atom) bool {
+	if t, ok := domFact(f); ok {
+		return b.ACDomPinned(t)
 	}
-	for _, f := range base.UserFacts() {
-		m.base[factKey(f)] = f
-		if m.baseConst != nil {
-			constOccs(f, func(t core.Term) { m.baseConst[t]++ })
-		}
+	return b.Has(f)
+}
+
+// domFact returns t when f is the maintained ACDom fact ACDom(t) of a
+// constant t.
+func domFact(f core.Atom) (core.Term, bool) {
+	if f.Relation != core.ACDom || len(f.Args) != 1 || len(f.Annotation) != 0 || !f.Args[0].IsConst() {
+		return core.Term{}, false
 	}
-	return m, nil
+	return f.Args[0], true
 }
 
 // Program returns the compiled program of the handle.
@@ -117,53 +106,43 @@ func (m *Maintained) Program() *Program { return m.p }
 func (m *Maintained) Current() *database.Database { return m.cur }
 
 // Apply folds a batch of base-fact mutations into the maintained
-// fixpoint: retractions are staged first, then additions (so a retract
-// and an add of the same fact in one batch cancel). Facts retracted that
-// are not in the base, and facts added that already are, are ignored.
-// On success it returns the new materialization and the net delta of the
-// derived fact set. On any error — budget exhaustion (checkpoints run
-// through the same tracker as every other engine), a contained panic, a
-// non-ground fact — the handle is unchanged: the current materialization
-// is still the pre-batch version.
+// fixpoint. The batch is staged on a snapshot of the base exactly as
+// Database.Retract and Database.Add would take it — retractions first,
+// then additions, so a retract and an add of the same fact in one batch
+// cancel — and the fixpoint follows the base's net change. On success it
+// returns the new materialization and the net delta of the derived fact
+// set. On any error — budget exhaustion (checkpoints run through the
+// same tracker as every other engine), a contained panic, a non-ground
+// fact — the handle is unchanged: the current materialization is still
+// the pre-batch version.
 func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *database.Database, delta Delta, err error) {
-	// Stage the batch against the base set.
-	baseDel := make(map[string]core.Atom)
+	next := m.base.Clone()
 	for _, f := range retract {
 		if !f.IsGround() {
 			return nil, Delta{}, fmt.Errorf("datalog: apply: retract %s: %w", f, database.ErrNotGround)
 		}
-		k := factKey(f)
-		if _, ok := m.base[k]; ok {
-			baseDel[k] = f
-		}
+		next.Retract(f)
 	}
-	baseAdd := make(map[string]core.Atom)
 	for _, f := range add {
 		if !f.IsGround() {
 			return nil, Delta{}, fmt.Errorf("datalog: apply: add %s: %w", f, database.ErrNotGround)
 		}
-		k := factKey(f)
-		if _, ok := baseDel[k]; ok {
-			delete(baseDel, k)
-			continue
+		next.Add(f)
+	}
+	baseDel := make(map[string]core.Atom)
+	for _, f := range retract {
+		if explicit(m.base, f) && !explicit(next, f) {
+			baseDel[factKey(f)] = f
 		}
-		if _, ok := m.base[k]; ok {
-			continue
+	}
+	baseAdd := make(map[string]core.Atom)
+	for _, f := range add {
+		if explicit(next, f) && !explicit(m.base, f) {
+			baseAdd[factKey(f)] = f
 		}
-		baseAdd[k] = f
 	}
 	if len(baseAdd)+len(baseDel) == 0 {
 		return m.cur, Delta{}, nil
-	}
-	inBase := func(k string) bool {
-		if _, ok := baseAdd[k]; ok {
-			return true
-		}
-		if _, ok := baseDel[k]; ok {
-			return false
-		}
-		_, ok := m.base[k]
-		return ok
 	}
 
 	// Net and gross change tracking. The net sets cancel (a fact deleted
@@ -202,57 +181,35 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 		}
 	}()
 
-	// occDelta is the batch's net effect on base constant occurrences;
-	// together with baseConst it answers "does the post-batch base still
-	// contain t" during the retraction cascade of ACDom-reading programs.
-	var occDelta map[core.Term]int
-	if m.baseConst != nil {
-		occDelta = make(map[core.Term]int)
-		for _, f := range baseDel {
-			constOccs(f, func(t core.Term) { occDelta[t]-- })
-		}
-		for _, f := range baseAdd {
-			constOccs(f, func(t core.Term) { occDelta[t]++ })
+	work := m.cur.Clone()
+	addsList := sortedFacts(baseAdd)
+	for _, f := range addsList {
+		// A base ACDom fact the fixpoint already derives must be pinned
+		// there as in the base, or it dies with its derived supports.
+		if t, ok := domFact(f); ok {
+			work.PinACDom(t)
 		}
 	}
-
-	addsList := sortedFacts(baseAdd)
-	var work *database.Database
 	if len(baseDel) == 0 && !m.p.hasNeg {
-		work, err = m.applyMonotone(addsList, opts, tk, noteAdd)
+		err = m.applyMonotone(work, addsList, opts, tk, noteAdd)
 	} else {
-		work, err = m.applyDRed(addsList, sortedFacts(baseDel), inBase, occDelta, opts, tk, noteAdd, noteDel, &grossAdds, &grossDels, addedSet, removedSet)
+		err = m.applyDRed(work, next, addsList, sortedFacts(baseDel), opts, tk, noteAdd, noteDel, &grossAdds, &grossDels, addedSet, removedSet)
 	}
 	if err != nil {
 		return nil, Delta{}, err
 	}
 
-	// Commit: the staged base changes and the new materialization become
-	// visible atomically from the caller's perspective (no error path
-	// below this point).
-	for k := range baseDel {
-		delete(m.base, k)
-	}
-	for k, f := range baseAdd {
-		m.base[k] = f
-	}
-	if m.baseConst != nil {
-		for t, n := range occDelta {
-			if m.baseConst[t] += n; m.baseConst[t] <= 0 {
-				delete(m.baseConst, t)
-			}
-		}
-	}
-	m.cur = work
-	return work, Delta{Added: sortedFactVals(addedSet), Removed: sortedFactVals(removedSet)}, nil
+	// Commit: the staged base and the new materialization become visible
+	// atomically from the caller's perspective.
+	m.base, m.cur = next, work
+	return work, Delta{Added: sortedFacts(addedSet), Removed: sortedFacts(removedSet)}, nil
 }
 
 // applyMonotone is the insertion-only fast path for programs without
 // negation: the fixpoint is monotone in the base, so resuming the
 // semi-naive loop with the inserted facts as the initial delta computes
 // exactly the from-scratch fixpoint of the grown base.
-func (m *Maintained) applyMonotone(adds []core.Atom, opts Options, tk *budget.Tracker, noteAdd func(core.Atom)) (*database.Database, error) {
-	work := m.cur.Clone()
+func (m *Maintained) applyMonotone(work *database.Database, adds []core.Atom, opts Options, tk *budget.Tracker, noteAdd func(core.Atom)) error {
 	var grossAdds []core.Atom
 	onAdd := func(a core.Atom) { grossAdds = append(grossAdds, a); noteAdd(a) }
 	for i := range m.p.strata {
@@ -268,30 +225,31 @@ func (m *Maintained) applyMonotone(adds []core.Atom, opts Options, tk *budget.Tr
 		// firing of a stratum-i rule must use at least one of them.
 		force := grossAdds[:len(grossAdds):len(grossAdds)]
 		if err := runDeltaRounds(items, work, opts, tk, jc, m.noteBuilds(jc, opts.Stats), bufs, force, onAdd); err != nil {
-			return nil, fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
+			return fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
 		}
 	}
-	return work, nil
+	return nil
 }
 
-// applyDRed handles batches with deletions (or programs with negation,
-// where even pure insertions can retract derived facts) by
-// delete-and-rederive, stratum by stratum: over-delete every derivation
-// that may have used a deleted fact or become blocked by an added one
-// (phase D, joined against the pristine pre-batch database — a safe
-// over-approximation), re-add over-deleted facts still in the base or
-// still one-step derivable (phase R), then resume the semi-naive
-// insertion rounds with the rederived and added facts as the delta
-// (phase I, including firings newly unblocked by deletions).
+// applyDRed folds the batch into work, a clone of m.cur, given next,
+// the staged post-batch base. It handles batches with deletions (or
+// programs with negation, where even pure insertions can retract
+// derived facts) by delete-and-rederive, stratum by stratum:
+// over-delete every derivation that may have used a deleted fact or
+// become blocked by an added one (phase D, joined against the pristine
+// pre-batch database — a safe over-approximation), re-add over-deleted
+// facts still in next or still one-step derivable (phase R), then
+// resume the semi-naive insertion rounds with the rederived and added
+// facts as the delta (phase I, including firings newly unblocked by
+// deletions).
 //
 // Every deletion runs through retractCascade: for ACDom-reading
 // programs, a constant whose last trusted support dies drags its
 // remaining (possibly self-supporting) derived supports into the
 // frontier too — see the method comment for why refcounts alone
 // under-delete there.
-func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool, occDelta map[core.Term]int, opts Options, tk *budget.Tracker, noteAdd, noteDel func(core.Atom), grossAdds, grossDels *[]core.Atom, addedSet, removedSet map[string]core.Atom) (*database.Database, error) {
+func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.Atom, opts Options, tk *budget.Tracker, noteAdd, noteDel func(core.Atom), grossAdds, grossDels *[]core.Atom, addedSet, removedSet map[string]core.Atom) error {
 	old := m.cur
-	work := old.Clone()
 	js := opts.Stats
 	maxFacts := 0
 	if opts.Budget != nil {
@@ -301,8 +259,8 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 	// Base retractions come first; cascaded ACDom deaths ride the same
 	// notification into the deletion frontier.
 	for _, f := range dels {
-		if err := m.retractCascade(work, f, 0, occDelta, tk, noteDel); err != nil {
-			return nil, fmt.Errorf("datalog: apply: retract %s: %w", f, err)
+		if err := m.retractCascade(work, next, f, 0, tk, noteDel); err != nil {
+			return fmt.Errorf("datalog: apply: retract %s: %w", f, err)
 		}
 	}
 
@@ -325,7 +283,7 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 				if !work.Has(h) {
 					continue
 				}
-				if err := m.retractCascade(work, h, i, occDelta, tk, noteDel); err != nil {
+				if err := m.retractCascade(work, next, h, i, tk, noteDel); err != nil {
 					return fmt.Errorf("datalog: apply: over-delete %s: %w", h, err)
 				}
 			}
@@ -342,28 +300,28 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 				bItems[j].resolve(old)
 				bItems[j].replan(old, jcOld, js)
 			}
-			cands, err := sweepMatches(bItems, old, (*grossAdds)[:len(*grossAdds):len(*grossAdds)], jcOld, tk)
+			cands, err := sweepMatches(bItems, old, (*grossAdds)[:len(*grossAdds):len(*grossAdds)], jcOld, tk, true)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := deleteHeads(cands); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for cursor := 0; cursor < len(*grossDels); {
 			// Round checkpoint: FailAt injection and cancellation observe
 			// over-deletion rounds exactly like semi-naive merge rounds.
 			if err := tk.Check(); err != nil {
-				return nil, err
+				return err
 			}
 			batch := (*grossDels)[cursor:]
 			cursor = len(*grossDels)
-			cands, err := sweepMatches(dItems, old, batch, jcOld, tk)
+			cands, err := sweepMatches(dItems, old, batch, jcOld, tk, true)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := deleteHeads(cands); err != nil {
-				return nil, err
+				return err
 			}
 		}
 
@@ -383,20 +341,20 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 			if !live || f.Relation == core.ACDom || !cs.headRels[f.Key()] {
 				continue
 			}
-			if !inBase(k) && !oneStepDerivable(&f, rItems, work, jc, tk) {
+			if !next.Has(f) && !oneStepDerivable(&f, rItems, work, jc, tk) {
 				continue
 			}
 			if maxFacts > 0 && tk.Usage().Facts+readds+work.AddCost(f) > maxFacts {
 				tk.AddFacts(readds)
-				return nil, tk.Exhausted(budget.ErrFactLimit)
+				return tk.Exhausted(budget.ErrFactLimit)
 			}
 			if _, err := work.AddNotify(f, func(a core.Atom) { noteAdd(a); readds++ }); err != nil {
-				return nil, fmt.Errorf("datalog: apply: rederive %s: %w", f, err)
+				return fmt.Errorf("datalog: apply: rederive %s: %w", f, err)
 			}
 		}
 		tk.AddFacts(readds)
 		if err := tk.Check(); err != nil {
-			return nil, err
+			return err
 		}
 
 		// Phase I: insertion. Deletions may have unblocked firings of
@@ -419,9 +377,9 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 				uItems[j].resolve(work)
 				uItems[j].replan(work, jc, js)
 			}
-			ubuf, err := unblockCandidates(uItems, work, (*grossDels)[:len(*grossDels):len(*grossDels)], jc, tk)
+			ubuf, err := sweepMatches(uItems, work, (*grossDels)[:len(*grossDels):len(*grossDels)], jc, tk, false)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(ubuf) > 0 {
 				bufs = append(bufs, ubuf)
@@ -430,10 +388,10 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 		items := instantiate(cs.items)
 		force := (*grossAdds)[:len(*grossAdds):len(*grossAdds)]
 		if err := runDeltaRounds(items, work, opts, tk, jc, m.noteBuilds(jc, js), bufs, force, noteAdd); err != nil {
-			return nil, fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
+			return fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
 		}
 	}
-	return work, nil
+	return nil
 }
 
 // retractCascade removes f from work (with ACDom refcount maintenance
@@ -445,16 +403,17 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 // mutual support and DRed's phase D never sees the ACDom deletion.
 //
 // The repair is a trusted-support test per constant of every deleted
-// fact: a constant is trusted while the post-batch base still contains
-// it (baseConst adjusted by occDelta), its ACDom fact is explicitly
-// pinned, or it occurs in a fact of a relation whose last deriving
-// stratum precedes the current one (those facts are final — phase D
-// can no longer touch them — and base facts exist from stratum 0, so
-// the timing matches a from-scratch stratified run). When a deletion
-// drops an occurrence of an untrusted constant, every remaining fact
-// containing it is suspect of circular support and joins the deletion
-// worklist; the last support's DeleteNotify then retracts ACDom(c) with
-// notification, feeding DRed's frontier. All of this is a safe
+// fact: a constant is trusted while the post-batch base next still
+// contains it or pins its ACDom fact, or it occurs in a fact of a
+// relation whose last deriving stratum precedes the current one (those
+// facts are final — phase D can no longer touch them — and base facts
+// exist from stratum 0, so the timing matches a from-scratch stratified
+// run). When a deletion drops an occurrence of an untrusted constant, or
+// a retracted base ACDom fact survives on derived supports of an
+// untrusted constant, every remaining fact containing it is suspect of
+// circular support and joins the deletion worklist; the last support's
+// DeleteNotify then retracts ACDom(c) with notification (the retraction
+// unpinned it), feeding DRed's frontier. All of this is a safe
 // over-approximation in the DRed sense: the suspect facts sit at
 // strata >= the current one (a surviving earlier-stratum fact would
 // have made the constant trusted), so their rederivation phases are
@@ -463,13 +422,13 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 // Programs that never read ACDom skip the test entirely: their ACDom
 // facts have no consequences, and refcounts alone maintain them
 // exactly.
-func (m *Maintained) retractCascade(work *database.Database, f core.Atom, stratum int, occDelta map[core.Term]int, tk *budget.Tracker, noteDel func(core.Atom)) error {
+func (m *Maintained) retractCascade(work, next *database.Database, f core.Atom, stratum int, tk *budget.Tracker, noteDel func(core.Atom)) error {
 	if !m.p.readsACDom {
 		_, err := work.DeleteNotify(f, noteDel)
 		return err
 	}
 	trusted := func(t core.Term) bool {
-		if m.baseConst[t]+occDelta[t] > 0 || work.ACDomPinned(t) {
+		if next.ACDomSupport(t) > 0 || next.ACDomPinned(t) {
 			return true
 		}
 		for rk, last := range m.p.lastStratum {
@@ -484,6 +443,18 @@ func (m *Maintained) retractCascade(work *database.Database, f core.Atom, stratu
 	// returning, so re-testing them while the queue drains is redundant.
 	var cascaded map[core.Term]bool
 	queue := []core.Atom{f}
+	// suspect tests t, whose ACDom fact may have lost its last trusted
+	// support (nulls have none to lose).
+	suspect := func(t core.Term) {
+		if cascaded[t] || work.ACDomSupport(t) == 0 || trusted(t) {
+			return // refcount already cascaded, or membership still grounded
+		}
+		if cascaded == nil {
+			cascaded = make(map[core.Term]bool)
+		}
+		cascaded[t] = true
+		queue = append(queue, work.FactsContaining(t)...)
+	}
 	for n := 0; len(queue) > 0; n++ {
 		if n%64 == 63 {
 			// Checkpoint: a huge cascade observes cancellation and FailAt
@@ -498,19 +469,20 @@ func (m *Maintained) retractCascade(work *database.Database, f core.Atom, stratu
 		if err != nil {
 			return err
 		}
-		if !removed || a.Relation == core.ACDom {
+		if a.Relation == core.ACDom {
+			if t, ok := domFact(a); ok && !removed {
+				suspect(t) // a retracted ACDom fact its derived supports keep alive
+			}
 			continue
 		}
-		constOccs(a, func(t core.Term) {
-			if cascaded[t] || work.ACDomSupport(t) == 0 || trusted(t) {
-				return // refcount already cascaded, or membership still grounded
+		if removed {
+			for _, t := range a.Args {
+				suspect(t)
 			}
-			if cascaded == nil {
-				cascaded = make(map[core.Term]bool)
+			for _, t := range a.Annotation {
+				suspect(t)
 			}
-			cascaded[t] = true
-			queue = append(queue, work.FactsContaining(t)...)
-		})
+		}
 	}
 	return nil
 }
@@ -527,53 +499,16 @@ func (m *Maintained) noteBuilds(jc *hom.JoinCache, js *JoinStats) func() {
 	}
 }
 
-// collector is the phase-D match sink: unlike the emitter it
-// materializes every ground head — facts already present are exactly the
-// over-deletion candidates — deduplicating within one item via the
-// packed-id keyset. Negated literals are checked against the same frozen
-// database the join runs over.
-type collector struct {
-	c       *citem
-	st      *hom.State
-	db      *database.Database
-	tk      *budget.Tracker
-	out     []core.Atom
-	local   keyset
-	scratch []uint32
-	polls   int
-}
-
-func (e *collector) leaf() bool {
-	if e.polls++; e.polls%pollInterval == 0 && e.tk.Canceled() {
-		return false
-	}
-	c := e.c
-	for i := range c.neg {
-		ids, ok := e.st.PackIDs(e.scratch[:0], &c.neg[i])
-		if ok && e.db.SeenIDs(c.neg[i].RK, ids) {
-			return true
-		}
-	}
-	for i := range c.heads {
-		h := &c.heads[i]
-		ids, ok := e.st.PackIDs(e.scratch[:0], h)
-		if !ok {
-			e.out = append(e.out, e.st.Materialize(h))
-			continue
-		}
-		if !e.local.add(uint32(i), ids) {
-			continue
-		}
-		e.out = append(e.out, e.st.Materialize(h))
-	}
-	return true
-}
-
 // sweepMatches matches each fact's id tuple against every item whose
-// pattern relation matches and collects all ground heads of the
-// resulting body matches in db. Facts with terms never interned in db
-// are skipped: no derivation in db can have touched them.
-func sweepMatches(items []citem, db *database.Database, facts []core.Atom, jc *hom.JoinCache, tk *budget.Tracker) ([]core.Atom, error) {
+// pattern relation matches and collects the ground heads of the
+// resulting body matches in db, with every negated literal checked
+// against db. Facts with terms never interned in db are skipped: no
+// derivation in db can have touched them. With present set it collects
+// the heads db already holds too — phase D's over-deletion candidates,
+// matched over the frozen pre-batch database; otherwise only heads db
+// lacks — the insertion candidates of deletions that unblocked a
+// negated literal, matched over the current database.
+func sweepMatches(items []citem, db *database.Database, facts []core.Atom, jc *hom.JoinCache, tk *budget.Tracker, present bool) ([]core.Atom, error) {
 	groups := groupTuples(db, facts)
 	var out []core.Atom
 	for i := range items {
@@ -582,43 +517,8 @@ func sweepMatches(items []citem, db *database.Database, facts []core.Atom, jc *h
 		if g == nil || !c.patternOK() {
 			continue
 		}
-		em := &collector{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
-			scratch: make([]uint32, 0, 16)}
-		w := c.pattern.RK.Arity + c.pattern.RK.AnnArity
-		for j := 0; j < g.n; j++ {
-			mark := em.st.Mark()
-			if em.st.Match(&c.pattern, g.ids[j*w:(j+1)*w]) {
-				if !em.st.SearchPlan(c.rest, &c.plan, jc, em.leaf) {
-					em.st.Unwind(mark)
-					if err := tk.Check(); err != nil {
-						return nil, err
-					}
-				}
-			}
-			em.st.Unwind(mark)
-		}
-		out = append(out, em.out...)
-	}
-	return out, nil
-}
-
-// unblockCandidates matches deleted facts against the negated-literal
-// templates over the CURRENT database: a deletion that falsified a
-// negated literal may have unblocked firings. The emitter's leaf
-// re-checks every negated literal (including the pattern's own) against
-// the current database and skips heads already present, so the returned
-// atoms are genuine insertion candidates.
-func unblockCandidates(items []citem, db *database.Database, facts []core.Atom, jc *hom.JoinCache, tk *budget.Tracker) ([]core.Atom, error) {
-	groups := groupTuples(db, facts)
-	var out []core.Atom
-	for i := range items {
-		c := &items[i]
-		g := groups[c.pattern.RK]
-		if g == nil || !c.patternOK() {
-			continue
-		}
-		em := &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
-			scratch: make([]uint32, 0, 16)}
+		em := newEmitter(c, db, tk)
+		em.present = present
 		w := c.pattern.RK.Arity + c.pattern.RK.AnnArity
 		for j := 0; j < g.n; j++ {
 			mark := em.st.Mark()
@@ -708,20 +608,17 @@ func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, jc *ho
 	return false
 }
 
+// sortedFacts returns the facts of m in key order (nil when m is empty).
 func sortedFacts(m map[string]core.Atom) []core.Atom {
+	if len(m) == 0 {
+		return nil
+	}
 	keys := sortedKeys(m)
 	out := make([]core.Atom, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, m[k])
 	}
 	return out
-}
-
-func sortedFactVals(m map[string]core.Atom) []core.Atom {
-	if len(m) == 0 {
-		return nil
-	}
-	return sortedFacts(m)
 }
 
 func sortedKeys(m map[string]core.Atom) []string {

@@ -120,22 +120,25 @@ func AnswerGoal(d *database.Database, seed, query core.Atom, queryRel string, ev
 		return nil, nil, err
 	}
 	var out [][]core.Term
-	for _, f := range fix.Facts(core.RelKey{Name: queryRel, Arity: len(query.Args)}) {
-		if matchesAtom(query, f.Args) {
-			out = append(out, append([]core.Term(nil), f.Args...))
+	rk := core.RelKey{Name: queryRel, Arity: len(query.Args)}
+	ids := fix.IDTuples(rk)
+	for f, n := 0, fix.RelSize(rk); f < n; f++ {
+		args := ids[f*rk.Arity : (f+1)*rk.Arity]
+		if matchesAtom(fix, query, args) {
+			out = append(out, termsOf(fix, args))
 		}
 	}
 	return out, fix, err
 }
 
-// matchesAtom reports whether the tuple args answers the query atom:
-// constants must coincide and repeated variables must bind consistently.
-// The magic-sets adornment records only which positions are bound, so a
-// goal-directed fixpoint still needs this filter.
-func matchesAtom(query core.Atom, args []core.Term) bool {
+// matchesAtom reports whether the id tuple args of d answers the query
+// atom: constants must coincide and repeated variables must bind
+// consistently. The magic-sets adornment records only which positions
+// are bound, so a goal-directed fixpoint still needs this filter.
+func matchesAtom(d *database.Database, query core.Atom, args []uint32) bool {
 	for i, t := range query.Args {
 		if t.IsConst() {
-			if args[i] != t {
+			if d.Term(args[i]) != t {
 				return false
 			}
 			continue

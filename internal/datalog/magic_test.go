@@ -242,7 +242,12 @@ func TestMatchesAtom(t *testing.T) {
 		{core.NewAtom("R", x, a, x), []core.Term{b, a, a}, false},
 		{core.NewAtom("R", x, y, x), []core.Term{b, a, b}, true},
 	} {
-		if got := matchesAtom(tc.query, tc.args); got != tc.want {
+		d := database.New()
+		ids := make([]uint32, len(tc.args))
+		for i, t := range tc.args {
+			ids[i] = d.InternTerm(t)
+		}
+		if got := matchesAtom(d, tc.query, ids); got != tc.want {
 			t.Errorf("matchesAtom(%s, %v) = %v, want %v", tc.query, tc.args, got, tc.want)
 		}
 	}

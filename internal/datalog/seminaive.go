@@ -222,7 +222,9 @@ const pollInterval = 64
 // frozen database's seen-set prefilters candidates in id space, and a
 // packed-id local keyset drops within-item re-derivations, so candidates
 // are materialized to term atoms only when genuinely unseen. Remaining
-// cross-item duplicates are resolved by the merge.
+// cross-item duplicates are resolved by the merge. With present set the
+// seen-set prefilter is off: heads the database holds are buffered too
+// (DRed's over-deletion candidates, see sweepMatches).
 type emitter struct {
 	c       *citem
 	st      *hom.State
@@ -232,6 +234,7 @@ type emitter struct {
 	local   keyset
 	scratch []uint32
 	polls   int
+	present bool
 }
 
 // leaf is the complete-match callback; returning false aborts the
@@ -257,7 +260,7 @@ func (e *emitter) leaf() bool {
 			e.out = append(e.out, e.st.Materialize(h))
 			continue
 		}
-		if e.db.SeenIDs(h.RK, ids) || !e.local.add(uint32(i), ids) {
+		if (!e.present && e.db.SeenIDs(h.RK, ids)) || !e.local.add(uint32(i), ids) {
 			continue
 		}
 		e.out = append(e.out, e.st.Materialize(h))
@@ -488,8 +491,8 @@ func newEmitter(c *citem, db *database.Database, tk *budget.Tracker) *emitter {
 
 // EvalSemiNaive computes the stratified fixpoint with the native
 // semi-naive evaluator and default options (cost-based planning). It is
-// the default engine behind Eval; the chase-based EvalViaChase remains
-// available for the ablation benchmarks.
+// the default engine behind Eval; the chase-based EvalViaChase is the
+// reference the differential tests compare it against.
 func EvalSemiNaive(th *core.Theory, d *database.Database) (*database.Database, error) {
 	return EvalSemiNaiveOpts(th, d, Options{})
 }

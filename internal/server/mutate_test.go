@@ -161,9 +161,38 @@ func TestFactsBatchVersioning(t *testing.T) {
 func TestSubscribeDeltaStream(t *testing.T) {
 	ts := newTestServer(t)
 	thID, dbID := registerFixtures(t, ts.URL)
+	followDeltas(t, ts.URL, thID, dbID, "T(X,Y) -> Ans(X,Y).", []factsRequest{
+		{Add: "E(v3,v4)."},
+		{Retract: "E(v1,v2)."},
+	})
+}
 
-	events, closeStream := sseStream(t, ts.URL+"/v1/dbs/"+dbID+"/subscribe",
-		subscribeRequest{TheoryID: thID, CQ: "T(X,Y) -> Ans(X,Y)."})
+// /facts accepts explicit ACDom facts. Retracting one that an earlier
+// batch added must take its consequences along in the subscription's
+// stream too, though they support the ACDom fact circularly.
+func TestSubscribeRetractAddedACDom(t *testing.T) {
+	ts := newTestServer(t)
+	var th theoryResponse
+	if code := post(t, ts.URL+"/v1/theories", theoryRequest{Source: "ACDom(X) -> Dom(X)."}, &th); code != 200 {
+		t.Fatalf("theories: status %d", code)
+	}
+	var db dbResponse
+	if code := post(t, ts.URL+"/v1/dbs", dbRequest{Facts: "S(a)."}, &db); code != 200 {
+		t.Fatalf("dbs: status %d", code)
+	}
+	followDeltas(t, ts.URL, th.ID, db.ID, "Dom(X) -> Ans(X).", []factsRequest{
+		{Add: "ACDom(d)."},
+		{Retract: "ACDom(d)."},
+	})
+}
+
+// followDeltas subscribes to cq over the DB, applies each batch, and
+// requires after every batch that the snapshot plus the accumulated
+// deltas equals a fresh query's answers.
+func followDeltas(t *testing.T, base, thID, dbID, cq string, steps []factsRequest) {
+	t.Helper()
+	events, closeStream := sseStream(t, base+"/v1/dbs/"+dbID+"/subscribe",
+		subscribeRequest{TheoryID: thID, CQ: cq})
 	defer closeStream()
 
 	var snap snapshotEvent
@@ -174,18 +203,14 @@ func TestSubscribeDeltaStream(t *testing.T) {
 		t.Fatalf("snapshot %+v, want version 1 with answers and a plan key", snap)
 	}
 
-	// Accumulate deltas into the snapshot across an insert and a retract.
+	// Accumulate deltas into the snapshot across the batches.
 	acc := make(map[string]bool)
 	for _, row := range snap.Answers {
 		acc[fmt.Sprint(row)] = true
 	}
-	steps := []factsRequest{
-		{Add: "E(v3,v4)."},
-		{Retract: "E(v1,v2)."},
-	}
 	for i, step := range steps {
 		var fr factsResponse
-		if code := post(t, ts.URL+"/v1/dbs/"+dbID+"/facts", step, &fr); code != 200 {
+		if code := post(t, base+"/v1/dbs/"+dbID+"/facts", step, &fr); code != 200 {
 			t.Fatalf("step %d: status %d", i, code)
 		}
 		if fr.Subscribers != 1 {
@@ -206,7 +231,7 @@ func TestSubscribeDeltaStream(t *testing.T) {
 		}
 
 		var fresh queryResponse
-		post(t, ts.URL+"/v1/query", queryRequest{TheoryID: thID, DBID: dbID, CQ: "T(X,Y) -> Ans(X,Y)."}, &fresh)
+		post(t, base+"/v1/query", queryRequest{TheoryID: thID, DBID: dbID, CQ: cq}, &fresh)
 		want := make([]string, 0, len(fresh.Answers))
 		for _, row := range fresh.Answers {
 			want = append(want, fmt.Sprint(row))

@@ -95,7 +95,7 @@ func (s *Server) RestoreData() error {
 		}
 		ent := &dbEntry{id: id, subs: make(map[*subscription]struct{}), seg: seg}
 		db := seg.Clone()
-		ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: len(db.UserFacts())})
+		ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: userFacts(db)})
 		var victim *dbEntry
 		s.mu.Lock()
 		if _, v, evicted := s.dbs.Add(id, ent); evicted {

@@ -195,6 +195,18 @@ type dbVersion struct {
 	facts   int
 }
 
+// userFacts counts the facts of db other than the maintained ACDom
+// facts, without materializing any of them.
+func userFacts(db *database.Database) int {
+	n := db.Len()
+	for _, rk := range db.Relations() {
+		if rk.Name == core.ACDom {
+			n -= db.RelSize(rk)
+		}
+	}
+	return n
+}
+
 // dbEntry is a mutable fact DB: an atomically swappable current version
 // plus the live subscriptions fed by its mutation batches. mu serializes
 // writers (fact batches, subscription registration); readers load cur
@@ -684,7 +696,7 @@ func (s *Server) setupSegLocked(ent *dbEntry, atoms []core.Atom) error {
 	db := seg.Clone()
 	facts := len(atoms)
 	if !fresh {
-		facts = len(db.UserFacts())
+		facts = userFacts(db)
 	}
 	ent.seg = seg
 	ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: facts})
