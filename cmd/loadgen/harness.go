@@ -60,7 +60,7 @@ var gaugeKeys = map[string]bool{
 	"dbs": true, "kbs": true, "ready": true,
 	"in_flight": true, "in_flight_heavy": true, "in_flight_light": true,
 	"queued_heavy": true, "queued_light": true,
-	"goroutines": true, "subscriptions": true,
+	"goroutines": true, "subscriptions": true, "views": true,
 }
 
 const (

@@ -71,11 +71,21 @@ type Maintained struct {
 // base (later writes to base do not reach it), explicitly added ACDom
 // facts included.
 func NewMaintained(p *Program, base *database.Database, opts Options) (*Maintained, error) {
+	m, _, err := EvalMaintained(p, base, opts)
+	return m, err
+}
+
+// EvalMaintained is NewMaintained for a caller that also serves the
+// answers of the evaluation it runs. On success it returns the handle
+// and its fixpoint. On error it returns no handle, and the fixpoint is
+// what Eval returns: the sound partial fixpoint of a budget-truncated
+// run, or nil.
+func EvalMaintained(p *Program, base *database.Database, opts Options) (*Maintained, *database.Database, error) {
 	fix, err := p.Eval(base, opts)
 	if err != nil {
-		return nil, err
+		return nil, fix, err
 	}
-	return &Maintained{p: p, cur: fix, base: base.Clone()}, nil
+	return &Maintained{p: p, cur: fix, base: base.Clone()}, fix, nil
 }
 
 // explicit reports whether f is an explicit fact of the base database

@@ -25,20 +25,18 @@ type AnswerDelta struct {
 	Removed [][]core.Term
 }
 
-// MaintainedQuery is a registered live query: a compiled CQ plan bound
-// to an incrementally maintained fixpoint over one mutable fact DB.
-// Batches fold in through Apply; the current exact answers are always
-// available. The handle is safe for concurrent use (one internal
-// writer lock; the serving layer applies batches under it while
-// concurrent readers snapshot answers).
+// MaintainedQuery is a compiled CQ plan bound to an incrementally
+// maintained fixpoint over one mutable fact DB: the engine handle of a
+// materialized view. Batches fold in through Apply. The handle is not
+// safe for concurrent use: its owner serializes Apply and the reads of
+// the handle itself, and concurrent readers share only the immutable
+// Views it hands out.
 type MaintainedQuery struct {
 	ckb      *CompiledKB
 	key      string
 	queryRel string
 	chain    []string
-
-	mu sync.Mutex
-	m  *datalog.Maintained
+	m        *datalog.Maintained
 }
 
 // MaintainCQ registers a conjunctive query for incremental maintenance
@@ -67,8 +65,13 @@ func (ckb *CompiledKB) MaintainCQ(ctx context.Context, q kb.CQ, base *database.D
 		ckb.metrics.MaintainRejected.Add(1)
 		return nil, err
 	}
+	return ckb.maintained(p, key, m), nil
+}
+
+// maintained wraps a fixpoint handle of plan p as a MaintainedQuery.
+func (ckb *CompiledKB) maintained(p *plan, key string, m *datalog.Maintained) *MaintainedQuery {
 	ckb.metrics.MaintainedHandles.Add(1)
-	return &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}, nil
+	return &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}
 }
 
 // PlanKey returns the cache key of the underlying plan shape.
@@ -82,8 +85,6 @@ func (mq *MaintainedQuery) Chain() []string { return mq.chain }
 // still holds the pre-batch answers (the maintained database is only
 // swapped on success).
 func (mq *MaintainedQuery) Apply(add, retract []core.Atom, opts QueryOptions) (AnswerDelta, error) {
-	mq.mu.Lock()
-	defer mq.mu.Unlock()
 	_, delta, err := mq.m.Apply(add, retract, opts.datalogOptions(mq.ckb.metrics))
 	if err != nil {
 		return AnswerDelta{}, err
@@ -98,10 +99,60 @@ func (mq *MaintainedQuery) Apply(add, retract []core.Atom, opts QueryOptions) (A
 // Answers returns the current exact answers of the maintained query,
 // deterministically ordered.
 func (mq *MaintainedQuery) Answers() [][]core.Term {
-	mq.mu.Lock()
-	cur := mq.m.Current()
-	mq.mu.Unlock()
-	return datalog.CollectAnswers(cur, mq.queryRel)
+	return datalog.CollectAnswers(mq.m.Current(), mq.queryRel)
+}
+
+// View returns the handle's current fixpoint as an immutable View. Later
+// Apply calls do not change it.
+func (mq *MaintainedQuery) View() *View {
+	return &View{mq: mq, fix: mq.m.Current()}
+}
+
+// Live reports whether the store still caches the KB the handle was
+// built from, and that KB still caches the handle's plan. The probe
+// moves neither LRU's recency. A materialized view over a handle that is
+// not Live has outlived the caches that bound its memory.
+func (s *Store) Live(mq *MaintainedQuery) bool {
+	s.mu.Lock()
+	ckb, ok := s.kbs.Peek(mq.ckb.ID)
+	s.mu.Unlock()
+	if !ok || ckb != mq.ckb {
+		return false
+	}
+	ckb.planMu.Lock()
+	defer ckb.planMu.Unlock()
+	_, ok = ckb.plans.Peek(mq.key)
+	return ok
+}
+
+// View is a maintained query's fixpoint at one base version: a
+// materialized view. It is immutable, so any number of readers share it
+// without locks. Its sorted answer list is collected on the first read
+// and kept.
+type View struct {
+	mq  *MaintainedQuery // plan identity only: key, queryRel, chain
+	fix *database.Database
+
+	once    sync.Once
+	answers [][]core.Term
+}
+
+// Answers returns the view's exact answers, ordered as AnswerCQ orders
+// them. Callers must not modify the returned slices.
+func (v *View) Answers() [][]core.Term {
+	v.once.Do(func() { v.answers = datalog.CollectAnswers(v.fix, v.mq.queryRel) })
+	return v.answers
+}
+
+// Read answers the view's query as a plan-hit CQ read that runs no
+// engine: the result is AnswerCQ's on the view's version, and the
+// query and plan-hit counters move as AnswerCQ's would. Callers must not
+// modify the returned answers.
+func (v *View) Read() *QueryResult {
+	m := v.mq.ckb.metrics
+	m.Queries.Add(1)
+	m.PlanHits.Add(1)
+	return &QueryResult{Answers: v.Answers(), Exact: true, PlanKey: v.mq.key, PlanHit: true, Chain: v.mq.chain}
 }
 
 // answerTuples projects a fact delta onto the query relation's

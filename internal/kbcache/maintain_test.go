@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/database"
 	"guardedrules/internal/gen"
 	"guardedrules/internal/parser"
@@ -91,5 +92,98 @@ func TestMaintainCQRejectsChasePlan(t *testing.T) {
 	}
 	if got := s.Metrics().Snapshot()["maintain_rejected"]; got != 1 {
 		t.Fatalf("maintain_rejected = %d, want 1", got)
+	}
+}
+
+// MaterializeCQ answers like AnswerCQ and hands back the maintained
+// handle of an exact program-plan run. Each View of the handle is
+// frozen at its version, answers like AnswerCQ there, and reads as a
+// plan-hit query. Truncated runs and chase plans yield no handle.
+func TestMaterializeCQViews(t *testing.T) {
+	ctx := context.Background()
+	s := NewStore(Config{})
+	ckb := mustRegister(t, s, tcSource)
+	q := mustCQ(t, "T(X,Y) -> Ans(X,Y).")
+	base := gen.Path(5)
+
+	res, mq, err := ckb.MaterializeCQ(ctx, q, base, QueryOptions{})
+	if err != nil || mq == nil || !res.Exact {
+		t.Fatalf("MaterializeCQ: handle %v exact %v err %v", mq != nil, res != nil && res.Exact, err)
+	}
+	want, err := ckb.AnswerCQ(ctx, q, base, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := mq.View()
+	if fmt.Sprint(res.Answers) != fmt.Sprint(want.Answers) || fmt.Sprint(v1.Answers()) != fmt.Sprint(want.Answers) {
+		t.Fatalf("materialized answers %v, view %v, AnswerCQ %v", res.Answers, v1.Answers(), want.Answers)
+	}
+
+	before := s.Metrics().Snapshot()
+	r := v1.Read()
+	after := s.Metrics().Snapshot()
+	if !r.Exact || !r.PlanHit || r.PlanKey != CQKey(q) || fmt.Sprint(r.Answers) != fmt.Sprint(want.Answers) {
+		t.Fatalf("view read %+v", r)
+	}
+	if after["queries"] != before["queries"]+1 || after["plan_hits"] != before["plan_hits"]+1 || after["join_round_plans"] != before["join_round_plans"] {
+		t.Fatalf("a view read must count one plan-hit query and run no engine: %v -> %v", before, after)
+	}
+
+	add := parser.MustParseFacts(`E(v5, v0).`)
+	if _, err := mq.Apply(add, nil, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	next := base.Clone()
+	next.Add(add[0])
+	want2, err := ckb.AnswerCQ(ctx, q, next, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mq.View().Answers(); fmt.Sprint(got) != fmt.Sprint(want2.Answers) {
+		t.Fatalf("view after Apply %v, AnswerCQ %v", got, want2.Answers)
+	}
+	if fmt.Sprint(v1.Answers()) != fmt.Sprint(want.Answers) {
+		t.Fatal("Apply changed an earlier view")
+	}
+
+	// A truncated run is served, but yields no view.
+	res, mq, err = ckb.MaterializeCQ(ctx, q, base, QueryOptions{Budget: &budget.T{FailAtCheckpoint: 2}})
+	if !budget.IsBudget(err) || res == nil || res.Exact || mq != nil {
+		t.Fatalf("truncated MaterializeCQ: handle %v err %v", mq != nil, err)
+	}
+	// A chase plan has no view.
+	wg := mustRegister(t, s, wgSource)
+	res, mq, err = wg.MaterializeCQ(ctx, mustCQ(t, "S(Y,Z) -> Ans(Y,Z)."), database.FromAtoms(parser.MustParseFacts("P(a).")), QueryOptions{})
+	if err != nil || res == nil || mq != nil {
+		t.Fatalf("chase-plan MaterializeCQ: handle %v err %v", mq != nil, err)
+	}
+}
+
+// A handle is Live while its KB and plan are both cached; evicting
+// either ends it.
+func TestMaintainedLive(t *testing.T) {
+	ctx := context.Background()
+	s := NewStore(Config{MaxKBs: 1, MaxPlansPerKB: 1})
+	ckb := mustRegister(t, s, tcSource)
+	mq, err := ckb.MaintainCQ(ctx, mustCQ(t, "T(X,Y) -> Ans(X,Y)."), gen.Path(3), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Live(mq) {
+		t.Fatal("fresh handle not Live")
+	}
+	if _, err := ckb.AnswerCQ(ctx, mustCQ(t, "E(X,Y) -> Ans(X,Y)."), gen.Path(3), QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Live(mq) {
+		t.Fatal("handle Live after its plan was evicted")
+	}
+	mq, err = ckb.MaintainCQ(ctx, mustCQ(t, "T(X,Y) -> Ans(X,Y)."), gen.Path(3), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, s, wgSource)
+	if s.Live(mq) {
+		t.Fatal("handle Live after its KB was evicted")
 	}
 }

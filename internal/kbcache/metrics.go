@@ -42,8 +42,8 @@ type Metrics struct {
 	TerminationSWA     atomic.Int64
 	TerminationUnknown atomic.Int64
 
-	// Maintenance counters (MaintainCQ / MaintainedQuery.Apply).
-	MaintainedHandles atomic.Int64 // live-query handles successfully registered
+	// Maintenance counters (MaintainCQ, MaterializeCQ, MaintainedQuery.Apply).
+	MaintainedHandles atomic.Int64 // maintained fixpoints created (subscriptions and views)
 	MaintainBatches   atomic.Int64 // mutation batches folded into maintained fixpoints
 	MaintainRejected  atomic.Int64 // registrations refused (unmaintainable plan or build error)
 

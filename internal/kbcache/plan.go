@@ -201,19 +201,45 @@ func (ckb *CompiledKB) PlanInfo(key string) (cached, chasePerCall bool) {
 // exhaustion the sound partial answers are returned alongside the typed
 // *budget.Error.
 func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, error) {
+	res, _, err := ckb.answerCQ(ctx, q, d, opts, false)
+	return res, err
+}
+
+// MaterializeCQ answers like AnswerCQ and also returns the materialized
+// view of the run: when the plan compiles to a Datalog program and the
+// run is exact, the maintained handle positioned at the fixpoint that
+// produced the answers, which the caller may keep and advance with
+// Apply. Otherwise the handle is nil.
+func (ckb *CompiledKB) MaterializeCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedQuery, error) {
+	return ckb.answerCQ(ctx, q, d, opts, true)
+}
+
+func (ckb *CompiledKB) answerCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions, materialize bool) (*QueryResult, *MaintainedQuery, error) {
 	ckb.metrics.Queries.Add(1)
 	key := CQKey(q)
 	p, hit, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
 	if err != nil {
 		ckb.metrics.QueryErrors.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := ckb.evalPlan(p, d, opts)
+	var (
+		res *QueryResult
+		mq  *MaintainedQuery
+	)
+	if materialize && p.kind == planProgram {
+		m, fix, eerr := datalog.EvalMaintained(p.prog, d, opts.datalogOptions(ckb.metrics))
+		res, err = ckb.programResult(p, fix, eerr)
+		if m != nil {
+			mq = ckb.maintained(p, key, m)
+		}
+	} else {
+		res, err = ckb.evalPlan(p, d, opts)
+	}
 	if res != nil {
 		res.PlanKey = key
 		res.PlanHit = hit
 	}
-	return res, err
+	return res, mq, err
 }
 
 // buildCQPlan is the pay-once part of a CQ: Σ ∪ {α ∧ ACDom(~x) → QAns(~x)}
@@ -442,23 +468,30 @@ func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions
 		}, nil
 	default:
 		fix, err := p.prog.Eval(d, opts.datalogOptions(ckb.metrics))
-		if err != nil {
-			if !budget.IsBudget(err) || fix == nil {
-				ckb.metrics.QueryErrors.Add(1)
-				return nil, err
-			}
-			ckb.metrics.BudgetExhausted.Add(1)
-			return &QueryResult{
-				Answers: datalog.CollectAnswers(fix, p.queryRel),
-				Chain:   p.chain,
-			}, err
+		return ckb.programResult(p, fix, err)
+	}
+}
+
+// programResult collects the answers of a program plan's evaluation:
+// exact when the run completed, the sound partial answers alongside a
+// budget error, nothing alongside any other error.
+func (ckb *CompiledKB) programResult(p *plan, fix *database.Database, err error) (*QueryResult, error) {
+	if err != nil {
+		if !budget.IsBudget(err) || fix == nil {
+			ckb.metrics.QueryErrors.Add(1)
+			return nil, err
 		}
+		ckb.metrics.BudgetExhausted.Add(1)
 		return &QueryResult{
 			Answers: datalog.CollectAnswers(fix, p.queryRel),
-			Exact:   true,
 			Chain:   p.chain,
-		}, nil
+		}, err
 	}
+	return &QueryResult{
+		Answers: datalog.CollectAnswers(fix, p.queryRel),
+		Exact:   true,
+		Chain:   p.chain,
+	}, nil
 }
 
 // evalCertified runs a certified chase plan to saturation with no fact

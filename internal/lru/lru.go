@@ -85,10 +85,13 @@ func (c *Cache[V]) Remove(key string) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is cached, without touching recency.
-func (c *Cache[V]) Contains(key string) bool {
-	_, ok := c.items[key]
-	return ok
+// Peek returns the value under key without touching recency.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Len is the number of cached entries.

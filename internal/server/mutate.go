@@ -13,7 +13,7 @@ import (
 	"guardedrules/internal/parser"
 )
 
-// subscription is one live SSE stream over a maintained query. The
+// subscription is one live SSE stream over a materialized view. The
 // owning dbEntry's mutex is the only writer coordination: batches send
 // events (and close ch when dropping the subscriber) while holding it,
 // and the streaming goroutine unregisters under it, so a send can never
@@ -26,7 +26,7 @@ import (
 // documented contract — dropped subscribers see an error frame, never a
 // silent close — hold unconditionally.
 type subscription struct {
-	mq    *kbcache.MaintainedQuery
+	view  *view
 	ch    chan subEvent
 	errCh chan subEvent
 }
@@ -45,8 +45,8 @@ type factsRequest struct {
 	Retract string `json:"retract,omitempty"`
 
 	// Chaos levers (rejected unless Config.Chaos): the injected budget
-	// governs subscription maintenance, so a failing subscriber is
-	// dropped with an error event while the batch still commits.
+	// governs view maintenance, so a failing view is dropped, its
+	// subscribers with an error event, while the batch still commits.
 	FailAt  int64 `json:"fail_at,omitempty"`
 	PanicAt int64 `json:"panic_at,omitempty"`
 }
@@ -62,10 +62,11 @@ type factsResponse struct {
 }
 
 // handleFacts applies one mutation batch to a mutable DB: clone the
-// current version in id-space, retract then add, fold the batch into
-// every live subscription, and atomically publish the new version.
-// In-flight queries keep the snapshot they started on; queries admitted
-// after the swap see the whole batch or none of it.
+// current version in id-space, retract then add, advance every
+// materialized view to the new version, atomically publish it, and fan
+// each view's answer delta out to its subscribers. In-flight queries
+// keep the snapshot they started on; queries admitted after the swap
+// see the whole batch or none of it.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	var req factsRequest
 	if !s.decodeBody(w, r, &req) {
@@ -97,7 +98,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db id %q (evicted or never loaded)", r.PathValue("id")))
 		return
 	}
-	// A batch replays incremental maintenance for every subscriber —
+	// A batch replays incremental maintenance for every view —
 	// combined-complexity work, through the narrow gate.
 	release, ok := s.admit(w, r, s.heavy, "heavy")
 	if !ok {
@@ -112,6 +113,10 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	cur := ent.cur.Load()
+	if cur == nil {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db id %q (its load failed)", ent.id))
+		return
+	}
 	var next *dbVersion
 	var added, retracted int
 	if ent.seg != nil {
@@ -157,6 +162,29 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		}
 		next = &dbVersion{db: work, version: cur.version + 1, facts: cur.facts + added - retracted}
 	}
+	// Advance every view to next before publishing it, so the first
+	// reader of next already finds them. A view without subscribers that
+	// no one read at cur is dropped instead of maintained. Deltas go out
+	// only after the commit below.
+	type advanced struct {
+		key viewKey
+		d   kbcache.AnswerDelta
+		err error
+	}
+	var batch []advanced
+	for key, v := range ent.views {
+		if len(v.subs) == 0 {
+			if vv := cur.view(key); vv == nil || !vv.read.Load() {
+				s.dropViewLocked(ent, key, nil)
+				continue
+			}
+		}
+		d, err := v.mq.Apply(adds, dels, opts)
+		if err == nil {
+			next.views.Store(key, &versionView{View: v.mq.View()})
+		}
+		batch = append(batch, advanced{key, d, err})
+	}
 	// Commit under s.mu with a membership re-check: the LRU may have
 	// evicted this entry between the handler's lookup and here, and a
 	// batch committed to an orphaned entry would return 200 while the
@@ -174,6 +202,11 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		// harmless-to-good: the batch is on disk and will be served when
 		// the DB is reopened, it just is not being served now.
 		s.mu.Unlock()
+		// The views were advanced past the version the entry still
+		// serves; the orphan never serves again, so drop them.
+		for key := range ent.views {
+			s.dropViewLocked(ent, key, fmt.Errorf("db %q evicted; stream closed", ent.id))
+		}
 		msg := "db id %q was evicted while the batch was being prepared; nothing was written"
 		if ent.seg != nil {
 			msg = "db id %q was evicted while the batch was being prepared; the batch was durably journaled and will be visible when the db is reopened, but is not being served"
@@ -187,39 +220,46 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.factsAdded.Add(int64(added))
 	s.factsRetracted.Add(int64(retracted))
 
-	// Fold the batch into every subscription while still holding the
-	// entry lock, so subscribers see batches in commit order. A failing
-	// subscriber (budget, contained engine panic) is dropped with an
-	// error event; the committed batch is unaffected.
-	for sub := range ent.subs {
-		d, err := sub.mq.Apply(adds, dels, opts)
-		if err != nil {
+	// Fan each view's delta out while still holding the entry lock, so
+	// subscribers see batches in commit order. A view whose maintenance
+	// failed (budget, contained engine panic) is dropped with its
+	// subscribers, each with an error event; the committed batch is
+	// unaffected.
+	for _, a := range batch {
+		if a.err != nil {
 			var pe *budget.PanicError
-			if errors.As(err, &pe) {
+			if errors.As(a.err, &pe) {
 				s.enginePanics.Add(1)
 			}
-			s.dropSubLocked(ent, sub, fmt.Errorf("maintenance failed at version %d: %w", next.version, err))
+			s.dropViewLocked(ent, a.key, fmt.Errorf("maintenance failed at version %d: %w", next.version, a.err))
+			continue
+		}
+		subs := ent.views[a.key].subs
+		if len(subs) == 0 {
 			continue
 		}
 		ev, mErr := marshalEvent("delta", deltaEvent{
 			Version: next.version,
-			Added:   tupleRows(d.Added),
-			Removed: tupleRows(d.Removed),
+			Added:   tupleRows(a.d.Added),
+			Removed: tupleRows(a.d.Removed),
 		})
-		if mErr != nil {
-			s.dropSubLocked(ent, sub, mErr)
-			continue
-		}
-		select {
-		case sub.ch <- ev:
-			s.subsEvents.Add(1)
-		default:
-			// Slow consumer: its buffer is full, so its answer stream
-			// would silently skip a delta — drop it instead of lying. The
-			// cause rides the reserved errCh slot, so the client still
-			// gets a terminal error frame after draining the buffer.
-			s.dropSubLocked(ent, sub,
-				fmt.Errorf("slow consumer: delta buffer full at version %d; stream incomplete", next.version))
+		for sub := range subs {
+			if mErr != nil {
+				s.dropSubLocked(sub, mErr)
+				continue
+			}
+			select {
+			case sub.ch <- ev:
+				s.subsEvents.Add(1)
+			default:
+				// Slow consumer: its buffer is full, so its answer stream
+				// would silently skip a delta — drop it instead of lying.
+				// The cause rides the reserved errCh slot, so the client
+				// still gets a terminal error frame after draining the
+				// buffer.
+				s.dropSubLocked(sub,
+					fmt.Errorf("slow consumer: delta buffer full at version %d; stream incomplete", next.version))
+			}
 		}
 	}
 	s.writeJSON(w, http.StatusOK, factsResponse{
@@ -227,16 +267,17 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		Added:       added,
 		Retracted:   retracted,
 		Facts:       next.facts,
-		Subscribers: len(ent.subs),
+		Subscribers: ent.subscribersLocked(),
 	})
 }
 
-// dropSubLocked removes a subscription (caller holds ent.mu). The cause
-// goes into the subscription's reserved 1-slot error channel — never the
-// delta channel, which may be full — and closing ch tells the stream
-// goroutine to drain remaining deltas, emit the error frame, and end.
-func (s *Server) dropSubLocked(ent *dbEntry, sub *subscription, cause error) {
-	delete(ent.subs, sub)
+// dropSubLocked removes a subscription from its view (caller holds the
+// entry's mu). The cause goes into the subscription's reserved 1-slot
+// error channel — never the delta channel, which may be full — and
+// closing ch tells the stream goroutine to drain remaining deltas, emit
+// the error frame, and end.
+func (s *Server) dropSubLocked(sub *subscription, cause error) {
+	delete(sub.view.subs, sub)
 	s.subsDropped.Add(1)
 	if cause != nil {
 		if ev, err := marshalEvent("error", errorResponse{Error: cause.Error()}); err == nil {
@@ -273,12 +314,13 @@ type deltaEvent struct {
 // handleSubscribe registers a live conjunctive query over a mutable DB
 // and streams it as SSE: one "snapshot" event with the current exact
 // answers, then one "delta" event per committed mutation batch. The
-// query reuses the per-shape plan cache; a CQ whose cached plan falls
-// back to a per-query bounded chase cannot be maintained incrementally
-// and is rejected with 422 and a typed error. Registration (initial
-// fixpoint) runs under heavy admission; the slot is released before
-// streaming. Streams end on client disconnect, slow consumption, a
-// failed maintenance batch, or server drain.
+// subscription reads the DB's materialized view of the query's plan,
+// building it when there is none; a CQ whose cached plan falls back to
+// a per-query bounded chase cannot be maintained incrementally and is
+// rejected with 422 and a typed error. Registration (initial fixpoint)
+// runs under heavy admission; the slot is released before streaming.
+// Streams end on client disconnect, slow consumption, a failed
+// maintenance batch, or server drain.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req subscribeRequest
 	if !s.decodeBody(w, r, &req) {
@@ -327,20 +369,31 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// the delta stream misses nothing and duplicates nothing.
 	ent.mu.Lock()
 	cur := ent.cur.Load()
-	mq, err := ckb.MaintainCQ(r.Context(), q, cur.db, opts)
-	if err != nil {
+	if cur == nil {
 		ent.mu.Unlock()
 		release()
-		if errors.As(err, new(*budget.PanicError)) {
-			s.enginePanics.Add(1)
-		}
-		if errors.Is(err, kbcache.ErrNotMaintainable) {
-			s.writeJSON(w, http.StatusUnprocessableEntity,
-				errorResponse{Error: err.Error(), Kind: "not_maintainable"})
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db id %q (its load failed)", r.PathValue("id")))
+		return
+	}
+	key := viewKey{theory: ckb.ID, plan: kbcache.CQKey(q)}
+	v := ent.views[key]
+	var mq *kbcache.MaintainedQuery
+	if v == nil {
+		mq, err = ckb.MaintainCQ(r.Context(), q, cur.db, opts)
+		if err != nil {
+			ent.mu.Unlock()
+			release()
+			if errors.As(err, new(*budget.PanicError)) {
+				s.enginePanics.Add(1)
+			}
+			if errors.Is(err, kbcache.ErrNotMaintainable) {
+				s.writeJSON(w, http.StatusUnprocessableEntity,
+					errorResponse{Error: err.Error(), Kind: "not_maintainable"})
+				return
+			}
+			s.writeError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		s.writeError(w, http.StatusUnprocessableEntity, err)
-		return
 	}
 	// Register under s.mu with a membership re-check, mirroring the
 	// commit path in handleFacts: if the LRU evicted this entry after the
@@ -358,19 +411,20 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("db id %q was evicted during subscription setup", r.PathValue("id")))
 		return
 	}
-	sub := &subscription{mq: mq, ch: make(chan subEvent, 32), errCh: make(chan subEvent, 1)}
-	ent.subs[sub] = struct{}{}
 	s.mu.Unlock()
-	snap := snapshotEvent{Version: cur.version, Answers: termRows(mq.Answers()), PlanKey: mq.PlanKey()}
+	if v == nil {
+		v = s.installViewLocked(ent, key, mq)
+	}
+	sub := &subscription{view: v, ch: make(chan subEvent, 32), errCh: make(chan subEvent, 1)}
+	v.subs[sub] = struct{}{}
+	snap := snapshotEvent{Version: cur.version, Answers: termRows(cur.view(key).Answers()), PlanKey: key.plan}
 	ent.mu.Unlock()
 	release()
 
 	defer func() {
 		// Unregister unless a batch already dropped us (which closed ch).
 		ent.mu.Lock()
-		if _, live := ent.subs[sub]; live {
-			delete(ent.subs, sub)
-		}
+		delete(v.subs, sub)
 		ent.mu.Unlock()
 	}()
 

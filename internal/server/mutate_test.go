@@ -496,9 +496,10 @@ func TestSlowConsumerDropDeliversErrorFrame(t *testing.T) {
 	}
 	// An unbuffered delta channel with no reader: the first batch's send
 	// fails, which is exactly the slow-consumer state of a full buffer.
-	sub := &subscription{mq: mq, ch: make(chan subEvent), errCh: make(chan subEvent, 1)}
 	ent.mu.Lock()
-	ent.subs[sub] = struct{}{}
+	key := viewKey{theory: thID, plan: mq.PlanKey()}
+	sub := &subscription{view: srv.installViewLocked(ent, key, mq), ch: make(chan subEvent), errCh: make(chan subEvent, 1)}
+	sub.view.subs[sub] = struct{}{}
 	ent.mu.Unlock()
 
 	var fr factsResponse

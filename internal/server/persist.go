@@ -93,7 +93,7 @@ func (s *Server) RestoreData() error {
 		if err != nil {
 			return fmt.Errorf("server: reopen db %q: %w", id, err)
 		}
-		ent := &dbEntry{id: id, subs: make(map[*subscription]struct{}), seg: seg}
+		ent := &dbEntry{id: id, views: make(map[viewKey]*view), seg: seg}
 		db := seg.Clone()
 		ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: userFacts(db)})
 		var victim *dbEntry
@@ -152,22 +152,22 @@ func (e *dbEntry) closeSegLocked() error {
 	return err
 }
 
-// teardownEvicted tears down a DB entry the LRU evicted: every live
-// subscriber gets a terminal error frame, and the segment store's file
-// handles are closed so eviction never leaks descriptors. Runs outside
-// s.mu (writers take ent.mu before s.mu, so nesting the other way would
-// deadlock); taking victim.mu serializes against any in-flight batch,
-// which therefore finishes its journal writes and commit on a
-// still-open store. nil victims are a no-op.
+// teardownEvicted tears down a DB entry the LRU evicted: its views are
+// dropped, every live subscriber with a terminal error frame, and the
+// segment store's file handles are closed so eviction never leaks
+// descriptors. Runs outside s.mu (writers take ent.mu before s.mu, so
+// nesting the other way would deadlock); taking victim.mu serializes
+// against any in-flight batch, which therefore finishes its journal
+// writes and commit on a still-open store. nil victims are a no-op.
 func (s *Server) teardownEvicted(victim *dbEntry, why string) {
 	if victim == nil {
 		return
 	}
 	victim.mu.Lock()
-	for sub := range victim.subs {
-		s.dropSubLocked(victim, sub,
-			fmt.Errorf("db %q evicted (%s); stream closed", victim.id, why))
+	for key := range victim.views {
+		s.dropViewLocked(victim, key, fmt.Errorf("db %q evicted (%s); stream closed", victim.id, why))
 	}
+	victim.views = nil
 	if err := victim.closeSegLocked(); err != nil {
 		log.Printf("server: closing evicted db %q: %v", victim.id, err)
 	}

@@ -17,14 +17,17 @@
 //	GET  /readyz                                            → readiness (drain-aware)
 //
 // Fact DBs are mutable: a batch clones the current version in id-space,
-// applies retractions then additions, folds the delta into every live
-// subscription, and atomically swaps the entry's version pointer —
+// applies retractions then additions, advances every materialized view
+// of the DB, and atomically swaps the entry's version pointer —
 // in-flight queries keep reading the snapshot they started on and never
-// see a half-applied batch. Subscriptions are conjunctive queries
-// maintained incrementally (semi-naive resumption for inserts, DRed for
-// deletes); a CQ whose cached plan falls back to a per-query bounded
-// chase is rejected at registration with 422 rather than degrading to
-// re-chasing on every batch.
+// see a half-applied batch. A view is one CQ plan's fixpoint, maintained
+// incrementally (semi-naive resumption for inserts, DRed for deletes):
+// repeated reads of a version are served from it without running an
+// engine, and live subscriptions are its readers, fed the one answer
+// delta it computes per batch. A CQ whose cached plan falls back to a
+// per-query bounded chase has no view, and is rejected as a
+// subscription with 422 rather than degrading to re-chasing on every
+// batch.
 //
 // Every query runs under a request budget: the request context is the
 // cancellation source (a disconnecting client aborts the engines) and
@@ -193,6 +196,12 @@ type dbVersion struct {
 	db      *database.Database
 	version uint64
 	facts   int
+
+	// views maps a viewKey to the *versionView of that view at exactly
+	// this version. It hangs off the version, so a view can never answer
+	// for a version it does not reflect. Each view is immutable; the set
+	// changes after publication only under the entry's mu.
+	views sync.Map
 }
 
 // userFacts counts the facts of db other than the maintained ACDom
@@ -208,14 +217,18 @@ func userFacts(db *database.Database) int {
 }
 
 // dbEntry is a mutable fact DB: an atomically swappable current version
-// plus the live subscriptions fed by its mutation batches. mu serializes
-// writers (fact batches, subscription registration); readers load cur
-// without locking.
+// plus the materialized views, and their live subscriptions, that its
+// mutation batches advance. mu serializes writers (fact batches, view
+// installs, subscription registration); readers load cur without
+// locking. cur is nil until the entry's one-time setup has published
+// its first version; readers that find it so wait on mu (current).
 type dbEntry struct {
-	id   string
-	mu   sync.Mutex
-	cur  atomic.Pointer[dbVersion]
-	subs map[*subscription]struct{}
+	id  string
+	mu  sync.Mutex
+	cur atomic.Pointer[dbVersion]
+	// views are the entry's materialized views, each at cur (guarded by
+	// mu). Nil once the entry is torn down.
+	views map[viewKey]*view
 
 	// seg is the entry's durable segment store (nil on a server without
 	// a data dir). Writes to it happen only under mu; cur always serves
@@ -251,6 +264,18 @@ type Server struct {
 	factBatches    atomic.Int64 // committed mutation batches
 	factsAdded     atomic.Int64 // base facts added across batches
 	factsRetracted atomic.Int64 // base facts retracted across batches
+
+	// Materialized views.
+	views      atomic.Int64 // live views across DBs (gauge)
+	viewHits   atomic.Int64 // CQ reads served from a view
+	viewMisses atomic.Int64 // plan-hit CQ reads that found no view at their version
+	viewBuilds atomic.Int64 // views installed
+	viewDrops  atomic.Int64 // views dropped (unread, failed maintenance, uncached plan, eviction)
+
+	// loadHook, when set, runs in handleDBs after a new entry is
+	// published in the LRU and before its setup; tests use it to probe
+	// that window.
+	loadHook func(ent *dbEntry)
 
 	endpoints map[string]*endpointStats
 	mux       *http.ServeMux
@@ -364,9 +389,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// The status line is already out; all we can do is count the
 		// failure so operators see responses dying mid-encode.
 		s.encodeErrors.Add(1)
@@ -572,7 +595,11 @@ func (s *Server) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db id %q (evicted or never loaded)", id))
 		return
 	}
-	snap := ent.cur.Load()
+	snap := ent.current()
+	if snap == nil {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db id %q (its load failed)", id))
+		return
+	}
 	resp := dbInfoResponse{
 		ID:         id,
 		Version:    snap.version,
@@ -590,7 +617,7 @@ func (s *Server) handleDBInfo(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	ent.mu.Lock()
-	resp.Subscribers = len(ent.subs)
+	resp.Subscribers = ent.subscribersLocked()
 	ent.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -621,15 +648,14 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	d := database.FromAtoms(atoms)
 	id := kbcache.HashSource(req.Facts)
-	ent := &dbEntry{id: id, subs: make(map[*subscription]struct{})}
-	ent.cur.Store(&dbVersion{db: d, version: 1, facts: len(atoms)})
+	ent := &dbEntry{id: id, views: make(map[viewKey]*view)}
 	// Pre-lock the candidate entry: if it wins publication below, this
-	// handler owns its one-time setup (opening the segment store), and a
-	// batch or subscription racing in blocks on ent.mu until setup is
-	// done. The provisional version stored above keeps lock-free readers
-	// safe in that window.
+	// handler owns its one-time setup, which publishes the entry's first
+	// version: the request's facts, or the segment store's committed
+	// state. Until then cur is nil, and every reader, batch or
+	// subscription racing in waits on ent.mu, so none can observe a
+	// version the setup is about to replace.
 	ent.mu.Lock()
 	owned := true
 	var victim *dbEntry
@@ -646,7 +672,10 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if owned {
-		if err := s.setupSegLocked(ent, atoms); err != nil {
+		if s.loadHook != nil {
+			s.loadHook(ent)
+		}
+		if err := s.setupLocked(ent, atoms); err != nil {
 			// Publishing a memory-only entry on a server the operator made
 			// durable would silently drop data on restart: unpublish and
 			// fail the load instead.
@@ -664,19 +693,27 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 	// s.mu, so nesting the other way would deadlock): subscribers get a
 	// terminal error frame and segment-file handles are closed.
 	s.teardownEvicted(victim, fmt.Sprintf("MaxDBs=%d LRU", s.cfg.maxDBs()))
-	cur := ent.cur.Load()
+	cur := ent.current()
+	if cur == nil {
+		// The entry this request found belongs to a concurrent load whose
+		// setup failed and unpublished it.
+		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("db %q: a concurrent load failed; retry", id))
+		return
+	}
 	s.writeJSON(w, http.StatusOK, dbResponse{ID: id, Facts: cur.facts, Version: cur.version})
 }
 
-// setupSegLocked attaches the durable segment store to a freshly
-// published entry (no-op without a data dir; caller holds ent.mu). A
+// setupLocked publishes the first version of a freshly published entry
+// (caller holds ent.mu). Without a data dir that is version 1 of the
+// request's facts. With one, it attaches the durable segment store: a
 // fresh store journals and commits the initial facts (version 1, like a
 // memory-only load); a store whose directory survived an earlier
 // process or eviction reopens at its last committed version — same
 // rule as reloading a live entry: posting the same source never resets
 // a mutated DB.
-func (s *Server) setupSegLocked(ent *dbEntry, atoms []core.Atom) error {
+func (s *Server) setupLocked(ent *dbEntry, atoms []core.Atom) error {
 	if !s.persistent() {
+		ent.cur.Store(&dbVersion{db: database.FromAtoms(atoms), version: 1, facts: len(atoms)})
 		return nil
 	}
 	seg, err := s.openSeg(ent.id)
@@ -741,6 +778,7 @@ type queryResponse struct {
 	Exact     bool       `json:"exact"`
 	PlanKey   string     `json:"plan_key"`
 	PlanHit   bool       `json:"plan_hit"`
+	View      bool       `json:"view"`
 	Truncated bool       `json:"truncated,omitempty"`
 	Reason    string     `json:"reason,omitempty"`
 	Chain     []string   `json:"chain,omitempty"`
@@ -856,15 +894,41 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Pin the DB version for the whole evaluation: a mutation batch
 	// committing mid-query swaps the entry's pointer to a fresh clone, so
 	// this snapshot is immutable and never shows a half-applied batch.
-	snap := ent.cur.Load()
+	snap := ent.current()
+	if snap == nil {
+		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db_id %q (its load failed)", req.DBID))
+		return
+	}
 	var (
 		res *kbcache.QueryResult
 		err error
 	)
-	if isCQ {
-		res, err = ckb.AnswerCQ(r.Context(), q, snap.db, opts)
-	} else {
+	switch {
+	case !isCQ:
 		res, err = ckb.AnswerAtom(r.Context(), query, snap.db, opts)
+	case req.wantsChaos():
+		// Fault injection governs an engine run, so it never reads or
+		// builds a view.
+		res, err = ckb.AnswerCQ(r.Context(), q, snap.db, opts)
+	default:
+		key := viewKey{theory: ckb.ID, plan: planKey}
+		if vv := snap.view(key); vv != nil {
+			vv.read.Store(true)
+			s.viewHits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			if _, err := w.Write(vv.responseBody(vv.Read(), snap.version)); err != nil {
+				s.encodeErrors.Add(1)
+			}
+			return
+		}
+		if admitTier == s.light {
+			s.viewMisses.Add(1)
+		}
+		var mq *kbcache.MaintainedQuery
+		res, mq, err = ckb.MaterializeCQ(r.Context(), q, snap.db, opts)
+		if mq != nil {
+			s.installView(ent, snap, key, mq)
+		}
 	}
 	if err != nil && (res == nil || !budget.IsBudget(err)) {
 		var pe *budget.PanicError
@@ -877,20 +941,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := queryResponse{
-		Answers:   make([][]string, 0, len(res.Answers)),
+		Answers:   termRows(res.Answers),
 		Count:     len(res.Answers),
 		Exact:     res.Exact,
 		PlanKey:   res.PlanKey,
 		PlanHit:   res.PlanHit,
 		Chain:     res.Chain,
 		DBVersion: snap.version,
-	}
-	for _, tuple := range res.Answers {
-		row := make([]string, len(tuple))
-		for i, t := range tuple {
-			row[i] = t.String()
-		}
-		resp.Answers = append(resp.Answers, row)
 	}
 	if err != nil {
 		// Budget exhaustion with sound partial answers: a 200 with the
@@ -917,7 +974,7 @@ func parseQueryAtom(src string) (core.Atom, error) {
 
 // Gauge keys in /metrics (free to move in both directions): "dbs",
 // "kbs", "ready", "in_flight", "in_flight_heavy", "in_flight_light",
-// "queued_heavy", "queued_light", "goroutines", "subscriptions".
+// "queued_heavy", "queued_light", "goroutines", "subscriptions", "views".
 // Everything else is a monotone counter — the load harness checks that
 // invariant.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -942,6 +999,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out["fact_batches"] = s.factBatches.Load()
 	out["facts_added"] = s.factsAdded.Load()
 	out["facts_retracted"] = s.factsRetracted.Load()
+	out["views"] = s.views.Load()
+	out["view_hits"] = s.viewHits.Load()
+	out["view_misses"] = s.viewMisses.Load()
+	out["view_builds"] = s.viewBuilds.Load()
+	out["view_drops"] = s.viewDrops.Load()
 	for name, t := range map[string]*tier{"heavy": s.heavy, "light": s.light} {
 		out["shed_"+name] = t.shed.Load()
 		out["admitted_"+name] = t.admitted.Load()
