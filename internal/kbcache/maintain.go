@@ -65,13 +65,8 @@ func (ckb *CompiledKB) MaintainCQ(ctx context.Context, q kb.CQ, base *database.D
 		ckb.metrics.MaintainRejected.Add(1)
 		return nil, err
 	}
-	return ckb.maintained(p, key, m), nil
-}
-
-// maintained wraps a fixpoint handle of plan p as a MaintainedQuery.
-func (ckb *CompiledKB) maintained(p *plan, key string, m *datalog.Maintained) *MaintainedQuery {
 	ckb.metrics.MaintainedHandles.Add(1)
-	return &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}
+	return &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}, nil
 }
 
 // PlanKey returns the cache key of the underlying plan shape.

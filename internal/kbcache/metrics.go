@@ -42,8 +42,9 @@ type Metrics struct {
 	TerminationSWA     atomic.Int64
 	TerminationUnknown atomic.Int64
 
-	// Maintenance counters (MaintainCQ, MaterializeCQ, MaintainedQuery.Apply).
-	MaintainedHandles atomic.Int64 // maintained fixpoints created (subscriptions and views)
+	// Maintenance counters (MaintainCQ, MaintainedQuery.Apply). A caller
+	// that keeps a handle MaterializeCQ returned counts it itself.
+	MaintainedHandles atomic.Int64 // maintained fixpoints kept (subscriptions and views)
 	MaintainBatches   atomic.Int64 // mutation batches folded into maintained fixpoints
 	MaintainRejected  atomic.Int64 // registrations refused (unmaintainable plan or build error)
 

@@ -201,7 +201,7 @@ func (ckb *CompiledKB) PlanInfo(key string) (cached, chasePerCall bool) {
 // exhaustion the sound partial answers are returned alongside the typed
 // *budget.Error.
 func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	res, _, err := ckb.answerCQ(ctx, q, d, opts, false)
+	res, _, err := ckb.MaterializeCQ(ctx, q, d, opts)
 	return res, err
 }
 
@@ -211,10 +211,6 @@ func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Databa
 // produced the answers, which the caller may keep and advance with
 // Apply. Otherwise the handle is nil.
 func (ckb *CompiledKB) MaterializeCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedQuery, error) {
-	return ckb.answerCQ(ctx, q, d, opts, true)
-}
-
-func (ckb *CompiledKB) answerCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions, materialize bool) (*QueryResult, *MaintainedQuery, error) {
 	ckb.metrics.Queries.Add(1)
 	key := CQKey(q)
 	p, hit, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
@@ -222,22 +218,14 @@ func (ckb *CompiledKB) answerCQ(ctx context.Context, q kb.CQ, d *database.Databa
 		ckb.metrics.QueryErrors.Add(1)
 		return nil, nil, err
 	}
-	var (
-		res *QueryResult
-		mq  *MaintainedQuery
-	)
-	if materialize && p.kind == planProgram {
-		m, fix, eerr := datalog.EvalMaintained(p.prog, d, opts.datalogOptions(ckb.metrics))
-		res, err = ckb.programResult(p, fix, eerr)
-		if m != nil {
-			mq = ckb.maintained(p, key, m)
-		}
-	} else {
-		res, err = ckb.evalPlan(p, d, opts)
-	}
+	res, m, err := ckb.evalPlan(p, d, opts)
 	if res != nil {
 		res.PlanKey = key
 		res.PlanHit = hit
+	}
+	var mq *MaintainedQuery
+	if m != nil {
+		mq = &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}
 	}
 	return res, mq, err
 }
@@ -429,8 +417,9 @@ func (ckb *CompiledKB) buildAtomPlan(query core.Atom) (*plan, error) {
 }
 
 // evalPlan runs a CQ plan. Budget-truncated runs return their sound
-// partial answers alongside the typed error.
-func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions) (*QueryResult, error) {
+// partial answers alongside the typed error. An exact run of a program
+// plan also returns its maintained fixpoint.
+func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions) (*QueryResult, *datalog.Maintained, error) {
 	switch p.kind {
 	case planChase:
 		copts := chase.Options{
@@ -443,7 +432,8 @@ func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions
 			// ceiling: a context or timeout is cancellation, not a bound,
 			// and RunCertified honors it.
 			if p.certified && !bounding(copts.Budget) {
-				return ckb.evalCertified(p, d, copts)
+				res, err := ckb.evalCertified(p, d, copts)
+				return res, nil, err
 			}
 			if copts.Budget == nil {
 				copts.MaxDepth = ckb.cfg.chaseDepth()
@@ -453,45 +443,38 @@ func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions
 		if err != nil {
 			if !budget.IsBudget(err) || res == nil {
 				ckb.metrics.QueryErrors.Add(1)
-				return nil, err
+				return nil, nil, err
 			}
 			ckb.metrics.BudgetExhausted.Add(1)
 			return &QueryResult{
 				Answers: datalog.CollectAnswers(res.DB, p.queryRel),
 				Chain:   p.chain,
-			}, err
+			}, nil, err
 		}
 		return &QueryResult{
 			Answers: datalog.CollectAnswers(res.DB, p.queryRel),
 			Exact:   res.Saturated,
 			Chain:   p.chain,
-		}, nil
+		}, nil, nil
 	default:
-		fix, err := p.prog.Eval(d, opts.datalogOptions(ckb.metrics))
-		return ckb.programResult(p, fix, err)
-	}
-}
-
-// programResult collects the answers of a program plan's evaluation:
-// exact when the run completed, the sound partial answers alongside a
-// budget error, nothing alongside any other error.
-func (ckb *CompiledKB) programResult(p *plan, fix *database.Database, err error) (*QueryResult, error) {
-	if err != nil {
-		if !budget.IsBudget(err) || fix == nil {
-			ckb.metrics.QueryErrors.Add(1)
-			return nil, err
+		m, fix, err := datalog.EvalMaintained(p.prog, d, opts.datalogOptions(ckb.metrics))
+		if err != nil {
+			if !budget.IsBudget(err) || fix == nil {
+				ckb.metrics.QueryErrors.Add(1)
+				return nil, nil, err
+			}
+			ckb.metrics.BudgetExhausted.Add(1)
+			return &QueryResult{
+				Answers: datalog.CollectAnswers(fix, p.queryRel),
+				Chain:   p.chain,
+			}, nil, err
 		}
-		ckb.metrics.BudgetExhausted.Add(1)
 		return &QueryResult{
 			Answers: datalog.CollectAnswers(fix, p.queryRel),
+			Exact:   true,
 			Chain:   p.chain,
-		}, err
+		}, m, nil
 	}
-	return &QueryResult{
-		Answers: datalog.CollectAnswers(fix, p.queryRel),
-		Exact:   true,
-		Chain:   p.chain,
-	}, nil
 }
 
 // evalCertified runs a certified chase plan to saturation with no fact

@@ -163,9 +163,10 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		next = &dbVersion{db: work, version: cur.version + 1, facts: cur.facts + added - retracted}
 	}
 	// Advance every view to next before publishing it, so the first
-	// reader of next already finds them. A view without subscribers that
-	// no one read at cur is dropped instead of maintained. Deltas go out
-	// only after the commit below.
+	// reader of next already finds them. A view without subscribers is
+	// dropped instead: batch cost stays bounded by the subscriptions, and
+	// reads at next rebuild it. Deltas go out only after the commit
+	// below.
 	type advanced struct {
 		key viewKey
 		d   kbcache.AnswerDelta
@@ -174,10 +175,8 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	var batch []advanced
 	for key, v := range ent.views {
 		if len(v.subs) == 0 {
-			if vv := cur.view(key); vv == nil || !vv.read.Load() {
-				s.dropViewLocked(ent, key, nil)
-				continue
-			}
+			s.dropViewLocked(ent, key, nil)
+			continue
 		}
 		d, err := v.mq.Apply(adds, dels, opts)
 		if err == nil {
@@ -235,9 +234,6 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		subs := ent.views[a.key].subs
-		if len(subs) == 0 {
-			continue
-		}
 		ev, mErr := marshalEvent("delta", deltaEvent{
 			Version: next.version,
 			Added:   tupleRows(a.d.Added),

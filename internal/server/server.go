@@ -47,6 +47,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -202,6 +203,9 @@ type dbVersion struct {
 	// for a version it does not reflect. Each view is immutable; the set
 	// changes after publication only under the entry's mu.
 	views sync.Map
+	// readOnce holds the viewKeys read once at this version without a
+	// view: the next read of one keeps its fixpoint as the view.
+	readOnce sync.Map
 }
 
 // userFacts counts the facts of db other than the maintained ACDom
@@ -270,7 +274,7 @@ type Server struct {
 	viewHits   atomic.Int64 // CQ reads served from a view
 	viewMisses atomic.Int64 // plan-hit CQ reads that found no view at their version
 	viewBuilds atomic.Int64 // views installed
-	viewDrops  atomic.Int64 // views dropped (unread, failed maintenance, uncached plan, eviction)
+	viewDrops  atomic.Int64 // views dropped (no subscribers at a batch, failed maintenance, uncached plan, eviction)
 
 	// loadHook, when set, runs in handleDBs after a new entry is
 	// published in the LRU and before its setup; tests use it to probe
@@ -386,14 +390,30 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON writes v as a JSON response.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already out; all we can do is count the
-		// failure so operators see responses dying mid-encode.
+	body, err := encodeJSON(v)
+	if err != nil {
+		// Count the failure so operators see responses dying mid-encode.
 		s.encodeErrors.Add(1)
 	}
+	s.writeBody(w, status, body)
+}
+
+// writeBody writes an encoded JSON response.
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		s.encodeErrors.Add(1)
+	}
+}
+
+// encodeJSON renders a response body: compact, newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
+	var b bytes.Buffer
+	err := json.NewEncoder(&b).Encode(v)
+	return b.Bytes(), err
 }
 
 type errorResponse struct {
@@ -785,6 +805,21 @@ type queryResponse struct {
 	DBVersion uint64     `json:"db_version"`
 }
 
+// newQueryResponse renders a query result read at version; view tells
+// whether a materialized view served it.
+func newQueryResponse(res *kbcache.QueryResult, version uint64, view bool) queryResponse {
+	return queryResponse{
+		Answers:   termRows(res.Answers),
+		Count:     len(res.Answers),
+		Exact:     res.Exact,
+		PlanKey:   res.PlanKey,
+		PlanHit:   res.PlanHit,
+		View:      view,
+		Chain:     res.Chain,
+		DBVersion: version,
+	}
+}
+
 // requestBudget builds the engine budget of one request: the request
 // context cancels it, the server defaults bound it.
 func (s *Server) requestBudget(r *http.Request) *budget.T {
@@ -913,12 +948,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		key := viewKey{theory: ckb.ID, plan: planKey}
 		if vv := snap.view(key); vv != nil {
-			vv.read.Store(true)
 			s.viewHits.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			if _, err := w.Write(vv.responseBody(vv.Read(), snap.version)); err != nil {
-				s.encodeErrors.Add(1)
-			}
+			s.writeBody(w, http.StatusOK, vv.responseBody(vv.Read(), snap.version))
 			return
 		}
 		if admitTier == s.light {
@@ -926,8 +957,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		var mq *kbcache.MaintainedQuery
 		res, mq, err = ckb.MaterializeCQ(r.Context(), q, snap.db, opts)
+		// Only a plan's second read at a version keeps its fixpoint, so
+		// a one-off read leaves none behind.
 		if mq != nil {
-			s.installView(ent, snap, key, mq)
+			if _, again := snap.readOnce.LoadOrStore(key, struct{}{}); again {
+				s.installView(ent, snap, key, mq)
+			}
 		}
 	}
 	if err != nil && (res == nil || !budget.IsBudget(err)) {
@@ -940,15 +975,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := queryResponse{
-		Answers:   termRows(res.Answers),
-		Count:     len(res.Answers),
-		Exact:     res.Exact,
-		PlanKey:   res.PlanKey,
-		PlanHit:   res.PlanHit,
-		Chain:     res.Chain,
-		DBVersion: snap.version,
-	}
+	resp := newQueryResponse(res, snap.version, false)
 	if err != nil {
 		// Budget exhaustion with sound partial answers: a 200 with the
 		// truncation reason, mirroring the engines' partial-result

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
-	"sync/atomic"
 
 	"guardedrules/internal/kbcache"
 )
@@ -26,33 +23,19 @@ type view struct {
 // versionView is a view's fixpoint at one version.
 type versionView struct {
 	*kbcache.View
-	// read is set by every read served at this version: a view without
-	// subscribers survives a batch only if it was read since the last one.
-	read atomic.Bool
 
 	bodyOnce sync.Once
 	body     []byte
 }
 
 // responseBody returns the /v1/query response of a read served from the
-// view at its version, encoded as writeJSON encodes, on the first call
-// only: every field of it is fixed by the view and the version.
+// view at its version, encoded on the first call only: every field of it
+// is fixed by the view and the version.
 func (vv *versionView) responseBody(res *kbcache.QueryResult, version uint64) []byte {
 	vv.bodyOnce.Do(func() {
-		var b bytes.Buffer
 		// The response holds only strings, bools and numbers: it always
 		// encodes.
-		_ = json.NewEncoder(&b).Encode(queryResponse{
-			Answers:   termRows(res.Answers),
-			Count:     len(res.Answers),
-			Exact:     res.Exact,
-			PlanKey:   res.PlanKey,
-			PlanHit:   res.PlanHit,
-			View:      true,
-			Chain:     res.Chain,
-			DBVersion: version,
-		})
-		vv.body = b.Bytes()
+		vv.body, _ = encodeJSON(newQueryResponse(res, version, true))
 	})
 	return vv.body
 }
@@ -102,11 +85,14 @@ func (s *Server) installView(ent *dbEntry, at *dbVersion, k viewKey, mq *kbcache
 		return
 	}
 	s.installViewLocked(ent, k, mq)
+	// MaintainCQ counted the handles subscriptions build; this one came
+	// from a read.
+	s.store.Metrics().MaintainedHandles.Add(1)
 }
 
 // installViewLocked makes mq, positioned at the entry's current version,
-// the entry's view under k, read at that version (caller holds ent.mu,
-// and ent.views has no view under k). Views whose plan is no longer
+// the entry's view under k (caller holds ent.mu, and ent.views has no
+// view under k). Views whose plan is no longer
 // cached lose their place first, so the views an entry holds stay
 // bounded by the KB and plan caches.
 func (s *Server) installViewLocked(ent *dbEntry, k viewKey, mq *kbcache.MaintainedQuery) *view {
@@ -117,9 +103,7 @@ func (s *Server) installViewLocked(ent *dbEntry, k viewKey, mq *kbcache.Maintain
 	}
 	v := &view{mq: mq, subs: make(map[*subscription]struct{})}
 	ent.views[k] = v
-	vv := &versionView{View: mq.View()}
-	vv.read.Store(true)
-	ent.cur.Load().views.Store(k, vv)
+	ent.cur.Load().views.Store(k, &versionView{View: mq.View()})
 	s.views.Add(1)
 	s.viewBuilds.Add(1)
 	return v
