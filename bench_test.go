@@ -15,7 +15,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"regexp"
 	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -804,12 +809,58 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 	}
 }
 
+// batchRow summarizes repeated runs of one Go benchmark: the medians of
+// its ns/op, B/op and allocs/op, and the spread of its ns/op.
+type batchRow struct {
+	Name        string `json:"name"`
+	Command     string `json:"command"`
+	Runs        int    `json:"runs"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	NsMin       int64  `json:"ns_per_op_min"`
+	NsQ1        int64  `json:"ns_per_op_q1"`
+	NsQ3        int64  `json:"ns_per_op_q3"`
+	NsMax       int64  `json:"ns_per_op_max"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+}
+
+// mutateLiveBatchRow runs BenchmarkMutateLiveBatch of internal/kbcache
+// (servebench's mutate_live batch in process) `runs` times in a child
+// `go test`, so the benchmark has one definition, and summarizes it.
+func mutateLiveBatchRow(t *testing.T, runs int) batchRow {
+	args := []string{"test", "-run", "^$", "-bench", "^BenchmarkMutateLiveBatch$", "-benchmem", "-count", strconv.Itoa(runs), "./internal/kbcache"}
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	line := regexp.MustCompile(`(?m)^BenchmarkMutateLiveBatch\S*\s+\d+\s+([\d.]+) ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+	var ns, bytes, allocs []int64
+	for _, m := range line.FindAllStringSubmatch(string(out), -1) {
+		for i, dst := range []*[]int64{&ns, &bytes, &allocs} {
+			v, _ := strconv.ParseFloat(m[i+1], 64)
+			*dst = append(*dst, int64(v))
+		}
+	}
+	if len(ns) != runs {
+		t.Fatalf("BenchmarkMutateLiveBatch: %d results, want %d:\n%s", len(ns), runs, out)
+	}
+	at := func(v []int64, q float64) int64 {
+		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+		return v[int(q*float64(len(v)-1)+0.5)]
+	}
+	return batchRow{
+		Name: "MutateLiveBatch", Command: "go " + strings.Join(args, " "), Runs: runs,
+		NsPerOp: at(ns, 0.5), NsMin: at(ns, 0), NsQ1: at(ns, 0.25), NsQ3: at(ns, 0.75), NsMax: at(ns, 1),
+		BytesPerOp: at(bytes, 0.5), AllocsPerOp: at(allocs, 0.5),
+	}
+}
+
 // TestEmitIncrementalBenchJSON times from-scratch evaluation against
 // single-fact incremental insert/retract on the E11 closure workload
-// (best of 5) and writes BENCH_incremental.json. It also enforces the
-// headline claim: at n=64 a single-fact insert must be at least 10x
-// faster than re-evaluating from scratch. Only runs when EMIT_BENCH=1
-// is set:
+// (best of 5) and writes BENCH_incremental.json, with a row for
+// BenchmarkMutateLiveBatch (10 runs). It also enforces the headline
+// claim: at n=64 a single-fact insert must be at least 10x faster than
+// re-evaluating from scratch. Only runs when EMIT_BENCH=1 is set:
 //
 //	EMIT_BENCH=1 go test -run TestEmitIncrementalBenchJSON .
 func TestEmitIncrementalBenchJSON(t *testing.T) {
@@ -832,9 +883,10 @@ func TestEmitIncrementalBenchJSON(t *testing.T) {
 		Facts   int    `json:"facts"`
 	}
 	report := struct {
-		GoMaxProcs      int     `json:"gomaxprocs"`
-		Benchmarks      []entry `json:"benchmarks"`
-		SpeedupInsert64 float64 `json:"speedup_insert_n64"`
+		GoMaxProcs      int      `json:"gomaxprocs"`
+		Benchmarks      []entry  `json:"benchmarks"`
+		SpeedupInsert64 float64  `json:"speedup_insert_n64"`
+		MutateLiveBatch batchRow `json:"mutate_live_batch"`
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	const reps = 5
 	for _, n := range []int{16, 32, 64} {
@@ -900,6 +952,7 @@ func TestEmitIncrementalBenchJSON(t *testing.T) {
 		t.Fatalf("n=64 single-fact insert speedup %.1fx, want >= 10x (scratch %dns, insert %dns)",
 			report.SpeedupInsert64, scratch64, insert64)
 	}
+	report.MutateLiveBatch = mutateLiveBatchRow(t, 10)
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,10 @@ type MagicResult struct {
 
 // MagicRewrite rewrites the negation-free Datalog program for the query
 // atom (constants = bound arguments, variables = free). It returns an
-// error on programs with negation or existential rules.
+// error on programs with negation or existential rules, and on programs
+// that read ACDom: the active domain spans every fact of the fixpoint,
+// so a goal-directed fixpoint, which derives only some facts and adds
+// magic ones, has a different one.
 func MagicRewrite(th *core.Theory, query core.Atom) (*MagicResult, error) {
 	idb := make(map[string]bool)
 	for _, r := range th.Rules {
@@ -43,6 +46,11 @@ func MagicRewrite(th *core.Theory, query core.Atom) (*MagicResult, error) {
 		}
 		if r.HasNegation() {
 			return nil, fmt.Errorf("magic: rule %s has negation (unsupported)", r.Label)
+		}
+		for _, l := range r.Body {
+			if l.Atom.Relation == core.ACDom {
+				return nil, fmt.Errorf("magic: rule %s reads %s (unsupported)", r.Label, core.ACDom)
+			}
 		}
 		for _, h := range r.Head {
 			idb[h.Relation] = true
@@ -183,8 +191,23 @@ func adornedName(rel, adornment string) string { return rel + "__" + adornment }
 func magicName(rel, adornment string) string   { return "Magic__" + rel + "__" + adornment }
 
 // rewriteRulesFor emits, for every rule defining p, the guarded rewritten
-// rule and the magic rules for its IDB body atoms.
+// rule and the magic rules for its IDB body atoms, and the rule that
+// imports the database's own p facts into p's adorned relation: a
+// relation a rule derives may hold facts of the database too.
 func (m *magicRewriter) rewriteRulesFor(p adornedPred) {
+	args := make([]core.Term, len(p.adornment))
+	var magicArgs []core.Term
+	for i := range args {
+		args[i] = core.Var(fmt.Sprintf("X%d", i))
+		if p.adornment[i] == 'b' {
+			magicArgs = append(magicArgs, args[i])
+		}
+	}
+	m.out.Add(&core.Rule{
+		Body:  []core.Literal{core.Pos(core.NewAtom(magicName(p.rel, p.adornment), magicArgs...)), core.Pos(core.NewAtom(p.rel, args...))},
+		Head:  []core.Atom{core.NewAtom(adornedName(p.rel, p.adornment), args...)},
+		Label: "magic_import_" + p.rel,
+	})
 	for _, r := range m.th.Rules {
 		for _, h := range r.Head {
 			if h.Relation != p.rel {

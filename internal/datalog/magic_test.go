@@ -169,6 +169,55 @@ func TestMagicRejectsUnsupported(t *testing.T) {
 	}
 }
 
+// A derived relation may hold facts of the database too: the magic
+// answers include them, as full evaluation's do.
+func TestMagicImportsDatabaseFacts(t *testing.T) {
+	th := parser.MustParseTheory(`
+		R(X,Y) -> S(Y,Y).
+		S(X,Y), S(Y,Z) -> P(X,Z).
+	`)
+	d := database.FromAtoms(parser.MustParseFacts("R(a,b). S(c,d). S(d,e)."))
+	for _, query := range []core.Atom{
+		core.NewAtom("S", core.Var("X"), core.Var("Y")),
+		core.NewAtom("S", core.Const("c"), core.Var("Y")),
+		core.NewAtom("P", core.Var("X"), core.Var("Y")),
+	} {
+		magicAns, _, err := AnswerWithMagic(th, query, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Eval(th, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fullAns [][]core.Term
+	facts:
+		for _, f := range full.Facts(query.Key()) {
+			for i, t := range query.Args {
+				if t.IsConst() && f.Args[i] != t {
+					continue facts
+				}
+			}
+			fullAns = append(fullAns, f.Args)
+		}
+		if ok, diff := SameAnswers(magicAns, fullAns); !ok || len(fullAns) == 0 {
+			t.Errorf("%s: %s (%d full answers)", query, diff, len(fullAns))
+		}
+	}
+}
+
+// A program that reads ACDom has no goal-directed rewriting: the magic
+// fixpoint's active domain is not the full fixpoint's.
+func TestMagicRejectsACDom(t *testing.T) {
+	th := parser.MustParseTheory(`
+		ACDom(X) -> Dom(X).
+		A(X) -> W(X, s).
+	`)
+	if _, err := MagicRewrite(th, core.NewAtom("Dom", core.Var("X"))); err == nil {
+		t.Fatal("a program reading ACDom must be rejected")
+	}
+}
+
 // Randomized: magic answers equal filtered full answers on random graphs.
 func TestMagicRandomized(t *testing.T) {
 	th := parser.MustParseTheory(`

@@ -129,14 +129,11 @@ T(X,Y), T(Y,Z) -> T(X,Z).
 T(X,Y), B(X), B(Y) -> Linked(X,Y).
 `
 
-// BenchmarkAnswerAtomWide is one goal-directed atom read on a wide DB:
-// 1,200 disjoint 12-edge E-chains with an A fact on every node but the
-// last (44,400 facts counting ACDom), asking T(w7_0,Y). The magic-sets
-// plan derives only chain 7's closure, so the read's cost is the
-// snapshot of the DB the seed fact goes into, not the evaluation.
-func BenchmarkAnswerAtomWide(b *testing.B) {
-	const chains, edges = 1200, 12
-	node := func(c, k int) core.Term { return core.Const(fmt.Sprintf("w%d_%d", c, k)) }
+// chainDB builds `chains` disjoint E-chains of `edges` edges each, node
+// k of chain c named <prefix><c>_<k>, with an A fact on every node but
+// the last: servebench's chain DBs.
+func chainDB(prefix string, chains, edges int) *database.Database {
+	node := func(c, k int) core.Term { return core.Const(fmt.Sprintf("%s%d_%d", prefix, c, k)) }
 	d := database.New()
 	for c := 0; c < chains; c++ {
 		for k := 0; k < edges; k++ {
@@ -144,6 +141,17 @@ func BenchmarkAnswerAtomWide(b *testing.B) {
 			d.Add(core.NewAtom("A", node(c, k)))
 		}
 	}
+	return d
+}
+
+// BenchmarkAnswerAtomWide is one goal-directed atom read on a wide DB:
+// 1,200 disjoint 12-edge E-chains with an A fact on every node but the
+// last (44,400 facts counting ACDom), asking T(w7_0,Y). The magic-sets
+// plan derives only chain 7's closure, so the read's cost is the
+// snapshot of the DB the seed fact goes into, not the evaluation.
+func BenchmarkAnswerAtomWide(b *testing.B) {
+	const edges = 12
+	d := chainDB("w", 1200, edges)
 	if d.Len() != 44400 {
 		b.Fatalf("wide DB has %d facts, want 44400", d.Len())
 	}
@@ -151,7 +159,7 @@ func BenchmarkAnswerAtomWide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := core.NewAtom("T", node(7, 0), core.Var("Y"))
+	q := core.NewAtom("T", core.Const("w7_0"), core.Var("Y"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -162,5 +170,63 @@ func BenchmarkAnswerAtomWide(b *testing.B) {
 		if len(res.Answers) != edges {
 			b.Fatalf("T(w7_0,Y) has %d answers, want %d", len(res.Answers), edges)
 		}
+	}
+}
+
+// BenchmarkMutateLiveBatch is servebench's mutate_live batch in process,
+// on its 20×20 chain DB with live T and Linked subscriptions. Op i
+// retracts chain edge i/2 (i even) or re-adds it (i odd), so the
+// fixpoint stays the same size. Each op clones the DB and applies the
+// edge, advances the base view both subscriptions read, and filters the
+// view's fact delta into each subscription's answer delta.
+//
+//	go test -run '^$' -bench BenchmarkMutateLiveBatch -benchmem ./internal/kbcache
+func BenchmarkMutateLiveBatch(b *testing.B) {
+	ctx := context.Background()
+	d := chainDB("m", 20, 20)
+	ckb, _, err := NewStore(Config{}).Register(ctx, hotSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sels []*Selector
+	for _, src := range []string{"T(X,Y) -> Ans(X,Y).", "Linked(X,Y) -> Ans(X,Y)."} {
+		q, err := kb.ParseCQ(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sels = append(sels, ckb.CQSelector(q))
+	}
+	mv, err := ckb.Maintain(ctx, sels[0], d, QueryOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sels[1].View() != mv.Key() {
+		b.Fatal("T and Linked must share the base view")
+	}
+	edges := d.Facts(core.RelKey{Name: "E", Arity: 2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var add, del []core.Atom
+		if e := edges[i/2%len(edges) : i/2%len(edges)+1]; i%2 == 0 {
+			del = e
+		} else {
+			add = e
+		}
+		next := d.Clone()
+		for _, f := range del {
+			next.Retract(f)
+		}
+		for _, f := range add {
+			next.Add(f)
+		}
+		delta, err := mv.Apply(add, del, QueryOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sel := range sels {
+			sel.Delta(delta)
+		}
+		d = next
 	}
 }

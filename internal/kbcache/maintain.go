@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
+	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/datalog"
@@ -18,6 +19,10 @@ import (
 // are rejected at registration instead of silently degrading.
 var ErrNotMaintainable = errors.New("kbcache: query plan chases per call; not incrementally maintainable")
 
+// BaseKey is the key of a KB's base view: the fixpoint of its compiled
+// program. Plan keys start with "cq:" or "atom:", so it names no plan.
+const BaseKey = "base"
+
 // AnswerDelta is the net answer-set change of one maintenance batch,
 // both sides deterministically sorted.
 type AnswerDelta struct {
@@ -25,150 +30,193 @@ type AnswerDelta struct {
 	Removed [][]core.Term
 }
 
-// MaintainedQuery is a compiled CQ plan bound to an incrementally
-// maintained fixpoint over one mutable fact DB: the engine handle of a
-// materialized view. Batches fold in through Apply. The handle is not
-// safe for concurrent use: its owner serializes Apply and the reads of
-// the handle itself, and concurrent readers share only the immutable
-// Views it hands out.
-type MaintainedQuery struct {
-	ckb      *CompiledKB
-	key      string
-	queryRel string
-	chain    []string
-	m        *datalog.Maintained
+// MaintainedView is a program's fixpoint maintained incrementally over
+// one mutable fact DB: the engine handle of a materialized view. A base
+// view (key BaseKey) runs the KB's compiled program, dat(Σ), whose ground
+// atoms are exactly Σ's (Theorem 3, Proposition 6), and any number of
+// selectors read it. A plan view runs one CQ plan's dat(Σ∪q), and the
+// plan's QAns selector reads it. Batches fold in through Apply. The
+// handle is not safe for concurrent use: its owner serializes Apply, and
+// concurrent readers share only the immutable Views it hands out.
+type MaintainedView struct {
+	ckb   *CompiledKB
+	key   string
+	chain []string
+	m     *datalog.Maintained
 }
 
-// MaintainCQ registers a conjunctive query for incremental maintenance
-// over the base database: the CQ plan is built (or reused) through the
-// same per-shape plan cache as AnswerCQ, classified once with the same
-// PlanInfo probe the admission tier uses, and — when the plan compiles
-// to a Datalog program — evaluated into a maintained fixpoint. Plans
-// that fall back to a per-query bounded chase are rejected with
-// ErrNotMaintainable.
-func (ckb *CompiledKB) MaintainCQ(ctx context.Context, q kb.CQ, base *database.Database, opts QueryOptions) (*MaintainedQuery, error) {
-	key := CQKey(q)
-	p, _, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
+// Key returns the view's key: BaseKey, or the plan key of a plan view.
+func (mv *MaintainedView) Key() string { return mv.key }
+
+// Apply folds a base-fact batch into the fixpoint and returns the net
+// change of its fact set, which each selector of the view filters into
+// its answer delta (Selector.Delta). On error the handle still holds the
+// pre-batch fixpoint (the maintained database is only swapped on
+// success).
+func (mv *MaintainedView) Apply(add, retract []core.Atom, opts QueryOptions) (datalog.Delta, error) {
+	_, delta, err := mv.m.Apply(add, retract, opts.datalogOptions(mv.ckb.metrics))
 	if err != nil {
-		ckb.metrics.MaintainRejected.Add(1)
-		return nil, err
+		return datalog.Delta{}, err
 	}
-	// Classification happens exactly once, at registration, via the
-	// admission tier's probe: the plan was interned by getPlan above, so
-	// chasePerCall is the cached plan's verdict.
-	if cached, chasePerCall := ckb.PlanInfo(key); !cached || chasePerCall {
-		ckb.metrics.MaintainRejected.Add(1)
-		return nil, fmt.Errorf("%w (plan %s)", ErrNotMaintainable, key)
+	mv.ckb.metrics.MaintainBatches.Add(1)
+	return delta, nil
+}
+
+// View returns the handle's current fixpoint as an immutable View. Later
+// Apply calls do not change it.
+func (mv *MaintainedView) View() *View {
+	return &View{mv: mv, fix: mv.m.Current()}
+}
+
+// baseChain documents a base view's reads: the KB's compilation chain,
+// then the filter.
+func (ckb *CompiledKB) baseChain() []string {
+	return append(slices.Clip(ckb.Chain),
+		"base view: the query atom filtered from the compiled program's fixpoint, whose ground atoms are Σ's (Theorem 3 / Proposition 6)")
+}
+
+// Maintain builds the view sel reads, positioned at the fixpoint of
+// base: the KB's base view, or the plan view of sel's CQ, whose plan is
+// built (or reused) through the same per-shape plan cache as AnswerCQ
+// and classified once with the PlanInfo probe the admission tier uses.
+// Plans that fall back to a per-query bounded chase are rejected with
+// ErrNotMaintainable.
+func (ckb *CompiledKB) Maintain(ctx context.Context, sel *Selector, base *database.Database, opts QueryOptions) (*MaintainedView, error) {
+	prog, chain := ckb.program, ckb.baseChain()
+	if sel.view != BaseKey {
+		p, _, err := ckb.getPlan(ctx, sel.view, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, sel.q) })
+		if err != nil {
+			ckb.metrics.MaintainRejected.Add(1)
+			return nil, err
+		}
+		// The plan was interned by getPlan above, so chasePerCall is the
+		// cached plan's verdict.
+		if cached, chasePerCall := ckb.PlanInfo(sel.view); !cached || chasePerCall {
+			ckb.metrics.MaintainRejected.Add(1)
+			return nil, fmt.Errorf("%w (plan %s)", ErrNotMaintainable, sel.view)
+		}
+		prog, chain = p.prog, p.chain
 	}
-	m, err := datalog.NewMaintained(p.prog, base, opts.datalogOptions(ckb.metrics))
+	m, err := datalog.NewMaintained(prog, base, opts.datalogOptions(ckb.metrics))
 	if err != nil {
 		ckb.metrics.MaintainRejected.Add(1)
 		return nil, err
 	}
 	ckb.metrics.MaintainedHandles.Add(1)
-	return &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}, nil
+	return &MaintainedView{ckb: ckb, key: sel.view, chain: chain, m: m}, nil
+}
+
+// Materialize answers sel by evaluating the program of the view it
+// reads over d, and on an exact run also returns that view's handle,
+// positioned at the fixpoint that produced the answers, which the
+// caller may keep and advance with Apply. A plan view's run is
+// MaterializeCQ's. A base view's is an evaluation of the compiled
+// program, counted as a plan hit: it was compiled at registration.
+func (ckb *CompiledKB) Materialize(ctx context.Context, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedView, error) {
+	if sel.view != BaseKey {
+		return ckb.MaterializeCQ(ctx, sel.q, d, opts)
+	}
+	ckb.metrics.Queries.Add(1)
+	ckb.metrics.PlanHits.Add(1)
+	m, fix, err := datalog.EvalMaintained(ckb.program, d, opts.datalogOptions(ckb.metrics))
+	if fix == nil || (err != nil && !budget.IsBudget(err)) {
+		ckb.metrics.QueryErrors.Add(1)
+		return nil, nil, err
+	}
+	res := &QueryResult{Answers: sel.answers(fix), PlanKey: sel.planKey, PlanHit: true, Chain: ckb.baseChain()}
+	if err != nil {
+		ckb.metrics.BudgetExhausted.Add(1)
+		return res, nil, err
+	}
+	res.Exact = true
+	return res, &MaintainedView{ckb: ckb, key: BaseKey, chain: res.Chain, m: m}, nil
+}
+
+// MaintainedQuery is one CQ bound to the maintained view of its own
+// plan: the view handle and the plan's QAns selector.
+type MaintainedQuery struct {
+	view *MaintainedView
+	sel  *Selector
+}
+
+// MaintainCQ registers a conjunctive query for incremental maintenance
+// over the base database, on the view of the query's own plan (see
+// Maintain).
+func (ckb *CompiledKB) MaintainCQ(ctx context.Context, q kb.CQ, base *database.Database, opts QueryOptions) (*MaintainedQuery, error) {
+	sel := planSelector(q)
+	mv, err := ckb.Maintain(ctx, sel, base, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &MaintainedQuery{view: mv, sel: sel}, nil
 }
 
 // PlanKey returns the cache key of the underlying plan shape.
-func (mq *MaintainedQuery) PlanKey() string { return mq.key }
-
-// Chain documents how the underlying plan was built.
-func (mq *MaintainedQuery) Chain() []string { return mq.chain }
+func (mq *MaintainedQuery) PlanKey() string { return mq.sel.planKey }
 
 // Apply folds a base-fact batch into the maintained fixpoint and
 // returns the net change of the query's answer set. On error the handle
-// still holds the pre-batch answers (the maintained database is only
-// swapped on success).
+// still holds the pre-batch answers.
 func (mq *MaintainedQuery) Apply(add, retract []core.Atom, opts QueryOptions) (AnswerDelta, error) {
-	_, delta, err := mq.m.Apply(add, retract, opts.datalogOptions(mq.ckb.metrics))
+	d, err := mq.view.Apply(add, retract, opts)
 	if err != nil {
 		return AnswerDelta{}, err
 	}
-	mq.ckb.metrics.MaintainBatches.Add(1)
-	return AnswerDelta{
-		Added:   answerTuples(delta.Added, mq.queryRel),
-		Removed: answerTuples(delta.Removed, mq.queryRel),
-	}, nil
+	return mq.sel.Delta(d), nil
 }
 
 // Answers returns the current exact answers of the maintained query,
 // deterministically ordered.
 func (mq *MaintainedQuery) Answers() [][]core.Term {
-	return datalog.CollectAnswers(mq.m.Current(), mq.queryRel)
+	return mq.view.View().Answers(mq.sel)
 }
 
-// View returns the handle's current fixpoint as an immutable View. Later
-// Apply calls do not change it.
-func (mq *MaintainedQuery) View() *View {
-	return &View{mq: mq, fix: mq.m.Current()}
-}
-
-// Live reports whether the store still caches the KB the handle was
-// built from, and that KB still caches the handle's plan. The probe
-// moves neither LRU's recency. A materialized view over a handle that is
-// not Live has outlived the caches that bound its memory.
-func (s *Store) Live(mq *MaintainedQuery) bool {
+// Cached reports whether the store still caches the KB theoryID and,
+// unless key is BaseKey, that KB's plan under key. The probe moves
+// neither LRU's recency. A materialized view, or any other per-view
+// state, whose KB or plan is no longer cached has outlived the caches
+// that bound its memory.
+func (s *Store) Cached(theoryID, key string) bool {
 	s.mu.Lock()
-	ckb, ok := s.kbs.Peek(mq.ckb.ID)
+	ckb, ok := s.kbs.Peek(theoryID)
 	s.mu.Unlock()
-	if !ok || ckb != mq.ckb {
-		return false
+	if !ok || key == BaseKey {
+		return ok
 	}
 	ckb.planMu.Lock()
 	defer ckb.planMu.Unlock()
-	_, ok = ckb.plans.Peek(mq.key)
+	_, ok = ckb.plans.Peek(key)
 	return ok
 }
 
-// View is a maintained query's fixpoint at one base version: a
+// PlansPerKB is the capacity of each KB's plan cache.
+func (s *Store) PlansPerKB() int { return s.cfg.maxPlans() }
+
+// View is a maintained view's fixpoint at one base version: a
 // materialized view. It is immutable, so any number of readers share it
-// without locks. Its sorted answer list is collected on the first read
-// and kept.
+// without locks.
 type View struct {
-	mq  *MaintainedQuery // plan identity only: key, queryRel, chain
+	mv  *MaintainedView // identity only: key and chain
 	fix *database.Database
-
-	once    sync.Once
-	answers [][]core.Term
 }
 
-// Answers returns the view's exact answers, ordered as AnswerCQ orders
-// them. Callers must not modify the returned slices.
-func (v *View) Answers() [][]core.Term {
-	v.once.Do(func() { v.answers = datalog.CollectAnswers(v.fix, v.mq.queryRel) })
-	return v.answers
+// Answers returns sel's exact answers at the view's version, ordered as
+// AnswerCQ and AnswerAtom order them. sel must read this view.
+func (v *View) Answers(sel *Selector) [][]core.Term { return sel.answers(v.fix) }
+
+// Read answers sel as a plan-hit read that runs no engine: the result
+// is AnswerCQ's (AnswerAtom's, for an atom selector) on the view's
+// version, and the query and plan-hit counters move as that call's
+// would.
+func (v *View) Read(sel *Selector) *QueryResult {
+	v.CountRead()
+	return &QueryResult{Answers: v.Answers(sel), Exact: true, PlanKey: sel.planKey, PlanHit: true, Chain: v.mv.chain}
 }
 
-// Read answers the view's query as a plan-hit CQ read that runs no
-// engine: the result is AnswerCQ's on the view's version, and the
-// query and plan-hit counters move as AnswerCQ's would. Callers must not
-// modify the returned answers.
-func (v *View) Read() *QueryResult {
-	m := v.mq.ckb.metrics
+// CountRead counts one read served from the view as Read counts it, for
+// a caller that serves the read from a response it kept.
+func (v *View) CountRead() {
+	m := v.mv.ckb.metrics
 	m.Queries.Add(1)
 	m.PlanHits.Add(1)
-	return &QueryResult{Answers: v.Answers(), Exact: true, PlanKey: v.mq.key, PlanHit: true, Chain: v.mq.chain}
-}
-
-// answerTuples projects a fact delta onto the query relation's
-// all-constant tuples, sorted like every other answer list.
-func answerTuples(facts []core.Atom, queryRel string) [][]core.Term {
-	var out [][]core.Term
-	for _, f := range facts {
-		if f.Relation != queryRel {
-			continue
-		}
-		allConst := true
-		for _, t := range f.Args {
-			if !t.IsConst() {
-				allConst = false
-				break
-			}
-		}
-		if allConst {
-			out = append(out, append([]core.Term(nil), f.Args...))
-		}
-	}
-	sortTuples(out)
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"guardedrules/internal/budget"
+	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/gen"
 	"guardedrules/internal/parser"
@@ -106,6 +107,7 @@ func TestMaterializeCQViews(t *testing.T) {
 	q := mustCQ(t, "T(X,Y) -> Ans(X,Y).")
 	base := gen.Path(5)
 
+	sel := planSelector(q)
 	res, mq, err := ckb.MaterializeCQ(ctx, q, base, QueryOptions{})
 	if err != nil || mq == nil || !res.Exact {
 		t.Fatalf("MaterializeCQ: handle %v exact %v err %v", mq != nil, res != nil && res.Exact, err)
@@ -115,12 +117,12 @@ func TestMaterializeCQViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := mq.View()
-	if fmt.Sprint(res.Answers) != fmt.Sprint(want.Answers) || fmt.Sprint(v1.Answers()) != fmt.Sprint(want.Answers) {
-		t.Fatalf("materialized answers %v, view %v, AnswerCQ %v", res.Answers, v1.Answers(), want.Answers)
+	if fmt.Sprint(res.Answers) != fmt.Sprint(want.Answers) || fmt.Sprint(v1.Answers(sel)) != fmt.Sprint(want.Answers) {
+		t.Fatalf("materialized answers %v, view %v, AnswerCQ %v", res.Answers, v1.Answers(sel), want.Answers)
 	}
 
 	before := s.Metrics().Snapshot()
-	r := v1.Read()
+	r := v1.Read(sel)
 	after := s.Metrics().Snapshot()
 	if !r.Exact || !r.PlanHit || r.PlanKey != CQKey(q) || fmt.Sprint(r.Answers) != fmt.Sprint(want.Answers) {
 		t.Fatalf("view read %+v", r)
@@ -139,10 +141,10 @@ func TestMaterializeCQViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mq.View().Answers(); fmt.Sprint(got) != fmt.Sprint(want2.Answers) {
+	if got := mq.View().Answers(sel); fmt.Sprint(got) != fmt.Sprint(want2.Answers) {
 		t.Fatalf("view after Apply %v, AnswerCQ %v", got, want2.Answers)
 	}
-	if fmt.Sprint(v1.Answers()) != fmt.Sprint(want.Answers) {
+	if fmt.Sprint(v1.Answers(sel)) != fmt.Sprint(want.Answers) {
 		t.Fatal("Apply changed an earlier view")
 	}
 
@@ -159,8 +161,8 @@ func TestMaterializeCQViews(t *testing.T) {
 	}
 }
 
-// A handle is Live while its KB and plan are both cached; evicting
-// either ends it.
+// A plan view is Cached while its KB and plan are both cached;
+// evicting either ends it.
 func TestMaintainedLive(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore(Config{MaxKBs: 1, MaxPlansPerKB: 1})
@@ -169,21 +171,57 @@ func TestMaintainedLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Live(mq) {
-		t.Fatal("fresh handle not Live")
+	if !s.Cached(ckb.ID, mq.PlanKey()) {
+		t.Fatal("fresh handle not Cached")
 	}
 	if _, err := ckb.AnswerCQ(ctx, mustCQ(t, "E(X,Y) -> Ans(X,Y)."), gen.Path(3), QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Live(mq) {
-		t.Fatal("handle Live after its plan was evicted")
+	if s.Cached(ckb.ID, mq.PlanKey()) {
+		t.Fatal("handle Cached after its plan was evicted")
 	}
 	mq, err = ckb.MaintainCQ(ctx, mustCQ(t, "T(X,Y) -> Ans(X,Y)."), gen.Path(3), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustRegister(t, s, wgSource)
-	if s.Live(mq) {
-		t.Fatal("handle Live after its KB was evicted")
+	if s.Cached(ckb.ID, mq.PlanKey()) {
+		t.Fatal("handle Cached after its KB was evicted")
+	}
+}
+
+// CQSelector routes a CQ of one atom whose every variable is an answer
+// variable (constants, repeated variables and permuted or empty answers
+// included) to the KB's base view, and every other CQ to its own plan's
+// view. A KB without a compiled program has no base view: its CQs read
+// their plans' views and its atom queries no view at all.
+func TestCQSelectorRoutes(t *testing.T) {
+	s := NewStore(Config{})
+	ng := mustRegister(t, s, e5Source)
+	for cq, base := range map[string]bool{
+		"T(X,Y) -> Ans(X,Y).":            true,
+		"T(X,Y) -> Ans(Y,X).":            true,
+		"T(v0,Y) -> Ans(Y).":             true,
+		"T(X,X) -> Ans(X).":              true,
+		"T(v0,v1) -> Ans().":             true,
+		"T(X,Y) -> Ans(X).":              false,
+		"T(X,Y), B(Y) -> Ans(X,Y).":      false,
+		"Linked(X,Y), T(Y,X) -> Ans(X).": false,
+	} {
+		q := mustCQ(t, cq)
+		sel := ng.CQSelector(q)
+		if want := map[bool]string{true: BaseKey, false: CQKey(q)}[base]; sel.View() != want || sel.PlanKey() != CQKey(q) {
+			t.Errorf("%s: view %q plan %q, want view %q plan %q", cq, sel.View(), sel.PlanKey(), want, CQKey(q))
+		}
+	}
+	if sel := ng.AtomSelector(core.NewAtom("T", core.Const("v0"), core.Var("Y"))); sel == nil || sel.View() != BaseKey || sel.PlanKey() != "atom:T/bf" {
+		t.Errorf("atom selector %+v, want the base view under plan key atom:T/bf", sel)
+	}
+	wg := mustRegister(t, s, wgSource)
+	if q := mustCQ(t, "S(Y,Z) -> Ans(Y,Z)."); wg.CQSelector(q).View() != CQKey(q) {
+		t.Error("a chase-mode KB has no base view")
+	}
+	if wg.AtomSelector(core.NewAtom("S", core.Var("Y"), core.Var("Z"))) != nil {
+		t.Error("a chase-mode KB's atom queries read no view")
 	}
 }

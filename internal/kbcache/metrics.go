@@ -42,8 +42,9 @@ type Metrics struct {
 	TerminationSWA     atomic.Int64
 	TerminationUnknown atomic.Int64
 
-	// Maintenance counters (MaintainCQ, MaintainedQuery.Apply). A caller
-	// that keeps a handle MaterializeCQ returned counts it itself.
+	// Maintenance counters (Maintain, MaintainCQ, MaintainedView.Apply).
+	// A caller that keeps a handle Materialize or MaterializeCQ returned
+	// counts it itself.
 	MaintainedHandles atomic.Int64 // maintained fixpoints kept (subscriptions and views)
 	MaintainBatches   atomic.Int64 // mutation batches folded into maintained fixpoints
 	MaintainRejected  atomic.Int64 // registrations refused (unmaintainable plan or build error)

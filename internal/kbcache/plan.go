@@ -207,10 +207,10 @@ func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Databa
 
 // MaterializeCQ answers like AnswerCQ and also returns the materialized
 // view of the run: when the plan compiles to a Datalog program and the
-// run is exact, the maintained handle positioned at the fixpoint that
+// run is exact, the plan view's handle positioned at the fixpoint that
 // produced the answers, which the caller may keep and advance with
 // Apply. Otherwise the handle is nil.
-func (ckb *CompiledKB) MaterializeCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedQuery, error) {
+func (ckb *CompiledKB) MaterializeCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedView, error) {
 	ckb.metrics.Queries.Add(1)
 	key := CQKey(q)
 	p, hit, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
@@ -223,11 +223,11 @@ func (ckb *CompiledKB) MaterializeCQ(ctx context.Context, q kb.CQ, d *database.D
 		res.PlanKey = key
 		res.PlanHit = hit
 	}
-	var mq *MaintainedQuery
+	var mv *MaintainedView
 	if m != nil {
-		mq = &MaintainedQuery{ckb: ckb, key: key, queryRel: p.queryRel, chain: p.chain, m: m}
+		mv = &MaintainedView{ckb: ckb, key: key, chain: p.chain, m: m}
 	}
-	return res, mq, err
+	return res, mv, err
 }
 
 // buildCQPlan is the pay-once part of a CQ: Σ ∪ {α ∧ ACDom(~x) → QAns(~x)}

@@ -8,6 +8,7 @@ import (
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
+	"guardedrules/internal/datalog"
 	"guardedrules/internal/kb"
 	"guardedrules/internal/kbcache"
 	"guardedrules/internal/parser"
@@ -27,6 +28,7 @@ import (
 // silent close — hold unconditionally.
 type subscription struct {
 	view  *view
+	sel   *kbcache.Selector
 	ch    chan subEvent
 	errCh chan subEvent
 }
@@ -169,7 +171,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	// below.
 	type advanced struct {
 		key viewKey
-		d   kbcache.AnswerDelta
+		d   datalog.Delta
 		err error
 	}
 	var batch []advanced
@@ -178,9 +180,9 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 			s.dropViewLocked(ent, key, nil)
 			continue
 		}
-		d, err := v.mq.Apply(adds, dels, opts)
+		d, err := v.mv.Apply(adds, dels, opts)
 		if err == nil {
-			next.views.Store(key, &versionView{View: v.mq.View()})
+			next.views.Store(key, &versionView{View: v.mv.View()})
 		}
 		batch = append(batch, advanced{key, d, err})
 	}
@@ -220,10 +222,15 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.factsRetracted.Add(int64(retracted))
 
 	// Fan each view's delta out while still holding the entry lock, so
-	// subscribers see batches in commit order. A view whose maintenance
-	// failed (budget, contained engine panic) is dropped with its
-	// subscribers, each with an error event; the committed batch is
-	// unaffected.
+	// subscribers see batches in commit order: each subscriber's selector
+	// filters the view's one fact delta, once per distinct query. A view
+	// whose maintenance failed (budget, contained engine panic) is
+	// dropped with its subscribers, each with an error event; the
+	// committed batch is unaffected.
+	type event struct {
+		ev  subEvent
+		err error
+	}
 	for _, a := range batch {
 		if a.err != nil {
 			var pe *budget.PanicError
@@ -233,19 +240,24 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 			s.dropViewLocked(ent, a.key, fmt.Errorf("maintenance failed at version %d: %w", next.version, a.err))
 			continue
 		}
-		subs := ent.views[a.key].subs
-		ev, mErr := marshalEvent("delta", deltaEvent{
-			Version: next.version,
-			Added:   tupleRows(a.d.Added),
-			Removed: tupleRows(a.d.Removed),
-		})
-		for sub := range subs {
-			if mErr != nil {
-				s.dropSubLocked(sub, mErr)
+		events := make(map[string]event)
+		for sub := range ent.views[a.key].subs {
+			e, ok := events[sub.sel.Key()]
+			if !ok {
+				d := sub.sel.Delta(a.d)
+				e.ev, e.err = marshalEvent("delta", deltaEvent{
+					Version: next.version,
+					Added:   termRows(d.Added),
+					Removed: termRows(d.Removed),
+				})
+				events[sub.sel.Key()] = e
+			}
+			if e.err != nil {
+				s.dropSubLocked(sub, e.err)
 				continue
 			}
 			select {
-			case sub.ch <- ev:
+			case sub.ch <- e.ev:
 				s.subsEvents.Add(1)
 			default:
 				// Slow consumer: its buffer is full, so its answer stream
@@ -371,11 +383,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown db id %q (its load failed)", r.PathValue("id")))
 		return
 	}
-	key := viewKey{theory: ckb.ID, plan: kbcache.CQKey(q)}
+	sel := ckb.CQSelector(q)
+	key := viewKey{theory: ckb.ID, plan: sel.View()}
 	v := ent.views[key]
-	var mq *kbcache.MaintainedQuery
+	var mv *kbcache.MaintainedView
 	if v == nil {
-		mq, err = ckb.MaintainCQ(r.Context(), q, cur.db, opts)
+		mv, err = ckb.Maintain(r.Context(), sel, cur.db, opts)
 		if err != nil {
 			ent.mu.Unlock()
 			release()
@@ -409,11 +422,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if v == nil {
-		v = s.installViewLocked(ent, key, mq)
+		v = s.installViewLocked(ent, key, mv)
 	}
-	sub := &subscription{view: v, ch: make(chan subEvent, 32), errCh: make(chan subEvent, 1)}
+	sub := &subscription{view: v, sel: sel, ch: make(chan subEvent, 32), errCh: make(chan subEvent, 1)}
 	v.subs[sub] = struct{}{}
-	snap := snapshotEvent{Version: cur.version, Answers: termRows(cur.view(key).Answers()), PlanKey: key.plan}
+	snap := snapshotEvent{Version: cur.version, Answers: termRows(cur.view(key).Answers(sel)), PlanKey: sel.PlanKey()}
 	ent.mu.Unlock()
 	release()
 
@@ -491,5 +504,3 @@ func termRows(tuples [][]core.Term) [][]string {
 	return out
 }
 
-// tupleRows is termRows with nil kept non-nil for stable JSON shape.
-func tupleRows(tuples [][]core.Term) [][]string { return termRows(tuples) }

@@ -490,15 +490,16 @@ func TestSlowConsumerDropDeliversErrorFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq, err := ckb.MaintainCQ(context.Background(), q, ent.cur.Load().db, kbcache.QueryOptions{})
+	sel := ckb.CQSelector(q)
+	mv, err := ckb.Maintain(context.Background(), sel, ent.cur.Load().db, kbcache.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An unbuffered delta channel with no reader: the first batch's send
 	// fails, which is exactly the slow-consumer state of a full buffer.
 	ent.mu.Lock()
-	key := viewKey{theory: thID, plan: mq.PlanKey()}
-	sub := &subscription{view: srv.installViewLocked(ent, key, mq), ch: make(chan subEvent), errCh: make(chan subEvent, 1)}
+	key := viewKey{theory: thID, plan: sel.View()}
+	sub := &subscription{view: srv.installViewLocked(ent, key, mv), sel: sel, ch: make(chan subEvent), errCh: make(chan subEvent, 1)}
 	sub.view.subs[sub] = struct{}{}
 	ent.mu.Unlock()
 

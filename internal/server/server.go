@@ -204,7 +204,8 @@ type dbVersion struct {
 	// changes after publication only under the entry's mu.
 	views sync.Map
 	// readOnce holds the viewKeys read once at this version without a
-	// view: the next read of one keeps its fixpoint as the view.
+	// view: the next read of one keeps its fixpoint as the view. Notes
+	// stay bounded by the KB and plan caches (noteRead).
 	readOnce sync.Map
 }
 
@@ -271,7 +272,7 @@ type Server struct {
 
 	// Materialized views.
 	views      atomic.Int64 // live views across DBs (gauge)
-	viewHits   atomic.Int64 // CQ reads served from a view
+	viewHits   atomic.Int64 // CQ and atom reads served from a view
 	viewMisses atomic.Int64 // plan-hit CQ reads that found no view at their version
 	viewBuilds atomic.Int64 // views installed
 	viewDrops  atomic.Int64 // views dropped (no subscribers at a batch, failed maintenance, uncached plan, eviction)
@@ -887,11 +888,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, parseErr)
 		return
 	}
+	// Single-atom CQs and atom queries read the KB's base view, other CQs
+	// their plan's; an atom query on a chase-mode KB reads none. Fault
+	// injection governs an engine run, so a chaos read bypasses views.
+	var sel *kbcache.Selector
 	planKey := kbcache.AtomKey(query)
 	if isCQ {
-		planKey = kbcache.CQKey(q)
+		sel = ckb.CQSelector(q)
+		planKey = sel.PlanKey()
+	} else {
+		sel = ckb.AtomSelector(query)
 	}
-	admitTier, tierName := s.classifyQuery(ckb, planKey)
+	if req.wantsChaos() {
+		sel = nil
+	}
+	var key viewKey
+	if sel != nil {
+		key = viewKey{theory: ckb.ID, plan: sel.View()}
+	}
+	// A read its version's view serves is data-complexity work whatever
+	// the plan cache holds.
+	admitTier, tierName := s.light, "light"
+	if cur := ent.cur.Load(); sel == nil || cur == nil || cur.view(key) == nil {
+		admitTier, tierName = s.classifyQuery(ckb, planKey)
+	}
 	release, ok := s.admit(w, r, admitTier, tierName)
 	if !ok {
 		return
@@ -938,30 +958,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res *kbcache.QueryResult
 		err error
 	)
+	var vv *versionView
+	if sel != nil {
+		vv = snap.view(key)
+	}
 	switch {
+	case vv != nil:
+		s.viewHits.Add(1)
+		s.writeBody(w, http.StatusOK, vv.responseBody(sel, snap.version, s.store.PlansPerKB()))
+		return
 	case !isCQ:
+		// Without a base view an atom read runs its goal-directed plan and
+		// keeps nothing: the base fixpoint can dwarf the magic-sets one.
 		res, err = ckb.AnswerAtom(r.Context(), query, snap.db, opts)
-	case req.wantsChaos():
-		// Fault injection governs an engine run, so it never reads or
-		// builds a view.
+	case sel == nil:
 		res, err = ckb.AnswerCQ(r.Context(), q, snap.db, opts)
 	default:
-		key := viewKey{theory: ckb.ID, plan: planKey}
-		if vv := snap.view(key); vv != nil {
-			s.viewHits.Add(1)
-			s.writeBody(w, http.StatusOK, vv.responseBody(vv.Read(), snap.version))
-			return
-		}
 		if admitTier == s.light {
 			s.viewMisses.Add(1)
 		}
-		var mq *kbcache.MaintainedQuery
-		res, mq, err = ckb.MaterializeCQ(r.Context(), q, snap.db, opts)
-		// Only a plan's second read at a version keeps its fixpoint, so
-		// a one-off read leaves none behind.
-		if mq != nil {
-			if _, again := snap.readOnce.LoadOrStore(key, struct{}{}); again {
-				s.installView(ent, snap, key, mq)
+		// Only a view's second read at a version keeps a fixpoint, so a
+		// one-off read leaves none behind. The first read runs the CQ's
+		// own plan; the second evaluates the view's program, which for a
+		// base view is the KB's, and keeps its fixpoint.
+		var mv *kbcache.MaintainedView
+		if snap.noted(key) {
+			res, mv, err = ckb.Materialize(r.Context(), sel, snap.db, opts)
+		} else {
+			res, mv, err = ckb.MaterializeCQ(r.Context(), q, snap.db, opts)
+		}
+		if mv != nil {
+			if again := s.noteRead(snap, key); again && mv.Key() == key.plan {
+				s.installView(ent, snap, key, mv)
 			}
 		}
 	}

@@ -2,42 +2,70 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"guardedrules/internal/kbcache"
 )
 
-// viewKey names a materialized view of a DB entry: a theory and one of
-// its CQ plan keys.
+// viewKey names a materialized view of a DB entry: a theory and the
+// view's key, kbcache.BaseKey for the theory's base view or the CQ plan
+// key of a plan view.
 type viewKey struct{ theory, plan string }
 
-// view is one CQ plan's fixpoint maintained over a DB entry's versions:
-// the engine handle each batch advances once, and the subscriptions fed
-// the one answer delta it computes. Guarded by the entry's mu. Readers
-// never touch it; they read the immutable versionView the entry's
-// current version carries.
+// view is one fixpoint maintained over a DB entry's versions: the engine
+// handle each batch advances once, and the subscriptions whose selectors
+// filter the one fact delta it computes. Guarded by the entry's mu.
+// Readers never touch it; they read the immutable versionView the
+// entry's current version carries.
 type view struct {
-	mq   *kbcache.MaintainedQuery
+	mv   *kbcache.MaintainedView
 	subs map[*subscription]struct{}
 }
 
-// versionView is a view's fixpoint at one version.
+// versionView is a view's fixpoint at one version, with the /v1/query
+// bodies of the reads it served there.
 type versionView struct {
 	*kbcache.View
 
-	bodyOnce sync.Once
-	body     []byte
+	bodies sync.Map     // selector key → *keptBody
+	kept   atomic.Int32 // entries in bodies
 }
 
-// responseBody returns the /v1/query response of a read served from the
-// view at its version, encoded on the first call only: every field of it
-// is fixed by the view and the version.
-func (vv *versionView) responseBody(res *kbcache.QueryResult, version uint64) []byte {
-	vv.bodyOnce.Do(func() {
+// keptBody is one read's /v1/query response, encoded once.
+type keptBody struct {
+	once sync.Once
+	body []byte
+}
+
+// responseBody returns the /v1/query response of sel's read from the
+// view at its version. Every field of it is fixed by the selector, the
+// view and the version, so it is encoded on the first read only. At
+// most limit selectors keep theirs; reads of further ones encode their
+// own.
+func (vv *versionView) responseBody(sel *kbcache.Selector, version uint64, limit int) []byte {
+	encode := func() []byte {
 		// The response holds only strings, bools and numbers: it always
 		// encodes.
-		vv.body, _ = encodeJSON(newQueryResponse(res, version, true))
-	})
-	return vv.body
+		b, _ := encodeJSON(newQueryResponse(vv.Read(sel), version, true))
+		return b
+	}
+	slot, ok := vv.bodies.Load(sel.Key())
+	if !ok {
+		if int(vv.kept.Load()) >= limit {
+			return encode()
+		}
+		var loaded bool
+		if slot, loaded = vv.bodies.LoadOrStore(sel.Key(), &keptBody{}); !loaded {
+			vv.kept.Add(1)
+		}
+	}
+	k := slot.(*keptBody)
+	encoded := false
+	k.once.Do(func() { k.body, encoded = encode(), true })
+	if !encoded {
+		vv.CountRead()
+	}
+	return k.body
 }
 
 // view returns the view under k materialized at exactly this version,
@@ -46,6 +74,31 @@ func (v *dbVersion) view(k viewKey) *versionView {
 	vv, _ := v.views.Load(k)
 	found, _ := vv.(*versionView)
 	return found
+}
+
+// noted reports whether a read of the view under k at this version has
+// been noted.
+func (v *dbVersion) noted(k viewKey) bool {
+	_, ok := v.readOnce.Load(k)
+	return ok
+}
+
+// noteRead notes a read of the view under k at version v and reports
+// whether an earlier read had noted one. Notes of views whose KB or plan
+// the store no longer caches are dropped first, so the notes, like the
+// views, stay bounded by the KB and plan caches.
+func (s *Server) noteRead(v *dbVersion, k viewKey) (again bool) {
+	if v.noted(k) {
+		return true
+	}
+	v.readOnce.Range(func(key, _ any) bool {
+		if n := key.(viewKey); !s.store.Cached(n.theory, n.plan) {
+			v.readOnce.Delete(key)
+		}
+		return true
+	})
+	_, again = v.readOnce.LoadOrStore(k, struct{}{})
+	return again
 }
 
 // current returns the entry's published version, waiting out a
@@ -75,7 +128,7 @@ func (e *dbEntry) subscribersLocked() int {
 // version and has no view under k yet: otherwise the fixpoint reflects a
 // version a batch has already replaced, or duplicates a view a
 // concurrent read or subscription installed first.
-func (s *Server) installView(ent *dbEntry, at *dbVersion, k viewKey, mq *kbcache.MaintainedQuery) {
+func (s *Server) installView(ent *dbEntry, at *dbVersion, k viewKey, mv *kbcache.MaintainedView) {
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.views == nil || ent.cur.Load() != at {
@@ -84,26 +137,26 @@ func (s *Server) installView(ent *dbEntry, at *dbVersion, k viewKey, mq *kbcache
 	if _, ok := ent.views[k]; ok {
 		return
 	}
-	s.installViewLocked(ent, k, mq)
-	// MaintainCQ counted the handles subscriptions build; this one came
+	s.installViewLocked(ent, k, mv)
+	// Maintain counted the handles subscriptions build; this one came
 	// from a read.
 	s.store.Metrics().MaintainedHandles.Add(1)
 }
 
-// installViewLocked makes mq, positioned at the entry's current version,
+// installViewLocked makes mv, positioned at the entry's current version,
 // the entry's view under k (caller holds ent.mu, and ent.views has no
-// view under k). Views whose plan is no longer
-// cached lose their place first, so the views an entry holds stay
-// bounded by the KB and plan caches.
-func (s *Server) installViewLocked(ent *dbEntry, k viewKey, mq *kbcache.MaintainedQuery) *view {
+// view under k). Views whose KB or plan is no longer cached lose their
+// place first, so the views an entry holds stay bounded by the KB and
+// plan caches.
+func (s *Server) installViewLocked(ent *dbEntry, k viewKey, mv *kbcache.MaintainedView) *view {
 	for key, v := range ent.views {
-		if len(v.subs) == 0 && !s.store.Live(v.mq) {
+		if len(v.subs) == 0 && !s.store.Cached(key.theory, key.plan) {
 			s.dropViewLocked(ent, key, nil)
 		}
 	}
-	v := &view{mq: mq, subs: make(map[*subscription]struct{})}
+	v := &view{mv: mv, subs: make(map[*subscription]struct{})}
 	ent.views[k] = v
-	ent.cur.Load().views.Store(k, &versionView{View: mq.View()})
+	ent.cur.Load().views.Store(k, &versionView{View: mv.View()})
 	s.views.Add(1)
 	s.viewBuilds.Add(1)
 	return v
