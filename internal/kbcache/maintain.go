@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/datalog"
@@ -118,18 +117,15 @@ func (ckb *CompiledKB) Materialize(ctx context.Context, sel *Selector, d *databa
 	}
 	ckb.metrics.Queries.Add(1)
 	ckb.metrics.PlanHits.Add(1)
-	m, fix, err := datalog.EvalMaintained(ckb.program, d, opts.datalogOptions(ckb.metrics))
-	if fix == nil || (err != nil && !budget.IsBudget(err)) {
-		ckb.metrics.QueryErrors.Add(1)
-		return nil, nil, err
+	res, m, err := ckb.evalProgram(ckb.program, d, opts, ckb.baseChain(), sel.answers)
+	var mv *MaintainedView
+	if res != nil {
+		res.PlanKey, res.PlanHit = sel.planKey, true
 	}
-	res := &QueryResult{Answers: sel.answers(fix), PlanKey: sel.planKey, PlanHit: true, Chain: ckb.baseChain()}
-	if err != nil {
-		ckb.metrics.BudgetExhausted.Add(1)
-		return res, nil, err
+	if m != nil {
+		mv = &MaintainedView{ckb: ckb, key: BaseKey, chain: res.Chain, m: m}
 	}
-	res.Exact = true
-	return res, &MaintainedView{ckb: ckb, key: BaseKey, chain: res.Chain, m: m}, nil
+	return res, mv, err
 }
 
 // MaintainedQuery is one CQ bound to the maintained view of its own

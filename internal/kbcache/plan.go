@@ -457,24 +457,27 @@ func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions
 			Chain:   p.chain,
 		}, nil, nil
 	default:
-		m, fix, err := datalog.EvalMaintained(p.prog, d, opts.datalogOptions(ckb.metrics))
-		if err != nil {
-			if !budget.IsBudget(err) || fix == nil {
-				ckb.metrics.QueryErrors.Add(1)
-				return nil, nil, err
-			}
-			ckb.metrics.BudgetExhausted.Add(1)
-			return &QueryResult{
-				Answers: datalog.CollectAnswers(fix, p.queryRel),
-				Chain:   p.chain,
-			}, nil, err
-		}
-		return &QueryResult{
-			Answers: datalog.CollectAnswers(fix, p.queryRel),
-			Exact:   true,
-			Chain:   p.chain,
-		}, m, nil
+		return ckb.evalProgram(p.prog, d, opts, p.chain, func(fix *database.Database) [][]core.Term {
+			return datalog.CollectAnswers(fix, p.queryRel)
+		})
 	}
+}
+
+// evalProgram evaluates a compiled program over d into a maintained
+// fixpoint and collects the answers from it. A budget-truncated run
+// returns its sound partial answers alongside the typed error, and no
+// handle.
+func (ckb *CompiledKB) evalProgram(prog *datalog.Program, d *database.Database, opts QueryOptions, chain []string, answers func(*database.Database) [][]core.Term) (*QueryResult, *datalog.Maintained, error) {
+	m, fix, err := datalog.EvalMaintained(prog, d, opts.datalogOptions(ckb.metrics))
+	if err != nil {
+		if !budget.IsBudget(err) || fix == nil {
+			ckb.metrics.QueryErrors.Add(1)
+			return nil, nil, err
+		}
+		ckb.metrics.BudgetExhausted.Add(1)
+		return &QueryResult{Answers: answers(fix), Chain: chain}, nil, err
+	}
+	return &QueryResult{Answers: answers(fix), Exact: true, Chain: chain}, m, nil
 }
 
 // evalCertified runs a certified chase plan to saturation with no fact

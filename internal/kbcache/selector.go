@@ -54,7 +54,6 @@ func newSelector(key, view, planKey string, q kb.CQ, pattern core.Atom, proj []i
 // dat(Σ∪q), and reads the view of its own plan. KBs without a compiled
 // program have no base view.
 func (ckb *CompiledKB) CQSelector(q kb.CQ) *Selector {
-	key := CQKey(q)
 	if ckb.program == nil || len(q.Atoms) != 1 || len(q.Atoms[0].Annotation) > 0 {
 		return planSelector(q)
 	}
@@ -68,6 +67,7 @@ func (ckb *CompiledKB) CQSelector(q kb.CQ) *Selector {
 	for i, v := range q.Answer {
 		proj[i] = slices.Index(a.Args, v)
 	}
+	key := CQKey(q)
 	return newSelector(key, BaseKey, key, q, a, proj, true)
 }
 

@@ -99,6 +99,8 @@ func TestBaseViewDifferential(t *testing.T) {
 		{"dlsafe-translated", testdata("dlsafe.rules"), testdata("dlsafe.facts")},
 		{"example7-guarded", testdata("example7.rules"), testdata("example7.facts") + "A(d). C(d). R(d,c). S(c,d)."},
 		{"acdom", "ACDom(X) -> Dom(X).\n E(X,Y), Dom(Y) -> Reach(X,Y).\n A(X) -> W(X, s).", "E(a,b). E(b,c). A(a). S(d)."},
+		{"cyclic-negation", "E(X,Y) -> R(X,Y).\n R(X,Y), R(Y,Z) -> R(X,Z).\n Node(X), not R(X,X) -> Acyclic(X).\n Node(X), not Acyclic(X) -> Cyclic(X).",
+			"Node(a). Node(b). Node(c). E(a,b). E(b,a)."},
 		{"nearly-guarded", e5Source, e5Facts + "A(v4). E(v4,v0)."},
 	}
 	for _, tc := range cases {

@@ -503,4 +503,3 @@ func termRows(tuples [][]core.Term) [][]string {
 	}
 	return out
 }
-
