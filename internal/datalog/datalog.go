@@ -5,6 +5,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"guardedrules/internal/budget"
@@ -136,6 +137,37 @@ func DependencyEdges(th *core.Theory) []DepEdge {
 		}
 	}
 	return edges
+}
+
+// Cone returns the rules of th that rel's facts depend on, in th's
+// order: those whose head relations rel depends on, transitively, in
+// the dependency graph of DependencyEdges. When the cone reads ACDom,
+// that includes every rule that writes a head constant, which widens
+// the active domain. No other rule's facts feed rel, so evaluating the cone
+// derives exactly th's facts of rel. ACDom itself spans every relation:
+// query it through the whole program.
+func Cone(th *core.Theory, rel string) *core.Theory {
+	need := map[string]bool{rel: true}
+	in := make([]bool, len(th.Rules))
+	for grown := true; grown; {
+		grown = false
+		for i, r := range th.Rules {
+			if in[i] || !slices.ContainsFunc(r.Head, func(h core.Atom) bool { return need[h.Relation] }) && !(need[core.ACDom] && introducesConstants(r)) {
+				continue
+			}
+			in[i], grown = true, true
+			for _, l := range r.Body {
+				need[l.Atom.Relation] = true
+			}
+		}
+	}
+	out := core.NewTheory()
+	for i, r := range th.Rules {
+		if in[i] {
+			out.Add(r)
+		}
+	}
+	return out
 }
 
 // introducesConstants reports whether firing the rule can put a constant

@@ -97,38 +97,27 @@ func AnswerWithMagic(th *core.Theory, query core.Atom, d *database.Database) ([]
 	return AnswerWithMagicOpts(th, query, d, Options{})
 }
 
-// AnswerWithMagicOpts is AnswerWithMagic with explicit engine options. On
-// budget exhaustion the answers extracted from the partial fixpoint are
-// returned (a sound under-approximation) alongside the typed error.
+// AnswerWithMagicOpts is AnswerWithMagic with explicit engine options:
+// it adds the seed to a snapshot of d, evaluates, and returns, in
+// fixpoint order, the tuples of the adorned query relation that answer
+// query (constants coincide, repeated variables bind consistently),
+// together with the fixpoint. On budget exhaustion the answers
+// extracted from the partial fixpoint are returned (a sound
+// under-approximation) alongside the typed error; on any other error
+// the fixpoint is nil. d is not modified.
 func AnswerWithMagicOpts(th *core.Theory, query core.Atom, d *database.Database, opts Options) ([][]core.Term, *database.Database, error) {
 	res, err := MagicRewrite(th, query)
 	if err != nil {
 		return nil, nil, err
 	}
-	return AnswerGoal(d, res.Seed, query, res.QueryRel, func(in *database.Database) (*database.Database, error) {
-		return EvalSemiNaiveOpts(res.Program, in, opts)
-	})
-}
-
-// AnswerGoal runs one goal-directed evaluation: it adds seed (unless it
-// is the zero Atom) to a snapshot of d, evaluates the result with eval,
-// and returns, in fixpoint order, the tuples of queryRel that answer
-// query (constants coincide, repeated variables bind consistently),
-// together with the fixpoint. On budget exhaustion the answers
-// extracted from the partial fixpoint ride along with the typed error;
-// on any other error the fixpoint is nil. d is not modified.
-func AnswerGoal(d *database.Database, seed, query core.Atom, queryRel string, eval func(*database.Database) (*database.Database, error)) ([][]core.Term, *database.Database, error) {
-	in := d
-	if seed.Relation != "" {
-		in = d.Clone()
-		in.Add(seed)
-	}
-	fix, err := eval(in)
+	in := d.Clone()
+	in.Add(res.Seed)
+	fix, err := EvalSemiNaiveOpts(res.Program, in, opts)
 	if err != nil && (fix == nil || !budget.IsBudget(err)) {
 		return nil, nil, err
 	}
 	var out [][]core.Term
-	rk := core.RelKey{Name: queryRel, Arity: len(query.Args)}
+	rk := core.RelKey{Name: res.QueryRel, Arity: len(query.Args)}
 	ids := fix.IDTuples(rk)
 	for f, n := 0, fix.RelSize(rk); f < n; f++ {
 		args := ids[f*rk.Arity : (f+1)*rk.Arity]

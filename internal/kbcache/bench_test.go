@@ -9,6 +9,7 @@ import (
 	"guardedrules/internal/database"
 	"guardedrules/internal/gen"
 	"guardedrules/internal/kb"
+	"guardedrules/internal/parser"
 )
 
 // The serving-layer acceptance benchmark: repeat queries against one
@@ -146,9 +147,13 @@ func chainDB(prefix string, chains, edges int) *database.Database {
 
 // BenchmarkAnswerAtomWide is one goal-directed atom read on a wide DB:
 // 1,200 disjoint 12-edge E-chains with an A fact on every node but the
-// last (44,400 facts counting ACDom), asking T(w7_0,Y). The magic-sets
-// plan derives only chain 7's closure, so the read's cost is the
+// last (44,400 facts counting ACDom). T(w7_0,Y) runs the magic-sets
+// plan, which derives only chain 7's closure, so the read's cost is the
 // snapshot of the DB the seed fact goes into, not the evaluation.
+// E(w7_0,Y) asks a relation no rule derives: it reads the DB's index and
+// runs no engine.
+//
+//	go test -run '^$' -bench BenchmarkAnswerAtomWide -benchmem ./internal/kbcache
 func BenchmarkAnswerAtomWide(b *testing.B) {
 	const edges = 12
 	d := chainDB("w", 1200, edges)
@@ -159,17 +164,25 @@ func BenchmarkAnswerAtomWide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := core.NewAtom("T", core.Const("w7_0"), core.Var("Y"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ckb.AnswerAtom(context.Background(), q, d, QueryOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Answers) != edges {
-			b.Fatalf("T(w7_0,Y) has %d answers, want %d", len(res.Answers), edges)
-		}
+	for _, tc := range []struct {
+		query   core.Atom
+		answers int
+	}{
+		{core.NewAtom("T", core.Const("w7_0"), core.Var("Y")), edges},
+		{core.NewAtom("E", core.Const("w7_0"), core.Var("Y")), 1},
+	} {
+		b.Run(parser.PrintAtom(tc.query), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := ckb.AnswerAtom(context.Background(), tc.query, d, QueryOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Answers) != tc.answers {
+					b.Fatalf("%v has %d answers, want %d", tc.query, len(res.Answers), tc.answers)
+				}
+			}
+		})
 	}
 }
 

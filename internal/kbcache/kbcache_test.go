@@ -3,6 +3,7 @@ package kbcache
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,7 +343,10 @@ func TestAnswerAtomMagicPlanSharing(t *testing.T) {
 	}
 }
 
-// An EDB-only relation falls back to base-program evaluation.
+// A relation that no rule derives is read from the database's facts:
+// atom queries and single-atom CQs over it answer as full evaluation of
+// the base program does, and run no engine, so the join counters stay
+// put.
 func TestAnswerAtomEDBFallback(t *testing.T) {
 	s := NewStore(Config{})
 	ckb := mustRegister(t, s, tcSource)
@@ -353,6 +357,35 @@ func TestAnswerAtomEDBFallback(t *testing.T) {
 	}
 	if len(res.Answers) != 1 || res.Answers[0][1] != core.Const("v1") {
 		t.Fatalf("E(v0,Y) = %v, want [[v0 v1]]", res.Answers)
+	}
+
+	d.Add(core.NewAtom("E", core.Const("v2"), core.Const("v2")))
+	sels := []*Selector{
+		ckb.AtomSelector(core.NewAtom("E", core.Var("X"), core.Var("Y"))),
+		ckb.AtomSelector(core.NewAtom("E", core.Var("X"), core.Var("X"))),
+		ckb.CQSelector(mustCQ(t, "E(X,Y) -> Ans(Y,X).")),
+		ckb.CQSelector(mustCQ(t, "E(v1,Y) -> Ans(Y).")),
+		ckb.CQSelector(mustCQ(t, "E(v0,v1) -> Ans().")),
+	}
+	for _, sel := range sels {
+		before := s.Metrics().Snapshot()
+		got, err := ckb.Read(context.Background(), sel, d, QueryOptions{})
+		if err != nil || !got.Exact || !strings.Contains(got.Chain[0], "no rule derives E") {
+			t.Fatalf("%s: exact %v err %v chain %q, want a read of the database's facts", sel.Key(), got != nil && got.Exact, err, got.Chain)
+		}
+		if after := s.Metrics().Snapshot(); after["join_round_plans"] != before["join_round_plans"] || after["join_probe_steps"] != before["join_probe_steps"] {
+			t.Fatalf("%s ran the engine", sel.Key())
+		}
+		full, _, err := ckb.Materialize(context.Background(), sel, d, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Metrics().Snapshot()["join_round_plans"] == before["join_round_plans"] {
+			t.Fatal("full evaluation left the join counters put: they cannot tell an engine run")
+		}
+		if fmt.Sprint(got.Answers) != fmt.Sprint(full.Answers) || len(got.Answers) == 0 {
+			t.Fatalf("%s: %v, full evaluation %v", sel.Key(), got.Answers, full.Answers)
+		}
 	}
 }
 

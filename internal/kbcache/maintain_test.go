@@ -193,8 +193,10 @@ func TestMaintainedLive(t *testing.T) {
 // CQSelector routes a CQ of one atom whose every variable is an answer
 // variable (constants, repeated variables and permuted or empty answers
 // included) to the KB's base view, and every other CQ to its own plan's
-// view. A KB without a compiled program has no base view: its CQs read
-// their plans' views and its atom queries no view at all.
+// view. A base-view CQ reports the atom plan of its atom's binding
+// pattern, which its reads without a view run; a plan-view CQ reports
+// its own plan. A KB without a compiled program has no base view: its
+// CQs read their plans' views and its atom queries no view at all.
 func TestCQSelectorRoutes(t *testing.T) {
 	s := NewStore(Config{})
 	ng := mustRegister(t, s, e5Source)
@@ -210,8 +212,12 @@ func TestCQSelectorRoutes(t *testing.T) {
 	} {
 		q := mustCQ(t, cq)
 		sel := ng.CQSelector(q)
-		if want := map[bool]string{true: BaseKey, false: CQKey(q)}[base]; sel.View() != want || sel.PlanKey() != CQKey(q) {
-			t.Errorf("%s: view %q plan %q, want view %q plan %q", cq, sel.View(), sel.PlanKey(), want, CQKey(q))
+		view, plan := CQKey(q), CQKey(q)
+		if base {
+			view, plan = BaseKey, AtomKey(q.Atoms[0])
+		}
+		if sel.View() != view || sel.PlanKey() != plan {
+			t.Errorf("%s: view %q plan %q, want view %q plan %q", cq, sel.View(), sel.PlanKey(), view, plan)
 		}
 	}
 	if sel := ng.AtomSelector(core.NewAtom("T", core.Const("v0"), core.Var("Y"))); sel == nil || sel.View() != BaseKey || sel.PlanKey() != "atom:T/bf" {

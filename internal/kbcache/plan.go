@@ -35,6 +35,9 @@ const (
 	// planChase: chase the attached theory per call. Sound; exact iff
 	// the chase saturates.
 	planChase
+	// planFacts: no rule derives the query relation, so the database's
+	// facts are its fixpoint facts. Exact, and runs no engine.
+	planFacts
 )
 
 // plan is a cached per-query-shape evaluation artifact: everything whose
@@ -367,52 +370,82 @@ func (ckb *CompiledKB) baseClosure(bud *budget.T) *saturate.Closure {
 
 // AnswerAtom answers an atomic query — a single atom whose constants are
 // bound and whose variables are free — returning full argument tuples.
-// Program-mode KBs use a cached goal-directed magic-sets plan per
-// binding pattern (dat(Σ) preserves ground atomic consequences, so the
-// base program is complete for atomic queries); chase-mode KBs delegate
-// to the CQ path.
+// Program-mode KBs read it through its atom selector (Read); chase-mode
+// KBs delegate to the CQ path.
 func (ckb *CompiledKB) AnswerAtom(ctx context.Context, query core.Atom, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	if ckb.Mode == ModeChase || ckb.Mode == ModeCertified {
-		return ckb.answerAtomByCQ(ctx, query, d, opts)
+	if sel := ckb.AtomSelector(query); sel != nil {
+		return ckb.Read(ctx, sel, d, opts)
+	}
+	return ckb.answerAtomByCQ(ctx, query, d, opts)
+}
+
+// Read answers sel over d and keeps no view. A plan selector's read is
+// AnswerCQ's. A base-view selector filters the answers of the KB's atom
+// plan for its pattern (AtomKey): dat(Σ) has Σ's ground atoms (Theorem 3
+// / Proposition 6), so a single-atom CQ needs no dat(Σ∪q) plan.
+func (ckb *CompiledKB) Read(ctx context.Context, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, error) {
+	if sel.view != BaseKey {
+		return ckb.AnswerCQ(ctx, sel.q, d, opts)
 	}
 	ckb.metrics.Queries.Add(1)
-	key := AtomKey(query)
-	p, hit, err := ckb.getPlan(ctx, key, func(context.Context) (*plan, error) { return ckb.buildAtomPlan(query) })
+	p, hit, err := ckb.getPlan(ctx, sel.planKey, func(context.Context) (*plan, error) {
+		return ckb.buildAtomPlan(core.NewAtom(sel.rel.Name, sel.args...))
+	})
 	if err != nil {
 		ckb.metrics.QueryErrors.Add(1)
 		return nil, err
 	}
-	res, err := ckb.evalAtomPlan(p, query, d, opts)
+	res, err := ckb.evalAtomPlan(p, sel, d, opts)
 	if res != nil {
-		res.PlanKey = key
-		res.PlanHit = hit
+		res.PlanKey, res.PlanHit = sel.planKey, hit
 	}
 	return res, err
 }
 
-// buildAtomPlan magic-rewrites the base program for the query's binding
-// pattern; relations magic cannot handle (EDB-only relations, programs
-// with negation) fall back to full evaluation of the base program.
+// buildAtomPlan builds the plan of the query's binding pattern from the
+// cone of base rules its relation depends on: the cone's magic-sets
+// rewriting where a position is bound and magic applies, else the cone.
+// Unbound, magic sets have no constant to pass sideways, and re-derive
+// the cone, recursive relations twice. An empty cone needs no program.
 func (ckb *CompiledKB) buildAtomPlan(query core.Atom) (*plan, error) {
-	mr, err := datalog.MagicRewrite(ckb.program.Theory(), query)
-	if err != nil {
-		return &plan{
-			kind:     planProgram,
-			prog:     ckb.program,
-			queryRel: query.Relation,
-			chain:    []string{"magic rewriting not applicable (" + err.Error() + "); full base-program evaluation"},
-		}, nil
+	th := ckb.program.Theory()
+	cone := th
+	if query.Relation != core.ACDom {
+		cone = datalog.Cone(th, query.Relation)
 	}
-	prog, err := datalog.Compile(mr.Program)
-	if err != nil {
-		return nil, err
+	if len(cone.Rules) == 0 {
+		return &plan{kind: planFacts, queryRel: query.Relation, chain: []string{"no rule derives " + query.Relation + "; read from the database's facts"}}, nil
+	}
+	why := "no bound position"
+	if adornment := adornmentOf(query); strings.Contains(adornment, "b") {
+		mr, err := datalog.MagicRewrite(cone, query)
+		if err == nil {
+			prog, err := datalog.Compile(mr.Program)
+			if err != nil {
+				return nil, err
+			}
+			return &plan{
+				kind:     planMagic,
+				prog:     prog,
+				seedRel:  mr.Seed.Relation,
+				queryRel: mr.QueryRel,
+				chain:    []string{"magic-sets rewriting for adornment " + adornment + "; compiled"},
+			}, nil
+		}
+		why = "magic rewriting not applicable (" + err.Error() + ")"
+	}
+	prog := ckb.program
+	if len(cone.Rules) < len(th.Rules) {
+		var err error
+		if prog, err = datalog.Compile(cone); err != nil {
+			return nil, err
+		}
 	}
 	return &plan{
-		kind:     planMagic,
+		kind:     planProgram,
 		prog:     prog,
-		seedRel:  mr.Seed.Relation,
-		queryRel: mr.QueryRel,
-		chain:    []string{"magic-sets rewriting for adornment " + adornmentOf(query) + "; compiled"},
+		queryRel: query.Relation,
+		chain:    []string{fmt.Sprintf("%s; evaluates the %d of %d base rules %s depends on", why, len(cone.Rules), len(th.Rules), query.Relation)},
 	}, nil
 }
 
@@ -530,28 +563,34 @@ func bounding(b *budget.T) bool {
 	return b != nil && (b.MaxFacts > 0 || b.MaxRules > 0 || b.MaxRounds > 0 || b.MaxSteps > 0 || b.FailAtCheckpoint > 0)
 }
 
-// evalAtomPlan runs an atom plan: magic plans get a fresh seed from the
-// query's actual constants (the compiled program depends only on the
-// binding pattern), and all answers are filtered against the query atom.
-func (ckb *CompiledKB) evalAtomPlan(p *plan, query core.Atom, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	var seed core.Atom
+// evalAtomPlan runs an atom plan and selects sel's answers from its
+// fixpoint, which holds them under the plan's query relation: magic
+// plans get a fresh seed from the pattern's actual constants (the
+// compiled program depends only on the binding pattern), and a fact
+// plan selects from d itself.
+func (ckb *CompiledKB) evalAtomPlan(p *plan, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, error) {
+	fix, in := d, d
 	if p.kind == planMagic {
 		var bound []core.Term
-		for _, t := range query.Args {
+		for _, t := range sel.args {
 			if t.IsConst() {
 				bound = append(bound, t)
 			}
 		}
-		seed = core.NewAtom(p.seedRel, bound...)
+		in = d.Clone()
+		in.Add(core.NewAtom(p.seedRel, bound...))
 	}
-	out, fix, err := datalog.AnswerGoal(d, seed, query, p.queryRel, func(in *database.Database) (*database.Database, error) {
-		return p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
-	})
-	if fix == nil {
+	var err error
+	if p.kind != planFacts {
+		fix, err = p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
+	}
+	if err != nil && (fix == nil || !budget.IsBudget(err)) {
 		ckb.metrics.QueryErrors.Add(1)
 		return nil, err
 	}
-	sortTuples(out)
+	goal := *sel
+	goal.rel.Name = p.queryRel
+	out := goal.answers(fix)
 	if err != nil {
 		ckb.metrics.BudgetExhausted.Add(1)
 		return &QueryResult{Answers: out, Chain: p.chain}, err

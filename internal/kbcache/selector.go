@@ -18,7 +18,7 @@ import (
 // of each batch, its subscribers' answer deltas. A Selector is
 // immutable.
 type Selector struct {
-	key     string // the query's identity: a CQ's plan key, or "atom:" and the printed atom
+	key     string // the query's identity: its CQKey, or "atom:" and the printed atom
 	view    string // the key of the view it reads: BaseKey, or the CQ's plan key
 	planKey string // the plan key its reads report
 	q       kb.CQ  // plan views: the CQ whose plan the view runs
@@ -50,9 +50,10 @@ func newSelector(key, view, planKey string, q kb.CQ, pattern core.Atom, proj []i
 // CQSelector returns the selector of a CQ's reads and subscriptions. A
 // CQ of one atom whose every variable is an answer variable reads the
 // KB's base view: its answers are ground consequences of that atom, and
-// dat(Σ) has exactly Σ's ground consequences. Any other CQ needs
-// dat(Σ∪q), and reads the view of its own plan. KBs without a compiled
-// program have no base view.
+// dat(Σ) has exactly Σ's ground consequences. It builds no plan of its
+// own: its reads report, and without a view run, the atom plan of its
+// pattern (AtomKey). Any other CQ needs dat(Σ∪q), and reads the view of
+// its own plan. KBs without a compiled program have no base view.
 func (ckb *CompiledKB) CQSelector(q kb.CQ) *Selector {
 	if ckb.program == nil || len(q.Atoms) != 1 || len(q.Atoms[0].Annotation) > 0 {
 		return planSelector(q)
@@ -67,8 +68,7 @@ func (ckb *CompiledKB) CQSelector(q kb.CQ) *Selector {
 	for i, v := range q.Answer {
 		proj[i] = slices.Index(a.Args, v)
 	}
-	key := CQKey(q)
-	return newSelector(key, BaseKey, key, q, a, proj, true)
+	return newSelector(CQKey(q), BaseKey, AtomKey(a), q, a, proj, true)
 }
 
 // planSelector is the selector of the view of q's own plan: every tuple

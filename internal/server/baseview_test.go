@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"guardedrules/internal/core"
+	"guardedrules/internal/gen"
+	"guardedrules/internal/kb"
 	"guardedrules/internal/kbcache"
 	"guardedrules/internal/parser"
 )
@@ -78,14 +80,44 @@ func baseQueries(th *core.Theory, consts []core.Term, rng *rand.Rand) (cqs, atom
 	return cqs, atoms
 }
 
-// Differential over the base view: random add/retract batches on a DB
-// whose single-atom subscriptions keep the KB's base view live. At every
-// version each single-atom CQ and each atom query (constants, repeated
-// variables, a permuted answer, Boolean CQs) is served from the base
-// view, byte-identical to AnswerCQ or AnswerAtom on a from-scratch DB of
-// that version's facts; every subscriber's snapshot plus deltas equals a
-// from-scratch recompute; and all of them share one fixpoint, advanced
-// by one Apply per batch.
+// fgFacts is a seeded DB over the frontier-guarded generator's
+// signature, the shape of servebench's compile_miss DBs.
+func fgFacts(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	for k := 0; k < 6; k++ {
+		fmt.Fprintf(&b, "%s(d%d). ", []string{"A", "B", "C"}[rng.Intn(3)], rng.Intn(6))
+	}
+	for k := 0; k < 12; k++ {
+		fmt.Fprintf(&b, "%s(d%d,d%d). ", []string{"R", "S"}[rng.Intn(2)], rng.Intn(6), rng.Intn(6))
+	}
+	return b.String()
+}
+
+// atomRoutes names the routes of an atom plan by a mark in its chain.
+var atomRoutes = map[string]string{
+	"magic sets":              "magic-sets rewriting",
+	"database facts":          "read from the database's facts",
+	"cone, no bound position": "no bound position",
+	"cone, no magic sets":     "magic rewriting not applicable",
+}
+
+// Differential over the base view: random add/retract batches on two
+// DBs of the same facts. On the first, single-atom subscriptions keep
+// the KB's base view live: at every version each single-atom CQ and
+// each atom query (constants, repeated variables, a permuted answer,
+// Boolean CQs) is served from it, byte-identical to AnswerCQ or
+// AnswerAtom on a from-scratch DB of that version's facts; every
+// subscriber's snapshot plus deltas equals a from-scratch recompute; and
+// all of them share one fixpoint, advanced by one Apply per batch. The
+// second DB has no subscriber, so its first read at each version finds
+// no view and runs the KB's atom plan, which a different CQ takes each
+// version; every CQ also reads its pinned version in process through
+// that route. Those answers, too, must be byte-identical to AnswerCQ's
+// through a dat(Σ∪q) plan, and the reads take every atom-plan route.
+// The cases cover a head constant, relations that no rule derives (read
+// from the DB's facts) and nearly frontier-guarded generator theories
+// of the compile_miss family.
 func TestBaseViewDifferential(t *testing.T) {
 	testdata := func(name string) string {
 		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
@@ -102,19 +134,33 @@ func TestBaseViewDifferential(t *testing.T) {
 		{"cyclic-negation", "E(X,Y) -> R(X,Y).\n R(X,Y), R(Y,Z) -> R(X,Z).\n Node(X), not R(X,X) -> Acyclic(X).\n Node(X), not Acyclic(X) -> Cyclic(X).",
 			"Node(a). Node(b). Node(c). E(a,b). E(b,a)."},
 		{"nearly-guarded", e5Source, e5Facts + "A(v4). E(v4,v0)."},
+		{"head-constant", "S(X,Y) -> R(X,c).\n R(X,Y), E(Y,Z) -> P(X,Z).\n A(X) -> exists Y. S(X,Y).", "S(a,b). S(b,b). E(c,d). E(a,c). R(d,c). A(e)."},
 	}
+	for _, seed := range []int64{1, 2, 6, 10} {
+		cases = append(cases, struct{ name, src, facts string }{fmt.Sprintf("nfg-seed%d", seed),
+			parser.PrintTheory(gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: seed})), fgFacts(seed)})
+	}
+	routes := map[string]bool{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := newTestServer(t)
+			srv := New(Config{DefaultTimeout: 10 * time.Second})
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
 			ref := mustRegisterLocal(t, tc.src)
 			var th theoryResponse
 			if code := post(t, ts.URL+"/v1/theories", theoryRequest{Source: tc.src}, &th); code != 200 {
 				t.Fatalf("theories: status %d", code)
 			}
-			var db dbResponse
+			// The cold DB's facts differ from the hot one's in text only,
+			// which gives it its own id.
+			var db, cold dbResponse
 			if code := post(t, ts.URL+"/v1/dbs", dbRequest{Facts: tc.facts}, &db); code != 200 {
 				t.Fatalf("dbs: status %d", code)
 			}
+			if code := post(t, ts.URL+"/v1/dbs", dbRequest{Facts: tc.facts + " "}, &cold); code != 200 || cold.ID == db.ID {
+				t.Fatalf("cold db: status %d id %s", code, cold.ID)
+			}
+			ckb, _ := srv.Store().Get(th.ID)
 			sh := newShadow(tc.facts)
 			rng := rand.New(rand.NewSource(11))
 			consts := append(sh.db().Constants(), core.Const("z"))
@@ -141,22 +187,56 @@ func TestBaseViewDifferential(t *testing.T) {
 			const steps = 8
 			for step := 0; step < steps; step++ {
 				version := uint64(step + 1)
-				read := func(req queryRequest, want string) {
+				want := map[string]string{}
+				for _, cq := range cqs {
+					want[cq] = freshRows(t, ref, cq, sh)
+				}
+				read := func(req queryRequest, want string, view bool) queryResponse {
 					t.Helper()
 					var resp queryResponse
-					if code := post(t, ts.URL+"/v1/query", req, &resp); code != 200 || !resp.Exact || !resp.View || resp.DBVersion != version {
-						t.Fatalf("step %d %s%s: status %d exact %v view %v version %d", step, req.CQ, req.Atom, code, resp.Exact, resp.View, resp.DBVersion)
+					if code := post(t, ts.URL+"/v1/query", req, &resp); code != 200 || !resp.Exact || resp.View != view || resp.DBVersion != version {
+						t.Fatalf("step %d %s%s: status %d exact %v view %v (want %v) version %d", step, req.CQ, req.Atom, code, resp.Exact, resp.View, view, resp.DBVersion)
 					}
 					if got := rowsJSON(t, resp.Answers); got != want {
 						t.Fatalf("step %d %s%s:\n got %s\nwant %s", step, req.CQ, req.Atom, got, want)
 					}
+					return resp
 				}
 				for _, cq := range cqs {
-					read(queryRequest{TheoryID: th.ID, DBID: db.ID, CQ: cq}, freshRows(t, ref, cq, sh))
+					read(queryRequest{TheoryID: th.ID, DBID: db.ID, CQ: cq}, want[cq], true)
 				}
 				for _, atom := range atoms {
-					read(queryRequest{TheoryID: th.ID, DBID: db.ID, Atom: atom}, freshAtomRows(t, ref, atom, sh))
+					read(queryRequest{TheoryID: th.ID, DBID: db.ID, Atom: atom}, freshAtomRows(t, ref, atom, sh), true)
 				}
+				// The cold DB: its first read runs the atom plan, its second
+				// builds the base view, and the rest read that view.
+				for i := range cqs {
+					cq := cqs[(i+step*5)%len(cqs)]
+					resp := read(queryRequest{TheoryID: th.ID, DBID: cold.ID, CQ: cq}, want[cq], i >= 2)
+					if q, _ := kb.ParseCQ(cq); resp.PlanKey != kbcache.AtomKey(q.Atoms[0]) {
+						t.Fatalf("step %d %s read %d: plan key %q, want the atom plan's", step, cq, i, resp.PlanKey)
+					}
+				}
+				srv.mu.Lock()
+				ent, _ := srv.dbs.Peek(cold.ID)
+				srv.mu.Unlock()
+				pinned := ent.cur.Load().db
+				for _, cq := range cqs {
+					q, _ := kb.ParseCQ(cq)
+					res, err := ckb.Read(context.Background(), ckb.CQSelector(q), pinned, kbcache.QueryOptions{})
+					if err != nil || !res.Exact || res.PlanKey != kbcache.AtomKey(q.Atoms[0]) {
+						t.Fatalf("step %d %s: atom-plan read exact %v plan %q err %v", step, cq, res != nil && res.Exact, res.PlanKey, err)
+					}
+					if got := rowsJSON(t, termRows(res.Answers)); got != want[cq] {
+						t.Fatalf("step %d %s, atom-plan read:\n got %s\nwant %s", step, cq, got, want[cq])
+					}
+					for route, mark := range atomRoutes {
+						if strings.Contains(res.Chain[0], mark) {
+							routes[route] = true
+						}
+					}
+				}
+
 				var add, del []core.Atom
 				for i := 0; i < 1+rng.Intn(2); i++ {
 					add = append(add, universe[rng.Intn(len(universe))])
@@ -164,25 +244,105 @@ func TestBaseViewDifferential(t *testing.T) {
 				for i := 0; i < rng.Intn(3); i++ {
 					del = append(del, universe[rng.Intn(len(universe))])
 				}
-				var fr factsResponse
-				if code := post(t, ts.URL+"/v1/dbs/"+db.ID+"/facts",
-					factsRequest{Add: factText(add), Retract: factText(del)}, &fr); code != 200 || fr.Version != version+1 {
-					t.Fatalf("step %d batch: status %d version %d", step, code, fr.Version)
+				for _, id := range []string{db.ID, cold.ID} {
+					var fr factsResponse
+					if code := post(t, ts.URL+"/v1/dbs/"+id+"/facts",
+						factsRequest{Add: factText(add), Retract: factText(del)}, &fr); code != 200 || fr.Version != version+1 {
+						t.Fatalf("step %d batch: status %d version %d", step, code, fr.Version)
+					}
 				}
 				sh.apply(add, del)
 				for i, f := range subs {
-					if got, want := f.next(t, fr.Version), sortedRows(t, freshRows(t, ref, cqs[i], sh)); got != want {
+					if got, want := f.next(t, version+1), sortedRows(t, freshRows(t, ref, cqs[i], sh)); got != want {
 						t.Fatalf("step %d subscriber %q: snapshot+deltas\n got %s\nwant %s", step, cqs[i], got, want)
 					}
 				}
 			}
+			// The hot DB keeps one base view; the cold one builds one per
+			// version, which the next batch drops.
 			m := metricsSnapshot(t, ts.URL)
-			if m["views"] != 1 || m["view_builds"] != 1 || m["maintain_batches"] != steps {
-				t.Fatalf("views=%d builds=%d maintain_batches=%d: every reader and subscriber must share one base view, advanced once per batch",
+			if m["views"] != 1 || m["view_builds"] != 1+steps || m["maintain_batches"] != steps {
+				t.Fatalf("views=%d builds=%d maintain_batches=%d: every reader and subscriber of the hot DB must share one base view, advanced once per batch, and the cold DB must build one per version",
 					m["views"], m["view_builds"], m["maintain_batches"])
 			}
 		})
 	}
+	if len(routes) != len(atomRoutes) {
+		t.Fatalf("atom-plan routes taken: %v, want all of %v", routes, atomRoutes)
+	}
+}
+
+// A cold single-atom CQ on a translated nearly frontier-guarded KB
+// builds no plan of its own: it runs the KB's atom plan for its atom,
+// so it moves plan_misses by one and translates and saturates nothing.
+// C is derived by the base program, so its atom plan evaluates the
+// rules C depends on; no base rule derives R (compile_miss's CQ), so its
+// plan reads the DB's facts. An atom query of C's binding
+// pattern then hits C's plan, and the CQ's first read on another DB is
+// admitted light. A CQ that needs dat(Σ∪q) still translates, resuming
+// the KB's frozen closure.
+func TestColdBaseCQReadsAtomPlan(t *testing.T) {
+	ts := newTestServer(t)
+	src := parser.PrintTheory(gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: 1}))
+	facts := "A(d0). S(d0,d1). R(d1,d2). S(d2,d0)."
+	var th theoryResponse
+	if code := post(t, ts.URL+"/v1/theories", theoryRequest{Source: src}, &th); code != 200 || th.Mode != "translated" || len(th.Chain) != 2 {
+		t.Fatalf("theories: status %d mode %s chain %q, want rew then dat", code, th.Mode, th.Chain)
+	}
+	// Each read below is the first base-view read of its own DB, whose
+	// facts differ in text only.
+	dbs := make([]string, 5)
+	for i := range dbs {
+		var db dbResponse
+		if code := post(t, ts.URL+"/v1/dbs", dbRequest{Facts: facts + strings.Repeat(" ", i)}, &db); code != 200 {
+			t.Fatalf("dbs: status %d", code)
+		}
+		dbs[i] = db.ID
+	}
+	ref := mustRegisterLocal(t, src)
+	query := func(req queryRequest) (queryResponse, map[string]int64) {
+		t.Helper()
+		var resp queryResponse
+		if code := post(t, ts.URL+"/v1/query", req, &resp); code != 200 || !resp.Exact || resp.View {
+			t.Fatalf("%s%s: status %d exact %v view %v", req.CQ, req.Atom, code, resp.Exact, resp.View)
+		}
+		return resp, metricsSnapshot(t, ts.URL)
+	}
+	moved := func(before, after map[string]int64, want map[string]int64) {
+		t.Helper()
+		for k, n := range want {
+			if after[k]-before[k] != n {
+				t.Errorf("%s moved by %d, want %d", k, after[k]-before[k], n)
+			}
+		}
+	}
+
+	m1 := metricsSnapshot(t, ts.URL)
+	for i, tc := range []struct{ cq, plan, route string }{
+		{"C(X) -> Ans(X).", "atom:C/f", "base rules C depends on"},
+		{"R(X,Y) -> Ans(X,Y).", "atom:R/ff", "no rule derives R"},
+	} {
+		m0 := m1
+		var cq queryResponse
+		cq, m1 = query(queryRequest{TheoryID: th.ID, DBID: dbs[i], CQ: tc.cq})
+		if cq.PlanKey != tc.plan || cq.PlanHit || !strings.Contains(strings.Join(cq.Chain, "; "), tc.route) {
+			t.Fatalf("cold %s: plan %q hit %v chain %q, want a build of %s (%s)", tc.cq, cq.PlanKey, cq.PlanHit, cq.Chain, tc.plan, tc.route)
+		}
+		if got, want := rowsJSON(t, cq.Answers), freshRows(t, ref, tc.cq, newShadow(facts)); got != want || cq.Count == 0 {
+			t.Fatalf("cold %s answers %s, AnswerCQ %s", tc.cq, got, want)
+		}
+		moved(m0, m1, map[string]int64{"plan_misses": 1, "translations": 0, "saturations_resumed": 0, "saturations_full": 0, "admitted_heavy": 1})
+	}
+
+	atom, m2 := query(queryRequest{TheoryID: th.ID, DBID: dbs[2], Atom: "C(Y)"})
+	if !atom.PlanHit || atom.PlanKey != "atom:C/f" {
+		t.Fatalf("atom query: plan %q hit %v, want a hit on atom:C/f", atom.PlanKey, atom.PlanHit)
+	}
+	_, m3 := query(queryRequest{TheoryID: th.ID, DBID: dbs[3], CQ: "C(Z) -> Ans(Z)."})
+	moved(m2, m3, map[string]int64{"plan_misses": 0, "plan_hits": 1, "admitted_light": 1, "admitted_heavy": 0})
+
+	_, m4 := query(queryRequest{TheoryID: th.ID, DBID: dbs[4], CQ: "C(X), A(X) -> Ans(X)."})
+	moved(m3, m4, map[string]int64{"plan_misses": 1, "translations": 1, "saturations_resumed": 1, "saturations_full": 0})
 }
 
 // An atom read never installs a view: on a DB without a base view it

@@ -978,19 +978,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.viewMisses.Add(1)
 		}
 		// Only a view's second read at a version keeps a fixpoint, so a
-		// one-off read leaves none behind. The first read runs the CQ's
-		// own plan; the second evaluates the view's program, which for a
-		// base view is the KB's, and keeps its fixpoint.
-		var mv *kbcache.MaintainedView
-		if snap.noted(key) {
-			res, mv, err = ckb.Materialize(r.Context(), sel, snap.db, opts)
-		} else {
-			res, mv, err = ckb.MaterializeCQ(r.Context(), q, snap.db, opts)
-		}
-		if mv != nil {
-			if again := s.noteRead(snap, key); again && mv.Key() == key.plan {
-				s.installView(ent, snap, key, mv)
+		// one-off read leaves none behind. The first read keeps nothing:
+		// a base-view CQ runs the KB's atom plan for its atom, any other
+		// CQ its own plan. The second evaluates the view's program, which
+		// for a base view is the KB's, and keeps its fixpoint.
+		if !snap.noted(key) {
+			if res, err = ckb.Read(r.Context(), sel, snap.db, opts); err == nil && res.Exact {
+				s.noteRead(snap, key)
 			}
+			break
+		}
+		var mv *kbcache.MaintainedView
+		if res, mv, err = ckb.Materialize(r.Context(), sel, snap.db, opts); mv != nil {
+			s.installView(ent, snap, key, mv)
 		}
 	}
 	if err != nil && (res == nil || !budget.IsBudget(err)) {

@@ -83,13 +83,12 @@ func (v *dbVersion) noted(k viewKey) bool {
 	return ok
 }
 
-// noteRead notes a read of the view under k at version v and reports
-// whether an earlier read had noted one. Notes of views whose KB or plan
-// the store no longer caches are dropped first, so the notes, like the
-// views, stay bounded by the KB and plan caches.
-func (s *Server) noteRead(v *dbVersion, k viewKey) (again bool) {
+// noteRead notes a read of the view under k at version v. Notes of
+// views whose KB or plan the store no longer caches are dropped first,
+// so the notes, like the views, stay bounded by the KB and plan caches.
+func (s *Server) noteRead(v *dbVersion, k viewKey) {
 	if v.noted(k) {
-		return true
+		return
 	}
 	v.readOnce.Range(func(key, _ any) bool {
 		if n := key.(viewKey); !s.store.Cached(n.theory, n.plan) {
@@ -97,8 +96,7 @@ func (s *Server) noteRead(v *dbVersion, k viewKey) (again bool) {
 		}
 		return true
 	})
-	_, again = v.readOnce.LoadOrStore(k, struct{}{})
-	return again
+	v.readOnce.Store(k, struct{}{})
 }
 
 // current returns the entry's published version, waiting out a
