@@ -3,8 +3,8 @@ package guardedrules
 // Persistence-layer benchmarks (DESIGN.md §13, EXPERIMENTS.md A11): the
 // append-only segment store vs the plain in-memory database. Three
 // costs matter for serving: journaled write throughput (the mutation
-// path pays it per batch), cold-open latency (boot pays it per DB, from
-// the WAL or from a compacted snapshot), and the cost of publishing an
+// path pays it per batch), cold-open latency (boot pays it per DB, by
+// replaying the WAL), and the cost of publishing an
 // immutable served version: a copy-on-write clone, whose copying lands
 // on the first write to each relation (the CloneThenWrite row).
 // BENCH_store.json records the trajectory (see TestEmitStoreBenchJSON).
@@ -70,7 +70,7 @@ func heapPerFact(n int) int64 {
 // seedSegmentDir populates a fresh store directory with n committed
 // user facts and returns its path, its on-disk size in bytes, and the
 // total fact count (user facts plus derived ACDom bookkeeping).
-func seedSegmentDir(tb testing.TB, n int, compact bool) (string, int64, int) {
+func seedSegmentDir(tb testing.TB, n int) (string, int64, int) {
 	tb.Helper()
 	dir := tb.TempDir()
 	s, err := segment.Open(dir, segment.Options{})
@@ -84,11 +84,6 @@ func seedSegmentDir(tb testing.TB, n int, compact bool) (string, int64, int) {
 		tb.Fatal(err)
 	}
 	wantLen := s.Clone().Len()
-	if compact {
-		if err := s.Compact(); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	if err := s.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -121,8 +116,7 @@ func seedSegmentDir(tb testing.TB, n int, compact bool) (string, int64, int) {
 
 // BenchmarkSegmentStore measures the persistent store against the
 // in-memory baseline: journaled add+commit vs plain adds, cold open
-// from the WAL vs from a compacted snapshot, and the served-version
-// clone. CI emits the ns/op trajectory as the BENCH_store.json
+// from the WAL, and the served-version clone. CI emits the ns/op trajectory as the BENCH_store.json
 // artifact.
 func BenchmarkSegmentStore(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
@@ -155,26 +149,21 @@ func BenchmarkSegmentStore(b *testing.B) {
 				}
 			}
 		})
-		for _, mode := range []struct {
-			name    string
-			compact bool
-		}{{"ColdOpenWAL", false}, {"ColdOpenSnapshot", true}} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				dir, _, _ := seedSegmentDir(b, n, mode.compact)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s, err := segment.Open(dir, segment.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := s.Close(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("ColdOpenWAL/n=%d", n), func(b *testing.B) {
+			dir, _, _ := seedSegmentDir(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := segment.Open(dir, segment.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		b.Run(fmt.Sprintf("Clone/n=%d", n), func(b *testing.B) {
-			dir, _, wantLen := seedSegmentDir(b, n, false)
+			dir, _, wantLen := seedSegmentDir(b, n)
 			s, err := segment.Open(dir, segment.Options{})
 			if err != nil {
 				b.Fatal(err)
@@ -188,7 +177,7 @@ func BenchmarkSegmentStore(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("CloneThenWrite/n=%d", n), func(b *testing.B) {
-			dir, _, _ := seedSegmentDir(b, n, false)
+			dir, _, _ := seedSegmentDir(b, n)
 			s, err := segment.Open(dir, segment.Options{})
 			if err != nil {
 				b.Fatal(err)
@@ -207,8 +196,7 @@ func BenchmarkSegmentStore(b *testing.B) {
 
 // TestEmitStoreBenchJSON times the BenchmarkSegmentStore configurations
 // once per configuration and writes BENCH_store.json: the write/open/
-// clone latencies plus the on-disk footprint (WAL and compacted) per
-// fact count, and the in-memory heap footprint per fact (heapPerFact):
+// clone latencies plus the on-disk WAL footprint per fact count, and the in-memory heap footprint per fact (heapPerFact):
 // the persistence perf trajectory. Only runs when EMIT_BENCH=1 is set:
 //
 //	EMIT_BENCH=1 go test -run TestEmitStoreBenchJSON .
@@ -268,25 +256,19 @@ func TestEmitStoreBenchJSON(t *testing.T) {
 				}
 			}),
 		})
-		for _, mode := range []struct {
-			name    string
-			compact bool
-		}{{"ColdOpenWAL", false}, {"ColdOpenSnapshot", true}} {
-			dir, bytes, _ := seedSegmentDir(t, n, mode.compact)
-			report.Benchmarks = append(report.Benchmarks, entry{
-				Name: fmt.Sprintf("SegmentStore/%s/n=%d", mode.name, n), N: n, DiskBytes: bytes,
-				NsPerOp: best(func() {
-					s, err := segment.Open(dir, segment.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := s.Close(); err != nil {
-						t.Fatal(err)
-					}
-				}),
-			})
-		}
-		dir, _, wantLen := seedSegmentDir(t, n, false)
+		dir, bytes, wantLen := seedSegmentDir(t, n)
+		report.Benchmarks = append(report.Benchmarks, entry{
+			Name: fmt.Sprintf("SegmentStore/ColdOpenWAL/n=%d", n), N: n, DiskBytes: bytes,
+			NsPerOp: best(func() {
+				s, err := segment.Open(dir, segment.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}),
+		})
 		s, err := segment.Open(dir, segment.Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -49,7 +49,6 @@ func cmdServe(args []string) error {
 	queueWait := fs.Duration("queue-wait", time.Second, "max time a request waits for an admission slot before 429")
 	maxBody := fs.Int64("max-body-bytes", 4<<20, "POST body size cap (413 beyond it)")
 	maxSubs := fs.Int("max-subs", 64, "concurrent live-query subscriptions (429 beyond it)")
-	chaos := fs.Bool("chaos", false, "enable fault-injection request fields (load harness only)")
 	dataDir := fs.String("data-dir", "", "persistence root: fact DBs journal to segment stores and theories persist compiled artifacts; reopened at boot (empty = in-memory)")
 	syncWrites := fs.Bool("sync", false, "fsync every durable commit (power-loss safety at a per-batch fsync cost)")
 	lameDuck := fs.Duration("lame-duck", time.Second, "after SIGTERM, keep serving (readyz 503) this long so load balancers stop routing")
@@ -79,7 +78,6 @@ func cmdServe(args []string) error {
 			MaxQueueWait:   *queueWait,
 			MaxBodyBytes:   *maxBody,
 			MaxSubs:        *maxSubs,
-			Chaos:          *chaos,
 			DataDir:        *dataDir,
 			SyncWrites:     *syncWrites,
 		},

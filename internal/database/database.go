@@ -709,6 +709,17 @@ func (d *Database) ACDomSupport(t core.Term) int {
 // must never be retracted by maintenance.
 func (d *Database) ACDomPinned(t core.Term) bool { return d.acdomX[t] }
 
+// PinACDom marks ACDom(t) as explicitly added: it survives the loss of
+// its last supporting occurrence. The ACDom fact itself is not
+// inserted. Incremental maintenance pins an explicit base ACDom fact
+// that its fixpoint already derives.
+func (d *Database) PinACDom(t core.Term) {
+	if d.acdomX == nil {
+		d.acdomX = make(map[core.Term]bool)
+	}
+	d.acdomX[t] = true
+}
+
 // TermOccursIn reports whether t occurs at any position of any fact of
 // rk, via the per-position posting lists (no fact scan).
 func (d *Database) TermOccursIn(rk core.RelKey, t core.Term) bool {

@@ -14,7 +14,6 @@ var (
 	snapA, snapB, snapC = core.Const("a"), core.Const("b"), core.Const("c")
 	snapZ, snapP, snapQ = core.Const("z"), core.Const("p"), core.Const("q")
 	snapFresh           = core.Const("fresh")
-	snapRestored        = core.Const("restored")
 	snapNull            = core.NewNull("n9")
 	snapRelE            = core.RelKey{Name: "E", Arity: 2}
 )
@@ -54,9 +53,6 @@ var snapshotSteps = []struct {
 	{"retract explicit ACDom", func(d *Database) { d.Retract(core.NewAtom(core.ACDom, snapP)) }},
 	{"retract derived ACDom", func(d *Database) { d.Retract(core.NewAtom(core.ACDom, snapB)) }},
 	{"PinACDom", func(d *Database) { d.PinACDom(snapC) }},
-	{"SetACDomSupport", func(d *Database) { d.SetACDomSupport(snapB, 7) }},
-	{"SetACDomSupport zero", func(d *Database) { d.SetACDomSupport(snapA, 0) }},
-	{"RestoreFact", func(d *Database) { d.RestoreFact(core.NewAtom("G", snapRestored, snapA)) }},
 	{"InternTerm", func(d *Database) { d.InternTerm(core.NewNull("minted")) }},
 	{"InternTerm known", func(d *Database) { d.InternTerm(snapA) }},
 }
@@ -67,10 +63,10 @@ var snapshotSteps = []struct {
 func fingerprint(d *Database) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "len=%d epoch=%d constants=%v\n%s\n", d.Len(), d.InternEpoch(), d.Constants(), d.String())
-	for _, t := range []core.Term{snapA, snapB, snapC, snapZ, snapP, snapQ, snapFresh, snapRestored, snapNull} {
+	for _, t := range []core.Term{snapA, snapB, snapC, snapZ, snapP, snapQ, snapFresh, snapNull} {
 		fmt.Fprintf(&b, "%s support=%d pinned=%v\n", t, d.ACDomSupport(t), d.ACDomPinned(t))
 	}
-	rels := append(d.Relations(), core.RelKey{Name: "F", Arity: 2}, core.RelKey{Name: "G", Arity: 2})
+	rels := append(d.Relations(), core.RelKey{Name: "F", Arity: 2})
 	for _, rk := range rels {
 		fmt.Fprintf(&b, "%s/%d/%d size=%d", rk.Name, rk.Arity, rk.AnnArity, d.RelSize(rk))
 		for p := 0; p < rk.Arity+rk.AnnArity; p++ {

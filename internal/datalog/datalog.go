@@ -287,7 +287,7 @@ func CollectAnswers(d *database.Database, q string) [][]core.Term {
 			out = append(out, termsOf(d, args))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
+	SortTuples(out)
 	return out
 }
 
@@ -303,16 +303,25 @@ func termsOf(d *database.Database, ids []uint32) []core.Term {
 	return out
 }
 
-func tupleLess(a, b []core.Term) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
+// SortTuples sorts answer tuples lexicographically, comparing terms by
+// name, then kind. The order is total, so it does not depend on the
+// input order even when a constant and a null share a name.
+func SortTuples(out [][]core.Term) {
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		for k := range a {
+			if k >= len(b) {
+				return false
+			}
+			if a[k].Name != b[k].Name {
+				return a[k].Name < b[k].Name
+			}
+			if a[k].Kind != b[k].Kind {
+				return a[k].Kind < b[k].Kind
+			}
 		}
-		if a[i].Name != b[i].Name {
-			return a[i].Name < b[i].Name
-		}
-	}
-	return len(a) < len(b)
+		return len(a) < len(b)
+	})
 }
 
 // SameAnswers reports whether two answer sets are equal, and a witness

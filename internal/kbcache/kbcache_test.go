@@ -465,3 +465,37 @@ func TestQueryBudgetExhaustion(t *testing.T) {
 		t.Fatal("budget exhaustion must be counted")
 	}
 }
+
+// Answer lists are ordered by name, then kind: the same facts inserted
+// in two orders give identical lists even when a constant and a null
+// share a name, through a read of the DB's facts and a derived
+// relation's plan.
+func TestAnswerOrderIgnoresInsertionOrder(t *testing.T) {
+	ckb := mustRegister(t, NewStore(Config{}), "R(X,Y) -> S(X,Y).")
+	var facts []core.Atom
+	for i := 0; i < 40; i++ {
+		n := fmt.Sprintf("n%d", i)
+		facts = append(facts,
+			core.NewAtom("R", core.Const("a"), core.Const(n)),
+			core.NewAtom("R", core.Const("a"), core.NewNull(n)))
+	}
+	fwd, rev := database.New(), database.New()
+	for i := range facts {
+		fwd.Add(facts[i])
+		rev.Add(facts[len(facts)-1-i])
+	}
+	for _, rel := range []string{"R", "S"} {
+		q := core.NewAtom(rel, core.Const("a"), core.Var("Y"))
+		var lists [2]string
+		for i, d := range []*database.Database{fwd, rev} {
+			res, err := ckb.AnswerAtom(context.Background(), q, d, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lists[i] = fmt.Sprint(res.Answers)
+		}
+		if lists[0] != lists[1] {
+			t.Fatalf("%v: answer order depends on insertion order:\n%s\n%s", q, lists[0], lists[1])
+		}
+	}
+}

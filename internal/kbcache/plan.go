@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"guardedrules/internal/budget"
@@ -625,22 +624,7 @@ func (ckb *CompiledKB) answerAtomByCQ(ctx context.Context, query core.Atom, d *d
 		}
 		full = append(full, tuple)
 	}
-	sortTuples(full)
+	datalog.SortTuples(full)
 	res.Answers = full
 	return res, err
-}
-
-func sortTuples(out [][]core.Term) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if k >= len(b) {
-				return false
-			}
-			if a[k].Name != b[k].Name {
-				return a[k].Name < b[k].Name
-			}
-		}
-		return len(a) < len(b)
-	})
 }

@@ -154,7 +154,7 @@ func (s *Selector) answers(d *database.Database) [][]core.Term {
 			visit(f)
 		}
 	}
-	sortTuples(out)
+	datalog.SortTuples(out)
 	return out
 }
 
@@ -175,6 +175,6 @@ func (s *Selector) filter(facts []core.Atom) [][]core.Term {
 			out = append(out, ans)
 		}
 	}
-	sortTuples(out)
+	datalog.SortTuples(out)
 	return out
 }

@@ -109,7 +109,8 @@ type Config struct {
 	// registrations beyond it are shed with 429 (0 = 64).
 	MaxSubs int
 	// Chaos enables the fault-injection fields on query requests (used
-	// by the load harness); without it those fields are rejected.
+	// by the in-process chaos tests); without it those fields are
+	// rejected.
 	Chaos bool
 
 	// DataDir, when set, makes fact DBs and compiled theories durable:
@@ -777,7 +778,7 @@ type queryRequest struct {
 	MaxDepth int `json:"max_depth,omitempty"`
 
 	// Fault-injection fields, rejected unless the server was built with
-	// Config.Chaos (the load harness's levers). FailAt aborts the
+	// Config.Chaos (the chaos tests' levers). FailAt aborts the
 	// engine budget at its nth checkpoint; PanicAt panics there
 	// (exercising engine containment); DelayMS sleeps before
 	// evaluation while holding the admission slot (driving shed paths
@@ -1030,8 +1031,8 @@ func parseQueryAtom(src string) (core.Atom, error) {
 // Gauge keys in /metrics (free to move in both directions): "dbs",
 // "kbs", "ready", "in_flight", "in_flight_heavy", "in_flight_light",
 // "queued_heavy", "queued_light", "goroutines", "subscriptions", "views".
-// Everything else is a monotone counter — the load harness checks that
-// invariant.
+// Everything else is a monotone counter — TestChaosRunCleans checks
+// that invariant.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := s.store.Metrics().Snapshot()
 	s.mu.Lock()

@@ -138,7 +138,7 @@ func TestCrashRecoveryEngineDifferential(t *testing.T) {
 	// commit ends at.
 	var offsets []int64
 	var want []*database.Database
-	walPath := filepath.Join(dir, walName(0))
+	walPath := filepath.Join(dir, walFile)
 	for batch := 0; batch < 8; batch++ {
 		for j := 0; j < 4; j++ {
 			a := core.NewAtom("R", c(batch), c((batch+j+1)%9))
@@ -188,7 +188,7 @@ func TestCrashRecoveryEngineDifferential(t *testing.T) {
 			}
 		}
 		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, walName(0)), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cdir, walFile), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		r, err := Open(cdir, Options{})

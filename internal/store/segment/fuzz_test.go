@@ -11,10 +11,10 @@ import (
 	"guardedrules/internal/parser"
 )
 
-// seedStore builds a real store directory — a compacted snapshot plus a
-// write-ahead log holding committed adds, a retraction and an
-// uncommitted tail — and returns the bytes of both files.
-func seedStore(f *testing.F) (snap, wal []byte) {
+// seedStore builds a real store directory — a write-ahead log holding
+// committed adds (a null and an explicit ACDom fact among them), a
+// retraction and an uncommitted tail — and returns the log's bytes.
+func seedStore(f *testing.F) []byte {
 	dir := f.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -27,9 +27,6 @@ func seedStore(f *testing.F) (snap, wal []byte) {
 	if _, err := s.Commit(); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
-		f.Fatal(err)
-	}
 	s.Retract(core.NewAtom("Edge", core.Const("a"), core.Const("b")))
 	s.Add(core.NewAtom("Edge", core.Const("c"), core.Const("d")))
 	if _, err := s.Commit(); err != nil {
@@ -38,13 +35,11 @@ func seedStore(f *testing.F) (snap, wal []byte) {
 	s.Add(core.NewAtom("Mark", core.Const("d")))
 	s.w.Flush() // leave the uncommitted record on disk, as a crash would
 	s.Close()
-	if snap, err = os.ReadFile(filepath.Join(dir, snapName(1))); err != nil {
+	wal, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
 		f.Fatal(err)
 	}
-	if wal, err = os.ReadFile(filepath.Join(dir, walName(1))); err != nil {
-		f.Fatal(err)
-	}
-	return snap, wal
+	return wal
 }
 
 // frames splits b at its record boundaries as far as the length headers
@@ -79,24 +74,22 @@ func reorder(b []byte, i, j int) []byte {
 	return out
 }
 
-// FuzzOpen feeds Open damaged store directories: arbitrary bytes, a bit
-// flip anywhere in the snapshot or the log (flip-1 is the bit index over
-// both files), and two reordered records in either file (swap selects
-// the file and the record pair). Open must either recover — and a
-// reopen of the recovered store must reproduce its state exactly — or
-// fail with an error wrapping errCorrupt. It must never panic or hang.
-// An empty snapshot means a store that never compacted (generation 0).
+// FuzzOpen feeds Open damaged logs: arbitrary bytes, a bit flip
+// anywhere (flip-1 is the bit index), and two reordered records (swap
+// selects the record pair). Open must either recover — and a reopen of
+// the recovered store must reproduce its state exactly — or fail with an
+// error wrapping errCorrupt. It must never panic or hang.
 //
 //	go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 20s ./internal/store/segment
 func FuzzOpen(f *testing.F) {
-	snap, wal := seedStore(f)
-	f.Add(snap, wal, uint32(0), uint16(0))
-	f.Add([]byte(nil), wal, uint32(0), uint16(0))
-	f.Add(snap, wal, uint32(8*len(snap)+8*9+3), uint16(0)) // flip in the log
-	f.Add(snap, wal, uint32(8*20+1), uint16(0))            // flip in the snapshot
-	f.Add(snap, wal, uint32(0), uint16(1<<15|1<<8|2))      // swap log records 1, 2
-	f.Add(snap, wal, uint32(0), uint16(3<<8|5))            // swap snapshot records 3, 5
-	f.Add(snap[:len(snap)/2], wal[:len(wal)-3], uint32(0), uint16(0))
+	wal := seedStore(f)
+	f.Add(wal, uint32(0), uint16(0))
+	f.Add(wal[:len(wal)-3], uint32(0), uint16(0))
+	f.Add(wal, uint32(8*9+3), uint16(0))            // flip in the first records
+	f.Add(wal, uint32(8*(len(wal)/2)+1), uint16(0)) // flip mid-log
+	f.Add(wal, uint32(0), uint16(1<<8|2))           // swap records 1, 2
+	f.Add(wal, uint32(0), uint16(3<<8|5))           // swap records 3, 5
+	f.Add(wal[:len(wal)/2], uint32(0), uint16(0))
 	// A checksum-valid log whose add names a variable, not a ground term.
 	var forged []byte
 	for _, payload := range [][]byte{
@@ -107,33 +100,17 @@ func FuzzOpen(f *testing.F) {
 	} {
 		forged = appendRecord(forged, payload)
 	}
-	f.Add([]byte(nil), forged, uint32(0), uint16(0))
-	f.Fuzz(func(t *testing.T, snap, wal []byte, flip uint32, swap uint16) {
-		snap, wal = append([]byte(nil), snap...), append([]byte(nil), wal...)
-		if bit := int(flip) - 1; bit >= 0 && bit/8 < len(snap)+len(wal) {
-			if bit/8 < len(snap) {
-				snap[bit/8] ^= 1 << (bit % 8)
-			} else {
-				wal[bit/8-len(snap)] ^= 1 << (bit % 8)
-			}
+	f.Add(forged, uint32(0), uint16(0))
+	f.Fuzz(func(t *testing.T, wal []byte, flip uint32, swap uint16) {
+		wal = append([]byte(nil), wal...)
+		if bit := int(flip) - 1; bit >= 0 && bit/8 < len(wal) {
+			wal[bit/8] ^= 1 << (bit % 8)
 		}
 		if swap != 0 {
-			i, j := int(swap>>8&0x7f), int(swap&0xff)
-			if swap&(1<<15) != 0 {
-				wal = reorder(wal, i, j)
-			} else {
-				snap = reorder(snap, i, j)
-			}
+			wal = reorder(wal, int(swap>>8), int(swap&0xff))
 		}
 		dir := t.TempDir()
-		gen := uint64(0)
-		if len(snap) > 0 {
-			gen = 1
-			if err := os.WriteFile(filepath.Join(dir, snapName(gen)), snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, walName(gen)), wal, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir, Options{})

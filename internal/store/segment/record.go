@@ -1,6 +1,6 @@
 // Package segment implements a durable fact store: a journal over a
-// private *database.Database mirror, kept as an append-only write-ahead
-// log plus periodic snapshots, all in a single directory. Every mutation
+// private *database.Database mirror, kept as one append-only
+// write-ahead log, wal-000000.log, in its own directory. Every mutation
 // is applied to the mirror and journaled, Commit makes the journaled
 // prefix durable, and readers get a Clone of the mirror, so engines only
 // ever see a *database.Database. On open, the log's torn tail (anything
@@ -19,13 +19,11 @@
 //	add     relID(u32) id(u32)…               — AddNotify of the fact
 //	del     relID(u32) id(u32)…               — DeleteNotify of the fact
 //	commit  version(u64)                      — durability barrier
-//	fact    relID(u32) id(u32)…               — snapshot: raw insert
-//	support termID(u32) count(u32)            — snapshot: ACDom refcount
-//	pin     termID(u32)                       — snapshot: ACDom pin
 //
-// The add/del/fact body is exactly PackKey(relID, ids): a big-endian,
-// sort-order-preserving packed key, ready for the disk-segment iterators
-// of ROADMAP item 3.
+// The add/del body is exactly PackKey(relID, ids): a big-endian,
+// sort-order-preserving packed key. Replaying the log through the
+// database's own mutators restores its enumeration order and ACDom
+// state (support counts and pins) exactly.
 package segment
 
 import (
@@ -42,9 +40,6 @@ const (
 	recAdd
 	recDel
 	recCommit
-	recFact
-	recSupport
-	recPin
 )
 
 // maxRecordLen bounds a single payload; names are the only variable-size

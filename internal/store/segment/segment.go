@@ -7,19 +7,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 )
 
-// errCorrupt marks a torn or damaged record. In the write-ahead log it
-// is expected (a crash tears the tail, which open truncates); in a
-// snapshot it is fatal, since snapshots are published by atomic rename.
+// errCorrupt marks a torn or damaged record. A crash tears the log's
+// tail, which Open truncates; in the committed prefix it is fatal.
 var errCorrupt = errors.New("segment: corrupt record")
 
-// ErrClosed is returned by Commit and Compact on a closed store.
+// ErrClosed is returned by Commit on a closed store.
 var ErrClosed = errors.New("segment: store is closed")
 
 // Options configures a Store.
@@ -30,12 +28,11 @@ type Options struct {
 }
 
 // Store is a journal over a private mirror: an in-memory
-// *database.Database plus an append-only write-ahead log and
-// generation-numbered snapshots in a single directory. Add and Retract
-// apply to the mirror and journal the operation; Commit makes the
-// journaled prefix crash-durable; Clone hands readers a copy of the
-// mirror. Uncommitted mutations show in a Clone but are discarded by a
-// reopen.
+// *database.Database plus an append-only write-ahead log in its own
+// directory. Add and Retract apply to the mirror and journal the
+// operation; Commit makes the journaled prefix crash-durable; Clone
+// hands readers a copy of the mirror. Uncommitted mutations show in a
+// Clone but are discarded by a reopen.
 //
 // A Store is not safe for concurrent use; the server serializes each
 // store's writers and publishes clones to readers.
@@ -45,31 +42,44 @@ type Store struct {
 
 	mem *database.Database
 
-	f   *os.File
-	w   *bufio.Writer
-	gen uint64
+	f *os.File
+	w *bufio.Writer
 
 	version     uint64
 	relKeys     []core.RelKey
 	relIDs      map[core.RelKey]uint32
 	loggedTerms int // intern ids below this are journaled
-	pending     int // mutations journaled since the last commit
 
 	scratch []byte
 	err     error // first journaling failure; store refuses writes after
 	closed  bool
 }
 
-func snapName(gen uint64) string { return fmt.Sprintf("snapshot-%06d.seg", gen) }
-func walName(gen uint64) string  { return fmt.Sprintf("wal-%06d.log", gen) }
+// walFile is the store's log, the one file it writes. The name keeps
+// the generation suffix of an earlier layout, so every directory a store
+// has written reopens unchanged.
+const walFile = "wal-000000.log"
 
-// Open opens (or creates) the store rooted at dir. It loads the newest
-// snapshot, replays the matching write-ahead log up to its last valid
-// commit record, truncates any torn tail, and removes files from older
-// generations and interrupted compactions.
+// Open opens (or creates) the store rooted at dir. It replays the
+// write-ahead log up to its last valid commit record and truncates any
+// torn tail. A snapshot or a log of another generation, which only an
+// earlier layout wrote, fails the open: replaying the log without it
+// would lose or resurrect facts.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		snap := strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".seg")
+		wal := strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")
+		if snap || wal && name != walFile {
+			return nil, fmt.Errorf("segment: %s: unsupported store file (a store keeps only %s)", filepath.Join(dir, name), walFile)
+		}
 	}
 	s := &Store{
 		dir:    dir,
@@ -77,44 +87,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		mem:    database.New(),
 		relIDs: make(map[core.RelKey]uint32),
 	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	var stale []string
-	haveSnap := false
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			stale = append(stale, name)
-		case strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".seg"):
-			var g uint64
-			if _, err := fmt.Sscanf(name, "snapshot-%06d.seg", &g); err == nil && (!haveSnap || g > s.gen) {
-				s.gen, haveSnap = g, true
-			}
-		}
-	}
-	if haveSnap {
-		if err := s.loadSnapshot(filepath.Join(dir, snapName(s.gen))); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range entries {
-		name := e.Name()
-		var g uint64
-		if _, err := fmt.Sscanf(name, "snapshot-%06d.seg", &g); err == nil && g < s.gen {
-			stale = append(stale, name)
-		}
-		if _, err := fmt.Sscanf(name, "wal-%06d.log", &g); err == nil && g != s.gen {
-			stale = append(stale, name)
-		}
-	}
-	for _, name := range stale {
-		os.Remove(filepath.Join(dir, name))
-	}
-
 	if err := s.openWAL(); err != nil {
 		return nil, err
 	}
@@ -122,10 +94,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// openWAL opens the current generation's log, replays its committed
-// prefix, and truncates everything after the last valid commit record.
+// openWAL opens the log, replays its committed prefix, and truncates
+// everything after the last valid commit record.
 func (s *Store) openWAL() error {
-	path := filepath.Join(s.dir, walName(s.gen))
+	path := filepath.Join(s.dir, walFile)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("segment: %w", err)
@@ -159,11 +131,11 @@ func (s *Store) openWAL() error {
 		}
 		if err != nil {
 			f.Close()
-			return fmt.Errorf("segment: committed prefix of %s: %w", walName(s.gen), err)
+			return fmt.Errorf("segment: committed prefix of %s: %w", walFile, err)
 		}
 		if err := s.apply(payload); err != nil {
 			f.Close()
-			return fmt.Errorf("segment: %s: %w", walName(s.gen), err)
+			return fmt.Errorf("segment: %s: %w", walFile, err)
 		}
 	}
 	// Drop the torn/uncommitted tail and position the writer at the end.
@@ -204,7 +176,7 @@ func (s *Store) apply(payload []byte) error {
 		}
 		s.relIDs[rk] = uint32(len(s.relKeys))
 		s.relKeys = append(s.relKeys, rk)
-	case recAdd, recDel, recFact:
+	case recAdd, recDel:
 		a, err := s.atomFromKey(body)
 		if err != nil {
 			return err
@@ -218,27 +190,7 @@ func (s *Store) apply(payload []byte) error {
 			if _, err := s.mem.DeleteNotify(a, nil); err != nil {
 				return fmt.Errorf("%w: replay del %s: %w", errCorrupt, a.String(), err)
 			}
-		case recFact:
-			s.mem.RestoreFact(a)
 		}
-	case recSupport:
-		if len(body) != 8 {
-			return fmt.Errorf("%w: short support record", errCorrupt)
-		}
-		id := beUint32(body)
-		if int(id) >= s.mem.InternEpoch() {
-			return fmt.Errorf("%w: support for unknown term id %d", errCorrupt, id)
-		}
-		s.mem.SetACDomSupport(s.mem.Term(id), int(beUint32(body[4:])))
-	case recPin:
-		if len(body) != 4 {
-			return fmt.Errorf("%w: short pin record", errCorrupt)
-		}
-		id := beUint32(body)
-		if int(id) >= s.mem.InternEpoch() {
-			return fmt.Errorf("%w: pin for unknown term id %d", errCorrupt, id)
-		}
-		s.mem.PinACDom(s.mem.Term(id))
 	case recCommit:
 		if len(body) != 8 {
 			return fmt.Errorf("%w: short commit record", errCorrupt)
@@ -335,7 +287,6 @@ func (s *Store) journalOp(typ byte, a core.Atom) {
 	s.scratch = append(s.scratch[:0], typ)
 	s.scratch = PackKey(s.scratch, relID, ids)
 	s.writeRecord(s.scratch)
-	s.pending++
 }
 
 func (s *Store) writeRecord(payload []byte) {
@@ -386,7 +337,6 @@ func (s *Store) Commit() (uint64, error) {
 		return s.version, s.err
 	}
 	s.version = next
-	s.pending = 0
 	return s.version, nil
 }
 
@@ -454,20 +404,3 @@ func (s *Store) Retract(a core.Atom) bool {
 // identical id space. It is the store's only read path: readers and
 // engines work on the copy, and the mirror never escapes.
 func (s *Store) Clone() *database.Database { return s.mem.Clone() }
-
-// sortedRelKeys returns the mirror's relations in a deterministic order
-// for snapshotting.
-func sortedRelKeys(d *database.Database) []core.RelKey {
-	rks := d.Relations()
-	sort.Slice(rks, func(i, j int) bool {
-		a, b := rks[i], rks[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.AnnArity != b.AnnArity {
-			return a.AnnArity < b.AnnArity
-		}
-		return a.Arity < b.Arity
-	})
-	return rks
-}

@@ -2,10 +2,12 @@ package segment
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"guardedrules/internal/core"
@@ -123,7 +125,7 @@ func TestTornTailTruncation(t *testing.T) {
 	batches := parser.MustParseFacts(`
 		Edge(a, b). Edge(b, c). Edge(c, a). Tri(a, b, c). Edge(a, b).
 	`)
-	walPath := filepath.Join(dir, walName(0))
+	walPath := filepath.Join(dir, walFile)
 	for i, a := range batches {
 		s.Add(a)
 		ref.Add(a)
@@ -158,7 +160,7 @@ func TestTornTailTruncation(t *testing.T) {
 			}
 		}
 		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, walName(0)), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cdir, walFile), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		r, err := Open(cdir, Options{})
@@ -170,7 +172,7 @@ func TestTornTailTruncation(t *testing.T) {
 		}
 		assertMirrors(t, r, exp)
 		// The torn tail must be gone from disk.
-		fi, err := os.Stat(filepath.Join(cdir, walName(0)))
+		fi, err := os.Stat(filepath.Join(cdir, walFile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,13 +190,13 @@ func TestCorruptRecordTruncated(t *testing.T) {
 	s := mustOpen(t, dir)
 	s.Add(core.NewAtom("P", core.Const("a")))
 	s.Commit()
-	fi, _ := os.Stat(filepath.Join(dir, walName(0)))
+	fi, _ := os.Stat(filepath.Join(dir, walFile))
 	firstCommit := fi.Size()
 	s.Add(core.NewAtom("P", core.Const("b")))
 	s.Commit()
 	s.Close()
 
-	path := filepath.Join(dir, walName(0))
+	path := filepath.Join(dir, walFile)
 	raw, _ := os.ReadFile(path)
 	raw[firstCommit+5] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
@@ -239,84 +241,51 @@ func TestACDomPinReplay(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
+// The log keeps its name and record bytes, so every directory a store
+// has written reopens unchanged.
+func TestLogFormatPinned(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	ref := database.New()
-	for _, a := range parser.MustParseFacts(`
-		Edge(a, b). Edge(b, c). Edge(c, d). Mark(b).
-	`) {
-		s.Add(a)
-		ref.Add(a)
+	s.Add(core.NewAtom("E", core.Const("a"), core.NewNull("n1")))
+	s.Add(core.NewAtom(core.ACDom, core.Const("z")))
+	s.Retract(core.NewAtom("E", core.Const("a"), core.NewNull("n1")))
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	// Retractions create swap-remove history the snapshot must preserve.
-	s.Retract(core.NewAtom("Edge", core.Const("a"), core.Const("b")))
-	ref.Retract(core.NewAtom("Edge", core.Const("a"), core.Const("b")))
-	s.Add(core.NewAtom(core.ACDom, core.Const("z"))) // pinned, unsupported
-	ref.Add(core.NewAtom(core.ACDom, core.Const("z")))
-	s.Commit()
-	v := s.Version()
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if s.Version() != v {
-		t.Fatalf("Compact changed version: %d → %d", v, s.Version())
-	}
-	assertMirrors(t, s, ref)
-	// Post-compact mutations land in the new generation's log.
-	s.Add(core.NewAtom("Mark", core.Const("c")))
-	ref.Add(core.NewAtom("Mark", core.Const("c")))
-	s.Commit()
 	s.Close()
-
-	r := mustOpen(t, dir)
-	defer r.Close()
-	assertMirrors(t, r, ref)
-	if r.Version() != v+1 {
-		t.Fatalf("Version = %d, want %d", r.Version(), v+1)
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 || entries[0].Name() != "wal-000000.log" {
+		t.Fatalf("store files %v (%v), want only wal-000000.log", entries, err)
 	}
-	// Old generation files must be gone.
-	if _, err := os.Stat(filepath.Join(dir, walName(0))); !os.IsNotExist(err) {
-		t.Fatalf("wal of generation 0 still present: %v", err)
+	got, err := os.ReadFile(filepath.Join(dir, "wal-000000.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Enumeration order must survive the snapshot: compare Facts order
-	// against a store that never compacted.
-	ek := core.RelKey{Name: "Edge", Arity: 2}
-	gotOrder := r.Clone().Facts(ek)
-	wantOrder := ref.Facts(ek)
-	for i := range wantOrder {
-		if gotOrder[i].String() != wantOrder[i].String() {
-			t.Fatalf("enumeration order diverged at %d: %s vs %s", i, gotOrder[i], wantOrder[i])
-		}
+	const want = "00000003010061c436e2eb0000000401016e31329a945d00000006020000000245c88ad7350000000d03000000000000000000000001c5b91ada0000000301007a4e532b070000000a02000000014143446f6d66e4a255000000090300000001000000020cea60f70000000d04000000000000000000000001b8ca1c8200000009050000000000000001db996177"
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("log bytes\n got %x\nwant %s", got, want)
 	}
 }
 
-// TestInterruptedCompact simulates a crash between snapshot publication
-// and old-file cleanup: a stale previous-generation log must not be
-// replayed on top of the new snapshot.
-func TestInterruptedCompact(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	s.Add(core.NewAtom("P", core.Const("a")))
-	s.Retract(core.NewAtom("P", core.Const("a")))
-	s.Add(core.NewAtom("Q", core.Const("b")))
-	s.Commit()
-	ref := s.Clone()
-	s.Compact()
-	s.Close()
-	// Resurrect a stale generation-0 log and a leftover tmp file, as an
-	// interrupted compaction could leave behind.
-	os.WriteFile(filepath.Join(dir, walName(0)), []byte("garbage"), 0o644)
-	os.WriteFile(filepath.Join(dir, snapName(2)+".tmp"), []byte("partial"), 0o644)
-
-	r := mustOpen(t, dir)
-	defer r.Close()
-	assertMirrors(t, r, ref)
-	if _, err := os.Stat(filepath.Join(dir, walName(0))); !os.IsNotExist(err) {
-		t.Fatal("stale generation-0 log not removed")
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapName(2)+".tmp")); !os.IsNotExist(err) {
-		t.Fatal("leftover tmp not removed")
+// A snapshot or a log of another generation fails the open with an
+// error naming the file, and stays on disk.
+func TestOpenRejectsForeignFiles(t *testing.T) {
+	for _, name := range []string{"snapshot-000001.seg", "wal-000001.log"} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		s.Add(core.NewAtom("P", core.Const("a")))
+		s.Commit()
+		s.Close()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: Open error %v, want one naming %s", name, err, path)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
