@@ -59,7 +59,7 @@ func MagicRewrite(th *core.Theory, query core.Atom) (*MagicResult, error) {
 	if !idb[query.Relation] {
 		return nil, fmt.Errorf("magic: query relation %s is not derived by the program", query.Relation)
 	}
-	qa := adornmentOf(query)
+	qa := Adornment(query)
 	m := &magicRewriter{
 		th:    th,
 		idb:   idb,
@@ -162,9 +162,9 @@ type magicRewriter struct {
 	queue []adornedPred
 }
 
-// adornmentOf computes the adornment of an atom: 'b' for constants (or
-// variables in the given bound set), 'f' otherwise.
-func adornmentOf(a core.Atom) string {
+// Adornment computes the adornment of an atom, its binding pattern: 'b'
+// for each constant argument, 'f' for each variable.
+func Adornment(a core.Atom) string {
 	var sb strings.Builder
 	for _, t := range a.Args {
 		if t.IsConst() {

@@ -70,32 +70,9 @@ func (s *Store) RegisterArtifact(ctx context.Context, a Artifact) (kb *CompiledK
 	if a.Mode != ModeTranslated.String() || a.Translated == "" {
 		return s.Register(ctx, a.Source)
 	}
-	s.mu.Lock()
-	if kb, ok := s.kbs.Get(a.ID); ok {
-		s.mu.Unlock()
-		s.metrics.CompileHits.Add(1)
-		return kb, true, nil
-	}
-	s.mu.Unlock()
-
-	kb, shared, err := s.flight.Do(ctx, a.ID, func(cctx context.Context) (*CompiledKB, error) {
-		kb, err := s.compileFromArtifact(a)
-		if err != nil {
-			s.metrics.CompileErrors.Add(1)
-			return nil, err
-		}
-		s.metrics.ArtifactLoads.Add(1)
-		s.mu.Lock()
-		if _, _, evicted := s.kbs.Add(a.ID, kb); evicted {
-			s.metrics.KBEvictions.Add(1)
-		}
-		s.mu.Unlock()
-		return kb, nil
+	return s.intern(ctx, a.ID, &s.metrics.ArtifactLoads, func(context.Context) (*CompiledKB, error) {
+		return s.compileFromArtifact(a)
 	})
-	if shared && err == nil {
-		s.metrics.CompileDedup.Add(1)
-	}
-	return kb, shared, err
 }
 
 // compileFromArtifact rebuilds a ModeTranslated KB from its saved

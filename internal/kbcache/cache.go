@@ -4,7 +4,86 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
+
+	"guardedrules/internal/lru"
 )
+
+// cache is the store's one caching policy, for compiled KBs and for
+// each KB's query plans alike: an LRU of built values, and a flight
+// that shares one build among the concurrent callers of a key. A build
+// is canceled only when every caller waiting on it has gone, and a
+// failed or canceled build is not cached, so the next caller rebuilds
+// cleanly. The counters are the Metrics the cache moves.
+type cache[V any] struct {
+	mu     sync.Mutex
+	lru    *lru.Cache[V]
+	flight flight[V]
+
+	hits      *atomic.Int64 // served from the LRU
+	shared    *atomic.Int64 // served by a concurrent caller's build
+	evictions *atomic.Int64 // values the LRU dropped
+}
+
+func newCache[V any](capacity int, hits, shared, evictions *atomic.Int64) *cache[V] {
+	return &cache[V]{lru: lru.New[V](capacity), hits: hits, shared: shared, evictions: evictions}
+}
+
+// intern returns the value under key, building and caching it on a
+// miss; built counts the successful builds. ctx is this caller's
+// interest in a build. cached reports whether the call reused a cached
+// value or another caller's build instead of running its own.
+func (c *cache[V]) intern(ctx context.Context, key string, built *atomic.Int64, build func(context.Context) (V, error)) (v V, cached bool, err error) {
+	if v, ok := c.get(key); ok {
+		c.hits.Add(1)
+		return v, true, nil
+	}
+	v, shared, err := c.flight.Do(ctx, key, func(cctx context.Context) (V, error) {
+		v, err := build(cctx)
+		if err != nil {
+			return v, err
+		}
+		built.Add(1)
+		c.mu.Lock()
+		_, _, evicted := c.lru.Add(key, v)
+		c.mu.Unlock()
+		if evicted {
+			c.evictions.Add(1)
+		}
+		return v, nil
+	})
+	if shared && err == nil {
+		c.shared.Add(1)
+	}
+	return v, shared, err
+}
+
+// get returns the value under key, marking it most recently used.
+func (c *cache[V]) get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Get(key)
+}
+
+// peek returns the value under key and leaves the LRU order as it is.
+func (c *cache[V]) peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Peek(key)
+}
+
+func (c *cache[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
+}
+
+// keys lists the cached keys, most recently used first.
+func (c *cache[V]) keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Keys()
+}
 
 // flight deduplicates concurrent function calls by key: while one
 // goroutine runs fn for a key, others calling Do with the same key block

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"guardedrules/internal/budget"
@@ -31,7 +32,6 @@ import (
 	"guardedrules/internal/core"
 	"guardedrules/internal/datalog"
 	"guardedrules/internal/lint"
-	"guardedrules/internal/lru"
 	"guardedrules/internal/normalize"
 	"guardedrules/internal/parser"
 	"guardedrules/internal/rewrite"
@@ -122,18 +122,16 @@ func (c Config) chaseDepth() int {
 type Store struct {
 	cfg     Config
 	metrics *Metrics
-
-	mu     sync.Mutex
-	kbs    *lru.Cache[*CompiledKB]
-	flight flight[*CompiledKB]
+	kbs     *cache[*CompiledKB]
 }
 
 // NewStore builds an empty store.
 func NewStore(cfg Config) *Store {
+	m := &Metrics{}
 	return &Store{
 		cfg:     cfg,
-		metrics: &Metrics{},
-		kbs:     lru.New[*CompiledKB](cfg.maxKBs()),
+		metrics: m,
+		kbs:     newCache[*CompiledKB](cfg.maxKBs(), &m.CompileHits, &m.CompileDedup, &m.KBEvictions),
 	}
 }
 
@@ -159,54 +157,35 @@ func HashSource(src string) string {
 // in-flight compilation instead of running its own.
 func (s *Store) Register(ctx context.Context, src string) (kb *CompiledKB, cached bool, err error) {
 	id := HashSource(src)
-	s.mu.Lock()
-	if kb, ok := s.kbs.Get(id); ok {
-		s.mu.Unlock()
-		s.metrics.CompileHits.Add(1)
-		return kb, true, nil
-	}
-	s.mu.Unlock()
+	return s.intern(ctx, id, &s.metrics.CompileMisses, func(cctx context.Context) (*CompiledKB, error) {
+		return s.compile(cctx, id, src)
+	})
+}
 
-	kb, shared, err := s.flight.Do(ctx, id, func(cctx context.Context) (*CompiledKB, error) {
-		kb, err := s.compile(cctx, id, src)
+// intern returns the KB cached under id, or builds and caches it; built
+// counts a successful build, CompileErrors a failed one.
+func (s *Store) intern(ctx context.Context, id string, built *atomic.Int64, build func(context.Context) (*CompiledKB, error)) (*CompiledKB, bool, error) {
+	return s.kbs.intern(ctx, id, built, func(cctx context.Context) (*CompiledKB, error) {
+		kb, err := build(cctx)
 		if err != nil {
 			s.metrics.CompileErrors.Add(1)
-			return nil, err
 		}
-		s.metrics.CompileMisses.Add(1)
-		s.mu.Lock()
-		if _, _, evicted := s.kbs.Add(id, kb); evicted {
-			s.metrics.KBEvictions.Add(1)
-		}
-		s.mu.Unlock()
-		return kb, nil
+		return kb, err
 	})
-	if shared && err == nil {
-		s.metrics.CompileDedup.Add(1)
-	}
-	return kb, shared, err
 }
 
 // Get returns the compiled KB under the id, if it is still cached.
-func (s *Store) Get(id string) (*CompiledKB, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kbs.Get(id)
-}
+func (s *Store) Get(id string) (*CompiledKB, bool) { return s.kbs.get(id) }
 
 // Len is the number of live compiled KBs.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kbs.Len()
-}
+func (s *Store) Len() int { return s.kbs.len() }
 
-// compileBudget is the translation budget of one compilation: the
-// store's static ceilings plus the flight's interest context, so a
-// compile whose every waiter has disconnected stops at its next
+// translateBudget is the budget of one compilation or plan build: the
+// configured ceilings plus the build flight's interest context, so a
+// build whose every waiter has disconnected stops at its next
 // checkpoint instead of running to completion for nobody.
-func (s *Store) compileBudget(ctx context.Context) *budget.T {
-	return &budget.T{Ctx: ctx, Timeout: s.cfg.CompileTimeout, MaxRules: s.cfg.MaxRules}
+func (c Config) translateBudget(ctx context.Context) *budget.T {
+	return &budget.T{Ctx: ctx, Timeout: c.CompileTimeout, MaxRules: c.MaxRules}
 }
 
 // CompiledKB is the immutable pay-once artifact of a theory: parse
@@ -255,10 +234,7 @@ type CompiledKB struct {
 
 	cfg     Config
 	metrics *Metrics
-
-	planMu     sync.Mutex
-	plans      *lru.Cache[*plan]
-	planFlight flight[*plan]
+	plans   *cache[*plan]
 }
 
 // compile runs the pay-once pipeline: parse, lint, classify, translate
@@ -271,7 +247,7 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 	if err != nil {
 		return nil, err
 	}
-	bud := s.compileBudget(ctx)
+	bud := s.cfg.translateBudget(ctx)
 	th := kb.Theory
 	switch {
 	case kb.Class.Member[classify.Datalog]:
@@ -282,58 +258,29 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 		kb.Mode = ModeDatalog
 		kb.program = prog
 		kb.Chain = []string{"source is plain Datalog; compiled directly"}
-	case !th.HasNegation() && kb.Class.Member[classify.NearlyGuarded]:
-		dat, cl, _, err := saturate.Extend(nil, th, saturate.Options{Budget: bud})
+	case !th.HasNegation() && (kb.Class.Member[classify.NearlyGuarded] || kb.Class.Member[classify.NearlyFrontierGuarded]):
+		t, err := translate(nil, th, kb.Class, "Σ", bud)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				return nil, fmt.Errorf("kbcache: compile canceled: %w", err)
 			}
-			kb.fallBackToChase("dat(Σ)", err)
+			kb.fallBackToChase(t.step, err)
 			break
 		}
 		s.metrics.Translations.Add(1)
 		s.metrics.SaturationsFull.Add(1)
-		prog, cerr := datalog.Compile(dat)
+		prog, cerr := datalog.Compile(t.dat)
 		if cerr != nil {
-			return nil, fmt.Errorf("kbcache: dat(Σ): %w", cerr)
+			return nil, fmt.Errorf("kbcache: %s: %w", t.step, cerr)
 		}
-		kb.Mode = ModeTranslated
-		kb.program = prog
-		kb.translated = dat
-		kb.closure = cl
-		kb.Chain = []string{
-			fmt.Sprintf("dat(Σ): nearly guarded → %d Datalog rules (Theorem 3 / Proposition 6)", len(dat.Rules)),
-		}
-	case !th.HasNegation() && kb.Class.Member[classify.NearlyFrontierGuarded]:
-		ng, _, err := rewrite.Rewrite(normalize.Normalize(th), rewrite.Options{Budget: bud})
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, fmt.Errorf("kbcache: compile canceled: %w", err)
+		kb.Mode, kb.program, kb.translated, kb.closure = ModeTranslated, prog, t.dat, t.cl
+		if t.ng == nil {
+			kb.Chain = []string{fmt.Sprintf("%s: nearly guarded → %d Datalog rules (Theorem 3 / Proposition 6)", t.step, len(t.dat.Rules))}
+		} else {
+			kb.Chain = []string{
+				fmt.Sprintf("rew(Σ): nearly frontier-guarded → %d nearly guarded rules (Theorem 1 / Proposition 4)", len(t.ng.Rules)),
+				fmt.Sprintf("%s: → %d Datalog rules (Theorem 3 / Proposition 6)", t.step, len(t.dat.Rules)),
 			}
-			kb.fallBackToChase("rew(Σ)", err)
-			break
-		}
-		dat, cl, _, err := saturate.Extend(nil, ng, saturate.Options{Budget: bud})
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, fmt.Errorf("kbcache: compile canceled: %w", err)
-			}
-			kb.fallBackToChase("dat(rew(Σ))", err)
-			break
-		}
-		s.metrics.Translations.Add(1)
-		s.metrics.SaturationsFull.Add(1)
-		prog, cerr := datalog.Compile(dat)
-		if cerr != nil {
-			return nil, fmt.Errorf("kbcache: dat(rew(Σ)): %w", cerr)
-		}
-		kb.Mode = ModeTranslated
-		kb.program = prog
-		kb.translated = dat
-		kb.closure = cl
-		kb.Chain = []string{
-			fmt.Sprintf("rew(Σ): nearly frontier-guarded → %d nearly guarded rules (Theorem 1 / Proposition 4)", len(ng.Rules)),
-			fmt.Sprintf("dat(rew(Σ)): → %d Datalog rules (Theorem 3 / Proposition 6)", len(dat.Rules)),
 		}
 	default:
 		kb.Mode = ModeChase
@@ -347,6 +294,39 @@ func (s *Store) compile(ctx context.Context, id, src string) (*CompiledKB, error
 			"termination certificate (class %s): per-query chase runs to saturation, budget-free", kb.Termination.Class))
 	}
 	return kb, nil
+}
+
+// translation is what translate produced: rew(th) when th needed it,
+// dat and its frozen closure, and the saturation's stats.
+type translation struct {
+	step string       // the last step run: "dat(Σ)", "rew(Σ)", "dat(rew(Σ))", …
+	ng   *core.Theory // rew(th); nil when th is nearly guarded
+	dat  *core.Theory
+	cl   *saturate.Closure
+	st   *saturate.Stats
+}
+
+// translate runs the paper's chain on th, which rep classifies nearly
+// (frontier-)guarded: rew(th) (Theorem 1 / Proposition 4) unless th is
+// nearly guarded, then dat (Theorem 3 / Proposition 6), saturated by
+// extending the frozen closure base returns, or from scratch when base
+// is nil or returns nil. sym names th in the step names; on error step
+// names the step that failed.
+func translate(base func(*budget.T) *saturate.Closure, th *core.Theory, rep *classify.Report, sym string, bud *budget.T) (t translation, err error) {
+	t.step = "dat(" + sym + ")"
+	if !rep.Member[classify.NearlyGuarded] {
+		t.step = "rew(" + sym + ")"
+		if t.ng, _, err = rewrite.Rewrite(normalize.Normalize(th), rewrite.Options{Budget: bud}); err != nil {
+			return t, err
+		}
+		th, t.step = t.ng, "dat(rew("+sym+"))"
+	}
+	var cl *saturate.Closure
+	if base != nil {
+		cl = base(bud)
+	}
+	t.dat, t.cl, t.st, err = saturate.Extend(cl, th, saturate.Options{Budget: bud})
+	return t, err
 }
 
 // analyze runs the compilation pipeline's cheap, fragment-independent
@@ -373,7 +353,7 @@ func (s *Store) analyze(id, src string) (*CompiledKB, error) {
 	// The lint termination pass already ran the full analysis; reuse it.
 	kb.Termination = lctx.Termination()
 	s.metrics.countTermination(kb.Termination.Class)
-	kb.plans = lru.New[*plan](s.cfg.maxPlans())
+	kb.plans = newCache[*plan](s.cfg.maxPlans(), &s.metrics.PlanHits, &s.metrics.PlanHits, &s.metrics.PlanEvictions)
 	return kb, nil
 }
 
@@ -393,8 +373,4 @@ func (kb *CompiledKB) fallBackToChase(step string, err error) {
 func (kb *CompiledKB) Program() *datalog.Program { return kb.program }
 
 // PlanKeys lists the cached query-plan keys, most recently used first.
-func (kb *CompiledKB) PlanKeys() []string {
-	kb.planMu.Lock()
-	defer kb.planMu.Unlock()
-	return kb.plans.Keys()
-}
+func (kb *CompiledKB) PlanKeys() []string { return kb.plans.keys() }

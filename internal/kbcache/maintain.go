@@ -75,34 +75,25 @@ func (ckb *CompiledKB) baseChain() []string {
 }
 
 // Maintain builds the view sel reads, positioned at the fixpoint of
-// base: the KB's base view, or the plan view of sel's CQ, whose plan is
-// built (or reused) through the same per-shape plan cache as AnswerCQ
-// and classified once with the PlanInfo probe the admission tier uses.
-// Plans that fall back to a per-query bounded chase are rejected with
-// ErrNotMaintainable.
+// base, over the plan Materialize would run: the KB's program for its
+// base view, or the plan of sel's CQ, built (or reused) through the
+// same per-shape plan cache as AnswerCQ. Plans that fall back to a
+// per-query bounded chase are rejected with ErrNotMaintainable.
 func (ckb *CompiledKB) Maintain(ctx context.Context, sel *Selector, base *database.Database, opts QueryOptions) (*MaintainedView, error) {
-	prog, chain := ckb.program, ckb.baseChain()
-	if sel.view != BaseKey {
-		p, _, err := ckb.getPlan(ctx, sel.view, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, sel.q) })
-		if err != nil {
-			ckb.metrics.MaintainRejected.Add(1)
-			return nil, err
-		}
-		// The plan was interned by getPlan above, so chasePerCall is the
-		// cached plan's verdict.
-		if cached, chasePerCall := ckb.PlanInfo(sel.view); !cached || chasePerCall {
-			ckb.metrics.MaintainRejected.Add(1)
-			return nil, fmt.Errorf("%w (plan %s)", ErrNotMaintainable, sel.view)
-		}
-		prog, chain = p.prog, p.chain
+	p, _, err := ckb.planOf(ctx, sel, true)
+	if err == nil && p.kind == planChase {
+		err = fmt.Errorf("%w (plan %s)", ErrNotMaintainable, sel.view)
 	}
-	m, err := datalog.NewMaintained(prog, base, opts.datalogOptions(ckb.metrics))
+	var m *datalog.Maintained
+	if err == nil {
+		m, err = datalog.NewMaintained(p.prog, base, opts.datalogOptions(ckb.metrics))
+	}
 	if err != nil {
 		ckb.metrics.MaintainRejected.Add(1)
 		return nil, err
 	}
 	ckb.metrics.MaintainedHandles.Add(1)
-	return &MaintainedView{ckb: ckb, key: sel.view, chain: chain, m: m}, nil
+	return &MaintainedView{ckb: ckb, key: sel.view, chain: p.chain, m: m}, nil
 }
 
 // Materialize answers sel by evaluating the program of the view it
@@ -112,20 +103,7 @@ func (ckb *CompiledKB) Maintain(ctx context.Context, sel *Selector, base *databa
 // MaterializeCQ's. A base view's is an evaluation of the compiled
 // program, counted as a plan hit: it was compiled at registration.
 func (ckb *CompiledKB) Materialize(ctx context.Context, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedView, error) {
-	if sel.view != BaseKey {
-		return ckb.MaterializeCQ(ctx, sel.q, d, opts)
-	}
-	ckb.metrics.Queries.Add(1)
-	ckb.metrics.PlanHits.Add(1)
-	res, m, err := ckb.evalProgram(ckb.program, d, opts, ckb.baseChain(), sel.answers)
-	var mv *MaintainedView
-	if res != nil {
-		res.PlanKey, res.PlanHit = sel.planKey, true
-	}
-	if m != nil {
-		mv = &MaintainedView{ckb: ckb, key: BaseKey, chain: res.Chain, m: m}
-	}
-	return res, mv, err
+	return ckb.read(ctx, sel, d, opts, true)
 }
 
 // MaintainedQuery is one CQ bound to the maintained view of its own
@@ -173,15 +151,10 @@ func (mq *MaintainedQuery) Answers() [][]core.Term {
 // state, whose KB or plan is no longer cached has outlived the caches
 // that bound its memory.
 func (s *Store) Cached(theoryID, key string) bool {
-	s.mu.Lock()
-	ckb, ok := s.kbs.Peek(theoryID)
-	s.mu.Unlock()
-	if !ok || key == BaseKey {
-		return ok
+	ckb, ok := s.kbs.peek(theoryID)
+	if ok && key != BaseKey {
+		_, ok = ckb.plans.peek(key)
 	}
-	ckb.planMu.Lock()
-	defer ckb.planMu.Unlock()
-	_, ok = ckb.plans.Peek(key)
 	return ok
 }
 

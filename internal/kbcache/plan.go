@@ -13,9 +13,7 @@ import (
 	"guardedrules/internal/database"
 	"guardedrules/internal/datalog"
 	"guardedrules/internal/kb"
-	"guardedrules/internal/normalize"
 	"guardedrules/internal/parser"
-	"guardedrules/internal/rewrite"
 	"guardedrules/internal/saturate"
 	"guardedrules/internal/termination"
 )
@@ -125,58 +123,13 @@ func CQKey(q kb.CQ) string {
 // binding pattern (adornment), so T(a,Y) and T(b,Y) share a plan while
 // T(X,Y) gets its own.
 func AtomKey(query core.Atom) string {
-	return "atom:" + query.Relation + "/" + adornmentOf(query)
+	return "atom:" + query.Relation + "/" + datalog.Adornment(query)
 }
 
-func adornmentOf(query core.Atom) string {
-	b := make([]byte, len(query.Args))
-	for i, t := range query.Args {
-		if t.IsConst() {
-			b[i] = 'b'
-		} else {
-			b[i] = 'f'
-		}
-	}
-	return string(b)
-}
-
-// translateBudget bounds plan-time translations like compile-time ones;
-// ctx is the plan flight's interest context, so a cold-plan build whose
-// every waiter has disconnected stops at its next checkpoint.
-func (ckb *CompiledKB) translateBudget(ctx context.Context) *budget.T {
-	return &budget.T{Ctx: ctx, Timeout: ckb.cfg.CompileTimeout, MaxRules: ckb.cfg.MaxRules}
-}
-
-// getPlan returns the cached plan under key, building and interning it
-// on first use. Concurrent first uses share one build, governed by the
-// same interest-tracking flight as compilations: the build is canceled
-// only when every waiting request has disconnected, and a canceled
-// build is never cached, so the next request rebuilds cleanly.
+// getPlan returns the plan cached under key, building it on first use
+// (see cache).
 func (ckb *CompiledKB) getPlan(ctx context.Context, key string, build func(ctx context.Context) (*plan, error)) (*plan, bool, error) {
-	ckb.planMu.Lock()
-	if p, ok := ckb.plans.Get(key); ok {
-		ckb.planMu.Unlock()
-		ckb.metrics.PlanHits.Add(1)
-		return p, true, nil
-	}
-	ckb.planMu.Unlock()
-	p, shared, err := ckb.planFlight.Do(ctx, key, func(cctx context.Context) (*plan, error) {
-		p, err := build(cctx)
-		if err != nil {
-			return nil, err
-		}
-		ckb.metrics.PlanMisses.Add(1)
-		ckb.planMu.Lock()
-		if _, _, evicted := ckb.plans.Add(key, p); evicted {
-			ckb.metrics.PlanEvictions.Add(1)
-		}
-		ckb.planMu.Unlock()
-		return p, nil
-	})
-	if shared && err == nil {
-		ckb.metrics.PlanHits.Add(1)
-	}
-	return p, shared, err
+	return ckb.plans.intern(ctx, key, &ckb.metrics.PlanMisses, build)
 }
 
 // PlanInfo probes the plan cache under key for admission control:
@@ -186,13 +139,8 @@ func (ckb *CompiledKB) getPlan(ctx context.Context, key string, build func(ctx c
 // even on a hit). The probe touches LRU recency, which is harmless: a
 // probed plan is about to be used.
 func (ckb *CompiledKB) PlanInfo(key string) (cached, chasePerCall bool) {
-	ckb.planMu.Lock()
-	defer ckb.planMu.Unlock()
-	p, ok := ckb.plans.Get(key)
-	if !ok {
-		return false, false
-	}
-	return true, p.kind == planChase
+	p, ok := ckb.plans.get(key)
+	return ok, ok && p.kind == planChase
 }
 
 // AnswerCQ answers the conjunctive query over the database with the
@@ -203,7 +151,7 @@ func (ckb *CompiledKB) PlanInfo(key string) (cached, chasePerCall bool) {
 // exhaustion the sound partial answers are returned alongside the typed
 // *budget.Error.
 func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	res, _, err := ckb.MaterializeCQ(ctx, q, d, opts)
+	res, _, err := ckb.read(ctx, planSelector(q), d, opts, false)
 	return res, err
 }
 
@@ -213,23 +161,149 @@ func (ckb *CompiledKB) AnswerCQ(ctx context.Context, q kb.CQ, d *database.Databa
 // produced the answers, which the caller may keep and advance with
 // Apply. Otherwise the handle is nil.
 func (ckb *CompiledKB) MaterializeCQ(ctx context.Context, q kb.CQ, d *database.Database, opts QueryOptions) (*QueryResult, *MaintainedView, error) {
+	return ckb.read(ctx, planSelector(q), d, opts, true)
+}
+
+// Read answers sel over d and keeps no view. A plan selector's read is
+// AnswerCQ's. A base-view selector filters the answers of the KB's atom
+// plan for its pattern (AtomKey): dat(Σ) has Σ's ground atoms (Theorem 3
+// / Proposition 6), so a single-atom CQ needs no dat(Σ∪q) plan.
+func (ckb *CompiledKB) Read(ctx context.Context, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, error) {
+	res, _, err := ckb.read(ctx, sel, d, opts, false)
+	return res, err
+}
+
+// read is every engine read of the KB: it evaluates the plan planOf
+// picks for sel and selects sel's answers from the run. With keep set,
+// an exact run of a program plan also returns the view it computed.
+func (ckb *CompiledKB) read(ctx context.Context, sel *Selector, d *database.Database, opts QueryOptions, keep bool) (*QueryResult, *MaintainedView, error) {
 	ckb.metrics.Queries.Add(1)
-	key := CQKey(q)
-	p, hit, err := ckb.getPlan(ctx, key, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, q) })
+	p, hit, err := ckb.planOf(ctx, sel, keep)
 	if err != nil {
 		ckb.metrics.QueryErrors.Add(1)
 		return nil, nil, err
 	}
-	res, m, err := ckb.evalPlan(p, d, opts)
+	res, m, err := ckb.eval(p, sel, d, opts, keep)
 	if res != nil {
-		res.PlanKey = key
-		res.PlanHit = hit
+		res.PlanKey, res.PlanHit = sel.planKey, hit
 	}
 	var mv *MaintainedView
 	if m != nil {
-		mv = &MaintainedView{ckb: ckb, key: key, chain: p.chain, m: m}
+		mv = &MaintainedView{ckb: ckb, key: sel.view, chain: p.chain, m: m}
 	}
 	return res, mv, err
+}
+
+// planOf returns the plan that evaluates sel, and whether it was cached:
+// the plan of sel's CQ for a plan view. A base view's plan is the KB's
+// program, compiled at registration, when the caller keeps the view it
+// computes, and otherwise the atom plan of sel's pattern: the base
+// fixpoint can dwarf the goal-directed one.
+func (ckb *CompiledKB) planOf(ctx context.Context, sel *Selector, keep bool) (*plan, bool, error) {
+	switch {
+	case sel.view != BaseKey:
+		return ckb.getPlan(ctx, sel.view, func(cctx context.Context) (*plan, error) { return ckb.buildCQPlan(cctx, sel.q) })
+	case keep:
+		ckb.metrics.PlanHits.Add(1)
+		return &plan{kind: planProgram, prog: ckb.program, queryRel: sel.rel.Name, chain: ckb.baseChain()}, true, nil
+	default:
+		return ckb.getPlan(ctx, sel.planKey, func(context.Context) (*plan, error) {
+			return ckb.buildAtomPlan(core.NewAtom(sel.rel.Name, sel.args...))
+		})
+	}
+}
+
+// eval runs p over d and selects sel's answers from the run's fixpoint,
+// where the plan's query relation holds them: a fact plan selects from
+// d itself, a magic plan from a run seeded with sel's constants (its
+// program depends only on the binding pattern), a program plan from its
+// run, and a chase plan from the chase. With keep set, an exact program
+// run also returns its maintained fixpoint. A budget-truncated run
+// returns its sound partial answers alongside the typed error.
+func (ckb *CompiledKB) eval(p *plan, sel *Selector, d *database.Database, opts QueryOptions, keep bool) (*QueryResult, *datalog.Maintained, error) {
+	var (
+		fix   = d
+		exact = true
+		m     *datalog.Maintained
+		err   error
+	)
+	switch p.kind {
+	case planMagic:
+		var bound []core.Term
+		for _, t := range sel.args {
+			if t.IsConst() {
+				bound = append(bound, t)
+			}
+		}
+		in := d.Clone()
+		in.Add(core.NewAtom(p.seedRel, bound...))
+		fix, err = p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
+	case planProgram:
+		if keep {
+			m, fix, err = datalog.EvalMaintained(p.prog, d, opts.datalogOptions(ckb.metrics))
+		} else {
+			fix, err = p.prog.Eval(d, opts.datalogOptions(ckb.metrics))
+		}
+	case planChase:
+		var res *chase.Result
+		res, err = ckb.runChase(p, d, opts)
+		fix = nil
+		if res != nil {
+			fix, exact = res.DB, res.Saturated
+		}
+	}
+	if err != nil && (fix == nil || !budget.IsBudget(err)) {
+		ckb.metrics.QueryErrors.Add(1)
+		return nil, nil, err
+	}
+	goal := *sel
+	goal.rel.Name = p.queryRel
+	res := &QueryResult{Answers: goal.answers(fix), Exact: exact && err == nil, Chain: p.chain}
+	if err != nil {
+		ckb.metrics.BudgetExhausted.Add(1)
+	}
+	return res, m, err
+}
+
+// runChase chases a chase plan's attached theory over d, certified
+// unless the caller asked for a real ceiling: a context or timeout is
+// cancellation, not a bound, and RunCertified honors it. A certified run
+// has no fact ceiling: the termination certificate proves the fixpoint
+// finite, so the answer is always exact. WA and JA certificates cover the
+// restricted variant only (the fresh-null oblivious chase can diverge on
+// them), so those runs are forced to chase.Restricted — sound and
+// complete regardless of the requested variant, because every saturated
+// chase is a universal model and QAns answers are ground. For weakly
+// acyclic theories the certificate also prices an exact fact bound,
+// which the run asserts; when the closed form overflows the run is
+// merely unpriced, not bounded.
+func (ckb *CompiledKB) runChase(p *plan, d *database.Database, opts QueryOptions) (*chase.Result, error) {
+	copts := chase.Options{Variant: opts.Variant, MaxDepth: opts.MaxDepth, Budget: opts.Budget}
+	if copts.MaxDepth == 0 && p.certified && !bounding(copts.Budget) {
+		if p.class != termination.ClassSWA {
+			copts.Variant = chase.Restricted
+		}
+		bound := 0
+		if p.bound != nil {
+			n0 := d.InternEpoch() + len(p.attached.Constants())
+			if b, ok := p.bound.Facts(n0, d.Len()); ok {
+				bound = b
+			}
+		}
+		ckb.metrics.CertifiedRuns.Add(1)
+		return chase.RunCertified(p.attached, d, bound, copts)
+	}
+	if copts.MaxDepth == 0 && copts.Budget == nil {
+		copts.MaxDepth = ckb.cfg.chaseDepth()
+	}
+	return chase.Run(p.attached, d, copts)
+}
+
+// bounding reports whether the budget imposes an actual work ceiling —
+// a context or timeout alone is cancellation and leaves certified
+// serving eligible.
+func bounding(b *budget.T) bool {
+	return b != nil && (b.MaxFacts > 0 || b.MaxRules > 0 || b.MaxRounds > 0 || b.MaxSteps > 0 || b.FailAtCheckpoint > 0)
 }
 
 // buildCQPlan is the pay-once part of a CQ: Σ ∪ {α ∧ ACDom(~x) → QAns(~x)}
@@ -287,31 +361,11 @@ func (ckb *CompiledKB) buildChasePlan(attached *core.Theory, why string) *plan {
 // to a per-call chase when it does not (or when the translation budget
 // aborts): the fallback is sound, merely not compiled.
 func (ckb *CompiledKB) buildTranslatedCQPlan(ctx context.Context, attached *core.Theory) (*plan, error) {
-	bud := ckb.translateBudget(ctx)
 	rep := classify.Classify(attached)
-	var (
-		dat   *core.Theory
-		st    *saturate.Stats
-		chain []string
-		err   error
-		dname = "dat(Σ∪q)"
-		base  = "Ξ(Σ)"
-	)
-	switch {
-	case rep.Member[classify.NearlyGuarded]:
-		dat, _, st, err = saturate.Extend(ckb.baseClosure(bud), attached, saturate.Options{Budget: bud})
-		chain = []string{"query rule attached (stays nearly guarded)"}
-	case rep.Member[classify.NearlyFrontierGuarded]:
-		var ng *core.Theory
-		ng, _, err = rewrite.Rewrite(normalize.Normalize(attached), rewrite.Options{Budget: bud})
-		if err == nil {
-			dat, _, st, err = saturate.Extend(ckb.baseClosure(bud), ng, saturate.Options{Budget: bud})
-		}
-		chain = []string{"query rule attached (stays nearly frontier-guarded)", "rew(Σ∪q) (Theorem 1)"}
-		dname, base = "dat(rew(Σ∪q))", "Ξ(rew(Σ))"
-	default:
+	if !rep.Member[classify.NearlyGuarded] && !rep.Member[classify.NearlyFrontierGuarded] {
 		return ckb.buildChasePlan(attached, "query rule leaves the translatable fragments; bounded chase per call"), nil
 	}
+	t, err := translate(ckb.baseClosure, attached, rep, "Σ∪q", ckb.cfg.translateBudget(ctx))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			// Cancellation is not a verdict on the plan: nothing is cached,
@@ -320,19 +374,23 @@ func (ckb *CompiledKB) buildTranslatedCQPlan(ctx context.Context, attached *core
 		}
 		return ckb.buildChasePlan(attached, "translation aborted ("+err.Error()+"); bounded chase per call"), nil
 	}
+	chain, base := []string{"query rule attached (stays nearly guarded)"}, "Ξ(Σ)"
+	if t.ng != nil {
+		chain, base = []string{"query rule attached (stays nearly frontier-guarded)", "rew(Σ∪q) (Theorem 1)"}, "Ξ(rew(Σ))"
+	}
 	ckb.metrics.Translations.Add(1)
-	if st.Resumed {
+	if t.st.Resumed {
 		ckb.metrics.SaturationsResumed.Add(1)
-		chain = append(chain, fmt.Sprintf("%s resumed from %s (+%d rules)", dname, base, st.ClosureRules-st.BaseRules))
+		chain = append(chain, fmt.Sprintf("%s resumed from %s (+%d rules)", t.step, base, t.st.ClosureRules-t.st.BaseRules))
 	} else {
 		ckb.metrics.SaturationsFull.Add(1)
-		why := st.FreshReason
+		why := t.st.FreshReason
 		if why == "" {
 			why = "no frozen " + base
 		}
-		chain = append(chain, fmt.Sprintf("%s saturated from scratch (%s)", dname, why))
+		chain = append(chain, fmt.Sprintf("%s saturated from scratch (%s)", t.step, why))
 	}
-	prog, err := datalog.Compile(dat)
+	prog, err := datalog.Compile(t.dat)
 	if err != nil {
 		return nil, err
 	}
@@ -347,24 +405,13 @@ func (ckb *CompiledKB) buildTranslatedCQPlan(ctx context.Context, attached *core
 func (ckb *CompiledKB) baseClosure(bud *budget.T) *saturate.Closure {
 	ckb.closureMu.Lock()
 	defer ckb.closureMu.Unlock()
-	if ckb.closure != nil {
-		return ckb.closure
-	}
-	th := ckb.Theory
-	if !ckb.Class.Member[classify.NearlyGuarded] {
-		ng, _, err := rewrite.Rewrite(normalize.Normalize(th), rewrite.Options{Budget: bud})
-		if err != nil {
-			return nil
+	if ckb.closure == nil {
+		if t, err := translate(nil, ckb.Theory, ckb.Class, "Σ", bud); err == nil {
+			ckb.metrics.SaturationsFull.Add(1)
+			ckb.closure = t.cl
 		}
-		th = ng
 	}
-	_, cl, _, err := saturate.Extend(nil, th, saturate.Options{Budget: bud})
-	if err != nil {
-		return nil
-	}
-	ckb.metrics.SaturationsFull.Add(1)
-	ckb.closure = cl
-	return cl
+	return ckb.closure
 }
 
 // AnswerAtom answers an atomic query — a single atom whose constants are
@@ -376,29 +423,6 @@ func (ckb *CompiledKB) AnswerAtom(ctx context.Context, query core.Atom, d *datab
 		return ckb.Read(ctx, sel, d, opts)
 	}
 	return ckb.answerAtomByCQ(ctx, query, d, opts)
-}
-
-// Read answers sel over d and keeps no view. A plan selector's read is
-// AnswerCQ's. A base-view selector filters the answers of the KB's atom
-// plan for its pattern (AtomKey): dat(Σ) has Σ's ground atoms (Theorem 3
-// / Proposition 6), so a single-atom CQ needs no dat(Σ∪q) plan.
-func (ckb *CompiledKB) Read(ctx context.Context, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	if sel.view != BaseKey {
-		return ckb.AnswerCQ(ctx, sel.q, d, opts)
-	}
-	ckb.metrics.Queries.Add(1)
-	p, hit, err := ckb.getPlan(ctx, sel.planKey, func(context.Context) (*plan, error) {
-		return ckb.buildAtomPlan(core.NewAtom(sel.rel.Name, sel.args...))
-	})
-	if err != nil {
-		ckb.metrics.QueryErrors.Add(1)
-		return nil, err
-	}
-	res, err := ckb.evalAtomPlan(p, sel, d, opts)
-	if res != nil {
-		res.PlanKey, res.PlanHit = sel.planKey, hit
-	}
-	return res, err
 }
 
 // buildAtomPlan builds the plan of the query's binding pattern from the
@@ -416,7 +440,7 @@ func (ckb *CompiledKB) buildAtomPlan(query core.Atom) (*plan, error) {
 		return &plan{kind: planFacts, queryRel: query.Relation, chain: []string{"no rule derives " + query.Relation + "; read from the database's facts"}}, nil
 	}
 	why := "no bound position"
-	if adornment := adornmentOf(query); strings.Contains(adornment, "b") {
+	if adornment := datalog.Adornment(query); strings.Contains(adornment, "b") {
 		mr, err := datalog.MagicRewrite(cone, query)
 		if err == nil {
 			prog, err := datalog.Compile(mr.Program)
@@ -446,155 +470,6 @@ func (ckb *CompiledKB) buildAtomPlan(query core.Atom) (*plan, error) {
 		queryRel: query.Relation,
 		chain:    []string{fmt.Sprintf("%s; evaluates the %d of %d base rules %s depends on", why, len(cone.Rules), len(th.Rules), query.Relation)},
 	}, nil
-}
-
-// evalPlan runs a CQ plan. Budget-truncated runs return their sound
-// partial answers alongside the typed error. An exact run of a program
-// plan also returns its maintained fixpoint.
-func (ckb *CompiledKB) evalPlan(p *plan, d *database.Database, opts QueryOptions) (*QueryResult, *datalog.Maintained, error) {
-	switch p.kind {
-	case planChase:
-		copts := chase.Options{
-			Variant:  opts.Variant,
-			MaxDepth: opts.MaxDepth,
-			Budget:   opts.Budget,
-		}
-		if copts.MaxDepth == 0 {
-			// Certified serving engages unless the caller asked for a real
-			// ceiling: a context or timeout is cancellation, not a bound,
-			// and RunCertified honors it.
-			if p.certified && !bounding(copts.Budget) {
-				res, err := ckb.evalCertified(p, d, copts)
-				return res, nil, err
-			}
-			if copts.Budget == nil {
-				copts.MaxDepth = ckb.cfg.chaseDepth()
-			}
-		}
-		res, err := chase.Run(p.attached, d, copts)
-		if err != nil {
-			if !budget.IsBudget(err) || res == nil {
-				ckb.metrics.QueryErrors.Add(1)
-				return nil, nil, err
-			}
-			ckb.metrics.BudgetExhausted.Add(1)
-			return &QueryResult{
-				Answers: datalog.CollectAnswers(res.DB, p.queryRel),
-				Chain:   p.chain,
-			}, nil, err
-		}
-		return &QueryResult{
-			Answers: datalog.CollectAnswers(res.DB, p.queryRel),
-			Exact:   res.Saturated,
-			Chain:   p.chain,
-		}, nil, nil
-	default:
-		return ckb.evalProgram(p.prog, d, opts, p.chain, func(fix *database.Database) [][]core.Term {
-			return datalog.CollectAnswers(fix, p.queryRel)
-		})
-	}
-}
-
-// evalProgram evaluates a compiled program over d into a maintained
-// fixpoint and collects the answers from it. A budget-truncated run
-// returns its sound partial answers alongside the typed error, and no
-// handle.
-func (ckb *CompiledKB) evalProgram(prog *datalog.Program, d *database.Database, opts QueryOptions, chain []string, answers func(*database.Database) [][]core.Term) (*QueryResult, *datalog.Maintained, error) {
-	m, fix, err := datalog.EvalMaintained(prog, d, opts.datalogOptions(ckb.metrics))
-	if err != nil {
-		if !budget.IsBudget(err) || fix == nil {
-			ckb.metrics.QueryErrors.Add(1)
-			return nil, nil, err
-		}
-		ckb.metrics.BudgetExhausted.Add(1)
-		return &QueryResult{Answers: answers(fix), Chain: chain}, nil, err
-	}
-	return &QueryResult{Answers: answers(fix), Exact: true, Chain: chain}, m, nil
-}
-
-// evalCertified runs a certified chase plan to saturation with no fact
-// ceiling: the termination certificate proves the fixpoint finite, so
-// the answer is always exact. WA and JA certificates cover the
-// restricted variant only (the fresh-null oblivious chase can diverge on
-// them), so those runs are forced to chase.Restricted — sound and
-// complete regardless of the requested variant, because every saturated
-// chase is a universal model and QAns answers are ground. For weakly
-// acyclic theories the certificate also prices an exact fact bound,
-// which the run asserts; when the closed form overflows the run is
-// merely unpriced, not bounded.
-func (ckb *CompiledKB) evalCertified(p *plan, d *database.Database, copts chase.Options) (*QueryResult, error) {
-	if p.class != termination.ClassSWA {
-		copts.Variant = chase.Restricted
-	}
-	bound := 0
-	if p.bound != nil {
-		n0 := d.InternEpoch() + len(p.attached.Constants())
-		if b, ok := p.bound.Facts(n0, d.Len()); ok {
-			bound = b
-		}
-	}
-	ckb.metrics.CertifiedRuns.Add(1)
-	res, err := chase.RunCertified(p.attached, d, bound, copts)
-	if err != nil {
-		// Cancellation or timeout mid-run: the partial answers are sound,
-		// exactly as on the bounded path.
-		if budget.IsBudget(err) && res != nil {
-			ckb.metrics.BudgetExhausted.Add(1)
-			return &QueryResult{
-				Answers: datalog.CollectAnswers(res.DB, p.queryRel),
-				Chain:   p.chain,
-			}, err
-		}
-		ckb.metrics.QueryErrors.Add(1)
-		return nil, err
-	}
-	return &QueryResult{
-		Answers: datalog.CollectAnswers(res.DB, p.queryRel),
-		Exact:   true,
-		Chain:   p.chain,
-	}, nil
-}
-
-// bounding reports whether the budget imposes an actual work ceiling —
-// a context or timeout alone is cancellation and leaves certified
-// serving eligible.
-func bounding(b *budget.T) bool {
-	return b != nil && (b.MaxFacts > 0 || b.MaxRules > 0 || b.MaxRounds > 0 || b.MaxSteps > 0 || b.FailAtCheckpoint > 0)
-}
-
-// evalAtomPlan runs an atom plan and selects sel's answers from its
-// fixpoint, which holds them under the plan's query relation: magic
-// plans get a fresh seed from the pattern's actual constants (the
-// compiled program depends only on the binding pattern), and a fact
-// plan selects from d itself.
-func (ckb *CompiledKB) evalAtomPlan(p *plan, sel *Selector, d *database.Database, opts QueryOptions) (*QueryResult, error) {
-	fix, in := d, d
-	if p.kind == planMagic {
-		var bound []core.Term
-		for _, t := range sel.args {
-			if t.IsConst() {
-				bound = append(bound, t)
-			}
-		}
-		in = d.Clone()
-		in.Add(core.NewAtom(p.seedRel, bound...))
-	}
-	var err error
-	if p.kind != planFacts {
-		fix, err = p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
-	}
-	if err != nil && (fix == nil || !budget.IsBudget(err)) {
-		ckb.metrics.QueryErrors.Add(1)
-		return nil, err
-	}
-	goal := *sel
-	goal.rel.Name = p.queryRel
-	out := goal.answers(fix)
-	if err != nil {
-		ckb.metrics.BudgetExhausted.Add(1)
-		return &QueryResult{Answers: out, Chain: p.chain}, err
-	}
-	return &QueryResult{Answers: out, Exact: true, Chain: p.chain}, nil
 }
 
 // answerAtomByCQ routes an atomic query through the CQ path (chase-mode

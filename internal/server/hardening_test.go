@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -229,6 +231,59 @@ func TestEnginePanicContained(t *testing.T) {
 	var clean queryResponse
 	if code := post(t, ts.URL+"/v1/query", req, &clean); code != 200 || !clean.Exact {
 		t.Fatalf("clean rerun after engine panic: status %d exact %v", code, clean.Exact)
+	}
+}
+
+// lockedBuffer is a log destination safe for the server's goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// Contained panics log one line each, and only the first panic of each
+// kind, handler or engine, logs its stack: two of each log four lines
+// and two stacks. It swaps the process-wide logger, so it does not run
+// in parallel.
+func TestPanicLogsBounded(t *testing.T) {
+	var out lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&out)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	_, ts := newHardenedServer(t, Config{Chaos: true})
+	thID, dbID := registerFixtures(t, ts.URL)
+	for _, req := range []queryRequest{
+		{TheoryID: thID, DBID: dbID, CQ: "B(X) -> Ans(X).", PanicHandler: true},
+		{TheoryID: thID, DBID: dbID, CQ: "B(X) -> Ans(X).", PanicHandler: true},
+		{TheoryID: thID, DBID: dbID, CQ: "T(X,Y) -> Ans(X,Y).", PanicAt: 1},
+		{TheoryID: thID, DBID: dbID, CQ: "T(X,Y) -> Ans(X,Y).", PanicAt: 1},
+	} {
+		if code := post(t, ts.URL+"/v1/query", req, nil); code != http.StatusInternalServerError {
+			t.Fatalf("panicking query: status %d, want 500", code)
+		}
+	}
+	m := metricsSnapshot(t, ts.URL)
+	if m["panics_recovered"] != 2 || m["engine_panics"] != 2 {
+		t.Fatalf("panics_recovered %d, engine_panics %d; want 2 and 2", m["panics_recovered"], m["engine_panics"])
+	}
+	logged := out.String()
+	if n := strings.Count(logged, "server: panic in "); n != 4 {
+		t.Errorf("%d panic lines, want 4:\n%s", n, logged)
+	}
+	if stacks := regexp.MustCompile(`(?m)^goroutine \d+ \[running\]:`).FindAllString(logged, -1); len(stacks) != 2 {
+		t.Errorf("%d stacks logged, want 2:\n%s", len(stacks), logged)
 	}
 }
 

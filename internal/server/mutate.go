@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/datalog"
 	"guardedrules/internal/kb"
@@ -233,10 +232,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, a := range batch {
 		if a.err != nil {
-			var pe *budget.PanicError
-			if errors.As(a.err, &pe) {
-				s.enginePanics.Add(1)
-			}
+			s.logEnginePanic("maintenance", a.err)
 			s.dropViewLocked(ent, a.key, fmt.Errorf("maintenance failed at version %d: %w", next.version, a.err))
 			continue
 		}
@@ -392,9 +388,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			ent.mu.Unlock()
 			release()
-			if errors.As(err, new(*budget.PanicError)) {
-				s.enginePanics.Add(1)
-			}
+			s.logEnginePanic("subscribe", err)
 			if errors.Is(err, kbcache.ErrNotMaintainable) {
 				s.writeJSON(w, http.StatusUnprocessableEntity,
 					errorResponse{Error: err.Error(), Kind: "not_maintainable"})

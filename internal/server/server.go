@@ -373,8 +373,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if v := recover(); v != nil {
-				s.panicsRecovered.Add(1)
-				log.Printf("server: panic in %s handler (contained): %v\n%s", name, v, debug.Stack())
+				s.logPanic(&s.panicsRecovered, name+" handler", v, debug.Stack())
 				rec.status = http.StatusInternalServerError
 				if !rec.wrote {
 					s.writeError(rec, http.StatusInternalServerError,
@@ -389,6 +388,27 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			st.latencyUS.Add(time.Since(start).Microseconds())
 		}()
 		h(rec, r)
+	}
+}
+
+// logPanic counts a contained panic on n (panics_recovered for
+// handlers, engine_panics for engines) and logs it in one line. Only the
+// first panic of each kind also logs its stack: a panic storm must not
+// flood the log with stacks, and the counter still counts every panic.
+func (s *Server) logPanic(n *atomic.Int64, where string, v any, stack []byte) {
+	if n.Add(1) == 1 {
+		log.Printf("server: panic in %s (contained): %v\n%s", where, v, stack)
+		return
+	}
+	log.Printf("server: panic in %s (contained): %v", where, v)
+}
+
+// logEnginePanic logs err through logPanic when a contained engine
+// panic caused it.
+func (s *Server) logEnginePanic(where string, err error) {
+	var pe *budget.PanicError
+	if errors.As(err, &pe) {
+		s.logPanic(&s.enginePanics, where+" engine", pe.Value, pe.Stack)
 	}
 }
 
@@ -995,12 +1015,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil && (res == nil || !budget.IsBudget(err)) {
-		var pe *budget.PanicError
-		if errors.As(err, &pe) {
-			// An engine panicked; the engines contained it to this request
-			// and the evaluation state was discarded.
-			s.enginePanics.Add(1)
-		}
+		// An engine panic was contained to this request by the engine,
+		// and the evaluation state was discarded.
+		s.logEnginePanic("query", err)
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
