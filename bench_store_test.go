@@ -15,12 +15,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/gen"
+	"guardedrules/internal/parser"
 	"guardedrules/internal/store/segment"
 )
 
@@ -116,8 +119,8 @@ func seedSegmentDir(tb testing.TB, n int) (string, int64, int) {
 
 // BenchmarkSegmentStore measures the persistent store against the
 // in-memory baseline: journaled add+commit vs plain adds, cold open
-// from the WAL, and the served-version clone. CI emits the ns/op trajectory as the BENCH_store.json
-// artifact.
+// from the WAL, and the served-version clone. CI emits the trajectory
+// as the BENCH_store.json artifact (TestEmitStoreBenchJSON).
 func BenchmarkSegmentStore(b *testing.B) {
 	for _, n := range []int{1_000, 10_000} {
 		facts := storeBenchFacts(n)
@@ -194,10 +197,34 @@ func BenchmarkSegmentStore(b *testing.B) {
 	}
 }
 
+// storeBenchRuns is the number of timed runs per configuration.
+const storeBenchRuns = 11
+
+// ingestChainFacts renders the load text of servebench's ingest_durable
+// workload: disjoint E-chains of `edges` edges each, with an A fact on
+// every node but the last. It is a copy of servebench's chainFacts, not
+// an import, because servebench is a separate module.
+func ingestChainFacts(prefix string, chains, edges int) string {
+	node := func(c, k int) string { return fmt.Sprintf("%s%d_%d", prefix, c, k) }
+	var b strings.Builder
+	for c := 0; c < chains; c++ {
+		for k := 0; k < edges; k++ {
+			fmt.Fprintf(&b, "E(%s,%s). A(%s). ", node(c, k), node(c, k+1), node(c, k))
+		}
+	}
+	return b.String()
+}
+
 // TestEmitStoreBenchJSON times the BenchmarkSegmentStore configurations
-// once per configuration and writes BENCH_store.json: the write/open/
-// clone latencies plus the on-disk WAL footprint per fact count, and the in-memory heap footprint per fact (heapPerFact):
-// the persistence perf trajectory. Only runs when EMIT_BENCH=1 is set:
+// and one durable load of servebench's ingest_durable shape, and writes
+// BENCH_store.json: per configuration the median and quartiles of
+// storeBenchRuns runs and the heap allocations per run, plus the
+// on-disk WAL footprint per fact count and the in-memory heap footprint
+// per fact (heapPerFact). Every Ingest/chain2500 row starts from the
+// load text: Parse parses it, Build also builds the in-memory database,
+// Journaled instead opens a fresh store, adds every fact, commits and
+// closes, as a durable server load does. Only runs when EMIT_BENCH=1 is
+// set:
 //
 //	EMIT_BENCH=1 go test -run TestEmitStoreBenchJSON .
 func TestEmitStoreBenchJSON(t *testing.T) {
@@ -207,89 +234,109 @@ func TestEmitStoreBenchJSON(t *testing.T) {
 	type entry struct {
 		Name         string `json:"name"`
 		N            int    `json:"n"`
-		NsPerOp      int64  `json:"ns_per_op,omitempty"`
+		MedianNs     int64  `json:"median_ns,omitempty"`
+		Q1Ns         int64  `json:"q1_ns,omitempty"`
+		Q3Ns         int64  `json:"q3_ns,omitempty"`
+		AllocsPerOp  uint64 `json:"allocs_per_op,omitempty"`
 		DiskBytes    int64  `json:"disk_bytes,omitempty"`
 		BytesPerFact int64  `json:"bytes_per_fact,omitempty"`
 	}
 	report := struct {
+		Command    string  `json:"command"`
 		GoMaxProcs int     `json:"gomaxprocs"`
+		NumCPU     int     `json:"num_cpu"`
+		Runs       int     `json:"runs"`
 		Benchmarks []entry `json:"benchmarks"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	const reps = 3
-	best := func(f func()) int64 {
-		var b time.Duration
-		for r := 0; r < reps; r++ {
+	}{
+		Command:    "EMIT_BENCH=1 go test -run TestEmitStoreBenchJSON .",
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Runs:       storeBenchRuns,
+	}
+	measure := func(name string, n int, f func()) entry {
+		f() // warm-up, untimed
+		times := make([]int64, storeBenchRuns)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := range times {
 			t0 := time.Now()
 			f()
-			if el := time.Since(t0); r == 0 || el < b {
-				b = el
-			}
+			times[r] = time.Since(t0).Nanoseconds()
 		}
-		return b.Nanoseconds()
+		runtime.ReadMemStats(&after)
+		e := entry{Name: name, N: n, AllocsPerOp: (after.Mallocs - before.Mallocs) / storeBenchRuns}
+		e.MedianNs, e.Q1Ns, e.Q3Ns = quartiles(times)
+		return e
 	}
+	addCommit := func(dir string, facts []core.Atom) {
+		s, err := segment.Open(dir, segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range facts {
+			s.Add(a)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse := func(src string) []core.Atom {
+		atoms, err := parser.ParseFacts(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return atoms
+	}
+	const chains, edges = 125, 10
+	src := ingestChainFacts("kbenchc", chains, edges)
+	loads, loadDir := 0, t.TempDir()
+	report.Benchmarks = append(report.Benchmarks,
+		measure("Ingest/chain2500/Parse", 2*chains*edges, func() { parse(src) }),
+		measure("Ingest/chain2500/Build", 2*chains*edges, func() { database.FromAtoms(parse(src)) }),
+		measure("Ingest/chain2500/Journaled", 2*chains*edges, func() {
+			loads++
+			addCommit(filepath.Join(loadDir, strconv.Itoa(loads)), parse(src))
+		}))
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		facts := storeBenchFacts(n)
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name: fmt.Sprintf("SegmentStore/MemoryAdd/n=%d", n), N: n,
-			NsPerOp: best(func() {
+		report.Benchmarks = append(report.Benchmarks,
+			measure(fmt.Sprintf("SegmentStore/MemoryAdd/n=%d", n), n, func() {
 				d := database.New()
 				for _, a := range facts {
 					d.Add(a)
 				}
 			}),
-		})
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name: fmt.Sprintf("SegmentStore/AddCommit/n=%d", n), N: n,
-			NsPerOp: best(func() {
-				s, err := segment.Open(t.TempDir(), segment.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, a := range facts {
-					s.Add(a)
-				}
-				if _, err := s.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}),
-		})
+			measure(fmt.Sprintf("SegmentStore/AddCommit/n=%d", n), n, func() { addCommit(t.TempDir(), facts) }))
 		dir, bytes, wantLen := seedSegmentDir(t, n)
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name: fmt.Sprintf("SegmentStore/ColdOpenWAL/n=%d", n), N: n, DiskBytes: bytes,
-			NsPerOp: best(func() {
-				s, err := segment.Open(dir, segment.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}),
+		open := measure(fmt.Sprintf("SegmentStore/ColdOpenWAL/n=%d", n), n, func() {
+			s, err := segment.Open(dir, segment.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		})
+		open.DiskBytes = bytes
 		s, err := segment.Open(dir, segment.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name: fmt.Sprintf("SegmentStore/Clone/n=%d", n), N: n,
-			NsPerOp: best(func() {
+		fact := cloneWriteFact(s.Clone())
+		report.Benchmarks = append(report.Benchmarks, open,
+			measure(fmt.Sprintf("SegmentStore/Clone/n=%d", n), n, func() {
 				if s.Clone().Len() != wantLen {
 					t.Fatal("bad clone")
 				}
 			}),
-		})
-		fact := cloneWriteFact(s.Clone())
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name: fmt.Sprintf("SegmentStore/CloneThenWrite/n=%d", n), N: n,
-			NsPerOp: best(func() {
+			measure(fmt.Sprintf("SegmentStore/CloneThenWrite/n=%d", n), n, func() {
 				if !s.Clone().Add(fact) {
 					t.Fatal("write into the clone was not new")
 				}
-			}),
-		})
+			}))
 		s.Close()
 	}
 	const heapN = 100_000

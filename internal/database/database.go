@@ -7,7 +7,9 @@
 // tuples. Because ids are bijective with terms and keys are scoped by
 // relation key (name, annotation arity, arity), distinct atoms can never
 // collide — unlike naive string serialization, where an unescaped
-// separator inside a constant name conflates R("a,b") with R(a,b).
+// separator inside a constant name conflates R("a,b") with R(a,b). A new
+// term or relation is stored with its own copy of its name, so a
+// database never keeps alive the text its atoms were parsed from.
 //
 // # ACDom maintenance contract
 //
@@ -17,12 +19,14 @@
 //
 //   - The Database derives ACDom facts: every Add of a non-ACDom fact
 //     inserts ACDom(c) for each constant c of the fact (arguments and
-//     annotation). Callers never need to — and, outside of tests, should
-//     not — insert ACDom facts themselves. AddNotify reports the derived
-//     ACDom facts to the caller, so fixpoint engines can propagate them
-//     into their semi-naive deltas: a derived fact that introduces a fresh
-//     constant silently extends ACDom, and an evaluator that does not
-//     treat the new ACDom fact as delta will miss derivations of
+//     annotation). It does so in id space: ACDom(c) is inserted by the id
+//     the add just interned for c, and an ACDom atom is built only for a
+//     notify callback. Callers never need to — and, outside of tests,
+//     should not — insert ACDom facts themselves. AddNotify reports the
+//     derived ACDom facts to the caller, so fixpoint engines can propagate
+//     them into their semi-naive deltas: a derived fact that introduces a
+//     fresh constant silently extends ACDom, and an evaluator that does
+//     not treat the new ACDom fact as delta will miss derivations of
 //     ACDom-reading rules.
 //   - Evaluators must schedule ACDom-reading rules no earlier than rules
 //     that can introduce new head constants. datalog.Stratify implements
@@ -125,23 +129,30 @@ func (d *Database) Add(a core.Atom) bool {
 // comment). Non-ground atoms are rejected with an error wrapping
 // ErrNotGround.
 func (d *Database) AddNotify(a core.Atom, notify func(core.Atom)) (bool, error) {
-	if !a.IsGround() {
-		return false, fmt.Errorf("%w: %s", ErrNotGround, a.String())
-	}
 	var buf [16]uint32
-	key, added := d.insert(buf[:0], a)
-	if !added {
-		return false, nil
+	_, added, err := d.AddTuple(buf[:0], a, notify)
+	return added, err
+}
+
+// AddTuple is AddNotify that also appends the atom's id tuple
+// (arguments first, then annotation) to dst and returns it, whether or
+// not the atom was new; a rejected atom returns dst unchanged. A journal
+// writes the returned tuple as it stands, with no second lookup of the
+// atom's terms.
+func (d *Database) AddTuple(dst []uint32, a core.Atom, notify func(core.Atom)) ([]uint32, bool, error) {
+	if !a.IsGround() {
+		return dst, false, fmt.Errorf("%w: %s", ErrNotGround, a.String())
+	}
+	key := d.internAtom(dst, a)
+	if !d.insert(a.Key(), key) {
+		return key, false, nil
 	}
 	if notify != nil {
 		notify(a)
 	}
 	if a.Relation != core.ACDom {
-		for i, t := range a.Args {
-			d.noteConstant(t, key[i], notify)
-		}
-		for i, t := range a.Annotation {
-			d.noteConstant(t, key[len(a.Args)+i], notify)
+		for _, id := range key {
+			d.noteConstant(id, notify)
 		}
 	} else if len(a.Args) == 1 && len(a.Annotation) == 0 && a.Args[0].IsConst() {
 		// An explicitly added ACDom fact is pinned: it is not retracted
@@ -149,27 +160,27 @@ func (d *Database) AddNotify(a core.Atom, notify func(core.Atom)) (bool, error) 
 		if d.acdomX == nil {
 			d.acdomX = make(map[core.Term]bool)
 		}
-		d.acdomX[a.Args[0]] = true
+		d.acdomX[d.intern.TermOf(key[0])] = true
 	}
-	return true, nil
+	return key, true, nil
 }
 
-// noteConstant counts one more supporting occurrence of the term t with
-// interned id, inserting the derived ACDom(t) fact on its first.
-func (d *Database) noteConstant(t core.Term, id uint32, notify func(core.Atom)) {
+// acdomKey is the relation key of the ACDom facts the database derives.
+var acdomKey = core.RelKey{Name: core.ACDom, Arity: 1}
+
+// noteConstant counts one more supporting occurrence of the term with
+// interned id. On the first occurrence of a constant it inserts the
+// derived ACDom fact by that id; the atom is built only for notify.
+func (d *Database) noteConstant(id uint32, notify func(core.Atom)) {
+	t := d.intern.TermOf(id)
 	if !t.IsConst() {
 		return
 	}
 	c := d.ownACDom()
 	n := c.get(id)
 	c.set(id, n+1)
-	if n > 0 {
-		return
-	}
-	ac := core.NewAtom(core.ACDom, t)
-	var buf [1]uint32
-	if _, added := d.insert(buf[:0], ac); added && notify != nil {
-		notify(ac)
+	if n == 0 && d.insert(acdomKey, []uint32{id}) && notify != nil {
+		notify(core.NewAtom(core.ACDom, t))
 	}
 }
 
@@ -205,33 +216,34 @@ func (d *Database) lookupTuple(dst []uint32, a core.Atom) ([]uint32, bool) {
 	return dst, true
 }
 
-// insert adds a to its relation, with no ACDom side effects, and reports
-// whether it was new. It appends the atom's id tuple to dst and returns
-// it either way.
-func (d *Database) insert(dst []uint32, a core.Atom) ([]uint32, bool) {
-	rk := a.Key()
+// internAtom appends the atom's id tuple to dst like internTuple. A
+// shared intern table is copied first, and only when a term is new.
+func (d *Database) internAtom(dst []uint32, a core.Atom) []uint32 {
+	if d.intern.shared.Load() {
+		if key, ok := d.lookupTuple(dst, a); ok {
+			return key
+		}
+		d.intern = d.intern.clone()
+	}
+	return d.internTuple(dst, a)
+}
+
+// insert adds the fact of rk with id tuple key to its relation, with no
+// ACDom side effects, and reports whether it was new. A new relation's
+// map key gets its own copy of the name, so the database never keeps
+// alive the text an atom was parsed from.
+func (d *Database) insert(rk core.RelKey, key []uint32) bool {
 	r := d.byRel[rk]
-	if r == nil {
+	switch {
+	case r == nil:
+		rk.Name = strings.Clone(rk.Name)
 		r = newRelation(rk)
 		d.byRel[rk] = r
-	}
-	var key []uint32
-	if d.intern.shared.Load() {
-		// Copy a shared intern table only when a term is actually new.
-		var ok bool
-		if key, ok = d.lookupTuple(dst, a); !ok {
-			d.intern = d.intern.clone()
-			key = d.internTuple(dst, a)
-		}
-	} else {
-		key = d.internTuple(dst, a)
-	}
-	if r.seen.has(r, key) {
-		return key, false
-	}
-	if r.shared.Load() {
+	case r.seen.has(r, key):
+		return false
+	case r.shared.Load():
 		r = r.clone()
-		d.byRel[rk] = r
+		d.byRel[r.key] = r
 	}
 	ix := r.n
 	r.n++
@@ -246,7 +258,7 @@ func (d *Database) insert(dst []uint32, a core.Atom) ([]uint32, bool) {
 		m[id] = append(m[id], int32(ix))
 	}
 	d.size++
-	return key, true
+	return true
 }
 
 // removeFact deletes the fact with id tuple key from rk's relation r and
@@ -257,7 +269,7 @@ func (d *Database) removeFact(rk core.RelKey, r *relation, key []uint32) bool {
 			return false
 		}
 		r = r.clone()
-		d.byRel[rk] = r
+		d.byRel[r.key] = r
 	}
 	if !r.remove(key) {
 		return false

@@ -1,6 +1,7 @@
 package database
 
 import (
+	"strings"
 	"sync/atomic"
 
 	"guardedrules/internal/core"
@@ -30,11 +31,14 @@ func newInternTable() *internTable {
 }
 
 // Intern returns the id of t, assigning the next dense id if t is new.
+// A new term is stored with its own copy of the name, so the table
+// never keeps alive the text t was parsed from.
 func (in *internTable) Intern(t core.Term) uint32 {
 	if id, ok := in.ids[t]; ok {
 		return id
 	}
 	id := uint32(len(in.terms))
+	t.Name = strings.Clone(t.Name)
 	in.ids[t] = id
 	in.terms = append(in.terms, t)
 	return id

@@ -3,8 +3,10 @@ package database
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"guardedrules/internal/core"
+	"guardedrules/internal/parser"
 )
 
 // Regression for the key-collision soundness bug: the old string dedup key
@@ -166,4 +168,54 @@ func TestWideAtoms(t *testing.T) {
 	if d.Has(core.NewAtom("Wide", args2...)) {
 		t.Error("wide atoms differing in the last position must be distinct")
 	}
+}
+
+// pointsInto reports whether s is a non-empty substring of src's bytes.
+func pointsInto(s, src string) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return len(s) > 0 && p >= lo && p < lo+uintptr(len(src))
+}
+
+// A database built from parsed facts keeps none of the source text
+// alive: the parser hands out substrings of its input, and every term
+// name, relation name and pinned ACDom term the database stores is its
+// own copy. So a cached database never pins the request body it was
+// loaded from, nor one of a later batch written into a clone.
+func TestBuildPinsNoSource(t *testing.T) {
+	src := "E(a,b). R[n](a,_:x). ACDom(z). E(b,c). Q()."
+	atoms, err := parser.ParseFacts(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pointsInto(atoms[0].Relation, src) || !pointsInto(atoms[1].Args[1].Name, src) {
+		t.Fatal("parsed names are not substrings of the source: this test would check nothing")
+	}
+	check := func(d *Database, src string) {
+		t.Helper()
+		for _, tm := range d.intern.terms {
+			if pointsInto(tm.Name, src) {
+				t.Errorf("interned term %v points into the source", tm)
+			}
+		}
+		for rk, r := range d.byRel {
+			if pointsInto(rk.Name, src) || pointsInto(r.key.Name, src) {
+				t.Errorf("relation %v points into the source", rk)
+			}
+		}
+		for tm := range d.acdomX {
+			if pointsInto(tm.Name, src) {
+				t.Errorf("pinned ACDom term %v points into the source", tm)
+			}
+		}
+	}
+	d := FromAtoms(atoms)
+	check(d, src)
+	// A batch into a clone copies the shared relation E and interns d.
+	batch := "E(c,d). E(a,b)."
+	c := d.Clone()
+	for _, a := range parser.MustParseFacts(batch) {
+		c.Add(a)
+	}
+	check(c, batch)
 }

@@ -20,7 +20,10 @@ import (
 // through either database goes to a private clone instead.
 type relation struct {
 	shared atomic.Bool
-	w      int
+	// key is the relation's own byRel key. A clone is stored under it: a
+	// caller's key would replace the map's, and may point into parsed text.
+	key core.RelKey
+	w   int
 	// n is the fact count: len(ids)/w, except that nullary relations
 	// (w = 0) have no ids to count.
 	n   int
@@ -34,7 +37,7 @@ type relation struct {
 
 func newRelation(rk core.RelKey) *relation {
 	w := rk.Arity + rk.AnnArity
-	return &relation{w: w, index: make([]map[uint32][]int32, w)}
+	return &relation{key: rk, w: w, index: make([]map[uint32][]int32, w)}
 }
 
 // tupleAt returns the packed id tuple of fact ordinal ix.
@@ -46,6 +49,7 @@ func (r *relation) tupleAt(ix int) []uint32 { return r.ids[ix*r.w : ix*r.w+r.w] 
 // independently.
 func (r *relation) clone() *relation {
 	out := &relation{
+		key:   r.key,
 		w:     r.w,
 		n:     r.n,
 		ids:   append([]uint32(nil), r.ids...),

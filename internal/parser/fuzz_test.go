@@ -27,6 +27,9 @@ func FuzzParse(f *testing.F) {
 		`not -> .`,
 		"R(X) -> exists Y,Z. S(X,Y,Z).",
 		"hasTopic(X,Z), hasAuthor(X,U) -> Q(U).",
+		// Token text is a substring of the source: the '_:' and '?'
+		// prefixes must stay out of names, in annotations too.
+		"R[?u,_:n](?x,Y) -> exists ?z. P[?u](Y,?z). S[c,_:m](_:n1,d).",
 	}
 	for _, s := range seeds {
 		f.Add(s)

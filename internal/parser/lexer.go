@@ -170,34 +170,21 @@ scan:
 		}
 		return token{}, l.errorf(line, col, "unexpected character '-' (expected '->')")
 	}
+	// Token text is a substring of the source: a token allocates nothing.
 	if c == '_' {
 		if c2, ok := l.peekByte(); ok && c2 == ':' {
 			l.advance()
-			var sb strings.Builder
-			for {
-				c3, ok := l.peekByte()
-				if !ok || !isIdentPart(c3) {
-					break
-				}
-				sb.WriteByte(l.advance())
-			}
-			if sb.Len() == 0 {
+			name := l.identTail()
+			if name == "" {
 				return token{}, l.errorf(line, col, "empty null name after '_:'")
 			}
-			return token{tokNull, sb.String(), line, col}, nil
+			return token{tokNull, name, line, col}, nil
 		}
 	}
 	if isIdentStart(c) {
-		var sb strings.Builder
-		sb.WriteByte(c)
-		for {
-			c2, ok := l.peekByte()
-			if !ok || !isIdentPart(c2) {
-				break
-			}
-			sb.WriteByte(l.advance())
-		}
-		text := sb.String()
+		start := l.pos - 1
+		l.identTail()
+		text := l.src[start:l.pos]
 		switch text {
 		case "not":
 			return token{tokNot, text, line, col}, nil
@@ -215,4 +202,14 @@ scan:
 		return token{tokIdent, text, line, col}, nil
 	}
 	return token{}, l.errorf(line, col, "unexpected character %q", string(rune(c)))
+}
+
+// identTail consumes the identifier characters at the current position
+// and returns them.
+func (l *lexer) identTail() string {
+	start := l.pos
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
+		l.advance()
+	}
+	return l.src[start:l.pos]
 }

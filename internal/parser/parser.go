@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"guardedrules/internal/core"
@@ -22,6 +23,7 @@ type parser struct {
 	// package can report safety violations as positioned diagnostics
 	// instead of the parser rejecting the input outright.
 	lenient bool
+	buf     []core.Term // terms' scratch list
 }
 
 func newParser(src string) (*parser, error) {
@@ -129,29 +131,31 @@ func (p *parser) statement(prog *Program) error {
 	if p.tok.kind == tokArrow {
 		return p.ruleFrom(prog, nil, line, col)
 	}
+	// A fact allocates only its arguments: body stays nil until a ',' or
+	// '->' makes the statement a rule.
 	var body []core.Literal
 	for {
 		lit, err := p.literal()
 		if err != nil {
 			return err
 		}
-		body = append(body, lit)
 		switch p.tok.kind {
 		case tokComma:
+			body = append(body, lit)
 			if err := p.next(); err != nil {
 				return err
 			}
 		case tokArrow:
-			return p.ruleFrom(prog, body, line, col)
+			return p.ruleFrom(prog, append(body, lit), line, col)
 		case tokDot:
 			// A fact.
-			if len(body) != 1 || body[0].Negated {
+			if len(body) > 0 || lit.Negated {
 				return fmt.Errorf("line %d: expected '->' before '.'", line)
 			}
-			if !body[0].Atom.IsGround() {
-				return fmt.Errorf("line %d: fact %v is not ground", line, body[0].Atom)
+			if !lit.Atom.IsGround() {
+				return fmt.Errorf("line %d: fact %v is not ground", line, lit.Atom)
 			}
-			prog.Facts = append(prog.Facts, body[0].Atom)
+			prog.Facts = append(prog.Facts, lit.Atom)
 			return p.next()
 		default:
 			return fmt.Errorf("%d:%d: expected ',', '->' or '.', found %v %q", p.tok.line, p.tok.col, p.tok.kind, p.tok.text)
@@ -245,22 +249,11 @@ func (p *parser) atom() (core.Atom, error) {
 		if err := p.next(); err != nil {
 			return core.Atom{}, err
 		}
-		for {
-			t, err := p.term()
-			if err != nil {
-				return core.Atom{}, err
-			}
-			a.Annotation = append(a.Annotation, t)
-			if p.tok.kind != tokComma {
-				break
-			}
-			if err := p.next(); err != nil {
-				return core.Atom{}, err
-			}
-		}
-		if _, err := p.expect(tokRBrack); err != nil {
+		ann, err := p.terms(tokRBrack)
+		if err != nil {
 			return core.Atom{}, err
 		}
+		a.Annotation = ann
 	}
 	if _, err := p.expect(tokLParen); err != nil {
 		return core.Atom{}, err
@@ -269,25 +262,38 @@ func (p *parser) atom() (core.Atom, error) {
 		a.Span.EndLine, a.Span.EndCol = p.tok.line, p.tok.col+1
 		return a, p.next()
 	}
+	args, err := p.terms(tokRParen)
+	if err != nil {
+		return core.Atom{}, err
+	}
+	a.Args = args
+	// p.prev is the closing ')'.
+	a.Span.EndLine, a.Span.EndCol = p.prev.line, p.prev.col+1
+	return a, nil
+}
+
+// terms parses a non-empty comma-separated term list and its closing
+// token. It collects the terms in the reused p.buf, so the returned
+// slice, of exactly their length, is the list's one allocation.
+func (p *parser) terms(close tokenKind) ([]core.Term, error) {
+	p.buf = p.buf[:0]
 	for {
 		t, err := p.term()
 		if err != nil {
-			return core.Atom{}, err
+			return nil, err
 		}
-		a.Args = append(a.Args, t)
+		p.buf = append(p.buf, t)
 		if p.tok.kind != tokComma {
 			break
 		}
 		if err := p.next(); err != nil {
-			return core.Atom{}, err
+			return nil, err
 		}
 	}
-	if _, err := p.expect(tokRParen); err != nil {
-		return core.Atom{}, err
+	if _, err := p.expect(close); err != nil {
+		return nil, err
 	}
-	// p.prev is the closing ')'.
-	a.Span.EndLine, a.Span.EndCol = p.prev.line, p.prev.col+1
-	return a, nil
+	return slices.Clone(p.buf), nil
 }
 
 func (p *parser) term() (core.Term, error) {

@@ -148,7 +148,8 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("durable commit failed, batch not applied: %w", err))
 			return
 		}
-		next = &dbVersion{db: ent.seg.Clone(), version: ver, facts: cur.facts + added - retracted}
+		db := ent.seg.Clone()
+		next = &dbVersion{db: db, version: ver, facts: userFacts(db)}
 	} else {
 		work := cur.db.Clone()
 		for _, f := range dels {
@@ -161,7 +162,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 				added++
 			}
 		}
-		next = &dbVersion{db: work, version: cur.version + 1, facts: cur.facts + added - retracted}
+		next = &dbVersion{db: work, version: cur.version + 1, facts: userFacts(work)}
 	}
 	// Advance every view to next before publishing it, so the first
 	// reader of next already finds them. A view without subscribers is

@@ -137,6 +137,46 @@ func TestServerRestartContinuity(t *testing.T) {
 	}
 }
 
+// A load acknowledges the distinct user facts its database holds: a
+// fact given twice counts once, and an ACDom fact, whose relation the
+// database maintains itself, not at all. That is the count a restart
+// reports and the base the next batch adds to, on the memory and the
+// durable path alike.
+func TestLoadAcknowledgesDistinctFacts(t *testing.T) {
+	const src, batch = "E(a,b). E(a,b). A(a). ACDom(z).", "E(b,c). E(a,b). ACDom(y)."
+	load := func(base string) string {
+		t.Helper()
+		var db dbResponse
+		if code := post(t, base+"/v1/dbs", dbRequest{Facts: src}, &db); code != 200 || db.Facts != 2 {
+			t.Fatalf("load: status %d, %d facts acknowledged, want 200 and 2", code, db.Facts)
+		}
+		return db.ID
+	}
+	addBatch := func(base, id string) {
+		t.Helper()
+		var fr factsResponse
+		if code := post(t, base+"/v1/dbs/"+id+"/facts", factsRequest{Add: batch}, &fr); code != 200 || fr.Facts != 3 {
+			t.Fatalf("batch: status %d, %d facts, want 200 and 3", code, fr.Facts)
+		}
+	}
+	ts := newTestServer(t)
+	addBatch(ts.URL, load(ts.URL))
+
+	dir := t.TempDir()
+	srv1, ts1 := newPersistentServer(t, dir, Config{})
+	id := load(ts1.URL)
+	if err := srv1.CloseData(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	_, ts2 := newPersistentServer(t, dir, Config{})
+	var info dbInfoResponse
+	if code := get(t, ts2.URL+"/v1/dbs/"+id, &info); code != 200 || info.Facts != 2 {
+		t.Fatalf("db info after restart: status %d, %d facts, want 200 and 2", code, info.Facts)
+	}
+	addBatch(ts2.URL, id)
+}
+
 // An unclean stop (no CloseData — the process just dies) loses nothing
 // committed: acknowledged batches are journaled before their response.
 func TestServerUncleanStopKeepsCommittedBatches(t *testing.T) {

@@ -197,7 +197,7 @@ type endpointStats struct {
 type dbVersion struct {
 	db      *database.Database
 	version uint64
-	facts   int
+	facts   int // userFacts(db)
 
 	// views maps a viewKey to the *versionView of that view at exactly
 	// this version. It hangs off the version, so a view can never answer
@@ -755,7 +755,8 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 // a mutated DB.
 func (s *Server) setupLocked(ent *dbEntry, atoms []core.Atom) error {
 	if !s.persistent() {
-		ent.cur.Store(&dbVersion{db: database.FromAtoms(atoms), version: 1, facts: len(atoms)})
+		db := database.FromAtoms(atoms)
+		ent.cur.Store(&dbVersion{db: db, version: 1, facts: userFacts(db)})
 		return nil
 	}
 	seg, err := s.openSeg(ent.id)
@@ -773,12 +774,8 @@ func (s *Server) setupLocked(ent *dbEntry, atoms []core.Atom) error {
 		}
 	}
 	db := seg.Clone()
-	facts := len(atoms)
-	if !fresh {
-		facts = userFacts(db)
-	}
 	ent.seg = seg
-	ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: facts})
+	ent.cur.Store(&dbVersion{db: db, version: seg.Version(), facts: userFacts(db)})
 	return nil
 }
 

@@ -51,7 +51,8 @@ type Store struct {
 	loggedTerms int // intern ids below this are journaled
 
 	scratch []byte
-	err     error // first journaling failure; store refuses writes after
+	frame   []byte // writeRecord's framing buffer
+	err     error  // first journaling failure; store refuses writes after
 	closed  bool
 }
 
@@ -256,11 +257,13 @@ func (s *Store) logNewTerms() {
 }
 
 // relIDFor returns the durable relation id for rk, journaling a rel
-// record the first time rk is seen.
+// record the first time rk is seen. The table keeps its own copy of the
+// name, never the text the fact was parsed from.
 func (s *Store) relIDFor(rk core.RelKey) uint32 {
 	if id, ok := s.relIDs[rk]; ok {
 		return id
 	}
+	rk.Name = strings.Clone(rk.Name)
 	id := uint32(len(s.relKeys))
 	s.relIDs[rk] = id
 	s.relKeys = append(s.relKeys, rk)
@@ -272,29 +275,24 @@ func (s *Store) relIDFor(rk core.RelKey) uint32 {
 	return id
 }
 
-// journalOp journals an add or del of a ground fact already applied to
-// the mirror.
-func (s *Store) journalOp(typ byte, a core.Atom) {
-	var buf [16]uint32
-	ids, ok := s.mem.FactIDs(buf[:0], a)
-	if !ok {
-		// Unreachable for applied mutations: the mirror interned the terms.
-		s.fail(fmt.Errorf("segment: fact %s has unknown terms", a.String()))
-		return
-	}
+// journalOp journals an add or del, already applied to the mirror, of
+// the fact of rk with the id tuple the mirror resolved.
+func (s *Store) journalOp(typ byte, rk core.RelKey, ids []uint32) {
 	s.logNewTerms()
-	relID := s.relIDFor(a.Key())
+	relID := s.relIDFor(rk)
 	s.scratch = append(s.scratch[:0], typ)
 	s.scratch = PackKey(s.scratch, relID, ids)
 	s.writeRecord(s.scratch)
 }
 
+// writeRecord frames the payload into the store's one reused frame
+// buffer and appends it to the log.
 func (s *Store) writeRecord(payload []byte) {
 	if s.err != nil {
 		return
 	}
-	rec := appendRecord(nil, payload)
-	if _, err := s.w.Write(rec); err != nil {
+	s.frame = appendRecord(s.frame[:0], payload)
+	if _, err := s.w.Write(s.frame); err != nil {
 		s.fail(fmt.Errorf("segment: append: %w", err))
 	}
 }
@@ -376,11 +374,13 @@ func (s *Store) Add(a core.Atom) bool {
 	if s.closed || s.err != nil {
 		return false
 	}
-	if !s.mem.Add(a) {
-		return false
+	var buf [16]uint32
+	// A non-ground atom is refused and reports false, as documented.
+	ids, added, _ := s.mem.AddTuple(buf[:0], a, nil)
+	if added {
+		s.journalOp(recAdd, a.Key(), ids)
 	}
-	s.journalOp(recAdd, a)
-	return true
+	return added
 }
 
 // Retract applies the retraction to the mirror and journals it,
@@ -393,8 +393,9 @@ func (s *Store) Retract(a core.Atom) bool {
 	}
 	removed := s.mem.Retract(a)
 	if removed || a.Relation == core.ACDom {
-		if _, ok := s.mem.FactIDs(nil, a); ok {
-			s.journalOp(recDel, a)
+		var buf [16]uint32
+		if ids, ok := s.mem.FactIDs(buf[:0], a); ok {
+			s.journalOp(recDel, a.Key(), ids)
 		}
 	}
 	return removed

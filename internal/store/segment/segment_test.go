@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
@@ -373,5 +374,23 @@ func TestCloseDiscardsWrites(t *testing.T) {
 	}
 	if !s.Clone().Has(core.NewAtom("P", core.Const("a"))) {
 		t.Fatal("Clone must keep working after Close")
+	}
+}
+
+// The store's relation table keeps its own copy of each relation name:
+// a store held open by a server never pins the request body its facts
+// were parsed from. (The mirror's own copies are database's concern.)
+func TestRelTablePinsNoSource(t *testing.T) {
+	src := "E(a,b). A[n](a)."
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	for _, a := range parser.MustParseFacts(src) {
+		s.Add(a)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	for _, rk := range s.relKeys {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(rk.Name))); p >= lo && p < lo+uintptr(len(src)) {
+			t.Errorf("relation %v points into the source", rk)
+		}
 	}
 }
