@@ -7,10 +7,9 @@ package guardedrules
 // replaying the WAL), and the cost of publishing an
 // immutable served version: a copy-on-write clone, whose copying lands
 // on the first write to each relation (the CloneThenWrite row).
-// BENCH_store.json records the trajectory (see TestEmitStoreBenchJSON).
+// BENCH_store.json records their rows (see TestEmitBenchJSON).
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,11 +17,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
-	"guardedrules/internal/gen"
 	"guardedrules/internal/parser"
 	"guardedrules/internal/store/segment"
 )
@@ -70,59 +67,65 @@ func heapPerFact(n int) int64 {
 	return (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(n)
 }
 
-// seedSegmentDir populates a fresh store directory with n committed
-// user facts and returns its path, its on-disk size in bytes, and the
-// total fact count (user facts plus derived ACDom bookkeeping).
-func seedSegmentDir(tb testing.TB, n int) (string, int64, int) {
-	tb.Helper()
-	dir := tb.TempDir()
-	s, err := segment.Open(dir, segment.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, a := range storeBenchFacts(n) {
-		s.Add(a)
-	}
-	if _, err := s.Commit(); err != nil {
-		tb.Fatal(err)
-	}
-	wantLen := s.Clone().Len()
-	if err := s.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	// Reopen once outside any timed region: the cold-open loops below
-	// then time Open+Close alone.
+// seedSegmentDir commits the n-fact workload to a fresh store directory
+// and returns its path, its size on disk in bytes, and its fact count
+// (user facts plus derived ACDom facts). It reopens the store once to
+// check that count, outside any timed region, so the cold-open rows time
+// Open+Close alone.
+func seedSegmentDir(b *testing.B, n int) (string, int64, int) {
+	dir := b.TempDir()
+	facts := storeBenchFacts(n)
+	addCommit(b, dir, facts)
 	r, err := segment.Open(dir, segment.Options{})
 	if err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
+	wantLen := database.FromAtoms(facts).Len()
 	if got := r.Clone().Len(); got != wantLen {
-		tb.Fatalf("opened %d facts, want %d", got, wantLen)
+		b.Fatalf("opened %d facts, want %d", got, wantLen)
 	}
 	if err := r.Close(); err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
 	var bytes int64
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
 	for _, e := range entries {
-		fi, err := os.Stat(filepath.Join(dir, e.Name()))
+		fi, err := e.Info()
 		if err != nil {
-			tb.Fatal(err)
+			b.Fatal(err)
 		}
 		bytes += fi.Size()
 	}
 	return dir, bytes, wantLen
 }
 
+// addCommit opens a fresh store in dir, adds facts, commits and closes.
+func addCommit(b *testing.B, dir string, facts []core.Atom) {
+	s, err := segment.Open(dir, segment.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range facts {
+		s.Add(a)
+	}
+	if _, err := s.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSegmentStore measures the persistent store against the
 // in-memory baseline: journaled add+commit vs plain adds, cold open
-// from the WAL, and the served-version clone. CI emits the trajectory
-// as the BENCH_store.json artifact (TestEmitStoreBenchJSON).
+// from the WAL (with the WAL's size on disk), the served-version clone
+// alone and followed by one write, and the live heap per fact of an
+// in-memory database (heapPerFact).
 func BenchmarkSegmentStore(b *testing.B) {
-	for _, n := range []int{1_000, 10_000} {
+	for _, n := range []int{1_000, 10_000, 100_000} {
 		facts := storeBenchFacts(n)
 		b.Run(fmt.Sprintf("MemoryAdd/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -137,24 +140,11 @@ func BenchmarkSegmentStore(b *testing.B) {
 				b.StopTimer()
 				dir := b.TempDir()
 				b.StartTimer()
-				s, err := segment.Open(dir, segment.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, a := range facts {
-					s.Add(a)
-				}
-				if _, err := s.Commit(); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
-				}
+				addCommit(b, dir, facts)
 			}
 		})
+		dir, bytes, wantLen := seedSegmentDir(b, n)
 		b.Run(fmt.Sprintf("ColdOpenWAL/n=%d", n), func(b *testing.B) {
-			dir, _, _ := seedSegmentDir(b, n)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, err := segment.Open(dir, segment.Options{})
 				if err != nil {
@@ -164,15 +154,14 @@ func BenchmarkSegmentStore(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(bytes), "disk_bytes")
 		})
+		s, err := segment.Open(dir, segment.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fact := cloneWriteFact(s.Clone())
 		b.Run(fmt.Sprintf("Clone/n=%d", n), func(b *testing.B) {
-			dir, _, wantLen := seedSegmentDir(b, n)
-			s, err := segment.Open(dir, segment.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if s.Clone().Len() != wantLen {
 					b.Fatal("bad clone")
@@ -180,25 +169,23 @@ func BenchmarkSegmentStore(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("CloneThenWrite/n=%d", n), func(b *testing.B) {
-			dir, _, _ := seedSegmentDir(b, n)
-			s, err := segment.Open(dir, segment.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			fact := cloneWriteFact(s.Clone())
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !s.Clone().Add(fact) {
 					b.Fatal("write into the clone was not new")
 				}
 			}
 		})
+		s.Close()
 	}
+	const heapN = 100_000
+	b.Run(fmt.Sprintf("HeapPerFact/n=%d", heapN), func(b *testing.B) {
+		var perFact int64
+		for i := 0; i < b.N; i++ {
+			perFact = heapPerFact(heapN)
+		}
+		b.ReportMetric(float64(perFact), "heap_bytes_per_fact")
+	})
 }
-
-// storeBenchRuns is the number of timed runs per configuration.
-const storeBenchRuns = 11
 
 // ingestChainFacts renders the load text of servebench's ingest_durable
 // workload: disjoint E-chains of `edges` edges each, with an A fact on
@@ -215,165 +202,37 @@ func ingestChainFacts(prefix string, chains, edges int) string {
 	return b.String()
 }
 
-// TestEmitStoreBenchJSON times the BenchmarkSegmentStore configurations
-// and one durable load of servebench's ingest_durable shape, and writes
-// BENCH_store.json: per configuration the median and quartiles of
-// storeBenchRuns runs and the heap allocations per run, plus the
-// on-disk WAL footprint per fact count and the in-memory heap footprint
-// per fact (heapPerFact). Every Ingest/chain2500 row starts from the
-// load text: Parse parses it, Build also builds the in-memory database,
-// Journaled instead opens a fresh store, adds every fact, commits and
-// closes, as a durable server load does. Only runs when EMIT_BENCH=1 is
-// set:
-//
-//	EMIT_BENCH=1 go test -run TestEmitStoreBenchJSON .
-func TestEmitStoreBenchJSON(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_store.json")
-	}
-	type entry struct {
-		Name         string `json:"name"`
-		N            int    `json:"n"`
-		MedianNs     int64  `json:"median_ns,omitempty"`
-		Q1Ns         int64  `json:"q1_ns,omitempty"`
-		Q3Ns         int64  `json:"q3_ns,omitempty"`
-		AllocsPerOp  uint64 `json:"allocs_per_op,omitempty"`
-		DiskBytes    int64  `json:"disk_bytes,omitempty"`
-		BytesPerFact int64  `json:"bytes_per_fact,omitempty"`
-	}
-	report := struct {
-		Command    string  `json:"command"`
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Runs       int     `json:"runs"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		Command:    "EMIT_BENCH=1 go test -run TestEmitStoreBenchJSON .",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Runs:       storeBenchRuns,
-	}
-	measure := func(name string, n int, f func()) entry {
-		f() // warm-up, untimed
-		times := make([]int64, storeBenchRuns)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for r := range times {
-			t0 := time.Now()
-			f()
-			times[r] = time.Since(t0).Nanoseconds()
-		}
-		runtime.ReadMemStats(&after)
-		e := entry{Name: name, N: n, AllocsPerOp: (after.Mallocs - before.Mallocs) / storeBenchRuns}
-		e.MedianNs, e.Q1Ns, e.Q3Ns = quartiles(times)
-		return e
-	}
-	addCommit := func(dir string, facts []core.Atom) {
-		s, err := segment.Open(dir, segment.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range facts {
-			s.Add(a)
-		}
-		if _, err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	parse := func(src string) []core.Atom {
+// BenchmarkIngest times one load of servebench's ingest_durable shape,
+// 2,500 facts of disjoint E-chains, each starting from the load text:
+// Parse parses it, Build also builds the in-memory database, Journaled
+// instead opens a fresh store, adds every fact, commits and closes, as a
+// durable server load does.
+func BenchmarkIngest(b *testing.B) {
+	src := ingestChainFacts("kbenchc", 125, 10)
+	parse := func(b *testing.B) []core.Atom {
 		atoms, err := parser.ParseFacts(src)
 		if err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
 		return atoms
 	}
-	const chains, edges = 125, 10
-	src := ingestChainFacts("kbenchc", chains, edges)
-	loads, loadDir := 0, t.TempDir()
-	report.Benchmarks = append(report.Benchmarks,
-		measure("Ingest/chain2500/Parse", 2*chains*edges, func() { parse(src) }),
-		measure("Ingest/chain2500/Build", 2*chains*edges, func() { database.FromAtoms(parse(src)) }),
-		measure("Ingest/chain2500/Journaled", 2*chains*edges, func() {
+	loads, loadDir := 0, b.TempDir()
+	for _, c := range []struct {
+		name string
+		load func(b *testing.B)
+	}{
+		{"Parse", func(b *testing.B) { parse(b) }},
+		{"Build", func(b *testing.B) { database.FromAtoms(parse(b)) }},
+		{"Journaled", func(b *testing.B) {
 			loads++
-			addCommit(filepath.Join(loadDir, strconv.Itoa(loads)), parse(src))
-		}))
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		facts := storeBenchFacts(n)
-		report.Benchmarks = append(report.Benchmarks,
-			measure(fmt.Sprintf("SegmentStore/MemoryAdd/n=%d", n), n, func() {
-				d := database.New()
-				for _, a := range facts {
-					d.Add(a)
-				}
-			}),
-			measure(fmt.Sprintf("SegmentStore/AddCommit/n=%d", n), n, func() { addCommit(t.TempDir(), facts) }))
-		dir, bytes, wantLen := seedSegmentDir(t, n)
-		open := measure(fmt.Sprintf("SegmentStore/ColdOpenWAL/n=%d", n), n, func() {
-			s, err := segment.Open(dir, segment.Options{})
-			if err != nil {
-				t.Fatal(err)
+			addCommit(b, filepath.Join(loadDir, strconv.Itoa(loads)), parse(b))
+		}},
+	} {
+		b.Run("chain2500/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.load(b)
 			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+			b.ReportMetric(float64(len(parse(b))), "facts")
 		})
-		open.DiskBytes = bytes
-		s, err := segment.Open(dir, segment.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fact := cloneWriteFact(s.Clone())
-		report.Benchmarks = append(report.Benchmarks, open,
-			measure(fmt.Sprintf("SegmentStore/Clone/n=%d", n), n, func() {
-				if s.Clone().Len() != wantLen {
-					t.Fatal("bad clone")
-				}
-			}),
-			measure(fmt.Sprintf("SegmentStore/CloneThenWrite/n=%d", n), n, func() {
-				if !s.Clone().Add(fact) {
-					t.Fatal("write into the clone was not new")
-				}
-			}))
-		s.Close()
 	}
-	const heapN = 100_000
-	report.Benchmarks = append(report.Benchmarks, entry{
-		Name: fmt.Sprintf("SegmentStore/HeapPerFact/n=%d", heapN), N: heapN,
-		BytesPerFact: heapPerFact(heapN),
-	})
-	// The gen corpora keep the emitter honest about adversarial names:
-	// one round-trip over NUL-embedding constants must survive framing.
-	adv := gen.AdversarialNames(64, 1)
-	dir := t.TempDir()
-	s, err := segment.Open(dir, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range adv.UserFacts() {
-		s.Add(a)
-	}
-	if _, err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	r, err := segment.Open(dir, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Clone().String() != adv.String() {
-		t.Fatal("adversarial corpus did not survive the journal round-trip")
-	}
-	r.Close()
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_store.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_store.json (%d entries)", len(report.Benchmarks))
 }

@@ -1,8 +1,14 @@
 package guardedrules
 
-// One benchmark per experiment of DESIGN.md (E1–E12), each regenerating
-// the corresponding table/figure artifact of the paper at benchmark
-// scale. Run with: go test -bench=. -benchmem
+// The benchmarks of the repo's evaluation: BenchmarkExperiment times
+// every experiment of EXPERIMENTS.md (E1–E12, A1–A8) through the run
+// functions that cmd/expbench prints, and the engine benchmarks below
+// and in bench_saturate_test.go and bench_store_test.go time the
+// workloads behind the BENCH_*.json files. Run with:
+//
+//	go test -run '^$' -bench . -benchmem
+//
+// TestEmitBenchJSON writes every BENCH file from these benchmarks.
 //
 // Absolute numbers are this implementation's; the paper proves the
 // translations' correctness and complexity, and the shapes to check are:
@@ -22,996 +28,382 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"guardedrules/internal/annotate"
 	"guardedrules/internal/budget"
-	"guardedrules/internal/capture"
 	"guardedrules/internal/chase"
-	"guardedrules/internal/classify"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
 	"guardedrules/internal/datalog"
 	"guardedrules/internal/gen"
-	"guardedrules/internal/hom"
-	"guardedrules/internal/kb"
-	"guardedrules/internal/normalize"
 	"guardedrules/internal/parser"
-	"guardedrules/internal/rewrite"
-	"guardedrules/internal/saturate"
-	"guardedrules/internal/stratified"
 	"guardedrules/internal/termination"
-	"guardedrules/internal/tm"
+	"guardedrules/internal/workload"
 )
 
-const sigmaPBench = `
-Publication(X) -> exists K1,K2. Keywords(X,K1,K2).
-Keywords(X,K1,K2) -> hasTopic(X,K1).
-hasTopic(X,Z), hasAuthor(X,U), hasAuthor(Y,U),
-  hasTopic(Y,Z2), Scientific(Z2), citedIn(Y,X) -> Scientific(Z).
-hasAuthor(X,Y), hasTopic(X,Z), Scientific(Z) -> Q(Y).
-`
-
-const exampleSevenBench = `
-A(X) -> exists Y. R(X,Y).
-R(X,Y) -> S(Y,Y).
-S(X,Y) -> exists Z. T(X,Y,Z).
-T(X,X,Y) -> B(X).
-C(X), R(X,Y), B(Y) -> D(X).
-`
-
-// BenchmarkE1FrontierGuardedToNearlyGuarded measures the Theorem 1
-// translation of Σp (the expansion is database-independent).
-func BenchmarkE1FrontierGuardedToNearlyGuarded(b *testing.B) {
-	th := normalize.Normalize(parser.MustParseTheory(sigmaPBench))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rew, _, err := rewrite.Rewrite(th.Clone(), rewrite.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !classify.Classify(rew).Member[classify.NearlyGuarded] {
-			b.Fatal("not nearly guarded")
-		}
-	}
-}
-
-// BenchmarkE1AnswerPreservation chases Σp and rew(Σp) on citation graphs.
-func BenchmarkE1AnswerPreservation(b *testing.B) {
-	orig := parser.MustParseTheory(sigmaPBench)
-	rew, _, err := rewrite.Rewrite(normalize.Normalize(orig), rewrite.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			d := gen.CitationGraph(n)
-			for i := 0; i < b.N; i++ {
-				r1, err := chase.Run(orig, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}})
-				if err != nil {
-					b.Fatal(err)
+// BenchmarkExperiment times each experiment at each of its full sizes,
+// as sub-benchmarks <ID>/n=<size> (<ID> alone for an experiment without
+// sizes).
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range workload.Experiments {
+		run := func(name string, sizes []int) {
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := e.Run(sizes, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-				r2, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				a1 := datalog.CollectAnswers(r1.DB, "Q")
-				a2 := datalog.CollectAnswers(r2.DB, "Q")
-				if ok, diff := datalog.SameAnswers(a1, a2); !ok {
-					b.Fatal(diff)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE2NearlyFrontierGuarded exercises the Definition 14
-// passthrough: existential core plus transitive-closure periphery.
-func BenchmarkE2NearlyFrontierGuarded(b *testing.B) {
-	th := normalize.Normalize(parser.MustParseTheory(`
-		A(X) -> exists Y. R(X,Y).
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`))
-	rew, _, err := rewrite.Rewrite(th, rewrite.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := gen.Path(32)
-	for i := 0; i < 32; i++ {
-		d.Add(core.NewAtom("A", core.Const(fmt.Sprintf("v%d", i))))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := chase.Run(rew, d, chase.Options{Variant: chase.Restricted, MaxDepth: 3, Budget: &budget.T{MaxFacts: 2_000_000}})
-		if err != nil {
-			b.Fatal(err)
+			})
 		}
-		if !res.Entails(core.NewAtom("T", core.Const("v0"), core.Const("v31"))) {
-			b.Fatal("transitive closure lost")
+		if len(e.Full) == 0 {
+			run(e.ID, nil)
+		}
+		for _, n := range e.Full {
+			run(fmt.Sprintf("%s/n=%d", e.ID, n), []int{n})
 		}
 	}
-}
-
-// BenchmarkE3WeaklyFrontierGuarded measures the Theorem 2 translation and
-// its evaluation.
-func BenchmarkE3WeaklyFrontierGuarded(b *testing.B) {
-	th := parser.MustParseTheory(`
-		A(X) -> exists Y. R(Y,X).
-		R(Y,X), B(X) -> S(Y).
-		R(Y,X), S(Y) -> Hit(X).
-	`)
-	b.Run("translate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := annotate.RewriteWFG(th, rewrite.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	res, err := annotate.RewriteWFG(th, rewrite.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("evaluate", func(b *testing.B) {
-		d := database.New()
-		for i := 0; i < 16; i++ {
-			c := core.Const(fmt.Sprintf("c%d", i))
-			d.Add(core.NewAtom("A", c))
-			if i%2 == 0 {
-				d.Add(core.NewAtom("B", c))
-			}
-		}
-		dRe := res.Reorder.Database(d)
-		for i := 0; i < b.N; i++ {
-			r, err := chase.Run(res.Rewritten, dRe, chase.Options{Variant: chase.Restricted, MaxDepth: 5, Budget: &budget.T{MaxFacts: 2_000_000}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(datalog.CollectAnswers(r.DB, "Hit")) != 8 {
-				b.Fatal("wrong answers")
-			}
-		}
-	})
-}
-
-// BenchmarkE4GuardedToDatalog saturates Example 7 and random guarded
-// theories of growing size (the paper's worst case is double exponential).
-func BenchmarkE4GuardedToDatalog(b *testing.B) {
-	b.Run("example7", func(b *testing.B) {
-		th := parser.MustParseTheory(exampleSevenBench)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := saturate.Datalog(th, saturate.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, n := range []int{4, 8, 12} {
-		b.Run(fmt.Sprintf("random-%drules", n), func(b *testing.B) {
-			th := gen.RandomGuardedTheory(n, int64(n))
-			for i := 0; i < b.N; i++ {
-				if _, _, err := saturate.Datalog(th, saturate.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE5NearlyGuardedToDatalog measures Proposition 6 end to end.
-func BenchmarkE5NearlyGuardedToDatalog(b *testing.B) {
-	th := parser.MustParseTheory(`
-		A(X) -> exists Y. R(X,Y).
-		R(X,Y) -> B(X).
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-		T(X,Y), B(X), B(Y) -> Linked(X,Y).
-	`)
-	dat, _, err := saturate.NearlyGuardedToDatalog(th, saturate.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := gen.Path(24)
-	for i := 0; i < 24; i++ {
-		d.Add(core.NewAtom("A", core.Const(fmt.Sprintf("v%d", i))))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := datalog.Eval(dat, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE6NormalizeAndChaseTree measures Proposition 1 normalization
-// and the chase-tree construction with Proposition 2 verification.
-func BenchmarkE6NormalizeAndChaseTree(b *testing.B) {
-	th := gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 6, Seed: 3})
-	d := gen.ABDatabase(8, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		norm := normalize.Normalize(th.Clone())
-		tree, _, err := chase.RunTree(norm, d, chase.Options{Variant: chase.Oblivious, MaxDepth: 4, Budget: &budget.T{MaxFacts: 100_000}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tree.VerifyProposition2(norm, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE7CaptureStringQueries measures Theorem 4: compile once, then
-// decide words by chasing the compiled weakly guarded theory.
-func BenchmarkE7CaptureStringQueries(b *testing.B) {
-	alpha := []string{"zero", "one"}
-	m := tm.EvenCount("one", alpha)
-	th, err := capture.Compile(m, 1, alpha)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{3, 5, 7} {
-		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {
-			word := make([]string, n)
-			for i := range word {
-				word[i] = alpha[i%2]
-			}
-			db, err := capture.Encode(word, 1, alpha)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want, err := m.Accepts(word, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := chase.Run(th, db, chase.Options{Variant: chase.Restricted, MaxDepth: 3*n + 6, Budget: &budget.T{MaxFacts: 1_000_000}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Entails(core.NewAtom(capture.AcceptRel)) != want.Accepted {
-					b.Fatal("disagrees with simulator")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE8StratifiedCapture measures Theorem 5 on the even-constants
-// query over growing domains (work grows super-polynomially: the ordering
-// forest has d^(d+1) candidates).
-func BenchmarkE8StratifiedCapture(b *testing.B) {
-	m := tm.EvenLength(capture.ChrAlphabet(1))
-	th, err := capture.BooleanQuery(m, []string{"R"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, d := range []int{2, 3} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			db := database.New()
-			for i := 0; i < d; i++ {
-				db.Add(core.NewAtom("R", core.Const(fmt.Sprintf("c%d", i))))
-			}
-			for i := 0; i < b.N; i++ {
-				got, _, err := capture.EvalBoolean(th, db, d+2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != (d%2 == 0) {
-					b.Fatal("wrong parity")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE9Classification measures the affected-position analysis and
-// fragment classification.
-func BenchmarkE9Classification(b *testing.B) {
-	theories := []*core.Theory{
-		parser.MustParseTheory(sigmaPBench),
-		parser.MustParseTheory(exampleSevenBench),
-		gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 10, Seed: 1}),
-		gen.RandomGuardedTheory(10, 2),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, th := range theories {
-			classify.Classify(th)
-		}
-	}
-}
-
-// BenchmarkE10KBPipeline measures the Section 7 pipeline against the
-// direct chase.
-func BenchmarkE10KBPipeline(b *testing.B) {
-	th := parser.MustParseTheory(`
-		A(X) -> exists Y. R(Y,X).
-		R(Y,X), B(X) -> S(Y).
-	`)
-	q := kb.CQ{
-		Answer: []core.Term{core.Var("X")},
-		Atoms: []core.Atom{
-			core.NewAtom("R", core.Var("Y"), core.Var("X")),
-			core.NewAtom("S", core.Var("Y")),
-		},
-	}
-	d := database.FromAtoms(parser.MustParseFacts(`A(a). A(b). A(c). B(a). B(c).`))
-	b.Run("chase", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := kb.AnswerByChase(th, q, d, chase.Options{Variant: chase.Restricted, MaxDepth: 5}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pipeline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := kb.AnswerByPipeline(th, q, d, rewrite.Options{}, saturate.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE11DataComplexity contrasts polynomial Datalog evaluation with
-// the exponentially growing weakly guarded ordering construction.
-func BenchmarkE11DataComplexity(b *testing.B) {
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
-	for _, n := range []int{16, 32, 64} {
-		b.Run(fmt.Sprintf("datalog-n=%d", n), func(b *testing.B) {
-			d := gen.Path(n)
-			for i := 0; i < b.N; i++ {
-				if _, err := datalog.Eval(th, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	succ := capture.SuccProgram()
-	for _, n := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("wg-orders-d=%d", n), func(b *testing.B) {
-			d := database.New()
-			for i := 0; i < n; i++ {
-				d.Add(core.NewAtom("Obj", core.Const(fmt.Sprintf("c%d", i))))
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := stratified.Eval(succ, d, stratified.Options{
-					Chase: chase.Options{Variant: chase.Restricted, MaxDepth: n + 1, Budget: &budget.T{MaxFacts: 5_000_000}},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE12ACDomAxiomatization measures Proposition 5.
-func BenchmarkE12ACDomAxiomatization(b *testing.B) {
-	th := normalize.Normalize(parser.MustParseTheory(sigmaPBench))
-	rew, _, err := rewrite.Rewrite(th, rewrite.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		star := rewrite.Axiomatize(rew)
-		if len(star.Rules) <= len(rew.Rules) {
-			b.Fatal("axiomatization must add rules")
-		}
-	}
-}
-
-// BenchmarkA1DatalogEngines is the ablation: the native semi-naive
-// evaluator vs evaluation through the chase engine.
-func BenchmarkA1DatalogEngines(b *testing.B) {
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
-	d := gen.Path(32)
-	b.Run("semi-naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := datalog.EvalSemiNaive(th, d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("via-chase", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := datalog.EvalViaChase(th, d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkEvalSemiNaive measures the semi-naive engine on transitive
-// closure over chain forests of 1k/5k/20k edges; the per-size ns/op
-// trajectory is recorded in BENCH_datalog.json (see
-// TestEmitDatalogBenchJSON).
+// closure over chain forests of 1k/5k/20k edges.
 func BenchmarkEvalSemiNaive(b *testing.B) {
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
+	th := parser.MustParseTheory(workload.Transitive)
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
 		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			var fix *database.Database
+			var err error
 			for i := 0; i < b.N; i++ {
-				if _, err := datalog.EvalSemiNaive(th, d); err != nil {
+				if fix, err = datalog.EvalSemiNaive(th, d); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(fix.Len()), "facts")
 		})
-	}
-}
-
-// TestEmitDatalogBenchJSON times the sizes of BenchmarkEvalSemiNaive
-// (best of 3) and writes BENCH_datalog.json, giving future PRs a perf
-// trajectory. It only runs when EMIT_BENCH=1 is set, so regular test
-// runs and CI stay fast:
-//
-//	EMIT_BENCH=1 go test -run TestEmitDatalogBenchJSON .
-func TestEmitDatalogBenchJSON(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_datalog.json")
-	}
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
-	type entry struct {
-		Name    string `json:"name"`
-		Edges   int    `json:"edges"`
-		NsPerOp int64  `json:"ns_per_op"`
-		Facts   int    `json:"facts"`
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, edges := range []int{1_000, 5_000, 20_000} {
-		d := gen.ChainForest(edges/49, 50)
-		var best time.Duration
-		facts := 0
-		for r := 0; r < 3; r++ {
-			t0 := time.Now()
-			fix, err := datalog.EvalSemiNaive(th, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if el := time.Since(t0); r == 0 || el < best {
-				best = el
-			}
-			facts = fix.Len()
-		}
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name:    fmt.Sprintf("EvalSemiNaive/edges=%d", edges),
-			Edges:   edges,
-			NsPerOp: best.Nanoseconds(),
-			Facts:   facts,
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_datalog.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_datalog.json (%d entries)", len(report.Benchmarks))
-}
-
-// joinBenchCases are the workloads of the join-planner benchmarks: a
-// recursive closure (delta-driven, plans re-fitted every round as T
-// grows) and a triangle join (a 3-atom body where the access-path
-// choice — seek vs two-position hash probe — dominates).
-func joinBenchCases() []struct {
-	name   string
-	theory string
-	db     *database.Database
-} {
-	return []struct {
-		name   string
-		theory string
-		db     *database.Database
-	}{
-		{
-			name: "closure",
-			theory: `
-				E(X,Y) -> T(X,Y).
-				T(X,Y), T(Y,Z) -> T(X,Z).
-			`,
-			db: gen.ChainForest(40, 50),
-		},
-		{
-			name: "triangles",
-			theory: `
-				E(X,Y) -> T(X,Y).
-				T(X,Y), T(Y,Z), E(X,Z) -> Tri(X,Y).
-			`,
-			db: gen.RandomGraph(120, 600, 11),
-		},
 	}
 }
 
 // BenchmarkJoinPlanner times the cost-based planner (per-round
 // re-planning from live statistics), cold (stratify + compile every
 // evaluation) and warm (a shared compiled Program, the serving layer's
-// steady state).
+// steady state), on a recursive closure (delta-driven, plans re-fitted
+// every round as T grows) and a triangle join (a 3-atom body where the
+// access-path choice, seek or two-position hash probe, dominates).
 func BenchmarkJoinPlanner(b *testing.B) {
-	for _, c := range joinBenchCases() {
+	for _, c := range []struct {
+		name, theory string
+		db           *database.Database
+	}{
+		{"closure", workload.Transitive, gen.ChainForest(40, 50)},
+		{"triangles", `E(X,Y) -> T(X,Y).
+			T(X,Y), T(Y,Z), E(X,Z) -> Tri(X,Y).`, gen.RandomGraph(120, 600, 11)},
+	} {
 		th := parser.MustParseTheory(c.theory)
-		b.Run(fmt.Sprintf("%s/planner=cost/cold", c.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("%s/planner=cost/warm", c.name), func(b *testing.B) {
-			p, err := datalog.Compile(th)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Eval(c.db, datalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestEmitJoinBenchJSON times the BenchmarkJoinPlanner grid once per
-// configuration (best of 3) and writes BENCH_join.json, the planner's
-// perf trajectory for future PRs. Only runs when EMIT_BENCH=1 is set:
-//
-//	EMIT_BENCH=1 go test -run TestEmitJoinBenchJSON .
-func TestEmitJoinBenchJSON(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_join.json")
-	}
-	type entry struct {
-		Name    string `json:"name"`
-		Planner string `json:"planner"`
-		Mode    string `json:"mode"`
-		NsPerOp int64  `json:"ns_per_op"`
-		Facts   int    `json:"facts"`
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, c := range joinBenchCases() {
-		th := parser.MustParseTheory(c.theory)
-		prog, err := datalog.Compile(th)
+		p, err := datalog.Compile(th)
 		if err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
 		for _, mode := range []string{"cold", "warm"} {
-			var best time.Duration
-			facts := 0
-			for r := 0; r < 3; r++ {
-				t0 := time.Now()
+			b.Run(fmt.Sprintf("%s/planner=cost/%s", c.name, mode), func(b *testing.B) {
 				var fix *database.Database
 				var err error
-				if mode == "cold" {
-					fix, err = datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{})
-				} else {
-					fix, err = prog.Eval(c.db, datalog.Options{})
+				for i := 0; i < b.N; i++ {
+					if mode == "cold" {
+						fix, err = datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{})
+					} else {
+						fix, err = p.Eval(c.db, datalog.Options{})
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if el := time.Since(t0); r == 0 || el < best {
-					best = el
-				}
-				facts = fix.Len()
-			}
-			report.Benchmarks = append(report.Benchmarks, entry{
-				Name:    fmt.Sprintf("JoinPlanner/%s/planner=cost/%s", c.name, mode),
-				Planner: "cost",
-				Mode:    mode,
-				NsPerOp: best.Nanoseconds(),
-				Facts:   facts,
+				b.ReportMetric(float64(fix.Len()), "facts")
 			})
 		}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_join.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_join.json (%d entries)", len(report.Benchmarks))
 }
 
 // BenchmarkChase measures the id-space restricted chase on the running
-// example over growing citation graphs; the per-size ns/op trajectory is
-// recorded in BENCH_chase.json (see TestEmitChaseBenchJSON).
+// example over growing citation graphs.
 func BenchmarkChase(b *testing.B) {
-	th := parser.MustParseTheory(sigmaPBench)
+	th := parser.MustParseTheory(workload.SigmaP)
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var res *chase.Result
+			var err error
 			for i := 0; i < b.N; i++ {
 				opts := chase.Options{Variant: chase.Restricted, MaxDepth: 4, Budget: &budget.T{MaxFacts: 2_000_000}}
-				if _, err := chase.Run(th, d, opts); err != nil {
+				if res, err = chase.Run(th, d, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(res.DB.Len()), "facts")
 		})
 	}
 }
 
-// TestEmitChaseBenchJSON times the sizes of BenchmarkChase (best of 3)
-// and writes BENCH_chase.json (same schema as BENCH_datalog.json), giving
-// future PRs a perf trajectory. It only runs when EMIT_BENCH=1 is set:
-//
-//	EMIT_BENCH=1 go test -run TestEmitChaseBenchJSON .
-func TestEmitChaseBenchJSON(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_chase.json")
-	}
-	th := parser.MustParseTheory(sigmaPBench)
-	type entry struct {
-		Name    string `json:"name"`
-		N       int    `json:"n"`
-		NsPerOp int64  `json:"ns_per_op"`
-		Facts   int    `json:"facts"`
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, n := range []int{8, 24, 48} {
-		d := gen.CitationGraph(n)
-		var best time.Duration
-		facts := 0
-		for r := 0; r < 3; r++ {
-			t0 := time.Now()
-			res, err := chase.Run(th, d, chase.Options{
-				Variant: chase.Restricted, MaxDepth: 4,
-				Budget: &budget.T{MaxFacts: 2_000_000},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if el := time.Since(t0); r == 0 || el < best {
-				best = el
-			}
-			facts = res.DB.Len()
-		}
-		report.Benchmarks = append(report.Benchmarks, entry{
-			Name:    fmt.Sprintf("Chase/n=%d", n),
-			N:       n,
-			NsPerOp: best.Nanoseconds(),
-			Facts:   facts,
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_chase.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_chase.json (%d entries)", len(report.Benchmarks))
-}
-
-// TestEmitTerminationBenchJSON times the full acyclicity-hierarchy
-// analysis (WA graph, JA dependency graph, critical-instance check,
-// certificate construction) on the class-separating theory families at
-// growing rule counts and writes BENCH_termination.json, giving future
-// PRs a perf trajectory for the analyzer. Only runs when EMIT_BENCH=1
-// is set:
-//
-//	EMIT_BENCH=1 go test -run TestEmitTerminationBenchJSON .
-func TestEmitTerminationBenchJSON(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_termination.json")
-	}
-	families := []struct {
-		name string
-		mk   func(n int) *core.Theory
+// BenchmarkTermination times the full acyclicity-hierarchy analysis (WA
+// graph, JA dependency graph, critical-instance check, certificate
+// construction) on the class-separating theory families at growing
+// rule counts; each row names the class the analysis must find.
+func BenchmarkTermination(b *testing.B) {
+	for _, fam := range []struct {
+		name, class string
+		mk          func(n int) *core.Theory
 	}{
-		{"wa-chain", gen.WAChainTheory},
-		{"ja-not-wa", gen.JANotWATheory},
-		{"swa-not-ja", gen.SWANotJATheory},
-	}
-	type entry struct {
-		Name    string `json:"name"`
-		N       int    `json:"n"`
-		Class   string `json:"class"`
-		NsPerOp int64  `json:"ns_per_op"`
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, fam := range families {
+		{"wa-chain", "wa", gen.WAChainTheory},
+		{"ja-not-wa", "ja", gen.JANotWATheory},
+		{"swa-not-ja", "swa", gen.SWANotJATheory},
+	} {
 		for _, n := range []int{4, 16, 64} {
 			th := fam.mk(n)
-			reps := 3
-			var best time.Duration
-			var class termination.Class
-			for r := 0; r < reps; r++ {
-				t0 := time.Now()
-				rep := termination.Analyze(th)
-				if el := time.Since(t0); r == 0 || el < best {
-					best = el
+			b.Run(fmt.Sprintf("%s/n=%d/class=%s", fam.name, n, fam.class), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if c := termination.Analyze(th).Class.String(); c != fam.class {
+						b.Fatalf("class %s, want %s", c, fam.class)
+					}
 				}
-				class = rep.Class
-			}
-			report.Benchmarks = append(report.Benchmarks, entry{
-				Name:    fmt.Sprintf("Termination/%s/n=%d", fam.name, n),
-				N:       n,
-				Class:   class.String(),
-				NsPerOp: best.Nanoseconds(),
 			})
 		}
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_termination.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_termination.json (%d entries)", len(report.Benchmarks))
 }
 
 // BenchmarkIncrementalMaintenance contrasts from-scratch re-evaluation
-// with delta-driven maintenance on the E11 transitive-closure workload:
-// each maintained op is one single-edge batch (an insert extending the
-// path by a fresh tail node, then the retract that undoes it, keeping
-// the handle in steady state across iterations).
+// with delta-driven maintenance on transitive closure over paths of n
+// edges. Each maintained iteration inserts one edge extending the path
+// by a fresh tail node and retracts it again, so the handle stays in
+// steady state; the insert and retract rows time only their own step.
 func BenchmarkIncrementalMaintenance(b *testing.B) {
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
-	prog, err := datalog.Compile(th)
+	prog, err := datalog.Compile(parser.MustParseTheory(workload.Transitive))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, n := range []int{16, 32, 64} {
 		d := gen.Path(n)
 		edge := parser.MustParseFacts(fmt.Sprintf("E(v%d,w).", n-1))
-		b.Run(fmt.Sprintf("from-scratch/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/from-scratch", n), func(b *testing.B) {
+			var fix *database.Database
+			var err error
 			for i := 0; i < b.N; i++ {
-				if _, err := prog.Eval(d, datalog.Options{}); err != nil {
+				if fix, err = prog.Eval(d, datalog.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(fix.Len()), "facts")
 		})
-		b.Run(fmt.Sprintf("insert+retract/n=%d", n), func(b *testing.B) {
+		// maintained returns a handle at the fixpoint over d, with the
+		// timer reset after its evaluation.
+		maintained := func(b *testing.B) *datalog.Maintained {
 			m, err := datalog.NewMaintained(prog, d, datalog.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := m.Apply(edge, nil, datalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := m.Apply(nil, edge, datalog.Options{}); err != nil {
-					b.Fatal(err)
-				}
+			return m
+		}
+		apply := func(b *testing.B, m *datalog.Maintained, add, del []core.Atom) {
+			if _, _, err := m.Apply(add, del, datalog.Options{}); err != nil {
+				b.Fatal(err)
 			}
+		}
+		b.Run(fmt.Sprintf("n=%d/insert", n), func(b *testing.B) {
+			m, facts := maintained(b), 0
+			for i := 0; i < b.N; i++ {
+				apply(b, m, edge, nil)
+				b.StopTimer()
+				facts = m.Current().Len()
+				apply(b, m, nil, edge)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(facts), "facts")
+		})
+		b.Run(fmt.Sprintf("n=%d/retract", n), func(b *testing.B) {
+			m := maintained(b)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				apply(b, m, edge, nil)
+				b.StartTimer()
+				apply(b, m, nil, edge)
+			}
+			b.ReportMetric(float64(m.Current().Len()), "facts")
 		})
 	}
 }
 
-// batchRow summarizes repeated runs of one Go benchmark: the medians of
-// its ns/op, B/op and allocs/op, and the spread of its ns/op.
-type batchRow struct {
-	Name        string `json:"name"`
-	Command     string `json:"command"`
-	Runs        int    `json:"runs"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	NsMin       int64  `json:"ns_per_op_min"`
-	NsQ1        int64  `json:"ns_per_op_q1"`
-	NsQ3        int64  `json:"ns_per_op_q3"`
-	NsMax       int64  `json:"ns_per_op_max"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
+// benchRun is one `go test -bench` run of a BENCH file.
+type benchRun struct{ pkg, pattern, benchtime string }
+
+// benchFiles lists, per file BENCH_<name>.json, the benchmark runs whose
+// rows it holds.
+var benchFiles = []struct {
+	name string
+	runs []benchRun
+}{
+	{"chase", []benchRun{{".", "^BenchmarkChase$", "200ms"}}},
+	{"datalog", []benchRun{{".", "^BenchmarkEvalSemiNaive$", "200ms"}}},
+	// MutateLiveBatch is servebench's mutate_live batch in process.
+	{"incremental", []benchRun{{".", "^BenchmarkIncrementalMaintenance$", "200ms"}, {"./internal/kbcache", "^BenchmarkMutateLiveBatch$", "200ms"}}},
+	{"join", []benchRun{{".", "^BenchmarkJoinPlanner$", "200ms"}}},
+	// A cold CQ registers its theory, untimed, before every read, so
+	// its rows run a fixed number of reads.
+	{"saturate", []benchRun{{".", "^BenchmarkSaturate$", "100ms"}, {".", "^BenchmarkColdCQ$", "20x"}}},
+	{"store", []benchRun{{".", "^Benchmark(Ingest|SegmentStore)$", "200ms"}}},
+	{"termination", []benchRun{{".", "^BenchmarkTermination$", "200ms"}}},
 }
 
-// mutateLiveBatchRow runs BenchmarkMutateLiveBatch of internal/kbcache
-// (servebench's mutate_live batch in process) `runs` times in a child
-// `go test`, so the benchmark has one definition, and summarizes it.
-func mutateLiveBatchRow(t *testing.T, runs int) batchRow {
-	args := []string{"test", "-run", "^$", "-bench", "^BenchmarkMutateLiveBatch$", "-benchmem", "-count", strconv.Itoa(runs), "./internal/kbcache"}
-	out, err := exec.Command("go", args...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
-	}
-	line := regexp.MustCompile(`(?m)^BenchmarkMutateLiveBatch\S*\s+\d+\s+([\d.]+) ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
-	var ns, bytes, allocs []int64
-	for _, m := range line.FindAllStringSubmatch(string(out), -1) {
-		for i, dst := range []*[]int64{&ns, &bytes, &allocs} {
-			v, _ := strconv.ParseFloat(m[i+1], 64)
-			*dst = append(*dst, int64(v))
-		}
-	}
-	if len(ns) != runs {
-		t.Fatalf("BenchmarkMutateLiveBatch: %d results, want %d:\n%s", len(ns), runs, out)
-	}
-	at := func(v []int64, q float64) int64 {
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		return v[int(q*float64(len(v)-1)+0.5)]
-	}
-	return batchRow{
-		Name: "MutateLiveBatch", Command: "go " + strings.Join(args, " "), Runs: runs,
-		NsPerOp: at(ns, 0.5), NsMin: at(ns, 0), NsQ1: at(ns, 0.25), NsQ3: at(ns, 0.75), NsMax: at(ns, 1),
-		BytesPerOp: at(bytes, 0.5), AllocsPerOp: at(allocs, 0.5),
-	}
+// benchRuns is the number of runs of every BENCH row.
+const benchRuns = 11
+
+// benchRow is one row of a BENCH file: a benchmark's medians over
+// benchRuns runs, the quartiles of its time, and its reported counters.
+type benchRow struct {
+	Name        string             `json:"name"`
+	Params      map[string]any     `json:"params,omitempty"`
+	Command     string             `json:"command"`
+	GoMaxProcs  int                `json:"gomaxprocs"`
+	NumCPU      int                `json:"num_cpu"`
+	Runs        int                `json:"runs"`
+	MedianNs    float64            `json:"median_ns"`
+	Q1Ns        float64            `json:"q1_ns"`
+	Q3Ns        float64            `json:"q3_ns"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	BytesPerOp  float64            `json:"bytes_per_op"`
+	Counters    map[string]float64 `json:"counters,omitempty"`
 }
 
-// TestEmitIncrementalBenchJSON times from-scratch evaluation against
-// single-fact incremental insert/retract on the E11 closure workload
-// (best of 5) and writes BENCH_incremental.json, with a row for
-// BenchmarkMutateLiveBatch (10 runs). It also enforces the headline
-// claim: at n=64 a single-fact insert must be at least 10x faster than
-// re-evaluating from scratch. Only runs when EMIT_BENCH=1 is set:
+// TestEmitBenchJSON writes the BENCH_*.json files, one per subtest. It
+// only runs when EMIT_BENCH=1 is set, so regular test runs stay fast:
 //
-//	EMIT_BENCH=1 go test -run TestEmitIncrementalBenchJSON .
-func TestEmitIncrementalBenchJSON(t *testing.T) {
+//	EMIT_BENCH=1 go test -run TestEmitBenchJSON -timeout 40m .   # all files
+//	EMIT_BENCH=1 go test -run 'TestEmitBenchJSON/^saturate$' .   # one file
+//
+// Each row is a benchmark of benchFiles run benchRuns times by a child
+// `go test -bench`, whose command the row records, so the file and `go
+// test -bench` time the same code. The incremental file also enforces
+// its headline claim: at n=64 a single-fact insert is at least 10x
+// faster than re-evaluating from scratch.
+func TestEmitBenchJSON(t *testing.T) {
 	if os.Getenv("EMIT_BENCH") != "1" {
-		t.Skip("set EMIT_BENCH=1 to refresh BENCH_incremental.json")
+		t.Skip("set EMIT_BENCH=1 to refresh the BENCH_*.json files")
 	}
-	th := parser.MustParseTheory(`
-		E(X,Y) -> T(X,Y).
-		T(X,Y), T(Y,Z) -> T(X,Z).
-	`)
-	prog, err := datalog.Compile(th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type entry struct {
-		Name    string `json:"name"`
-		N       int    `json:"n"`
-		Mode    string `json:"mode"`
-		NsPerOp int64  `json:"ns_per_op"`
-		Facts   int    `json:"facts"`
-	}
-	report := struct {
-		GoMaxProcs      int      `json:"gomaxprocs"`
-		Benchmarks      []entry  `json:"benchmarks"`
-		SpeedupInsert64 float64  `json:"speedup_insert_n64"`
-		MutateLiveBatch batchRow `json:"mutate_live_batch"`
-	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	const reps = 5
-	for _, n := range []int{16, 32, 64} {
-		d := gen.Path(n)
-		edge := parser.MustParseFacts(fmt.Sprintf("E(v%d,w).", n-1))
-
-		var scratch time.Duration
-		scratchFacts := 0
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			fix, err := prog.Eval(d, datalog.Options{})
+	for _, f := range benchFiles {
+		t.Run(f.name, func(t *testing.T) {
+			var rows []benchRow
+			cpu := ""
+			for _, r := range f.runs {
+				var rs []benchRow
+				rs, cpu = runBench(t, r)
+				rows = append(rows, rs...)
+			}
+			if f.name == "incremental" {
+				med := map[string]float64{}
+				for _, r := range rows {
+					med[r.Name] = r.MedianNs
+				}
+				scratch, insert := med["IncrementalMaintenance/n=64/from-scratch"], med["IncrementalMaintenance/n=64/insert"]
+				if !(scratch >= 10*insert) || insert == 0 {
+					t.Fatalf("n=64 single-fact insert %.0fns against from-scratch %.0fns, want >= 10x faster", insert, scratch)
+				}
+			}
+			data, err := json.MarshalIndent(struct {
+				Emitter string     `json:"emitter"`
+				CPU     string     `json:"cpu"`
+				Rows    []benchRow `json:"rows"`
+			}{fmt.Sprintf("EMIT_BENCH=1 go test -run 'TestEmitBenchJSON/^%s$' .", f.name), cpu, rows}, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if el := time.Since(t0); r == 0 || el < scratch {
-				scratch = el
-			}
-			scratchFacts = fix.Len()
-		}
-
-		m, err := datalog.NewMaintained(prog, d, datalog.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var insert, retract time.Duration
-		insertFacts := 0
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			if _, _, err := m.Apply(edge, nil, datalog.Options{}); err != nil {
+			if err := os.WriteFile("BENCH_"+f.name+".json", append(data, '\n'), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if el := time.Since(t0); r == 0 || el < insert {
-				insert = el
-			}
-			insertFacts = m.Current().Len()
-			t0 = time.Now()
-			if _, _, err := m.Apply(nil, edge, datalog.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			if el := time.Since(t0); r == 0 || el < retract {
-				retract = el
-			}
-		}
-		report.Benchmarks = append(report.Benchmarks,
-			entry{Name: fmt.Sprintf("Incremental/n=%d/from-scratch", n), N: n, Mode: "from-scratch", NsPerOp: scratch.Nanoseconds(), Facts: scratchFacts},
-			entry{Name: fmt.Sprintf("Incremental/n=%d/insert", n), N: n, Mode: "insert", NsPerOp: insert.Nanoseconds(), Facts: insertFacts},
-			entry{Name: fmt.Sprintf("Incremental/n=%d/retract", n), N: n, Mode: "retract", NsPerOp: retract.Nanoseconds(), Facts: scratchFacts},
-		)
-	}
-	// Headline check: single-fact insert at n=64 must beat from-scratch
-	// by at least 10x.
-	var scratch64, insert64 int64
-	for _, e := range report.Benchmarks {
-		if e.N == 64 && e.Mode == "from-scratch" {
-			scratch64 = e.NsPerOp
-		}
-		if e.N == 64 && e.Mode == "insert" {
-			insert64 = e.NsPerOp
-		}
-	}
-	report.SpeedupInsert64 = float64(scratch64) / float64(insert64)
-	if report.SpeedupInsert64 < 10 {
-		t.Fatalf("n=64 single-fact insert speedup %.1fx, want >= 10x (scratch %dns, insert %dns)",
-			report.SpeedupInsert64, scratch64, insert64)
-	}
-	report.MutateLiveBatch = mutateLiveBatchRow(t, 10)
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_incremental.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_incremental.json (speedup %.1fx)", report.SpeedupInsert64)
-}
-
-// BenchmarkA2ChaseVariants is the ablation: oblivious vs restricted chase
-// on the running example.
-func BenchmarkA2ChaseVariants(b *testing.B) {
-	th := parser.MustParseTheory(sigmaPBench)
-	d := gen.CitationGraph(8)
-	for _, v := range []struct {
-		name    string
-		variant chase.Variant
-	}{{"oblivious", chase.Oblivious}, {"restricted", chase.Restricted}} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(th, d, chase.Options{Variant: v.variant, MaxDepth: 6, Budget: &budget.T{MaxFacts: 2_000_000}}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			t.Logf("wrote BENCH_%s.json (%d rows)", f.name, len(rows))
 		})
 	}
 }
 
-// BenchmarkA3WeakAcyclicity measures the termination analysis.
-func BenchmarkA3WeakAcyclicity(b *testing.B) {
-	theories := make([]*core.Theory, 0, 10)
-	for seed := int64(0); seed < 10; seed++ {
-		theories = append(theories, gen.RandomFrontierGuardedTheory(gen.FGTheoryOptions{Rules: 8, Seed: seed}))
+// benchLine matches a result line of `go test -bench`: the name without
+// its GOMAXPROCS suffix, then the value-unit pairs after the iteration
+// count.
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+
+// runBench runs r in a child `go test` and returns its rows and the CPU
+// the child reported.
+func runBench(t *testing.T, r benchRun) ([]benchRow, string) {
+	args := []string{"test", "-run", "^$", "-bench", r.pattern, "-benchmem", "-count", strconv.Itoa(benchRuns), "-benchtime", r.benchtime, r.pkg}
+	command := fmt.Sprintf("go test -run '^$' -bench '%s' -benchmem -count %d -benchtime %s %s", r.pattern, benchRuns, r.benchtime, r.pkg)
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", command, err, out)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, th := range theories {
-			termination.Analyze(th)
+	var names []string
+	samples := map[string]map[string][]float64{}
+	cpu := ""
+	for _, line := range strings.Split(string(out), "\n") {
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = c
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if samples[m[1]] == nil {
+			names = append(names, m[1])
+			samples[m[1]] = map[string][]float64{}
+		}
+		f := strings.Fields(m[2])
+		for i := 0; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", command, line, err)
+			}
+			samples[m[1]][f[i+1]] = append(samples[m[1]][f[i+1]], v)
 		}
 	}
+	if len(names) == 0 {
+		t.Fatalf("%s: no benchmark results\n%s", command, out)
+	}
+	var rows []benchRow
+	for _, name := range names {
+		s := samples[name]
+		row := benchRow{Name: name, Command: command, GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Runs: len(s["ns/op"])}
+		if row.Runs != benchRuns {
+			t.Fatalf("%s: %s has %d runs, want %d\n%s", command, name, row.Runs, benchRuns, out)
+		}
+		for _, seg := range strings.Split(name, "/") {
+			if k, v, ok := strings.Cut(seg, "="); ok {
+				if row.Params == nil {
+					row.Params = map[string]any{}
+				}
+				row.Params[k] = v
+				if n, err := strconv.Atoi(v); err == nil {
+					row.Params[k] = n
+				}
+			}
+		}
+		row.MedianNs, row.Q1Ns, row.Q3Ns = quartiles(s["ns/op"])
+		for unit, v := range s {
+			median, _, _ := quartiles(v)
+			switch unit {
+			case "ns/op":
+			case "B/op":
+				row.BytesPerOp = median
+			case "allocs/op":
+				row.AllocsPerOp = median
+			default:
+				if row.Counters == nil {
+					row.Counters = map[string]float64{}
+				}
+				row.Counters[unit] = median
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows, cpu
 }
 
-// BenchmarkA4CoreMinimization measures core computation of chase results.
-func BenchmarkA4CoreMinimization(b *testing.B) {
-	th := parser.MustParseTheory(`
-		A(X) -> exists Y. R(X,Y).
-		R(X,Y) -> B(Y).
-	`)
-	d := database.FromAtoms(parser.MustParseFacts(`A(a). A(b). A(c). R(a,w).`))
-	res, err := chase.Run(th, d, chase.Options{Variant: chase.Oblivious})
-	if err != nil {
-		b.Fatal(err)
-	}
-	atoms := res.DB.UserFacts()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, exact := hom.Core(atoms); !exact {
-			b.Fatal("core search must be exact here")
-		}
-	}
+// quartiles sorts v and returns its median, first and third quartile.
+func quartiles(v []float64) (median, q1, q3 float64) {
+	sort.Float64s(v)
+	n := len(v)
+	return v[n/2], v[n/4], v[3*n/4]
 }

@@ -139,13 +139,19 @@ func (d *Database) AddNotify(a core.Atom, notify func(core.Atom)) (bool, error) 
 // not the atom was new; a rejected atom returns dst unchanged. A journal
 // writes the returned tuple as it stands, with no second lookup of the
 // atom's terms.
+//
+// An explicitly added ACDom(c) of a constant c pins c: the fact is not
+// retracted when c loses its last supporting occurrence. It pins c
+// whether or not the fact was already derived, and a new pin reports
+// true, so the order of the statements that add ACDom(c) and the facts
+// that derive it does not matter. notify sees only inserted facts.
 func (d *Database) AddTuple(dst []uint32, a core.Atom, notify func(core.Atom)) ([]uint32, bool, error) {
 	if !a.IsGround() {
 		return dst, false, fmt.Errorf("%w: %s", ErrNotGround, a.String())
 	}
 	key := d.internAtom(dst, a)
 	if !d.insert(a.Key(), key) {
-		return key, false, nil
+		return key, d.pin(a, key), nil
 	}
 	if notify != nil {
 		notify(a)
@@ -154,15 +160,22 @@ func (d *Database) AddTuple(dst []uint32, a core.Atom, notify func(core.Atom)) (
 		for _, id := range key {
 			d.noteConstant(id, notify)
 		}
-	} else if len(a.Args) == 1 && len(a.Annotation) == 0 && a.Args[0].IsConst() {
-		// An explicitly added ACDom fact is pinned: it is not retracted
-		// when its constant loses its last supporting occurrence.
-		if d.acdomX == nil {
-			d.acdomX = make(map[core.Term]bool)
-		}
-		d.acdomX[d.intern.TermOf(key[0])] = true
 	}
+	d.pin(a, key)
 	return key, true, nil
+}
+
+// pin pins the constant of an explicit ACDom fact a with id tuple key,
+// reporting whether it was not pinned before.
+func (d *Database) pin(a core.Atom, key []uint32) bool {
+	if a.Relation != core.ACDom || len(a.Args) != 1 || len(a.Annotation) != 0 || !a.Args[0].IsConst() || d.acdomX[a.Args[0]] {
+		return false
+	}
+	if d.acdomX == nil {
+		d.acdomX = make(map[core.Term]bool)
+	}
+	d.acdomX[d.intern.TermOf(key[0])] = true
+	return true
 }
 
 // acdomKey is the relation key of the ACDom facts the database derives.
@@ -720,17 +733,6 @@ func (d *Database) ACDomSupport(t core.Term) int {
 // in which case the fact survives even with no supporting occurrence and
 // must never be retracted by maintenance.
 func (d *Database) ACDomPinned(t core.Term) bool { return d.acdomX[t] }
-
-// PinACDom marks ACDom(t) as explicitly added: it survives the loss of
-// its last supporting occurrence. The ACDom fact itself is not
-// inserted. Incremental maintenance pins an explicit base ACDom fact
-// that its fixpoint already derives.
-func (d *Database) PinACDom(t core.Term) {
-	if d.acdomX == nil {
-		d.acdomX = make(map[core.Term]bool)
-	}
-	d.acdomX[t] = true
-}
 
 // TermOccursIn reports whether t occurs at any position of any fact of
 // rk, via the per-position posting lists (no fact scan).

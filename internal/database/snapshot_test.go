@@ -52,7 +52,7 @@ var snapshotSteps = []struct {
 	{"add explicit ACDom", func(d *Database) { d.Add(core.NewAtom(core.ACDom, snapQ)) }},
 	{"retract explicit ACDom", func(d *Database) { d.Retract(core.NewAtom(core.ACDom, snapP)) }},
 	{"retract derived ACDom", func(d *Database) { d.Retract(core.NewAtom(core.ACDom, snapB)) }},
-	{"PinACDom", func(d *Database) { d.PinACDom(snapC) }},
+	{"add derived ACDom", func(d *Database) { d.Add(core.NewAtom(core.ACDom, snapC)) }},
 	{"InternTerm", func(d *Database) { d.InternTerm(core.NewNull("minted")) }},
 	{"InternTerm known", func(d *Database) { d.InternTerm(snapA) }},
 }

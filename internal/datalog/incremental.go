@@ -193,13 +193,6 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 
 	work := m.cur.Clone()
 	addsList := sortedFacts(baseAdd)
-	for _, f := range addsList {
-		// A base ACDom fact the fixpoint already derives must be pinned
-		// there as in the base, or it dies with its derived supports.
-		if t, ok := domFact(f); ok {
-			work.PinACDom(t)
-		}
-	}
 	if len(baseDel) == 0 && !m.p.hasNeg {
 		err = m.applyMonotone(work, addsList, opts, tk, noteAdd)
 	} else {
