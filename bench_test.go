@@ -86,8 +86,8 @@ func BenchmarkEvalSemiNaive(b *testing.B) {
 // re-planning from live statistics), cold (stratify + compile every
 // evaluation) and warm (a shared compiled Program, the serving layer's
 // steady state), on a recursive closure (delta-driven, plans re-fitted
-// every round as T grows) and a triangle join (a 3-atom body where the
-// access-path choice, seek or two-position hash probe, dominates).
+// every round as T grows) and a triangle join (a 3-atom body whose
+// last atom, bound at both positions, is a seen-set check).
 func BenchmarkJoinPlanner(b *testing.B) {
 	for _, c := range []struct {
 		name, theory string

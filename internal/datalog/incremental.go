@@ -192,13 +192,7 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 	}()
 
 	work := m.cur.Clone()
-	addsList := sortedFacts(baseAdd)
-	if len(baseDel) == 0 && !m.p.hasNeg {
-		err = m.applyMonotone(work, addsList, opts, tk, noteAdd)
-	} else {
-		err = m.applyDRed(work, next, addsList, sortedFacts(baseDel), opts, tk, noteAdd, noteDel, &grossAdds, &grossDels, addedSet, removedSet)
-	}
-	if err != nil {
+	if err := m.applyDRed(work, next, sortedFacts(baseAdd), sortedFacts(baseDel), opts, tk, noteAdd, noteDel, &grossAdds, &grossDels, removedSet); err != nil {
 		return nil, Delta{}, err
 	}
 
@@ -208,52 +202,26 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 	return work, Delta{Added: sortedFacts(addedSet), Removed: sortedFacts(removedSet)}, nil
 }
 
-// applyMonotone is the insertion-only fast path for programs without
-// negation: the fixpoint is monotone in the base, so resuming the
-// semi-naive loop with the inserted facts as the initial delta computes
-// exactly the from-scratch fixpoint of the grown base.
-func (m *Maintained) applyMonotone(work *database.Database, adds []core.Atom, opts Options, tk *budget.Tracker, noteAdd func(core.Atom)) error {
-	var grossAdds []core.Atom
-	onAdd := func(a core.Atom) { grossAdds = append(grossAdds, a); noteAdd(a) }
-	for i := range m.p.strata {
-		cs := &m.p.strata[i]
-		items := instantiate(cs.items)
-		jc := hom.NewJoinCache(work)
-		var bufs [][]core.Atom
-		if i == 0 {
-			bufs = [][]core.Atom{adds}
-		}
-		// Everything inserted so far — the batch plus all lower-strata
-		// derivations — is the initial delta of this stratum: any new
-		// firing of a stratum-i rule must use at least one of them.
-		force := grossAdds[:len(grossAdds):len(grossAdds)]
-		if err := runDeltaRounds(items, work, opts, tk, jc, m.noteBuilds(jc, opts.Stats), bufs, force, onAdd); err != nil {
-			return fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // applyDRed folds the batch into work, a clone of m.cur, given next,
-// the staged post-batch base. It handles batches with deletions (or
-// programs with negation, where even pure insertions can retract
-// derived facts) by delete-and-rederive, stratum by stratum:
-// over-delete every derivation that may have used a deleted fact or
-// become blocked by an added one (phase D, joined against the pristine
-// pre-batch database — a safe over-approximation), re-add over-deleted
-// facts still in next or still one-step derivable (phase R), then
-// resume the semi-naive insertion rounds with the rederived and added
-// facts as the delta (phase I, including firings newly unblocked by
-// deletions).
+// the staged post-batch base, by delete-and-rederive, stratum by
+// stratum: over-delete every derivation that may have used a deleted
+// fact or become blocked by an added one (phase D, joined against the
+// pristine pre-batch database — a safe over-approximation), re-add
+// over-deleted facts still in next or still one-step derivable (phase
+// R), then resume the semi-naive insertion rounds with the rederived
+// and added facts as the delta (phase I, including firings newly
+// unblocked by deletions). A batch that deletes nothing, over a program
+// without negation, leaves phases D and R nothing to do: they then
+// instantiate and plan nothing, and phase I alone resumes the monotone
+// fixpoint of the grown base.
 //
 // Every deletion runs through retractCascade: for ACDom-reading
 // programs, a constant whose last trusted support dies drags its
 // remaining (possibly self-supporting) derived supports into the
 // frontier too — see the method comment for why refcounts alone
 // under-delete there.
-func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.Atom, opts Options, tk *budget.Tracker, noteAdd, noteDel func(core.Atom), grossAdds, grossDels *[]core.Atom, addedSet, removedSet map[string]core.Atom) error {
+func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.Atom, opts Options, tk *budget.Tracker, noteAdd, noteDel func(core.Atom), grossAdds, grossDels *[]core.Atom, removedSet map[string]core.Atom) error {
 	old := m.cur
-	js := opts.Stats
 	maxFacts := 0
 	if opts.Budget != nil {
 		maxFacts = opts.Budget.MaxFacts
@@ -269,25 +237,20 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 
 	for i := range m.p.strata {
 		cs := &m.p.strata[i]
-		jcOld := hom.NewJoinCache(old)
-		jc := hom.NewJoinCache(work)
 
 		// Phase D: over-deletion. Joins run against the frozen pre-batch
 		// database — every derivation that existed before the batch and
 		// touched a deleted fact (or was blocked-to-be by an added one)
 		// is a deletion candidate; rederivation repairs the overshoot.
-		dItems := instantiate(cs.items)
-		for j := range dItems {
-			dItems[j].resolve(old)
-			dItems[j].replan(old, jcOld, js)
-		}
-		deleteHeads := func(cands []core.Atom) error {
-			for _, h := range cands {
-				if !work.Has(h) {
-					continue
-				}
-				if err := m.retractCascade(work, next, h, i, tk, noteDel); err != nil {
-					return fmt.Errorf("datalog: apply: over-delete %s: %w", h, err)
+		deleteHeads := func(cands [][]core.Atom) error {
+			for _, buf := range cands {
+				for _, h := range buf {
+					if !work.Has(h) {
+						continue
+					}
+					if err := m.retractCascade(work, next, h, i, tk, noteDel); err != nil {
+						return fmt.Errorf("datalog: apply: over-delete %s: %w", h, err)
+					}
 				}
 			}
 			return nil
@@ -298,12 +261,7 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 			// literals are checked against the pre-batch database, so a
 			// fact that was already present (e.g. over-deleted elsewhere
 			// and rederived) blocks nothing spuriously.
-			bItems := instantiate(cs.negItems)
-			for j := range bItems {
-				bItems[j].resolve(old)
-				bItems[j].replan(old, jcOld, js)
-			}
-			cands, err := sweepMatches(bItems, old, (*grossAdds)[:len(*grossAdds):len(*grossAdds)], jcOld, tk, true)
+			cands, err := deltaJoin(instantiate(cs.negItems), groupFacts(old, *grossAdds, false), old, opts, tk, true)
 			if err != nil {
 				return err
 			}
@@ -311,15 +269,19 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 				return err
 			}
 		}
+		var dItems []citem
 		for cursor := 0; cursor < len(*grossDels); {
 			// Round checkpoint: FailAt injection and cancellation observe
 			// over-deletion rounds exactly like semi-naive merge rounds.
 			if err := tk.Check(); err != nil {
 				return err
 			}
+			if dItems == nil {
+				dItems = instantiate(cs.items)
+			}
 			batch := (*grossDels)[cursor:]
 			cursor = len(*grossDels)
-			cands, err := sweepMatches(dItems, old, batch, jcOld, tk, true)
+			cands, err := deltaJoin(dItems, groupFacts(old, batch, false), old, opts, tk, true)
 			if err != nil {
 				return err
 			}
@@ -332,20 +294,28 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 		// head relations returns if it is in the effective new base, or
 		// if some surviving body instantiation still derives it (the
 		// diamond case: a retracted base fact that is independently
-		// derivable must not lose its derived copy).
-		rItems := instantiate(cs.redItems)
-		for j := range rItems {
-			rItems[j].resolve(work)
-			rItems[j].replan(work, jc, js)
-		}
+		// derivable must not lose its derived copy). The items are
+		// planned once, over work as phase R finds it.
+		var rItems []citem
+		rPlanned := false
 		readds := 0
 		for _, k := range sortedKeys(removedSet) {
 			f, live := removedSet[k]
 			if !live || f.Relation == core.ACDom || !cs.headRels[f.Key()] {
 				continue
 			}
-			if !next.Has(f) && !oneStepDerivable(&f, rItems, work, jc, tk) {
-				continue
+			if !next.Has(f) {
+				if !rPlanned {
+					rPlanned = true
+					for _, c := range instantiate(cs.redItems) {
+						if c.prepare(work, opts.Stats) {
+							rItems = append(rItems, c)
+						}
+					}
+				}
+				if !oneStepDerivable(&f, rItems, work, tk) {
+					continue
+				}
 			}
 			if maxFacts > 0 && tk.Usage().Facts+readds+work.AddCost(f) > maxFacts {
 				tk.AddFacts(readds)
@@ -370,27 +340,21 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 		// stratum 0, and phase R only watches the net-removed set (the
 		// deletion canceled against the earlier add). The merge dedups,
 		// so re-offering already-present facts costs one lookup each.
+		// Everything inserted so far — the batch, lower-strata
+		// derivations and rederived facts — is forced into the first
+		// delta: any new firing of a stratum-i rule must use one of them.
 		var bufs [][]core.Atom
 		if len(adds) > 0 {
 			bufs = append(bufs, adds)
 		}
 		if len(cs.negItems) > 0 && len(*grossDels) > 0 {
-			uItems := instantiate(cs.negItems)
-			for j := range uItems {
-				uItems[j].resolve(work)
-				uItems[j].replan(work, jc, js)
-			}
-			ubuf, err := sweepMatches(uItems, work, (*grossDels)[:len(*grossDels):len(*grossDels)], jc, tk, false)
+			ubufs, err := deltaJoin(instantiate(cs.negItems), groupFacts(work, *grossDels, false), work, opts, tk, false)
 			if err != nil {
 				return err
 			}
-			if len(ubuf) > 0 {
-				bufs = append(bufs, ubuf)
-			}
+			bufs = append(bufs, ubufs...)
 		}
-		items := instantiate(cs.items)
-		force := (*grossAdds)[:len(*grossAdds):len(*grossAdds)]
-		if err := runDeltaRounds(items, work, opts, tk, jc, m.noteBuilds(jc, js), bufs, force, noteAdd); err != nil {
+		if err := runDeltaRounds(instantiate(cs.items), work, opts, tk, bufs, *grossAdds, noteAdd); err != nil {
 			return fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
 		}
 	}
@@ -490,92 +454,16 @@ func (m *Maintained) retractCascade(work, next *database.Database, f core.Atom, 
 	return nil
 }
 
-// noteBuilds returns the hash-table counter hook shared with
-// evalStratum, bound to one join cache.
-func (m *Maintained) noteBuilds(jc *hom.JoinCache, js *JoinStats) func() {
-	prev := 0
-	return func() {
-		if js != nil && jc.Builds() != prev {
-			js.HashTables.Add(int64(jc.Builds() - prev))
-		}
-		prev = jc.Builds()
-	}
-}
-
-// sweepMatches matches each fact's id tuple against every item whose
-// pattern relation matches and collects the ground heads of the
-// resulting body matches in db, with every negated literal checked
-// against db. Facts with terms never interned in db are skipped: no
-// derivation in db can have touched them. With present set it collects
-// the heads db already holds too — phase D's over-deletion candidates,
-// matched over the frozen pre-batch database; otherwise only heads db
-// lacks — the insertion candidates of deletions that unblocked a
-// negated literal, matched over the current database.
-func sweepMatches(items []citem, db *database.Database, facts []core.Atom, jc *hom.JoinCache, tk *budget.Tracker, present bool) ([]core.Atom, error) {
-	groups := groupTuples(db, facts)
-	var out []core.Atom
-	for i := range items {
-		c := &items[i]
-		g := groups[c.pattern.RK]
-		if g == nil || !c.patternOK() {
-			continue
-		}
-		em := newEmitter(c, db, tk)
-		em.present = present
-		w := c.pattern.RK.Arity + c.pattern.RK.AnnArity
-		for j := 0; j < g.n; j++ {
-			mark := em.st.Mark()
-			if em.st.Match(&c.pattern, g.ids[j*w:(j+1)*w]) {
-				if !em.st.SearchPlan(c.rest, &c.plan, jc, em.leaf) {
-					em.st.Unwind(mark)
-					if err := tk.Check(); err != nil {
-						return nil, err
-					}
-				}
-			}
-			em.st.Unwind(mark)
-		}
-		out = append(out, em.out...)
-	}
-	return out, nil
-}
-
-// tupleGroup is a flat list of same-relation id tuples.
-type tupleGroup struct {
-	n   int
-	ids []uint32
-}
-
-func groupTuples(db *database.Database, facts []core.Atom) map[core.RelKey]*tupleGroup {
-	groups := make(map[core.RelKey]*tupleGroup)
-	var scratch []uint32
-	for _, f := range facts {
-		ids, ok := db.FactIDs(scratch[:0], f)
-		if !ok {
-			continue
-		}
-		rk := f.Key()
-		g := groups[rk]
-		if g == nil {
-			g = &tupleGroup{}
-			groups[rk] = g
-		}
-		g.ids = append(g.ids, ids...)
-		g.n++
-	}
-	return groups
-}
-
 // oneStepDerivable reports whether some body instantiation in db still
 // derives f, by matching f against the head-pattern templates of its
 // stratum and searching the positive body, with every negated literal
 // checked against db.
-func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, jc *hom.JoinCache, tk *budget.Tracker) bool {
+func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, tk *budget.Tracker) bool {
 	var tuple []uint32
 	rk := f.Key()
 	for i := range items {
 		c := &items[i]
-		if c.pattern.RK != rk || !c.patternOK() {
+		if c.pattern.RK != rk {
 			continue
 		}
 		ids, ok := db.FactIDs(tuple[:0], *f)
@@ -589,7 +477,7 @@ func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, jc *ho
 		var scratch []uint32
 		mark := st.Mark()
 		if st.Match(&c.pattern, tuple) {
-			st.SearchPlan(c.rest, &c.plan, jc, func() bool {
+			st.SearchPlan(c.rest, &c.plan, func() bool {
 				if polls++; polls%pollInterval == 0 && tk.Canceled() {
 					return false
 				}

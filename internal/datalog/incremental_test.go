@@ -363,3 +363,29 @@ func TestIncrementalDeltaReported(t *testing.T) {
 		t.Fatal("retraction reported an empty removed delta")
 	}
 }
+
+// A batch plans only the items its facts reach: adding or retracting a
+// fact of a relation no rule reads plans no join in any DRed phase.
+func TestApplyPlansOnlyReachedItems(t *testing.T) {
+	p, err := Compile(parser.MustParseTheory(tcTheory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintained(p, gen.Path(10), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := parser.MustParseFacts(`Z(q).`)
+	for _, batch := range []struct {
+		name        string
+		add, remove []core.Atom
+	}{{"add", z, nil}, {"retract", nil, z}} {
+		var js JoinStats
+		if _, _, err := m.Apply(batch.add, batch.remove, Options{Stats: &js}); err != nil {
+			t.Fatal(err)
+		}
+		if n := js.RoundPlans.Load(); n != 0 {
+			t.Errorf("%s Z(q): %d join plans, want none", batch.name, n)
+		}
+	}
+}

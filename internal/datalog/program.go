@@ -30,10 +30,6 @@ import (
 type Program struct {
 	th     *core.Theory
 	strata []compiledStratum
-	// hasNeg reports whether any rule has a negated literal; programs
-	// without negation take the monotone fast path of incremental
-	// insertion (no block/unblock sweeps are ever needed).
-	hasNeg bool
 	// readsACDom reports whether any rule body reads the maintained
 	// ACDom relation. Only such programs can derive facts FROM domain
 	// membership, which is what makes refcount-maintained ACDom unsound
@@ -98,7 +94,6 @@ func Compile(th *core.Theory) (*Program, error) {
 			for _, l := range r.Body {
 				if l.Negated {
 					cs.negItems = append(cs.negItems, compileAuxTemplate(r, l.Atom, true))
-					p.hasNeg = true
 				}
 				if l.Atom.Relation == core.ACDom {
 					p.readsACDom = true

@@ -16,10 +16,6 @@ import (
 type JoinStats struct {
 	// RoundPlans counts join plans computed (per work item per round).
 	RoundPlans atomic.Int64
-	// HashTables counts hash-join tables built by the join cache.
-	HashTables atomic.Int64
-	// ProbeSteps counts plan steps executed via a hash-probe access path.
-	ProbeSteps atomic.Int64
 }
 
 // Options configures the semi-naive evaluator. An evaluation runs on
@@ -135,8 +131,8 @@ func compileAuxTemplate(r *core.Rule, pat core.Atom, withHeads bool) ctempl {
 
 // citem is the per-evaluation instantiation of a template: the compiled
 // atoms are deep-copied because Resolve writes constant ids into them
-// (id resolution is per-database), and the plan is recomputed per round
-// from live statistics.
+// (id resolution is per-database), and the plan is recomputed from live
+// statistics before each join (see prepare).
 type citem struct {
 	t       *ctempl
 	pattern hom.CAtom
@@ -144,6 +140,7 @@ type citem struct {
 	neg     []hom.CAtom
 	heads   []hom.CAtom
 	plan    hom.Plan
+	size    int // the database size at the last prepare (-1: never)
 }
 
 func cloneAtoms(src []hom.CAtom) []hom.CAtom {
@@ -159,7 +156,7 @@ func instantiate(ts []ctempl) []citem {
 	out := make([]citem, len(ts))
 	for i := range ts {
 		t := &ts[i]
-		c := citem{t: t, rest: cloneAtoms(t.rest), neg: cloneAtoms(t.neg), heads: cloneAtoms(t.heads)}
+		c := citem{t: t, rest: cloneAtoms(t.rest), neg: cloneAtoms(t.neg), heads: cloneAtoms(t.heads), size: -1}
 		if t.hasPat {
 			c.pattern = t.pattern
 			c.pattern.Pos = append([]hom.CPos(nil), t.pattern.Pos...)
@@ -169,37 +166,30 @@ func instantiate(ts []ctempl) []citem {
 	return out
 }
 
-// resolve re-resolves the compiled constants against the (frozen)
-// database. Callers gate it on Database.InternEpoch: while no new term
-// was interned, every resolution is unchanged and the call is skipped.
-func (c *citem) resolve(db *database.Database) {
-	if c.t.hasPat {
+// prepare readies the item for a join over the frozen db. When db
+// changed size since the last call, its constants are re-resolved and
+// its plan recomputed from db's current statistics: every round of a
+// fixpoint merges facts (and new terms arrive only with facts), so each
+// round replans, while the frozen database of a DRed sweep is planned
+// once. It reports false when the delta pattern holds a constant db
+// never interned: the item then matches no tuple.
+func (c *citem) prepare(db *database.Database, js *JoinStats) bool {
+	if n := db.Len(); n != c.size {
+		c.size = n
 		c.pattern.Resolve(db)
-	}
-	for i := range c.rest {
-		c.rest[i].Resolve(db)
-	}
-	for i := range c.neg {
-		c.neg[i].Resolve(db)
-	}
-	for i := range c.heads {
-		c.heads[i].Resolve(db)
-	}
-}
-
-// replan recomputes the item's join plan from the database's current
-// statistics and prepares the hash tables its probe steps need.
-func (c *citem) replan(db *database.Database, jc *hom.JoinCache, js *JoinStats) {
-	c.plan = hom.PlanBody(c.rest, c.t.patBound, db)
-	jc.Prepare(c.rest, &c.plan)
-	if js != nil {
-		js.RoundPlans.Add(1)
-		for _, s := range c.plan.Steps {
-			if s.Kind == hom.AccessProbe {
-				js.ProbeSteps.Add(1)
+		for _, as := range [][]hom.CAtom{c.rest, c.neg, c.heads} {
+			for i := range as {
+				as[i].Resolve(db)
+			}
+		}
+		if c.patternOK() {
+			c.plan = hom.PlanBody(c.rest, c.t.patBound, db)
+			if js != nil {
+				js.RoundPlans.Add(1)
 			}
 		}
 	}
+	return c.patternOK()
 }
 
 // patternOK reports whether the item's delta pattern resolved fully; a
@@ -224,7 +214,7 @@ const pollInterval = 64
 // are materialized to term atoms only when genuinely unseen. Remaining
 // cross-item duplicates are resolved by the merge. With present set the
 // seen-set prefilter is off: heads the database holds are buffered too
-// (DRed's over-deletion candidates, see sweepMatches).
+// (DRed's over-deletion candidates, see applyDRed).
 type emitter struct {
 	c       *citem
 	st      *hom.State
@@ -268,114 +258,129 @@ func (e *emitter) leaf() bool {
 	return true
 }
 
-// evalStratum computes the fixpoint of one stratum with a semi-naive
-// loop. Each round freezes the database: compiled constants are
-// re-resolved (only when the intern epoch moved), every live item's join
-// plan is recomputed from the now-current statistics and the hash tables
-// the plans probe are built; then each (rule × delta-position) work item
-// joins against the frozen database into its own buffer, and the buffers
-// are merged in work-item order. Semi-naive correctness needs the
-// freeze: an item must not see facts merged in its own round. The merge
-// uses AddNotify so that ACDom facts derived from fresh head constants
-// enter the next delta; without this, ACDom-reading rules in the same
-// stratum would miss constants introduced mid-fixpoint.
-//
-// Negated literals are evaluated against the current database; callers
-// guarantee stratification (the negated relations are fully computed, and
-// Stratify's implicit head→ACDom edges extend the guarantee to ACDom).
-//
-// Cancellation protocol: the tracker is polled between work items and
-// every pollInterval join results inside an item. The buffers of a
-// canceled round are discarded, never merged — the database then holds
-// exactly the merged facts, a well-formed partial fixpoint. A panic
-// unwinds to the engine entry (Program.Eval, Maintained.Apply) before
-// the round's merge, with the same guarantee.
+// idGroup is a flat list of same-relation id tuples: one relation's
+// share of a round's delta, or of the facts a DRed sweep matches.
+type idGroup struct {
+	n   int
+	ids []uint32
+}
+
+// groupFacts groups the id tuples of facts by relation. A fact with a
+// term db never interned is dropped: no derivation over db touches it.
+// With held set, so is a fact db does not hold.
+func groupFacts(db *database.Database, facts []core.Atom, held bool) map[core.RelKey]idGroup {
+	if len(facts) == 0 {
+		return nil
+	}
+	groups := make(map[core.RelKey]idGroup)
+	var scratch []uint32
+	for _, f := range facts {
+		ids, ok := db.FactIDs(scratch[:0], f)
+		scratch = ids
+		if !ok || held && !db.SeenIDs(f.Key(), ids) {
+			continue
+		}
+		g := groups[f.Key()]
+		groups[f.Key()] = idGroup{n: g.n + 1, ids: append(g.ids, ids...)}
+	}
+	return groups
+}
+
+// wholeBody is the delta of round 0: its items have no pattern, so the
+// zero relation key's group of one empty tuple runs each item's whole
+// body once. It is never written.
+var wholeBody = map[core.RelKey]idGroup{{}: {n: 1}}
+
+// deltaJoin is the one delta join of evaluation and maintenance. For
+// each item whose pattern relation has tuples in groups, in item order,
+// it prepares the item over the frozen db, matches every tuple against
+// the pattern and searches the rest of the body by plan into the item's
+// emitter; it returns one buffer per joined item (see wholeBody for
+// round 0). With present set the emitter also buffers heads db
+// holds (DRed's over-deletion candidates). Every joined item is a
+// checkpoint, and a canceled join returns the typed error, no buffers.
+func deltaJoin(items []citem, groups map[core.RelKey]idGroup, db *database.Database, opts Options, tk *budget.Tracker, present bool) ([][]core.Atom, error) {
+	n := 0 // items the delta reaches: at most one buffer each
+	for i := range items {
+		if _, found := groups[items[i].pattern.RK]; found {
+			n++
+		}
+	}
+	bufs := make([][]core.Atom, 0, n)
+	for i := range items {
+		c := &items[i]
+		g, found := groups[c.pattern.RK]
+		if !found || !c.prepare(db, opts.Stats) {
+			continue
+		}
+		if err := tk.Check(); err != nil {
+			return nil, err
+		}
+		em := &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
+			scratch: make([]uint32, 0, 16), present: present}
+		w := len(c.pattern.Pos)
+		for j := 0; j < g.n; j++ {
+			mark := em.st.Mark()
+			if em.st.Match(&c.pattern, g.ids[j*w:(j+1)*w]) && !em.st.SearchPlan(c.rest, &c.plan, em.leaf) {
+				return nil, tk.Check() // canceled mid-item
+			}
+			em.st.Unwind(mark)
+		}
+		bufs = append(bufs, em.out)
+	}
+	return bufs, nil
+}
+
+// evalStratum computes the fixpoint of one stratum: round 0 joins every
+// rule's whole body over the input, then runDeltaRounds merges and
+// propagates. Negated literals are evaluated against the current
+// database; callers guarantee stratification (the negated relations are
+// fully computed, and Stratify's implicit head→ACDom edges extend the
+// guarantee to ACDom).
 func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *budget.Tracker) error {
-	js := opts.Stats
-	jc := hom.NewJoinCache(db)
-	prevBuilds := 0
-	noteBuilds := func() {
-		if js != nil && jc.Builds() != prevBuilds {
-			js.HashTables.Add(int64(jc.Builds() - prevBuilds))
-		}
-		prevBuilds = jc.Builds()
+	bufs, err := deltaJoin(instantiate(cs.round0), wholeBody, db, opts, tk, false)
+	if err != nil {
+		return err
 	}
-
-	// Round 0: full evaluation, one work item per rule, planned over the
-	// input statistics.
-	r0 := instantiate(cs.round0)
-	for i := range r0 {
-		r0[i].resolve(db)
-		r0[i].replan(db, jc, js)
-	}
-	noteBuilds()
-	bufs := make([][]core.Atom, len(r0))
-	for u := range r0 {
-		if tk.Canceled() {
-			break // runDeltaRounds' first checkpoint reports it
-		}
-		_ = tk.Check() // checkpoint: counts toward FailAt injection
-		em := newEmitter(&r0[u], db, tk)
-		em.st.SearchPlan(r0[u].rest, &r0[u].plan, jc, em.leaf)
-		bufs[u] = em.out
-	}
-
-	items := instantiate(cs.items)
-	return runDeltaRounds(items, db, opts, tk, jc, noteBuilds, bufs, nil, nil)
+	return runDeltaRounds(instantiate(cs.items), db, opts, tk, bufs, nil, nil)
 }
 
 // runDeltaRounds is the merge-and-propagate loop of the semi-naive
-// engine, shared by evalStratum and the incremental maintenance paths.
-// bufs holds candidate head atoms to merge as the first delta (cross-item
+// engine, shared by evalStratum and incremental maintenance. bufs holds
+// candidate head atoms to merge as the first delta (cross-item
 // duplicates and facts already present are dropped by the merge); force
-// lists facts that are ALREADY in db but must additionally join the first
-// round's delta — incremental insertion resumes a finished fixpoint by
-// forcing the inserted facts, and DRed's insertion phase forces the
-// rederived and net-added facts. onAdd, when non-nil, observes every fact
+// lists facts that are ALREADY in db but must additionally join the
+// first round's delta — incremental maintenance forces the facts a
+// batch inserted or rederived. onAdd, when non-nil, observes every fact
 // the merge inserts (including derived ACDom facts), in merge order.
 //
-// The loop preserves the evalStratum contract: merges in item order with
-// per-fact ceiling enforcement, per-round re-resolution gated on the
-// intern epoch, replanning from live statistics, and per-item joins
-// against the frozen round, with budget checkpoints at every merge point
-// and work item.
-func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budget.Tracker, jc *hom.JoinCache, noteBuilds func(), bufs [][]core.Atom, force []core.Atom, onAdd func(core.Atom)) error {
-	js := opts.Stats
-	if noteBuilds == nil {
-		noteBuilds = func() {}
-	}
+// Each round merges the buffers in item order, then freezes the
+// database: every item whose pattern relation gained facts is prepared
+// (constants re-resolved, plan recomputed from the post-merge
+// statistics) and joins its delta against the frozen round into its own
+// buffer. Semi-naive correctness needs the freeze: an item must not see
+// facts merged in its own round. The merge uses AddNotify so that ACDom
+// facts derived from fresh head constants enter the next delta; without
+// this, ACDom-reading rules in the same stratum would miss constants
+// introduced mid-fixpoint.
+//
+// Cancellation protocol: the tracker is checked at every merge point
+// and work item, and polled every pollInterval join results inside an
+// item. The buffers of a canceled round are discarded, never merged —
+// the database then holds exactly the merged facts, a well-formed
+// partial fixpoint. A panic unwinds to the engine entry (Program.Eval,
+// Maintained.Apply) before the round's merge, with the same guarantee.
+func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budget.Tracker, bufs [][]core.Atom, force []core.Atom, onAdd func(core.Atom)) error {
 	maxRounds := budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRounds }, defaultMaxRounds)
 	maxFacts := 0
 	if opts.Budget != nil {
 		maxFacts = opts.Budget.MaxFacts
 	}
-
-	// Resolve the forced facts to id tuples up front: they are in db, and
-	// interning never un-assigns ids, so resolution cannot fail for a
-	// present fact (an unresolvable one was never in db and is skipped).
-	var forcedN map[core.RelKey]int
-	var forcedIDs map[core.RelKey][]uint32
-	nforced := 0
-	if len(force) > 0 {
-		forcedN = make(map[core.RelKey]int)
-		forcedIDs = make(map[core.RelKey][]uint32)
-		for _, a := range force {
-			ids, ok := db.FactIDs(nil, a)
-			if !ok || !db.SeenIDs(a.Key(), ids) {
-				continue
-			}
-			rk := a.Key()
-			forcedN[rk]++
-			forcedIDs[rk] = append(forcedIDs[rk], ids...)
-			nforced++
-		}
-	}
-
-	itemsEpoch := -1
+	// The forced facts join the first round's delta ahead of the merged
+	// ones; a forced fact db does not hold is dropped.
+	forced := groupFacts(db, force, true)
 	for round := 0; ; round++ {
 		tk.SetRounds(round)
-		// Merge-point checkpoint: a canceled or expired run returns here
-		// with the merged facts intact and this round's buffers discarded.
 		if err := tk.Check(); err != nil {
 			return err
 		}
@@ -410,83 +415,29 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 			}
 		}
 		tk.AddFacts(ndelta)
-		if ndelta+nforced == 0 {
+		if ndelta+len(forced) == 0 {
 			return nil
 		}
-		// Freeze the round: re-resolve compiled constants (skipped when no
-		// new term was interned — the intern epoch is unchanged, so every
-		// resolution would come out identical), then slice each relation's
-		// delta — the newly merged tail of its id-tuple array, prefixed by
-		// any forced tuples (first round only).
-		if e := db.InternEpoch(); e != itemsEpoch {
-			for i := range items {
-				items[i].resolve(db)
-			}
-			itemsEpoch = e
+		// A relation's delta is the newly merged tail of its id tuples.
+		groups := make(map[core.RelKey]idGroup, len(deltaCount)+len(forced))
+		for rk, g := range forced {
+			groups[rk] = g
 		}
-		type group struct {
-			n, w int
-			ids  []uint32
-		}
-		groups := make(map[core.RelKey]group, len(deltaCount)+len(forcedN))
 		for rk, k := range deltaCount {
-			w := rk.Arity + rk.AnnArity
 			all := db.IDTuples(rk)
-			tail := all[len(all)-k*w:]
-			if fn := forcedN[rk]; fn > 0 {
-				comb := make([]uint32, 0, len(forcedIDs[rk])+len(tail))
-				comb = append(append(comb, forcedIDs[rk]...), tail...)
-				groups[rk] = group{n: k + fn, w: w, ids: comb}
-				continue
+			tail := all[len(all)-k*(rk.Arity+rk.AnnArity):]
+			if g, found := forced[rk]; found {
+				tail = append(g.ids, tail...)
+				k += g.n
 			}
-			groups[rk] = group{n: k, w: w, ids: tail}
+			groups[rk] = idGroup{n: k, ids: tail}
 		}
-		for rk, fn := range forcedN {
-			if _, dup := deltaCount[rk]; dup {
-				continue
-			}
-			groups[rk] = group{n: fn, w: rk.Arity + rk.AnnArity, ids: forcedIDs[rk]}
-		}
-		forcedN, forcedIDs, nforced = nil, nil, 0
-		// Re-plan the live items against the post-merge statistics, then
-		// join each one's delta against the frozen round.
-		var live []*citem
-		for i := range items {
-			c := &items[i]
-			if _, found := groups[c.pattern.RK]; !found || !c.patternOK() {
-				continue
-			}
-			c.replan(db, jc, js)
-			live = append(live, c)
-		}
-		noteBuilds()
-		bufs = make([][]core.Atom, len(live))
-	collect:
-		for u, c := range live {
-			if tk.Canceled() {
-				break // the next round's checkpoint reports it
-			}
-			_ = tk.Check() // checkpoint: counts toward FailAt injection
-			g := groups[c.pattern.RK]
-			em := newEmitter(c, db, tk)
-			st := em.st
-			for j := 0; j < g.n; j++ {
-				mark := st.Mark()
-				matched := st.Match(&c.pattern, g.ids[j*g.w:(j+1)*g.w])
-				if matched && !st.SearchPlan(c.rest, &c.plan, jc, em.leaf) {
-					break collect // canceled: the round's buffers are discarded
-				}
-				st.Unwind(mark)
-			}
-			bufs[u] = em.out
+		forced = nil
+		var err error
+		if bufs, err = deltaJoin(items, groups, db, opts, tk, false); err != nil {
+			return err
 		}
 	}
-}
-
-// newEmitter starts the buffer of one work item over the frozen db.
-func newEmitter(c *citem, db *database.Database, tk *budget.Tracker) *emitter {
-	return &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
-		scratch: make([]uint32, 0, 16)}
 }
 
 // EvalSemiNaive computes the stratified fixpoint with the native

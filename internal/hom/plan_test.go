@@ -48,11 +48,11 @@ func bindings(st *State, nvars int) string {
 }
 
 // The consolidated searcher contract: for any body, the dynamic
-// most-constrained Search, the planned SearchPlan without a join cache,
-// and the planned SearchPlan with prepared hash tables must enumerate
-// exactly the same set of complete matches — and the two SearchPlan
-// variants must agree on the *order*, because switching an access path
-// (probe vs seek fallback) preserves insertion-order enumeration.
+// most-constrained Search and the planned SearchPlan must enumerate
+// exactly the same set of complete matches. The bodies cover every
+// access path: scans, seeks, and checks of fully bound atoms (a
+// repeated variable, a constant, an atom whose variables earlier steps
+// bound).
 func TestSearchPlanMatchesSearch(t *testing.T) {
 	bodies := []string{
 		`R(X,Y), S(Y,Z) -> A(X).`,
@@ -62,7 +62,11 @@ func TestSearchPlanMatchesSearch(t *testing.T) {
 		`R(X,X) -> A(X).`,
 		`A(X), B(Y) -> C(X).`, // cross product
 		`R(X,Y), S(Z,W) -> A(X).`,
+		`R(X,Y), S(X,Y) -> A(X).`,
+		`R(X,Y), S(Y,Y), A(X) -> C(X).`,
+		`R(X,c1), S(c1,X) -> A(X).`,
 	}
+	kinds := make(map[AccessKind]bool)
 	for seed := int64(0); seed < 6; seed++ {
 		dbs := []*database.Database{
 			gen.ABDatabase(10, seed),
@@ -80,36 +84,29 @@ func TestSearchPlanMatchesSearch(t *testing.T) {
 				})
 
 				plan := PlanBody(atoms, make([]bool, nvars), db)
-				var viaPlanNil []string
-				st2 := NewState(db, nvars)
-				st2.SearchPlan(atoms, &plan, nil, func() bool {
-					viaPlanNil = append(viaPlanNil, bindings(st2, nvars))
-					return true
-				})
-
-				jc := NewJoinCache(db)
-				jc.Prepare(atoms, &plan)
-				var viaPlanJC []string
-				st3 := NewState(db, nvars)
-				st3.SearchPlan(atoms, &plan, jc, func() bool {
-					viaPlanJC = append(viaPlanJC, bindings(st3, nvars))
-					return true
-				})
-
-				// Same order across access paths (probe vs seek fallback).
-				if strings.Join(viaPlanNil, "\n") != strings.Join(viaPlanJC, "\n") {
-					t.Fatalf("seed %d db %d %q: enumeration order changed with the join cache",
-						seed, di, src)
+				for _, s := range plan.Steps {
+					kinds[s.Kind] = true
 				}
-				// Same set as the dynamic searcher.
+				var viaPlan []string
+				st2 := NewState(db, nvars)
+				st2.SearchPlan(atoms, &plan, func() bool {
+					viaPlan = append(viaPlan, bindings(st2, nvars))
+					return true
+				})
+
 				sort.Strings(viaSearch)
-				sorted := append([]string(nil), viaPlanNil...)
+				sorted := append([]string(nil), viaPlan...)
 				sort.Strings(sorted)
 				if strings.Join(viaSearch, "\n") != strings.Join(sorted, "\n") {
 					t.Fatalf("seed %d db %d %q: SearchPlan set differs from Search\nplan: %s\nsearch %d matches, plan %d",
 						seed, di, src, plan, len(viaSearch), len(sorted))
 				}
 			}
+		}
+	}
+	for _, k := range []AccessKind{AccessScan, AccessSeek, AccessCheck} {
+		if !kinds[k] {
+			t.Errorf("no plan used access path %d", k)
 		}
 	}
 }
@@ -147,60 +144,64 @@ func TestPlanBodyPrefersSelective(t *testing.T) {
 	if plan.Steps[0].Atom != 1 {
 		t.Fatalf("plan %s: expected the 2-fact S atom first", plan)
 	}
-	if s := plan.Steps[1]; s.Kind != AccessSeek || s.Pos != 1 {
-		t.Fatalf("plan %s: expected R entered by a seek on position 1", plan)
+	if s := plan.Steps[1]; s.Kind != AccessSeek {
+		t.Fatalf("plan %s: expected R entered by a seek", plan)
 	}
 }
 
-// Two probe steps over the same relation and (canonicalized) position
-// pair share one hash table, and tables extend incrementally instead of
-// rebuilding: Probe refuses to answer from a stale table until the next
-// Prepare covers the new facts.
-func TestJoinCacheSharingAndIncrementalBuild(t *testing.T) {
+// A fully bound atom plans as a check: it yields the one fact the
+// bindings name, or nothing. A partly bound one plans as a seek and
+// enumerates the same matches, in the same order, as Search.
+func TestPlanAccessPaths(t *testing.T) {
 	db := database.New()
-	for i := 0; i < 8; i++ {
-		db.Add(core.NewAtom("R", core.Const(fmt.Sprintf("c%d", i)), core.Const(fmt.Sprintf("c%d", (i+1)%8))))
+	c := func(i int) core.Term { return core.Const(fmt.Sprintf("c%d", i)) }
+	for i := 0; i < 12; i++ {
+		db.Add(core.NewAtom("T", c(i%2), c(i%3), c(i)))
 	}
-	// Both atoms are fully bound after the (pretend) pattern: both become
-	// probes over R on the canonical pair (0,1).
-	atoms, nvars := compileBody(t, `R(X,Y), R(Y,X) -> A(X).`, db)
-	bound := make([]bool, nvars)
-	for i := range bound {
-		bound[i] = true
-	}
-	plan := PlanBody(atoms, bound, db)
-	for i, s := range plan.Steps {
-		if s.Kind != AccessProbe {
-			t.Fatalf("step %d of %s: want a probe (all positions bound)", i, plan)
+	atoms, nvars := compileBody(t, `T(X,Y,Z) -> A(X).`, db)
+	bind := func(st *State, slot, i int) {
+		id, ok := db.TermID(c(i))
+		if !ok {
+			t.Fatalf("c%d not interned", i)
 		}
-		if s.Pos != 0 || s.Pos2 != 1 {
-			t.Fatalf("step %d of %s: want the canonical pair (0,1)", i, plan)
+		st.Bind(slot, id)
+	}
+	collect := func(run func(st *State, fn func() bool)) []string {
+		st := NewState(db, nvars)
+		bind(st, 0, 0) // X = c0
+		bind(st, 1, 1) // Y = c1
+		var out []string
+		run(st, func() bool {
+			out = append(out, bindings(st, nvars))
+			return true
+		})
+		return out
+	}
+
+	seek := PlanBody(atoms, []bool{true, true, false}, db)
+	if len(seek.Steps) != 1 || seek.Steps[0].Kind != AccessSeek {
+		t.Fatalf("plan %s: want one seek for T with X, Y bound", seek)
+	}
+	viaPlan := collect(func(st *State, fn func() bool) { st.SearchPlan(atoms, &seek, fn) })
+	viaSearch := collect(func(st *State, fn func() bool) { st.ForEach(atoms, fn) })
+	if len(viaPlan) != 2 || strings.Join(viaPlan, "\n") != strings.Join(viaSearch, "\n") {
+		t.Fatalf("seek enumerated %q, Search %q; want the same two matches in the same order", viaPlan, viaSearch)
+	}
+
+	check := PlanBody(atoms, []bool{true, true, true}, db)
+	if len(check.Steps) != 1 || check.Steps[0].Kind != AccessCheck {
+		t.Fatalf("plan %s: want one check for T with every position bound", check)
+	}
+	for z, want := range map[int]int{4: 1, 10: 1, 5: 0, 7: 0} {
+		st := NewState(db, nvars)
+		bind(st, 0, 0)
+		bind(st, 1, 1)
+		bind(st, 2, z)
+		n := 0
+		st.SearchPlan(atoms, &check, func() bool { n++; return true })
+		if n != want {
+			t.Errorf("check of T(c0,c1,c%d) matched %d facts, want %d", z, n, want)
 		}
-	}
-	jc := NewJoinCache(db)
-	jc.Prepare(atoms, &plan)
-	if jc.Builds() != 1 {
-		t.Fatalf("built %d tables, want 1 shared table", jc.Builds())
-	}
-	rk := atoms[0].RK
-	id0, _ := db.TermID(core.Const("c0"))
-	id1, _ := db.TermID(core.Const("c1"))
-	if b, ok := jc.Probe(rk, 0, 1, id0, id1); !ok || len(b) != 1 {
-		t.Fatalf("Probe(c0,c1) = %v, %v; want one fact", b, ok)
-	}
-	// Grow the relation: the stale table must refuse, one Prepare later it
-	// answers again, still with a single build.
-	db.Add(core.NewAtom("R", core.Const("c0"), core.Const("c5")))
-	if _, ok := jc.Probe(rk, 0, 1, id0, id1); ok {
-		t.Fatal("Probe answered from a table that does not cover the relation")
-	}
-	jc.Prepare(atoms, &plan)
-	if jc.Builds() != 1 {
-		t.Fatalf("incremental extension rebuilt the table: builds = %d", jc.Builds())
-	}
-	id5, _ := db.TermID(core.Const("c5"))
-	if b, ok := jc.Probe(rk, 0, 1, id0, id5); !ok || len(b) != 1 {
-		t.Fatalf("Probe(c0,c5) after extension = %v, %v; want the new fact", b, ok)
 	}
 }
 
@@ -216,7 +217,7 @@ func TestPlanDeadBranchFirst(t *testing.T) {
 	}
 	st := NewState(db, nvars)
 	n := 0
-	st.SearchPlan(atoms, &plan, nil, func() bool { n++; return true })
+	st.SearchPlan(atoms, &plan, func() bool { n++; return true })
 	if n != 0 {
 		t.Fatalf("enumerated %d matches through an unresolved constant", n)
 	}

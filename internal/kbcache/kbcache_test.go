@@ -373,7 +373,7 @@ func TestAnswerAtomEDBFallback(t *testing.T) {
 		if err != nil || !got.Exact || !strings.Contains(got.Chain[0], "no rule derives E") {
 			t.Fatalf("%s: exact %v err %v chain %q, want a read of the database's facts", sel.Key(), got != nil && got.Exact, err, got.Chain)
 		}
-		if after := s.Metrics().Snapshot(); after["join_round_plans"] != before["join_round_plans"] || after["join_probe_steps"] != before["join_probe_steps"] {
+		if after := s.Metrics().Snapshot(); after["join_round_plans"] != before["join_round_plans"] {
 			t.Fatalf("%s ran the engine", sel.Key())
 		}
 		full, _, err := ckb.Materialize(context.Background(), sel, d, QueryOptions{})

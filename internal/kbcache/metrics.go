@@ -49,9 +49,8 @@ type Metrics struct {
 	MaintainBatches   atomic.Int64 // mutation batches folded into maintained fixpoints
 	MaintainRejected  atomic.Int64 // registrations refused (unmaintainable plan or build error)
 
-	// Join holds the Datalog engine's join-planner counters (plans
-	// computed per round, hash tables built, probe steps planned) for
-	// every evaluation this store served.
+	// Join holds the Datalog engine's join-planner counter (plans
+	// computed per round) for every evaluation this store served.
 	Join datalog.JoinStats
 }
 
@@ -97,7 +96,5 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"maintain_batches":          m.MaintainBatches.Load(),
 		"maintain_rejected":         m.MaintainRejected.Load(),
 		"join_round_plans":          m.Join.RoundPlans.Load(),
-		"join_hash_tables":          m.Join.HashTables.Load(),
-		"join_probe_steps":          m.Join.ProbeSteps.Load(),
 	}
 }

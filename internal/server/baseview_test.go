@@ -182,7 +182,8 @@ func TestBaseViewDifferential(t *testing.T) {
 				}
 				universe = append(universe, core.NewAtom(f.Relation, args...))
 			}
-			universe = append(universe, core.NewAtom(core.ACDom, core.Const("z")))
+			// ACDom for a fresh constant and for one of the loaded facts.
+			universe = append(universe, core.NewAtom(core.ACDom, core.Const("z")), core.NewAtom(core.ACDom, sh.db().Constants()[0]))
 
 			const steps = 8
 			for step := 0; step < steps; step++ {

@@ -141,9 +141,12 @@ func TestServerRestartContinuity(t *testing.T) {
 // fact given twice counts once, and an ACDom fact, whose relation the
 // database maintains itself, not at all. That is the count a restart
 // reports and the base the next batch adds to, on the memory and the
-// durable path alike.
+// durable path alike. An ACDom fact added for a constant of a loaded
+// fact keeps that constant in the domain once its facts are retracted,
+// also after a restart.
 func TestLoadAcknowledgesDistinctFacts(t *testing.T) {
 	const src, batch = "E(a,b). E(a,b). A(a). ACDom(z).", "E(b,c). E(a,b). ACDom(y)."
+	const domTheory, domCQ = "ACDom(X) -> Dom(X).", "Dom(X) -> Ans(X)."
 	load := func(base string) string {
 		t.Helper()
 		var db dbResponse
@@ -152,29 +155,67 @@ func TestLoadAcknowledgesDistinctFacts(t *testing.T) {
 		}
 		return db.ID
 	}
-	addBatch := func(base, id string) {
+	postBatch := func(base, id string, req factsRequest, want int) {
 		t.Helper()
 		var fr factsResponse
-		if code := post(t, base+"/v1/dbs/"+id+"/facts", factsRequest{Add: batch}, &fr); code != 200 || fr.Facts != 3 {
-			t.Fatalf("batch: status %d, %d facts, want 200 and 3", code, fr.Facts)
+		if code := post(t, base+"/v1/dbs/"+id+"/facts", req, &fr); code != 200 || fr.Facts != want {
+			t.Fatalf("batch %+v: status %d, %d facts, want 200 and %d", req, code, fr.Facts, want)
+		}
+	}
+	addBatch := func(base, id string) { t.Helper(); postBatch(base, id, factsRequest{Add: batch}, 3) }
+	// pin adds ACDom(a) for a constant of the loaded facts, then retracts
+	// every fact a occurs in: the explicit ACDom(a) alone keeps a in the
+	// active domain, and it is no fact of the count.
+	pin := func(base, id string) {
+		t.Helper()
+		postBatch(base, id, factsRequest{Add: "ACDom(a)."}, 3)
+		postBatch(base, id, factsRequest{Retract: "E(a,b). A(a)."}, 1)
+	}
+	register := func(base string) string {
+		t.Helper()
+		var th theoryResponse
+		if code := post(t, base+"/v1/theories", theoryRequest{Source: domTheory}, &th); code != 200 {
+			t.Fatalf("theories: status %d", code)
+		}
+		return th.ID
+	}
+	checkDom := func(base, thID, id string) {
+		t.Helper()
+		if got, _ := queryAnswers(t, base, thID, id, domCQ); fmt.Sprint(got) != "[[a] [b] [c] [y] [z]]" {
+			t.Fatalf("Dom answers %v, want a, b, c, y, z", got)
 		}
 	}
 	ts := newTestServer(t)
-	addBatch(ts.URL, load(ts.URL))
+	memID := load(ts.URL)
+	addBatch(ts.URL, memID)
+	pin(ts.URL, memID)
+	checkDom(ts.URL, register(ts.URL), memID)
 
 	dir := t.TempDir()
 	srv1, ts1 := newPersistentServer(t, dir, Config{})
 	id := load(ts1.URL)
+	thID := register(ts1.URL)
 	if err := srv1.CloseData(); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
-	_, ts2 := newPersistentServer(t, dir, Config{})
+	srv2, ts2 := newPersistentServer(t, dir, Config{})
 	var info dbInfoResponse
 	if code := get(t, ts2.URL+"/v1/dbs/"+id, &info); code != 200 || info.Facts != 2 {
 		t.Fatalf("db info after restart: status %d, %d facts, want 200 and 2", code, info.Facts)
 	}
 	addBatch(ts2.URL, id)
+	pin(ts2.URL, id)
+	checkDom(ts2.URL, thID, id)
+	if err := srv2.CloseData(); err != nil {
+		t.Fatal(err)
+	}
+	ts2.Close()
+	_, ts3 := newPersistentServer(t, dir, Config{})
+	if code := get(t, ts3.URL+"/v1/dbs/"+id, &info); code != 200 || info.Facts != 1 {
+		t.Fatalf("db info after the pinning batches and a restart: status %d, %d facts, want 200 and 1", code, info.Facts)
+	}
+	checkDom(ts3.URL, thID, id)
 }
 
 // An unclean stop (no CloseData — the process just dies) loses nothing

@@ -244,7 +244,8 @@ func TestViewDifferentialRandom(t *testing.T) {
 				x, y := consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))]
 				universe = append(universe, core.NewAtom("E", x, y), core.NewAtom("A", x), core.NewAtom("Node", x))
 			}
-			universe = append(universe, core.NewAtom(core.ACDom, core.Const("z")))
+			// ACDom for a fresh constant and for one of the loaded facts.
+			universe = append(universe, core.NewAtom(core.ACDom, core.Const("z")), core.NewAtom(core.ACDom, consts[0]))
 
 			hits := 0
 			for step := 0; step < 12; step++ {
