@@ -2,6 +2,7 @@ package guardedrules
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -128,8 +129,13 @@ func BenchmarkSaturate(b *testing.B) {
 // plan, base through CompiledKB.Read of the CQ's selector, which for a
 // single-atom CQ runs the KB's atom plan. Every read registers the
 // theory on a fresh store, untimed. Both routes must give the same
-// answers.
+// answers. The untimed registration dwarfs the timed read, so a
+// time-based -benchtime would grow b.N until the reads alone fill it and
+// run for minutes; the benchmark refuses one and takes -benchtime Nx.
 func BenchmarkColdCQ(b *testing.B) {
+	if bt := flag.Lookup("test.benchtime").Value.String(); !strings.HasSuffix(bt, "x") {
+		b.Fatalf("-benchtime %s: every cold read registers its theory untimed, so a time-based run never ends; use -benchtime Nx, e.g. 20x", bt)
+	}
 	routes := []struct {
 		name string
 		read func(*kbcache.CompiledKB, kb.CQ, *database.Database) (*kbcache.QueryResult, error)

@@ -82,11 +82,11 @@ func BenchmarkEvalSemiNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinPlanner times the cost-based planner (per-round
-// re-planning from live statistics), cold (stratify + compile every
-// evaluation) and warm (a shared compiled Program, the serving layer's
-// steady state), on a recursive closure (delta-driven, plans re-fitted
-// every round as T grows) and a triangle join (a 3-atom body whose
+// BenchmarkJoinPlanner times the cost-based planner (plans from live
+// statistics, remade when a relation grew or shrank 2×), cold (stratify
+// + compile every evaluation) and warm (a shared compiled Program, the
+// serving layer's steady state), on a recursive closure (delta-driven,
+// plans re-fitted as T grows) and a triangle join (a 3-atom body whose
 // last atom, bound at both positions, is a seen-set check).
 func BenchmarkJoinPlanner(b *testing.B) {
 	for _, c := range []struct {
@@ -240,7 +240,9 @@ var benchFiles = []struct {
 	runs []benchRun
 }{
 	{"chase", []benchRun{{".", "^BenchmarkChase$", "200ms"}}},
-	{"datalog", []benchRun{{".", "^BenchmarkEvalSemiNaive$", "200ms"}}},
+	// AnswerAtomWide is servebench's read_mix side op in process, at
+	// three DB widths: a goal-directed read should not grow with |DB|.
+	{"datalog", []benchRun{{".", "^BenchmarkEvalSemiNaive$", "200ms"}, {"./internal/kbcache", "^BenchmarkAnswerAtomWide$", "200ms"}}},
 	// MutateLiveBatch is servebench's mutate_live batch in process.
 	{"incremental", []benchRun{{".", "^BenchmarkIncrementalMaintenance$", "200ms"}, {"./internal/kbcache", "^BenchmarkMutateLiveBatch$", "200ms"}}},
 	{"join", []benchRun{{".", "^BenchmarkJoinPlanner$", "200ms"}}},

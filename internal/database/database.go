@@ -43,13 +43,27 @@
 // structure is never written again: the first write through either
 // database that would change one replaces it, in that database only,
 // with a private copy of just that structure. An Add into one relation
-// copies that relation (and the ACDom counts when it touches a
-// constant); the intern table is copied only when a term never seen
-// before is interned; relations nobody writes stay shared for good. So a
-// snapshot costs O(#relations), and the copy cost moves to the first
-// write of each structure. A slice read from a shared relation
-// (IDTuples, IndexWithID) keeps reading the frozen pre-write data after
-// either database writes that relation.
+// copies that relation; the intern table is copied only when a term
+// never seen before is interned; relations nobody writes stay shared for
+// good. The ACDom counts are paged, 1,024 counts to a page: the first
+// count a database changes after a Clone copies the page table (one
+// pointer per page) and that one page, and every later page it writes
+// is copied on its own first write. So a snapshot costs O(#relations),
+// and the copy cost moves to the first write of each structure. A slice
+// read from a shared relation (IDTuples, IndexWithID) keeps reading the
+// frozen pre-write data after either database writes that relation.
+//
+// # Relation handles
+//
+// Rel returns a relation's read handle (size, id tuples, posting lists,
+// distinct counts, seen-set probe); the RelKey-keyed readers (IDTuples,
+// IndexWithID, SeenIDs, RelSize, DistinctAt, CountWithID) wrap it. A
+// handle reads the database's current facts of its relation for as long
+// as Epoch is unchanged, through any number of inserts and removals. A
+// write that creates a relation, replaces a shared one by its private
+// copy or drops an emptied one moves Epoch, and so does interning a
+// term: re-resolve handles (and term ids) then. A stale handle still
+// reads the relation it was taken from, frozen at the replacement.
 //
 // # Materialized atoms
 //
@@ -81,8 +95,14 @@ var ErrNotGround = errors.New("database: atom is not ground")
 // indexes supporting homomorphism search.
 type Database struct {
 	intern *internTable
-	byRel  map[core.RelKey]*relation
+	byRel  map[core.RelKey]*Rel
 	size   int
+	// relWrites counts the writes that changed byRel: a relation created,
+	// replaced by its private copy, or dropped. See Epoch.
+	relWrites int
+	// noted is the id tuple AddIDs hands its notify callback: a copy, so
+	// that the caller's tuple never escapes to the heap.
+	noted []uint32
 	// acdom counts, per constant, its occurrences across all non-ACDom
 	// facts (arguments and annotation, with multiplicity). A constant is
 	// in the active domain exactly while its count is positive; the count
@@ -99,7 +119,7 @@ type Database struct {
 func New() *Database {
 	return &Database{
 		intern: newInternTable(),
-		byRel:  make(map[core.RelKey]*relation),
+		byRel:  make(map[core.RelKey]*Rel),
 		acdom:  &acdomCounts{},
 	}
 }
@@ -150,31 +170,61 @@ func (d *Database) AddTuple(dst []uint32, a core.Atom, notify func(core.Atom)) (
 		return dst, false, fmt.Errorf("%w: %s", ErrNotGround, a.String())
 	}
 	key := d.internAtom(dst, a)
-	if !d.insert(a.Key(), key) {
-		return key, d.pin(a, key), nil
+	var note func(core.RelKey, []uint32)
+	if notify != nil {
+		note = func(rk core.RelKey, ids []uint32) { notify(d.Atom(rk, ids)) }
+	}
+	return key, d.AddIDs(a.Key(), key, note), nil
+}
+
+// InternAtom appends the id tuple of the ground atom a (arguments first,
+// then annotation) to dst, interning its unseen terms, and inserts no
+// fact. A non-ground atom is rejected with an error wrapping
+// ErrNotGround.
+func (d *Database) InternAtom(dst []uint32, a core.Atom) ([]uint32, error) {
+	if !a.IsGround() {
+		return dst, fmt.Errorf("%w: %s", ErrNotGround, a.String())
+	}
+	return d.internAtom(dst, a), nil
+}
+
+// AddIDs is AddTuple for a fact given as rk and the id tuple ids, whose
+// terms d has already interned (InternAtom, TermID, or a tuple read from
+// d). It derives and pins ACDom facts like AddTuple, and calls notify,
+// when non-nil, with the relation and id tuple of every fact it
+// inserts; the tuple is only valid during the call. Fixpoint engines
+// merge derived facts through it without building atoms.
+func (d *Database) AddIDs(rk core.RelKey, ids []uint32, notify func(core.RelKey, []uint32)) bool {
+	if !d.insert(rk, ids) {
+		return d.pin(rk, ids)
 	}
 	if notify != nil {
-		notify(a)
+		d.noted = append(d.noted[:0], ids...)
+		notify(rk, d.noted)
 	}
-	if a.Relation != core.ACDom {
-		for _, id := range key {
+	if rk.Name != core.ACDom {
+		for _, id := range ids {
 			d.noteConstant(id, notify)
 		}
 	}
-	d.pin(a, key)
-	return key, true, nil
+	d.pin(rk, ids)
+	return true
 }
 
-// pin pins the constant of an explicit ACDom fact a with id tuple key,
-// reporting whether it was not pinned before.
-func (d *Database) pin(a core.Atom, key []uint32) bool {
-	if a.Relation != core.ACDom || len(a.Args) != 1 || len(a.Annotation) != 0 || !a.Args[0].IsConst() || d.acdomX[a.Args[0]] {
+// pin pins the constant of an explicit ACDom fact of rk with id tuple
+// key, reporting whether it was not pinned before.
+func (d *Database) pin(rk core.RelKey, key []uint32) bool {
+	if rk != acdomKey {
+		return false
+	}
+	t := d.intern.TermOf(key[0])
+	if !t.IsConst() || d.acdomX[t] {
 		return false
 	}
 	if d.acdomX == nil {
 		d.acdomX = make(map[core.Term]bool)
 	}
-	d.acdomX[d.intern.TermOf(key[0])] = true
+	d.acdomX[t] = true
 	return true
 }
 
@@ -183,17 +233,15 @@ var acdomKey = core.RelKey{Name: core.ACDom, Arity: 1}
 
 // noteConstant counts one more supporting occurrence of the term with
 // interned id. On the first occurrence of a constant it inserts the
-// derived ACDom fact by that id; the atom is built only for notify.
-func (d *Database) noteConstant(id uint32, notify func(core.Atom)) {
-	t := d.intern.TermOf(id)
-	if !t.IsConst() {
+// derived ACDom fact by that id.
+func (d *Database) noteConstant(id uint32, notify func(core.RelKey, []uint32)) {
+	if !d.intern.TermOf(id).IsConst() {
 		return
 	}
-	c := d.ownACDom()
-	n := c.get(id)
-	c.set(id, n+1)
-	if n == 0 && d.insert(acdomKey, []uint32{id}) && notify != nil {
-		notify(core.NewAtom(core.ACDom, t))
+	n := d.addACDom(id, 1)
+	if key := [1]uint32{id}; n == 0 && d.insert(acdomKey, key[:]) && notify != nil {
+		d.noted = append(d.noted[:0], id)
+		notify(acdomKey, d.noted)
 	}
 }
 
@@ -247,21 +295,24 @@ func (d *Database) internAtom(dst []uint32, a core.Atom) []uint32 {
 // alive the text an atom was parsed from.
 func (d *Database) insert(rk core.RelKey, key []uint32) bool {
 	r := d.byRel[rk]
+	h := HashIDs(key)
 	switch {
 	case r == nil:
 		rk.Name = strings.Clone(rk.Name)
-		r = newRelation(rk)
+		r = newRel(rk)
 		d.byRel[rk] = r
-	case r.seen.has(r, key):
+		d.relWrites++
+	case r.seen.has(r, h, key):
 		return false
 	case r.shared.Load():
 		r = r.clone()
 		d.byRel[r.key] = r
+		d.relWrites++
 	}
 	ix := r.n
 	r.n++
 	r.ids = append(r.ids, key...)
-	r.seen.add(r, ix)
+	r.seen.add(r, h, ix)
 	for p, id := range key {
 		m := r.index[p]
 		if m == nil {
@@ -276,13 +327,14 @@ func (d *Database) insert(rk core.RelKey, key []uint32) bool {
 
 // removeFact deletes the fact with id tuple key from rk's relation r and
 // reports whether it was present, dropping the relation once it is empty.
-func (d *Database) removeFact(rk core.RelKey, r *relation, key []uint32) bool {
+func (d *Database) removeFact(rk core.RelKey, r *Rel, key []uint32) bool {
 	if r.shared.Load() {
-		if !r.seen.has(r, key) {
+		if !r.Has(key) {
 			return false
 		}
 		r = r.clone()
 		d.byRel[r.key] = r
+		d.relWrites++
 	}
 	if !r.remove(key) {
 		return false
@@ -290,45 +342,37 @@ func (d *Database) removeFact(rk core.RelKey, r *relation, key []uint32) bool {
 	d.size--
 	if r.n == 0 {
 		delete(d.byRel, rk)
+		d.relWrites++
 	}
 	return true
 }
 
+// Rel returns the read handle of rk's relation; nil, which reads as
+// empty, when d holds no fact of rk. The handle reads d's current facts
+// of rk for as long as Epoch is unchanged. A write that moves Epoch may
+// create, replace (copy-on-write) or drop the relation; the old handle
+// then still reads the relation it was taken from, which is never
+// written again once replaced, so re-resolve it.
+func (d *Database) Rel(rk core.RelKey) *Rel { return d.byRel[rk] }
+
+// Epoch returns a counter that grows whenever a handle from Rel or an
+// answer of TermID may change: a relation is created, replaced by its
+// private copy or dropped, or a term is interned. Inserts and removals
+// inside a relation d already owns leave it alone. Engines that compile
+// atoms against d re-resolve them when it moved since they last did.
+func (d *Database) Epoch() int { return d.relWrites + d.intern.Len() }
+
 // IDTuples returns the interned-id tuples of rk's facts as one flat
 // slice, rk.Arity+rk.AnnArity ids per fact, in the same order as Facts.
-// The returned slice must not be modified. Together with ForEachIndexWithID
-// it lets fixpoint engines join entirely in id space.
-func (d *Database) IDTuples(rk core.RelKey) []uint32 {
-	if r := d.byRel[rk]; r != nil {
-		return r.ids
-	}
-	return nil
-}
-
-// ForEachIndexWithID calls fn with the Facts ordinal of every fact of rk
-// whose flat position pos has the interned id; fn returning false stops
-// the iteration early.
-func (d *Database) ForEachIndexWithID(rk core.RelKey, pos int, id uint32, fn func(int) bool) {
-	r := d.byRel[rk]
-	if r == nil || pos < 0 || pos >= len(r.index) {
-		return
-	}
-	for _, ix := range r.index[pos][id] {
-		if !fn(int(ix)) {
-			return
-		}
-	}
-}
+// The returned slice must not be modified. Together with IndexWithID it
+// lets fixpoint engines join entirely in id space.
+func (d *Database) IDTuples(rk core.RelKey) []uint32 { return d.Rel(rk).Tuples() }
 
 // IndexWithID returns the Facts ordinals of every fact of rk whose flat
 // position pos has the interned id, in insertion order. The returned
 // slice must not be modified.
 func (d *Database) IndexWithID(rk core.RelKey, pos int, id uint32) []int32 {
-	r := d.byRel[rk]
-	if r == nil || pos < 0 || pos >= len(r.index) {
-		return nil
-	}
-	return r.index[pos][id]
+	return d.Rel(rk).Posting(pos, id)
 }
 
 // Has reports whether the ground atom is in the database.
@@ -338,8 +382,7 @@ func (d *Database) Has(a core.Atom) bool {
 	if !ok {
 		return false
 	}
-	r := d.byRel[a.Key()]
-	return r != nil && r.seen.has(r, key)
+	return d.Rel(a.Key()).Has(key)
 }
 
 // SeenKey reports whether a fact with relation key rk and packed
@@ -358,10 +401,7 @@ func (d *Database) SeenKey(rk core.RelKey, key []byte) bool {
 
 // SeenIDs reports whether a fact of rk with the given packed id tuple
 // (arguments first, then annotation) is in the database.
-func (d *Database) SeenIDs(rk core.RelKey, ids []uint32) bool {
-	r := d.byRel[rk]
-	return r != nil && len(ids) == r.w && r.seen.has(r, ids)
-}
+func (d *Database) SeenIDs(rk core.RelKey, ids []uint32) bool { return d.Rel(rk).Has(ids) }
 
 // TermID returns the interned id of t; ok is false when t occurs in no
 // fact of the database. Ids are only meaningful within this database.
@@ -424,6 +464,26 @@ func (d *Database) AddCost(a core.Atom) int {
 	return cost
 }
 
+// AddCostIDs is AddCost for the fact of rk with the id tuple ids, whose
+// terms d has interned.
+func (d *Database) AddCostIDs(rk core.RelKey, ids []uint32) int {
+	if d.Rel(rk).Has(ids) {
+		return 0
+	}
+	cost := 1
+	if rk.Name == core.ACDom {
+		return cost
+	}
+	dom := d.Rel(acdomKey)
+	for i, id := range ids {
+		// An explicitly added ACDom fact keeps insert from re-adding it.
+		if d.intern.TermOf(id).IsConst() && d.acdom.get(id) == 0 && !slices.Contains(ids[:i], id) && !dom.Has(ids[i:i+1]) {
+			cost++
+		}
+	}
+	return cost
+}
+
 // Term returns the term with the given interned id.
 func (d *Database) Term(id uint32) core.Term { return d.intern.TermOf(id) }
 
@@ -475,7 +535,7 @@ func (d *Database) FactsWith(rk core.RelKey, pos int, t core.Term) []core.Atom {
 // appendFacts materializes the facts of rk at the ordinals ords (every
 // fact in ordinal order when ords is nil) and appends them to dst. The
 // atoms' terms share one backing array per call.
-func (d *Database) appendFacts(dst []core.Atom, rk core.RelKey, r *relation, ords []int32) []core.Atom {
+func (d *Database) appendFacts(dst []core.Atom, rk core.RelKey, r *Rel, ords []int32) []core.Atom {
 	n := len(ords)
 	if ords == nil {
 		n = r.n
@@ -489,6 +549,12 @@ func (d *Database) appendFacts(dst []core.Atom, rk core.RelKey, r *relation, ord
 		dst = append(dst, d.atomOf(rk, r.tupleAt(ix), terms[i*r.w:(i+1)*r.w]))
 	}
 	return dst
+}
+
+// Atom materializes the fact of rk with id tuple ids (arguments first,
+// then annotation), whose terms d has interned; the caller owns it.
+func (d *Database) Atom(rk core.RelKey, ids []uint32) core.Atom {
+	return d.atomOf(rk, ids, make([]core.Term, len(ids)))
 }
 
 // atomOf builds the fact of rk with id tuple ids in terms (len(terms) ==
@@ -510,7 +576,7 @@ func (d *Database) atomOf(rk core.RelKey, ids []uint32, terms []core.Term) core.
 // CountWithID returns how many facts of rk have the interned id at flat
 // position pos.
 func (d *Database) CountWithID(rk core.RelKey, pos int, id uint32) int {
-	return len(d.IndexWithID(rk, pos, id))
+	return len(d.Rel(rk).Posting(pos, id))
 }
 
 // UserFacts returns every fact except the maintained ACDom facts.
@@ -529,9 +595,14 @@ func (d *Database) UserFacts() []core.Atom {
 // non-ACDom facts.
 func (d *Database) Constants() []core.Term {
 	out := make([]core.Term, 0)
-	for id, n := range d.acdom.n {
-		if n > 0 {
-			out = append(out, d.intern.TermOf(uint32(id)))
+	for pi, p := range d.acdom.pages {
+		if p == nil {
+			continue
+		}
+		for i, n := range p.n {
+			if n > 0 {
+				out = append(out, d.intern.TermOf(uint32(pi*acdomPageSize+i)))
+			}
 		}
 	}
 	core.SortTerms(out)
@@ -578,10 +649,11 @@ func (d *Database) Clone() *Database {
 	d.intern.shared.Store(true)
 	d.acdom.shared.Store(true)
 	out := &Database{
-		intern: d.intern,
-		byRel:  make(map[core.RelKey]*relation, len(d.byRel)),
-		size:   d.size,
-		acdom:  d.acdom,
+		intern:    d.intern,
+		byRel:     make(map[core.RelKey]*Rel, len(d.byRel)),
+		size:      d.size,
+		relWrites: d.relWrites,
+		acdom:     d.acdom,
 	}
 	for rk, r := range d.byRel {
 		r.shared.Store(true)
@@ -596,35 +668,66 @@ func (d *Database) Clone() *Database {
 	return out
 }
 
-// ownACDom returns d's ACDom support counts for writing, first replacing
-// counts shared with a snapshot by a private copy.
-func (d *Database) ownACDom() *acdomCounts {
-	if d.acdom.shared.Load() {
-		d.acdom = &acdomCounts{n: append([]int32(nil), d.acdom.n...)}
+// addACDom adds delta to the ACDom support count of the term with
+// interned id and returns the count before. Counts shared with a snapshot are copied first, one page at a time:
+// a shared page table is replaced by a private copy of its page
+// pointers, which marks every page shared, and the page the write lands
+// in is then replaced by a private copy.
+func (d *Database) addACDom(id uint32, delta int32) int32 {
+	c := d.acdom
+	if c.shared.Load() {
+		c = &acdomCounts{pages: slices.Clone(c.pages)}
+		for _, p := range c.pages {
+			if p != nil {
+				p.shared.Store(true)
+			}
+		}
+		d.acdom = c
 	}
-	return d.acdom
+	i := int(id / acdomPageSize)
+	if i >= len(c.pages) {
+		c.pages = append(c.pages, make([]*acdomPage, i+1-len(c.pages))...)
+	}
+	p, k := c.pages[i], int(id%acdomPageSize)
+	if p == nil || p.shared.Load() {
+		q := &acdomPage{}
+		if p != nil {
+			q.n = slices.Clone(p.n)
+		}
+		p, c.pages[i] = q, q
+	}
+	if k >= len(p.n) {
+		p.n = append(p.n, make([]int32, k+1-len(p.n))...)
+	}
+	p.n[k] += delta
+	return p.n[k] - delta
 }
 
+// acdomPageSize is the number of counts in one page of acdomCounts.
+const acdomPageSize = 1024
+
 // acdomCounts holds the ACDom support count of every interned term,
-// indexed by interned id; ids past the end of n count zero. Once shared
-// is set (by Clone) the counts are never written again.
+// indexed by interned id, in pages of at most acdomPageSize counts; ids
+// past the end of a page, or in a missing one, count zero. A page holds
+// counts only up to the highest id written, so a small database copies
+// a small page. Once shared is set (by Clone) the page table is never
+// written again, and once a page's shared is set (by a copy of a table
+// that holds it) neither is that page.
 type acdomCounts struct {
+	shared atomic.Bool
+	pages  []*acdomPage
+}
+
+type acdomPage struct {
 	shared atomic.Bool
 	n      []int32
 }
 
 func (c *acdomCounts) get(id uint32) int32 {
-	if int(id) < len(c.n) {
-		return c.n[id]
+	if i, k := int(id/acdomPageSize), int(id%acdomPageSize); i < len(c.pages) && c.pages[i] != nil && k < len(c.pages[i].n) {
+		return c.pages[i].n[k]
 	}
 	return 0
-}
-
-func (c *acdomCounts) set(id uint32, n int32) {
-	if int(id) >= len(c.n) {
-		c.n = append(c.n, make([]int32, int(id)+1-len(c.n))...)
-	}
-	c.n[id] = n
 }
 
 // Retract removes a ground atom and reports whether it was present; see
@@ -692,7 +795,7 @@ func (d *Database) dropConstant(t core.Term, id uint32, notify func(core.Atom)) 
 	if n == 0 {
 		return
 	}
-	d.ownACDom().set(id, n-1)
+	d.addACDom(id, -1)
 	if n > 1 || d.acdomX[t] {
 		return // still supported, or an explicitly added ACDom fact
 	}

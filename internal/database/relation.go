@@ -6,19 +6,21 @@ import (
 	"guardedrules/internal/core"
 )
 
-// relation is the per-relation-key store: the packed id tuples of its
-// facts in insertion order (w ids per fact, flat), per-position indexes
-// keyed on interned ids, and an open-addressing seen-set over the id
-// tuples. The id tuples are the only copy of a fact: atoms are
-// materialized from them through the intern table on read. Keeping
-// everything keyed on dense uint32 ids (instead of serialized byte
-// strings) removes string hashing from the insert and dedup hot paths,
-// which profiles showed dominating fixpoint runs.
+// Rel is the store of one relation key, and the read handle that
+// Database.Rel returns: the packed id tuples of its facts in insertion
+// order (w ids per fact, flat), per-position indexes keyed on interned
+// ids, and an open-addressing seen-set over the id tuples. The id tuples
+// are the only copy of a fact: atoms are materialized from them through
+// the intern table on read. Keeping everything keyed on dense uint32 ids
+// (instead of serialized byte strings) removes string hashing from the
+// insert and dedup hot paths, which profiles showed dominating fixpoint
+// runs.
 //
 // shared is set by Database.Clone once a snapshot holds the relation too;
 // from then on the relation is never written again, and the first write
-// through either database goes to a private clone instead.
-type relation struct {
+// through either database goes to a private clone instead. A nil *Rel is
+// the handle of an absent relation: it reads as empty.
+type Rel struct {
 	shared atomic.Bool
 	// key is the relation's own byRel key. A clone is stored under it: a
 	// caller's key would replace the map's, and may point into parsed text.
@@ -35,20 +37,63 @@ type relation struct {
 	seen  idSet
 }
 
-func newRelation(rk core.RelKey) *relation {
+func newRel(rk core.RelKey) *Rel {
 	w := rk.Arity + rk.AnnArity
-	return &relation{key: rk, w: w, index: make([]map[uint32][]int32, w)}
+	return &Rel{key: rk, w: w, index: make([]map[uint32][]int32, w)}
+}
+
+// Len returns the number of facts.
+func (r *Rel) Len() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
+}
+
+// Tuples returns the id tuples of the facts as one flat slice, w ids per
+// fact, in insertion order. The slice must not be modified.
+func (r *Rel) Tuples() []uint32 {
+	if r == nil {
+		return nil
+	}
+	return r.ids
+}
+
+// Posting returns the ordinals of the facts whose flat position pos
+// holds id, in insertion order. The slice must not be modified.
+func (r *Rel) Posting(pos int, id uint32) []int32 {
+	if r == nil || pos < 0 || pos >= len(r.index) {
+		return nil
+	}
+	return r.index[pos][id]
+}
+
+// Distinct returns the number of distinct ids at flat position pos.
+func (r *Rel) Distinct(pos int) int {
+	if r == nil || pos < 0 || pos >= len(r.index) {
+		return 0
+	}
+	return len(r.index[pos])
+}
+
+// Has reports whether the relation holds the fact with id tuple ids.
+func (r *Rel) Has(ids []uint32) bool { return r.HasHash(HashIDs(ids), ids) }
+
+// HasHash is Has for a caller that already holds HashIDs(ids), so one
+// hash serves every set a candidate tuple is probed in.
+func (r *Rel) HasHash(h uint64, ids []uint32) bool {
+	return r != nil && len(ids) == r.w && r.seen.has(r, h, ids)
 }
 
 // tupleAt returns the packed id tuple of fact ordinal ix.
-func (r *relation) tupleAt(ix int) []uint32 { return r.ids[ix*r.w : ix*r.w+r.w] }
+func (r *Rel) tupleAt(ix int) []uint32 { return r.ids[ix*r.w : ix*r.w+r.w] }
 
 // clone returns a deep, unshared copy of the relation: the first write to
 // a relation shared with a snapshot goes to it. The id arrays, posting
 // lists and seen-set table are copied, so the clone mutates
 // independently.
-func (r *relation) clone() *relation {
-	out := &relation{
+func (r *Rel) clone() *Rel {
+	out := &Rel{
 		key:   r.key,
 		w:     r.w,
 		n:     r.n,
@@ -76,7 +121,7 @@ func (r *relation) clone() *relation {
 // was on (empty lists are deleted, keeping DistinctAt exact), and the
 // moved fact's ordinal is rewritten in place, preserving each list's
 // ascending order.
-func (r *relation) remove(key []uint32) bool {
+func (r *Rel) remove(key []uint32) bool {
 	ix := r.seen.del(r, key)
 	if ix < 0 {
 		return false
@@ -164,7 +209,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func hashIDs(ids []uint32) uint64 {
+// HashIDs is the hash of an id tuple that the seen-sets use.
+func HashIDs(ids []uint32) uint64 {
 	h := uint64(fnvOffset64)
 	for _, id := range ids {
 		h ^= uint64(id)
@@ -182,13 +228,14 @@ func equalIDs(a, b []uint32) bool {
 	return true
 }
 
-// has reports whether the tuple key is already stored in r.
-func (s *idSet) has(r *relation, key []uint32) bool {
+// has reports whether the tuple key, whose HashIDs is h, is already
+// stored in r.
+func (s *idSet) has(r *Rel, h uint64, key []uint32) bool {
 	if len(s.table) == 0 {
 		return false
 	}
 	mask := uint64(len(s.table) - 1)
-	for i := hashIDs(key) & mask; ; i = (i + 1) & mask {
+	for i := h & mask; ; i = (i + 1) & mask {
 		e := s.table[i]
 		if e == 0 {
 			return false
@@ -199,14 +246,15 @@ func (s *idSet) has(r *relation, key []uint32) bool {
 	}
 }
 
-// add records fact ordinal ix (whose tuple must already be appended to
-// r.ids). The caller checks has first; add never checks for duplicates.
-func (s *idSet) add(r *relation, ix int) {
+// add records fact ordinal ix, whose tuple (with HashIDs h) must already
+// be appended to r.ids. The caller checks has first; add never checks
+// for duplicates.
+func (s *idSet) add(r *Rel, h uint64, ix int) {
 	if 4*(s.n+1) >= 3*len(s.table) {
 		s.grow(r)
 	}
 	mask := uint64(len(s.table) - 1)
-	i := hashIDs(r.tupleAt(ix)) & mask
+	i := h & mask
 	for s.table[i] != 0 {
 		i = (i + 1) & mask
 	}
@@ -218,12 +266,12 @@ func (s *idSet) add(r *relation, ix int) {
 // fact ordinal, or -1 when absent. Deletion is by backshift: the probe
 // cluster after the hole is compacted so that lookups never need
 // tombstones and the load factor stays exact.
-func (s *idSet) del(r *relation, key []uint32) int {
+func (s *idSet) del(r *Rel, key []uint32) int {
 	if len(s.table) == 0 {
 		return -1
 	}
 	mask := uint64(len(s.table) - 1)
-	i := hashIDs(key) & mask
+	i := HashIDs(key) & mask
 	for {
 		e := s.table[i]
 		if e == 0 {
@@ -245,7 +293,7 @@ func (s *idSet) del(r *relation, key []uint32) int {
 		if e == 0 {
 			break
 		}
-		h := hashIDs(r.tupleAt(int(e-1))) & mask
+		h := HashIDs(r.tupleAt(int(e-1))) & mask
 		if (j > i && (h <= i || h > j)) || (j < i && h <= i && h > j) {
 			s.table[i] = e
 			i = j
@@ -260,9 +308,9 @@ func (s *idSet) del(r *relation, key []uint32) int {
 // `from` to `to` (the fact is being swapped to a new ordinal). The probe
 // must run while the relation's id array still holds every stored
 // ordinal's original tuple.
-func (s *idSet) repoint(r *relation, key []uint32, from, to int) {
+func (s *idSet) repoint(r *Rel, key []uint32, from, to int) {
 	mask := uint64(len(s.table) - 1)
-	for i := hashIDs(key) & mask; ; i = (i + 1) & mask {
+	for i := HashIDs(key) & mask; ; i = (i + 1) & mask {
 		e := s.table[i]
 		if e == 0 {
 			return
@@ -274,7 +322,7 @@ func (s *idSet) repoint(r *relation, key []uint32, from, to int) {
 	}
 }
 
-func (s *idSet) grow(r *relation) {
+func (s *idSet) grow(r *Rel) {
 	ncap := 2 * len(s.table)
 	if ncap < 16 {
 		ncap = 16
@@ -285,7 +333,7 @@ func (s *idSet) grow(r *relation) {
 		if e == 0 {
 			continue
 		}
-		i := hashIDs(r.tupleAt(int(e-1))) & mask
+		i := HashIDs(r.tupleAt(int(e-1))) & mask
 		for nt[i] != 0 {
 			i = (i + 1) & mask
 		}

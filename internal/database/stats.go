@@ -3,32 +3,22 @@ package database
 import "guardedrules/internal/core"
 
 // Statistics surface: the cardinality counters the cost-based join
-// planner (internal/hom.PlanBody) reads. All of them are maintained
-// incrementally by insert — reading them is O(1) — and they describe the
-// database exactly, not an estimate: RelSize is the fact count of a
-// relation, DistinctAt the number of distinct interned ids occurring at
-// one flat position, CountWithID (database.go) the exact length of one
-// index posting list.
+// planner (internal/hom.PlanBody) reads through a relation's handle
+// (Rel.Len, Rel.Distinct, Rel.Posting); the RelKey-keyed readers here
+// wrap the handle. All of them are maintained incrementally by insert —
+// reading them is O(1) — and they describe the database exactly, not an
+// estimate: RelSize is the fact count of a relation, DistinctAt the
+// number of distinct interned ids occurring at one flat position,
+// CountWithID (database.go) the exact length of one index posting list.
 
 // RelSize returns the number of facts of rk (0 for an absent relation).
-func (d *Database) RelSize(rk core.RelKey) int {
-	if r := d.byRel[rk]; r != nil {
-		return r.n
-	}
-	return 0
-}
+func (d *Database) RelSize(rk core.RelKey) int { return d.Rel(rk).Len() }
 
 // DistinctAt returns the number of distinct interned ids occurring at
 // flat position pos (arguments first, then annotation) of rk's facts.
 // RelSize/DistinctAt is the planner's average posting-list length for a
 // position bound to a yet-unknown id.
-func (d *Database) DistinctAt(rk core.RelKey, pos int) int {
-	r := d.byRel[rk]
-	if r == nil || pos < 0 || pos >= len(r.index) {
-		return 0
-	}
-	return len(r.index[pos])
-}
+func (d *Database) DistinctAt(rk core.RelKey, pos int) int { return d.Rel(rk).Distinct(pos) }
 
 // InternEpoch returns a counter that changes exactly when a new term is
 // interned (by an Add or InternTerm). Engines that resolve compiled

@@ -9,7 +9,6 @@ import (
 	"guardedrules/internal/budget"
 	"guardedrules/internal/core"
 	"guardedrules/internal/database"
-	"guardedrules/internal/hom"
 )
 
 // factKey returns a canonical injective byte encoding of a ground atom,
@@ -237,19 +236,28 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 
 	for i := range m.p.strata {
 		cs := &m.p.strata[i]
+		// One instantiation of each template serves every phase of the
+		// stratum, over old and over work alike: citem.prepare re-resolves
+		// an item whenever the database under it changed.
+		items, negItems := instantiate(cs.items), instantiate(cs.negItems)
 
 		// Phase D: over-deletion. Joins run against the frozen pre-batch
 		// database — every derivation that existed before the batch and
 		// touched a deleted fact (or was blocked-to-be by an added one)
 		// is a deletion candidate; rederivation repairs the overshoot.
-		deleteHeads := func(cands [][]core.Atom) error {
-			for _, buf := range cands {
-				for _, h := range buf {
-					if !work.Has(h) {
+		deleteHeads := func(cands []*derived) error {
+			for _, b := range cands {
+				for k := 0; k < len(b.ids); {
+					rk, ids, h, nk := b.at(k)
+					if k = nk; ids != nil {
+						a := old.Atom(rk, ids)
+						h = &a
+					}
+					if !work.Has(*h) {
 						continue
 					}
-					if err := m.retractCascade(work, next, h, i, tk, noteDel); err != nil {
-						return fmt.Errorf("datalog: apply: over-delete %s: %w", h, err)
+					if err := m.retractCascade(work, next, *h, i, tk, noteDel); err != nil {
+						return fmt.Errorf("datalog: apply: over-delete %s: %w", *h, err)
 					}
 				}
 			}
@@ -261,7 +269,7 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 			// literals are checked against the pre-batch database, so a
 			// fact that was already present (e.g. over-deleted elsewhere
 			// and rederived) blocks nothing spuriously.
-			cands, err := deltaJoin(instantiate(cs.negItems), groupFacts(old, *grossAdds, false), old, opts, tk, true)
+			cands, err := deltaJoin(negItems, groupFacts(old, *grossAdds, false), old, opts, tk, true)
 			if err != nil {
 				return err
 			}
@@ -269,19 +277,15 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 				return err
 			}
 		}
-		var dItems []citem
 		for cursor := 0; cursor < len(*grossDels); {
 			// Round checkpoint: FailAt injection and cancellation observe
 			// over-deletion rounds exactly like semi-naive merge rounds.
 			if err := tk.Check(); err != nil {
 				return err
 			}
-			if dItems == nil {
-				dItems = instantiate(cs.items)
-			}
-			batch := (*grossDels)[cursor:]
+			dels := (*grossDels)[cursor:]
 			cursor = len(*grossDels)
-			cands, err := deltaJoin(dItems, groupFacts(old, batch, false), old, opts, tk, true)
+			cands, err := deltaJoin(items, groupFacts(old, dels, false), old, opts, tk, true)
 			if err != nil {
 				return err
 			}
@@ -294,10 +298,8 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 		// head relations returns if it is in the effective new base, or
 		// if some surviving body instantiation still derives it (the
 		// diamond case: a retracted base fact that is independently
-		// derivable must not lose its derived copy). The items are
-		// planned once, over work as phase R finds it.
+		// derivable must not lose its derived copy).
 		var rItems []citem
-		rPlanned := false
 		readds := 0
 		for _, k := range sortedKeys(removedSet) {
 			f, live := removedSet[k]
@@ -305,15 +307,10 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 				continue
 			}
 			if !next.Has(f) {
-				if !rPlanned {
-					rPlanned = true
-					for _, c := range instantiate(cs.redItems) {
-						if c.prepare(work, opts.Stats) {
-							rItems = append(rItems, c)
-						}
-					}
+				if rItems == nil {
+					rItems = instantiate(cs.redItems)
 				}
-				if !oneStepDerivable(&f, rItems, work, tk) {
+				if !oneStepDerivable(&f, rItems, work, opts, tk) {
 					continue
 				}
 			}
@@ -343,18 +340,15 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 		// Everything inserted so far — the batch, lower-strata
 		// derivations and rederived facts — is forced into the first
 		// delta: any new firing of a stratum-i rule must use one of them.
-		var bufs [][]core.Atom
-		if len(adds) > 0 {
-			bufs = append(bufs, adds)
-		}
+		bufs := []*derived{batch(adds)}
 		if len(cs.negItems) > 0 && len(*grossDels) > 0 {
-			ubufs, err := deltaJoin(instantiate(cs.negItems), groupFacts(work, *grossDels, false), work, opts, tk, false)
+			ubufs, err := deltaJoin(negItems, groupFacts(work, *grossDels, false), work, opts, tk, false)
 			if err != nil {
 				return err
 			}
 			bufs = append(bufs, ubufs...)
 		}
-		if err := runDeltaRounds(instantiate(cs.items), work, opts, tk, bufs, *grossAdds, noteAdd); err != nil {
+		if err := runDeltaRounds(items, work, opts, tk, bufs, *grossAdds, noteAdd); err != nil {
 			return fmt.Errorf("datalog: apply: stratum %d: %w", i, err)
 		}
 	}
@@ -457,33 +451,32 @@ func (m *Maintained) retractCascade(work, next *database.Database, f core.Atom, 
 // oneStepDerivable reports whether some body instantiation in db still
 // derives f, by matching f against the head-pattern templates of its
 // stratum and searching the positive body, with every negated literal
-// checked against db.
-func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, tk *budget.Tracker) bool {
-	var tuple []uint32
+// checked against db. Each item is prepared for the search: db gains
+// the rederived facts between calls.
+func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, opts Options, tk *budget.Tracker) bool {
 	rk := f.Key()
 	for i := range items {
 		c := &items[i]
-		if c.pattern.RK != rk {
+		if c.pattern.RK != rk || !c.prepare(db, opts.Stats) {
 			continue
 		}
-		ids, ok := db.FactIDs(tuple[:0], *f)
+		ids, ok := db.FactIDs(c.scratch[:0], *f)
 		if !ok {
 			return false
 		}
-		tuple = ids
-		st := hom.NewState(db, c.t.nvars)
-		found := false
-		polls := 0
-		var scratch []uint32
+		c.scratch = ids
+		st, found, polls := c.st, false, 0
+		var nids []uint32
 		mark := st.Mark()
-		if st.Match(&c.pattern, tuple) {
+		if st.Match(&c.pattern, ids) {
 			st.SearchPlan(c.rest, &c.plan, func() bool {
 				if polls++; polls%pollInterval == 0 && tk.Canceled() {
 					return false
 				}
 				for k := range c.neg {
-					nids, ok := st.PackIDs(scratch[:0], &c.neg[k])
-					if ok && db.SeenIDs(c.neg[k].RK, nids) {
+					var ok bool
+					nids, ok = st.PackIDs(nids[:0], &c.neg[k])
+					if ok && c.neg[k].Rel.Has(nids) {
 						return true // this instantiation is blocked; keep searching
 					}
 				}

@@ -389,3 +389,40 @@ func TestApplyPlansOnlyReachedItems(t *testing.T) {
 		}
 	}
 }
+
+// One instantiation of a stratum's items serves every DRed phase, over
+// the pre-batch fixpoint and over the clone of it that the batch writes.
+// Here the clone's first insertion join comes at the fact count of the
+// over-deletion joins over the pre-batch fixpoint: retracting E(b,c)
+// takes T(b,c), T(a,c) and ACDom(c) with it, and E(c,z), F(a) bring
+// four facts back. Meanwhile a copy-on-write delete replaced T in the
+// clone. An item that re-resolved its relation handles on a fact count
+// would join E(c,z) against the pre-batch T and derive T(a,z).
+func TestApplyReresolvesReplacedRelations(t *testing.T) {
+	p, err := Compile(parser.MustParseTheory(`E(X,Y) -> T(X,Y).
+		T(X,Y), E(Y,Z) -> T(X,Z).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := database.FromAtoms(parser.MustParseFacts(`E(a,b). E(b,c).`))
+	m, err := NewMaintained(p, base.Clone(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Current()
+	before, n := snap.String(), snap.Len()
+	got, _, err := m.Apply(parser.MustParseFacts(`E(c,z). F(a).`), parser.MustParseFacts(`E(b,c).`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Eval(database.FromAtoms(parser.MustParseFacts(`E(a,b). E(c,z). F(a).`)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("maintained fixpoint\n%s\nwant the recomputed\n%s", got, want)
+	}
+	if snap.String() != before || snap.Len() != n {
+		t.Errorf("Apply changed the pre-batch snapshot:\n%s\nwas\n%s", snap, before)
+	}
+}

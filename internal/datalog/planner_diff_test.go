@@ -102,8 +102,7 @@ func TestPlannerFailAtSweep(t *testing.T) {
 }
 
 // TestPlannerStatsCounters checks that a cost-planned run reports
-// planner activity through Options.Stats: plans are recomputed per
-// round.
+// planner activity through Options.Stats.
 func TestPlannerStatsCounters(t *testing.T) {
 	th := parser.MustParseTheory(`
 		E(X,Y) -> T(X,Y).

@@ -15,10 +15,11 @@ import (
 // positive-body-position), each with compiled id-space atoms and slot
 // assignments — are all computed at Compile time and shared across
 // evaluations. The join plans themselves are not fixed here: the
-// evaluator re-plans every work item each round from the database's
-// live cardinality statistics (hom.PlanBody), so the compile-time
-// artifact is the plan *shape* (templates, slots) while the per-round
-// choice is data-driven.
+// evaluator plans a work item from the database's live cardinality
+// statistics (hom.PlanBody) when it first joins, and again whenever a
+// relation it reads has grown or shrunk 2× since, so the compile-time
+// artifact is the plan *shape* (templates, slots) while the order is
+// data-driven.
 //
 // A Program is immutable after Compile and safe for concurrent use: Eval
 // clones the input database and instantiates the shared templates into
@@ -26,7 +27,7 @@ import (
 // templates themselves are never written after construction). This is
 // the compile-once/query-many seam the serving layer (internal/kbcache)
 // builds on: stratify/compile happen once per theory, per-query work is
-// the fixpoint plus its per-round planning.
+// the fixpoint plus its planning.
 type Program struct {
 	th     *core.Theory
 	strata []compiledStratum
@@ -87,20 +88,21 @@ func Compile(th *core.Theory) (*Program, error) {
 		cs.round0 = make([]ctempl, len(rules))
 		cs.headRels = make(map[core.RelKey]bool)
 		for j, r := range rules {
-			cs.round0[j] = compileTemplate(r, -1)
-			for bi := range r.PositiveBody() {
-				cs.items = append(cs.items, compileTemplate(r, bi))
+			cs.round0[j] = compileTemplate(r, nil, -1, true)
+			body := r.PositiveBody()
+			for bi := range body {
+				cs.items = append(cs.items, compileTemplate(r, &body[bi], bi, true))
 			}
 			for _, l := range r.Body {
 				if l.Negated {
-					cs.negItems = append(cs.negItems, compileAuxTemplate(r, l.Atom, true))
+					cs.negItems = append(cs.negItems, compileTemplate(r, &l.Atom, -1, true))
 				}
 				if l.Atom.Relation == core.ACDom {
 					p.readsACDom = true
 				}
 			}
 			for _, h := range r.Head {
-				cs.redItems = append(cs.redItems, compileAuxTemplate(r, h, false))
+				cs.redItems = append(cs.redItems, compileTemplate(r, &h, -1, false))
 				cs.headRels[h.Key()] = true
 				p.lastStratum[h.Key()] = i
 			}

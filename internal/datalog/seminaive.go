@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"guardedrules/internal/budget"
@@ -14,7 +15,8 @@ import (
 // may be shared by concurrent evaluations (the serving layer aggregates
 // them into its /metrics snapshot).
 type JoinStats struct {
-	// RoundPlans counts join plans computed (per work item per round).
+	// RoundPlans counts join plans computed: a work item is planned when
+	// it first joins and again when its relations grew or shrank 2×.
 	RoundPlans atomic.Int64
 }
 
@@ -40,14 +42,12 @@ type Options struct {
 const defaultMaxRounds = 1_000_000
 
 // ctempl is the compiled template of one work item, built once at
-// Compile time and shared (immutably) across evaluations: either a
-// round-0 item (hasPat false; rest is the full positive body) or a
-// semi-naive item (pattern is the body atom that must match a delta
-// fact, rest the remaining positive body in source order). Variable
-// slots are scoped per template.
+// Compile time and shared (immutably) across evaluations: a round-0 item
+// (no pattern; rest is the full positive body), a semi-naive item
+// (pattern is the body atom that must match a delta fact, rest the
+// remaining positive body in source order) or a maintenance item (see
+// compileTemplate). Variable slots are scoped per template.
 type ctempl struct {
-	rule    *core.Rule
-	hasPat  bool
 	pattern hom.CAtom
 	rest    []hom.CAtom
 	neg     []hom.CAtom
@@ -58,21 +58,24 @@ type ctempl struct {
 	patBound []bool
 }
 
-// compileTemplate compiles rule with body position pat as the delta
-// pattern (pat < 0 for a round-0 template).
-func compileTemplate(r *core.Rule, pat int) ctempl {
-	body := r.PositiveBody()
+// compileTemplate compiles a template of rule r whose pattern is pat
+// (nil for round 0) and whose rest is the positive body without position
+// skip (-1: the full body). A semi-naive item's pattern is the body atom
+// at skip. A maintenance item's pattern is no positive body position: a
+// negated literal (block/unblock sweeps match it against added or
+// deleted facts) or a head atom (rederivation matches it against a
+// deleted fact and asks whether a body instantiation still derives it;
+// it needs no heads, withHeads false).
+func compileTemplate(r *core.Rule, pat *core.Atom, skip int, withHeads bool) ctempl {
 	slots := make(map[core.Term]int)
-	t := ctempl{rule: r}
-	if pat >= 0 {
-		t.hasPat = true
-		t.pattern = hom.Compile(body[pat], slots)
+	var t ctempl
+	if pat != nil {
+		t.pattern = hom.Compile(*pat, slots)
 	}
-	for i, a := range body {
-		if i == pat {
-			continue
+	for i, a := range r.PositiveBody() {
+		if i != skip {
+			t.rest = append(t.rest, hom.Compile(a, slots))
 		}
-		t.rest = append(t.rest, hom.Compile(a, slots))
 	}
 	for _, l := range r.Body {
 		if l.Negated {
@@ -80,42 +83,7 @@ func compileTemplate(r *core.Rule, pat int) ctempl {
 		}
 	}
 	for _, h := range r.Head {
-		t.heads = append(t.heads, hom.Compile(h, slots))
-	}
-	t.nvars = len(slots)
-	t.patBound = make([]bool, t.nvars)
-	if pat >= 0 {
-		for _, p := range t.pattern.Pos {
-			if p.Slot >= 0 {
-				t.patBound[p.Slot] = true
-			}
-		}
-	}
-	return t
-}
-
-// compileAuxTemplate compiles a maintenance template for rule r with an
-// explicit pattern atom that is NOT a positive body position: a negated
-// literal (block/unblock sweeps match it against added or deleted facts)
-// or a head atom (rederivation matches it against a deleted fact and
-// asks whether any body instantiation still derives it). rest is the
-// FULL positive body; withHeads selects whether head atoms are compiled
-// (block/unblock sweeps materialize heads, rederivation needs none).
-func compileAuxTemplate(r *core.Rule, pat core.Atom, withHeads bool) ctempl {
-	body := r.PositiveBody()
-	slots := make(map[core.Term]int)
-	t := ctempl{rule: r, hasPat: true}
-	t.pattern = hom.Compile(pat, slots)
-	for _, a := range body {
-		t.rest = append(t.rest, hom.Compile(a, slots))
-	}
-	for _, l := range r.Body {
-		if l.Negated {
-			t.neg = append(t.neg, hom.Compile(l.Atom, slots))
-		}
-	}
-	if withHeads {
-		for _, h := range r.Head {
+		if withHeads {
 			t.heads = append(t.heads, hom.Compile(h, slots))
 		}
 	}
@@ -129,25 +97,38 @@ func compileAuxTemplate(r *core.Rule, pat core.Atom, withHeads bool) ctempl {
 	return t
 }
 
-// citem is the per-evaluation instantiation of a template: the compiled
-// atoms are deep-copied because Resolve writes constant ids into them
-// (id resolution is per-database), and the plan is recomputed from live
-// statistics before each join (see prepare).
+// citem is the per-evaluation instantiation of a template, kept across
+// the joins of the evaluation. Its compiled atoms are copies, because
+// Resolve writes database-specific handles and constant ids into them;
+// its search state and head buffer serve every join; and its plan is
+// kept until the data it was made for has changed enough (see prepare).
 type citem struct {
 	t       *ctempl
 	pattern hom.CAtom
 	rest    []hom.CAtom
 	neg     []hom.CAtom
-	heads   []hom.CAtom
 	plan    hom.Plan
-	size    int // the database size at the last prepare (-1: never)
+	// sizes holds the size of each rest atom's relation when the plan was
+	// made; nil before the first plan.
+	sizes []int
+	// st.DB is the database the atoms were last resolved against, and
+	// epoch its Epoch then.
+	st    *hom.State
+	epoch int
+	// out buffers the join's head instantiations; out.heads are the
+	// item's compiled heads.
+	out     derived
+	leafFn  func() bool
+	scratch []uint32
+	tk      *budget.Tracker
+	polls   int
+	present bool
 }
 
 func cloneAtoms(src []hom.CAtom) []hom.CAtom {
-	out := make([]hom.CAtom, len(src))
-	for i, a := range src {
-		a.Pos = append([]hom.CPos(nil), a.Pos...)
-		out[i] = a
+	out := slices.Clone(src)
+	for i := range out {
+		out[i].Pos = slices.Clone(out[i].Pos)
 	}
 	return out
 }
@@ -155,49 +136,58 @@ func cloneAtoms(src []hom.CAtom) []hom.CAtom {
 func instantiate(ts []ctempl) []citem {
 	out := make([]citem, len(ts))
 	for i := range ts {
-		t := &ts[i]
-		c := citem{t: t, rest: cloneAtoms(t.rest), neg: cloneAtoms(t.neg), heads: cloneAtoms(t.heads), size: -1}
-		if t.hasPat {
-			c.pattern = t.pattern
-			c.pattern.Pos = append([]hom.CPos(nil), t.pattern.Pos...)
-		}
-		out[i] = c
+		t, c := &ts[i], &out[i]
+		*c = citem{t: t, pattern: t.pattern, rest: cloneAtoms(t.rest), neg: cloneAtoms(t.neg),
+			out: derived{heads: cloneAtoms(t.heads)}}
+		c.pattern.Pos = slices.Clone(t.pattern.Pos)
 	}
 	return out
 }
 
-// prepare readies the item for a join over the frozen db. When db
-// changed size since the last call, its constants are re-resolved and
-// its plan recomputed from db's current statistics: every round of a
-// fixpoint merges facts (and new terms arrive only with facts), so each
-// round replans, while the frozen database of a DRed sweep is planned
-// once. It reports false when the delta pattern holds a constant db
-// never interned: the item then matches no tuple.
+// prepare readies the item for a join over the frozen db and reports
+// whether its delta pattern resolved: a pattern with a constant db never
+// interned matches no tuple. The atoms are re-resolved when db is not
+// the database they were resolved against or its Epoch moved since; a
+// fact count says nothing here, since a batch that deletes and re-adds
+// can end at the same count while a copy-on-write write replaced a
+// relation the handles point to. The plan is remade only when a relation
+// the item reads has grown or shrunk 2× since it was made, so a fixpoint
+// plans an item a logarithmic number of times, not once per round. Any
+// plan enumerates every match; a kept plan changes only the speed and
+// the order of derivations.
 func (c *citem) prepare(db *database.Database, js *JoinStats) bool {
-	if n := db.Len(); n != c.size {
-		c.size = n
+	if c.st == nil {
+		c.st, c.leafFn = hom.NewState(nil, c.t.nvars), c.leaf
+	}
+	if db != c.st.DB || db.Epoch() != c.epoch {
+		c.st.DB, c.epoch = db, db.Epoch()
 		c.pattern.Resolve(db)
-		for _, as := range [][]hom.CAtom{c.rest, c.neg, c.heads} {
+		for _, as := range [][]hom.CAtom{c.rest, c.neg, c.out.heads} {
 			for i := range as {
 				as[i].Resolve(db)
 			}
 		}
-		if c.patternOK() {
-			c.plan = hom.PlanBody(c.rest, c.t.patBound, db)
-			if js != nil {
-				js.RoundPlans.Add(1)
-			}
-		}
 	}
-	return c.patternOK()
-}
-
-// patternOK reports whether the item's delta pattern resolved fully; a
-// pattern with an uninterned constant matches no delta fact.
-func (c *citem) patternOK() bool {
 	for k := range c.pattern.Pos {
 		if p := &c.pattern.Pos[k]; p.Slot < 0 && !p.OK {
 			return false
+		}
+	}
+	replan := c.sizes == nil
+	for i := 0; !replan && i < len(c.rest); i++ {
+		n, p := c.rest[i].Rel.Len(), c.sizes[i]
+		replan = n > 2*p || 2*n < p
+	}
+	if replan {
+		c.plan = hom.PlanBody(c.rest, c.t.patBound)
+		if c.sizes == nil {
+			c.sizes = make([]int, len(c.rest))
+		}
+		for i := range c.rest {
+			c.sizes[i] = c.rest[i].Rel.Len()
+		}
+		if js != nil {
+			js.RoundPlans.Add(1)
 		}
 	}
 	return true
@@ -208,52 +198,36 @@ func (c *citem) patternOK() bool {
 // a huge delta.
 const pollInterval = 64
 
-// emitter buffers the new head instantiations of one work item. The
-// frozen database's seen-set prefilters candidates in id space, and a
-// packed-id local keyset drops within-item re-derivations, so candidates
-// are materialized to term atoms only when genuinely unseen. Remaining
-// cross-item duplicates are resolved by the merge. With present set the
-// seen-set prefilter is off: heads the database holds are buffered too
-// (DRed's over-deletion candidates, see applyDRed).
-type emitter struct {
-	c       *citem
-	st      *hom.State
-	db      *database.Database
-	tk      *budget.Tracker
-	out     []core.Atom
-	local   keyset
-	scratch []uint32
-	polls   int
-	present bool
-}
-
-// leaf is the complete-match callback; returning false aborts the
-// enumeration (the item's buffer is then discarded by the canceled run).
-func (e *emitter) leaf() bool {
-	if e.polls++; e.polls%pollInterval == 0 && e.tk.Canceled() {
+// leaf is the complete-match callback of a join: it buffers the item's
+// unblocked head instantiations the frozen database does not hold, one
+// hash per instantiation serving both the database's seen-set and the
+// buffer's. With present set the seen-set prefilter is off: heads the
+// database holds are buffered too (DRed's over-deletion candidates, see
+// applyDRed). Returning false aborts the enumeration (a canceled run
+// then discards the buffer).
+func (c *citem) leaf() bool {
+	if c.polls++; c.polls%pollInterval == 0 && c.tk.Canceled() {
 		return false
 	}
-	c := e.c
 	for i := range c.neg {
-		ids, ok := e.st.PackIDs(e.scratch[:0], &c.neg[i])
-		if ok && e.db.SeenIDs(c.neg[i].RK, ids) {
+		ids, ok := c.st.PackIDs(c.scratch[:0], &c.neg[i])
+		if ok && c.neg[i].Rel.Has(ids) {
 			return true
 		}
 	}
-	for i := range c.heads {
-		h := &c.heads[i]
-		ids, ok := e.st.PackIDs(e.scratch[:0], h)
+	for i := range c.out.heads {
+		h := &c.out.heads[i]
+		ids, ok := c.st.PackIDs(c.scratch[:0], h)
 		if !ok {
-			// A head constant not yet interned (or an unbound head
-			// variable): certainly not in the database, but with no id key
-			// to dedup on; the merge dedups it.
-			e.out = append(e.out, e.st.Materialize(h))
+			// A head constant not yet interned: certainly not in the
+			// database, but with no id key to dedup on.
+			c.out.addAtom(c.st.Materialize(h))
 			continue
 		}
-		if (!e.present && e.db.SeenIDs(h.RK, ids)) || !e.local.add(uint32(i), ids) {
-			continue
+		c.scratch = ids
+		if hash := database.HashIDs(ids); c.present || !h.Rel.HasHash(hash, ids) {
+			c.out.add(hash, uint32(i), ids)
 		}
-		e.out = append(e.out, e.st.Materialize(h))
 	}
 	return true
 }
@@ -295,18 +269,13 @@ var wholeBody = map[core.RelKey]idGroup{{}: {n: 1}}
 // each item whose pattern relation has tuples in groups, in item order,
 // it prepares the item over the frozen db, matches every tuple against
 // the pattern and searches the rest of the body by plan into the item's
-// emitter; it returns one buffer per joined item (see wholeBody for
-// round 0). With present set the emitter also buffers heads db
-// holds (DRed's over-deletion candidates). Every joined item is a
-// checkpoint, and a canceled join returns the typed error, no buffers.
-func deltaJoin(items []citem, groups map[core.RelKey]idGroup, db *database.Database, opts Options, tk *budget.Tracker, present bool) ([][]core.Atom, error) {
-	n := 0 // items the delta reaches: at most one buffer each
-	for i := range items {
-		if _, found := groups[items[i].pattern.RK]; found {
-			n++
-		}
-	}
-	bufs := make([][]core.Atom, 0, n)
+// head buffer; it returns the buffer of every joined item (see wholeBody
+// for round 0), valid until that item joins again. With present set the
+// buffers also hold heads db holds (DRed's over-deletion candidates).
+// Every joined item is a checkpoint, and a canceled join returns the
+// typed error, no buffers.
+func deltaJoin(items []citem, groups map[core.RelKey]idGroup, db *database.Database, opts Options, tk *budget.Tracker, present bool) ([]*derived, error) {
+	var bufs []*derived
 	for i := range items {
 		c := &items[i]
 		g, found := groups[c.pattern.RK]
@@ -316,17 +285,18 @@ func deltaJoin(items []citem, groups map[core.RelKey]idGroup, db *database.Datab
 		if err := tk.Check(); err != nil {
 			return nil, err
 		}
-		em := &emitter{c: c, st: hom.NewState(db, c.t.nvars), db: db, tk: tk,
-			scratch: make([]uint32, 0, 16), present: present}
+		c.out.reset()
+		c.tk, c.present = tk, present
 		w := len(c.pattern.Pos)
 		for j := 0; j < g.n; j++ {
-			mark := em.st.Mark()
-			if em.st.Match(&c.pattern, g.ids[j*w:(j+1)*w]) && !em.st.SearchPlan(c.rest, &c.plan, em.leaf) {
+			mark := c.st.Mark()
+			ok := !c.st.Match(&c.pattern, g.ids[j*w:(j+1)*w]) || c.st.SearchPlan(c.rest, &c.plan, c.leafFn)
+			c.st.Unwind(mark)
+			if !ok {
 				return nil, tk.Check() // canceled mid-item
 			}
-			em.st.Unwind(mark)
 		}
-		bufs = append(bufs, em.out)
+		bufs = append(bufs, &c.out)
 	}
 	return bufs, nil
 }
@@ -347,22 +317,21 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 
 // runDeltaRounds is the merge-and-propagate loop of the semi-naive
 // engine, shared by evalStratum and incremental maintenance. bufs holds
-// candidate head atoms to merge as the first delta (cross-item
-// duplicates and facts already present are dropped by the merge); force
-// lists facts that are ALREADY in db but must additionally join the
-// first round's delta — incremental maintenance forces the facts a
-// batch inserted or rederived. onAdd, when non-nil, observes every fact
-// the merge inserts (including derived ACDom facts), in merge order.
+// candidate heads to merge as the first delta (cross-item duplicates and
+// facts already present are dropped by the merge); force lists facts
+// that are ALREADY in db but must additionally join the first round's
+// delta — incremental maintenance forces the facts a batch inserted or
+// rederived. onAdd, when non-nil, observes every fact the merge inserts
+// (including derived ACDom facts), in merge order.
 //
 // Each round merges the buffers in item order, then freezes the
 // database: every item whose pattern relation gained facts is prepared
-// (constants re-resolved, plan recomputed from the post-merge
-// statistics) and joins its delta against the frozen round into its own
-// buffer. Semi-naive correctness needs the freeze: an item must not see
-// facts merged in its own round. The merge uses AddNotify so that ACDom
-// facts derived from fresh head constants enter the next delta; without
-// this, ACDom-reading rules in the same stratum would miss constants
-// introduced mid-fixpoint.
+// (see citem.prepare) and joins its delta against the frozen round into
+// its own buffer. Semi-naive correctness needs the freeze: an item must
+// not see facts merged in its own round. The merge inserts id tuples
+// (Database.AddIDs), which also inserts the ACDom facts of fresh head
+// constants; those enter the next delta too, or ACDom-reading rules in
+// the same stratum would miss constants introduced mid-fixpoint.
 //
 // Cancellation protocol: the tracker is checked at every merge point
 // and work item, and polled every pollInterval join results inside an
@@ -370,7 +339,7 @@ func evalStratum(cs *compiledStratum, db *database.Database, opts Options, tk *b
 // the database then holds exactly the merged facts, a well-formed
 // partial fixpoint. A panic unwinds to the engine entry (Program.Eval,
 // Maintained.Apply) before the round's merge, with the same guarantee.
-func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budget.Tracker, bufs [][]core.Atom, force []core.Atom, onAdd func(core.Atom)) error {
+func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budget.Tracker, bufs []*derived, force []core.Atom, onAdd func(core.Atom)) error {
 	maxRounds := budget.Cap(opts.Budget, func(b *budget.T) int { return b.MaxRounds }, defaultMaxRounds)
 	maxFacts := 0
 	if opts.Budget != nil {
@@ -379,6 +348,7 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 	// The forced facts join the first round's delta ahead of the merged
 	// ones; a forced fact db does not hold is dropped.
 	forced := groupFacts(db, force, true)
+	var scratch []uint32
 	for round := 0; ; round++ {
 		tk.SetRounds(round)
 		if err := tk.Check(); err != nil {
@@ -392,26 +362,35 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 		// ACDom facts — form the next delta. The fact ceiling is enforced
 		// per added fact, AddCost-style: a fact whose insertion (including
 		// the ACDom facts it derives) would push the run past the ceiling
-		// is never added, so the partial database never overshoots.
+		// is never added, so the partial database never overshoots. A
+		// materialized head is interned first, so a refused one may leave
+		// its fresh constant interned, in no fact.
 		used := tk.Usage().Facts
 		deltaCount := make(map[core.RelKey]int)
 		ndelta := 0
-		note := func(a core.Atom) {
-			deltaCount[a.Key()]++
+		note := func(rk core.RelKey, ids []uint32) {
+			deltaCount[rk]++
 			ndelta++
 			if onAdd != nil {
-				onAdd(a)
+				onAdd(db.Atom(rk, ids))
 			}
 		}
-		for _, buf := range bufs {
-			for _, a := range buf {
-				if maxFacts > 0 && used+ndelta+db.AddCost(a) > maxFacts {
+		for _, b := range bufs {
+			for i := 0; i < len(b.ids); {
+				rk, ids, a, next := b.at(i)
+				i = next
+				if ids == nil {
+					var err error
+					if ids, err = db.InternAtom(scratch[:0], *a); err != nil {
+						return fmt.Errorf("datalog: merge: %w", err)
+					}
+					scratch = ids
+				}
+				if maxFacts > 0 && used+ndelta+db.AddCostIDs(rk, ids) > maxFacts {
 					tk.AddFacts(ndelta)
 					return tk.Exhausted(budget.ErrFactLimit)
 				}
-				if _, err := db.AddNotify(a, note); err != nil {
-					return fmt.Errorf("datalog: merge: %w", err)
-				}
+				db.AddIDs(rk, ids, note)
 			}
 		}
 		tk.AddFacts(ndelta)

@@ -36,11 +36,14 @@ type CPos struct {
 
 // CAtom is an atom compiled against a variable-slot space: its relation
 // key plus one CPos per flat position (arguments first, then
-// annotation).
+// annotation). Rel is the relation's handle as of the last Resolve: the
+// planned search (PlanBody, SearchPlan) reads through it, the dynamic
+// Search by RK.
 type CAtom struct {
 	Atom core.Atom
 	RK   core.RelKey
 	Pos  []CPos
+	Rel  *database.Rel
 }
 
 // Compile compiles a into the slot space, assigning fresh slots (in
@@ -73,11 +76,10 @@ func Compile(a core.Atom, slots map[core.Term]int) CAtom {
 // Width returns the number of flat positions (ids per fact tuple).
 func (ca *CAtom) Width() int { return len(ca.Pos) }
 
-// Resolve re-resolves the ground terms of ca against db. Call it
-// whenever db may have interned new terms since the last Resolve (the
-// fixpoint engines call it once per round, while the database is
-// frozen).
+// Resolve re-resolves the ground terms and the relation handle of ca
+// against db. Call it whenever db.Epoch moved since the last Resolve.
 func (ca *CAtom) Resolve(db *database.Database) {
+	ca.Rel = db.Rel(ca.RK)
 	for k := range ca.Pos {
 		p := &ca.Pos[k]
 		if p.Slot >= 0 {
@@ -223,29 +225,14 @@ func (st *State) Search(atoms []CAtom, done []bool, fn func() bool) bool {
 	}
 	done[best] = true
 	ca := &atoms[best]
-	tuples := st.DB.IDTuples(ca.RK)
-	w := len(ca.Pos)
-	cont := true
-	try := func(ix int) bool {
-		mark := len(st.trail)
-		if st.Match(ca, tuples[ix*w:ix*w+w]) {
-			if !st.Search(atoms, done, fn) {
-				cont = false
-			}
-		}
-		st.Unwind(mark)
-		return cont
-	}
+	r := st.DB.Rel(ca.RK)
+	var list []int32
+	n := r.Len()
 	if bestPos >= 0 {
-		st.DB.ForEachIndexWithID(ca.RK, bestPos, bestID, try)
-	} else {
-		n := st.DB.RelSize(ca.RK)
-		for ix := 0; ix < n; ix++ {
-			if !try(ix) {
-				break
-			}
-		}
+		list = r.Posting(bestPos, bestID)
+		n = len(list)
 	}
+	cont := st.expand(ca, r, list, n, func() bool { return st.Search(atoms, done, fn) })
 	done[best] = false
 	return cont
 }

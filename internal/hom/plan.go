@@ -68,8 +68,8 @@ func (p Plan) String() string {
 // positions is assumed, as usual. An unresolved ground term yields 0:
 // the atom matches nothing, and ordering it first kills the branch
 // immediately.
-func estimate(ca *CAtom, bound []bool, db *database.Database) (float64, int) {
-	size := db.RelSize(ca.RK)
+func estimate(ca *CAtom, bound []bool) (float64, int) {
+	size := ca.Rel.Len()
 	est := float64(size)
 	nbound := 0
 	for k := range ca.Pos {
@@ -79,7 +79,7 @@ func estimate(ca *CAtom, bound []bool, db *database.Database) (float64, int) {
 				continue
 			}
 			nbound++
-			if d := db.DistinctAt(ca.RK, k); d > 0 {
+			if d := ca.Rel.Distinct(k); d > 0 {
 				est /= float64(d)
 			}
 			continue
@@ -88,7 +88,7 @@ func estimate(ca *CAtom, bound []bool, db *database.Database) (float64, int) {
 		if !p.OK {
 			est = 0
 		} else if size > 0 {
-			est *= float64(db.CountWithID(ca.RK, k, p.ID)) / float64(size)
+			est *= float64(len(ca.Rel.Posting(k, p.ID))) / float64(size)
 		}
 	}
 	return est, nbound
@@ -99,11 +99,11 @@ func estimate(ca *CAtom, bound []bool, db *database.Database) (float64, int) {
 // break on the lower atom index) with per-step access paths. bound marks
 // the slots already bound before the first step — a delta-driven engine
 // passes the pattern atom's slots — with one entry per slot of the
-// compiled atoms; it is not modified. Atoms must be Resolved against db
-// first: the estimates use the resolved constant ids, and an unresolved
-// constant (est 0) is ordered first so execution dies out before
-// touching any index.
-func PlanBody(atoms []CAtom, bound []bool, db *database.Database) Plan {
+// compiled atoms; it is not modified. Atoms must be Resolved first: the
+// estimates read their handles and resolved constant ids, and an
+// unresolved constant (est 0) is ordered first so execution dies out
+// before touching any index.
+func PlanBody(atoms []CAtom, bound []bool) Plan {
 	b := append([]bool(nil), bound...)
 	taken := make([]bool, len(atoms))
 	var p Plan
@@ -113,7 +113,7 @@ func PlanBody(atoms []CAtom, bound []bool, db *database.Database) Plan {
 			if taken[i] {
 				continue
 			}
-			est, nbound := estimate(&atoms[i], b, db)
+			est, nbound := estimate(&atoms[i], b)
 			if best == -1 || est < bestEst {
 				best, bestEst, bestBound = i, est, nbound
 			}
@@ -152,7 +152,8 @@ func (st *State) posIDOf(ca *CAtom, k int) (uint32, bool) {
 // enumeration, and SearchPlan reports whether it ran to completion.
 // Bindings made during the search are unwound before returning. Unlike
 // Search, the order is static: the enumeration order is exactly (plan,
-// insertion order of each relation).
+// insertion order of each relation). Every step reads its atom's handle,
+// so the atoms must be Resolved against st.DB since its Epoch last moved.
 func (st *State) SearchPlan(atoms []CAtom, plan *Plan, fn func() bool) bool {
 	return st.searchStep(atoms, plan.Steps, fn)
 }
@@ -165,47 +166,50 @@ func (st *State) searchStep(atoms []CAtom, steps []Step, fn func() bool) bool {
 	ca := &atoms[s.Atom]
 	if s.Kind == AccessCheck {
 		var buf [8]uint32
-		if ids, ok := st.PackIDs(buf[:0], ca); !ok || !st.DB.SeenIDs(ca.RK, ids) {
+		if ids, ok := st.PackIDs(buf[:0], ca); !ok || !ca.Rel.Has(ids) {
 			return true
 		}
 		return st.searchStep(atoms, steps[1:], fn)
 	}
-	w := len(ca.Pos)
-	tuples := st.DB.IDTuples(ca.RK)
-	try := func(ix int) bool {
-		mark := len(st.trail)
-		cont := !st.Match(ca, tuples[ix*w:ix*w+w]) || st.searchStep(atoms, steps[1:], fn)
-		st.Unwind(mark)
-		return cont
-	}
-	if s.Kind == AccessScan {
-		for ix, n := 0, st.DB.RelSize(ca.RK); ix < n; ix++ {
-			if !try(ix) {
-				return false
+	n := ca.Rel.Len()
+	var list []int32
+	if s.Kind == AccessSeek {
+		// The shortest posting list among the bound positions (a planner
+		// only seeks statically bound ones). An unresolved constant
+		// matches nothing.
+		seek := false
+		for k := range ca.Pos {
+			p := &ca.Pos[k]
+			if p.Slot >= 0 && !st.Bd[p.Slot] {
+				continue
+			}
+			id, ok := st.posIDOf(ca, k)
+			if !ok {
+				return true
+			}
+			if l := ca.Rel.Posting(k, id); !seek || len(l) < len(list) {
+				list, seek = l, true
 			}
 		}
-		return true
+		n = len(list)
 	}
-	// AccessSeek: the shortest posting list among the bound positions (a
-	// planner only seeks statically bound ones). An unresolved constant
-	// matches nothing.
-	var list []int32
-	seek := false
-	for k := range ca.Pos {
-		p := &ca.Pos[k]
-		if p.Slot >= 0 && !st.Bd[p.Slot] {
-			continue
+	return st.expand(ca, ca.Rel, list, n, func() bool { return st.searchStep(atoms, steps[1:], fn) })
+}
+
+// expand matches ca against the facts of r at the ordinals of list (the
+// first n facts when list is nil), calling next under the bindings of
+// each match; it stops and reports false once next does.
+func (st *State) expand(ca *CAtom, r *database.Rel, list []int32, n int, next func() bool) bool {
+	tuples, w := r.Tuples(), len(ca.Pos)
+	for i := 0; i < n; i++ {
+		ix := i
+		if list != nil {
+			ix = int(list[i])
 		}
-		id, ok := st.posIDOf(ca, k)
-		if !ok {
-			return true
-		}
-		if l := st.DB.IndexWithID(ca.RK, k, id); !seek || len(l) < len(list) {
-			list, seek = l, true
-		}
-	}
-	for _, ix := range list {
-		if !try(int(ix)) {
+		mark := len(st.trail)
+		cont := !st.Match(ca, tuples[ix*w:ix*w+w]) || next()
+		st.Unwind(mark)
+		if !cont {
 			return false
 		}
 	}

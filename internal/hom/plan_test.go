@@ -83,7 +83,7 @@ func TestSearchPlanMatchesSearch(t *testing.T) {
 					return true
 				})
 
-				plan := PlanBody(atoms, make([]bool, nvars), db)
+				plan := PlanBody(atoms, make([]bool, nvars))
 				for _, s := range plan.Steps {
 					kinds[s.Kind] = true
 				}
@@ -117,8 +117,8 @@ func TestPlanBodyDeterministic(t *testing.T) {
 	db := gen.ABDatabase(12, 3)
 	atoms, nvars := compileBody(t, `R(X,Y), S(Y,Z), A(X) -> C(X).`, db)
 	bound := make([]bool, nvars)
-	p1 := PlanBody(atoms, bound, db)
-	p2 := PlanBody(atoms, bound, db)
+	p1 := PlanBody(atoms, bound)
+	p2 := PlanBody(atoms, bound)
 	if p1.String() != p2.String() {
 		t.Fatalf("plans differ: %s vs %s", p1, p2)
 	}
@@ -140,7 +140,7 @@ func TestPlanBodyPrefersSelective(t *testing.T) {
 	db.Add(core.NewAtom("S", core.Const("r5"), core.Const("z1")))
 	db.Add(core.NewAtom("S", core.Const("r7"), core.Const("z2")))
 	atoms, nvars := compileBody(t, `R(X,Y), S(Y,Z) -> A(X).`, db)
-	plan := PlanBody(atoms, make([]bool, nvars), db)
+	plan := PlanBody(atoms, make([]bool, nvars))
 	if plan.Steps[0].Atom != 1 {
 		t.Fatalf("plan %s: expected the 2-fact S atom first", plan)
 	}
@@ -178,7 +178,7 @@ func TestPlanAccessPaths(t *testing.T) {
 		return out
 	}
 
-	seek := PlanBody(atoms, []bool{true, true, false}, db)
+	seek := PlanBody(atoms, []bool{true, true, false})
 	if len(seek.Steps) != 1 || seek.Steps[0].Kind != AccessSeek {
 		t.Fatalf("plan %s: want one seek for T with X, Y bound", seek)
 	}
@@ -188,7 +188,7 @@ func TestPlanAccessPaths(t *testing.T) {
 		t.Fatalf("seek enumerated %q, Search %q; want the same two matches in the same order", viaPlan, viaSearch)
 	}
 
-	check := PlanBody(atoms, []bool{true, true, true}, db)
+	check := PlanBody(atoms, []bool{true, true, true})
 	if len(check.Steps) != 1 || check.Steps[0].Kind != AccessCheck {
 		t.Fatalf("plan %s: want one check for T with every position bound", check)
 	}
@@ -211,7 +211,7 @@ func TestPlanAccessPaths(t *testing.T) {
 func TestPlanDeadBranchFirst(t *testing.T) {
 	db := gen.ABDatabase(6, 1)
 	atoms, nvars := compileBody(t, `R(X,Y), S(nosuchconst,X) -> A(X).`, db)
-	plan := PlanBody(atoms, make([]bool, nvars), db)
+	plan := PlanBody(atoms, make([]bool, nvars))
 	if plan.Steps[0].Atom != 1 {
 		t.Fatalf("plan %s: dead atom must be ordered first", plan)
 	}

@@ -146,43 +146,46 @@ func chainDB(prefix string, chains, edges int) *database.Database {
 }
 
 // BenchmarkAnswerAtomWide is one goal-directed atom read on a wide DB:
-// 1,200 disjoint 12-edge E-chains with an A fact on every node but the
-// last (44,400 facts counting ACDom). T(w7_0,Y) runs the magic-sets
-// plan, which derives only chain 7's closure, so the read's cost is the
-// snapshot of the DB the seed fact goes into, not the evaluation.
+// 300, 1,200 or 4,800 disjoint 12-edge E-chains with an A fact on every
+// node but the last (37 facts per chain counting ACDom; servebench's
+// read_mix side op reads the 1,200-chain DB). T(w7_0,Y) runs the
+// magic-sets plan, which derives only chain 7's closure: its cost should
+// not grow with the number of chains, which the three sizes show.
 // E(w7_0,Y) asks a relation no rule derives: it reads the DB's index and
 // runs no engine.
 //
 //	go test -run '^$' -bench BenchmarkAnswerAtomWide -benchmem ./internal/kbcache
 func BenchmarkAnswerAtomWide(b *testing.B) {
 	const edges = 12
-	d := chainDB("w", 1200, edges)
-	if d.Len() != 44400 {
-		b.Fatalf("wide DB has %d facts, want 44400", d.Len())
-	}
 	ckb, _, err := NewStore(Config{}).Register(context.Background(), hotSource)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct {
-		query   core.Atom
-		answers int
-	}{
-		{core.NewAtom("T", core.Const("w7_0"), core.Var("Y")), edges},
-		{core.NewAtom("E", core.Const("w7_0"), core.Var("Y")), 1},
-	} {
-		b.Run(parser.PrintAtom(tc.query), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := ckb.AnswerAtom(context.Background(), tc.query, d, QueryOptions{})
-				if err != nil {
-					b.Fatal(err)
+	for _, chains := range []int{300, 1200, 4800} {
+		d := chainDB("w", chains, edges)
+		if d.Len() != 37*chains {
+			b.Fatalf("wide DB has %d facts, want %d", d.Len(), 37*chains)
+		}
+		for _, tc := range []struct {
+			query   core.Atom
+			answers int
+		}{
+			{core.NewAtom("T", core.Const("w7_0"), core.Var("Y")), edges},
+			{core.NewAtom("E", core.Const("w7_0"), core.Var("Y")), 1},
+		} {
+			b.Run(fmt.Sprintf("chains=%d/%s", chains, parser.PrintAtom(tc.query)), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := ckb.AnswerAtom(context.Background(), tc.query, d, QueryOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Answers) != tc.answers {
+						b.Fatalf("%v has %d answers, want %d", tc.query, len(res.Answers), tc.answers)
+					}
 				}
-				if len(res.Answers) != tc.answers {
-					b.Fatalf("%v has %d answers, want %d", tc.query, len(res.Answers), tc.answers)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

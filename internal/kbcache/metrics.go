@@ -50,7 +50,7 @@ type Metrics struct {
 	MaintainRejected  atomic.Int64 // registrations refused (unmaintainable plan or build error)
 
 	// Join holds the Datalog engine's join-planner counter (plans
-	// computed per round) for every evaluation this store served.
+	// computed) for every evaluation this store served.
 	Join datalog.JoinStats
 }
 
