@@ -730,8 +730,8 @@ func (e *engine) prepareDelta() {
 	e.groups = make(map[core.RelKey]*deltaGroup, len(counts)+1)
 	for rk, n := range counts {
 		w := rk.Arity + rk.AnnArity
-		all := e.db.IDTuples(rk)
-		e.groups[rk] = &deltaGroup{w: w, n: n, ids: all[len(all)-n*w:]}
+		r := e.db.Rel(rk)
+		e.groups[rk] = &deltaGroup{w: w, n: n, ids: r.AppendTuples(nil, r.Len()-n, r.Len())}
 	}
 	if len(acdomIDs) > 0 {
 		e.groups[acdomRK] = &deltaGroup{w: 1, n: len(acdomIDs), ids: acdomIDs}

@@ -42,16 +42,17 @@
 // support counts. Clone marks each of them shared, and a shared
 // structure is never written again: the first write through either
 // database that would change one replaces it, in that database only,
-// with a private copy of just that structure. An Add into one relation
-// copies that relation; the intern table is copied only when a term
-// never seen before is interned; relations nobody writes stay shared for
-// good. The ACDom counts are paged, 1,024 counts to a page: the first
-// count a database changes after a Clone copies the page table (one
-// pointer per page) and that one page, and every later page it writes
-// is copied on its own first write. So a snapshot costs O(#relations),
-// and the copy cost moves to the first write of each structure. A slice
-// read from a shared relation (IDTuples, IndexWithID) keeps reading the
-// frozen pre-write data after either database writes that relation.
+// with a private copy. The intern table is copied whole, and only when
+// a term never seen before is interned. A relation and the ACDom counts
+// are paged (see pages): their private copy copies the page directories
+// only, one pointer per page, and each page is copied on its own first
+// write. A posting list inside a copied page is copied on its own first
+// write too. So a snapshot costs O(#relations), and a write after it
+// copies the directories of the structures it writes and the pages and
+// lists it changes, not the relations. Relations nobody writes stay
+// shared for good. A slice read from a shared relation (Rel.Tuple,
+// IndexWithID) keeps reading the frozen pre-write data after either
+// database writes that relation.
 //
 // # Relation handles
 //
@@ -302,25 +303,14 @@ func (d *Database) insert(rk core.RelKey, key []uint32) bool {
 		r = newRel(rk)
 		d.byRel[rk] = r
 		d.relWrites++
-	case r.seen.has(r, h, key):
+	case r.HasHash(h, key):
 		return false
 	case r.shared.Load():
 		r = r.clone()
 		d.byRel[r.key] = r
 		d.relWrites++
 	}
-	ix := r.n
-	r.n++
-	r.ids = append(r.ids, key...)
-	r.seen.add(r, h, ix)
-	for p, id := range key {
-		m := r.index[p]
-		if m == nil {
-			m = make(map[uint32][]int32)
-			r.index[p] = m
-		}
-		m[id] = append(m[id], int32(ix))
-	}
+	r.append(h, key)
 	d.size++
 	return true
 }
@@ -362,11 +352,14 @@ func (d *Database) Rel(rk core.RelKey) *Rel { return d.byRel[rk] }
 // atoms against d re-resolve them when it moved since they last did.
 func (d *Database) Epoch() int { return d.relWrites + d.intern.Len() }
 
-// IDTuples returns the interned-id tuples of rk's facts as one flat
-// slice, rk.Arity+rk.AnnArity ids per fact, in the same order as Facts.
-// The returned slice must not be modified. Together with IndexWithID it
-// lets fixpoint engines join entirely in id space.
-func (d *Database) IDTuples(rk core.RelKey) []uint32 { return d.Rel(rk).Tuples() }
+// IDTuples returns a copy of the interned-id tuples of rk's facts as one
+// flat slice, rk.Arity+rk.AnnArity ids per fact, in the same order as
+// Facts; the caller owns it. Engines read a relation's tuples in place
+// through its handle (Rel.Tuple).
+func (d *Database) IDTuples(rk core.RelKey) []uint32 {
+	r := d.Rel(rk)
+	return r.AppendTuples(nil, 0, r.Len())
+}
 
 // IndexWithID returns the Facts ordinals of every fact of rk whose flat
 // position pos has the interned id, in insertion order. The returned
@@ -546,7 +539,7 @@ func (d *Database) appendFacts(dst []core.Atom, rk core.RelKey, r *Rel, ords []i
 		if ords != nil {
 			ix = int(ords[i])
 		}
-		dst = append(dst, d.atomOf(rk, r.tupleAt(ix), terms[i*r.w:(i+1)*r.w]))
+		dst = append(dst, d.atomOf(rk, r.Tuple(ix), terms[i*r.w:(i+1)*r.w]))
 	}
 	return dst
 }
@@ -595,13 +588,13 @@ func (d *Database) UserFacts() []core.Atom {
 // non-ACDom facts.
 func (d *Database) Constants() []core.Term {
 	out := make([]core.Term, 0)
-	for pi, p := range d.acdom.pages {
+	for pi, p := range d.acdom.dir {
 		if p == nil {
 			continue
 		}
-		for i, n := range p.n {
+		for i, n := range p.v {
 			if n > 0 {
-				out = append(out, d.intern.TermOf(uint32(pi*acdomPageSize+i)))
+				out = append(out, d.intern.TermOf(uint32((d.acdom.lo+pi)*acdomPage+i)))
 			}
 		}
 	}
@@ -617,8 +610,10 @@ func (d *Database) Terms() core.TermSet {
 		if rk.Name == core.ACDom {
 			continue
 		}
-		for _, id := range r.ids {
-			s.Add(d.intern.TermOf(id))
+		for ix := 0; ix < r.n; ix++ {
+			for _, id := range r.Tuple(ix) {
+				s.Add(d.intern.TermOf(id))
+			}
 		}
 	}
 	return s
@@ -669,65 +664,29 @@ func (d *Database) Clone() *Database {
 }
 
 // addACDom adds delta to the ACDom support count of the term with
-// interned id and returns the count before. Counts shared with a snapshot are copied first, one page at a time:
-// a shared page table is replaced by a private copy of its page
-// pointers, which marks every page shared, and the page the write lands
-// in is then replaced by a private copy.
+// interned id and returns the count before. Counts shared with a
+// snapshot are forked first, so the write copies one page of counts.
 func (d *Database) addACDom(id uint32, delta int32) int32 {
-	c := d.acdom
-	if c.shared.Load() {
-		c = &acdomCounts{pages: slices.Clone(c.pages)}
-		for _, p := range c.pages {
-			if p != nil {
-				p.shared.Store(true)
-			}
-		}
-		d.acdom = c
+	if d.acdom.shared.Load() {
+		d.acdom = &acdomCounts{pages: d.acdom.fork()}
 	}
-	i := int(id / acdomPageSize)
-	if i >= len(c.pages) {
-		c.pages = append(c.pages, make([]*acdomPage, i+1-len(c.pages))...)
-	}
-	p, k := c.pages[i], int(id%acdomPageSize)
-	if p == nil || p.shared.Load() {
-		q := &acdomPage{}
-		if p != nil {
-			q.n = slices.Clone(p.n)
-		}
-		p, c.pages[i] = q, q
-	}
-	if k >= len(p.n) {
-		p.n = append(p.n, make([]int32, k+1-len(p.n))...)
-	}
-	p.n[k] += delta
-	return p.n[k] - delta
+	k := int(id & (acdomPage - 1))
+	p := d.acdom.write(int(id>>acdomShift), acdomPage)
+	p.v[k] += delta
+	return p.v[k] - delta
 }
-
-// acdomPageSize is the number of counts in one page of acdomCounts.
-const acdomPageSize = 1024
 
 // acdomCounts holds the ACDom support count of every interned term,
-// indexed by interned id, in pages of at most acdomPageSize counts; ids
-// past the end of a page, or in a missing one, count zero. A page holds
-// counts only up to the highest id written, so a small database copies
-// a small page. Once shared is set (by Clone) the page table is never
-// written again, and once a page's shared is set (by a copy of a table
-// that holds it) neither is that page.
+// indexed by interned id, acdomPage counts to a page; an id in an absent
+// page counts zero. Once shared is set (by Clone) the counts are never
+// written again.
 type acdomCounts struct {
 	shared atomic.Bool
-	pages  []*acdomPage
-}
-
-type acdomPage struct {
-	shared atomic.Bool
-	n      []int32
+	pages[int32]
 }
 
 func (c *acdomCounts) get(id uint32) int32 {
-	if i, k := int(id/acdomPageSize), int(id%acdomPageSize); i < len(c.pages) && c.pages[i] != nil && k < len(c.pages[i].n) {
-		return c.pages[i].n[k]
-	}
-	return 0
+	return c.entry(int(id>>acdomShift), int(id&(acdomPage-1)))
 }
 
 // Retract removes a ground atom and reports whether it was present; see
@@ -849,7 +808,7 @@ func (d *Database) TermOccursIn(rk core.RelKey, t core.Term) bool {
 		return false
 	}
 	for p := 0; p < r.w; p++ {
-		if len(r.index[p][id]) > 0 {
+		if len(r.Posting(p, id)) > 0 {
 			return true
 		}
 	}
@@ -874,7 +833,7 @@ func (d *Database) FactsContaining(t core.Term) []core.Atom {
 		r := d.byRel[rk]
 		var ords []int32
 		for p := 0; p < r.w; p++ {
-			ords = append(ords, r.index[p][id]...)
+			ords = append(ords, r.Posting(p, id)...)
 		}
 		if len(ords) == 0 {
 			continue
@@ -973,7 +932,7 @@ func (d *Database) ForEachWithID(rk core.RelKey, pos int, id uint32, fn func(cor
 	r := d.byRel[rk]
 	terms := make([]core.Term, r.w)
 	for _, ix := range idxs {
-		if !fn(d.atomOf(rk, r.tupleAt(int(ix)), terms)) {
+		if !fn(d.atomOf(rk, r.Tuple(int(ix)), terms)) {
 			return
 		}
 	}
@@ -989,7 +948,7 @@ func (d *Database) ForEachFact(rk core.RelKey, fn func(core.Atom) bool) {
 	}
 	terms := make([]core.Term, r.w)
 	for ix := 0; ix < r.n; ix++ {
-		if !fn(d.atomOf(rk, r.tupleAt(ix), terms)) {
+		if !fn(d.atomOf(rk, r.Tuple(ix), terms)) {
 			return
 		}
 	}

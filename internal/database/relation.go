@@ -1,24 +1,30 @@
 package database
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"guardedrules/internal/core"
 )
 
 // Rel is the store of one relation key, and the read handle that
-// Database.Rel returns: the packed id tuples of its facts in insertion
-// order (w ids per fact, flat), per-position indexes keyed on interned
-// ids, and an open-addressing seen-set over the id tuples. The id tuples
-// are the only copy of a fact: atoms are materialized from them through
-// the intern table on read. Keeping everything keyed on dense uint32 ids
-// (instead of serialized byte strings) removes string hashing from the
-// insert and dedup hot paths, which profiles showed dominating fixpoint
-// runs.
+// Database.Rel returns: the id tuples of its facts in insertion order,
+// per-position posting lists indexed by interned id, and an
+// open-addressing seen-set over the id tuples. A unary relation keeps no
+// seen-set: its posting lists hold one ordinal at most and answer Has.
+// The id tuples are the only copy of a fact: atoms are materialized from
+// them through the intern table on read. Keeping everything keyed on
+// dense uint32 ids (instead of serialized byte strings) removes string
+// hashing from the insert and dedup hot paths, which profiles showed
+// dominating fixpoint runs.
+//
+// All per-fact data lives in copy-on-write pages (see pages): a private
+// copy of a relation shares every page with the relation it was copied
+// from, and copies a page on its first write to it.
 //
 // shared is set by Database.Clone once a snapshot holds the relation too;
 // from then on the relation is never written again, and the first write
-// through either database goes to a private clone instead. A nil *Rel is
+// through either database goes to a private copy instead. A nil *Rel is
 // the handle of an absent relation: it reads as empty.
 type Rel struct {
 	shared atomic.Bool
@@ -26,20 +32,34 @@ type Rel struct {
 	// caller's key would replace the map's, and may point into parsed text.
 	key core.RelKey
 	w   int
-	// n is the fact count: len(ids)/w, except that nullary relations
-	// (w = 0) have no ids to count.
 	n   int
-	ids []uint32
-	// index[pos][id] lists the fact ordinals (into ids) whose flat
-	// position pos holds id, in insertion order. len(index[pos]) is the
-	// number of distinct ids at that position — the planner's DistinctAt.
-	index []map[uint32][]int32
-	seen  idSet
+	// ids holds the id tuples, relPage facts (w ids each) to a page. A
+	// page may hold stale or zero tuples past fact n-1.
+	ids pages[uint32]
+	// post[pos] holds the posting lists of flat position pos.
+	post []postings
+	seen idSet
 }
+
+// Page sizes, in entries: facts for a relation's id tuples, slots for
+// its seen-set, list heads for its posting lists and counts for the
+// ACDom support counts. Each page is 256 bytes to 1 KiB: smaller pages
+// make a write after a Clone copy less, larger ones make the directory
+// that a relation's first write after a Clone copies shorter.
+const (
+	relShift   = 6
+	relPage    = 1 << relShift
+	seenShift  = 6
+	seenPage   = 1 << seenShift
+	postShift  = 5
+	postPage   = 1 << postShift
+	acdomShift = 8
+	acdomPage  = 1 << acdomShift
+)
 
 func newRel(rk core.RelKey) *Rel {
 	w := rk.Arity + rk.AnnArity
-	return &Rel{key: rk, w: w, index: make([]map[uint32][]int32, w)}
+	return &Rel{key: rk, w: w, post: make([]postings, w)}
 }
 
 // Len returns the number of facts.
@@ -50,30 +70,41 @@ func (r *Rel) Len() int {
 	return r.n
 }
 
-// Tuples returns the id tuples of the facts as one flat slice, w ids per
-// fact, in insertion order. The slice must not be modified.
-func (r *Rel) Tuples() []uint32 {
-	if r == nil {
-		return nil
+// Tuple returns the id tuple of fact ordinal ix, 0 <= ix < Len(). The
+// slice must not be modified; it keeps its contents through later
+// inserts, but a removal may overwrite it.
+func (r *Rel) Tuple(ix int) []uint32 {
+	off := (ix & (relPage - 1)) * r.w
+	return r.ids.dir[ix>>relShift].v[off : off+r.w]
+}
+
+// AppendTuples appends the id tuples of the facts with ordinals from
+// through to-1 to dst, w ids per fact, and returns the extended slice.
+func (r *Rel) AppendTuples(dst []uint32, from, to int) []uint32 {
+	for ix := from; ix < to; {
+		pg := r.ids.dir[ix>>relShift].v
+		end := min(to, (ix|(relPage-1))+1)
+		dst = append(dst, pg[(ix&(relPage-1))*r.w:((end-1)&(relPage-1)+1)*r.w]...)
+		ix = end
 	}
-	return r.ids
+	return dst
 }
 
 // Posting returns the ordinals of the facts whose flat position pos
 // holds id, in insertion order. The slice must not be modified.
 func (r *Rel) Posting(pos int, id uint32) []int32 {
-	if r == nil || pos < 0 || pos >= len(r.index) {
+	if r == nil || pos < 0 || pos >= len(r.post) {
 		return nil
 	}
-	return r.index[pos][id]
+	return r.post[pos].get(id)
 }
 
 // Distinct returns the number of distinct ids at flat position pos.
 func (r *Rel) Distinct(pos int) int {
-	if r == nil || pos < 0 || pos >= len(r.index) {
+	if r == nil || pos < 0 || pos >= len(r.post) {
 		return 0
 	}
-	return len(r.index[pos])
+	return r.post[pos].distinct
 }
 
 // Has reports whether the relation holds the fact with id tuple ids.
@@ -82,99 +113,176 @@ func (r *Rel) Has(ids []uint32) bool { return r.HasHash(HashIDs(ids), ids) }
 // HasHash is Has for a caller that already holds HashIDs(ids), so one
 // hash serves every set a candidate tuple is probed in.
 func (r *Rel) HasHash(h uint64, ids []uint32) bool {
-	return r != nil && len(ids) == r.w && r.seen.has(r, h, ids)
+	switch {
+	case r == nil || len(ids) != r.w:
+		return false
+	case r.w == 1:
+		return len(r.post[0].get(ids[0])) > 0
+	}
+	return r.seen.has(r, h, ids)
 }
 
-// tupleAt returns the packed id tuple of fact ordinal ix.
-func (r *Rel) tupleAt(ix int) []uint32 { return r.ids[ix*r.w : ix*r.w+r.w] }
-
-// clone returns a deep, unshared copy of the relation: the first write to
-// a relation shared with a snapshot goes to it. The id arrays, posting
-// lists and seen-set table are copied, so the clone mutates
-// independently.
+// clone returns a private copy of the relation: the first write to a
+// relation shared with a snapshot goes to it. It copies the page
+// directories only; each page is copied on the copy's first write to it.
 func (r *Rel) clone() *Rel {
 	out := &Rel{
-		key:   r.key,
-		w:     r.w,
-		n:     r.n,
-		ids:   append([]uint32(nil), r.ids...),
-		index: make([]map[uint32][]int32, len(r.index)),
-		seen:  idSet{table: append([]int32(nil), r.seen.table...), n: r.seen.n},
+		key:  r.key,
+		w:    r.w,
+		n:    r.n,
+		ids:  r.ids.fork(),
+		post: make([]postings, len(r.post)),
+		seen: idSet{slots: r.seen.slots.fork(), mask: r.seen.mask, n: r.seen.n},
 	}
-	for p, m := range r.index {
-		if m == nil {
-			continue
-		}
-		nm := make(map[uint32][]int32, len(m))
-		for id, list := range m {
-			nm[id] = append([]int32(nil), list...)
-		}
-		out.index[p] = nm
+	for p := range r.post {
+		out.post[p] = postings{heads: r.post[p].heads.fork(), distinct: r.post[p].distinct}
 	}
 	return out
 }
 
+// append adds the fact with id tuple key, whose HashIDs is h, as the
+// relation's last ordinal. The caller checks that it is absent.
+func (r *Rel) append(h uint64, key []uint32) {
+	ix := r.n
+	r.n++
+	// The first page grows with the relation, so a small relation stays
+	// small; a relation that filled it gets whole pages.
+	off, n := (ix&(relPage-1))*r.w, relPage*r.w
+	if ix < relPage {
+		n = off + r.w
+	}
+	copy(r.ids.write(ix>>relShift, n).v[off:], key)
+	if r.w != 1 {
+		r.seen.add(r, h, ix)
+	}
+	for p, id := range key {
+		r.post[p].add(id, int32(ix))
+	}
+}
+
 // remove deletes the fact with the given id tuple, reporting whether it
 // was present. The relation's last fact is swapped into the freed
-// ordinal (ids are kept dense), and the seen-set and per-position
+// ordinal (ordinals are kept dense), and the seen-set and per-position
 // posting lists are maintained: the removed ordinal leaves every list it
-// was on (empty lists are deleted, keeping DistinctAt exact), and the
-// moved fact's ordinal is rewritten in place, preserving each list's
-// ascending order.
+// was on (an emptied list lowers Distinct), and the moved fact's ordinal
+// is rewritten in place, preserving each list's ascending order.
 func (r *Rel) remove(key []uint32) bool {
-	ix := r.seen.del(r, key)
+	ix := -1
+	if r.w != 1 {
+		ix = r.seen.del(r, key)
+	} else if list := r.post[0].get(key[0]); len(list) > 0 {
+		ix = int(list[0])
+	}
 	if ix < 0 {
 		return false
 	}
 	last := r.n - 1
-	if ix != last {
+	var lastKey [16]uint32
+	lk := append(lastKey[:0], r.Tuple(last)...)
+	if ix != last && r.w != 1 {
 		// Re-point the seen-set entry of the fact about to move. The
 		// probe runs before ids are mutated, so every stored ordinal
 		// still resolves to its original tuple.
-		r.seen.repoint(r, r.tupleAt(last), last, ix)
+		r.seen.repoint(lk, last, ix)
 	}
-	var lastKey [16]uint32
-	lk := append(lastKey[:0], r.tupleAt(last)...)
 	for p := 0; p < r.w; p++ {
-		removeOrdinal(r.index[p], key[p], int32(ix))
+		r.post[p].remove(key[p], int32(ix))
 		if ix != last {
-			moveOrdinal(r.index[p], lk[p], int32(last), int32(ix))
+			r.post[p].move(lk[p], int32(last), int32(ix))
 		}
 	}
 	if ix != last {
-		copy(r.ids[ix*r.w:(ix+1)*r.w], r.ids[last*r.w:])
+		off := (ix & (relPage - 1)) * r.w
+		copy(r.ids.write(ix>>relShift, off+r.w).v[off:], lk)
 	}
 	r.n = last
-	r.ids = r.ids[:last*r.w]
 	return true
 }
 
-// removeOrdinal deletes ord from the ascending posting list m[id],
-// dropping the map key when the list empties (len(m) is the planner's
-// DistinctAt, so empty lists must not linger).
-func removeOrdinal(m map[uint32][]int32, id uint32, ord int32) {
-	list := m[id]
+// postings holds the posting lists of one flat position: the ascending
+// fact ordinals whose position holds an id, in pages of list heads
+// indexed by id, with the number of non-empty lists. A new list starts
+// in one slot of arena with no spare capacity, so most lists of one
+// fact cost no allocation of their own, and growing one copies it out.
+// A private copy of the postings starts a fresh arena.
+type postings struct {
+	heads    pages[[]int32]
+	distinct int
+	arena    []int32
+}
+
+// listArena is the number of one-fact lists an arena holds.
+const listArena = 64
+
+// get returns the list of id.
+func (ps *postings) get(id uint32) []int32 {
+	return ps.heads.entry(int(id>>postShift), int(id&(postPage-1)))
+}
+
+// writable returns the page and entry of id's list, with the list's
+// backing array owned by the page: a list the page does not own yet is
+// copied first.
+func (ps *postings) writable(id uint32) (*page[[]int32], int) {
+	k := int(id & (postPage - 1))
+	pg := ps.heads.write(int(id>>postShift), postPage)
+	if !pg.owns(k) {
+		pg.v[k] = slices.Clone(pg.v[k])
+		pg.own(k)
+	}
+	return pg, k
+}
+
+// add appends ord, above every ordinal of the list, to id's list.
+func (ps *postings) add(id uint32, ord int32) {
+	k := int(id & (postPage - 1))
+	pg := ps.heads.write(int(id>>postShift), postPage)
+	list := pg.v[k]
+	if len(list) == 0 {
+		ps.distinct++
+	}
+	if !pg.owns(k) {
+		// A full slice makes append copy a list the page does not own.
+		list = list[:len(list):len(list)]
+		pg.own(k)
+	}
+	if len(list) == 0 {
+		if len(ps.arena) == 0 {
+			ps.arena = make([]int32, listArena)
+		}
+		list, ps.arena = ps.arena[:0:1], ps.arena[1:]
+	}
+	pg.v[k] = append(list, ord)
+}
+
+// remove deletes ord from id's list; an emptied list is dropped.
+func (ps *postings) remove(id uint32, ord int32) {
+	list := ps.get(id)
 	i := searchOrdinal(list, ord)
 	if i >= len(list) || list[i] != ord {
 		return
 	}
 	if len(list) == 1 {
-		delete(m, id)
+		k := int(id & (postPage - 1))
+		ps.heads.write(int(id>>postShift), postPage).v[k] = nil
+		ps.distinct--
 		return
 	}
+	pg, k := ps.writable(id)
+	list = pg.v[k]
 	copy(list[i:], list[i+1:])
-	m[id] = list[:len(list)-1]
+	pg.v[k] = list[:len(list)-1]
 }
 
-// moveOrdinal rewrites ordinal from as to in the ascending posting list
-// m[id]. from is the relation's maximal ordinal (the fact being swapped
-// down), so it sits at the end of the list; the rewritten value is
-// re-inserted at its sorted position.
-func moveOrdinal(m map[uint32][]int32, id uint32, from, to int32) {
-	list := m[id]
-	if len(list) == 0 || list[len(list)-1] != from {
+// move rewrites ordinal from as to in id's list. from is the relation's
+// maximal ordinal (the fact being swapped down), so it sits at the end
+// of the list; the rewritten value is re-inserted at its sorted
+// position.
+func (ps *postings) move(id uint32, from, to int32) {
+	if list := ps.get(id); len(list) == 0 || list[len(list)-1] != from {
 		return
 	}
+	pg, k := ps.writable(id)
+	list := pg.v[k]
 	i := searchOrdinal(list, to)
 	copy(list[i+1:], list[i:len(list)-1])
 	list[i] = to
@@ -196,12 +304,28 @@ func searchOrdinal(list []int32, ord int32) int {
 }
 
 // idSet is an open-addressing hash set of fact ordinals keyed by their id
-// tuples (stored once, in the relation's flat ids array — the set holds
-// only 1-based ordinals). Zero value is ready to use.
+// tuples (stored once, in the relation's id pages). A slot holds the
+// high 32 bits of the tuple's HashIDs over its 1-based fact ordinal (0
+// is an empty slot), so a probe reads a tuple only when the hashes
+// agree. Its table of mask+1 slots (a power of two, 0 with no table) is
+// paged, seenPage slots to a page. Zero value is ready to use.
 type idSet struct {
-	table []int32 // 1-based fact ordinal; 0 = empty slot
+	slots pages[uint64]
+	mask  uint64
 	n     int
 }
+
+// seenEntry is the slot of fact ordinal ix, whose tuple hashes to h.
+func seenEntry(h uint64, ix int) uint64 { return h&^(1<<32-1) | uint64(ix+1) }
+
+// seenOrd is the fact ordinal of the non-empty slot e.
+func seenOrd(e uint64) int { return int(uint32(e)) - 1 }
+
+// slot returns the entry of slot i.
+func (s *idSet) slot(i uint64) uint64 { return s.slots.dir[i>>seenShift].v[i&(seenPage-1)] }
+
+// set writes e into slot i.
+func (s *idSet) set(i uint64, e uint64) { s.slots.write(int(i>>seenShift), 0).v[i&(seenPage-1)] = e }
 
 // fnv64 constants, hashing word-at-a-time over the id tuple.
 const (
@@ -231,34 +355,39 @@ func equalIDs(a, b []uint32) bool {
 // has reports whether the tuple key, whose HashIDs is h, is already
 // stored in r.
 func (s *idSet) has(r *Rel, h uint64, key []uint32) bool {
-	if len(s.table) == 0 {
+	if s.n == 0 {
 		return false
 	}
-	mask := uint64(len(s.table) - 1)
+	// The hot probe loop reads the directories once.
+	slots, ids, w, mask := s.slots.dir, r.ids.dir, r.w, s.mask
 	for i := h & mask; ; i = (i + 1) & mask {
-		e := s.table[i]
+		e := slots[i>>seenShift].v[i&(seenPage-1)]
 		if e == 0 {
 			return false
 		}
-		if equalIDs(r.tupleAt(int(e-1)), key) {
+		if (e^h)>>32 != 0 {
+			continue
+		}
+		ix := seenOrd(e)
+		off := (ix & (relPage - 1)) * w
+		if equalIDs(ids[ix>>relShift].v[off:off+w], key) {
 			return true
 		}
 	}
 }
 
 // add records fact ordinal ix, whose tuple (with HashIDs h) must already
-// be appended to r.ids. The caller checks has first; add never checks
-// for duplicates.
+// be stored in r's id pages. The caller checks has first; add never
+// checks for duplicates.
 func (s *idSet) add(r *Rel, h uint64, ix int) {
-	if 4*(s.n+1) >= 3*len(s.table) {
+	if 4*(s.n+1) >= 3*int(s.mask+1) {
 		s.grow(r)
 	}
-	mask := uint64(len(s.table) - 1)
-	i := h & mask
-	for s.table[i] != 0 {
-		i = (i + 1) & mask
+	i := h & s.mask
+	for s.slot(i) != 0 {
+		i = (i + 1) & s.mask
 	}
-	s.table[i] = int32(ix + 1)
+	s.set(i, seenEntry(h, ix))
 	s.n++
 }
 
@@ -267,39 +396,39 @@ func (s *idSet) add(r *Rel, h uint64, ix int) {
 // cluster after the hole is compacted so that lookups never need
 // tombstones and the load factor stays exact.
 func (s *idSet) del(r *Rel, key []uint32) int {
-	if len(s.table) == 0 {
+	if s.n == 0 {
 		return -1
 	}
-	mask := uint64(len(s.table) - 1)
-	i := HashIDs(key) & mask
+	mask, h := s.mask, HashIDs(key)
+	i := h & mask
 	for {
-		e := s.table[i]
+		e := s.slot(i)
 		if e == 0 {
 			return -1
 		}
-		if equalIDs(r.tupleAt(int(e-1)), key) {
+		if (e^h)>>32 == 0 && equalIDs(r.Tuple(seenOrd(e)), key) {
 			break
 		}
 		i = (i + 1) & mask
 	}
-	ord := int(s.table[i] - 1)
+	ord := seenOrd(s.slot(i))
 	// Walk the cluster after the hole; an entry moves back into the hole
 	// exactly when its home slot is cyclically outside (i, j], i.e. its
 	// probe path crosses the hole.
 	j := i
 	for {
 		j = (j + 1) & mask
-		e := s.table[j]
+		e := s.slot(j)
 		if e == 0 {
 			break
 		}
-		h := HashIDs(r.tupleAt(int(e-1))) & mask
+		h := HashIDs(r.Tuple(seenOrd(e))) & mask
 		if (j > i && (h <= i || h > j)) || (j < i && h <= i && h > j) {
-			s.table[i] = e
+			s.set(i, e)
 			i = j
 		}
 	}
-	s.table[i] = 0
+	s.set(i, 0)
 	s.n--
 	return ord
 }
@@ -308,36 +437,42 @@ func (s *idSet) del(r *Rel, key []uint32) int {
 // `from` to `to` (the fact is being swapped to a new ordinal). The probe
 // must run while the relation's id array still holds every stored
 // ordinal's original tuple.
-func (s *idSet) repoint(r *Rel, key []uint32, from, to int) {
-	mask := uint64(len(s.table) - 1)
-	for i := HashIDs(key) & mask; ; i = (i + 1) & mask {
-		e := s.table[i]
+func (s *idSet) repoint(key []uint32, from, to int) {
+	h := HashIDs(key)
+	for i := h & s.mask; ; i = (i + 1) & s.mask {
+		e := s.slot(i)
 		if e == 0 {
 			return
 		}
-		if int(e-1) == from {
-			s.table[i] = int32(to + 1)
+		if seenOrd(e) == from {
+			s.set(i, seenEntry(h, to))
 			return
 		}
 	}
 }
 
+// grow rehashes the set into a fresh table of twice the slots (16 at
+// least), which the set owns whole.
 func (s *idSet) grow(r *Rel) {
-	ncap := 2 * len(s.table)
+	ncap := 2 * int(s.mask+1)
 	if ncap < 16 {
 		ncap = 16
 	}
-	nt := make([]int32, ncap)
-	mask := uint64(ncap - 1)
-	for _, e := range s.table {
-		if e == 0 {
-			continue
-		}
-		i := HashIDs(r.tupleAt(int(e-1))) & mask
-		for nt[i] != 0 {
-			i = (i + 1) & mask
-		}
-		nt[i] = e
+	nt := idSet{mask: uint64(ncap - 1), n: s.n}
+	for i := 0; i < ncap; i += seenPage {
+		nt.slots.write(i>>seenShift, min(ncap, seenPage))
 	}
-	s.table = nt
+	for _, pg := range s.slots.dir {
+		for _, e := range pg.v {
+			if e == 0 {
+				continue
+			}
+			i := HashIDs(r.Tuple(seenOrd(e))) & nt.mask
+			for nt.slot(i) != 0 {
+				i = (i + 1) & nt.mask
+			}
+			nt.slots.dir[i>>seenShift].v[i&(seenPage-1)] = e
+		}
+	}
+	*s = nt
 }

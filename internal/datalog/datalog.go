@@ -274,11 +274,10 @@ func CollectAnswers(d *database.Database, q string) [][]core.Term {
 		if rk.Name != q {
 			continue
 		}
-		w := rk.Arity + rk.AnnArity
-		ids := d.IDTuples(rk)
+		r := d.Rel(rk)
 	facts:
-		for f, n := 0, d.RelSize(rk); f < n; f++ {
-			args := ids[f*w : f*w+rk.Arity]
+		for f, n := 0, r.Len(); f < n; f++ {
+			args := r.Tuple(f)[:rk.Arity]
 			for _, id := range args {
 				if !d.Term(id).IsConst() {
 					continue facts

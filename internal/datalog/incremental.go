@@ -138,16 +138,18 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 		}
 		next.Add(f)
 	}
-	baseDel := make(map[string]core.Atom)
-	for _, f := range retract {
+	// The fact maps point into the batch and the gross logs: an atom
+	// value would make every map slot several times larger.
+	baseDel := make(map[string]*core.Atom)
+	for i, f := range retract {
 		if explicit(m.base, f) && !explicit(next, f) {
-			baseDel[factKey(f)] = f
+			baseDel[factKey(f)] = &retract[i]
 		}
 	}
-	baseAdd := make(map[string]core.Atom)
-	for _, f := range add {
+	baseAdd := make(map[string]*core.Atom)
+	for i, f := range add {
 		if explicit(next, f) && !explicit(m.base, f) {
-			baseAdd[factKey(f)] = f
+			baseAdd[factKey(f)] = &add[i]
 		}
 	}
 	if len(baseAdd)+len(baseDel) == 0 {
@@ -157,26 +159,26 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 	// Net and gross change tracking. The net sets cancel (a fact deleted
 	// then rederived never surfaces in the delta); the gross logs drive
 	// the DRed frontiers and the forced deltas, in event order.
-	addedSet := make(map[string]core.Atom)
-	removedSet := make(map[string]core.Atom)
+	addedSet := make(map[string]*core.Atom)
+	removedSet := make(map[string]*core.Atom)
 	var grossAdds, grossDels []core.Atom
 	noteAdd := func(a core.Atom) {
 		k := factKey(a)
+		grossAdds = append(grossAdds, a)
 		if _, ok := removedSet[k]; ok {
 			delete(removedSet, k)
 		} else {
-			addedSet[k] = a
+			addedSet[k] = &grossAdds[len(grossAdds)-1]
 		}
-		grossAdds = append(grossAdds, a)
 	}
 	noteDel := func(a core.Atom) {
 		k := factKey(a)
+		grossDels = append(grossDels, a)
 		if _, ok := addedSet[k]; ok {
 			delete(addedSet, k)
 		} else {
-			removedSet[k] = a
+			removedSet[k] = &grossDels[len(grossDels)-1]
 		}
-		grossDels = append(grossDels, a)
 	}
 
 	tk := budget.Start(opts.Budget)
@@ -219,7 +221,7 @@ func (m *Maintained) Apply(add, retract []core.Atom, opts Options) (res *databas
 // remaining (possibly self-supporting) derived supports into the
 // frontier too — see the method comment for why refcounts alone
 // under-delete there.
-func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.Atom, opts Options, tk *budget.Tracker, noteAdd, noteDel func(core.Atom), grossAdds, grossDels *[]core.Atom, removedSet map[string]core.Atom) error {
+func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.Atom, opts Options, tk *budget.Tracker, noteAdd, noteDel func(core.Atom), grossAdds, grossDels *[]core.Atom, removedSet map[string]*core.Atom) error {
 	old := m.cur
 	maxFacts := 0
 	if opts.Budget != nil {
@@ -302,10 +304,11 @@ func (m *Maintained) applyDRed(work, next *database.Database, adds, dels []core.
 		var rItems []citem
 		readds := 0
 		for _, k := range sortedKeys(removedSet) {
-			f, live := removedSet[k]
-			if !live || f.Relation == core.ACDom || !cs.headRels[f.Key()] {
+			fp, live := removedSet[k]
+			if !live || fp.Relation == core.ACDom || !cs.headRels[fp.Key()] {
 				continue
 			}
+			f := *fp
 			if !next.Has(f) {
 				if rItems == nil {
 					rItems = instantiate(cs.redItems)
@@ -493,19 +496,19 @@ func oneStepDerivable(f *core.Atom, items []citem, db *database.Database, opts O
 }
 
 // sortedFacts returns the facts of m in key order (nil when m is empty).
-func sortedFacts(m map[string]core.Atom) []core.Atom {
+func sortedFacts(m map[string]*core.Atom) []core.Atom {
 	if len(m) == 0 {
 		return nil
 	}
 	keys := sortedKeys(m)
 	out := make([]core.Atom, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, m[k])
+		out = append(out, *m[k])
 	}
 	return out
 }
 
-func sortedKeys(m map[string]core.Atom) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

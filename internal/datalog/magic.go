@@ -98,11 +98,11 @@ func AnswerWithMagic(th *core.Theory, query core.Atom, d *database.Database) ([]
 }
 
 // AnswerWithMagicOpts is AnswerWithMagic with explicit engine options:
-// it adds the seed to a snapshot of d, evaluates, and returns, in
-// fixpoint order, the tuples of the adorned query relation that answer
-// query (constants coincide, repeated variables bind consistently),
-// together with the fixpoint. On budget exhaustion the answers
-// extracted from the partial fixpoint are returned (a sound
+// it evaluates the rewritten program over d seeded with the goal, and
+// returns, in fixpoint order, the tuples of the adorned query relation
+// that answer query (constants coincide, repeated variables bind
+// consistently), together with the fixpoint. On budget exhaustion the
+// answers extracted from the partial fixpoint are returned (a sound
 // under-approximation) alongside the typed error; on any other error
 // the fixpoint is nil. d is not modified.
 func AnswerWithMagicOpts(th *core.Theory, query core.Atom, d *database.Database, opts Options) ([][]core.Term, *database.Database, error) {
@@ -110,17 +110,19 @@ func AnswerWithMagicOpts(th *core.Theory, query core.Atom, d *database.Database,
 	if err != nil {
 		return nil, nil, err
 	}
-	in := d.Clone()
-	in.Add(res.Seed)
-	fix, err := EvalSemiNaiveOpts(res.Program, in, opts)
+	p, err := Compile(res.Program)
+	if err != nil {
+		return nil, nil, err
+	}
+	fix, err := p.EvalSeeded(d, []core.Atom{res.Seed}, opts)
 	if err != nil && (fix == nil || !budget.IsBudget(err)) {
 		return nil, nil, err
 	}
 	var out [][]core.Term
 	rk := core.RelKey{Name: res.QueryRel, Arity: len(query.Args)}
-	ids := fix.IDTuples(rk)
-	for f, n := 0, fix.RelSize(rk); f < n; f++ {
-		args := ids[f*rk.Arity : (f+1)*rk.Arity]
+	r := fix.Rel(rk)
+	for f, n := 0, r.Len(); f < n; f++ {
+		args := r.Tuple(f)
 		if matchesAtom(fix, query, args) {
 			out = append(out, termsOf(fix, args))
 		}

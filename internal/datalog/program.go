@@ -124,10 +124,20 @@ func (p *Program) Rules() int { return len(p.th.Rules) }
 // The input database is not modified. On budget exhaustion the partial
 // database — every fully merged round — is returned together with a
 // typed *budget.Error, exactly like EvalSemiNaiveOpts.
-func (p *Program) Eval(d *database.Database, opts Options) (res *database.Database, err error) {
+func (p *Program) Eval(d *database.Database, opts Options) (*database.Database, error) {
+	return p.EvalSeeded(d, nil, opts)
+}
+
+// EvalSeeded is Eval over d plus the ground facts seed. The seed goes
+// into the one snapshot of d that the evaluation writes, so a seeded
+// read (magic sets) clones d once.
+func (p *Program) EvalSeeded(d *database.Database, seed []core.Atom, opts Options) (res *database.Database, err error) {
 	tk := budget.Start(opts.Budget)
 	defer tk.Stop()
 	out := d.Clone()
+	for _, a := range seed {
+		out.Add(a)
+	}
 	// The engine boundary never panics: a fault anywhere in an evaluation
 	// (a join, the merge loop, checkpoint injection) surfaces as one
 	// failed request, not a dead process. The partial database stays

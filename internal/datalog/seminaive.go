@@ -348,7 +348,7 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 	// The forced facts join the first round's delta ahead of the merged
 	// ones; a forced fact db does not hold is dropped.
 	forced := groupFacts(db, force, true)
-	var scratch []uint32
+	var scratch, tails []uint32
 	for round := 0; ; round++ {
 		tk.SetRounds(round)
 		if err := tk.Check(); err != nil {
@@ -397,14 +397,18 @@ func runDeltaRounds(items []citem, db *database.Database, opts Options, tk *budg
 		if ndelta+len(forced) == 0 {
 			return nil
 		}
-		// A relation's delta is the newly merged tail of its id tuples.
+		// A relation's delta is the newly merged tail of its id tuples,
+		// copied into tails, which the previous round's groups no longer
+		// need.
 		groups := make(map[core.RelKey]idGroup, len(deltaCount)+len(forced))
 		for rk, g := range forced {
 			groups[rk] = g
 		}
+		tails = tails[:0]
 		for rk, k := range deltaCount {
-			all := db.IDTuples(rk)
-			tail := all[len(all)-k*(rk.Arity+rk.AnnArity):]
+			r, start := db.Rel(rk), len(tails)
+			tails = r.AppendTuples(tails, r.Len()-k, r.Len())
+			tail := tails[start:len(tails):len(tails)]
 			if g, found := forced[rk]; found {
 				tail = append(g.ids, tail...)
 				k += g.n

@@ -200,14 +200,13 @@ func (st *State) searchStep(atoms []CAtom, steps []Step, fn func() bool) bool {
 // first n facts when list is nil), calling next under the bindings of
 // each match; it stops and reports false once next does.
 func (st *State) expand(ca *CAtom, r *database.Rel, list []int32, n int, next func() bool) bool {
-	tuples, w := r.Tuples(), len(ca.Pos)
 	for i := 0; i < n; i++ {
 		ix := i
 		if list != nil {
 			ix = int(list[i])
 		}
 		mark := len(st.trail)
-		cont := !st.Match(ca, tuples[ix*w:ix*w+w]) || next()
+		cont := !st.Match(ca, r.Tuple(ix)) || next()
 		st.Unwind(mark)
 		if !cont {
 			return false

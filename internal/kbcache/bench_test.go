@@ -151,8 +151,10 @@ func chainDB(prefix string, chains, edges int) *database.Database {
 // read_mix side op reads the 1,200-chain DB). T(w7_0,Y) runs the
 // magic-sets plan, which derives only chain 7's closure: its cost should
 // not grow with the number of chains, which the three sizes show.
-// E(w7_0,Y) asks a relation no rule derives: it reads the DB's index and
-// runs no engine.
+// T(w<chains-1>_0,Y) derives the last chain's closure, over the highest
+// term ids of the DB: a read's cost should not grow with the ids it
+// touches either. E(w7_0,Y) asks a relation no rule derives: it reads
+// the DB's index and runs no engine.
 //
 //	go test -run '^$' -bench BenchmarkAnswerAtomWide -benchmem ./internal/kbcache
 func BenchmarkAnswerAtomWide(b *testing.B) {
@@ -171,6 +173,7 @@ func BenchmarkAnswerAtomWide(b *testing.B) {
 			answers int
 		}{
 			{core.NewAtom("T", core.Const("w7_0"), core.Var("Y")), edges},
+			{core.NewAtom("T", core.Const(fmt.Sprintf("w%d_0", chains-1)), core.Var("Y")), edges},
 			{core.NewAtom("E", core.Const("w7_0"), core.Var("Y")), 1},
 		} {
 			b.Run(fmt.Sprintf("chains=%d/%s", chains, parser.PrintAtom(tc.query)), func(b *testing.B) {
@@ -190,20 +193,31 @@ func BenchmarkAnswerAtomWide(b *testing.B) {
 }
 
 // BenchmarkMutateLiveBatch is servebench's mutate_live batch in process,
-// on its 20×20 chain DB with live T and Linked subscriptions. Op i
-// retracts chain edge i/2 (i even) or re-adds it (i odd), so the
-// fixpoint stays the same size. Each op clones the DB and applies the
-// edge, advances the base view both subscriptions read, and filters the
-// view's fact delta into each subscription's answer delta.
+// on its DB of 20 chains of 20 edges with live T and Linked
+// subscriptions, and on 80 and 320 such chains: a batch's cost should
+// follow the change, not the DB, which the three sizes show (the facts
+// counter is the fixpoint's size). Op i retracts chain edge i/2 (i even)
+// or re-adds it (i odd), so the fixpoint stays the same size. Each op
+// clones the DB and applies the edge, advances the base view both
+// subscriptions read, and filters the view's fact delta into each
+// subscription's answer delta.
 //
 //	go test -run '^$' -bench BenchmarkMutateLiveBatch -benchmem ./internal/kbcache
 func BenchmarkMutateLiveBatch(b *testing.B) {
-	ctx := context.Background()
-	d := chainDB("m", 20, 20)
-	ckb, _, err := NewStore(Config{}).Register(ctx, hotSource)
+	ckb, _, err := NewStore(Config{}).Register(context.Background(), hotSource)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, chains := range []int{20, 80, 320} {
+		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) { benchMutateLive(b, ckb, chains) })
+	}
+}
+
+// benchMutateLive runs BenchmarkMutateLiveBatch on a DB of `chains`
+// chains of 20 edges.
+func benchMutateLive(b *testing.B, ckb *CompiledKB, chains int) {
+	ctx := context.Background()
+	d := chainDB("m", chains, 20)
 	var sels []*Selector
 	for _, src := range []string{"T(X,Y) -> Ans(X,Y).", "Linked(X,Y) -> Ans(X,Y)."} {
 		q, err := kb.ParseCQ(src)
@@ -220,6 +234,7 @@ func BenchmarkMutateLiveBatch(b *testing.B) {
 		b.Fatal("T and Linked must share the base view")
 	}
 	edges := d.Facts(core.RelKey{Name: "E", Arity: 2})
+	b.ReportMetric(float64(mv.View().fix.Len()), "facts")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

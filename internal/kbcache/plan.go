@@ -235,9 +235,7 @@ func (ckb *CompiledKB) eval(p *plan, sel *Selector, d *database.Database, opts Q
 				bound = append(bound, t)
 			}
 		}
-		in := d.Clone()
-		in.Add(core.NewAtom(p.seedRel, bound...))
-		fix, err = p.prog.Eval(in, opts.datalogOptions(ckb.metrics))
+		fix, err = p.prog.EvalSeeded(d, []core.Atom{core.NewAtom(p.seedRel, bound...)}, opts.datalogOptions(ckb.metrics))
 	case planProgram:
 		if keep {
 			m, fix, err = datalog.EvalMaintained(p.prog, d, opts.datalogOptions(ckb.metrics))

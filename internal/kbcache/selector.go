@@ -134,9 +134,9 @@ func (s *Selector) match(arg func(int) core.Term) ([]core.Term, bool) {
 // position when the pattern has one, sorted like every answer list.
 func (s *Selector) answers(d *database.Database) [][]core.Term {
 	var out [][]core.Term
-	ids, w := d.IDTuples(s.rel), s.rel.Arity
+	r := d.Rel(s.rel)
 	visit := func(f int) {
-		tuple := ids[f*w : f*w+w]
+		tuple := r.Tuple(f)
 		if ans, ok := s.match(func(i int) core.Term { return d.Term(tuple[i]) }); ok {
 			out = append(out, ans)
 		}
@@ -146,11 +146,11 @@ func (s *Selector) answers(d *database.Database) [][]core.Term {
 		if !ok {
 			return nil
 		}
-		for _, f := range d.IndexWithID(s.rel, s.bound, id) {
+		for _, f := range r.Posting(s.bound, id) {
 			visit(int(f))
 		}
 	} else {
-		for f, n := 0, d.RelSize(s.rel); f < n; f++ {
+		for f, n := 0, r.Len(); f < n; f++ {
 			visit(f)
 		}
 	}
