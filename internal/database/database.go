@@ -51,8 +51,8 @@
 // copies the directories of the structures it writes and the pages and
 // lists it changes, not the relations. Relations nobody writes stay
 // shared for good. A slice read from a shared relation (Rel.Tuple,
-// IndexWithID) keeps reading the frozen pre-write data after either
-// database writes that relation.
+// Rel.Posting, IndexWithID) keeps reading the frozen pre-write data
+// after either database writes that relation.
 //
 // # Relation handles
 //
@@ -672,8 +672,8 @@ func (d *Database) addACDom(id uint32, delta int32) int32 {
 	}
 	k := int(id & (acdomPage - 1))
 	p := d.acdom.write(int(id>>acdomShift), acdomPage)
-	p.v[k] += delta
-	return p.v[k] - delta
+	p[k] += delta
+	return p[k] - delta
 }
 
 // acdomCounts holds the ACDom support count of every interned term,

@@ -15,8 +15,13 @@ import "slices"
 //
 // The directory starts at the first page written (lo), so a structure
 // indexed by term id whose ids are all high holds no table entry for
-// the pages below them. An absent page reads as all zero values, and so
-// do the entries past the end of a page that its writer keeps short.
+// the pages below them. An absent page (nil) reads as all zero values,
+// and so do the entries past the end of a page that its writer keeps
+// short. Each page's capacity is its own: appending to one never writes
+// into another, even where they share one allocation.
+//
+// The directory holds page pointers, not slice headers, so that the
+// copy a fork makes is 8 bytes a page.
 type pages[T any] struct {
 	lo   int
 	dir  []*page[T]
@@ -24,14 +29,7 @@ type pages[T any] struct {
 }
 
 // page is one page of a pages directory.
-type page[T any] struct {
-	v []T
-	// owned marks the entries of v whose own backing arrays this page
-	// may write in place: a posting-list head whose list it copied or
-	// made. A copied page owns none, so two copies of one page never
-	// append into the same list.
-	owned [(postPage + 63) / 64]uint64
-}
+type page[T any] struct{ v []T }
 
 // entry returns entry k of page i: the zero value when it is absent.
 func (p *pages[T]) entry(i, k int) T {
@@ -44,10 +42,14 @@ func (p *pages[T]) entry(i, k int) T {
 	return zero
 }
 
+// owns reports whether page i is the directory's own, so that a write
+// to it lands in place.
+func (p *pages[T]) owns(i int) bool { return i >= p.lo && bitSet(p.mine, i-p.lo) }
+
 // write returns page i, writable through p and at least n entries long.
 // An absent page is allocated, a page p does not own is first replaced
 // by a private copy, and a short page is extended with zero values.
-func (p *pages[T]) write(i, n int) *page[T] {
+func (p *pages[T]) write(i, n int) []T {
 	switch {
 	case len(p.dir) == 0:
 		p.lo, p.dir = i, make([]*page[T], 1, 4)
@@ -81,20 +83,30 @@ func (p *pages[T]) write(i, n int) *page[T] {
 	if len(pg.v) < n {
 		pg.v = append(pg.v, make([]T, n-len(pg.v))...)
 	}
-	return pg
+	return pg.v
 }
 
 // fork returns a copy of the directory that shares every page with p
 // and owns none of them. p must not be written afterwards.
 func (p *pages[T]) fork() pages[T] { return pages[T]{lo: p.lo, dir: slices.Clone(p.dir)} }
 
-func bitSet(bits []uint64, k int) bool { return bits[k/64]&(1<<(k%64)) != 0 }
+// whole returns a directory of n zero entries, from index 0, in pages of
+// size entries that it owns, allocated at once.
+func whole[T any](n, size int) pages[T] {
+	all, pgs := make([]T, n), make([]page[T], (n+size-1)/size)
+	p := pages[T]{dir: make([]*page[T], len(pgs)), mine: make([]uint64, (len(pgs)+63)/64)}
+	for k := range pgs {
+		end := min(n, (k+1)*size)
+		pgs[k].v = all[k*size : end : end]
+		p.dir[k] = &pgs[k]
+		setBit(p.mine, k)
+	}
+	return p
+}
+
+// bitSet reports bit k of bits; bits past the end are clear.
+func bitSet(bits []uint64, k int) bool {
+	return k/64 < len(bits) && bits[k/64]&(1<<(k%64)) != 0
+}
 
 func setBit(bits []uint64, k int) { bits[k/64] |= 1 << (k % 64) }
-
-// owns reports whether the page may write the backing array of entry k
-// in place.
-func (pg *page[T]) owns(k int) bool { return bitSet(pg.owned[:], k) }
-
-// own records that entry k's backing array is the page's own.
-func (pg *page[T]) own(k int) { setBit(pg.owned[:], k) }

@@ -97,6 +97,54 @@ func (s *pagedSide) check(t *testing.T, step string, ids uint32) {
 	}
 }
 
+// frozen holds the slices a shared handle of R returned, by Tuple for
+// every ordinal and by Posting for every id up to ids at both positions,
+// beside copies of their contents: a shared relation is never written
+// again, so they must keep those contents whatever either side writes.
+type frozen struct {
+	side              string
+	tuples, tupleWant [][]uint32
+	posts, postWant   [][]int32
+}
+
+// freeze reads R through the side's handle; nil when the handle is not
+// shared.
+func (s *pagedSide) freeze(ids uint32) *frozen {
+	r := s.d.Rel(pagedRel)
+	if r == nil || !r.shared.Load() {
+		return nil
+	}
+	f := &frozen{side: s.name}
+	for ix := 0; ix < r.Len(); ix++ {
+		f.tuples = append(f.tuples, r.Tuple(ix))
+		f.tupleWant = append(f.tupleWant, slices.Clone(r.Tuple(ix)))
+	}
+	for pos := 0; pos < 2; pos++ {
+		for id := uint32(0); id <= ids; id++ {
+			f.posts = append(f.posts, r.Posting(pos, id))
+			f.postWant = append(f.postWant, slices.Clone(r.Posting(pos, id)))
+		}
+	}
+	return f
+}
+
+func (f *frozen) check(t *testing.T, step string) {
+	t.Helper()
+	if f == nil {
+		return
+	}
+	for i := range f.tuples {
+		if !slices.Equal(f.tuples[i], f.tupleWant[i]) {
+			t.Fatalf("%s, %s: a tuple read from the shared handle changed to %v, want %v", f.side, step, f.tuples[i], f.tupleWant[i])
+		}
+	}
+	for i := range f.posts {
+		if !slices.Equal(f.posts[i], f.postWant[i]) {
+			t.Fatalf("%s, %s: a posting list read from the shared handle changed to %v, want %v", f.side, step, f.posts[i], f.postWant[i])
+		}
+	}
+}
+
 // pagedBase returns a database that interns c0..c<ids-1> as ids 0..ids-1,
 // holding the facts of R, and the model of R.
 func pagedBase(ids uint32, facts [][2]uint32) *pagedSide {
@@ -166,7 +214,10 @@ func TestRelPagesMatchModel(t *testing.T) {
 			}},
 		}
 		for _, st := range steps {
+			fc, fo := clone.freeze(ids), orig.freeze(ids)
 			st.do()
+			fc.check(t, st.name)
+			fo.check(t, st.name)
 			clone.check(t, st.name, ids)
 			orig.check(t, st.name, ids)
 		}
@@ -175,6 +226,7 @@ func TestRelPagesMatchModel(t *testing.T) {
 	t.Run("two clones of one shared relation", func(t *testing.T) {
 		orig := pagedBase(ids, facts)
 		a, b := orig.fork("clone a"), orig.fork("clone b")
+		frozen := []*frozen{orig.freeze(ids), a.freeze(ids), b.freeze(ids)}
 		// The posting lists of position 1 have spare capacity; a clone
 		// that appended into the shared backing array would overwrite
 		// the other clone's ordinal, which differs because clone a
@@ -186,8 +238,53 @@ func TestRelPagesMatchModel(t *testing.T) {
 		}
 		a.remove(facts[3])
 		b.remove(facts[7])
+		for _, f := range frozen {
+			f.check(t, "independent writes")
+		}
 		for _, s := range []*pagedSide{a, b, orig} {
 			s.check(t, "independent writes", ids)
+		}
+	})
+
+	t.Run("high ids first", func(t *testing.T) {
+		// The first fact's ids start the posting directories and the
+		// ACDom counts at a page above 0, so each side's first write of
+		// a lower id after the Clone extends a forked directory
+		// downwards.
+		const ids = acdomPage + 2*postPage
+		orig := pagedBase(ids, [][2]uint32{{ids - 1, ids - 2}})
+		clone := orig.fork("clone")
+		acdom := func(s *pagedSide, step string) {
+			t.Helper()
+			want := map[uint32]int{}
+			for _, f := range s.m.facts {
+				want[f[0]]++
+				want[f[1]]++
+			}
+			for id := uint32(0); id < ids; id++ {
+				if got := s.d.ACDomSupport(pagedTerm(id)); got != want[id] {
+					t.Fatalf("%s, %s: ACDomSupport(c%d) = %d, want %d", s.name, step, id, got, want[id])
+				}
+			}
+		}
+		steps := []struct {
+			name string
+			do   func()
+		}{
+			{"clone: write low ids", func() { clone.add([2]uint32{0, 1}) }},
+			{"original: write low ids", func() { orig.add([2]uint32{2, postPage}) }},
+			{"clone: write below its first page", func() { clone.add([2]uint32{acdomPage - 1, 3}) }},
+			{"original: remove the first fact", func() { orig.removeAt(0) }},
+		}
+		for _, st := range steps {
+			fc, fo := clone.freeze(ids), orig.freeze(ids)
+			st.do()
+			fc.check(t, st.name)
+			fo.check(t, st.name)
+			for _, s := range []*pagedSide{clone, orig} {
+				s.check(t, st.name, ids)
+				acdom(s, st.name)
+			}
 		}
 	})
 

@@ -42,10 +42,11 @@ type Rel struct {
 }
 
 // Page sizes, in entries: facts for a relation's id tuples, slots for
-// its seen-set, list heads for its posting lists and counts for the
-// ACDom support counts. Each page is 256 bytes to 1 KiB: smaller pages
-// make a write after a Clone copy less, larger ones make the directory
-// that a relation's first write after a Clone copies shorter.
+// its seen-set, list heads for its posting lists, ownership words for
+// its posting pages and counts for the ACDom support counts. Each page
+// is 256 bytes to 1 KiB: smaller pages make a write after a Clone copy
+// less, larger ones make the directory that a relation's first write
+// after a Clone copies shorter.
 const (
 	relShift   = 6
 	relPage    = 1 << relShift
@@ -53,6 +54,8 @@ const (
 	seenPage   = 1 << seenShift
 	postShift  = 5
 	postPage   = 1 << postShift
+	ownShift   = 6
+	ownPage    = 1 << ownShift
 	acdomShift = 8
 	acdomPage  = 1 << acdomShift
 )
@@ -135,7 +138,8 @@ func (r *Rel) clone() *Rel {
 		seen: idSet{slots: r.seen.slots.fork(), mask: r.seen.mask, n: r.seen.n},
 	}
 	for p := range r.post {
-		out.post[p] = postings{heads: r.post[p].heads.fork(), distinct: r.post[p].distinct}
+		ps := &r.post[p]
+		out.post[p] = postings{heads: ps.heads.fork(), owned: ps.owned.fork(), distinct: ps.distinct}
 	}
 	return out
 }
@@ -151,9 +155,9 @@ func (r *Rel) append(h uint64, key []uint32) {
 	if ix < relPage {
 		n = off + r.w
 	}
-	copy(r.ids.write(ix>>relShift, n).v[off:], key)
+	copy(r.ids.write(ix>>relShift, n)[off:], key)
 	if r.w != 1 {
-		r.seen.add(r, h, ix)
+		r.seen.add(h, ix)
 	}
 	for p, id := range key {
 		r.post[p].add(id, int32(ix))
@@ -193,7 +197,7 @@ func (r *Rel) remove(key []uint32) bool {
 	}
 	if ix != last {
 		off := (ix & (relPage - 1)) * r.w
-		copy(r.ids.write(ix>>relShift, off+r.w).v[off:], lk)
+		copy(r.ids.write(ix>>relShift, off+r.w)[off:], lk)
 	}
 	r.n = last
 	return true
@@ -206,7 +210,13 @@ func (r *Rel) remove(key []uint32) bool {
 // fact cost no allocation of their own, and growing one copies it out.
 // A private copy of the postings starts a fresh arena.
 type postings struct {
-	heads    pages[[]int32]
+	heads pages[[]int32]
+	// owned holds one word per page of heads: bit k of page i's word
+	// marks list k of the page as the page's own, so that the list's
+	// backing array may be written in place. A page of heads that was
+	// just allocated or copied owns none of its lists, so two copies of
+	// one page never write into the same list.
+	owned    pages[uint64]
 	distinct int
 	arena    []int32
 }
@@ -219,31 +229,45 @@ func (ps *postings) get(id uint32) []int32 {
 	return ps.heads.entry(int(id>>postShift), int(id&(postPage-1)))
 }
 
+// page returns the writable page of heads that holds id's list, the
+// list's entry k in it and the page's ownership word.
+func (ps *postings) page(id uint32) (pg [][]int32, k int, own *uint64) {
+	i := int(id >> postShift)
+	fresh := !ps.heads.owns(i)
+	pg = ps.heads.write(i, postPage)
+	// An ownership page grows to the last word written, so the postings
+	// of a small relation keep a few words, not a whole page.
+	j := i & (ownPage - 1)
+	own = &ps.owned.write(i>>ownShift, j+1)[j]
+	if fresh {
+		*own = 0
+	}
+	return pg, int(id & (postPage - 1)), own
+}
+
 // writable returns the page and entry of id's list, with the list's
 // backing array owned by the page: a list the page does not own yet is
 // copied first.
-func (ps *postings) writable(id uint32) (*page[[]int32], int) {
-	k := int(id & (postPage - 1))
-	pg := ps.heads.write(int(id>>postShift), postPage)
-	if !pg.owns(k) {
-		pg.v[k] = slices.Clone(pg.v[k])
-		pg.own(k)
+func (ps *postings) writable(id uint32) ([][]int32, int) {
+	pg, k, own := ps.page(id)
+	if *own&(1<<k) == 0 {
+		pg[k] = slices.Clone(pg[k])
+		*own |= 1 << k
 	}
 	return pg, k
 }
 
 // add appends ord, above every ordinal of the list, to id's list.
 func (ps *postings) add(id uint32, ord int32) {
-	k := int(id & (postPage - 1))
-	pg := ps.heads.write(int(id>>postShift), postPage)
-	list := pg.v[k]
+	pg, k, own := ps.page(id)
+	list := pg[k]
 	if len(list) == 0 {
 		ps.distinct++
 	}
-	if !pg.owns(k) {
+	if *own&(1<<k) == 0 {
 		// A full slice makes append copy a list the page does not own.
 		list = list[:len(list):len(list)]
-		pg.own(k)
+		*own |= 1 << k
 	}
 	if len(list) == 0 {
 		if len(ps.arena) == 0 {
@@ -251,7 +275,7 @@ func (ps *postings) add(id uint32, ord int32) {
 		}
 		list, ps.arena = ps.arena[:0:1], ps.arena[1:]
 	}
-	pg.v[k] = append(list, ord)
+	pg[k] = append(list, ord)
 }
 
 // remove deletes ord from id's list; an emptied list is dropped.
@@ -262,15 +286,15 @@ func (ps *postings) remove(id uint32, ord int32) {
 		return
 	}
 	if len(list) == 1 {
-		k := int(id & (postPage - 1))
-		ps.heads.write(int(id>>postShift), postPage).v[k] = nil
+		pg, k, _ := ps.page(id)
+		pg[k] = nil
 		ps.distinct--
 		return
 	}
 	pg, k := ps.writable(id)
-	list = pg.v[k]
+	list = pg[k]
 	copy(list[i:], list[i+1:])
-	pg.v[k] = list[:len(list)-1]
+	pg[k] = list[:len(list)-1]
 }
 
 // move rewrites ordinal from as to in id's list. from is the relation's
@@ -282,7 +306,7 @@ func (ps *postings) move(id uint32, from, to int32) {
 		return
 	}
 	pg, k := ps.writable(id)
-	list := pg.v[k]
+	list := pg[k]
 	i := searchOrdinal(list, to)
 	copy(list[i+1:], list[i:len(list)-1])
 	list[i] = to
@@ -305,10 +329,15 @@ func searchOrdinal(list []int32, ord int32) int {
 
 // idSet is an open-addressing hash set of fact ordinals keyed by their id
 // tuples (stored once, in the relation's id pages). A slot holds the
-// high 32 bits of the tuple's HashIDs over its 1-based fact ordinal (0
+// low 32 bits of the tuple's HashIDs above its 1-based fact ordinal (0
 // is an empty slot), so a probe reads a tuple only when the hashes
 // agree. Its table of mask+1 slots (a power of two, 0 with no table) is
-// paged, seenPage slots to a page. Zero value is ready to use.
+// paged, seenPage slots to a page. A tuple's home slot is the low bits
+// of its hash, which the slot keeps, so growing the table or shifting
+// a cluster back finds each entry's home without reading its tuple. (The
+// low bits keep tuples that differ in their last id near each other,
+// which a hash mixed over every bit would scatter.) Zero value is ready
+// to use.
 type idSet struct {
 	slots pages[uint64]
 	mask  uint64
@@ -316,7 +345,13 @@ type idSet struct {
 }
 
 // seenEntry is the slot of fact ordinal ix, whose tuple hashes to h.
-func seenEntry(h uint64, ix int) uint64 { return h&^(1<<32-1) | uint64(ix+1) }
+func seenEntry(h uint64, ix int) uint64 { return h<<32 | uint64(ix+1) }
+
+// seenMatch reports whether slot e may hold a tuple that hashes to h.
+func seenMatch(e, h uint64) bool { return (e^h<<32)>>32 == 0 }
+
+// home returns the home slot of the entry e.
+func (s *idSet) home(e uint64) uint64 { return e >> 32 & s.mask }
 
 // seenOrd is the fact ordinal of the non-empty slot e.
 func seenOrd(e uint64) int { return int(uint32(e)) - 1 }
@@ -325,7 +360,7 @@ func seenOrd(e uint64) int { return int(uint32(e)) - 1 }
 func (s *idSet) slot(i uint64) uint64 { return s.slots.dir[i>>seenShift].v[i&(seenPage-1)] }
 
 // set writes e into slot i.
-func (s *idSet) set(i uint64, e uint64) { s.slots.write(int(i>>seenShift), 0).v[i&(seenPage-1)] = e }
+func (s *idSet) set(i uint64, e uint64) { s.slots.write(int(i>>seenShift), 0)[i&(seenPage-1)] = e }
 
 // fnv64 constants, hashing word-at-a-time over the id tuple.
 const (
@@ -365,7 +400,7 @@ func (s *idSet) has(r *Rel, h uint64, key []uint32) bool {
 		if e == 0 {
 			return false
 		}
-		if (e^h)>>32 != 0 {
+		if !seenMatch(e, h) {
 			continue
 		}
 		ix := seenOrd(e)
@@ -376,12 +411,11 @@ func (s *idSet) has(r *Rel, h uint64, key []uint32) bool {
 	}
 }
 
-// add records fact ordinal ix, whose tuple (with HashIDs h) must already
-// be stored in r's id pages. The caller checks has first; add never
-// checks for duplicates.
-func (s *idSet) add(r *Rel, h uint64, ix int) {
+// add records fact ordinal ix, whose tuple has HashIDs h. The caller
+// checks has first; add never checks for duplicates.
+func (s *idSet) add(h uint64, ix int) {
 	if 4*(s.n+1) >= 3*int(s.mask+1) {
-		s.grow(r)
+		s.grow()
 	}
 	i := h & s.mask
 	for s.slot(i) != 0 {
@@ -406,7 +440,7 @@ func (s *idSet) del(r *Rel, key []uint32) int {
 		if e == 0 {
 			return -1
 		}
-		if (e^h)>>32 == 0 && equalIDs(r.Tuple(seenOrd(e)), key) {
+		if seenMatch(e, h) && equalIDs(r.Tuple(seenOrd(e)), key) {
 			break
 		}
 		i = (i + 1) & mask
@@ -422,7 +456,7 @@ func (s *idSet) del(r *Rel, key []uint32) int {
 		if e == 0 {
 			break
 		}
-		h := HashIDs(r.Tuple(seenOrd(e))) & mask
+		h := s.home(e)
 		if (j > i && (h <= i || h > j)) || (j < i && h <= i && h > j) {
 			s.set(i, e)
 			i = j
@@ -452,22 +486,20 @@ func (s *idSet) repoint(key []uint32, from, to int) {
 }
 
 // grow rehashes the set into a fresh table of twice the slots (16 at
-// least), which the set owns whole.
-func (s *idSet) grow(r *Rel) {
+// least), which the set owns whole. The slots' hash bits give each
+// entry's home while the table has at most 2^32 slots.
+func (s *idSet) grow() {
 	ncap := 2 * int(s.mask+1)
 	if ncap < 16 {
 		ncap = 16
 	}
-	nt := idSet{mask: uint64(ncap - 1), n: s.n}
-	for i := 0; i < ncap; i += seenPage {
-		nt.slots.write(i>>seenShift, min(ncap, seenPage))
-	}
+	nt := idSet{slots: whole[uint64](ncap, seenPage), mask: uint64(ncap - 1), n: s.n}
 	for _, pg := range s.slots.dir {
 		for _, e := range pg.v {
 			if e == 0 {
 				continue
 			}
-			i := HashIDs(r.Tuple(seenOrd(e))) & nt.mask
+			i := nt.home(e)
 			for nt.slot(i) != 0 {
 				i = (i + 1) & nt.mask
 			}
