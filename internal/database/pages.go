@@ -42,9 +42,12 @@ func (p *pages[T]) entry(i, k int) T {
 	return zero
 }
 
-// owns reports whether page i is the directory's own, so that a write
-// to it lands in place.
-func (p *pages[T]) owns(i int) bool { return i >= p.lo && bitSet(p.mine, i-p.lo) }
+// copies reports whether a write to page i copies it first: the page
+// exists and is not the directory's own.
+func (p *pages[T]) copies(i int) bool {
+	i -= p.lo
+	return uint(i) < uint(len(p.dir)) && p.dir[i] != nil && !bitSet(p.mine, i)
+}
 
 // write returns page i, writable through p and at least n entries long.
 // An absent page is allocated, a page p does not own is first replaced

@@ -42,22 +42,22 @@ type Rel struct {
 }
 
 // Page sizes, in entries: facts for a relation's id tuples, slots for
-// its seen-set, list heads for its posting lists, ownership words for
-// its posting pages and counts for the ACDom support counts. Each page
+// its seen-set, list heads for its posting lists, borrowed-list words
+// for its pages of list heads and counts for the ACDom support counts. Each page
 // is 256 bytes to 1 KiB: smaller pages make a write after a Clone copy
 // less, larger ones make the directory that a relation's first write
 // after a Clone copies shorter.
 const (
-	relShift   = 6
-	relPage    = 1 << relShift
-	seenShift  = 6
-	seenPage   = 1 << seenShift
-	postShift  = 5
-	postPage   = 1 << postShift
-	ownShift   = 6
-	ownPage    = 1 << ownShift
-	acdomShift = 8
-	acdomPage  = 1 << acdomShift
+	relShift    = 6
+	relPage     = 1 << relShift
+	seenShift   = 6
+	seenPage    = 1 << seenShift
+	postShift   = 5
+	postPage    = 1 << postShift
+	borrowShift = 6
+	borrowPage  = 1 << borrowShift
+	acdomShift  = 8
+	acdomPage   = 1 << acdomShift
 )
 
 func newRel(rk core.RelKey) *Rel {
@@ -139,7 +139,7 @@ func (r *Rel) clone() *Rel {
 	}
 	for p := range r.post {
 		ps := &r.post[p]
-		out.post[p] = postings{heads: ps.heads.fork(), owned: ps.owned.fork(), distinct: ps.distinct}
+		out.post[p] = postings{heads: ps.heads.fork(), borrowed: ps.borrowed.fork(), distinct: ps.distinct}
 	}
 	return out
 }
@@ -211,12 +211,13 @@ func (r *Rel) remove(key []uint32) bool {
 // A private copy of the postings starts a fresh arena.
 type postings struct {
 	heads pages[[]int32]
-	// owned holds one word per page of heads: bit k of page i's word
-	// marks list k of the page as the page's own, so that the list's
-	// backing array may be written in place. A page of heads that was
-	// just allocated or copied owns none of its lists, so two copies of
-	// one page never write into the same list.
-	owned    pages[uint64]
+	// borrowed holds one word per page of heads: bit k of page i's word
+	// marks list k of the page as borrowed, its backing array still
+	// shared with a snapshot. A copied page borrows every list and
+	// copies each on its first write, so two copies of one page never
+	// write into the same list. A page allocated here borrows none, so
+	// a relation that was never shared keeps no words.
+	borrowed pages[uint64]
 	distinct int
 	arena    []int32
 }
@@ -229,45 +230,55 @@ func (ps *postings) get(id uint32) []int32 {
 	return ps.heads.entry(int(id>>postShift), int(id&(postPage-1)))
 }
 
-// page returns the writable page of heads that holds id's list, the
-// list's entry k in it and the page's ownership word.
-func (ps *postings) page(id uint32) (pg [][]int32, k int, own *uint64) {
+// page returns the writable page of heads that holds id's list and the
+// list's entry k in it.
+func (ps *postings) page(id uint32) (pg [][]int32, k int) {
 	i := int(id >> postShift)
-	fresh := !ps.heads.owns(i)
-	pg = ps.heads.write(i, postPage)
-	// An ownership page grows to the last word written, so the postings
-	// of a small relation keep a few words, not a whole page.
-	j := i & (ownPage - 1)
-	own = &ps.owned.write(i>>ownShift, j+1)[j]
-	if fresh {
-		*own = 0
+	if ps.heads.copies(i) {
+		ps.setBorrowed(i, ^uint64(0))
 	}
-	return pg, int(id & (postPage - 1)), own
+	return ps.heads.write(i, postPage), int(id & (postPage - 1))
+}
+
+// setBorrowed sets the borrowed word of heads page i. A page of words
+// grows to the last word written, so a relation with few copied heads
+// pages keeps a few words, not a whole page.
+func (ps *postings) setBorrowed(i int, w uint64) {
+	j := i & (borrowPage - 1)
+	ps.borrowed.write(i>>borrowShift, j+1)[j] = w
+}
+
+// own makes list k of heads page i the page's own and reports whether
+// it was borrowed; the caller then copies the list before writing it.
+func (ps *postings) own(i, k int) bool {
+	w := ps.borrowed.entry(i>>borrowShift, i&(borrowPage-1))
+	if w&(1<<k) == 0 {
+		return false
+	}
+	ps.setBorrowed(i, w&^(1<<k))
+	return true
 }
 
 // writable returns the page and entry of id's list, with the list's
-// backing array owned by the page: a list the page does not own yet is
-// copied first.
+// backing array owned by the page: a borrowed list is copied first.
 func (ps *postings) writable(id uint32) ([][]int32, int) {
-	pg, k, own := ps.page(id)
-	if *own&(1<<k) == 0 {
+	pg, k := ps.page(id)
+	if ps.own(int(id>>postShift), k) {
 		pg[k] = slices.Clone(pg[k])
-		*own |= 1 << k
 	}
 	return pg, k
 }
 
 // add appends ord, above every ordinal of the list, to id's list.
 func (ps *postings) add(id uint32, ord int32) {
-	pg, k, own := ps.page(id)
+	pg, k := ps.page(id)
 	list := pg[k]
 	if len(list) == 0 {
 		ps.distinct++
 	}
-	if *own&(1<<k) == 0 {
-		// A full slice makes append copy a list the page does not own.
+	if ps.own(int(id>>postShift), k) {
+		// A full slice makes append copy a borrowed list.
 		list = list[:len(list):len(list)]
-		*own |= 1 << k
 	}
 	if len(list) == 0 {
 		if len(ps.arena) == 0 {
@@ -286,7 +297,7 @@ func (ps *postings) remove(id uint32, ord int32) {
 		return
 	}
 	if len(list) == 1 {
-		pg, k, _ := ps.page(id)
+		pg, k := ps.page(id)
 		pg[k] = nil
 		ps.distinct--
 		return
