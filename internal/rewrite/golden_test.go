@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,10 +18,12 @@ import (
 	"guardedrules/internal/rewrite"
 )
 
-// rewGoldenPath pins |rew(Σ)| and the expansion counters of a corpus of
-// frontier-guarded theories. The expansion deduplicates rules and splits
-// up to renaming, so these counts change exactly when the canonical form
-// of Definition 12's bookkeeping does. Regenerate with
+// rewGoldenPath pins |rew(Σ)|, the expansion counters and a digest of
+// the printed rew(Σ) of a corpus of frontier-guarded theories. The
+// expansion deduplicates rules and splits up to renaming, so the counts
+// change exactly when the canonical form of Definition 12's bookkeeping
+// does; the digest also pins the rules themselves, their order, their
+// variable names and the Aux_j numbering. Regenerate with
 // UPDATE_GOLDEN=1 go test -run TestRewCountsGolden ./internal/rewrite/ —
 // only when a change is meant to alter them.
 const rewGoldenPath = "testdata/rew_counts.golden"
@@ -71,8 +74,9 @@ func rewCounts(t *testing.T, rt rewTheory) string {
 	if err != nil {
 		t.Fatalf("%s: %v", rt.name, err)
 	}
-	return fmt.Sprintf("%s rew=%d expansion=%d selections=%d splits=%d guard_variants=%d passthrough=%d",
-		rt.name, len(rew.Rules), st.ExpansionRules, st.Selections, st.Splits, st.GuardVariants, st.Passthrough)
+	return fmt.Sprintf("%s rew=%d expansion=%d selections=%d splits=%d guard_variants=%d passthrough=%d sha256=%.16x",
+		rt.name, len(rew.Rules), st.ExpansionRules, st.Selections, st.Splits, st.GuardVariants, st.Passthrough,
+		sha256.Sum256([]byte(parser.PrintTheory(rew))))
 }
 
 // TestRewCountsGolden requires every count to match the pinned one
@@ -82,7 +86,7 @@ func TestRewCountsGolden(t *testing.T) {
 	corpus := rewCorpus(t)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		var b strings.Builder
-		b.WriteString("# theory rew=|rew(Σ)| and rewrite.Stats counters; exact\n")
+		b.WriteString("# theory rew=|rew(Σ)|, rewrite.Stats counters and sha256 prefix of parser.PrintTheory(rew(Σ)); exact\n")
 		for _, rt := range corpus {
 			if line := rewCounts(t, rt); line != "" {
 				b.WriteString(line + "\n")
