@@ -33,6 +33,7 @@ type Canonizer struct {
 	have  bool
 	nums  [][]int32 // numberings achieving best
 	stack []int32   // per-depth minimal serializations
+	cands []int32   // per-depth atoms achieving them
 	atoms []IDAtom
 	buf   []byte
 }
@@ -153,9 +154,9 @@ func (c *Canonizer) rec(depth int) {
 		return
 	}
 	// Serialize every unused atom; keep the minimal serialization at
-	// stack[base:] and the atoms achieving it in cands.
-	base := len(c.stack)
-	var cands []int32
+	// stack[base:] and the atoms achieving it in cands[cbase:]. Deeper
+	// levels only append past both, so the slices stay valid.
+	base, cbase := len(c.stack), len(c.cands)
 	for i, a := range c.atoms {
 		if c.used[i] {
 			continue
@@ -164,17 +165,17 @@ func (c *Canonizer) rec(depth int) {
 		c.stack = c.serialize(c.stack, a)
 		ser := c.stack[start:]
 		d := -1
-		if len(cands) > 0 {
+		if len(c.cands) > cbase {
 			d = slices.Compare(ser, c.stack[base:start])
 		}
 		switch {
 		case d < 0:
 			copy(c.stack[base:], ser)
 			c.stack = c.stack[:base+len(ser)]
-			cands = append(cands[:0], int32(i))
+			c.cands = append(c.cands[:cbase], int32(i))
 		case d == 0:
 			c.stack = c.stack[:start]
-			cands = append(cands, int32(i))
+			c.cands = append(c.cands, int32(i))
 		default:
 			c.stack = c.stack[:start]
 		}
@@ -190,13 +191,13 @@ func (c *Canonizer) rec(depth int) {
 			d = slices.Compare(minSer, c.best[n:n+len(minSer)])
 		}
 		if d > 0 {
-			c.stack = c.stack[:base]
+			c.stack, c.cands = c.stack[:base], c.cands[:cbase]
 			return
 		}
 	}
 	accLen := len(c.acc)
 	c.acc = append(c.acc, minSer...)
-	for _, i := range cands {
+	for _, i := range c.cands[cbase:] {
 		a := c.atoms[i]
 		mark := c.next
 		for _, t := range a.Args {
@@ -216,7 +217,7 @@ func (c *Canonizer) rec(depth int) {
 		c.next = mark
 	}
 	c.acc = c.acc[:accLen]
-	c.stack = c.stack[:base]
+	c.stack, c.cands = c.stack[:base], c.cands[:cbase]
 }
 
 // canonRel identifies a relation occurrence for the term-space adapters:

@@ -17,18 +17,13 @@ func Star(rel string) string { return rel + starSuffix }
 // the built-in ACDom.
 func Axiomatize(th *core.Theory) *core.Theory {
 	out := core.NewTheory()
-	star := func(a core.Atom) core.Atom {
-		b := a.Clone()
-		b.Relation = Star(a.Relation)
-		return b
-	}
 	for _, r := range th.Rules {
 		nr := r.Clone()
 		for i := range nr.Body {
-			nr.Body[i].Atom = star(nr.Body[i].Atom)
+			nr.Body[i].Atom.Relation = Star(nr.Body[i].Atom.Relation)
 		}
 		for i := range nr.Head {
-			nr.Head[i] = star(nr.Head[i])
+			nr.Head[i].Relation = Star(nr.Head[i].Relation)
 		}
 		out.Add(nr)
 	}
@@ -65,13 +60,10 @@ func Axiomatize(th *core.Theory) *core.Theory {
 	return core.StampGenerated(out, "acdom-axiomatization")
 }
 
+// varName is x0..x9, then x0a..x9a, x0b and so on.
 func varName(i int) string {
-	return "x" + string(rune('0'+i%10)) + suffixFor(i/10)
-}
-
-func suffixFor(i int) string {
-	if i == 0 {
-		return ""
+	if i < 10 {
+		return "x" + string(rune('0'+i))
 	}
-	return string(rune('a' + (i-1)%26))
+	return "x" + string(rune('0'+i%10)) + string(rune('a'+(i/10-1)%26))
 }

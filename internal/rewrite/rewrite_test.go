@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 
 	"guardedrules/internal/budget"
@@ -29,70 +31,98 @@ hasAuthor(p1,a1). hasAuthor(p2,a1). hasAuthor(p2,a2).
 hasTopic(p1,t1). Scientific(t1).
 `
 
-func TestSelectionsEnumeration(t *testing.T) {
-	th := parser.MustParseTheory(`R(X,Y), S(Y,Z) -> P(X).`)
-	r := th.Rules[0]
-	sels := selections(r, 2)
-	if len(sels) == 0 {
-		t.Fatal("no selections enumerated")
+// ruleOf returns a fresh expander over relations of arity at most k and
+// the single rule of src in id space.
+func ruleOf(t *testing.T, k int, src string) (*expander, *xrule) {
+	t.Helper()
+	e := &expander{k: k, relIDs: map[core.RelKey]int32{}, termIDs: map[core.Term]int32{}}
+	return e, e.fromCore(parser.MustParseTheory(src).Rules[0], false)
+}
+
+// varID is the id of the named variable of x.
+func varID(x *xrule, name string) int8 { return int8(slices.Index(x.vars, core.Var(name))) }
+
+// selectionOf builds the selection µ given by variable names.
+func selectionOf(x *xrule, mu map[string]string) *selection {
+	s := &selection{}
+	for from, to := range mu {
+		s.dom |= 1 << varID(x, from)
+		s.img[varID(x, from)] = varID(x, to)
 	}
-	seen := make(map[string]bool)
-	for _, sel := range sels {
+	return s
+}
+
+// maskOf is the variable mask of the named variables of x.
+func maskOf(x *xrule, names ...string) uint16 {
+	var m uint16
+	for _, n := range names {
+		m |= 1 << varID(x, n)
+	}
+	return m
+}
+
+func TestSelectionsEnumeration(t *testing.T) {
+	_, x := ruleOf(t, 2, `R(X,Y), S(Y,Z) -> P(X).`)
+	seen := make(map[selection]bool)
+	err := selections(x.uv, 2, func(s *selection) error {
 		// Idempotency and range bound.
-		ran := make(core.TermSet)
-		for v, w := range sel.m {
-			ran.Add(w)
-			if m, ok := sel.m[w]; !ok || m != w {
-				t.Fatalf("selection not idempotent: %v -> %v", v, w)
+		var ran uint16
+		for m := s.dom; m != 0; m &= m - 1 {
+			x := bits.TrailingZeros16(m)
+			y := s.img[x]
+			ran |= 1 << y
+			if s.dom&(1<<y) == 0 || s.img[y] != y {
+				t.Fatalf("selection not idempotent: %d -> %d", x, y)
 			}
 		}
-		if len(ran) > 2 {
-			t.Fatalf("range exceeds k: %v", sel.m)
+		if bits.OnesCount16(ran) > 2 {
+			t.Fatalf("range exceeds k: %+v", *s)
 		}
-		key := ""
-		for _, v := range sel.dom().Sorted() {
-			key += v.Name + ">" + sel.m[v].Name + ";"
+		key := selection{dom: s.dom}
+		for m := s.dom; m != 0; m &= m - 1 {
+			key.img[bits.TrailingZeros16(m)] = s.img[bits.TrailingZeros16(m)]
 		}
 		if seen[key] {
-			t.Fatalf("duplicate selection %s", key)
+			t.Fatalf("duplicate selection %+v", key)
 		}
 		seen[key] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ranges {X},{Y},{Z} leave two variables unmapped or mapped into the
+	// range (4 each); ranges of two leave one variable with 3 choices.
+	if len(seen) != 3*4+3*3 {
+		t.Fatalf("%d selections, want 21", len(seen))
 	}
 }
 
 func TestCoveredAndKeep(t *testing.T) {
 	// Example 3 of the paper: σ = R(x0,x1),R(x1,x2),R(x2,x3),R(x3,x4),
 	// R(x4,x1) → P(x1), µ = {x4→x2, x2→x2, x3→x3}.
-	th := parser.MustParseTheory(`R(X0,X1), R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1) -> P(X1).`)
-	r := th.Rules[0]
-	sel := selection{m: core.Subst{
-		core.Var("X4"): core.Var("X2"),
-		core.Var("X2"): core.Var("X2"),
-		core.Var("X3"): core.Var("X3"),
-	}}
-	cov := covered(r, sel)
-	if len(cov) != 2 {
-		t.Fatalf("cov: %v (want R(X2,X3), R(X3,X4))", cov)
+	_, x := ruleOf(t, 2, `R(X0,X1), R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1) -> P(X1).`)
+	s := selectionOf(x, map[string]string{"X4": "X2", "X2": "X2", "X3": "X3"})
+	c := x.cover(s.dom)
+	if c.n != 2 || c.covArg != maskOf(x, "X2", "X3", "X4") {
+		t.Fatalf("cov: %+v (want R(X2,X3), R(X3,X4))", c)
 	}
-	keep := keepVars(r, sel, cov, "rc")
-	if len(keep) != 1 || !keep.Has(core.Var("X2")) {
-		t.Errorf("keep: %v (want {X2})", keep)
+	if keep, ok := x.admits(s, c, true); !ok || keep != maskOf(x, "X2") {
+		t.Errorf("keep: %b (want {X2})", keep)
 	}
 }
 
 func TestExampleFourKeep(t *testing.T) {
 	// Example 4: σ4 with µ = {x→x, z→z}: cov = {hasTopic(x,z),
 	// Scientific(z)}, keep = {x}.
-	th := parser.MustParseTheory(`hasAuthor(X,Y), hasTopic(X,Z), Scientific(Z) -> Q(Y).`)
-	r := th.Rules[0]
-	sel := selection{m: core.Subst{core.Var("X"): core.Var("X"), core.Var("Z"): core.Var("Z")}}
-	cov := covered(r, sel)
-	if len(cov) != 2 {
-		t.Fatalf("cov: %v", cov)
+	_, x := ruleOf(t, 2, `hasAuthor(X,Y), hasTopic(X,Z), Scientific(Z) -> Q(Y).`)
+	s := selectionOf(x, map[string]string{"X": "X", "Z": "Z"})
+	c := x.cover(s.dom)
+	if c.n != 2 {
+		t.Fatalf("cov: %+v", c)
 	}
-	keep := keepVars(r, sel, cov, "rc")
-	if len(keep) != 1 || !keep.Has(core.Var("X")) {
-		t.Errorf("keep: %v (want {X})", keep)
+	if keep, ok := x.admits(s, c, true); !ok || keep != maskOf(x, "X") {
+		t.Errorf("keep: %b (want {X})", keep)
 	}
 }
 
@@ -287,64 +317,48 @@ func TestAxiomatizeACDom(t *testing.T) {
 // guarded σ′ and a rule with strictly fewer variables outside the frontier
 // guard; rnc produces a frontier-guarded σ′ and a guarded σ′′.
 func TestExampleThreeSplitShapes(t *testing.T) {
-	th := parser.MustParseTheory(`R(X0,X1), R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1) -> P(X1).`)
-	r := th.Rules[0]
-	sel := selection{m: core.Subst{
-		core.Var("X4"): core.Var("X2"),
-		core.Var("X2"): core.Var("X2"),
-		core.Var("X3"): core.Var("X3"),
-	}}
-	sp, ok, err := buildSplit(r, sel, "rc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, x := ruleOf(t, 2, `R(X0,X1), R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1) -> P(X1).`)
+	s := selectionOf(x, map[string]string{"X4": "X2", "X2": "X2", "X3": "X3"})
+	keep, ok := x.admits(s, x.cover(s.dom), true)
 	if !ok {
 		t.Fatal("Example 3's rc split must be admissible")
 	}
+	sp := e.buildSplit(x, s, true, keep)
 	// removed = µ(cov) = {R(X2,X3), R(X3,X2)}; kept has the remaining
 	// atoms with X4 renamed to X2; the head keeps P(X1).
 	if len(sp.removed) != 2 {
 		t.Errorf("removed: %v", sp.removed)
 	}
-	if len(sp.hAtom.Args) != 1 || sp.hAtom.Args[0] != core.Var("X2") {
-		t.Errorf("H args: %v (want {X2})", sp.hAtom.Args)
+	if len(sp.hArgs) != 1 || sp.hArgs[0] != int32(varID(x, "X2")) {
+		t.Errorf("H args: %v (want {X2})", sp.hArgs)
 	}
-	if sp.head.Relation != "P" {
+	if e.rels[sp.head.Rel].Name != "P" {
 		t.Errorf("head: %v", sp.head)
 	}
 	// The σ′′-style remainder has fewer variables than σ (X3, X4 vanish).
-	keptVars := core.VarsOf(sp.kept)
-	keptVars.AddAll(core.NewTermSet(sp.hAtom.Args...))
-	if len(keptVars) >= len(r.UVars()) {
-		t.Errorf("no variable projection: %v vs %v", keptVars, r.UVars())
+	keptVars := e.argMasks(sp.kept) | keep
+	if bits.OnesCount16(keptVars) >= bits.OnesCount16(x.uv) {
+		t.Errorf("no variable projection: %b vs %b", keptVars, x.uv)
 	}
 }
 
 func TestExampleFiveSplitShapes(t *testing.T) {
-	th := parser.MustParseTheory(`R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1), R(X4,X5) -> P(X1,X2).`)
-	r := th.Rules[0]
-	sel := selection{m: core.Subst{
-		core.Var("X1"): core.Var("X1"),
-		core.Var("X2"): core.Var("X2"),
-		core.Var("X3"): core.Var("X3"),
-	}}
-	cov := covered(r, sel)
-	if len(cov) != 2 { // R(X1,X2), R(X2,X3)
-		t.Fatalf("cov: %v", cov)
+	e, x := ruleOf(t, 2, `R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1), R(X4,X5) -> P(X1,X2).`)
+	s := selectionOf(x, map[string]string{"X1": "X1", "X2": "X2", "X3": "X3"})
+	c := x.cover(s.dom)
+	if c.n != 2 { // R(X1,X2), R(X2,X3)
+		t.Fatalf("cov: %+v", c)
 	}
-	keep := keepVars(r, sel, cov, "rnc")
 	// Example 5: keep = {x1, x3} (x2 occurs in the head but not in
 	// body\cov, so it is re-bound through µ(cov) in σ′′).
-	if len(keep) != 2 || !keep.Has(core.Var("X1")) || !keep.Has(core.Var("X3")) {
-		t.Errorf("keep: %v (want {X1,X3})", keep)
-	}
-	sp, ok, err := buildSplit(r, sel, "rnc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	keep, ok := x.admits(s, c, false)
 	if !ok {
 		t.Fatal("Example 5's rnc split must be admissible")
 	}
+	if keep != maskOf(x, "X1", "X3") {
+		t.Errorf("keep: %b (want {X1,X3})", keep)
+	}
+	sp := e.buildSplit(x, s, false, keep)
 	// removed = µ(body\cov): three atoms over X3,X4,X1,X5.
 	if len(sp.removed) != 3 {
 		t.Errorf("removed: %v", sp.removed)
@@ -370,12 +384,12 @@ func TestMeasureDecreasesOnEnqueuedRules(t *testing.T) {
 	// the measure function: on Example 3's rewritten shape the frontier
 	// guard R(X0,X1) leaves only X2 outside, and a guarded rule has
 	// measure 0.
-	r := parser.MustParseTheory(`R(X0,X1), R(X1,X2), R(X2,X1), A(X2) -> P(X1).`).Rules[0]
-	if m := measure(r); m != 1 {
+	_, x := ruleOf(t, 2, `R(X0,X1), R(X1,X2), R(X2,X1), A(X2) -> P(X1).`)
+	if m := x.measure; m != 1 {
 		t.Errorf("measure: got %d want 1", m)
 	}
-	guarded := parser.MustParseTheory(`R(X0,X1) -> P(X1).`).Rules[0]
-	if m := measure(guarded); m != 0 {
+	_, x = ruleOf(t, 2, `R(X0,X1) -> P(X1).`)
+	if m := x.measure; m != 0 {
 		t.Errorf("guarded rule must have measure 0, got %d", m)
 	}
 }
@@ -383,41 +397,37 @@ func TestMeasureDecreasesOnEnqueuedRules(t *testing.T) {
 // canonSplit: isomorphic splits share keys and receive corresponding H
 // argument orders; different kinds and structures get distinct keys.
 func TestCanonSplitIsomorphismInvariance(t *testing.T) {
-	build := func(src string, m core.Subst, kind string) (string, split) {
-		r := parser.MustParseTheory(src).Rules[0]
-		sp, ok, err := buildSplit(r, selection{m: m}, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
+	e := &expander{k: 2, relIDs: map[core.RelKey]int32{}, termIDs: map[core.Term]int32{}}
+	build := func(src string, mu map[string]string, rc bool) (string, split) {
+		x := e.fromCore(parser.MustParseTheory(src).Rules[0], false)
+		s := selectionOf(x, mu)
+		keep, ok := x.admits(s, x.cover(s.dom), rc)
 		if !ok {
-			t.Fatalf("split not admissible for %q (%s)", src, kind)
+			t.Fatalf("split not admissible for %q (rc %v)", src, rc)
 		}
-		key, csp := canonSplit(sp)
-		return key, csp
+		sp := e.buildSplit(x, s, rc, keep)
+		return e.canonSplit(x, &sp), sp
 	}
 	exampleThree := `R(X0,X1), R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1) -> P(X1).`
-	mu := core.Subst{core.Var("X4"): core.Var("X2"), core.Var("X2"): core.Var("X2"), core.Var("X3"): core.Var("X3")}
-	k1, s1 := build(exampleThree, mu, "rc")
+	k1, s1 := build(exampleThree, map[string]string{"X4": "X2", "X2": "X2", "X3": "X3"}, true)
 	// The same rule with all variables renamed.
 	k2, s2 := build(`R(A0,A1), R(A1,A2), R(A2,A3), R(A3,A4), R(A4,A1) -> P(A1).`,
-		core.Subst{core.Var("A4"): core.Var("A2"), core.Var("A2"): core.Var("A2"), core.Var("A3"): core.Var("A3")}, "rc")
+		map[string]string{"A4": "A2", "A2": "A2", "A3": "A3"}, true)
 	if k1 != k2 {
-		t.Errorf("isomorphic splits must share keys:\n%s\n%s", k1, k2)
+		t.Errorf("isomorphic splits must share keys:\n%q\n%q", k1, k2)
 	}
-	if len(s1.hAtom.Args) != len(s2.hAtom.Args) {
-		t.Errorf("H arities differ: %v vs %v", s1.hAtom, s2.hAtom)
+	if len(s1.hArgs) != len(s2.hArgs) {
+		t.Errorf("H arities differ: %v vs %v", s1.hArgs, s2.hArgs)
 	}
 	// A symmetric selection of the same rule (X2 and X4 swapped roles):
 	// still the same split up to isomorphism.
-	k3, _ := build(exampleThree,
-		core.Subst{core.Var("X2"): core.Var("X4"), core.Var("X4"): core.Var("X4"), core.Var("X3"): core.Var("X3")}, "rc")
+	k3, _ := build(exampleThree, map[string]string{"X2": "X4", "X4": "X4", "X3": "X3"}, true)
 	if k3 != k1 {
-		t.Errorf("automorphic selections must share keys:\n%s\n%s", k3, k1)
+		t.Errorf("automorphic selections must share keys:\n%q\n%q", k3, k1)
 	}
 	// Keys embed the kind: an rnc split of a different rule never matches.
-	rncRule := `R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1), R(X4,X5) -> P(X1,X2).`
-	k4, _ := build(rncRule,
-		core.Subst{core.Var("X1"): core.Var("X1"), core.Var("X2"): core.Var("X2"), core.Var("X3"): core.Var("X3")}, "rnc")
+	k4, _ := build(`R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X1), R(X4,X5) -> P(X1,X2).`,
+		map[string]string{"X1": "X1", "X2": "X2", "X3": "X3"}, false)
 	if k4 == k1 {
 		t.Error("rc and rnc splits must have distinct keys")
 	}
