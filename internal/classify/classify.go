@@ -10,6 +10,7 @@ package classify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"guardedrules/internal/core"
@@ -135,29 +136,35 @@ func GuardResidue(r *core.Rule, need core.TermSet) (core.Atom, core.TermSet) {
 	if len(need) == 0 {
 		return core.Atom{}, nil
 	}
-	body := r.PositiveBody()
 	best, bestCover := -1, -1
-	for i, a := range body {
-		vars := a.Vars()
+	for i, l := range r.Body {
+		if l.Negated {
+			continue
+		}
 		cover := 0
-		for v := range need {
-			if vars.Has(v) {
+		for j, t := range l.Atom.Args {
+			if need.Has(t) && !slices.Contains(l.Atom.Args[:j], t) {
 				cover++
 			}
 		}
 		if cover > bestCover {
 			best, bestCover = i, cover
 			if cover == len(need) {
-				break
+				return l.Atom, nil
 			}
 		}
 	}
-	if best < 0 {
-		residue := make(core.TermSet, len(need))
-		residue.AddAll(need)
-		return core.Atom{}, residue
+	var guard core.Atom
+	if best >= 0 {
+		guard = r.Body[best].Atom
 	}
-	return body[best], need.Minus(body[best].Vars())
+	residue := make(core.TermSet, len(need))
+	for v := range need {
+		if !slices.Contains(guard.Args, v) {
+			residue.Add(v)
+		}
+	}
+	return guard, residue
 }
 
 // guardFor returns a positive body atom containing every variable of need,
