@@ -3,7 +3,9 @@ package rewrite
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"guardedrules/internal/budget"
 	"guardedrules/internal/normalize"
@@ -74,5 +76,34 @@ func TestContextCancelStopsExpansion(t *testing.T) {
 	}
 	if ex == nil {
 		t.Fatal("canceled expansion must return the partial theory")
+	}
+}
+
+// One rule can have hundreds of thousands of selections: the four-atom
+// ternary chain has 425,100, the eight-atom binary chain 81,036. A
+// deadline must stop the expansion inside such a rule, promptly and
+// before it has allocated much.
+func TestDeadlineStopsInsideOneRule(t *testing.T) {
+	for _, src := range []string{
+		`R(X1,X2,X3), R(X3,X4,X5), R(X5,X6,X7), R(X7,X8,X9) -> P(X1).`,
+		`R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X5), R(X5,X6), R(X6,X7), R(X7,X8), R(X8,X9) -> P(X1).`,
+	} {
+		th := normalize.Normalize(parser.MustParseTheory(src))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, _, err := Rewrite(th, Options{Budget: &budget.T{Timeout: 50 * time.Millisecond}})
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		var be *budget.Error
+		if !errors.Is(err, budget.ErrDeadline) || !errors.As(err, &be) {
+			t.Fatalf("%s: err = %v, want a *budget.Error wrapping ErrDeadline", src, err)
+		}
+		if elapsed > 300*time.Millisecond {
+			t.Errorf("%s: returned after %v, want within 250ms of the 50ms deadline", src, elapsed)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Errorf("%s: allocated %d MB, want under 64 MB", src, alloc>>20)
+		}
 	}
 }
