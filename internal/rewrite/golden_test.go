@@ -35,7 +35,7 @@ type rewTheory struct {
 
 // rewCorpus is the random frontier-guarded theories of seeds 1–40 at 4,
 // 6 and 8 rules, then every testdata/*.rules theory.
-func rewCorpus(t *testing.T) []rewTheory {
+func rewCorpus(t testing.TB) []rewTheory {
 	t.Helper()
 	var out []rewTheory
 	for _, n := range []int{4, 6, 8} {
