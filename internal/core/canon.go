@@ -8,9 +8,9 @@ import (
 // IDAtom is an atom in id-space: Rel is a relation id, and Args holds
 // the annotation terms followed by the arguments, each either a
 // rule-local variable v >= 0 or a non-variable term encoded as a
-// negative id. The saturation of Definition 19 runs over IDAtoms
-// directly; CanonicalKey and CanonicalAtomSet translate term-space atoms
-// into them.
+// negative id. The saturation of Definition 19 and the expansion of
+// Definition 12 run over IDAtoms directly; CanonicalKey translates a
+// term-space rule into them.
 type IDAtom struct {
 	Rel  int32
 	Args []int32
@@ -338,54 +338,4 @@ func CanonicalKey(r *Rule) string {
 	s, ids := newIDSpace(r.AllAtoms(), neg)
 	var c Canonizer
 	return s.key(c.RuleKey(ids[:len(r.Body)], ids[len(r.Body):], int32(len(s.vars))))
-}
-
-// CanonicalAtomSet returns a canonical serialization of the atom multiset
-// (independent of atom order and variable names) together with every
-// variable numbering that achieves it. Two atom sets are isomorphic
-// exactly when their serializations agree, and corresponding variables
-// receive corresponding numbering multisets.
-func CanonicalAtomSet(atoms []Atom) (string, []map[Term]int) {
-	s, ids := newIDSpace(atoms, nil)
-	var c Canonizer
-	ser, nums := c.Canon(ids, int32(len(s.vars)), nil)
-	out := make([]map[Term]int, len(nums))
-	for i, num := range nums {
-		out[i] = make(map[Term]int, len(num))
-		for v, n := range num {
-			out[i][s.vars[v]] = int(n)
-		}
-	}
-	return s.key(c.Key(ser)), out
-}
-
-// CanonicalVarOrder sorts the given variables by an isomorphism-invariant
-// criterion derived from the numberings: each variable is keyed by the
-// sorted vector of its indices across all optimal numberings.
-func CanonicalVarOrder(vars []Term, numberings []map[Term]int) []Term {
-	type entry struct {
-		v   Term
-		idx []int
-	}
-	entries := make([]entry, len(vars))
-	for i, v := range vars {
-		idx := make([]int, 0, len(numberings))
-		for _, m := range numberings {
-			if n, ok := m[v]; ok {
-				idx = append(idx, n)
-			} else {
-				idx = append(idx, 1<<30)
-			}
-		}
-		slices.Sort(idx)
-		entries[i] = entry{v, idx}
-	}
-	slices.SortStableFunc(entries, func(a, b entry) int {
-		return cmp.Or(slices.Compare(a.idx, b.idx), compareTerm(a.v, b.v))
-	})
-	out := make([]Term, len(entries))
-	for i, e := range entries {
-		out[i] = e.v
-	}
-	return out
 }

@@ -353,26 +353,6 @@ func TestRuleHelpers(t *testing.T) {
 	}
 }
 
-func TestCanonicalAtomSetAndVarOrder(t *testing.T) {
-	a := []Atom{NewAtom("R", Var("x"), Var("y")), NewAtom("S", Var("y"))}
-	b := []Atom{NewAtom("S", Var("q")), NewAtom("R", Var("p"), Var("q"))}
-	ka, na := CanonicalAtomSet(a)
-	kb, nb := CanonicalAtomSet(b)
-	if ka != kb {
-		t.Errorf("isomorphic atom sets must share keys:\n%s\n%s", ka, kb)
-	}
-	// Corresponding variables get corresponding canonical positions.
-	oa := CanonicalVarOrder([]Term{Var("x"), Var("y")}, na)
-	ob := CanonicalVarOrder([]Term{Var("p"), Var("q")}, nb)
-	if (oa[0] == Var("x")) != (ob[0] == Var("p")) {
-		t.Errorf("orders do not correspond: %v vs %v", oa, ob)
-	}
-	kc, _ := CanonicalAtomSet([]Atom{NewAtom("R", Var("x"), Var("x")), NewAtom("S", Var("x"))})
-	if kc == ka {
-		t.Error("non-isomorphic sets must differ")
-	}
-}
-
 // TestCanonicalKeyInjective covers names that look like the key's own
 // syntax: a constant spelled like a numbered variable, names holding the
 // argument and atom separators, NUL bytes, and a constant spelled like a
@@ -404,11 +384,6 @@ func TestCanonicalKeyInjective(t *testing.T) {
 		if CanonicalKey(c.a) == CanonicalKey(c.b) {
 			t.Errorf("%s: %v and %v share a key", c.name, c.a, c.b)
 		}
-		ka, _ := CanonicalAtomSet(c.a.PositiveBody())
-		kb, _ := CanonicalAtomSet(c.b.PositiveBody())
-		if ka == kb {
-			t.Errorf("%s: bodies %v and %v share an atom-set key", c.name, c.a.PositiveBody(), c.b.PositiveBody())
-		}
 	}
 	// Renamed and reordered copies over the same odd names stay equal.
 	odd := []Term{Const("?0"), Const("a, b"), Const(" & "), Const("a\x00b"), NewNull("?1")}
@@ -418,11 +393,6 @@ func TestCanonicalKeyInjective(t *testing.T) {
 		NewAtom("Q\x00", Var("a"), odd[3]), NewAtom("R", Var("a"), Var("b"), odd[2]), NewAtom("R", Var("b"), Var("a"), odd[1]), NewAtom("P", Var("b"), odd[0]))
 	if CanonicalKey(r1) != CanonicalKey(r2) {
 		t.Errorf("renamed copy changed the key:\n%q\n%q", CanonicalKey(r1), CanonicalKey(r2))
-	}
-	k1, _ := CanonicalAtomSet(r1.PositiveBody())
-	k2, _ := CanonicalAtomSet(r2.PositiveBody())
-	if k1 != k2 {
-		t.Errorf("renamed copy changed the atom-set key:\n%q\n%q", k1, k2)
 	}
 }
 
