@@ -124,6 +124,60 @@ func BenchmarkSaturate(b *testing.B) {
 	}
 }
 
+// BenchmarkRewrite times rew(Σ) alone, the Theorem 1 expansion of the
+// normalized theory, for every compile_miss template that takes the
+// rew→dat route.
+func BenchmarkRewrite(b *testing.B) {
+	for _, tp := range saturateBenchTemplates() {
+		if classify.Classify(tp.th).Member[classify.NearlyGuarded] {
+			continue
+		}
+		norm := normalize.Normalize(tp.th)
+		b.Run(tp.name, func(b *testing.B) {
+			var st *rewrite.Stats
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, st, err = rewrite.Rewrite(norm, rewrite.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.ExpansionRules), "expansion_rules")
+			b.ReportMetric(float64(st.Selections), "selections")
+		})
+	}
+}
+
+// BenchmarkRegister times compile_miss's primary op in process for every
+// template that saturates: each iteration registers the template with
+// its relations renamed by a suffix the store has not seen, so the KB
+// cache never hits. The sources are printed before the timer starts.
+func BenchmarkRegister(b *testing.B) {
+	for _, tp := range saturateBenchTemplates() {
+		b.Run(tp.name, func(b *testing.B) {
+			srcs := make([]string, b.N)
+			for i := range srcs {
+				th := tp.th.Clone()
+				for _, r := range th.Rules {
+					for j := range r.Body {
+						r.Body[j].Atom.Relation += fmt.Sprintf("_%d", i)
+					}
+					for j := range r.Head {
+						r.Head[j].Relation += fmt.Sprintf("_%d", i)
+					}
+				}
+				srcs[i] = parser.PrintTheory(th)
+			}
+			st := kbcache.NewStore(kbcache.Config{})
+			b.ResetTimer()
+			for _, src := range srcs {
+				if _, _, err := st.Register(context.Background(), src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkColdCQ times the first read of every compile_miss template's
 // CQ after registration, two ways: plan through AnswerCQ's dat(Σ∪q)
 // plan, base through CompiledKB.Read of the CQ's selector, which for a
