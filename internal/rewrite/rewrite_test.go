@@ -3,6 +3,7 @@ package rewrite
 import (
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"guardedrules/internal/budget"
@@ -443,5 +444,27 @@ func TestExpansionCaps(t *testing.T) {
 		`R(X1,X2), R(X2,X3), R(X3,X4), R(X4,X5), R(X5,X6), R(X6,X7), R(X7,X8), R(X8,X9), R(X9,X10), R(X10,X1) -> P(X1).`)
 	if _, _, err := Rewrite(normalize.Normalize(big), Options{}); err == nil {
 		t.Error("variable cap must trigger")
+	}
+}
+
+// H's arguments follow the canonical numberings and, between variables
+// that an automorphism of the split swaps, their names: the split of
+// E(X,Z), E(Y,Z) off R(W,X), R(W,Y) is symmetric in X and Y. The pinned
+// rules are the term-space expander's output; no golden theory has such
+// a tie.
+func TestSymmetricSplitKeepsNameOrder(t *testing.T) {
+	th := normalize.Normalize(parser.MustParseTheory(`A(X) -> exists Y,Z. T(X,Y,Z). R(W,X), R(W,Y), E(X,Z), E(Y,Z) -> P(W).`))
+	rew, _, err := Rewrite(th, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := parser.PrintTheory(rew)
+	for _, want := range []string{
+		"NodeBag_3(?X,?Y,?Z), E(?X,?Z), E(?Y,?Z) -> Aux_9(?X,?Y).\n",
+		"NodeBag_3(?W,?X,?Y), Aux_9(?X,?Y), R(?W,?X), R(?W,?Y) -> P(?W).\n",
+	} {
+		if !strings.Contains(printed, want) {
+			t.Errorf("rew(Σ) lacks %q:\n%s", want, printed)
+		}
 	}
 }
