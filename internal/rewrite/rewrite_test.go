@@ -449,9 +449,8 @@ func TestExpansionCaps(t *testing.T) {
 
 // H's arguments follow the canonical numberings and, between variables
 // that an automorphism of the split swaps, their names: the split of
-// E(X,Z), E(Y,Z) off R(W,X), R(W,Y) is symmetric in X and Y. The pinned
-// rules are the term-space expander's output; no golden theory has such
-// a tie.
+// E(X,Z), E(Y,Z) off R(W,X), R(W,Y) is symmetric in X and Y. No golden
+// theory has such a tie, so only this test pins the name order.
 func TestSymmetricSplitKeepsNameOrder(t *testing.T) {
 	th := normalize.Normalize(parser.MustParseTheory(`A(X) -> exists Y,Z. T(X,Y,Z). R(W,X), R(W,Y), E(X,Z), E(Y,Z) -> P(W).`))
 	rew, _, err := Rewrite(th, Options{})
